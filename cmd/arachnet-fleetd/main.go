@@ -28,8 +28,9 @@
 // report fingerprint an uninterrupted run would have produced.
 //
 // Resilience: checkpoints are written crash-safely (fsync + rename +
-// directory fsync) under a CRC envelope; a checkpoint that fails to
-// decode on restart is quarantined as <id>.corrupt instead of blocking
+// directory fsync) as CRC-tagged binary CKP1 frames (<id>.ckpt.bin;
+// `arachnet-trace -convert` dumps one as JSON); a checkpoint that fails
+// to decode on restart is quarantined as <id>.corrupt instead of blocking
 // the fleet. When the checkpoint directory turns unwritable the daemon
 // enters degraded mode — cached reports and /v1/healthz keep serving,
 // non-cached submissions get 503 — and recovers on the next write that
@@ -61,7 +62,6 @@ func main() {
 	cacheEntries := flag.Int("cache", 128, "response cache entries keyed on (canonical spec, seed); negative disables")
 	ckptDir := flag.String("checkpoint-dir", "", "persist job checkpoints here for resume after restart (empty = disabled)")
 	ckptEvery := flag.Duration("checkpoint-every", 2*time.Second, "snapshot interval for running jobs")
-	ckptFormat := flag.String("checkpoint-format", "json", "checkpoint encoding: json or binary (restart reads both)")
 	jobDeadline := flag.Duration("job-deadline", 0, "per-job wall-clock deadline; an overrunning job fails (0 = unlimited)")
 	jobRetries := flag.Int("job-retries", 0, "re-execution rounds for shards that failed with transient errors (panics never re-run)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for checkpoint-and-exit on SIGINT/SIGTERM")
@@ -75,16 +75,15 @@ func main() {
 	}
 
 	srv, err := fleetd.New(fleetd.Config{
-		QueueDepth:       *queueDepth,
-		Runners:          *runners,
-		WorkerCap:        *workerCap,
-		CacheEntries:     *cacheEntries,
-		CheckpointDir:    *ckptDir,
-		CheckpointFormat: *ckptFormat,
-		CheckpointEvery:  *ckptEvery,
-		JobDeadline:      *jobDeadline,
-		JobRetries:       *jobRetries,
-		Logf:             logf,
+		QueueDepth:      *queueDepth,
+		Runners:         *runners,
+		WorkerCap:       *workerCap,
+		CacheEntries:    *cacheEntries,
+		CheckpointDir:   *ckptDir,
+		CheckpointEvery: *ckptEvery,
+		JobDeadline:     *jobDeadline,
+		JobRetries:      *jobRetries,
+		Logf:            logf,
 	})
 	if err != nil {
 		fatal(err)

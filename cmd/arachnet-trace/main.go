@@ -14,6 +14,7 @@
 //	arachnet-trace -pattern c3 -metrics
 //	arachnet-trace -pattern c7 -slots 20000 -faults plan.json
 //	arachnet-trace -convert events.bin -o events.jsonl
+//	arachnet-trace -convert /var/lib/fleetd/job-000003.ckpt.bin
 //
 // -faults injects a deterministic fault plan (see internal/faults);
 // the recovery report is printed to stderr after the CSV completes.
@@ -22,13 +23,16 @@
 // the input's format is detected from its bytes (binary streams open
 // with the wire magic) and the file is rewritten in the other format.
 // A binary trace converts to exactly the JSONL a JSONL sink would
-// have written for the same run, and vice versa.
+// have written for the same run, and vice versa. A fleetd checkpoint
+// (<id>.ckpt.bin, whose first frame is CKP1) is dumped one way, as
+// one line of JSON holding the decoded record.
 package main
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -37,6 +41,8 @@ import (
 	"strings"
 
 	"repro/arachnet"
+	"repro/internal/fleetd"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -49,7 +55,7 @@ func main() {
 	traceFormat := flag.String("trace-format", "jsonl", "trace encoding: jsonl or binary")
 	metrics := flag.Bool("metrics", false, "print aggregated event metrics to stderr at exit")
 	faultsPath := flag.String("faults", "", "JSON fault plan to inject; prints the recovery report to stderr at exit")
-	convertPath := flag.String("convert", "", `convert this trace file between JSONL and binary (format auto-detected; "-" = stdin) and exit`)
+	convertPath := flag.String("convert", "", `convert this trace file between JSONL and binary, or dump a fleetd checkpoint as JSON (format auto-detected; "-" = stdin) and exit`)
 	outPath := flag.String("o", "", `with -convert: output file (default stdout)`)
 	flag.Parse()
 
@@ -214,6 +220,7 @@ func main() {
 // input format is sniffed from the first bytes — binary streams open
 // with the wire magic — so the flag needs no format argument, and a
 // round trip (binary → JSONL → binary) reproduces the original bytes.
+// A binary stream whose first frame is a checkpoint is dumped as JSON.
 func convertTrace(inPath, outPath string) error {
 	in := io.Reader(os.Stdin)
 	if inPath != "-" {
@@ -225,7 +232,9 @@ func convertTrace(inPath, outPath string) error {
 		in = f
 	}
 	br := bufio.NewReaderSize(in, 64<<10)
-	magic, _ := br.Peek(4)
+	head, _ := br.Peek(wire.HeaderSize + len(wire.TagCheckpoint))
+	binary := bytes.HasPrefix(head, []byte("ARWB"))
+	checkpoint := binary && len(head) > wire.HeaderSize && bytes.Equal(head[wire.HeaderSize:], wire.TagCheckpoint[:])
 
 	out := io.Writer(os.Stdout)
 	var outFile *os.File
@@ -239,9 +248,12 @@ func convertTrace(inPath, outPath string) error {
 	}
 	bw := bufio.NewWriterSize(out, 64<<10)
 	var err error
-	if bytes.Equal(magic, []byte("ARWB")) {
+	switch {
+	case checkpoint:
+		err = dumpCheckpoint(br, bw)
+	case binary:
 		err = arachnet.ConvertTraceBinaryToJSONL(br, bw)
-	} else {
+	default:
 		err = arachnet.ConvertTraceJSONLToBinary(br, bw)
 	}
 	if err == nil {
@@ -256,6 +268,25 @@ func convertTrace(inPath, outPath string) error {
 		return fmt.Errorf("convert %s: %w", inPath, err)
 	}
 	return nil
+}
+
+// dumpCheckpoint decodes one fleetd checkpoint file (CRC verified) and
+// writes its record as a single JSON line.
+func dumpCheckpoint(r io.Reader, w io.Writer) error {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	rec, err := fleetd.UnmarshalCheckpoint(data)
+	if err != nil {
+		return err
+	}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(line, '\n'))
+	return err
 }
 
 func joinInts(xs []int) string {

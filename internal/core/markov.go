@@ -473,18 +473,6 @@ func (f *Factorization) ExpectedAbsorptionSlots() (mean, worst float64, err erro
 // Model returns the enumerated chain this factorization was built from.
 func (f *Factorization) Model() *Model { return f.model }
 
-// ExpectedAbsorptionSlots is the unfactored entry point: it factors the
-// chain and solves, returning the same values (bit-identically) as the
-// pre-factorization implementation. Sweeps should prefer ForConfig,
-// which caches the factorization across trials.
-func (m *Model) ExpectedAbsorptionSlots() (mean, worst float64, err error) {
-	f, err := m.Factor()
-	if err != nil {
-		return 0, 0, err
-	}
-	return f.ExpectedAbsorptionSlots()
-}
-
 // Describe returns a short human-readable model summary.
 func (m *Model) Describe() string {
 	ps := make([]int, len(m.Periods))

@@ -20,6 +20,21 @@ func newModel(t *testing.T, periods ...int) *Model {
 	return m
 }
 
+// solve factors m and returns its expected absorption time (mean over
+// the post-RESET states, and the worst transient state).
+func solve(t *testing.T, m *Model) (mean, worst float64) {
+	t.Helper()
+	f, err := m.Factor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean, worst, err = f.ExpectedAbsorptionSlots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mean, worst
+}
+
 func TestNewModelValidation(t *testing.T) {
 	if _, err := NewModel(nil, 3); err == nil {
 		t.Error("empty periods accepted")
@@ -51,10 +66,7 @@ func TestSingleTagChain(t *testing.T) {
 	if err := m.VerifyReachability(); err != nil {
 		t.Error(err)
 	}
-	mean, worst, err := m.ExpectedAbsorptionSlots()
-	if err != nil {
-		t.Fatal(err)
-	}
+	mean, worst := solve(t, m)
 	// A lone tag settles on its first transmission: expected time is
 	// within one period of the first matching slot.
 	if mean <= 0 || mean > 4 {
@@ -106,14 +118,8 @@ func TestAbsorbingStatesAreConflictFree(t *testing.T) {
 func TestExpectedAbsorptionGrowsWithUtilization(t *testing.T) {
 	low := newModel(t, 4, 4) // U = 0.5
 	high := newModel(t, 2, 4, 4)
-	meanLow, _, err := low.ExpectedAbsorptionSlots()
-	if err != nil {
-		t.Fatal(err)
-	}
-	meanHigh, _, err := high.ExpectedAbsorptionSlots()
-	if err != nil {
-		t.Fatal(err)
-	}
+	meanLow, _ := solve(t, low)
+	meanHigh, _ := solve(t, high)
 	if meanHigh <= meanLow {
 		t.Errorf("full utilization (%v slots) should converge slower than half (%v)",
 			meanHigh, meanLow)
@@ -129,10 +135,7 @@ func TestModelMatchesSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, _, err := m.ExpectedAbsorptionSlots()
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact, _ := solve(t, m)
 	// Monte Carlo over the simulator: absorption = all tags settled
 	// (measure the first all-settled slot, comparable to the model's
 	// absorption definition).
@@ -198,14 +201,8 @@ func TestModelDeterministicEnumeration(t *testing.T) {
 	if a.NumStates() != b.NumStates() {
 		t.Fatalf("state counts differ: %d vs %d", a.NumStates(), b.NumStates())
 	}
-	ea, _, err := a.ExpectedAbsorptionSlots()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eb, _, err := b.ExpectedAbsorptionSlots()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ea, _ := solve(t, a)
+	eb, _ := solve(t, b)
 	if ea != eb {
 		t.Errorf("expected times differ: %v vs %v", ea, eb)
 	}

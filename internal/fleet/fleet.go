@@ -115,8 +115,8 @@ func (s Status) String() string {
 func (s Status) MarshalJSON() ([]byte, error) { return []byte(`"` + s.String() + `"`), nil }
 
 // UnmarshalJSON parses a status name back into its value, so reports
-// and checkpoints round-trip through JSON (the fleetd daemon persists
-// job outcomes and clients decode reports over the wire).
+// and dumped checkpoints round-trip through JSON (clients decode
+// reports over the wire).
 func (s *Status) UnmarshalJSON(data []byte) error {
 	var name string
 	if err := json.Unmarshal(data, &name); err != nil {

@@ -3,7 +3,6 @@ package fleetd
 import (
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,7 +16,7 @@ import (
 // Checkpointed resume. While a job runs, the daemon accumulates its
 // deterministic shard outcomes (status ok or failed — the statuses a
 // resumed pool may preload) and periodically writes a crash-safe
-// snapshot to <dir>/<id>.ckpt.json. A daemon killed mid-sweep
+// snapshot to <dir>/<id>.ckpt.bin. A daemon killed mid-sweep
 // therefore restarts, reloads the directory, and finishes interrupted
 // jobs without recomputing done shards; finished jobs persist their
 // full report so restarts also repopulate the response cache.
@@ -26,32 +25,23 @@ import (
 // the file, renames it over the target, then fsyncs the directory —
 // after Write returns, the checkpoint survives a machine crash, and a
 // crash at any earlier point leaves the previous checkpoint intact.
-// Records are wrapped in a CRC-tagged envelope; Load quarantines any
-// file that fails to decode or whose CRC disagrees (renamed to
-// <id>.corrupt, reported, never fatal) so one bad sector cannot block
-// the rest of the fleet from resuming.
+// Records are encoded as one CRC-tagged CKP1 frame (wire.go); Load
+// quarantines any file that fails to decode or whose CRC disagrees
+// (renamed to <id>.corrupt, reported, never fatal) so one bad sector
+// cannot block the rest of the fleet from resuming.
 
-// checkpointVersion guards the on-disk schema. Version 2 wraps the
-// record in a CRC32-C envelope; version-1 files (no envelope, no CRC)
-// are still read.
+// checkpointVersion guards the record schema carried inside every
+// CKP1 frame. It stays 2, the number CKP1 shipped with, so existing
+// files and the golden fixture keep decoding byte for byte.
 const checkpointVersion = 2
 
-// ckptSuffix names JSON checkpoint files and ckptBinSuffix their
-// binary wire-format siblings; anything else in the directory is
-// ignored.
+// ckptSuffix names checkpoint files. Load also reads files with
+// legacyJSONSuffix, which older daemons wrote: they fail the CKP1 header
+// check and are quarantined rather than silently ignored. Anything
+// else in the directory is skipped.
 const (
-	ckptSuffix    = ".ckpt.json"
-	ckptBinSuffix = ".ckpt.bin"
-)
-
-// Checkpoint store formats. JSON is the default debug-friendly store;
-// binary is the wire-format store (same CRC protection, a fraction of
-// the encode cost for outcome-heavy snapshots). Load reads both
-// regardless of the configured write format, so a daemon can switch
-// formats across a restart without losing resume state.
-const (
-	CheckpointJSON   = "json"
-	CheckpointBinary = "binary"
+	ckptSuffix       = ".ckpt.bin"
+	legacyJSONSuffix = ".ckpt.json"
 )
 
 // corruptSuffix is where Load quarantines files it cannot trust.
@@ -75,23 +65,6 @@ type Record struct {
 	Report      json.RawMessage `json:"report,omitempty"`
 	// Error preserves a failed job's description across restarts.
 	Error string `json:"error,omitempty"`
-}
-
-// envelope is the version-2 on-disk wrapper: the record's raw JSON
-// plus a CRC32-C over exactly those bytes, so torn or bit-rotted
-// checkpoints are detected instead of half-trusted.
-type envelope struct {
-	Version int             `json:"version"`
-	CRC     string          `json:"crc"`
-	Record  json.RawMessage `json:"record"`
-}
-
-// castagnoli is the CRC32-C table (hardware-accelerated on most CPUs).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// crcHex tags record bytes for the envelope.
-func crcHex(b []byte) string {
-	return fmt.Sprintf("%08x", crc32.Checksum(b, castagnoli))
 }
 
 // Quarantine describes one checkpoint file Load refused to trust.
@@ -148,9 +121,6 @@ func (r RecoveryReport) String() string {
 type CheckpointStore struct {
 	dir string
 	fs  FS
-	// format selects the write encoding (CheckpointJSON when empty);
-	// Load always reads both.
-	format string
 	// tmpSeq makes each write's staging file unique, so concurrent
 	// writes for the same job (admission racing the first periodic
 	// flush) never rename each other's temp file out from under them.
@@ -179,31 +149,12 @@ func NewCheckpointStoreFS(dir string, fsys FS) (*CheckpointStore, error) {
 	return &CheckpointStore{dir: dir, fs: fsys}, nil
 }
 
-// SetFormat selects the write encoding; "" means CheckpointJSON. Safe
-// on a nil (disabled) store.
-func (s *CheckpointStore) SetFormat(format string) error {
-	switch format {
-	case "", CheckpointJSON, CheckpointBinary:
-	default:
-		return fmt.Errorf("fleetd: unknown checkpoint format %q (want %s or %s)", format, CheckpointJSON, CheckpointBinary)
-	}
-	if s != nil {
-		s.format = format
-	}
-	return nil
+// path returns the checkpoint file for a job id.
+func (s *CheckpointStore) path(id string) string {
+	return filepath.Join(s.dir, id+ckptSuffix)
 }
 
-// path returns the checkpoint file the configured format writes for a
-// job id; sibling is the other format's file, which Write retires so a
-// format switch never leaves two records for one job.
-func (s *CheckpointStore) path(id string) (path, sibling string) {
-	if s.format == CheckpointBinary {
-		return filepath.Join(s.dir, id+ckptBinSuffix), filepath.Join(s.dir, id+ckptSuffix)
-	}
-	return filepath.Join(s.dir, id+ckptSuffix), filepath.Join(s.dir, id+ckptBinSuffix)
-}
-
-// Write persists a record crash-safely: marshal into the CRC envelope,
+// Write persists a record crash-safely: encode it as a CKP1 frame,
 // stage in a temp file in the same directory, fsync the file, rename
 // over the target, fsync the directory. A crash before the rename
 // leaves the previous checkpoint; a crash after the directory sync
@@ -212,22 +163,8 @@ func (s *CheckpointStore) Write(rec Record) error {
 	if s == nil {
 		return nil
 	}
-	rec.Version = checkpointVersion
-	var data []byte
-	if s.format == CheckpointBinary {
-		data = AppendCheckpoint(make([]byte, 0, MarshalCheckpointSize(&rec)), &rec)
-	} else {
-		raw, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("fleetd: marshal checkpoint %s: %w", rec.ID, err)
-		}
-		env, err := json.Marshal(envelope{Version: checkpointVersion, CRC: crcHex(raw), Record: raw})
-		if err != nil {
-			return fmt.Errorf("fleetd: marshal checkpoint envelope %s: %w", rec.ID, err)
-		}
-		data = append(env, '\n')
-	}
-	target, sibling := s.path(rec.ID)
+	data := AppendCheckpoint(make([]byte, 0, MarshalCheckpointSize(&rec)), &rec)
+	target := s.path(rec.ID)
 	tmp := fmt.Sprintf("%s.%d.tmp", target, s.tmpSeq.Add(1))
 	f, err := s.fs.Create(tmp)
 	if err != nil {
@@ -250,27 +187,18 @@ func (s *CheckpointStore) Write(rec Record) error {
 	if err := s.fs.SyncDir(s.dir); err != nil {
 		return fmt.Errorf("fleetd: sync checkpoint dir for %s: %w", rec.ID, err)
 	}
-	// Retire the other format's file (best-effort) so a format switch
-	// never leaves two live records for one job.
-	_ = s.fs.Remove(sibling)
 	return nil
 }
 
-// Remove deletes a job's checkpoint in both formats (used when a job
-// is cancelled).
+// Remove deletes a job's checkpoint (used when a job is cancelled).
 func (s *CheckpointStore) Remove(id string) error {
 	if s == nil {
 		return nil
 	}
-	target, sibling := s.path(id)
-	err := s.fs.Remove(target)
-	if os.IsNotExist(err) {
-		err = nil
+	if err := s.fs.Remove(s.path(id)); err != nil && !os.IsNotExist(err) {
+		return err
 	}
-	if serr := s.fs.Remove(sibling); serr != nil && !os.IsNotExist(serr) && err == nil {
-		err = serr
-	}
-	return err
+	return nil
 }
 
 // Load reads every checkpoint in the directory, sorted by job ID so a
@@ -290,10 +218,9 @@ func (s *CheckpointStore) Load() ([]Record, RecoveryReport) {
 		return nil, report
 	}
 	var recs []Record
-	seen := make(map[string]string) // job id -> file it loaded from
 	for _, ent := range entries {
 		name := ent.Name()
-		if ent.IsDir() || (!strings.HasSuffix(name, ckptSuffix) && !strings.HasSuffix(name, ckptBinSuffix)) {
+		if ent.IsDir() || (!strings.HasSuffix(name, ckptSuffix) && !strings.HasSuffix(name, legacyJSONSuffix)) {
 			continue
 		}
 		data, err := s.fs.ReadFile(filepath.Join(s.dir, name))
@@ -306,14 +233,6 @@ func (s *CheckpointStore) Load() ([]Record, RecoveryReport) {
 			report.Quarantined = append(report.Quarantined, s.quarantine(name, reason))
 			continue
 		}
-		if prev, dup := seen[rec.ID]; dup {
-			// Both formats present for one job (a crash between Write's
-			// rename and its sibling cleanup): keep the first, flag the
-			// other so operators know which file won.
-			report.Errors = append(report.Errors, fmt.Sprintf("duplicate checkpoint for %s: kept %s, ignored %s", rec.ID, prev, name))
-			continue
-		}
-		seen[rec.ID] = name
 		recs = append(recs, rec)
 		report.Loaded++
 	}
@@ -323,50 +242,15 @@ func (s *CheckpointStore) Load() ([]Record, RecoveryReport) {
 
 // decodeCheckpoint parses one checkpoint file. An empty reason means
 // the record is trustworthy; otherwise reason says why it is not.
-// Format dispatch is by content: binary files open with the wire
-// magic, everything else parses as the JSON envelope.
 func decodeCheckpoint(data []byte) (Record, string) {
-	if binaryCheckpoint(data) {
-		rec, err := UnmarshalCheckpoint(data)
-		if err != nil {
-			return Record{}, fmt.Sprintf("binary record undecodable: %v", err)
-		}
-		if rec.ID == "" {
-			return Record{}, "binary record missing job id"
-		}
-		return rec, ""
-	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
+	rec, err := UnmarshalCheckpoint(data)
+	if err != nil {
 		return Record{}, fmt.Sprintf("undecodable: %v", err)
 	}
-	switch env.Version {
-	case checkpointVersion:
-		if got := crcHex(env.Record); got != env.CRC {
-			return Record{}, fmt.Sprintf("crc mismatch: file says %s, content is %s", env.CRC, got)
-		}
-		var rec Record
-		if err := json.Unmarshal(env.Record, &rec); err != nil {
-			return Record{}, fmt.Sprintf("record undecodable: %v", err)
-		}
-		if rec.ID == "" {
-			return Record{}, "missing job id"
-		}
-		return rec, ""
-	case 1:
-		// Legacy pre-envelope format: the whole file is the record.
-		// No CRC to check; decode errors still quarantine.
-		var rec Record
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return Record{}, fmt.Sprintf("legacy record undecodable: %v", err)
-		}
-		if rec.ID == "" {
-			return Record{}, "legacy record missing job id"
-		}
-		return rec, ""
-	default:
-		return Record{}, fmt.Sprintf("unsupported version %d", env.Version)
+	if rec.ID == "" {
+		return Record{}, "missing job id"
 	}
+	return rec, ""
 }
 
 // quarantine moves a rejected checkpoint aside as <id>.corrupt so the
@@ -374,7 +258,7 @@ func decodeCheckpoint(data []byte) (Record, string) {
 // post-mortem. If the rename fails the file stays put and is skipped.
 func (s *CheckpointStore) quarantine(name, reason string) Quarantine {
 	q := Quarantine{File: name, Reason: reason}
-	base := strings.TrimSuffix(strings.TrimSuffix(name, ckptSuffix), ckptBinSuffix)
+	base := strings.TrimSuffix(strings.TrimSuffix(name, ckptSuffix), legacyJSONSuffix)
 	dest := base + corruptSuffix
 	if err := s.fs.Rename(filepath.Join(s.dir, name), filepath.Join(s.dir, dest)); err == nil {
 		q.MovedTo = dest

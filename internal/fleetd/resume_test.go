@@ -209,15 +209,25 @@ func TestQueuedJobSurvivesDrain(t *testing.T) {
 	}
 }
 
-// TestCheckpointCorruptionTolerated: a stray temp file or corrupt
-// checkpoint in the directory is quarantined as <id>.corrupt and
-// reported, never fatal to the rest of the fleet.
+// TestCheckpointCorruptionTolerated: a torn checkpoint, or a leftover
+// JSON checkpoint from an older daemon, is quarantined as <id>.corrupt
+// with its bytes preserved and reported, never fatal to the rest of
+// the fleet; a stray temp file is skipped.
 func TestCheckpointCorruptionTolerated(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "job-000009"+ckptSuffix), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
+	rec := Record{ID: "job-000009", State: StateQueuedCkpt, Spec: []byte(`{"seed":9}`)}
+	full := AppendCheckpoint(nil, &rec)
+	corrupt := map[string][]byte{
+		"job-000009" + ckptSuffix: full[:len(full)/2],
+		"job-000011" + legacyJSONSuffix: []byte(`{"version":2,"crc":"da48ca8a",` +
+			`"record":{"version":2,"id":"job-000011","state":"queued","spec":{"seed":11}}}` + "\n"),
 	}
-	if err := os.WriteFile(filepath.Join(dir, "job-000010"+ckptSuffix+".tmp"), []byte("ignored"), 0o644); err != nil {
+	for name, data := range corrupt {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job-000010"+ckptSuffix+".1.tmp"), []byte("ignored"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	store := mustStore(t, dir)
@@ -228,30 +238,36 @@ func TestCheckpointCorruptionTolerated(t *testing.T) {
 	if report.Loaded != 0 {
 		t.Errorf("report claims %d loaded records", report.Loaded)
 	}
-	if len(report.Quarantined) != 1 || !strings.Contains(report.Quarantined[0].File, "job-000009") {
-		t.Fatalf("want one quarantine naming the torn file, got %+v", report.Quarantined)
+	if len(report.Quarantined) != len(corrupt) {
+		t.Fatalf("want %d quarantines, got %+v", len(corrupt), report.Quarantined)
 	}
-	q := report.Quarantined[0]
-	if q.MovedTo != "job-000009"+corruptSuffix {
-		t.Errorf("quarantine destination = %q", q.MovedTo)
-	}
-	if q.Reason == "" {
-		t.Error("quarantine carries no reason")
-	}
-	// The bytes must be preserved for post-mortem at the new name, and
-	// the original file must be gone so the next load skips it.
-	moved, err := os.ReadFile(filepath.Join(dir, q.MovedTo))
-	if err != nil {
-		t.Fatalf("quarantined bytes unreadable: %v", err)
-	}
-	if string(moved) != "{torn" {
-		t.Errorf("quarantined bytes = %q, want the original torn content", moved)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "job-000009"+ckptSuffix)); !os.IsNotExist(err) {
-		t.Errorf("torn checkpoint still present after quarantine (err=%v)", err)
+	for _, q := range report.Quarantined {
+		data, ok := corrupt[q.File]
+		if !ok {
+			t.Fatalf("unexpected quarantine %+v", q)
+		}
+		id := q.File[:len("job-000000")]
+		if q.MovedTo != id+corruptSuffix {
+			t.Errorf("%s: quarantine destination = %q", q.File, q.MovedTo)
+		}
+		if q.Reason == "" {
+			t.Errorf("%s: quarantine carries no reason", q.File)
+		}
+		// The bytes must be preserved for post-mortem at the new name,
+		// and the original file must be gone so the next load skips it.
+		moved, err := os.ReadFile(filepath.Join(dir, q.MovedTo))
+		if err != nil {
+			t.Fatalf("%s: quarantined bytes unreadable: %v", q.File, err)
+		}
+		if string(moved) != string(data) {
+			t.Errorf("%s: quarantined bytes = %q, want the original content", q.File, moved)
+		}
+		if _, err := os.Stat(filepath.Join(dir, q.File)); !os.IsNotExist(err) {
+			t.Errorf("%s still present after quarantine (err=%v)", q.File, err)
+		}
 	}
 	// A second load over the same directory is clean: the quarantine is
-	// not re-reported and the .corrupt file is ignored.
+	// not re-reported and the .corrupt files are ignored.
 	recs2, report2 := store.Load()
 	if len(recs2) != 0 || !report2.Clean() {
 		t.Errorf("second load not clean: recs=%+v report=%s", recs2, report2)
@@ -269,9 +285,9 @@ func TestCheckpointCorruptionTolerated(t *testing.T) {
 	}
 }
 
-// TestCheckpointCRCMismatchQuarantined: a version-2 envelope whose CRC
-// disagrees with its record bytes is quarantined even though it parses
-// as valid JSON — silent bit rot is caught, not half-trusted.
+// TestCheckpointCRCMismatchQuarantined: a checkpoint whose frame still
+// parses but whose payload had one byte flipped is quarantined for its
+// CRC — silent bit rot is caught, not half-trusted.
 func TestCheckpointCRCMismatchQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	store := mustStore(t, dir)
@@ -279,43 +295,26 @@ func TestCheckpointCRCMismatchQuarantined(t *testing.T) {
 	if err := store.Write(rec); err != nil {
 		t.Fatal(err)
 	}
-	name := "job-000001" + ckptSuffix
-	path := filepath.Join(dir, name)
+	path := filepath.Join(dir, "job-000001"+ckptSuffix)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte inside the embedded record without breaking the JSON.
-	tampered := strings.Replace(string(data), `"seed":1`, `"seed":2`, 1)
-	if tampered == string(data) {
+	// Flip one byte inside the embedded spec; framing stays intact.
+	at := strings.Index(string(data), `"seed":1`)
+	if at < 0 {
 		t.Fatal("tamper target not found in checkpoint bytes")
 	}
-	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
+	data[at+len(`"seed":`)] = '2'
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	recs, report := store.Load()
 	if len(recs) != 0 {
 		t.Errorf("tampered checkpoint loaded: %+v", recs)
 	}
-	if len(report.Quarantined) != 1 || !strings.Contains(report.Quarantined[0].Reason, "crc mismatch") {
+	if len(report.Quarantined) != 1 || !strings.Contains(report.Quarantined[0].Reason, "checkpoint crc") {
 		t.Fatalf("want a crc-mismatch quarantine, got %+v", report.Quarantined)
-	}
-}
-
-// TestCheckpointLegacyV1Loads: a pre-envelope (version 1) checkpoint
-// still loads — upgrades must not orphan in-flight jobs.
-func TestCheckpointLegacyV1Loads(t *testing.T) {
-	dir := t.TempDir()
-	legacy := `{"version":1,"id":"job-000004","state":"queued","spec":{"seed":9}}`
-	if err := os.WriteFile(filepath.Join(dir, "job-000004"+ckptSuffix), []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recs, report := mustStore(t, dir).Load()
-	if !report.Clean() || report.Loaded != 1 {
-		t.Fatalf("legacy load not clean: %s", report)
-	}
-	if len(recs) != 1 || recs[0].ID != "job-000004" || recs[0].State != StateQueuedCkpt {
-		t.Fatalf("legacy record mangled: %+v", recs)
 	}
 }
 

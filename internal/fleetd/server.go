@@ -62,11 +62,6 @@ type Config struct {
 	// CheckpointDir persists job checkpoints for resume-after-restart;
 	// empty disables checkpointing.
 	CheckpointDir string
-	// CheckpointFormat selects the checkpoint write encoding:
-	// CheckpointJSON (the default) or CheckpointBinary (the wire
-	// format, internal/wire). Load reads both, so the format can change
-	// across restarts without losing resume state.
-	CheckpointFormat string
 	// CheckpointEvery is the snapshot interval for running jobs;
 	// <= 0 means the default 2s. The drain path always writes a final
 	// snapshot regardless.
@@ -212,9 +207,6 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	store, err := NewCheckpointStoreFS(cfg.CheckpointDir, cfg.FS)
 	if err != nil {
-		return nil, err
-	}
-	if err := store.SetFormat(cfg.CheckpointFormat); err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())

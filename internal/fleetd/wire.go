@@ -1,22 +1,20 @@
 package fleetd
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/fleet"
 	"repro/internal/wire"
 )
 
-// Binary checkpoint encoding (internal/wire format, DESIGN.md §11).
-// A binary checkpoint file is the 8-byte stream header followed by one
-// CKP1 frame whose payload opens with a CRC-32C over the rest — the
-// same torn-write detection the JSON envelope provides, moved into the
-// binary layer. Spec and Report travel as their exact submitted JSON
-// bytes (the daemon's cache key and the report fingerprint are
-// functions of those bytes), and each shard outcome is a nested JOC1
-// frame, so fingerprints survive a round trip through either store
-// format bit-identically.
+// Checkpoint encoding (internal/wire format, DESIGN.md §11). A
+// checkpoint file is the 8-byte stream header followed by one CKP1
+// frame whose payload opens with a CRC-32C over the rest, so torn or
+// bit-rotted files are detected instead of half-trusted. Spec and
+// Report travel as their exact submitted JSON bytes (the daemon's
+// cache key and the report fingerprint are functions of those bytes),
+// and each shard outcome is a nested JOC1 frame, so fingerprints
+// survive a checkpoint round trip bit-identically.
 
 // MarshalCheckpointSize returns the encoded size of rec's file image.
 func MarshalCheckpointSize(rec *Record) int {
@@ -36,9 +34,8 @@ func MarshalCheckpointSize(rec *Record) int {
 }
 
 // AppendCheckpoint appends rec's complete binary file image (header +
-// CKP1 frame) to dst. The record's Version field is ignored: binary
-// checkpoints always write the current schema version, mirroring
-// CheckpointStore.Write.
+// CKP1 frame) to dst. The record's Version field is ignored:
+// checkpoints always write the current schema version.
 func AppendCheckpoint(dst []byte, rec *Record) []byte {
 	dst = wire.AppendHeader(dst)
 	start := len(dst)
@@ -159,11 +156,4 @@ func UnmarshalCheckpoint(data []byte) (Record, error) {
 		return Record{}, fmt.Errorf("%w: %d trailing bytes in checkpoint payload", wire.ErrMalformed, len(payload)-off)
 	}
 	return rec, nil
-}
-
-// binaryCheckpoint reports whether a checkpoint file's bytes are in
-// the binary wire format (vs. the JSON envelope) — dispatch is by
-// content, not file name, so a renamed file still decodes.
-func binaryCheckpoint(data []byte) bool {
-	return len(data) >= 4 && bytes.HasPrefix(data, []byte("ARWB"))
 }

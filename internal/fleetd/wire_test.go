@@ -217,20 +217,13 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 	})
 }
 
-// TestCheckpointStoreBinaryFormat exercises the dual-format store on a
-// real directory: binary writes land as .ckpt.bin and load back
-// exactly, a format switch retires the sibling file, corruption is
-// quarantined, and Remove clears both formats.
+// TestCheckpointStoreBinaryFormat exercises the store on a real
+// directory: writes land as .ckpt.bin CKP1 files and load back
+// exactly, corruption is quarantined, and Remove clears the file.
 func TestCheckpointStoreBinaryFormat(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewCheckpointStore(dir)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetFormat("holographic"); err == nil {
-		t.Fatal("SetFormat accepted an unknown format")
-	}
-	if err := s.SetFormat(CheckpointBinary); err != nil {
 		t.Fatal(err)
 	}
 
@@ -238,13 +231,13 @@ func TestCheckpointStoreBinaryFormat(t *testing.T) {
 	if err := s.Write(rec); err != nil {
 		t.Fatal(err)
 	}
-	binPath := filepath.Join(dir, rec.ID+ckptBinSuffix)
-	raw, err := os.ReadFile(binPath)
+	path := filepath.Join(dir, rec.ID+ckptSuffix)
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("binary checkpoint not written: %v", err)
+		t.Fatalf("checkpoint not written: %v", err)
 	}
-	if !binaryCheckpoint(raw) {
-		t.Fatal("binary store wrote a file without the wire magic")
+	if !bytes.Equal(raw, AppendCheckpoint(nil, &rec)) {
+		t.Fatal("store wrote a different image than AppendCheckpoint")
 	}
 
 	recs, report := s.Load()
@@ -254,78 +247,30 @@ func TestCheckpointStoreBinaryFormat(t *testing.T) {
 	want := rec
 	want.Version = checkpointVersion
 	if !reflect.DeepEqual(recs[0], want) {
-		t.Fatalf("binary store round trip mismatch:\n got %+v\nwant %+v", recs[0], want)
+		t.Fatalf("store round trip mismatch:\n got %+v\nwant %+v", recs[0], want)
 	}
 
-	// Switching the write format retires the other format's file, so a
-	// job never has two live checkpoints.
-	if err := s.SetFormat(CheckpointJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(rec); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(binPath); !os.IsNotExist(err) {
-		t.Fatalf("format switch left the binary sibling behind: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, rec.ID+ckptSuffix)); err != nil {
-		t.Fatalf("json checkpoint missing after format switch: %v", err)
-	}
-
-	// A corrupt binary file is quarantined, not fatal.
-	if err := s.SetFormat(CheckpointBinary); err != nil {
-		t.Fatal(err)
-	}
+	// A corrupt file is quarantined, not fatal.
 	bad := append([]byte(nil), raw...)
 	bad[len(bad)-1] ^= 0x01
-	if err := os.WriteFile(filepath.Join(dir, "job-bad"+ckptBinSuffix), bad, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "job-bad"+ckptSuffix), bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	recs, report = s.Load()
 	if len(recs) != 1 || len(report.Quarantined) != 1 {
-		t.Fatalf("corrupt binary file not quarantined: %d records, report %s", len(recs), report)
+		t.Fatalf("corrupt file not quarantined: %d records, report %s", len(recs), report)
 	}
-	if q := report.Quarantined[0]; q.MovedTo != "job-bad"+corruptSuffix || !strings.Contains(q.Reason, "binary record undecodable") {
+	if q := report.Quarantined[0]; q.MovedTo != "job-bad"+corruptSuffix || !strings.Contains(q.Reason, "undecodable") {
 		t.Fatalf("unexpected quarantine: %+v", q)
 	}
 
-	// Remove clears whichever formats exist.
-	if err := s.Write(rec); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Remove(rec.ID); err != nil {
 		t.Fatal(err)
 	}
-	for _, suffix := range []string{ckptSuffix, ckptBinSuffix} {
-		if _, err := os.Stat(filepath.Join(dir, rec.ID+suffix)); !os.IsNotExist(err) {
-			t.Fatalf("Remove left %s behind", suffix)
-		}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("Remove left the checkpoint behind: %v", err)
 	}
-}
-
-// TestCheckpointStoreDualFormatDedup: when a crash between Write's
-// rename and sibling cleanup leaves both formats on disk, Load keeps
-// one record per job and reports the duplicate.
-func TestCheckpointStoreDualFormatDedup(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewCheckpointStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := checkpointFixture()
-	if err := s.Write(rec); err != nil { // json
-		t.Fatal(err)
-	}
-	// Plant the binary sibling directly, simulating the torn state.
-	bin := AppendCheckpoint(nil, &rec)
-	if err := os.WriteFile(filepath.Join(dir, rec.ID+ckptBinSuffix), bin, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recs, report := s.Load()
-	if len(recs) != 1 {
-		t.Fatalf("dual-format job loaded %d records", len(recs))
-	}
-	if len(report.Errors) != 1 || !strings.Contains(report.Errors[0], "duplicate checkpoint") {
-		t.Fatalf("duplicate not reported: %s", report)
+	if err := s.Remove(rec.ID); err != nil {
+		t.Fatalf("Remove of a missing checkpoint: %v", err)
 	}
 }

@@ -52,7 +52,7 @@ var (
 	TagFleetSpec = Tag{'F', 'S', 'P', '1'}
 
 	// TagCheckpoint is the fleetd checkpoint envelope (record payload
-	// CRC-32C-tagged, like the JSON envelope it mirrors).
+	// CRC-32C-tagged).
 	TagCheckpoint = Tag{'C', 'K', 'P', '1'}
 
 	// Stream lines for fleetd's /v1/jobs/{id}/stream?format=binary:

@@ -207,8 +207,8 @@ func TestSpecEnvelopeRoundTrip(t *testing.T) {
 }
 
 func TestChecksumMatchesCastagnoli(t *testing.T) {
-	// Pin the polynomial: the fleetd JSON envelope has used CRC-32C
-	// since PR 8, and the binary envelope must agree with it.
+	// Pin the polynomial: checkpoints and spec envelopes on disk are
+	// CRC-32C-tagged, so a table change would orphan them.
 	if got := Checksum([]byte("123456789")); got != 0xe3069283 {
 		t.Fatalf("Checksum(123456789) = %08x, want e3069283 (CRC-32C)", got)
 	}

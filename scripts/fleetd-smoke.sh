@@ -49,6 +49,11 @@ fail() {
 echo "fleetd-smoke: building binaries"
 go build -o "$workdir/arachnet-fleetd" ./cmd/arachnet-fleetd
 go build -o "$workdir/arachnet-fleet" ./cmd/arachnet-fleet
+go build -o "$workdir/arachnet-trace" ./cmd/arachnet-trace
+
+# ckdump decodes a binary checkpoint into $workdir/ck.json through
+# `arachnet-trace -convert`; it fails while the file is absent.
+ckdump() { "$workdir/arachnet-trace" -convert "$1" >"$workdir/ck.json" 2>/dev/null; }
 
 # Single worker and ~24 shards keep the sweep running for a few seconds
 # so the SIGTERM below reliably lands mid-run.
@@ -86,12 +91,13 @@ cpid=$!
 
 # Wait for the periodic snapshot to capture at least one finished shard,
 # then SIGTERM the daemon mid-sweep.
-ck="$ckpt/job-000000.ckpt.json"
+ck="$ckpt/job-000000.ckpt.bin"
 for _ in $(seq 1 200); do
-    grep -q '"outcomes"' "$ck" 2>/dev/null && break
+    ckdump "$ck" && grep -q '"outcomes"' "$workdir/ck.json" && break
     sleep 0.05
 done
-grep -q '"outcomes"' "$ck" 2>/dev/null || fail "no shard outcomes checkpointed within 10s"
+ckdump "$ck" && grep -q '"outcomes"' "$workdir/ck.json" ||
+    fail "no shard outcomes checkpointed within 10s"
 
 echo "fleetd-smoke: SIGTERM mid-sweep"
 kill -TERM "$pid1"
@@ -99,7 +105,7 @@ wait "$pid1" 2>/dev/null || true
 pid1=""
 wait "$cpid" 2>/dev/null || true # interrupted client exits nonzero by design
 
-grep -q '"state":"running"' "$ck" ||
+ckdump "$ck" && grep -q '"state":"running"' "$workdir/ck.json" ||
     fail "sweep finished before the SIGTERM landed; slow the smoke spec down"
 
 # Daemon 2 over the same checkpoint directory must resume the job.
@@ -173,9 +179,10 @@ pid2=""
 # the same fingerprint.
 # The cache-hit resubmission above registered job-000001, so the quick
 # job landed as job-000002.
-qck="$ckpt/job-000002.ckpt.json"
+qck="$ckpt/job-000002.ckpt.bin"
 [ -f "$qck" ] || fail "expected quick-job checkpoint $qck on disk"
-printf '{"version":2,"crc":"00000000","record":{"id":"job-0' > "$qck"
+head -c 40 "$qck" >"$workdir/torn.bin"
+mv "$workdir/torn.bin" "$qck"
 
 "$workdir/arachnet-fleetd" -addr 127.0.0.1:0 -checkpoint-dir "$ckpt" \
     -checkpoint-every 100ms -job-deadline 10m -job-retries 2 \
