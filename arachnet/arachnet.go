@@ -53,6 +53,16 @@ type Pattern = mac.Pattern
 // Table3Patterns returns the paper's nine evaluation workloads c1-c9.
 func Table3Patterns() []Pattern { return mac.Table3Patterns() }
 
+// Table3Pattern looks up a Table 3 workload by name ("c1".."c9").
+func Table3Pattern(name string) (Pattern, bool) {
+	for _, p := range mac.Table3Patterns() {
+		if p.Name == name {
+			return p, true
+		}
+	}
+	return Pattern{}, false
+}
+
 // SlotSim and its configuration, re-exported for protocol-level
 // studies.
 type (

@@ -1,11 +1,9 @@
 package arachnet
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/faults"
-	"repro/internal/mac"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -104,17 +102,6 @@ func (n *Network) AttachFaults(inj *FaultInjector) {
 // deterministically, for reports.
 func FaultCensusString(inj *FaultInjector) string { return inj.CensusString() }
 
-// faultsTracer builds the muted in-memory tracer a chaos job records
-// into: slot open/close (and, for event-level runs, engine events)
-// dominate the stream and the recovery analysis ignores them, so they
-// are muted to keep fleet memory bounded.
-func faultsTracer() (*obs.MemorySink, *obs.Tracer) {
-	sink := obs.NewMemorySink()
-	tr := obs.New(sink)
-	tr.Mute(obs.KindSlotOpen, obs.KindSlotClose, obs.KindSimEvent, obs.KindDecode)
-	return sink, tr
-}
-
 // chaosTrace is a pooled (sink, tracer) pair for chaos jobs: the event
 // backing array survives between jobs (MemorySink.Reset keeps the
 // capacity), which was the largest single per-job allocation in chaos
@@ -125,8 +112,14 @@ type chaosTrace struct {
 	tracer *obs.Tracer
 }
 
+// chaosTracePool builds the muted in-memory tracer a chaos job records
+// into: slot open/close (and, for event-level runs, engine events and
+// decodes) dominate the stream and the recovery analysis ignores them,
+// so they are muted to keep fleet memory bounded.
 var chaosTracePool = sync.Pool{New: func() any {
-	sink, tr := faultsTracer()
+	sink := obs.NewMemorySink()
+	tr := obs.New(sink)
+	tr.Mute(obs.KindSlotOpen, obs.KindSlotClose, obs.KindSimEvent, obs.KindDecode)
 	return &chaosTrace{sink: sink, tracer: tr}
 }}
 
@@ -140,23 +133,3 @@ func acquireChaosTracer() *chaosTrace {
 }
 
 func releaseChaosTracer(ct *chaosTrace) { chaosTracePool.Put(ct) }
-
-// slotFaultsConfig wires a fault plan into a slot-engine config,
-// returning the tracer's memory sink and injector for post-run
-// recovery analysis. A nil or empty plan is a no-op.
-func slotFaultsConfig(cfg *mac.SlotSimConfig, plan *FaultPlan, numTags int) (*obs.MemorySink, *faults.Injector, error) {
-	if plan == nil || plan.Empty() {
-		return nil, nil, nil
-	}
-	if cfg.Trace != nil {
-		return nil, nil, fmt.Errorf("arachnet: fault plan with an external tracer is unsupported")
-	}
-	sink, tr := faultsTracer()
-	inj, err := faults.NewInjector(*plan, cfg.Seed, numTags, tr)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.Trace = tr
-	cfg.Faults = inj
-	return sink, inj, nil
-}

@@ -104,13 +104,6 @@ type VehicleSpec struct {
 	// rather than ConvergeWithin — a faulted run may never converge.
 	Faults *FaultPlan
 
-	// Rebuild disables the snapshot/clone control plane for this
-	// vehicle: every job constructs its simulator or network from
-	// scratch (the pre-pooling path). The pooled and rebuild paths are
-	// bit-identical — this switch exists for verification tests and the
-	// scaling benchmark's baseline, not for correctness.
-	Rebuild bool
-
 	// Replicate expands the vehicle into this many jobs with distinct
 	// deterministic seeds (default 1).
 	Replicate int
@@ -151,10 +144,8 @@ func (v VehicleSpec) periods() (mac.Pattern, error) {
 	if name == "" {
 		name = "c3"
 	}
-	for _, p := range mac.Table3Patterns() {
-		if p.Name == name {
-			return p, nil
-		}
+	if p, ok := Table3Pattern(name); ok {
+		return p, nil
 	}
 	return mac.Pattern{}, fmt.Errorf("arachnet: unknown pattern %q (want c1..c9)", name)
 }
@@ -212,17 +203,12 @@ func (v VehicleSpec) jobFunc() (fleet.JobFunc, error) {
 			slots = 10_000
 		}
 		plan := v.Faults
-		if v.Rebuild {
-			return func(ctx context.Context, job FleetJobInfo) (FleetResult, error) {
-				return runSlotsVehicle(ctx, mac.SlotSimConfig{Pattern: pt, Seed: job.Seed}, slots, converge, plan)
-			}, nil
-		}
 		snap, err := mac.NewSlotSimSnapshot(mac.SlotSimConfig{Pattern: pt})
 		if err != nil {
 			return nil, err
 		}
 		return func(ctx context.Context, job FleetJobInfo) (FleetResult, error) {
-			return runSlotsVehiclePooled(ctx, snap, job.Seed, slots, converge, plan)
+			return runSlotsVehicle(ctx, snap, job.Seed, slots, converge, plan)
 		}, nil
 	case "network":
 		base := v.Network
@@ -243,22 +229,14 @@ func (v VehicleSpec) jobFunc() (fleet.JobFunc, error) {
 		if seconds <= 0 {
 			seconds = 120
 		}
-		cfg := *base
 		plan := v.Faults
-		if v.Rebuild {
-			return func(ctx context.Context, job FleetJobInfo) (FleetResult, error) {
-				c := cfg
-				c.Seed = job.Seed
-				return runNetworkVehicle(ctx, c, seconds, plan)
-			}, nil
-		}
-		snap, err := NewNetworkSnapshot(cfg)
+		snap, err := NewNetworkSnapshot(*base)
 		if err != nil {
 			return nil, err
 		}
-		baseTrace := cfg.Trace
+		baseTrace := base.Trace
 		return func(ctx context.Context, job FleetJobInfo) (FleetResult, error) {
-			return runNetworkVehicleSnapshot(ctx, snap, baseTrace, job.Seed, seconds, plan)
+			return runNetworkVehicle(ctx, snap, baseTrace, job.Seed, seconds, plan)
 		}, nil
 	}
 	return nil, fmt.Errorf("unknown engine %q (want slots or network)", v.Engine)
@@ -270,27 +248,12 @@ func (v VehicleSpec) jobFunc() (fleet.JobFunc, error) {
 const fleetChunkSlots = 512
 
 // runSlotsVehicle executes one slot-level job with cooperative
-// cancellation; a non-empty fault plan turns it into a chaos job that
-// also reports recovery metrics from the recorded trace.
-func runSlotsVehicle(ctx context.Context, cfg mac.SlotSimConfig, slots, convergeWithin int, plan *FaultPlan) (FleetResult, error) {
-	sink, inj, err := slotFaultsConfig(&cfg, plan, cfg.Pattern.NumTags())
-	if err != nil {
-		return FleetResult{}, err
-	}
-	s, err := mac.NewSlotSim(cfg)
-	if err != nil {
-		return FleetResult{}, err
-	}
-	return measureSlotsRun(ctx, s, slots, convergeWithin, sink, inj)
-}
-
-// runSlotsVehiclePooled is the snapshot/clone fast path: the simulator
-// comes from the vehicle's clone pool (reset to the job seed), chaos
-// jobs draw their sink/tracer pair from the shared tracer pool, and
-// only the per-job injector and result maps are freshly allocated. The
-// measurement loop — and therefore the result — is byte-for-byte the
-// rebuild path's.
-func runSlotsVehiclePooled(ctx context.Context, snap *mac.SlotSimSnapshot, seed uint64, slots, convergeWithin int, plan *FaultPlan) (FleetResult, error) {
+// cancellation. The simulator comes from the vehicle's clone pool
+// (reset to the job seed); a non-empty fault plan turns it into a chaos
+// job that draws its sink/tracer pair from the shared tracer pool and
+// also reports recovery metrics from the recorded trace. Only the
+// per-job injector and result maps are freshly allocated.
+func runSlotsVehicle(ctx context.Context, snap *mac.SlotSimSnapshot, seed uint64, slots, convergeWithin int, plan *FaultPlan) (FleetResult, error) {
 	var (
 		sink *MemorySink
 		tr   *Tracer
@@ -314,8 +277,7 @@ func runSlotsVehiclePooled(ctx context.Context, snap *mac.SlotSimSnapshot, seed 
 }
 
 // measureSlotsRun drives a prepared simulator through the job horizon
-// and folds the outcome into a fleet result; shared verbatim by the
-// pooled and rebuild paths so their reports cannot drift apart.
+// and folds the outcome into a fleet result.
 func measureSlotsRun(ctx context.Context, s *mac.SlotSim, slots, convergeWithin int, sink *MemorySink, inj *FaultInjector) (FleetResult, error) {
 	horizon := slots
 	if convergeWithin > 0 {
@@ -366,39 +328,15 @@ func addFaultResults(res *FleetResult, sink *MemorySink, inj *FaultInjector) {
 }
 
 // runNetworkVehicle executes one full event-level job with cooperative
-// cancellation (polled every 10 simulated seconds). A non-empty fault
-// plan attaches a per-slot injector to the running network (fades,
-// carrier outages and forced brownouts at the physical layer) and
-// reports the recovery metrics from its trace.
-func runNetworkVehicle(ctx context.Context, cfg NetworkConfig, seconds int, plan *FaultPlan) (FleetResult, error) {
-	var sink *MemorySink
-	var inj *FaultInjector
-	if plan != nil && !plan.Empty() {
-		if cfg.Trace != nil {
-			return FleetResult{}, fmt.Errorf("arachnet: fault plan with an external tracer is unsupported")
-		}
-		var tr *Tracer
-		sink, tr = faultsTracer()
-		var err error
-		inj, err = NewFaultInjector(*plan, cfg.Seed, len(cfg.Tags), tr)
-		if err != nil {
-			return FleetResult{}, err
-		}
-		cfg.Trace = tr
-	}
-	net, err := NewNetwork(cfg)
-	if err != nil {
-		return FleetResult{}, err
-	}
-	return measureNetworkRun(ctx, net, seconds, sink, inj)
-}
-
-// runNetworkVehicleSnapshot is the network engine's snapshot path: the
-// deployment, channel calibration and period table come frozen from the
-// vehicle's NetworkSnapshot; only the per-trial devices, engine and RNG
-// streams are built per job. Chaos jobs draw their sink/tracer pair
-// from the shared pool.
-func runNetworkVehicleSnapshot(ctx context.Context, snap *NetworkSnapshot, baseTrace *Tracer, seed uint64, seconds int, plan *FaultPlan) (FleetResult, error) {
+// cancellation (polled every 10 simulated seconds). The deployment,
+// channel calibration and period table come frozen from the vehicle's
+// NetworkSnapshot; only the per-trial devices, engine and RNG streams
+// are built per job. A non-empty fault plan attaches a per-slot
+// injector to the running network (fades, carrier outages and forced
+// brownouts at the physical layer) and reports the recovery metrics
+// from its trace; chaos jobs draw their sink/tracer pair from the
+// shared pool.
+func runNetworkVehicle(ctx context.Context, snap *NetworkSnapshot, baseTrace *Tracer, seed uint64, seconds int, plan *FaultPlan) (FleetResult, error) {
 	trace := baseTrace
 	var sink *MemorySink
 	var inj *FaultInjector
@@ -423,8 +361,7 @@ func runNetworkVehicleSnapshot(ctx context.Context, snap *NetworkSnapshot, baseT
 }
 
 // measureNetworkRun drives a built network through the job horizon and
-// folds its stats into a fleet result; shared by the snapshot and
-// rebuild paths.
+// folds its stats into a fleet result.
 func measureNetworkRun(ctx context.Context, net *Network, seconds int, sink *MemorySink, inj *FaultInjector) (FleetResult, error) {
 	if inj != nil {
 		net.AttachFaults(inj)

@@ -41,7 +41,6 @@ type jsonVehicleSpec struct {
 	Seconds         int                `json:"seconds,omitempty"`
 	ChargeFromEmpty bool               `json:"charge_from_empty,omitempty"`
 	Replicate       int                `json:"replicate,omitempty"`
-	Rebuild         bool               `json:"rebuild,omitempty"`
 	Seed            *uint64            `json:"seed,omitempty"`
 	Faults          *FaultPlan         `json:"faults,omitempty"`
 }
@@ -73,7 +72,6 @@ func MarshalFleetJSON(f Fleet) ([]byte, error) {
 			Seconds:         v.Seconds,
 			ChargeFromEmpty: v.ChargeFromEmpty,
 			Replicate:       v.Replicate,
-			Rebuild:         v.Rebuild,
 		}
 		for _, p := range v.Periods {
 			jv.Periods = append(jv.Periods, int(p))
@@ -121,7 +119,6 @@ func UnmarshalFleetJSON(data []byte) (Fleet, error) {
 			Seconds:         jv.Seconds,
 			ChargeFromEmpty: jv.ChargeFromEmpty,
 			Replicate:       jv.Replicate,
-			Rebuild:         jv.Rebuild,
 		}
 		for _, p := range jv.Periods {
 			v.Periods = append(v.Periods, Period(p))

@@ -3,6 +3,7 @@ package arachnet
 import (
 	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -60,6 +61,41 @@ func NewTraceFileSink(w io.Writer, format string) (TraceFileSink, error) {
 	default:
 		return nil, fmt.Errorf("unknown trace format %q (want %s or %s)", format, TraceFormatJSONL, TraceFormatBinary)
 	}
+}
+
+// CreateTraceFile opens the sink for a -trace / -trace-format flag
+// pair: path "-" writes to stderr, any other path is created (or
+// truncated), and the format is chosen as by NewTraceFileSink. Close
+// flushes the sink, then closes the file (never stderr), and returns
+// the first error, so a truncated trace is always reported.
+func CreateTraceFile(path, format string) (TraceFileSink, error) {
+	if path == "-" {
+		return NewTraceFileSink(os.Stderr, format)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	sink, err := NewTraceFileSink(f, format)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return traceFile{sink, f}, nil
+}
+
+// traceFile is a file-backed trace sink that owns its file.
+type traceFile struct {
+	TraceFileSink
+	f *os.File
+}
+
+func (t traceFile) Close() error {
+	err := t.TraceFileSink.Close()
+	if cerr := t.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Trace event kinds, re-exported.

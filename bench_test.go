@@ -33,15 +33,13 @@ func logTable(b *testing.B, tb experiments.Table) {
 const fleetBenchJobs = 64
 
 // fleetBenchSpecs compiles the benchmark fleet: 64 c3 vehicles, 3000
-// slots each, on the fast slots engine. rebuild selects the control
-// plane: true is the pre-pooling path (every job constructs its
-// simulator from scratch), false the pooled snapshot/clone path.
-func fleetBenchSpecs(b *testing.B, rebuild bool) []fleet.JobSpec {
+// slots each, on the fast slots engine.
+func fleetBenchSpecs(b *testing.B) []fleet.JobSpec {
 	b.Helper()
 	f := arachnet.Fleet{
 		Seed: 1,
 		Vehicles: []arachnet.VehicleSpec{
-			{Name: "veh", Pattern: "c3", Slots: 3000, Replicate: fleetBenchJobs, Rebuild: rebuild},
+			{Name: "veh", Pattern: "c3", Slots: 3000, Replicate: fleetBenchJobs},
 		},
 	}
 	specs, err := f.Jobs()
@@ -69,13 +67,13 @@ var (
 	fleetSerialTime time.Duration
 )
 
-// fleetSerialBaseline times one serial rebuild-path pass over the
-// benchmark fleet, cached across sub-benchmarks so every worker count
-// reports its speedup against the same baseline.
+// fleetSerialBaseline times one serial pass over the benchmark fleet,
+// cached across sub-benchmarks so every worker count reports its
+// speedup against the same baseline.
 func fleetSerialBaseline(b *testing.B) time.Duration {
 	b.Helper()
 	fleetSerialOnce.Do(func() {
-		specs := fleetBenchSpecs(b, true)
+		specs := fleetBenchSpecs(b)
 		runFleetSerial(b, specs) // warm caches before timing
 		start := time.Now()      //lint:allow determinism-taint wall-clock measurement of the serial baseline, not simulation state
 		runFleetSerial(b, specs)
@@ -91,18 +89,18 @@ func reportAllocsPerJob(b *testing.B, m0, m1 *runtime.MemStats) {
 	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N*fleetBenchJobs), "allocs/job")
 }
 
-// BenchmarkFleetThroughput measures the pooled fleet control plane
-// against the serial rebuild-path baseline for a 64-job fleet at
-// 1/2/4/8 worker shards. Each op is one whole fleet. "serial" is the
-// pre-pooling control plane (per-job construction, no pool); the
-// workers=N sub-benchmarks run the snapshot/clone path and report
-// "speedup-vs-serial", "jobs/s" and "allocs/job" (expect >= 2x speedup
-// at 4 workers on a 4+ core machine; on a single-core host the pool
-// can only match serial, minus scheduling overhead — the regression
-// this guards is the pre-pool 0.63x collapse at 8 workers).
+// BenchmarkFleetThroughput measures how the fleet pool scales a 64-job
+// fleet over 1/2/4/8 worker shards. Each op is one whole fleet.
+// "serial" runs the same pooled job functions in a plain loop (no pool,
+// no worker goroutines), so the workers=N sub-benchmarks'
+// "speedup-vs-serial" measures scaling alone; they also report
+// "jobs/s" and "allocs/job" (expect >= 2x speedup at 4 workers on a 4+
+// core machine; on a single-core host the pool can only match serial,
+// minus scheduling overhead — the regression this guards is the old
+// 0.63x collapse at 8 workers).
 func BenchmarkFleetThroughput(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
-		specs := fleetBenchSpecs(b, true)
+		specs := fleetBenchSpecs(b)
 		runFleetSerial(b, specs) // warm caches outside the timed region
 		var m0, m1 runtime.MemStats
 		runtime.GC()
@@ -118,7 +116,7 @@ func BenchmarkFleetThroughput(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			serial := fleetSerialBaseline(b)
-			specs := fleetBenchSpecs(b, false)
+			specs := fleetBenchSpecs(b)
 			// One warm fleet fills the clone pool so the timed region is
 			// the steady state the pool is built for.
 			if rep, err := fleet.Run(context.Background(), fleet.Config{Workers: workers, Seed: 1}, specs); err != nil || !rep.Ok() {
@@ -162,7 +160,7 @@ var (
 func untracedFleetBaseline(b *testing.B) time.Duration {
 	b.Helper()
 	untracedFleetOnce.Do(func() {
-		specs := fleetBenchSpecs(b, false)
+		specs := fleetBenchSpecs(b)
 		cfg := fleet.Config{Workers: 4, Seed: 1}
 		if rep, err := fleet.Run(context.Background(), cfg, specs); err != nil || !rep.Ok() {
 			b.Fatalf("warmup: %v %s", err, rep.FirstError())
@@ -185,7 +183,7 @@ func untracedFleetBaseline(b *testing.B) time.Duration {
 func BenchmarkTracedFleet(b *testing.B) {
 	for _, mode := range []string{"untraced", arachnet.TraceFormatJSONL, arachnet.TraceFormatBinary} {
 		b.Run(mode, func(b *testing.B) {
-			specs := fleetBenchSpecs(b, false)
+			specs := fleetBenchSpecs(b)
 			cfg := fleet.Config{Workers: 4, Seed: 1}
 			var sink arachnet.TraceFileSink
 			if mode != "untraced" {
@@ -231,7 +229,7 @@ func BenchmarkTracedFleet(b *testing.B) {
 // BenchmarkFleetDeterminism regenerates the fleet fingerprint at both
 // extremes of sharding; divergence fails the bench.
 func BenchmarkFleetDeterminism(b *testing.B) {
-	specs := fleetBenchSpecs(b, false)
+	specs := fleetBenchSpecs(b)
 	for i := 0; i < b.N; i++ {
 		r1, err := fleet.Run(context.Background(), fleet.Config{Workers: 1, Seed: 1}, specs)
 		if err != nil {

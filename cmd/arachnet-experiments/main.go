@@ -11,7 +11,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strings"
@@ -25,7 +24,7 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
 	seed := flag.Uint64("seed", 1, "random seed for all experiments")
 	quick := flag.Bool("quick", false, "smaller sample counts (faster, noisier)")
 	list := flag.Bool("list", false, "list experiment names and exit")
@@ -39,31 +38,18 @@ func run() int {
 
 	experiments.SetWorkers(*workers)
 	if *tracePath != "" {
-		out := io.Writer(os.Stderr)
-		var traceFile *os.File
-		if *tracePath != "-" {
-			f, err := os.Create(*tracePath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			traceFile = f
-			out = f
-		}
-		sink, err := arachnet.NewTraceFileSink(out, *traceFormat)
+		sink, err := arachnet.CreateTraceFile(*tracePath, *traceFormat)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 		experiments.SetTrace(arachnet.NewTracer(sink))
+		// A truncated trace fails the run (exit 1).
 		defer func() {
 			experiments.SetTrace(nil)
 			if err := sink.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "trace:", err)
-			} else if traceFile != nil {
-				if err := traceFile.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "trace:", err)
-				}
+				code = 1
 			}
 		}()
 	}

@@ -44,7 +44,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -176,22 +175,12 @@ func main() {
 	// ride the obs event types; -trace-text keeps the human-readable
 	// stderr stream.
 	var trace arachnet.TraceFileSink
-	var traceFile *os.File
 	var tr *arachnet.Tracer
 	if *tracePath != "" || *metrics {
 		var sinks []arachnet.TraceSink
 		if *tracePath != "" {
-			out := io.Writer(os.Stderr)
-			if *tracePath != "-" {
-				file, err := os.Create(*tracePath)
-				if err != nil {
-					fatal(err)
-				}
-				traceFile = file
-				out = file
-			}
 			var err error
-			trace, err = arachnet.NewTraceFileSink(out, *traceFormat)
+			trace, err = arachnet.CreateTraceFile(*tracePath, *traceFormat)
 			if err != nil {
 				fatal(err)
 			}
@@ -239,11 +228,6 @@ func main() {
 	}
 	if trace != nil {
 		if err := trace.Close(); err != nil {
-			fatal(fmt.Errorf("trace: %w", err))
-		}
-	}
-	if traceFile != nil {
-		if err := traceFile.Close(); err != nil {
 			fatal(fmt.Errorf("trace: %w", err))
 		}
 	}

@@ -26,7 +26,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -90,15 +89,8 @@ func main() {
 			return
 		}
 
-		var pattern arachnet.Pattern
-		found := false
-		for _, p := range arachnet.Table3Patterns() {
-			if p.Name == *patternName {
-				pattern, found = p, true
-				break
-			}
-		}
-		if !found {
+		pattern, ok := arachnet.Table3Pattern(*patternName)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown pattern %q (c1..c9)\n", *patternName)
 			os.Exit(2)
 		}
@@ -151,23 +143,10 @@ func setupTrace(path, format string, metrics bool, recSink *arachnet.MemorySink)
 	}
 	var sinks []arachnet.TraceSink
 	var trace arachnet.TraceFileSink
-	var file *os.File
 	if path != "" {
-		out := io.Writer(os.Stderr)
-		if path != "-" {
-			f, err := os.Create(path)
-			if err != nil {
-				return nil, nil, err
-			}
-			file = f
-			out = f
-		}
 		var err error
-		trace, err = arachnet.NewTraceFileSink(out, format)
+		trace, err = arachnet.CreateTraceFile(path, format)
 		if err != nil {
-			if file != nil {
-				file.Close()
-			}
 			return nil, nil, err
 		}
 		sinks = append(sinks, trace)
@@ -182,12 +161,6 @@ func setupTrace(path, format string, metrics bool, recSink *arachnet.MemorySink)
 	finish := func() {
 		if trace != nil {
 			if err := trace.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "trace:", err)
-				os.Exit(1)
-			}
-		}
-		if file != nil {
-			if err := file.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "trace:", err)
 				os.Exit(1)
 			}

@@ -67,15 +67,8 @@ func main() {
 		return
 	}
 
-	var pattern arachnet.Pattern
-	found := false
-	for _, p := range arachnet.Table3Patterns() {
-		if p.Name == *patternName {
-			pattern, found = p, true
-			break
-		}
-	}
-	if !found {
+	pattern, ok := arachnet.Table3Pattern(*patternName)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown pattern %q (c1..c9)\n", *patternName)
 		os.Exit(2)
 	}
@@ -85,20 +78,9 @@ func main() {
 	mem := arachnet.NewMemorySink()
 	sinks := []arachnet.TraceSink{mem}
 	var trace arachnet.TraceFileSink
-	var traceFile *os.File
 	if *tracePath != "" {
-		out := io.Writer(os.Stderr)
-		if *tracePath != "-" {
-			f, err := os.Create(*tracePath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			traceFile = f
-			out = f
-		}
 		var err error
-		trace, err = arachnet.NewTraceFileSink(out, *traceFormat)
+		trace, err = arachnet.CreateTraceFile(*tracePath, *traceFormat)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -198,12 +180,6 @@ func main() {
 	}
 	if trace != nil {
 		if err := trace.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
-		}
-	}
-	if traceFile != nil {
-		if err := traceFile.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "trace:", err)
 			os.Exit(1)
 		}
