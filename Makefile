@@ -83,7 +83,8 @@ bench-json:
 # BENCH_SPEEDUP_FLOOR=2.0) to assert real parallel speedup.
 # The wire-format gates ride along: the binary trace codec must encode
 # at least 5x faster than the JSONL path, and a binary-traced fleet
-# must stay within 1.5x of the untraced wall clock.
+# must stay within 1.5x of the untraced wall clock. The BiW path-loss
+# lookup the event network makes per tag per beacon must not allocate.
 BENCH_SPEEDUP_FLOOR ?= 0.8
 bench-smoke:
 	$(GO) run ./cmd/arachnet-benchjson -out /tmp/bench-smoke.json -label smoke \
@@ -96,6 +97,9 @@ bench-smoke:
 	$(GO) run ./cmd/arachnet-benchjson -out /tmp/bench-smoke-traced.json -label smoke \
 		-bench TracedFleet -benchtime 2x \
 		-assert 'BenchmarkTracedFleet/binary:overhead-vs-untraced<=1.5' .
+	$(GO) run ./cmd/arachnet-benchjson -out /tmp/bench-smoke-biw.json -label smoke \
+		-bench PathLossDB -benchtime 100000x \
+		-assert 'BenchmarkPathLossDB:allocs_per_op<=0' ./internal/biw
 
 # Coverage-guided fuzzing smoke: 10 s on each native fuzz target in the
 # phy codecs and the binary wire codecs (go fuzzing allows one -fuzz

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/mac"
 	"repro/internal/mcu"
+	"repro/internal/phy"
 	"repro/internal/reader"
 	"repro/internal/sim"
 	"repro/internal/tag"
@@ -36,6 +37,9 @@ type Network struct {
 	// beaconDecodes records (tid, time) of beacon decode completions
 	// for the Fig. 13(b) sync-offset analysis; bounded ring.
 	beaconDecodes []BeaconDecode
+	// byTID holds the Tags devices indexed by TID, the beacon fan-out
+	// order.
+	byTID [phy.MaxTags]*tag.Device
 }
 
 // BeaconDecode is one tag's beacon decode completion event.
@@ -63,27 +67,24 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 
 // deliverBeacon fans the reader's envelope edges out to every tag with
 // per-tag propagation and comparator delays. Tags are visited in id
-// order: the engine breaks equal-timestamp ties in scheduling order, so
-// iterating the tag map directly would let map order pick which of two
-// coincident edges fires first.
+// order (byTID, filled once by Clone): the engine breaks equal-timestamp
+// ties in scheduling order, so iterating the tag map directly would let
+// map order pick which of two coincident edges fires first.
 func (n *Network) deliverBeacon(bx reader.BeaconTx) {
-	ids := make([]int, 0, len(n.Tags))
-	for id := range n.Tags {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	for _, i := range ids {
-		id := uint8(i)
-		dev := n.Tags[id]
-		prop, err := n.Deployment.TagDelay(int(id))
+	for id := range n.byTID {
+		dev := n.byTID[id]
+		if dev == nil {
+			continue
+		}
+		prop, err := n.Deployment.TagDelay(id)
 		if err != nil {
 			continue
 		}
-		rise, err := n.Link.EnvelopeRiseDelay(int(id), n.Cfg.EnvelopeTau, n.Cfg.ComparatorThreshold)
+		rise, err := n.Link.EnvelopeRiseDelay(id, n.Cfg.EnvelopeTau, n.Cfg.ComparatorThreshold)
 		if err != nil {
 			continue
 		}
-		fall, err := n.Link.EnvelopeFallDelay(int(id), n.Cfg.EnvelopeTau, n.Cfg.ComparatorThreshold)
+		fall, err := n.Link.EnvelopeFallDelay(id, n.Cfg.EnvelopeTau, n.Cfg.ComparatorThreshold)
 		if err != nil {
 			continue
 		}

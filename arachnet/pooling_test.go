@@ -3,6 +3,7 @@ package arachnet
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -176,6 +177,58 @@ func TestNetworkSnapshotCloneMatchesFresh(t *testing.T) {
 			}
 		}
 		t.Fatalf("trace lengths differ: clone %d, fresh %d events", len(got), len(want))
+	}
+}
+
+// TestNetworkSnapshotConcurrentClones clones one snapshot from four
+// goroutines at once, as fig13a and the fleet network engine do; the
+// clones share the deployment and its path table, and each run must
+// equal a serial run of the same seed (run under -race by make race).
+func TestNetworkSnapshotConcurrentClones(t *testing.T) {
+	const workers = 4
+	end := 2 * Second
+	cfg := NetworkConfig{}
+	for i, p := range Table3Patterns()[2].Periods { // c3
+		cfg.Tags = append(cfg.Tags, TagSpec{TID: uint8(i + 1), Period: p, StartCharged: true})
+	}
+	snap, err := NewNetworkSnapshot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(seed uint64) (NetworkStats, error) {
+		net, err := snap.Clone(seed, nil)
+		if err != nil {
+			return NetworkStats{}, err
+		}
+		net.Run(end)
+		return net.Stats(), nil
+	}
+
+	got := make([]NetworkStats, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w], errs[w] = run(uint64(w + 1))
+		}(w)
+	}
+	wg.Wait()
+	for w := 0; w < workers; w++ {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		want, err := run(uint64(w + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Slots == 0 {
+			t.Fatalf("seed %d: the serial run ran no slots", w+1)
+		}
+		if !reflect.DeepEqual(got[w], want) {
+			t.Errorf("seed %d: concurrent clone %+v, serial %+v", w+1, got[w], want)
+		}
 	}
 }
 

@@ -133,6 +133,7 @@ func (sn *NetworkSnapshot) Clone(seed uint64, trace *Tracer) (*Network, error) {
 			}
 		}
 		n.Tags[spec.TID] = dev
+		n.byTID[spec.TID] = dev
 	}
 
 	rd.Broadcast = n.deliverBeacon

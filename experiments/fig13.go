@@ -51,13 +51,11 @@ func RunFig13a(seed uint64, slots int) ([]Fig13aCell, Table, error) {
 		net.Run(arachnet.Time(slots) * cfg.SlotDuration)
 		st := net.Stats()
 		for _, tp := range st.Tags {
-			total := tp.BeaconsSeen + tp.BeaconsLost
 			sent := net.Reader.SlotsRun
 			lost := sent - int(tp.BeaconsSeen)
 			if lost < 0 {
 				lost = 0
 			}
-			_ = total
 			rateCells[ri] = append(rateCells[ri], Fig13aCell{
 				Tag: int(tp.TID), Rate: rate, Sent: sent, Lost: lost,
 				LossPct: 100 * float64(lost) / float64(sent),

@@ -9,12 +9,21 @@
 // The paper deploys on the BiW of an ONVO L60 SUV (4.8 m x 1.9 m) with
 // 12 tags and a single reader; NewONVOL60 reproduces that deployment,
 // calibrated so the harvested voltages match Fig. 11(a) of the paper.
+//
+// A Structure compiles its minimum-loss paths into a table on the first
+// query and answers every later PathLossDB, Gain and PropagationDelay
+// from it without allocating. Any number of goroutines may query one
+// Structure (and the Deployment and Channel built on it) at once;
+// mutating a Structure (AddElement, Connect, its loss fields) while
+// other goroutines read it is not supported.
 package biw
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Position is a point on the BiW in vehicle coordinates: x runs from
@@ -92,6 +101,10 @@ type Structure struct {
 
 	elements map[string]*Element
 	adj      map[string][]edge
+
+	// mu serialises path-table compiles; table is the published table.
+	mu    sync.Mutex
+	table atomic.Pointer[pathTable]
 }
 
 type edge struct {
@@ -114,6 +127,7 @@ func NewStructure(attenuationDBPerMeter, couplingLossDB float64) *Structure {
 // the element but keeps its junctions.
 func (s *Structure) AddElement(name string, kind ElementKind, pos Position) {
 	s.elements[name] = &Element{Name: name, Kind: kind, Pos: pos}
+	s.table.Store(nil)
 }
 
 // Element returns the named element, or nil.
@@ -145,51 +159,131 @@ func (s *Structure) Connect(a, b string, junctionLossDB float64) error {
 	d := ea.Pos.Distance(eb.Pos)
 	s.adj[a] = append(s.adj[a], edge{to: b, distance: d, junction: junctionLossDB})
 	s.adj[b] = append(s.adj[b], edge{to: a, distance: d, junction: junctionLossDB})
+	s.table.Store(nil)
 	return nil
 }
 
 // PathLossDB returns the one-way acoustic loss in dB between mount
 // points on elements a and b (minimum-loss path through the structure),
 // including the fixed coupling loss. The second return is the physical
-// path length in meters (for propagation-delay computation). It returns
-// an error if no path exists.
+// path length in meters (for propagation-delay computation); among
+// equal-loss paths it is the shortest. It returns an error if no path
+// exists.
+//
+// The first query compiles the path table (see pathTable); every later
+// query is a lookup that does not allocate.
 func (s *Structure) PathLossDB(a, b string) (lossDB, pathMeters float64, err error) {
-	if _, ok := s.elements[a]; !ok {
+	t := s.paths()
+	i, ok := t.index[a]
+	if !ok {
 		return 0, 0, fmt.Errorf("biw: unknown element %q", a)
 	}
-	if _, ok := s.elements[b]; !ok {
+	j, ok := t.index[b]
+	if !ok {
 		return 0, 0, fmt.Errorf("biw: unknown element %q", b)
 	}
-	if a == b {
-		return s.CouplingLossDB, 0, nil
+	k := i*len(t.index) + j
+	if !t.reached[k] {
+		return 0, 0, fmt.Errorf("biw: no acoustic path from %q to %q", a, b)
 	}
-	type state struct {
-		loss, dist float64
+	return t.loss[k] + s.CouplingLossDB, t.meters[k], nil
+}
+
+// pathTable is the all-pairs minimum-loss table of a Structure: row i,
+// column j holds the loss (without coupling) and length of the best
+// path from element i to element j, elements indexed in name order.
+// A published table is never written again, so any number of
+// goroutines may read it.
+type pathTable struct {
+	attenuation float64 // AttenuationDBPerMeter the table was built with
+	index       map[string]int
+	loss        []float64
+	meters      []float64
+	reached     []bool
+}
+
+// paths returns the structure's path table, compiling it on first use
+// and again after AddElement, Connect or a change of
+// AttenuationDBPerMeter.
+func (s *Structure) paths() *pathTable {
+	if t := s.table.Load(); t != nil && t.builtFor(s) {
+		return t
 	}
-	best := map[string]state{a: {0, 0}}
-	visited := map[string]bool{}
-	for {
-		// Extract the unvisited node with the smallest loss.
-		cur, curState, found := "", state{math.Inf(1), 0}, false
-		for n, st := range best {
-			if !visited[n] && st.loss < curState.loss {
-				cur, curState, found = n, st, true
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t := s.table.Load(); t != nil && t.builtFor(s) {
+		return t
+	}
+	t := s.compilePaths()
+	s.table.Store(t)
+	return t
+}
+
+// builtFor reports whether t was compiled with s's current attenuation.
+func (t *pathTable) builtFor(s *Structure) bool {
+	return math.Float64bits(t.attenuation) == math.Float64bits(s.AttenuationDBPerMeter)
+}
+
+// compilePaths runs one single-source Dijkstra per element over dense
+// index slices. Path cost is ordered by (loss, meters), with remaining
+// ties broken by element index, so the result never depends on map
+// order. Loss and length accumulate from the source outward, exactly
+// as a per-pair search from that source would add them.
+func (s *Structure) compilePaths() *pathTable {
+	names := s.Elements()
+	n := len(names)
+	t := &pathTable{
+		attenuation: s.AttenuationDBPerMeter,
+		index:       make(map[string]int, n),
+		loss:        make([]float64, n*n),
+		meters:      make([]float64, n*n),
+		reached:     make([]bool, n*n),
+	}
+	for i, name := range names {
+		t.index[name] = i
+	}
+	type arc struct {
+		to                 int
+		distance, junction float64
+	}
+	adj := make([][]arc, n)
+	for i, name := range names {
+		for _, e := range s.adj[name] {
+			adj[i] = append(adj[i], arc{t.index[e.to], e.distance, e.junction})
+		}
+	}
+	for src := 0; src < n; src++ {
+		loss := t.loss[src*n : (src+1)*n]
+		dist := t.meters[src*n : (src+1)*n]
+		done := t.reached[src*n : (src+1)*n]
+		for v := range loss {
+			loss[v] = math.Inf(1)
+		}
+		loss[src] = 0
+		for {
+			cur := -1
+			for v := range loss {
+				if done[v] || math.IsInf(loss[v], 1) {
+					continue
+				}
+				if cur < 0 || loss[v] < loss[cur] || (loss[v] == loss[cur] && dist[v] < dist[cur]) {
+					cur = v
+				}
+			}
+			if cur < 0 {
+				break
+			}
+			done[cur] = true
+			for _, e := range adj[cur] {
+				nl := loss[cur] + e.distance*s.AttenuationDBPerMeter + e.junction
+				nd := dist[cur] + e.distance
+				if !done[e.to] && (nl < loss[e.to] || (nl == loss[e.to] && nd < dist[e.to])) {
+					loss[e.to], dist[e.to] = nl, nd
+				}
 			}
 		}
-		if !found {
-			return 0, 0, fmt.Errorf("biw: no acoustic path from %q to %q", a, b)
-		}
-		if cur == b {
-			return curState.loss + s.CouplingLossDB, curState.dist, nil
-		}
-		visited[cur] = true
-		for _, e := range s.adj[cur] {
-			nl := curState.loss + e.distance*s.AttenuationDBPerMeter + e.junction
-			if st, ok := best[e.to]; !ok || nl < st.loss {
-				best[e.to] = state{nl, curState.dist + e.distance}
-			}
-		}
 	}
+	return t
 }
 
 // Gain returns the one-way linear amplitude gain (0..1) between two

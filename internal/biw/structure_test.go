@@ -1,9 +1,13 @@
 package biw
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sim"
 )
 
 func TestPositionDistance(t *testing.T) {
@@ -240,5 +244,280 @@ func TestPathLossMonotoneUnderEdgeAddition(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// referencePathLoss is the per-pair, map-based Dijkstra that
+// PathLossDB ran on every call before the path table existed. It stays
+// here as the reference the compiled table must reproduce bit for bit
+// (on graphs without tied routes, where its map-order tie-breaking
+// cannot show).
+func referencePathLoss(s *Structure, a, b string) (lossDB, pathMeters float64, err error) {
+	if _, ok := s.elements[a]; !ok {
+		return 0, 0, fmt.Errorf("biw: unknown element %q", a)
+	}
+	if _, ok := s.elements[b]; !ok {
+		return 0, 0, fmt.Errorf("biw: unknown element %q", b)
+	}
+	if a == b {
+		return s.CouplingLossDB, 0, nil
+	}
+	type state struct {
+		loss, dist float64
+	}
+	best := map[string]state{a: {0, 0}}
+	visited := map[string]bool{}
+	for {
+		// Extract the unvisited node with the smallest loss.
+		cur, curState, found := "", state{math.Inf(1), 0}, false
+		for n, st := range best {
+			if !visited[n] && st.loss < curState.loss {
+				cur, curState, found = n, st, true
+			}
+		}
+		if !found {
+			return 0, 0, fmt.Errorf("biw: no acoustic path from %q to %q", a, b)
+		}
+		if cur == b {
+			return curState.loss + s.CouplingLossDB, curState.dist, nil
+		}
+		visited[cur] = true
+		for _, e := range s.adj[cur] {
+			nl := curState.loss + e.distance*s.AttenuationDBPerMeter + e.junction
+			if st, ok := best[e.to]; !ok || nl < st.loss {
+				best[e.to] = state{nl, curState.dist + e.distance}
+			}
+		}
+	}
+}
+
+// requireMatchesReference compares PathLossDB with referencePathLoss on
+// every ordered pair of names: losses and lengths must be ==, errors
+// must carry the same message.
+func requireMatchesReference(t *testing.T, s *Structure, names []string) {
+	t.Helper()
+	for _, a := range names {
+		for _, b := range names {
+			gl, gm, gerr := s.PathLossDB(a, b)
+			wl, wm, werr := referencePathLoss(s, a, b)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Fatalf("%s->%s: error %v, reference %v", a, b, gerr, werr)
+			}
+			if gl != wl || gm != wm {
+				t.Fatalf("%s->%s: table (%v dB, %v m), reference (%v dB, %v m)", a, b, gl, gm, wl, wm)
+			}
+		}
+	}
+}
+
+func TestPathTableMatchesReferenceONVOL60(t *testing.T) {
+	s := NewONVOL60().Structure
+	names := s.Elements()
+	if len(names) != 15 {
+		t.Fatalf("ONVO L60 has %d elements, want 15", len(names))
+	}
+	requireMatchesReference(t, s, names)
+}
+
+// randomStructure builds a connected graph of 5..24 elements: a random
+// spanning tree plus extra random edges, with continuous random
+// positions and junction losses so no two routes tie on loss. Some
+// junction losses are negative (Connect accepts them); the reference
+// never revisits a settled element, and the table must not either.
+func randomStructure(seed uint64) (*Structure, []string) {
+	rng := sim.NewRand(seed)
+	s := NewStructure(0.5+4*rng.Float64(), 30*rng.Float64())
+	n := 5 + rng.Intn(20)
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("e%02d", i)
+		s.AddElement(names[i], KindBeam, Position{5 * rng.Float64(), 2 * rng.Float64(), rng.Float64()})
+	}
+	connect := func(a, b string) {
+		if err := s.Connect(a, b, 5*rng.Float64()-1); err != nil {
+			panic(err)
+		}
+	}
+	for i := 1; i < n; i++ {
+		connect(names[i], names[rng.Intn(i)])
+	}
+	for k := rng.Intn(2 * n); k > 0; k-- {
+		connect(names[rng.Intn(n)], names[rng.Intn(n)])
+	}
+	return s, names
+}
+
+func TestPathTableMatchesReferenceRandom(t *testing.T) {
+	for seed := uint64(1); seed <= 60; seed++ {
+		s, names := randomStructure(seed)
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			requireMatchesReference(t, s, names)
+		})
+	}
+}
+
+// A compiled table must be dropped by AddElement and Connect, follow a
+// change of AttenuationDBPerMeter, and pick up CouplingLossDB at lookup
+// time; unknown-element and no-path errors keep their messages.
+func TestPathTableInvalidation(t *testing.T) {
+	s, names := randomStructure(7)
+	requireMatchesReference(t, s, names)
+
+	s.AddElement("island", KindPillar, Position{9, 9, 9})
+	names = append(names, "island", "nope")
+	requireMatchesReference(t, s, names)
+
+	if err := s.Connect("island", names[0], 1.25); err != nil {
+		t.Fatal(err)
+	}
+	requireMatchesReference(t, s, names)
+
+	s.AttenuationDBPerMeter *= 1.5
+	requireMatchesReference(t, s, names)
+
+	s.CouplingLossDB += 7
+	requireMatchesReference(t, s, names)
+
+	// Re-adding an element keeps its junctions.
+	s.AddElement(names[0], KindFloorPanel, Position{})
+	requireMatchesReference(t, s, names)
+}
+
+// Two routes a->b tie on loss (5 dB) but not on length (3 m via the
+// near midpoint, 5 m via the far one). The map-ordered search returned
+// either length; the table orders by (loss, meters) and must always
+// return the shorter, whichever midpoint sorts first by name.
+func TestPathLossTieIsDeterministic(t *testing.T) {
+	for _, mids := range [][2]string{{"m1", "m2"}, {"m2", "m1"}} {
+		near, far := mids[0], mids[1]
+		for i := 0; i < 200; i++ {
+			s := NewStructure(1, 0)
+			s.AddElement("a", KindFloorPanel, Position{0, 0, 0})
+			s.AddElement(near, KindFloorPanel, Position{1, 0, 0})
+			s.AddElement(far, KindFloorPanel, Position{-1, 0, 0})
+			s.AddElement("b", KindFloorPanel, Position{3, 0, 0})
+			for _, e := range []struct {
+				a, b string
+				j    float64
+			}{{"a", near, 0}, {"a", far, 0}, {near, "b", 2}, {far, "b", 0}} {
+				if err := s.Connect(e.a, e.b, e.j); err != nil {
+					t.Fatal(err)
+				}
+			}
+			loss, meters, err := s.PathLossDB("a", "b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loss != 5 || meters != 3 {
+				t.Fatalf("near %s, build %d: a->b = (%v dB, %v m), want (5 dB, 3 m)", near, i, loss, meters)
+			}
+		}
+	}
+}
+
+// With zero attenuation and zero junction losses every route ties on
+// loss, so the reported length must be the plain shortest distance:
+// the search has to settle elements in (loss, meters) order, not in
+// name order (here "c", on the 8.5 m route, sorts before "z").
+func TestPathLossAllTiedTakesShortest(t *testing.T) {
+	s := NewStructure(0, 0)
+	s.AddElement("a", KindFloorPanel, Position{0, 0, 0})
+	s.AddElement("c", KindFloorPanel, Position{0, 4, 0})
+	s.AddElement("d", KindFloorPanel, Position{2, 0, 0})
+	s.AddElement("z", KindFloorPanel, Position{1, 0, 0})
+	for _, e := range [][2]string{{"a", "c"}, {"c", "d"}, {"a", "z"}, {"z", "d"}} {
+		if err := s.Connect(e[0], e[1], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loss, meters, err := s.PathLossDB("a", "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loss != 0 || meters != 2 {
+		t.Errorf("a->d = (%v dB, %v m), want (0 dB, 2 m)", loss, meters)
+	}
+}
+
+// Eight goroutines race to make the first query on a fresh structure;
+// every one must see the serial answers (run under -race by make race).
+func TestPathTableConcurrentFirstQuery(t *testing.T) {
+	serial := NewONVOL60().Structure
+	names := serial.Elements()
+	type result struct{ loss, meters float64 }
+	want := make(map[[2]string]result)
+	for _, a := range names {
+		for _, b := range names {
+			l, m, err := serial.PathLossDB(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[[2]string{a, b}] = result{l, m}
+		}
+	}
+
+	s := NewONVOL60().Structure
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, a := range names {
+				for _, b := range names {
+					l, m, err := s.PathLossDB(a, b)
+					if err != nil || (result{l, m}) != want[[2]string{a, b}] {
+						errs <- fmt.Errorf("%s->%s: (%v, %v, %v), want %v", a, b, l, m, err, want[[2]string{a, b}])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// After the first query, the link-budget lookups the event network
+// makes per tag per beacon must not allocate.
+func TestPathLookupsAllocationFree(t *testing.T) {
+	d := NewONVOL60()
+	ch := DefaultChannel(d)
+	reader, far := d.Reader.Element, d.Tags[10].Element
+	checks := map[string]func(){
+		"Structure.PathLossDB": func() {
+			if _, _, err := d.Structure.PathLossDB(reader, far); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"Deployment.TagLossDB": func() {
+			if _, err := d.TagLossDB(11); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"Channel.TagPeakVoltage": func() {
+			if _, err := ch.TagPeakVoltage(11); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, f := range checks {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, allocs)
+		}
+	}
+}
+
+func BenchmarkPathLossDB(b *testing.B) {
+	d := NewONVOL60()
+	reader := d.Reader.Element
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := d.Structure.PathLossDB(reader, d.Tags[i%len(d.Tags)].Element); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
