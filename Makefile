@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-json bench-smoke vet lint lint-alloc race check cover experiments examples fuzz-smoke smoke-fleetd clean
+.PHONY: all build test test-short bench bench-smoke vet lint lint-alloc race check cover experiments examples fuzz-smoke smoke-fleetd clean
 
 all: vet test
 
@@ -60,25 +60,11 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Perf trajectory: run the fleet-scaling, experiment, trace-encoding
-# and traced-fleet benchmarks and record (or merge) their results into
-# BENCH_7.json. Use BENCH_LABEL=before on the pre-change tree and
-# BENCH_LABEL=after on the optimized one; both labels live in the same
-# committed file.
-BENCH_LABEL ?= after
-BENCH_JSON ?= BENCH_7.json
-BENCH_PATTERN ?= 'FleetThroughput|CrossValidation|AppendixCVerification|TracedFleet'
-bench-json:
-	$(GO) run ./cmd/arachnet-benchjson -out $(BENCH_JSON) -label $(BENCH_LABEL) \
-		-bench $(BENCH_PATTERN) -benchtime 3x .
-	$(GO) run ./cmd/arachnet-benchjson -out $(BENCH_JSON) -label $(BENCH_LABEL) \
-		-bench TraceEncode -benchtime 2000x ./internal/obs
-
-# Scaling smoke for CI: re-run the fleet throughput benchmark into a
-# scratch file and assert workers=8 clears the configurable
-# speedup-vs-serial floor. The default floor guards the flat-scaling
-# regression this repo once shipped (workers=8 ran at 0.63x serial,
-# see BENCH_6.json "before"): even a single-core runner must stay near
+# Scaling smoke for CI: re-run the fleet throughput benchmark and
+# assert workers=8 clears the configurable speedup-vs-serial floor.
+# The default floor guards the flat-scaling regression this repo once
+# shipped (workers=8 ran at 0.63x serial, see EXPERIMENTS.md "The
+# flat-scaling fix"): even a single-core runner must stay near
 # parity. Multi-core hosts should raise the floor (e.g.
 # BENCH_SPEEDUP_FLOOR=2.0) to assert real parallel speedup.
 # The wire-format gates ride along: the binary trace codec must encode
@@ -87,18 +73,14 @@ bench-json:
 # lookup the event network makes per tag per beacon must not allocate.
 BENCH_SPEEDUP_FLOOR ?= 0.8
 bench-smoke:
-	$(GO) run ./cmd/arachnet-benchjson -out /tmp/bench-smoke.json -label smoke \
-		-bench FleetThroughput -benchtime 2x \
+	$(GO) run ./cmd/arachnet-benchjson -bench FleetThroughput -benchtime 2x \
 		-assert 'BenchmarkFleetThroughput/workers=8:speedup-vs-serial>=$(BENCH_SPEEDUP_FLOOR)' \
 		-assert 'BenchmarkFleetThroughput/workers=8:allocs/job<=100' .
-	$(GO) run ./cmd/arachnet-benchjson -out /tmp/bench-smoke-wire.json -label smoke \
-		-bench TraceEncode -benchtime 2000x \
+	$(GO) run ./cmd/arachnet-benchjson -bench TraceEncode -benchtime 2000x \
 		-assert 'BenchmarkTraceEncode/binary:speedup-vs-jsonl>=5' ./internal/obs
-	$(GO) run ./cmd/arachnet-benchjson -out /tmp/bench-smoke-traced.json -label smoke \
-		-bench TracedFleet -benchtime 2x \
+	$(GO) run ./cmd/arachnet-benchjson -bench TracedFleet -benchtime 2x \
 		-assert 'BenchmarkTracedFleet/binary:overhead-vs-untraced<=1.5' .
-	$(GO) run ./cmd/arachnet-benchjson -out /tmp/bench-smoke-biw.json -label smoke \
-		-bench PathLossDB -benchtime 100000x \
+	$(GO) run ./cmd/arachnet-benchjson -bench PathLossDB -benchtime 100000x \
 		-assert 'BenchmarkPathLossDB:allocs_per_op<=0' ./internal/biw
 
 # Coverage-guided fuzzing smoke: 10 s on each native fuzz target in the

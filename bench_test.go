@@ -1,13 +1,10 @@
 package repro
 
-// The benchmark harness: one testing.B target per table and figure of
-// the paper's evaluation, plus one per DESIGN.md ablation. Each bench
-// regenerates its experiment end to end and reports the headline
-// metrics via b.ReportMetric, so `go test -bench=.` doubles as the
-// reproduction record. Run with -v to also see the formatted tables.
-//
-// Shape anchors from the paper appear in the reported metric names
-// (e.g. paper 81.2% non-empty ratio -> "nonempty-ratio").
+// The root benchmark harness. BenchmarkExperiment runs every table,
+// figure, ablation and extension of experiments.Catalog, the same list
+// arachnet-experiments prints; the paper anchors are pinned, with
+// tolerances, by the tests in experiments/. The fleet benchmarks
+// measure the fleet pool's scaling, tracing overhead and determinism.
 
 import (
 	"context"
@@ -22,12 +19,6 @@ import (
 	"repro/experiments"
 	"repro/internal/fleet"
 )
-
-// logTable prints the experiment table under -v.
-func logTable(b *testing.B, tb experiments.Table) {
-	b.Helper()
-	b.Log("\n" + tb.String())
-}
 
 // fleetBenchJobs is the benchmark fleet's population.
 const fleetBenchJobs = 64
@@ -245,387 +236,22 @@ func BenchmarkFleetDeterminism(b *testing.B) {
 	}
 }
 
-func BenchmarkTable1VanillaAllocation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, tb, err := experiments.RunTable1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-		}
-	}
-}
-
-func BenchmarkTable2PowerConsumption(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, tb, err := experiments.RunTable2(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-			for _, r := range rows {
-				b.ReportMetric(r.TotalMicrowatt, r.Mode+"-uW")
-			}
-		}
-	}
-}
-
-func BenchmarkTable3Patterns(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pats, tb := experiments.RunTable3()
-		if i == 0 {
-			logTable(b, tb)
-			b.ReportMetric(float64(len(pats)), "patterns")
-		}
-	}
-}
-
-func BenchmarkFig11aAmplifiedVoltage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, tb, err := experiments.RunFig11a()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-			b.ReportMetric(rows[3].Vdd[8], "tag4-16x-V")   // paper: 4.74
-			b.ReportMetric(rows[10].Vdd[8], "tag11-16x-V") // paper: 2.70
-		}
-	}
-}
-
-func BenchmarkFig11bChargingTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, tb, err := experiments.RunFig11b()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-			min, max := rows[0].ChargeSeconds, rows[0].ChargeSeconds
-			for _, r := range rows {
-				if r.ChargeSeconds < min {
-					min = r.ChargeSeconds
+// BenchmarkExperiment times every entry of experiments.Catalog at the
+// CLI's default size and seed 1, one sub-benchmark per name, so each
+// times the same work as one table of a full arachnet-experiments run.
+// Run with -v to also see the formatted tables.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.Catalog(1, experiments.DefaultSize) {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tb, err := e.Run()
+				if err != nil {
+					b.Fatal(err)
 				}
-				if r.ChargeSeconds > max {
-					max = r.ChargeSeconds
+				if i == 0 && testing.Verbose() {
+					b.Log("\n" + tb.String())
 				}
 			}
-			b.ReportMetric(min, "fastest-s") // paper: 4.5
-			b.ReportMetric(max, "slowest-s") // paper: 56.2
-		}
-	}
-}
-
-func BenchmarkFig12aUplinkSNR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells, tb, err := experiments.RunFig12a(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-			for _, c := range cells {
-				if c.Tag == 8 && c.Rate == 3000 {
-					b.ReportMetric(c.SNRdB, "tag8-3000bps-dB") // paper: 11.7
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkFig12bUplinkLoss(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells, tb, err := experiments.RunFig12b(uint64(i+1), 1000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-			worst := 0.0
-			for _, c := range cells {
-				if c.LossPct > worst {
-					worst = c.LossPct
-				}
-			}
-			b.ReportMetric(worst, "worst-loss-pct") // paper: < 0.5
-		}
-	}
-}
-
-func BenchmarkFig13aDownlinkLoss(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells, tb, err := experiments.RunFig13a(uint64(i+1), 300)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-			var low, high float64
-			for _, c := range cells {
-				switch c.Rate {
-				case 250:
-					low += c.LossPct / 3
-				case 2000:
-					high += c.LossPct / 3
-				}
-			}
-			b.ReportMetric(low, "loss-250bps-pct")
-			b.ReportMetric(high, "loss-2000bps-pct") // paper: cliff
-		}
-	}
-}
-
-func BenchmarkFig13bSyncOffset(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, tb, err := experiments.RunFig13b(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-			worst := 0.0
-			for _, r := range rows {
-				if r.MaxAbsMs > worst {
-					worst = r.MaxAbsMs
-				}
-			}
-			b.ReportMetric(worst, "max-offset-ms") // paper: < 5.0
-		}
-	}
-}
-
-func BenchmarkFig14PingPong(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, tb, err := experiments.RunFig14(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-			b.ReportMetric(res.Stage2P99Ms, "stage2-p99-ms") // paper: 281.9
-			b.ReportMetric(res.Stage1MedianMs, "stage1-median-ms")
-		}
-	}
-}
-
-func BenchmarkFig15aConvergenceFixedTags(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, tb, err := experiments.RunFig15a(9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-			b.ReportMetric(float64(rows[0].MedianSlots), "c1-median-slots") // paper: 139
-			b.ReportMetric(float64(rows[4].MedianSlots), "c5-median-slots") // paper: 1712
-		}
-	}
-}
-
-func BenchmarkFig15bConvergenceFixedUtil(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, tb, err := experiments.RunFig15b(9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-			b.ReportMetric(float64(rows[0].MedianSlots), "c2-median-slots")
-		}
-	}
-}
-
-func BenchmarkFig16LongRunning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, tb, err := experiments.RunFig16(uint64(i+1), 10_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-			b.ReportMetric(100*res.AvgNonEmptyRatio, "nonempty-pct") // paper: 81.2
-			b.ReportMetric(res.AvgCollisionRatio, "collision-ratio") // paper: 0.056
-			b.ReportMetric(100*res.TheoreticalBound, "bound-pct")    // 84.375
-		}
-	}
-}
-
-func BenchmarkFig17Strain(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points, tb, err := experiments.RunFig17()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-			b.ReportMetric(float64(len(points)), "points")
-		}
-	}
-}
-
-func BenchmarkFig19Aloha(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, tb, err := experiments.RunFig19(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-			b.ReportMetric(res.CollisionFreePct, "collision-free-pct")
-			b.ReportMetric(float64(res.PerTag[7].Total), "tag8-tx") // paper: >11,000
-		}
-	}
-}
-
-func BenchmarkAppendixCVerification(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.RunAppendixC()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-		}
-	}
-}
-
-func BenchmarkAblationVanillaVsDistributed(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.RunAblationVanillaVsDistributed(uint64(i+1), 10_000, 0.001)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-		}
-	}
-}
-
-func BenchmarkAblationBeaconLossTimer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.RunAblationBeaconLossTimer(uint64(i+1), 10_000, 0.005)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-		}
-	}
-}
-
-func BenchmarkAblationEmptyGate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.RunAblationEmptyGate(6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-		}
-	}
-}
-
-func BenchmarkAblationFutureCollision(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.RunAblationFutureCollision(6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-		}
-	}
-}
-
-func BenchmarkAblationNackThreshold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.RunAblationNackThreshold(uint64(i+1), 10_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-		}
-	}
-}
-
-func BenchmarkAblationInterruptDriven(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := experiments.RunAblationInterruptDriven()
-		if i == 0 {
-			logTable(b, tb)
-		}
-	}
-}
-
-func BenchmarkAblationDLScheme(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells, tb, err := experiments.RunDLSchemeStudy(uint64(i+1), 300)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-			for _, c := range cells {
-				if c.Rate == 1000 {
-					name := "fsk-1000bps-loss-pct"
-					if c.Scheme[0] == 'O' {
-						name = "ook-1000bps-loss-pct"
-					}
-					b.ReportMetric(c.LossPct, name)
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkExtensionMultiReader(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.RunMultiReaderStudy(uint64(i+1), 10_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-		}
-	}
-}
-
-func BenchmarkFig15NetworkCrossCheck(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.RunFig15Network(uint64(i+1), 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-		}
-	}
-}
-
-func BenchmarkCrossValidation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.RunModeCrossValidation(uint64(i+1), 600)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-		}
-	}
-}
-
-func BenchmarkExtensionAmbientHarvest(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.RunAmbientHarvestStudy()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, tb)
-		}
+		})
 	}
 }

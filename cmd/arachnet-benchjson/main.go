@@ -1,95 +1,46 @@
-// Command arachnet-benchjson runs the repo's benchmarks and records
-// their results as JSON, building the perf trajectory file (BENCH_N.json)
-// that each perf PR commits alongside its code. Entries are keyed by a
-// label ("before" / "after") so one file holds both sides of a PR's
-// measurement:
+// Command arachnet-benchjson runs `go test -bench` over the given
+// packages, echoes its output, parses every result line (ns/op, B/op,
+// allocs/op and each b.ReportMetric custom metric) and checks the
+// repeatable -assert bounds against them; a violated bound, a failed
+// run or a run that matched no benchmark exits non-zero. It is the
+// engine of `make bench-smoke`:
 //
-//	arachnet-benchjson -out BENCH_5.json -label before \
-//	    -bench 'Fig12a|Fig12b' -benchtime 3x . ./internal/dsp
-//
-// Runs merge: an existing output file is loaded first and only the
-// entries under the same label whose benchmark name matches -bench are
-// replaced, so "before" survives the "after" run and several
-// invocations with different -bench patterns (e.g. fleet benchmarks at
-// 3x, codec microbenchmarks at 2000x) accumulate under one label.
-// The schema is a flat map from "<label>/<benchmark>" to ns/op, B/op,
-// allocs/op and every b.ReportMetric custom metric the benchmark
-// emitted.
-//
-// Repeatable -assert flags turn a run into a smoke gate: each bound is
-// checked against the just-recorded entries and a violation exits
-// non-zero, e.g.
-//
-//	arachnet-benchjson -out /tmp/smoke.json -label smoke \
-//	    -bench FleetThroughput \
+//	arachnet-benchjson -bench FleetThroughput -benchtime 2x \
 //	    -assert 'BenchmarkFleetThroughput/workers=8:speedup-vs-serial>=0.8' .
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
-	"regexp"
 	"strconv"
 	"strings"
 )
 
 // Entry is one benchmark result.
 type Entry struct {
-	Iterations int     `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
-	AllocsOp   float64 `json:"allocs_per_op"`
+	NsPerOp    float64
+	BytesPerOp float64
+	AllocsOp   float64
 	// Metrics holds the benchmark's b.ReportMetric values, e.g.
-	// "speedup-vs-serial" or "tag8-3000bps-dB".
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// File is the on-disk trajectory document.
-type File struct {
-	// Benchtime records the -benchtime used for the most recent run so
-	// two labels are comparable.
-	Benchtime string           `json:"benchtime"`
-	Entries   map[string]Entry `json:"entries"`
+	// "speedup-vs-serial" or "allocs/job".
+	Metrics map[string]float64
 }
 
 func main() {
-	out := flag.String("out", "BENCH.json", "output JSON file (merged if it exists)")
-	label := flag.String("label", "after", "entry label prefix (e.g. before, after)")
 	bench := flag.String("bench", ".", "benchmark name pattern (go test -bench)")
 	benchtime := flag.String("benchtime", "1x", "go test -benchtime value")
 	var asserts assertList
 	flag.Var(&asserts, "assert",
-		"assertion on a recorded entry, 'name:metric>=value' or 'name:metric<=value'\n"+
+		"bound on a benchmark result, 'name:metric>=value' or 'name:metric<=value'\n"+
 			"(metric is a b.ReportMetric unit, or ns_per_op / bytes_per_op / allocs_per_op;\n"+
-			"name is looked up under the current -label; repeatable)")
+			"name is the benchmark name without its -GOMAXPROCS suffix; repeatable)")
 	flag.Parse()
 	pkgs := flag.Args()
 	if len(pkgs) == 0 {
 		pkgs = []string{"./..."}
-	}
-
-	doc := File{Benchtime: *benchtime, Entries: map[string]Entry{}}
-	if data, err := os.ReadFile(*out); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			fatal(fmt.Errorf("%s: %w", *out, err))
-		}
-		doc.Benchtime = *benchtime
-	}
-	// Replace previous entries under this label that this run's -bench
-	// pattern covers; entries recorded by other patterns survive so
-	// multiple invocations accumulate under one label.
-	benchRe, err := regexp.Compile(*bench)
-	if err != nil {
-		fatal(fmt.Errorf("-bench %q: %w", *bench, err))
-	}
-	for k := range doc.Entries {
-		if name, ok := strings.CutPrefix(k, *label+"/"); ok && benchRe.MatchString(name) {
-			delete(doc.Entries, k)
-		}
 	}
 
 	args := append([]string{"test", "-run", "^$", "-bench", *bench,
@@ -103,18 +54,15 @@ func main() {
 	if err := cmd.Start(); err != nil {
 		fatal(err)
 	}
+	entries := map[string]Entry{}
 	sc := bufio.NewScanner(pipe)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	n := 0
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line)
-		name, e, ok := parseBenchLine(line)
-		if !ok {
-			continue
+		if name, e, ok := parseBenchLine(line); ok {
+			entries[name] = e
 		}
-		doc.Entries[*label+"/"+name] = e
-		n++
 	}
 	if err := sc.Err(); err != nil {
 		fatal(err)
@@ -122,19 +70,11 @@ func main() {
 	if err := cmd.Wait(); err != nil {
 		fatal(fmt.Errorf("go test: %w", err))
 	}
-	if n == 0 {
+	if len(entries) == 0 {
 		fatal(fmt.Errorf("no benchmark results matched -bench %q", *bench))
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "recorded %d benchmarks under %q in %s\n", n, *label, *out)
 	for _, a := range asserts {
-		if err := a.check(doc.Entries, *label); err != nil {
+		if err := a.check(entries); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "assert ok: %s\n", a)
@@ -142,9 +82,9 @@ func main() {
 }
 
 // assertion is one '-assert name:metric>=value' bound checked against
-// the recorded entries after the run — the CI bench-smoke hook.
+// the parsed results after the run — the CI bench-smoke hook.
 type assertion struct {
-	name   string // entry name without the label prefix
+	name   string // benchmark name without the -GOMAXPROCS suffix
 	metric string
 	ge     bool // >= when true, <= otherwise
 	bound  float64
@@ -189,13 +129,11 @@ func parseAssertion(s string) (assertion, error) {
 	return a, nil
 }
 
-// check evaluates the assertion against the entry recorded under the
-// run's label.
-func (a assertion) check(entries map[string]Entry, label string) error {
-	key := label + "/" + a.name
-	e, ok := entries[key]
+// check evaluates the assertion against the run's results.
+func (a assertion) check(entries map[string]Entry) error {
+	e, ok := entries[a.name]
 	if !ok {
-		return fmt.Errorf("assert %s: no entry %q recorded", a, key)
+		return fmt.Errorf("assert %s: no result for %q", a, a.name)
 	}
 	var v float64
 	switch a.metric {
@@ -208,14 +146,14 @@ func (a assertion) check(entries map[string]Entry, label string) error {
 	default:
 		v, ok = e.Metrics[a.metric]
 		if !ok {
-			return fmt.Errorf("assert %s: entry %q has no metric %q", a, key, a.metric)
+			return fmt.Errorf("assert %s: result %q has no metric %q", a, a.name, a.metric)
 		}
 	}
 	if a.ge && v < a.bound {
-		return fmt.Errorf("assert FAILED: %s/%s = %g, want >= %g", key, a.metric, v, a.bound)
+		return fmt.Errorf("assert FAILED: %s/%s = %g, want >= %g", a.name, a.metric, v, a.bound)
 	}
 	if !a.ge && v > a.bound {
-		return fmt.Errorf("assert FAILED: %s/%s = %g, want <= %g", key, a.metric, v, a.bound)
+		return fmt.Errorf("assert FAILED: %s/%s = %g, want <= %g", a.name, a.metric, v, a.bound)
 	}
 	return nil
 }
@@ -257,11 +195,10 @@ func parseBenchLine(line string) (string, Entry, bool) {
 			name = name[:i]
 		}
 	}
-	iters, err := strconv.Atoi(fields[1])
-	if err != nil {
+	if _, err := strconv.Atoi(fields[1]); err != nil {
 		return "", Entry{}, false
 	}
-	e := Entry{Iterations: iters}
+	var e Entry
 	// Remaining fields come in (value, unit) pairs.
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
@@ -275,9 +212,6 @@ func parseBenchLine(line string) (string, Entry, bool) {
 			e.BytesPerOp = v
 		case "allocs/op":
 			e.AllocsOp = v
-		case "MB/s":
-			// throughput; keep under metrics for completeness
-			fallthrough
 		default:
 			if e.Metrics == nil {
 				e.Metrics = map[string]float64{}

@@ -5,6 +5,10 @@
 // (bench_test.go) and the regression tests that pin the reproduction
 // to the paper's shapes.
 //
+// Catalog is the single list of experiments, with their names, order
+// and sample sizes: the CLI prints it and BenchmarkExperiment times
+// it, one sub-benchmark per name.
+//
 // Experiment index (see DESIGN.md for the full mapping):
 //
 //	Table 1  - vanilla slot allocation example

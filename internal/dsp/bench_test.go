@@ -10,8 +10,9 @@ import (
 )
 
 // Micro and end-to-end benchmarks for the block DSP fast path. The
-// {ref,fused} pairs keep the pre-fusion scalar pipeline runnable so the
-// recorded perf trajectory (BENCH_5.json) compares like against like.
+// {ref,fused} pairs keep the pre-fusion scalar pipeline runnable so a
+// before/after comparison of the fast path (CHANGES.md, block-kernel
+// DSP fast path entry) compares like against like.
 
 func BenchmarkQuadOscBlock(b *testing.B) {
 	o := NewQuadOsc(90_000, 500_000, 0)

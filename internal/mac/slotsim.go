@@ -70,7 +70,7 @@ type SlotSimConfig struct {
 	// Sec. 5.5); nil means all join at slot 0.
 	JoinSlot []int
 	// NackThreshold overrides N for all tags and the reader (0 keeps
-	// the default of 3). Ablation: BenchmarkAblationNackThreshold.
+	// the default of 3). Ablation: BenchmarkExperiment/ablation-nack.
 	NackThreshold int
 	// DisableBeaconLossTimer removes the Sec. 5.4 refinement: a tag
 	// that misses a beacon silently desynchronizes instead of
