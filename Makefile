@@ -70,7 +70,9 @@ bench:
 # The wire-format gates ride along: the binary trace codec must encode
 # at least 5x faster than the JSONL path, and a binary-traced fleet
 # must stay within 1.5x of the untraced wall clock. The BiW path-loss
-# lookup the event network makes per tag per beacon must not allocate.
+# lookup the event network makes per tag per beacon must not allocate,
+# and neither may the event engine's schedule+fire once its free list
+# is warm.
 BENCH_SPEEDUP_FLOOR ?= 0.8
 bench-smoke:
 	$(GO) run ./cmd/arachnet-benchjson -bench FleetThroughput -benchtime 2x \
@@ -82,6 +84,8 @@ bench-smoke:
 		-assert 'BenchmarkTracedFleet/binary:overhead-vs-untraced<=1.5' .
 	$(GO) run ./cmd/arachnet-benchjson -bench PathLossDB -benchtime 100000x \
 		-assert 'BenchmarkPathLossDB:allocs_per_op<=0' ./internal/biw
+	$(GO) run ./cmd/arachnet-benchjson -bench EngineScheduleFire -benchtime 100000x \
+		-assert 'BenchmarkEngineScheduleFire:allocs_per_op<=0' ./internal/sim
 
 # Coverage-guided fuzzing smoke: 10 s on each native fuzz target in the
 # phy codecs and the binary wire codecs (go fuzzing allows one -fuzz

@@ -93,21 +93,12 @@ func (n *Network) deliverBeacon(bx reader.BeaconTx) {
 		}
 		for _, e := range bx.Edges {
 			delay := prop + rise
-			level := true
 			if !e.Rising {
 				delay = prop + fall
-				level = false
 			}
+			// After clamps an edge already in the past to now.
 			at := e.At + sim.FromSeconds(delay)
-			if at < n.engine.Now() {
-				at = n.engine.Now()
-			}
-			lvl := level
-			if _, err := n.engine.Schedule(at, "dl-edge", func(sim.Time) {
-				dev.InjectEnvelope(lvl)
-			}); err != nil {
-				continue
-			}
+			n.engine.After(at-n.engine.Now(), "dl-edge", dev.EnvelopeEdge(e.Rising))
 		}
 	}
 }

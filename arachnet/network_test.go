@@ -1,6 +1,8 @@
 package arachnet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"sort"
 	"testing"
@@ -270,6 +272,40 @@ func TestNetworkDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if a.String() != b.String() {
 		t.Errorf("same seed diverged:\n%v\nvs\n%v", a, b)
+	}
+}
+
+// TestNetworkFingerprint pins the full stats text of a 200 s run. The
+// engine fires events in (time, scheduling order), and any drift in that
+// order — from the queue, from event recycling, or from a callback bound
+// differently — moves at least one beacon or energy count here.
+func TestNetworkFingerprint(t *testing.T) {
+	const want = "34957322ac811c8d6dda9dbe702ef303668f5d1c6feb0efc052357bcfa0d8183"
+	net, err := NewNetwork(chargedConfig(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Run(200 * Second)
+	sum := sha256.Sum256([]byte(net.Stats().String()))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("stats fingerprint %s, want %s:\n%v", got, want, net.Stats())
+	}
+}
+
+// TestNetworkAllocCeiling bounds the heap allocations of building and
+// running a 60 s default-config network. The event engine recycles its
+// events and the per-tag callbacks are bound once, so the count is
+// dominated by per-beacon phy decoding, not by scheduling.
+func TestNetworkAllocCeiling(t *testing.T) {
+	allocs := testing.AllocsPerRun(1, func() {
+		net, err := NewNetwork(DefaultNetworkConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.Run(60 * Second)
+	})
+	if allocs > 15_000 {
+		t.Errorf("60 s network run made %.0f allocations, want <= 15000", allocs)
 	}
 }
 

@@ -15,14 +15,21 @@ import (
 type Timer struct {
 	mcu *MCU
 
-	periodic   *sim.Event
+	periodic   sim.Handle
 	resetAt    sim.Time
 	isrCycles  int
 	intervalTk int
 	callback   func(now sim.Time)
+	// interrupt is t.onInterrupt, bound once so that arming the next
+	// period allocates nothing.
+	interrupt func(now sim.Time)
 }
 
-func newTimer(m *MCU) *Timer { return &Timer{mcu: m, resetAt: m.engine.Now()} }
+func newTimer(m *MCU) *Timer {
+	t := &Timer{mcu: m, resetAt: m.engine.Now()}
+	t.interrupt = t.onInterrupt
+	return t
+}
 
 // StartPeriodic arranges for fn to be called every divider clock ticks,
 // charging isrCycles of CPU time per invocation. Any previous periodic
@@ -39,23 +46,22 @@ func (t *Timer) StartPeriodic(divider, isrCycles int, fn func(now sim.Time)) {
 }
 
 func (t *Timer) schedule() {
-	t.periodic = t.mcu.engine.After(t.mcu.TickDuration(t.intervalTk), "mcu-timer", func(now sim.Time) {
-		t.mcu.WakeFor(t.isrCycles)
-		cb := t.callback
-		if cb == nil {
-			return
-		}
-		t.schedule()
-		cb(now)
-	})
+	t.periodic = t.mcu.engine.After(t.mcu.TickDuration(t.intervalTk), "mcu-timer", t.interrupt)
+}
+
+func (t *Timer) onInterrupt(now sim.Time) {
+	t.mcu.WakeFor(t.isrCycles)
+	cb := t.callback
+	if cb == nil {
+		return
+	}
+	t.schedule()
+	cb(now)
 }
 
 // StopPeriodic cancels the periodic interrupt.
 func (t *Timer) StopPeriodic() {
-	if t.periodic != nil {
-		t.mcu.engine.Cancel(t.periodic)
-		t.periodic = nil
-	}
+	t.mcu.engine.Cancel(t.periodic)
 	t.callback = nil
 }
 

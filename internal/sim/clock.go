@@ -1,8 +1,10 @@
 // Package sim provides a deterministic discrete-event simulation engine
 // used by every ARACHNET subsystem: a virtual clock with microsecond
-// resolution, a binary-heap event queue with stable FIFO ordering for
-// simultaneous events, and a seedable random source so every experiment
-// is reproducible from its seed.
+// resolution, an allocation-free event queue with stable FIFO ordering
+// for simultaneous events (scheduled events are named by Handle values
+// that stay safe to cancel after the engine recycles the event), and a
+// seedable random source so every experiment is reproducible from its
+// seed.
 package sim
 
 import (

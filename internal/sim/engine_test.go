@@ -95,15 +95,21 @@ func TestEngineCancel(t *testing.T) {
 	if fired {
 		t.Error("cancelled event fired")
 	}
-	// Double-cancel and nil-cancel must be safe.
+	// Double-cancel and zero-handle cancel must be safe.
 	e.Cancel(ev)
-	e.Cancel(nil)
+	e.Cancel(Handle{})
+	if e.Pending() != 0 {
+		t.Errorf("pending = %d after cancels, want 0", e.Pending())
+	}
+	if !(Handle{}).Cancelled() {
+		t.Error("zero handle not reported cancelled")
+	}
 }
 
 func TestEngineCancelMiddleOfHeap(t *testing.T) {
 	e := NewEngine()
 	var fired []int
-	events := make([]*Event, 20)
+	events := make([]Handle, 20)
 	for i := range events {
 		i := i
 		events[i] = e.After(Time(i), "n", func(Time) { fired = append(fired, i) })
@@ -183,6 +189,157 @@ func TestEngineScheduleDuringEvent(t *testing.T) {
 	e.Run()
 	if len(order) != 2 || order[1] != "inner" {
 		t.Fatalf("inner event mishandled: %v", order)
+	}
+}
+
+// TestEngineStaleHandle keeps a handle past its event's firing, lets a
+// new scheduling reuse the recycled event, and cancels the stale handle:
+// the new event must be untouched.
+func TestEngineStaleHandle(t *testing.T) {
+	e := NewEngine()
+	stale := e.After(1, "first", func(Time) {})
+	e.Run()
+	if !stale.Cancelled() {
+		t.Fatal("fired event not reported cancelled")
+	}
+	fired := false
+	fresh := e.After(1, "second", func(Time) { fired = true })
+	if fresh.ev != stale.ev {
+		t.Fatal("engine did not reuse the fired event; the test needs the recycled slot")
+	}
+	e.Cancel(stale)
+	if fresh.Cancelled() || e.Pending() != 1 {
+		t.Fatalf("stale cancel hit the reused event: cancelled=%v pending=%d", fresh.Cancelled(), e.Pending())
+	}
+	e.Run()
+	if !fired {
+		t.Error("event sharing a stale handle's slot did not fire")
+	}
+	if !fresh.Cancelled() {
+		t.Error("fired event not reported cancelled")
+	}
+}
+
+// TestEngineSelfCancel cancels an event from inside its own callback,
+// after the callback has scheduled a successor that reuses the slot.
+func TestEngineSelfCancel(t *testing.T) {
+	e := NewEngine()
+	var self Handle
+	var order []string
+	self = e.After(1, "self", func(Time) {
+		order = append(order, "self")
+		e.After(1, "next", func(Time) { order = append(order, "next") })
+		e.Cancel(self)
+		e.Cancel(self)
+	})
+	e.Run()
+	if len(order) != 2 || order[1] != "next" {
+		t.Fatalf("self-cancel disturbed the queue: %v", order)
+	}
+	if e.Fired() != 2 {
+		t.Errorf("fired = %d, want 2", e.Fired())
+	}
+}
+
+// TestEngineMatchesReference runs a seeded random mix of Schedule,
+// After(0), Cancel and scheduling from inside callbacks — with many
+// equal timestamps — against a reference that keeps the live (At, seq)
+// pairs in a plain slice and fires the least. Fire sequences, Now,
+// Fired and Pending must agree at every step.
+func TestEngineMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		runEngineReference(t, seed)
+	}
+}
+
+type refEvent struct {
+	at  Time
+	seq uint64
+	id  int
+}
+
+func runEngineReference(t *testing.T, seed uint64) {
+	t.Helper()
+	r := NewRand(seed)
+	e := NewEngine()
+	var (
+		ref      []refEvent
+		refSeq   uint64
+		refNow   Time
+		refFired uint64
+		handles  []Handle // handles[id] is event id's handle
+		got      []int
+	)
+	var schedule func(delay Time)
+	fire := func(id int) func(Time) {
+		return func(now Time) {
+			got = append(got, id)
+			// A third of callbacks schedule more work, often at now.
+			if r.Intn(3) == 0 {
+				schedule(Time(r.Intn(3)))
+			}
+		}
+	}
+	schedule = func(delay Time) {
+		id := len(handles)
+		handles = append(handles, e.After(delay, "ref", fire(id)))
+		refSeq++
+		ref = append(ref, refEvent{at: e.Now() + delay, seq: refSeq, id: id})
+	}
+	refCancel := func(id int) {
+		for i, ev := range ref {
+			if ev.id == id {
+				ref = append(ref[:i], ref[i+1:]...)
+				return
+			}
+		}
+	}
+	refStep := func() int {
+		m := 0
+		for i := range ref {
+			if ref[i].at < ref[m].at || (ref[i].at == ref[m].at && ref[i].seq < ref[m].seq) {
+				m = i
+			}
+		}
+		ev := ref[m]
+		ref = append(ref[:m], ref[m+1:]...)
+		refNow = ev.at
+		refFired++
+		return ev.id
+	}
+
+	for op := 0; op < 3000; op++ {
+		switch k := r.Intn(10); {
+		case k < 4:
+			schedule(Time(r.Intn(8))) // small range: many equal timestamps
+		case k < 5:
+			schedule(0)
+		case k < 7 && len(handles) > 0:
+			// Cancel any handle ever issued: pending, fired, cancelled
+			// or recycled into a newer scheduling.
+			id := r.Intn(len(handles))
+			e.Cancel(handles[id])
+			refCancel(id)
+		default:
+			if len(ref) == 0 {
+				if e.Step() {
+					t.Fatalf("seed %d op %d: engine stepped with an empty reference", seed, op)
+				}
+				continue
+			}
+			want := refStep()
+			got = got[:0]
+			if !e.Step() {
+				t.Fatalf("seed %d op %d: engine empty, reference fires %d", seed, op, want)
+			}
+			if len(got) != 1 || got[0] != want {
+				t.Fatalf("seed %d op %d: engine fired %v, reference %d", seed, op, got, want)
+			}
+		}
+		if e.Now() != refNow || e.Fired() != refFired || e.Pending() != len(ref) {
+			t.Fatalf("seed %d op %d: engine now=%v fired=%d pending=%d, reference now=%v fired=%d pending=%d",
+				seed, op, e.Now(), e.Fired(), e.Pending(), refNow, refFired, len(ref))
+		}
 	}
 }
 

@@ -110,7 +110,7 @@ type Device struct {
 	cmdBits      phy.Bits
 	inFrame      bool
 	// Beacon bookkeeping.
-	beaconTimeout *sim.Event
+	beaconTimeout sim.Handle
 	beaconsSeen   uint64
 	beaconsLost   uint64
 	// UL transmission state.
@@ -122,6 +122,10 @@ type Device struct {
 	energyTick   sim.Time
 	activations  uint64
 	sensorEnergy float64 // joules drawn by ADC bursts
+	// Engine callbacks, bound once in New: scheduling a method value
+	// or closure per event would allocate on every energy step, beacon
+	// timeout and DL edge.
+	energyFn, timeoutFn, riseFn, fallFn func(now sim.Time)
 }
 
 // New builds a tag device on the engine. The rng individualizes clock
@@ -158,6 +162,10 @@ func New(engine *sim.Engine, cfg Config, rng *sim.Rand) (*Device, error) {
 		co.Trace, co.TraceTID, co.Now = cfg.Trace, int(cfg.TID), clock
 	}
 	d.ticksPerChip = d.MCU.Cfg.ClockHz / cfg.DLRate // firmware uses the nominal clock
+	d.energyFn = d.onEnergyTick
+	d.timeoutFn = d.onBeaconTimeout
+	d.riseFn = func(sim.Time) { d.InjectEnvelope(true) }
+	d.fallFn = func(sim.Time) { d.InjectEnvelope(false) }
 	d.scheduleEnergyTick()
 	return d, nil
 }
@@ -194,10 +202,12 @@ func (d *Device) SensorEnergy() float64 { return d.sensorEnergy }
 // scheduleEnergyTick integrates harvesting and consumption on a fixed
 // cadence, driving power-up and brown-out transitions.
 func (d *Device) scheduleEnergyTick() {
-	d.engine.After(d.energyTick, "tag-energy", func(now sim.Time) {
-		d.integrateEnergy()
-		d.scheduleEnergyTick()
-	})
+	d.engine.After(d.energyTick, "tag-energy", d.energyFn)
+}
+
+func (d *Device) onEnergyTick(sim.Time) {
+	d.integrateEnergy()
+	d.scheduleEnergyTick()
 }
 
 func (d *Device) integrateEnergy() {
@@ -236,28 +246,28 @@ func (d *Device) powerDown() {
 	d.MCU.In().ClearHandler()
 	d.MCU.Timer().StopPeriodic()
 	d.MCU.SetMode(mcu.ModeIdle)
-	if d.beaconTimeout != nil {
-		d.engine.Cancel(d.beaconTimeout)
-		d.beaconTimeout = nil
-	}
+	d.engine.Cancel(d.beaconTimeout)
 	d.txChips = nil
 }
 
+// armBeaconTimeout (re)starts the beacon-loss timer. The handle may
+// name a timeout that already fired (an unpowered tag lets it lapse);
+// cancelling that is a no-op even after the engine reuses its event.
 func (d *Device) armBeaconTimeout() {
-	if d.beaconTimeout != nil {
-		d.engine.Cancel(d.beaconTimeout)
-	}
+	d.engine.Cancel(d.beaconTimeout)
 	// A beacon is expected every slot; allow 1.5 slots of grace.
-	d.beaconTimeout = d.engine.After(d.Cfg.SlotDuration*3/2, "beacon-timeout", func(now sim.Time) {
-		if !d.powered {
-			return
-		}
-		d.beaconsLost++
-		d.Proto.OnBeaconLoss()
-		d.inFrame = false
-		d.bitWindow = d.bitWindow[:0]
-		d.armBeaconTimeout()
-	})
+	d.beaconTimeout = d.engine.After(d.Cfg.SlotDuration*3/2, "beacon-timeout", d.timeoutFn)
+}
+
+func (d *Device) onBeaconTimeout(sim.Time) {
+	if !d.powered {
+		return
+	}
+	d.beaconsLost++
+	d.Proto.OnBeaconLoss()
+	d.inFrame = false
+	d.bitWindow = d.bitWindow[:0]
+	d.armBeaconTimeout()
 }
 
 // InjectEnvelope drives the comparator output pin (the channel calls
@@ -265,6 +275,16 @@ func (d *Device) armBeaconTimeout() {
 // delays).
 func (d *Device) InjectEnvelope(level bool) {
 	d.MCU.In().Inject(level)
+}
+
+// EnvelopeEdge returns the engine callback that injects one DL edge at
+// the given level. The callback is bound once per device, so a channel
+// scheduling every edge of every beacon allocates nothing for them.
+func (d *Device) EnvelopeEdge(level bool) func(now sim.Time) {
+	if level {
+		return d.riseFn
+	}
+	return d.fallFn
 }
 
 // onEdge is the DL demodulation ISR pair of Fig. 6(a): positive edge
