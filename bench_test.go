@@ -8,7 +8,6 @@ package repro
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -81,7 +80,8 @@ func reportAllocsPerJob(b *testing.B, m0, m1 *runtime.MemStats) {
 }
 
 // BenchmarkFleetThroughput measures how the fleet pool scales a 64-job
-// fleet over 1/2/4/8 worker shards. Each op is one whole fleet.
+// fleet over 1/2/4/8 and GOMAXPROCS worker shards. Each op is one
+// whole fleet.
 // "serial" runs the same pooled job functions in a plain loop (no pool,
 // no worker goroutines), so the workers=N sub-benchmarks'
 // "speedup-vs-serial" measures scaling alone; they also report
@@ -104,8 +104,17 @@ func BenchmarkFleetThroughput(b *testing.B) {
 		runtime.ReadMemStats(&m1)
 		reportAllocsPerJob(b, &m0, &m1)
 	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	// workers=gomaxprocs is the point the speedup gate reads: on a host
+	// with fewer than 8 CPUs, workers=8 measures oversubscription.
+	for _, c := range []struct {
+		name    string
+		workers int
+	}{
+		{"workers=1", 1}, {"workers=2", 2}, {"workers=4", 4}, {"workers=8", 8},
+		{"workers=gomaxprocs", runtime.GOMAXPROCS(0)},
+	} {
+		workers := c.workers
+		b.Run(c.name, func(b *testing.B) {
 			serial := fleetSerialBaseline(b)
 			specs := fleetBenchSpecs(b)
 			// One warm fleet fills the clone pool so the timed region is

@@ -50,7 +50,7 @@ func RunAppendixC() (Table, error) {
 			return Table{}, fmt.Errorf("lemma verification failed for %v: %v %v %v", ps, l1, l2, l3)
 		}
 		tb.AddRow(fmt.Sprintf("%v", ps), fmt.Sprintf("%d", m.NumStates()),
-			fmt.Sprintf("%d", len(m.AbsorbingStates())),
+			fmt.Sprintf("%d", m.NumAbsorbing()),
 			check(l1), check(l2), check(l3), f1(mean), f1(worst))
 	}
 	tb.Notes = append(tb.Notes,

@@ -7,15 +7,16 @@ import (
 	"repro/internal/mac"
 )
 
-// The factored value iteration must agree with an independent dense
-// solve of (I-Q)t = 1 on chains small enough to eliminate directly.
+// The lumped chain's factored value iteration must agree with an
+// independent dense solve of (I-Q)t = 1 on the full chain, for chains
+// small enough to eliminate directly.
 func TestFactoredSolveMatchesModel(t *testing.T) {
 	for _, ps := range [][]mac.Period{{2}, {2, 2}, {4, 4}, {2, 4, 4}} {
 		m, err := NewModel(ps, mac.DefaultNackThreshold)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantMean, wantWorst := denseAbsorption(t, m)
+		wantMean, wantWorst := denseAbsorption(t, fullModel(m))
 		f, err := m.Factor()
 		if err != nil {
 			t.Fatal(err)
@@ -32,8 +33,9 @@ func TestFactoredSolveMatchesModel(t *testing.T) {
 }
 
 // denseAbsorption solves (I-Q)t = 1 over m's transient states by
-// Gaussian elimination with partial pivoting, and returns the mean
-// over the post-RESET initial states and the worst transient state.
+// Gaussian elimination with partial pivoting, and returns the
+// weight-averaged mean over the post-RESET initial states and the
+// worst transient state.
 func denseAbsorption(t *testing.T, m *Model) (mean, worst float64) {
 	t.Helper()
 	row := make([]int, len(m.list)) // state id -> row of Q, -1 if absorbing
@@ -47,7 +49,7 @@ func denseAbsorption(t *testing.T, m *Model) (mean, worst float64) {
 	}
 	// a is the augmented system [I-Q | 1].
 	a := make([][]float64, n)
-	for id, succ := range m.trans {
+	for id := range m.list {
 		i := row[id]
 		if i < 0 {
 			continue
@@ -55,9 +57,9 @@ func denseAbsorption(t *testing.T, m *Model) (mean, worst float64) {
 		a[i] = make([]float64, n+1)
 		a[i][i] = 1
 		a[i][n] = 1
-		for to, p := range succ {
-			if j := row[to]; j >= 0 {
-				a[i][j] -= p
+		for k := m.rowStart[id]; k < m.rowStart[id+1]; k++ {
+			if j := row[m.to[k]]; j >= 0 {
+				a[i][j] -= m.p[k]
 			}
 		}
 	}
@@ -93,13 +95,15 @@ func denseAbsorption(t *testing.T, m *Model) (mean, worst float64) {
 		x[i] = v / a[i][i]
 		worst = math.Max(worst, x[i])
 	}
-	inits := m.initialStates()
-	for _, s := range inits {
-		if i := row[m.states[s]]; i >= 0 {
-			mean += x[i]
+	var total float64
+	for id := 0; id < m.numInit; id++ {
+		w := float64(m.weight[id])
+		if i := row[id]; i >= 0 {
+			mean += w * x[i]
 		}
+		total += w
 	}
-	return mean / float64(len(inits)), worst
+	return mean / total, worst
 }
 
 func relErr(got, want float64) float64 {

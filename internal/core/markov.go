@@ -14,12 +14,18 @@
 //	Theorem 4: the chain is absorbing; expected absorption times are
 //	           computable by solving (I-Q)t = 1.
 //
+// Tags with equal periods are exchangeable, so the chain is enumerated
+// lumped: one state per orbit under permutations of those tags, each
+// weighted by its orbit size (see canon and orbitWeight).
+//
 // The executable protocol in internal/mac is the engineering twin of
 // this model; property tests cross-check the two.
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -40,25 +46,41 @@ type State struct {
 	Tags  [MaxModelTags]TagState
 }
 
-// MaxModelTags bounds the exact model; the state space grows as
-// (2*p*N)^T * lcm(p), so exact analysis is for small T.
+// MaxModelTags bounds the exact model. The full state space grows as
+// (2*p*N)^T * lcm(p); the lumped chain keeps one state per orbit, which
+// divides that by about the product of k! over each class of k
+// equal-period tags. Either way exact analysis is for small T.
 const MaxModelTags = 4
 
-// Model is the enumerated chain for one period assignment.
+// Model is the enumerated, symmetry-lumped chain for one period
+// assignment. Transitions are stored in CSR form: the successors of
+// state i are to[rowStart[i]:rowStart[i+1]] with probabilities
+// p[rowStart[i]:rowStart[i+1]], each row sorted by successor id.
 type Model struct {
 	Periods []mac.Period
 	// NackThreshold is N from Fig. 7.
 	NackThreshold uint8
-	// Hyper is lcm(periods) — the slot phase space.
+	// Hyper is lcm(periods) — the slot phase space. It is computed as
+	// the largest period, which equals the lcm because ValidPeriod
+	// admits powers of two only.
 	Hyper uint8
 
-	states map[State]int
-	list   []State
-	// trans[i] is the sparse outgoing distribution of state i.
-	trans []map[int]float64
+	// classes lists the tag indices of each equal-period class with at
+	// least two members: the tags canon may permute.
+	classes [][]int
+
+	// list holds the canonical states in BFS order; the first numInit
+	// are the post-RESET states. weight[i] is the orbit size of list[i].
+	list    []State
+	weight  []int32
+	numInit int
+
+	rowStart []int32
+	to       []int32
+	p        []float64
 }
 
-// NewModel enumerates the full reachable chain for the given periods.
+// NewModel enumerates the reachable lumped chain for the given periods.
 func NewModel(periods []mac.Period, nackThreshold int) (*Model, error) {
 	if len(periods) == 0 || len(periods) > MaxModelTags {
 		return nil, fmt.Errorf("core: model supports 1..%d tags, got %d", MaxModelTags, len(periods))
@@ -80,7 +102,17 @@ func NewModel(periods []mac.Period, nackThreshold int) (*Model, error) {
 		Periods:       periods,
 		NackThreshold: uint8(nackThreshold),
 		Hyper:         uint8(hyper),
-		states:        make(map[State]int),
+	}
+	for i := range periods {
+		var class []int
+		for j := range periods {
+			if periods[j] == periods[i] {
+				class = append(class, j)
+			}
+		}
+		if len(class) > 1 && class[0] == i {
+			m.classes = append(m.classes, class)
+		}
 	}
 	m.enumerate()
 	return m, nil
@@ -105,64 +137,153 @@ func (m *Model) initialStates() []State {
 	return out
 }
 
-// enumerate explores the reachable state space breadth-first, building
-// the sparse transition distributions.
+// canon returns the orbit representative of s: the tag states of each
+// equal-period class sorted by compareTags. step, transmitters and
+// soloCompatible are symmetric in such tags, so s and canon(s) have the
+// same future up to relabelling.
+func (m *Model) canon(s State) State {
+	for _, c := range m.classes {
+		for a := 1; a < len(c); a++ {
+			for b := a; b > 0 && compareTags(s.Tags[c[b]], s.Tags[c[b-1]]) < 0; b-- {
+				s.Tags[c[b]], s.Tags[c[b-1]] = s.Tags[c[b-1]], s.Tags[c[b]]
+			}
+		}
+	}
+	return s
+}
+
+var factorial = [MaxModelTags + 1]int32{1, 1, 2, 6, 24}
+
+// orbitWeight returns how many full-chain states the canonical state s
+// stands for: per class of k tags, k! over the product of m! for each
+// run of m identical tag states, multiplied across classes.
+func (m *Model) orbitWeight(s State) int32 {
+	w := int32(1)
+	for _, c := range m.classes {
+		w *= factorial[len(c)]
+		run := 1
+		for a := 1; a <= len(c); a++ {
+			if a < len(c) && s.Tags[c[a]] == s.Tags[c[a-1]] {
+				run++
+				continue
+			}
+			w /= factorial[run]
+			run = 1
+		}
+	}
+	return w
+}
+
+// succ is one successor of a state and its transition probability.
+type succ struct {
+	s State
+	p float64
+}
+
+// edge is one lumped transition while its CSR row is assembled.
+type edge struct {
+	to int32
+	p  float64
+}
+
+// enumerate explores the reachable canonical states breadth-first and
+// writes their transitions straight into the CSR arrays. Ids are
+// assigned in BFS order, so row i is complete before row i+1 starts.
 func (m *Model) enumerate() {
-	var queue []int
-	add := func(s State) int {
-		if id, ok := m.states[s]; ok {
+	ids := make(map[State]int32)
+	add := func(s State) int32 {
+		if id, ok := ids[s]; ok {
 			return id
 		}
-		id := len(m.list)
-		m.states[s] = id
+		id := int32(len(m.list))
+		ids[s] = id
 		m.list = append(m.list, s)
-		m.trans = append(m.trans, nil)
-		queue = append(queue, id)
+		m.weight = append(m.weight, m.orbitWeight(s))
 		return id
 	}
 	for _, s := range m.initialStates() {
-		add(s)
+		add(m.canon(s))
 	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		dist := m.step(m.list[id])
-		// Assign successor ids in sorted state order, not map iteration
-		// order: ids fix the float summation order in the absorption
-		// solver, so map-ordered numbering made expected times differ
-		// in the last ulp between two identically-built models.
-		succ := make([]State, 0, len(dist))
-		for s := range dist {
-			succ = append(succ, s)
+	m.numInit = len(m.list)
+
+	m.rowStart = append(m.rowStart, 0)
+	var buf []succ
+	var row []edge
+	for id := 0; id < len(m.list); id++ {
+		buf = m.lumpedStep(m.list[id], buf[:0])
+		// New ids are handed out in sorted state order, so numbering
+		// (which fixes the float summation order of the solver) never
+		// depends on map iteration.
+		row = row[:0]
+		for _, e := range buf {
+			row = append(row, edge{add(e.s), e.p})
 		}
-		sort.Slice(succ, func(i, j int) bool { return stateLess(succ[i], succ[j]) })
-		out := make(map[int]float64, len(dist))
-		for _, s := range succ {
-			out[add(s)] += dist[s]
-		}
-		m.trans[id] = out
+		m.appendRow(row)
 	}
 }
 
-// stateLess is a total order on states (phase, then per-tag fields),
-// used only to make enumeration order deterministic.
-func stateLess(a, b State) bool {
-	if a.Phase != b.Phase {
-		return a.Phase < b.Phase
+// appendRow sorts row by successor id and appends it as the next CSR
+// row.
+func (m *Model) appendRow(row []edge) {
+	slices.SortFunc(row, func(a, b edge) int { return cmp.Compare(a.to, b.to) })
+	for _, e := range row {
+		m.to = append(m.to, e.to)
+		m.p = append(m.p, e.p)
+	}
+	m.rowStart = append(m.rowStart, int32(len(m.to)))
+}
+
+// lumpedStep appends to out the one-slot distribution from s over
+// canonical successors, sorted by compareStates with equal successors
+// merged. Every probability is a product of 1/p for power-of-two p, so
+// the merged sums are exact.
+func (m *Model) lumpedStep(s State, out []succ) []succ {
+	start := len(out)
+	out = m.step(s, out)
+	dist := out[start:]
+	for i := range dist {
+		dist[i].s = m.canon(dist[i].s)
+	}
+	slices.SortStableFunc(dist, func(a, b succ) int { return compareStates(a.s, b.s) })
+	n := 0
+	for _, e := range dist {
+		if n > 0 && dist[n-1].s == e.s {
+			dist[n-1].p += e.p
+			continue
+		}
+		dist[n] = e
+		n++
+	}
+	return out[:start+n]
+}
+
+// compareTags orders tag states by (settled, offset, nacks), migrating
+// before settled.
+func compareTags(a, b TagState) int {
+	if a.Settled != b.Settled {
+		if b.Settled {
+			return -1
+		}
+		return 1
+	}
+	if c := cmp.Compare(a.Offset, b.Offset); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Nacks, b.Nacks)
+}
+
+// compareStates is a total order on states (phase, then per-tag
+// fields), used only to make enumeration order deterministic.
+func compareStates(a, b State) int {
+	if c := cmp.Compare(a.Phase, b.Phase); c != 0 {
+		return c
 	}
 	for i := range a.Tags {
-		at, bt := a.Tags[i], b.Tags[i]
-		if at.Settled != bt.Settled {
-			return !at.Settled
-		}
-		if at.Offset != bt.Offset {
-			return at.Offset < bt.Offset
-		}
-		if at.Nacks != bt.Nacks {
-			return at.Nacks < bt.Nacks
+		if c := compareTags(a.Tags[i], b.Tags[i]); c != 0 {
+			return c
 		}
 	}
-	return false
+	return 0
 }
 
 // transmitters returns the indices of tags firing at the state's phase.
@@ -176,8 +297,8 @@ func (m *Model) transmitters(s State) []int {
 	return tx
 }
 
-// conflictFree reports whether the settled tags' classes are pairwise
-// conflict-free and tag i's candidate class avoids them all.
+// soloCompatible reports whether tag i's candidate class avoids the
+// class of every settled tag.
 func (m *Model) soloCompatible(s State, i int) bool {
 	cand := mac.Assignment{Period: m.Periods[i], Offset: int(s.Tags[i].Offset)}
 	for j, t := range s.Tags[:len(m.Periods)] {
@@ -192,8 +313,10 @@ func (m *Model) soloCompatible(s State, i int) bool {
 	return true
 }
 
-// step returns the one-slot transition distribution from s.
-func (m *Model) step(s State) map[State]float64 {
+// step appends to out the one-slot transition distribution from s over
+// raw (uncanonicalised) successors. Distinct offset choices give
+// distinct states, so no successor appears twice.
+func (m *Model) step(s State, out []succ) []succ {
 	tx := m.transmitters(s)
 	nextPhase := uint8((int(s.Phase) + 1) % int(m.Hyper))
 
@@ -207,30 +330,29 @@ func (m *Model) step(s State) map[State]float64 {
 		acked
 		nacked
 	)
-	out := make([]outcome, len(m.Periods))
+	res := make([]outcome, len(m.Periods))
 	if len(tx) == 1 {
 		if m.soloCompatible(s, tx[0]) {
-			out[tx[0]] = acked
+			res[tx[0]] = acked
 		} else {
-			out[tx[0]] = nacked
+			res[tx[0]] = nacked
 		}
 	} else {
 		for _, i := range tx {
-			out[i] = nacked
+			res[i] = nacked
 		}
 	}
 
 	// Expand the product distribution over randomized offsets.
-	dist := map[State]float64{}
 	var rec func(i int, st State, prob float64)
 	rec = func(i int, st State, prob float64) {
 		if i == len(m.Periods) {
 			st.Phase = nextPhase
-			dist[st] += prob
+			out = append(out, succ{st, prob})
 			return
 		}
 		cur := s.Tags[i]
-		switch out[i] {
+		switch res[i] {
 		case idle:
 			st.Tags[i] = cur
 			rec(i+1, st, prob)
@@ -252,11 +374,27 @@ func (m *Model) step(s State) map[State]float64 {
 		}
 	}
 	rec(0, State{}, 1.0)
-	return dist
+	return out
 }
 
-// NumStates returns the reachable state count.
-func (m *Model) NumStates() int { return len(m.list) }
+// NumStates returns the reachable state count of the full chain: the
+// orbit weights summed over the canonical states.
+func (m *Model) NumStates() int {
+	n := 0
+	for _, w := range m.weight {
+		n += int(w)
+	}
+	return n
+}
+
+// NumAbsorbing returns the absorbing state count of the full chain.
+func (m *Model) NumAbsorbing() int {
+	n := 0
+	for _, id := range m.AbsorbingStates() {
+		n += int(m.weight[id])
+	}
+	return n
+}
 
 // IsAbsorbing implements Definition 2: all tags settled (which, with
 // the veto in place, implies a conflict-free schedule — Lemma 1).
@@ -269,7 +407,7 @@ func (m *Model) IsAbsorbing(s State) bool {
 	return true
 }
 
-// AbsorbingStates lists the ids of absorbing states.
+// AbsorbingStates lists the ids of absorbing canonical states.
 func (m *Model) AbsorbingStates() []int {
 	var out []int
 	for id, s := range m.list {
@@ -280,7 +418,7 @@ func (m *Model) AbsorbingStates() []int {
 	return out
 }
 
-// StateByID returns the state for an id.
+// StateByID returns the canonical state for an id.
 func (m *Model) StateByID(id int) State { return m.list[id] }
 
 // VerifyLemma1 checks that every reachable all-settled state has a
@@ -304,15 +442,8 @@ func (m *Model) VerifyLemma1() error {
 // links).
 func (m *Model) VerifyLemma2() error {
 	for _, id := range m.AbsorbingStates() {
-		// Sorted successors: the reported leak must not depend on map
-		// iteration order when several transitions violate the lemma.
-		nexts := make([]int, 0, len(m.trans[id]))
-		for next := range m.trans[id] {
-			nexts = append(nexts, next)
-		}
-		sort.Ints(nexts)
-		for _, next := range nexts {
-			if m.trans[id][next] > 0 && !m.IsAbsorbing(m.list[next]) {
+		for _, next := range m.to[m.rowStart[id]:m.rowStart[id+1]] {
+			if !m.IsAbsorbing(m.list[next]) {
 				return fmt.Errorf("core: absorbing state %d leaks to transient %d", id, next)
 			}
 		}
@@ -323,25 +454,33 @@ func (m *Model) VerifyLemma2() error {
 // VerifyReachability checks Lemma 3: from every reachable state there
 // is a path of positive probability to an absorbing state.
 func (m *Model) VerifyReachability() error {
-	// Reverse-BFS from absorbing states.
-	reach := make([]bool, len(m.list))
-	rev := make([][]int, len(m.list))
-	for from, dist := range m.trans {
-		for to, p := range dist {
-			if p > 0 {
-				rev[to] = append(rev[to], from)
-			}
+	// Reverse-BFS from absorbing states over the transposed CSR:
+	// pred[predStart[j]:predStart[j+1]] lists the predecessors of j.
+	n := len(m.list)
+	predStart := make([]int32, n+1)
+	for _, j := range m.to {
+		predStart[j+1]++
+	}
+	for j := 0; j < n; j++ {
+		predStart[j+1] += predStart[j]
+	}
+	pred := make([]int32, len(m.to))
+	fill := slices.Clone(predStart[:n])
+	for i := 0; i < n; i++ {
+		for _, j := range m.to[m.rowStart[i]:m.rowStart[i+1]] {
+			pred[fill[j]] = int32(i)
+			fill[j]++
 		}
 	}
-	var queue []int
+	reach := make([]bool, n)
+	queue := make([]int32, 0, n)
 	for _, id := range m.AbsorbingStates() {
 		reach[id] = true
-		queue = append(queue, id)
+		queue = append(queue, int32(id))
 	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		for _, from := range rev[id] {
+	for head := 0; head < len(queue); head++ {
+		j := queue[head]
+		for _, from := range pred[predStart[j]:predStart[j+1]] {
 			if !reach[from] {
 				reach[from] = true
 				queue = append(queue, from)
@@ -356,26 +495,16 @@ func (m *Model) VerifyReachability() error {
 	return nil
 }
 
-// edge is one flattened transition (used by the factored solver).
-type edge struct {
-	to int
-	p  float64
-}
-
-// Factorization is the solver-ready form of a model's transition
-// structure: reachability verified (Lemma 3), every sparse row
-// flattened into a to-sorted edge list, absorbing states flagged, and
-// the initial-distribution ids resolved — all computed exactly once per
-// config. The expensive value iteration runs at most once (memoized)
-// on reusable vectors, so sweeps that query the same config across many
-// trials pay for one factor + one solve and then read a cached pair.
-// Safe for concurrent use.
+// Factorization is the solver-ready form of a model: reachability
+// verified (Lemma 3) and absorbing states flagged, computed exactly
+// once per config. The value iteration walks the model's CSR rows; it
+// runs at most once (memoized) on reusable vectors, so sweeps that
+// query the same config across many trials pay for one factor + one
+// solve and then read a cached pair. Safe for concurrent use.
 type Factorization struct {
 	model *Model
 
-	rows      [][]edge
 	absorbing []bool
-	initIDs   []int
 
 	mu      sync.Mutex
 	t, next []float64 // iteration vectors, reused
@@ -384,48 +513,37 @@ type Factorization struct {
 	worst   float64
 }
 
-// Factor verifies reachability and flattens the chain into a
-// Factorization. Each row is sorted by successor id: float addition is
-// order-sensitive, so summing in map iteration order would perturb the
-// result in the last ulp from run to run (and the slice walk is far
-// cheaper inside the million-iteration loop).
+// Factor verifies reachability and prepares a Factorization.
 func (m *Model) Factor() (*Factorization, error) {
 	if err := m.VerifyReachability(); err != nil {
 		return nil, err
 	}
 	f := &Factorization{
 		model:     m,
-		rows:      make([][]edge, len(m.list)),
 		absorbing: make([]bool, len(m.list)),
 		t:         make([]float64, len(m.list)),
 		next:      make([]float64, len(m.list)),
 	}
-	for id := range m.trans {
-		row := make([]edge, 0, len(m.trans[id]))
-		for to, p := range m.trans[id] {
-			row = append(row, edge{to, p})
-		}
-		sort.Slice(row, func(i, j int) bool { return row[i].to < row[j].to })
-		f.rows[id] = row
-		f.absorbing[id] = m.IsAbsorbing(m.list[id])
-	}
-	for _, s := range m.initialStates() {
-		f.initIDs = append(f.initIDs, m.states[s])
+	for id, s := range m.list {
+		f.absorbing[id] = m.IsAbsorbing(s)
 	}
 	return f, nil
 }
 
 // ExpectedAbsorptionSlots solves (I-Q)t = 1 by value iteration on the
-// factored rows and returns the expected slots-to-absorption from the
-// uniform post-RESET initial distribution, plus the worst single
-// transient state. The solve runs once; later calls return the
-// memoized pair without touching the allocator.
+// CSR rows and returns the expected slots-to-absorption from the
+// uniform post-RESET initial distribution (the orbit-weighted mean over
+// the canonical initial states), plus the worst single transient
+// state. The solve runs once; later calls return the memoized pair
+// without touching the allocator.
 func (f *Factorization) ExpectedAbsorptionSlots() (mean, worst float64, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.solved {
 		return f.mean, f.worst, nil
 	}
+	m := f.model
+	rowStart, to, p := m.rowStart, m.to, m.p
 	t, next := f.t, f.next
 	for i := range t {
 		t[i] = 0
@@ -433,14 +551,14 @@ func (f *Factorization) ExpectedAbsorptionSlots() (mean, worst float64, err erro
 	}
 	for iter := 0; iter < 1_000_000; iter++ {
 		var delta float64
-		for id := range f.rows {
-			if f.absorbing[id] {
+		for id, abs := range f.absorbing {
+			if abs {
 				next[id] = 0
 				continue
 			}
 			v := 1.0
-			for _, e := range f.rows[id] {
-				v += e.p * t[e.to]
+			for k := rowStart[id]; k < rowStart[id+1]; k++ {
+				v += p[k] * t[to[k]]
 			}
 			if d := v - t[id]; d > delta {
 				delta = d
@@ -454,9 +572,11 @@ func (f *Factorization) ExpectedAbsorptionSlots() (mean, worst float64, err erro
 			break
 		}
 	}
-	var sum float64
-	for _, id := range f.initIDs {
-		sum += t[id]
+	var sum, total float64
+	for id := 0; id < m.numInit; id++ {
+		w := float64(m.weight[id])
+		sum += w * t[id]
+		total += w
 	}
 	worstV := 0.0
 	for id := range t {
@@ -464,7 +584,7 @@ func (f *Factorization) ExpectedAbsorptionSlots() (mean, worst float64, err erro
 			worstV = t[id]
 		}
 	}
-	f.mean = sum / float64(len(f.initIDs))
+	f.mean = sum / total
 	f.worst = worstV
 	f.solved = true
 	return f.mean, f.worst, nil
@@ -481,5 +601,5 @@ func (m *Model) Describe() string {
 	}
 	sort.Ints(ps)
 	return fmt.Sprintf("core: periods=%v N=%d states=%d absorbing=%d",
-		ps, m.NackThreshold, m.NumStates(), len(m.AbsorbingStates()))
+		ps, m.NackThreshold, m.NumStates(), m.NumAbsorbing())
 }

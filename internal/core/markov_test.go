@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -176,16 +177,20 @@ func TestDescribe(t *testing.T) {
 }
 
 // TestTransitionProbabilitiesSumToOne is a structural sanity check on
-// the enumerated chain.
+// the enumerated chain: every CSR row is a probability distribution
+// over strictly increasing successor ids.
 func TestTransitionProbabilitiesSumToOne(t *testing.T) {
 	m := newModel(t, 2, 4)
-	for id := 0; id < m.NumStates(); id++ {
+	for id := range m.list {
 		var sum float64
-		for _, p := range m.trans[id] {
-			if p < 0 {
-				t.Fatal("negative probability")
+		for k := m.rowStart[id]; k < m.rowStart[id+1]; k++ {
+			if m.p[k] <= 0 {
+				t.Fatalf("state %d: probability %v", id, m.p[k])
 			}
-			sum += p
+			if k > m.rowStart[id] && m.to[k] <= m.to[k-1] {
+				t.Fatalf("state %d: row not sorted by successor id", id)
+			}
+			sum += m.p[k]
 		}
 		if sum < 0.999999 || sum > 1.000001 {
 			t.Fatalf("state %d outgoing mass %v", id, sum)
@@ -194,16 +199,58 @@ func TestTransitionProbabilitiesSumToOne(t *testing.T) {
 }
 
 // TestModelDeterministicEnumeration guards against map-order dependence
-// in state numbering.
+// in state numbering: two builds give identical CSR arrays.
 func TestModelDeterministicEnumeration(t *testing.T) {
 	a := newModel(t, 2, 4, 4)
 	b := newModel(t, 2, 4, 4)
-	if a.NumStates() != b.NumStates() {
-		t.Fatalf("state counts differ: %d vs %d", a.NumStates(), b.NumStates())
+	if !slices.Equal(a.list, b.list) || !slices.Equal(a.weight, b.weight) ||
+		!slices.Equal(a.rowStart, b.rowStart) || !slices.Equal(a.to, b.to) || !slices.Equal(a.p, b.p) {
+		t.Fatal("two builds of the same config differ")
 	}
 	ea, _ := solve(t, a)
 	eb, _ := solve(t, b)
 	if ea != eb {
 		t.Errorf("expected times differ: %v vs %v", ea, eb)
+	}
+}
+
+// TestCanonicalStateCounts pins the lumped chain sizes: a silent return
+// to the full chain (2652 and 84816 states) fails here.
+func TestCanonicalStateCounts(t *testing.T) {
+	for _, c := range []struct {
+		periods   []int
+		canonical int
+	}{
+		{[]int{2, 4, 4}, 1388},
+		{[]int{4, 4, 4, 4}, 4476},
+	} {
+		if got := len(newModel(t, c.periods...).list); got != c.canonical {
+			t.Errorf("%v: %d canonical states, want %d", c.periods, got, c.canonical)
+		}
+	}
+}
+
+// TestPeriodOrderGivesSameTable checks that {4,2} and {2,4} stay
+// distinct cache entries (factorKey preserves order) yet give the same
+// Appendix C numbers.
+func TestPeriodOrderGivesSameTable(t *testing.T) {
+	a, err := ForConfig([]mac.Period{4, 2}, mac.DefaultNackThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ForConfig([]mac.Period{2, 4}, mac.DefaultNackThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("{4,2} and {2,4} shared a factorization")
+	}
+	if a.Model().NumStates() != b.Model().NumStates() || a.Model().NumAbsorbing() != b.Model().NumAbsorbing() {
+		t.Fatalf("counts differ: %s vs %s", a.Model().Describe(), b.Model().Describe())
+	}
+	meanA, worstA, _ := a.ExpectedAbsorptionSlots()
+	meanB, worstB, _ := b.ExpectedAbsorptionSlots()
+	if relErr(meanA, meanB) > 1e-12 || relErr(worstA, worstB) > 1e-12 {
+		t.Fatalf("{4,2} (%v, %v) vs {2,4} (%v, %v)", meanA, worstA, meanB, worstB)
 	}
 }

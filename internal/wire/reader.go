@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // FrameReader reads a wire stream (header, then frames) incrementally
@@ -61,15 +62,21 @@ func (fr *FrameReader) Next() (Tag, []byte, error) {
 	if n > MaxFrame {
 		return Tag{}, nil, fmt.Errorf("%w: frame declares %d bytes (max %d)", ErrMalformed, n, MaxFrame)
 	}
+	// A frame that fits the buffer is one ReadFull. A longer one grows
+	// the buffer geometrically as its payload arrives, so a hostile
+	// length prefix costs memory in proportion to the bytes actually
+	// sent, not to the length it declares.
 	need := FrameHeaderSize + int(n)
-	if cap(fr.frame) < need {
-		grown := make([]byte, need)
-		copy(grown, fr.frame[:FrameHeaderSize])
-		fr.frame = grown
-	}
-	fr.frame = fr.frame[:need]
-	if _, err := io.ReadFull(fr.r, fr.frame[FrameHeaderSize:]); err != nil {
-		return Tag{}, nil, fmt.Errorf("%w: frame payload", ErrTruncated)
+	for len(fr.frame) < need {
+		if len(fr.frame) == cap(fr.frame) {
+			fr.frame = slices.Grow(fr.frame, min(need-len(fr.frame), len(fr.frame)))
+		}
+		have := len(fr.frame)
+		k, err := io.ReadFull(fr.r, fr.frame[have:min(need, cap(fr.frame))])
+		fr.frame = fr.frame[:have+k]
+		if err != nil {
+			return Tag{}, nil, fmt.Errorf("%w: frame payload", ErrTruncated)
+		}
 	}
 	return Tag(fr.frame[:4]), fr.frame, nil
 }

@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -231,4 +234,55 @@ func FuzzUnmarshalSpec(f *testing.F) {
 			t.Fatal("re-encoded spec envelope differs")
 		}
 	})
+}
+
+// FrameReader must hand back frames of every size intact, across the
+// grow-as-it-reads path and the reused-buffer path.
+func TestFrameReaderRoundTrip(t *testing.T) {
+	sizes := []int{0, 5, 4000, 300_000, 17, 1 << 20, 100}
+	stream := AppendHeader(nil)
+	for i, n := range sizes {
+		payload := bytes.Repeat([]byte{byte(i + 1)}, n)
+		stream = AppendFrame(stream, TagStreamEvent, payload)
+	}
+	fr := NewFrameReader(bytes.NewReader(stream))
+	for i, n := range sizes {
+		tag, frame, err := fr.Next()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		want := AppendFrame(nil, TagStreamEvent, bytes.Repeat([]byte{byte(i + 1)}, n))
+		if tag != TagStreamEvent || !bytes.Equal(frame, want) {
+			t.Fatalf("frame %d (%d bytes) did not round-trip", i, n)
+		}
+	}
+	if _, _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("after last frame: %v, want io.EOF", err)
+	}
+
+	// Cut inside a large payload: truncated, not a short frame.
+	cut := AppendFrame(AppendHeader(nil), TagStreamEvent, make([]byte, 300_000))
+	fr = NewFrameReader(bytes.NewReader(cut[:len(cut)-1]))
+	if _, _, err := fr.Next(); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("cut payload: %v, want ErrTruncated", err)
+	}
+}
+
+// A frame header that declares MaxFrame and is followed by nothing must
+// fail as truncated without allocating the declared 64 MiB.
+func TestFrameReaderHostileLengthAllocatesLittle(t *testing.T) {
+	stream := AppendHeader(nil)
+	stream = append(stream, TagStreamEvent[:]...)
+	stream = binary.LittleEndian.AppendUint32(stream, MaxFrame)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	_, _, err := NewFrameReader(bytes.NewReader(stream)).Next()
+	runtime.ReadMemStats(&m1)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("header-only MaxFrame: %v, want ErrTruncated", err)
+	}
+	if d := m1.TotalAlloc - m0.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("header-only MaxFrame allocated %d bytes, want < 1 MiB", d)
+	}
 }
