@@ -100,7 +100,6 @@ FUZZ_TARGETS = \
 	./internal/phy:FuzzUnmarshalDL \
 	./internal/phy:FuzzPIEDecode \
 	./internal/phy:FuzzFM0Decode \
-	./internal/wire:FuzzUnmarshalSpec \
 	./internal/obs:FuzzUnmarshalEvent \
 	./internal/fleet:FuzzUnmarshalJobOutcome \
 	./internal/fleetd:FuzzUnmarshalCheckpoint

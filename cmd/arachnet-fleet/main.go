@@ -78,7 +78,6 @@ func main() {
 	jobID := flag.String("job", "", "with -server: attach to this existing job instead of submitting")
 	verify := flag.Bool("verify", false, "with -server: also run the fleet locally and cross-check the fingerprints")
 	quiet := flag.Bool("quiet", false, "with -server: suppress the streamed per-job progress lines")
-	streamFormat := flag.String("stream-format", "jsonl", "with -server: progress stream encoding, jsonl or binary")
 	retries := flag.Int("retries", 0, "with -server: retry transient transport/5xx failures up to this many attempts per call, honoring Retry-After (0 = one attempt)")
 	flakyEvery := flag.Int("flaky", 0, "with -server: fault-injection aid — fail every Nth client request at the transport, exercising -retries (0 = off)")
 	healthOnly := flag.Bool("health", false, "with -server: print the daemon's /v1/healthz JSON and exit")
@@ -158,7 +157,7 @@ func main() {
 		// replays bit-identically.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		c := newServerClient(*serverURL, *streamFormat, *retries, *flakyEvery, f.Seed)
+		c := newServerClient(*serverURL, *retries, *flakyEvery, f.Seed)
 		var code int
 		if *healthOnly {
 			code = printHealth(ctx, c)
@@ -287,18 +286,11 @@ func (t *flakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return t.next.RoundTrip(req)
 }
 
-// newServerClient assembles the fleetd client from the resilience and
-// transfer flags: -stream-format selects the progress encoding,
-// -retries enables seeded-backoff retries, -flaky injects a
+// newServerClient assembles the fleetd client from the resilience
+// flags: -retries enables seeded-backoff retries, -flaky injects a
 // deterministic transport fault schedule under them.
-func newServerClient(base, streamFormat string, retries, flakyEvery int, seed uint64) *api.Client {
+func newServerClient(base string, retries, flakyEvery int, seed uint64) *api.Client {
 	var opts []api.Option
-	switch streamFormat {
-	case "", api.StreamFormatJSONL, api.StreamFormatBinary:
-		opts = append(opts, api.WithStreamFormat(streamFormat))
-	default:
-		fatal(fmt.Errorf("unknown stream format %q (want %s or %s)", streamFormat, api.StreamFormatJSONL, api.StreamFormatBinary))
-	}
 	if flakyEvery > 0 {
 		opts = append(opts, api.WithTransport(&flakyTransport{next: http.DefaultTransport, every: uint64(flakyEvery)}))
 	}

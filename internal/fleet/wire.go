@@ -8,84 +8,14 @@ import (
 	"repro/internal/wire"
 )
 
-// Binary wire codecs (internal/wire format, DESIGN.md §11) for the two
-// fleet records that cross process boundaries: the job descriptor
-// (JDS1) and the job outcome (JOC1) the fleetd checkpoint store
-// persists. Both use fixed field order rather than presence bitmaps —
-// they are envelope records, not hot-path trace events — and encode
-// Result maps in strictly ascending key order, so the encoding is
-// canonical: byte-identical bytes in means byte-identical bytes out,
-// which is what lets checkpoint CRCs and fingerprints survive a round
-// trip through the binary store.
-
-// MarshalJobInfoSize returns the encoded size of info's frame.
-func MarshalJobInfoSize(info *JobInfo) int {
-	return wire.FrameHeaderSize + wire.VarintSize(int64(info.Index)) +
-		wire.StringSize(info.Name) + 8
-}
-
-// AppendJobInfo appends info as one JDS1 frame.
-func AppendJobInfo(dst []byte, info *JobInfo) []byte {
-	start := len(dst)
-	dst = wire.BeginFrame(dst, wire.TagJobDescriptor)
-	dst = appendJobInfoFields(dst, info)
-	return wire.EndFrame(dst, start)
-}
-
-func appendJobInfoFields(dst []byte, info *JobInfo) []byte {
-	dst = wire.AppendVarint(dst, int64(info.Index))
-	dst = wire.AppendString(dst, info.Name)
-	return wire.AppendU64(dst, info.Seed)
-}
-
-// MarshalJobInfo encodes info into buf, which must be at least
-// MarshalJobInfoSize(info) long; it returns the bytes written.
-func MarshalJobInfo(buf []byte, info *JobInfo) (int, error) {
-	size := MarshalJobInfoSize(info)
-	if len(buf) < size {
-		return 0, fmt.Errorf("%w: job descriptor needs %d bytes, buffer holds %d", wire.ErrShortBuffer, size, len(buf))
-	}
-	return len(AppendJobInfo(buf[:0], info)), nil
-}
-
-// UnmarshalJobInfo parses a JDS1 frame from the front of buf into info
-// and returns the bytes consumed.
-func UnmarshalJobInfo(buf []byte, info *JobInfo) (int, error) {
-	tag, payload, n, err := wire.ConsumeFrame(buf)
-	if err != nil {
-		return 0, err
-	}
-	if tag != wire.TagJobDescriptor {
-		return 0, fmt.Errorf("%w: %s, want %s", wire.ErrUnknownTag, tag, wire.TagJobDescriptor)
-	}
-	off, err := consumeJobInfoFields(payload, info)
-	if err != nil {
-		return 0, err
-	}
-	if off != len(payload) {
-		return 0, fmt.Errorf("%w: %d trailing bytes in job descriptor", wire.ErrMalformed, len(payload)-off)
-	}
-	return n, nil
-}
-
-func consumeJobInfoFields(payload []byte, info *JobInfo) (int, error) {
-	idx, off, err := wire.ConsumeVarint(payload)
-	if err != nil {
-		return 0, err
-	}
-	name, m, err := wire.ConsumeString(payload[off:])
-	if err != nil {
-		return 0, err
-	}
-	off += m
-	seed, m, err := wire.ConsumeU64(payload[off:])
-	if err != nil {
-		return 0, err
-	}
-	off += m
-	*info = JobInfo{Index: int(idx), Name: name, Seed: seed}
-	return off, nil
-}
+// Binary wire codec (internal/wire format, DESIGN.md §11) for the job
+// outcome (JOC1) the fleetd checkpoint store persists. It uses fixed
+// field order rather than a presence bitmap — an envelope record, not
+// a hot-path trace event — and encodes Result maps in strictly
+// ascending key order, so the encoding is canonical: byte-identical
+// bytes in means byte-identical bytes out, which is what lets
+// checkpoint CRCs and fingerprints survive a round trip through the
+// binary store.
 
 // sortedKeys returns m's keys in ascending order (the canonical wire
 // order; also the order the deterministic fingerprint walks).
@@ -96,18 +26,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func resultSize(r *Result) int {
-	n := wire.UvarintSize(uint64(len(r.Metrics)))
-	for k := range r.Metrics {
-		n += wire.StringSize(k) + 8
-	}
-	n += wire.UvarintSize(uint64(len(r.Counters)))
-	for k := range r.Counters {
-		n += wire.StringSize(k) + 8
-	}
-	return n
 }
 
 func appendResult(dst []byte, r *Result) []byte {
@@ -189,36 +107,18 @@ func consumeResult(payload []byte, r *Result) (int, error) {
 	return off, nil
 }
 
-// MarshalJobOutcomeSize returns the encoded size of o's frame.
-func MarshalJobOutcomeSize(o *JobOutcome) int {
-	return wire.FrameHeaderSize +
-		wire.VarintSize(int64(o.Index)) + wire.StringSize(o.Name) + 8 +
-		wire.UvarintSize(uint64(o.Status)) +
-		resultSize(&o.Result) +
-		wire.StringSize(o.Err) +
-		wire.VarintSize(int64(o.Elapsed))
-}
-
 // AppendJobOutcome appends o as one JOC1 frame.
 func AppendJobOutcome(dst []byte, o *JobOutcome) []byte {
 	start := len(dst)
 	dst = wire.BeginFrame(dst, wire.TagJobOutcome)
-	dst = appendJobInfoFields(dst, &o.JobInfo)
+	dst = wire.AppendVarint(dst, int64(o.Index))
+	dst = wire.AppendString(dst, o.Name)
+	dst = wire.AppendU64(dst, o.Seed)
 	dst = wire.AppendUvarint(dst, uint64(o.Status))
 	dst = appendResult(dst, &o.Result)
 	dst = wire.AppendString(dst, o.Err)
 	dst = wire.AppendVarint(dst, int64(o.Elapsed))
 	return wire.EndFrame(dst, start)
-}
-
-// MarshalJobOutcome encodes o into buf, which must be at least
-// MarshalJobOutcomeSize(o) long; it returns the bytes written.
-func MarshalJobOutcome(buf []byte, o *JobOutcome) (int, error) {
-	size := MarshalJobOutcomeSize(o)
-	if len(buf) < size {
-		return 0, fmt.Errorf("%w: job outcome needs %d bytes, buffer holds %d", wire.ErrShortBuffer, size, len(buf))
-	}
-	return len(AppendJobOutcome(buf[:0], o)), nil
 }
 
 // UnmarshalJobOutcome parses a JOC1 frame from the front of buf into o
@@ -233,10 +133,21 @@ func UnmarshalJobOutcome(buf []byte, o *JobOutcome) (int, error) {
 		return 0, fmt.Errorf("%w: %s, want %s", wire.ErrUnknownTag, tag, wire.TagJobOutcome)
 	}
 	*o = JobOutcome{}
-	off, err := consumeJobInfoFields(payload, &o.JobInfo)
+	idx, off, err := wire.ConsumeVarint(payload)
 	if err != nil {
 		return 0, err
 	}
+	name, m, err := wire.ConsumeString(payload[off:])
+	if err != nil {
+		return 0, err
+	}
+	off += m
+	seed, m, err := wire.ConsumeU64(payload[off:])
+	if err != nil {
+		return 0, err
+	}
+	off += m
+	o.JobInfo = JobInfo{Index: int(idx), Name: name, Seed: seed}
 	status, m, err := wire.ConsumeUvarint(payload[off:])
 	if err != nil {
 		return 0, err

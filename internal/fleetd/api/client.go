@@ -31,8 +31,6 @@ type Client struct {
 	policy  *resilience.Policy
 	seed    uint64
 	breaker *resilience.Breaker
-	// streamFormat selects the /stream encoding ("" means JSONL).
-	streamFormat string
 
 	retries atomic.Uint64
 }
@@ -75,19 +73,6 @@ func WithRetry(p resilience.Policy, seed uint64) Option {
 // meaningful together with WithRetry; a bare call still consults it).
 func WithBreaker(cfg resilience.BreakerConfig) Option {
 	return func(c *Client) { c.breaker = resilience.NewBreaker(cfg, c.clock) }
-}
-
-// WithStreamFormat selects the /stream transfer encoding:
-// StreamFormatJSONL (the default) or StreamFormatBinary. The callback
-// surface is identical either way — Stream still delivers StreamLine
-// values — only the bytes on the wire change.
-func WithStreamFormat(format string) Option {
-	return func(c *Client) {
-		if format == StreamFormatJSONL {
-			format = "" // the default; keep URLs minimal
-		}
-		c.streamFormat = format
-	}
 }
 
 // NewClient returns a client for the daemon at base (e.g.
@@ -414,10 +399,10 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(StreamLine) erro
 	return last, err
 }
 
-// deliver folds one received line into the resume state and hands it
-// to fn — the dedupe/resume bookkeeping shared by the JSONL and binary
-// stream decoders. It returns the terminal line (non-nil) once the
-// stream is complete; a nil terminal with nil error means keep
+// deliver folds one decoded stream line into the resume state and
+// hands it to fn — the dedupe/resume bookkeeping that makes reconnects
+// invisible to the caller. It returns the terminal line (non-nil) once
+// the stream is complete; a nil terminal with nil error means keep
 // reading.
 func (st *streamState) deliver(line StreamLine, fn func(StreamLine) error) (*StreamLine, error) {
 	switch line.Type {
@@ -451,13 +436,8 @@ func (st *streamState) deliver(line StreamLine, fn func(StreamLine) error) (*Str
 // streamOnce runs one stream connection, resuming after st.lastSeq.
 func (c *Client) streamOnce(ctx context.Context, id string, st *streamState, fn func(StreamLine) error) (StreamLine, error) {
 	path := c.base + "/v1/jobs/" + id + "/stream"
-	sep := "?"
 	if st.lastSeq > 0 {
-		path += sep + "after=" + strconv.FormatUint(st.lastSeq, 10)
-		sep = "&"
-	}
-	if c.streamFormat != "" {
-		path += sep + "format=" + c.streamFormat
+		path += "?after=" + strconv.FormatUint(st.lastSeq, 10)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, path, nil)
 	if err != nil {
@@ -470,26 +450,6 @@ func (c *Client) streamOnce(ctx context.Context, id string, st *streamState, fn 
 	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return StreamLine{}, decodeError(resp)
-	}
-
-	if c.streamFormat == StreamFormatBinary {
-		sr := NewStreamLineReader(resp.Body)
-		for {
-			var line StreamLine
-			if err := sr.Read(&line); err != nil {
-				if err == io.EOF {
-					return StreamLine{}, errors.New("fleetd: stream ended without a done line")
-				}
-				return StreamLine{}, err
-			}
-			terminal, err := st.deliver(line, fn)
-			if terminal != nil {
-				return *terminal, err
-			}
-			if err != nil {
-				return StreamLine{}, err
-			}
-		}
 	}
 
 	sc := bufio.NewScanner(resp.Body)

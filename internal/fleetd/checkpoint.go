@@ -163,7 +163,7 @@ func (s *CheckpointStore) Write(rec Record) error {
 	if s == nil {
 		return nil
 	}
-	data := AppendCheckpoint(make([]byte, 0, MarshalCheckpointSize(&rec)), &rec)
+	data := AppendCheckpoint(nil, &rec)
 	target := s.path(rec.ID)
 	tmp := fmt.Sprintf("%s.%d.tmp", target, s.tmpSeq.Add(1))
 	f, err := s.fs.Create(tmp)

@@ -42,7 +42,6 @@ import (
 	"repro/internal/fleetd/api"
 	"repro/internal/obs"
 	"repro/internal/resilience"
-	"repro/internal/wire"
 )
 
 // Config parameterizes a daemon.
@@ -1015,10 +1014,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // log, and ?after=<seq> resumes from that position — a client whose
 // connection died reconnects and receives exactly the events it
 // missed. An offset that has fallen behind the retained window reports
-// the gap on the done line's drop count. ?format=binary switches the
-// encoding from JSONL to the wire format (internal/wire, DESIGN.md
-// §11) with identical sequence numbers, so resume offsets are
-// interchangeable between formats.
+// the gap on the done line's drop count. The stream is JSONL, one
+// api.StreamLine per line.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(w, r)
 	if j == nil {
@@ -1039,36 +1036,19 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		after = n
 	}
 
-	var encode func(api.StreamLine) error
-	switch format := r.URL.Query().Get("format"); format {
-	case "", api.StreamFormatJSONL:
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		enc := json.NewEncoder(w)
-		encode = func(line api.StreamLine) error { return enc.Encode(line) }
-	case api.StreamFormatBinary:
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.WriteHeader(http.StatusOK)
-		if _, err := w.Write(wire.AppendHeader(nil)); err != nil {
-			return
-		}
-		var buf []byte // reused frame scratch across lines
-		encode = func(line api.StreamLine) error {
-			out, err := api.AppendStreamLine(buf[:0], &line)
-			if err != nil {
-				return err
-			}
-			buf = out
-			_, err = w.Write(out)
-			return err
-		}
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad stream format %q (want %s or %s)", format, api.StreamFormatJSONL, api.StreamFormatBinary))
+	// JSONL is the only stream encoding. A format query other than
+	// jsonl (a stale ?format=binary client, say) gets a 400 before any
+	// stream bytes rather than NDJSON it would misparse.
+	if format := r.URL.Query().Get("format"); format != "" && format != "jsonl" {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad stream format %q (only jsonl is served)", format))
 		return
 	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(w)
 
 	st := j.status()
-	if err := encode(api.StreamLine{Type: api.StreamStatus, Status: &st}); err != nil {
+	if err := enc.Encode(api.StreamLine{Type: api.StreamStatus, Status: &st}); err != nil {
 		return
 	}
 	flusher.Flush()
@@ -1080,7 +1060,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		after += gap
 		for i := range evs {
 			seq := first + uint64(i)
-			if err := encode(api.StreamLine{Type: api.StreamEvent, Seq: seq, Event: &evs[i]}); err != nil {
+			if err := enc.Encode(api.StreamLine{Type: api.StreamEvent, Seq: seq, Event: &evs[i]}); err != nil {
 				return
 			}
 			after = seq
@@ -1090,7 +1070,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		if closed && len(evs) == 0 {
 			st := j.status()
-			_ = encode(api.StreamLine{
+			_ = enc.Encode(api.StreamLine{
 				Type: api.StreamDone, Seq: after, State: st.State,
 				Fingerprint: st.Fingerprint, Error: st.Error,
 				Dropped: dropped,

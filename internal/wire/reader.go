@@ -9,10 +9,9 @@ import (
 )
 
 // FrameReader reads a wire stream (header, then frames) incrementally
-// from an io.Reader — the shared decode loop under the obs trace
-// reader and the fleetd binary stream client. The returned frame slice
-// is reused across calls; callers must finish with it before the next
-// Next.
+// from an io.Reader — the decode loop under the obs trace reader. The
+// returned frame slice is reused across calls; callers must finish
+// with it before the next Next.
 type FrameReader struct {
 	r       *bufio.Reader
 	frame   []byte

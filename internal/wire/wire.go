@@ -1,11 +1,10 @@
 // Package wire is the versioned, length-prefixed binary encoding layer
 // shared by the trace sinks (internal/obs), the fleet outcome codec
-// (internal/fleet), the fleetd checkpoint store and progress stream
-// (internal/fleetd), and the CLIs' -trace-format binary mode. It holds
-// only the format itself — primitives, frame layout, the domain-
-// separation tag registry, and the opaque fleet-spec envelope — so it
-// depends on nothing but the standard library and every higher layer
-// can build its record codec on top without import cycles.
+// (internal/fleet), the fleetd checkpoint store (internal/fleetd), and
+// the CLIs' -trace-format binary mode. It holds only the format itself
+// — primitives, frame layout and the domain-separation tag registry —
+// so it depends on nothing but the standard library and every higher
+// layer can build its record codec on top without import cycles.
 //
 // Layout. A stream opens with an 8-byte header (magic "ARWB" + a
 // little-endian uint32 format version) followed by frames. Every frame
@@ -20,14 +19,12 @@
 // mints a new tag (e.g. "ECL2") and decoders keep accepting the old
 // one, so committed v1 fixtures decode forever.
 //
-// Record codecs follow the MarshalSize / Marshal / Unmarshal
-// convention against caller-provided buffers: MarshalSize reports the
-// exact encoded size, Marshal writes into a caller buffer (failing if
-// it is too small, never allocating), Append* variants grow a caller
-// slice for batched writers, and Unmarshal parses one frame and
-// reports how many bytes it consumed. Decoders return typed errors —
-// ErrTruncated, ErrUnknownTag, ErrMalformed — and never panic on
-// hostile input; every Unmarshal in this module is fuzzed.
+// Each record has exactly one codec pair: Append* grows a caller slice
+// (reusing its capacity, so batched writers allocate nothing in steady
+// state) and Unmarshal* parses one frame and reports how many bytes it
+// consumed. Decoders return typed errors — ErrTruncated, ErrUnknownTag,
+// ErrMalformed — and never panic on hostile input; every Unmarshal in
+// this module is fuzzed.
 package wire
 
 import (
@@ -59,9 +56,6 @@ var (
 	// violates the record's schema (bad varint, trailing bytes, CRC
 	// mismatch, out-of-range enum).
 	ErrMalformed = errors.New("wire: malformed payload")
-	// ErrShortBuffer is returned by Marshal when the caller-provided
-	// buffer is smaller than MarshalSize.
-	ErrShortBuffer = errors.New("wire: marshal buffer too small")
 )
 
 // MaxFrame bounds a single frame's payload length. Streaming readers
@@ -117,21 +111,6 @@ func ConsumeVarint(buf []byte) (int64, int, error) {
 		return 0, 0, fmt.Errorf("%w: varint overflows 64 bits", ErrMalformed)
 	}
 	return v, n, nil
-}
-
-// UvarintSize returns the encoded size of v.
-func UvarintSize(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// VarintSize returns the encoded size of v under zigzag.
-func VarintSize(v int64) int {
-	return UvarintSize(uint64(v)<<1 ^ uint64(v>>63))
 }
 
 // --- fixed-width scalars ---
@@ -201,12 +180,6 @@ func AppendBytes(dst []byte, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
 }
-
-// StringSize returns the encoded size of s (length prefix + bytes).
-func StringSize(s string) int { return UvarintSize(uint64(len(s))) + len(s) }
-
-// BytesSize returns the encoded size of b (length prefix + bytes).
-func BytesSize(b []byte) int { return UvarintSize(uint64(len(b))) + len(b) }
 
 // ConsumeStringBytes parses a length-prefixed blob and returns a view
 // into buf (no copy). The caller must copy before buf is reused.

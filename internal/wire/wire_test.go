@@ -10,6 +10,10 @@ import (
 	"testing"
 )
 
+// testTag frames the payloads of the layout tests; it names no record
+// kind in the registry.
+var testTag = Tag{'T', 'S', 'T', '0'}
+
 func TestScalarRoundTrip(t *testing.T) {
 	var buf []byte
 	buf = AppendUvarint(buf, 0)
@@ -68,22 +72,6 @@ func TestScalarRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSizeHelpersMatchAppend(t *testing.T) {
-	for _, v := range []uint64{0, 1, 127, 128, 1 << 20, math.MaxUint64} {
-		if got, want := UvarintSize(v), len(AppendUvarint(nil, v)); got != want {
-			t.Errorf("UvarintSize(%d) = %d, append writes %d", v, got, want)
-		}
-	}
-	for _, v := range []int64{0, -1, 63, -64, math.MaxInt64, math.MinInt64} {
-		if got, want := VarintSize(v), len(AppendVarint(nil, v)); got != want {
-			t.Errorf("VarintSize(%d) = %d, append writes %d", v, got, want)
-		}
-	}
-	if got, want := StringSize("abc"), len(AppendString(nil, "abc")); got != want {
-		t.Errorf("StringSize = %d, append writes %d", got, want)
-	}
-}
-
 func TestConsumeTruncated(t *testing.T) {
 	full := AppendString(nil, "some trailing payload")
 	for cut := 0; cut < len(full); cut++ {
@@ -137,18 +125,18 @@ func TestHeaderRoundTrip(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	payload := []byte("the payload")
-	buf := AppendFrame(nil, TagCheckpoint, payload)
+	buf := AppendFrame(nil, testTag, payload)
 	tag, got, n, err := ConsumeFrame(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tag != TagCheckpoint || !bytes.Equal(got, payload) || n != len(buf) {
+	if tag != testTag || !bytes.Equal(got, payload) || n != len(buf) {
 		t.Fatalf("frame round trip: tag %s payload %q n %d", tag, got, n)
 	}
 
 	// Begin/End framing produces identical bytes.
 	start := 0
-	alt := BeginFrame(nil, TagCheckpoint)
+	alt := BeginFrame(nil, testTag)
 	alt = append(alt, payload...)
 	alt = EndFrame(alt, start)
 	if !bytes.Equal(alt, buf) {
@@ -157,7 +145,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestConsumeFrameHostileLengths(t *testing.T) {
-	buf := AppendFrame(nil, TagStreamEvent, []byte("xy"))
+	buf := AppendFrame(nil, testTag, []byte("xy"))
 	for cut := 0; cut < len(buf); cut++ {
 		if _, _, _, err := ConsumeFrame(buf[:cut]); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut at %d: %v, want ErrTruncated", cut, err)
@@ -172,68 +160,12 @@ func TestConsumeFrameHostileLengths(t *testing.T) {
 	}
 }
 
-func TestSpecEnvelopeRoundTrip(t *testing.T) {
-	spec := []byte(`{"seed":1,"vehicles":[{"name":"veh","pattern":"c3"}]}`)
-	buf := AppendSpec(nil, spec)
-	if len(buf) != MarshalSpecSize(spec) {
-		t.Fatalf("envelope is %d bytes, MarshalSpecSize says %d", len(buf), MarshalSpecSize(spec))
-	}
-	got, n, err := UnmarshalSpec(buf)
-	if err != nil || n != len(buf) || !bytes.Equal(got, spec) {
-		t.Fatalf("UnmarshalSpec: %q, %d, %v", got, n, err)
-	}
-
-	// Marshal into an exact-size caller buffer.
-	exact := make([]byte, MarshalSpecSize(spec))
-	if n, err := MarshalSpec(exact, spec); err != nil || n != len(exact) {
-		t.Fatalf("MarshalSpec: %d, %v", n, err)
-	}
-	if !bytes.Equal(exact, buf) {
-		t.Fatal("MarshalSpec bytes differ from AppendSpec")
-	}
-	if _, err := MarshalSpec(make([]byte, 3), spec); !errors.Is(err, ErrShortBuffer) {
-		t.Fatalf("short marshal buffer: %v", err)
-	}
-
-	// A flipped spec byte fails the CRC.
-	corrupt := append([]byte(nil), buf...)
-	corrupt[len(corrupt)-2] ^= 0x40
-	if _, _, err := UnmarshalSpec(corrupt); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("corrupt spec: %v, want ErrMalformed", err)
-	}
-
-	// A wrong tag is rejected, not misparsed.
-	wrong := AppendFrame(nil, TagStreamDone, buf[FrameHeaderSize:])
-	if _, _, err := UnmarshalSpec(wrong); !errors.Is(err, ErrUnknownTag) {
-		t.Fatalf("wrong tag: %v, want ErrUnknownTag", err)
-	}
-}
-
 func TestChecksumMatchesCastagnoli(t *testing.T) {
-	// Pin the polynomial: checkpoints and spec envelopes on disk are
-	// CRC-32C-tagged, so a table change would orphan them.
+	// Pin the polynomial: checkpoints on disk are CRC-32C-tagged, so a
+	// table change would orphan them.
 	if got := Checksum([]byte("123456789")); got != 0xe3069283 {
 		t.Fatalf("Checksum(123456789) = %08x, want e3069283 (CRC-32C)", got)
 	}
-}
-
-func FuzzUnmarshalSpec(f *testing.F) {
-	f.Add(AppendSpec(nil, []byte(`{"seed":1}`)))
-	f.Add(AppendSpec(nil, nil))
-	f.Add([]byte("FSP1\x04\x00\x00\x00junk"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, n, err := UnmarshalSpec(data)
-		if err != nil {
-			return
-		}
-		if n <= 0 || n > len(data) {
-			t.Fatalf("consumed %d of %d", n, len(data))
-		}
-		// Whatever decodes must re-encode to the identical envelope.
-		if !bytes.Equal(AppendSpec(nil, spec), data[:n]) {
-			t.Fatal("re-encoded spec envelope differs")
-		}
-	})
 }
 
 // FrameReader must hand back frames of every size intact, across the
@@ -243,7 +175,7 @@ func TestFrameReaderRoundTrip(t *testing.T) {
 	stream := AppendHeader(nil)
 	for i, n := range sizes {
 		payload := bytes.Repeat([]byte{byte(i + 1)}, n)
-		stream = AppendFrame(stream, TagStreamEvent, payload)
+		stream = AppendFrame(stream, testTag, payload)
 	}
 	fr := NewFrameReader(bytes.NewReader(stream))
 	for i, n := range sizes {
@@ -251,8 +183,8 @@ func TestFrameReaderRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		want := AppendFrame(nil, TagStreamEvent, bytes.Repeat([]byte{byte(i + 1)}, n))
-		if tag != TagStreamEvent || !bytes.Equal(frame, want) {
+		want := AppendFrame(nil, testTag, bytes.Repeat([]byte{byte(i + 1)}, n))
+		if tag != testTag || !bytes.Equal(frame, want) {
 			t.Fatalf("frame %d (%d bytes) did not round-trip", i, n)
 		}
 	}
@@ -261,7 +193,7 @@ func TestFrameReaderRoundTrip(t *testing.T) {
 	}
 
 	// Cut inside a large payload: truncated, not a short frame.
-	cut := AppendFrame(AppendHeader(nil), TagStreamEvent, make([]byte, 300_000))
+	cut := AppendFrame(AppendHeader(nil), testTag, make([]byte, 300_000))
 	fr = NewFrameReader(bytes.NewReader(cut[:len(cut)-1]))
 	if _, _, err := fr.Next(); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("cut payload: %v, want ErrTruncated", err)
@@ -272,7 +204,7 @@ func TestFrameReaderRoundTrip(t *testing.T) {
 // fail as truncated without allocating the declared 64 MiB.
 func TestFrameReaderHostileLengthAllocatesLittle(t *testing.T) {
 	stream := AppendHeader(nil)
-	stream = append(stream, TagStreamEvent[:]...)
+	stream = append(stream, testTag[:]...)
 	stream = binary.LittleEndian.AppendUint32(stream, MaxFrame)
 	var m0, m1 runtime.MemStats
 	runtime.GC()
