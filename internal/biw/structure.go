@@ -81,14 +81,6 @@ type Element struct {
 	Pos  Position // representative mount point on the element
 }
 
-// Junction is a welded or cast transition between two elements. LossDB is
-// the extra attenuation (dB) a wave suffers crossing the junction, on
-// top of the distance attenuation along the connecting metal.
-type Junction struct {
-	A, B   string  // element names
-	LossDB float64 // dB, >= 0
-}
-
 // Structure is the acoustic graph of the BiW.
 type Structure struct {
 	// AttenuationDBPerMeter is the distance attenuation of a 90 kHz
@@ -129,9 +121,6 @@ func (s *Structure) AddElement(name string, kind ElementKind, pos Position) {
 	s.elements[name] = &Element{Name: name, Kind: kind, Pos: pos}
 	s.table.Store(nil)
 }
-
-// Element returns the named element, or nil.
-func (s *Structure) Element(name string) *Element { return s.elements[name] }
 
 // Elements returns all element names in sorted order.
 func (s *Structure) Elements() []string {

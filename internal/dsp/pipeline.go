@@ -104,16 +104,6 @@ func (p *Pipeline) Run(ctx context.Context, in <-chan Block) <-chan Block {
 	return cur
 }
 
-// Collect drains a pipeline output into one flat slice; convenient for
-// offline (whole-capture) processing in tests and experiments.
-func Collect(ch <-chan Block) []float64 {
-	var out []float64
-	for b := range ch {
-		out = append(out, b...)
-	}
-	return out
-}
-
 // ProcessAll pushes a whole signal through the pipeline in chunks of
 // chunkSize and returns the concatenated output.
 func (p *Pipeline) ProcessAll(signal []float64, chunkSize int) []float64 {

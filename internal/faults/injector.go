@@ -78,9 +78,6 @@ func NewInjector(plan Plan, seed uint64, numTags int, tr *obs.Tracer) (*Injector
 	return inj, nil
 }
 
-// Plan returns the compiled plan.
-func (inj *Injector) Plan() Plan { return inj.plan }
-
 // emit records a fault event (nil-safe via the tracer).
 func (inj *Injector) emit(ev obs.Event) {
 	inj.counts[string(ev.Kind)+":"+ev.Detail]++
@@ -248,10 +245,6 @@ func (inj *Injector) FadeDepthDB(tid int) float64 {
 	}
 	return 0
 }
-
-// OutageActive reports whether a reader carrier outage is in progress
-// (event-level runs toggle the carrier off this).
-func (inj *Injector) OutageActive() bool { return inj.outageActive }
 
 // Injected returns the cumulative fault census keyed "kind:detail",
 // e.g. "fault_inject:brownout". The map is a copy.

@@ -253,9 +253,6 @@ func (p *Pool) Preload(outcomes []JobOutcome) error {
 	return nil
 }
 
-// Preloaded reports how many jobs were restored by Preload.
-func (p *Pool) Preloaded() int { return p.preloaded }
-
 // Run executes every job and returns the aggregated report. The report
 // is non-nil even when ctx is cancelled mid-run (the error is then
 // ctx's error and unfinished jobs are marked cancelled).

@@ -21,16 +21,14 @@ import (
 // not usable; construct with NewClient. The bare client (no options)
 // performs each call exactly once; WithRetry turns on the resilience
 // layer: transient transport failures and 5xx responses retry with
-// seeded backoff, 429 responses honor the server's Retry-After, an
-// optional circuit breaker fails fast during outages, and interrupted
-// progress streams reconnect at their last event sequence number.
+// seeded backoff, 429 responses honor the server's Retry-After, and
+// interrupted progress streams reconnect at their last event sequence
+// number.
 type Client struct {
-	base    string
-	http    *http.Client
-	clock   resilience.Clock
-	policy  *resilience.Policy
-	seed    uint64
-	breaker *resilience.Breaker
+	base   string
+	http   *http.Client
+	policy resilience.Policy
+	seed   uint64
 
 	retries atomic.Uint64
 }
@@ -44,35 +42,14 @@ func WithTransport(rt http.RoundTripper) Option {
 	return func(c *Client) { c.http.Transport = rt }
 }
 
-// WithHTTPClient substitutes the entire HTTP client.
-func WithHTTPClient(h *http.Client) Option {
-	return func(c *Client) {
-		if h != nil {
-			c.http = h
-		}
-	}
-}
-
-// WithClock substitutes the clock backoff waits go through; tests pass
-// a resilience.FakeClock so retry schedules elapse instantly.
-func WithClock(clock resilience.Clock) Option {
-	return func(c *Client) { c.clock = clock }
-}
-
 // WithRetry enables retries under the given policy. The schedule is a
 // pure function of (policy, seed, attempt), so a chaos run replays
 // bit-identically from its seed.
 func WithRetry(p resilience.Policy, seed uint64) Option {
 	return func(c *Client) {
-		c.policy = &p
+		c.policy = p
 		c.seed = seed
 	}
-}
-
-// WithBreaker adds a circuit breaker in front of every call (only
-// meaningful together with WithRetry; a bare call still consults it).
-func WithBreaker(cfg resilience.BreakerConfig) Option {
-	return func(c *Client) { c.breaker = resilience.NewBreaker(cfg, c.clock) }
 }
 
 // NewClient returns a client for the daemon at base (e.g.
@@ -81,9 +58,9 @@ func WithBreaker(cfg resilience.BreakerConfig) Option {
 // the client is bare: one attempt per call, errors surfaced as-is.
 func NewClient(base string, opts ...Option) *Client {
 	c := &Client{
-		base:  strings.TrimRight(base, "/"),
-		http:  &http.Client{},
-		clock: resilience.Real(),
+		base:   strings.TrimRight(base, "/"),
+		http:   &http.Client{},
+		policy: resilience.Policy{MaxAttempts: 1},
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -97,15 +74,6 @@ func (c *Client) Base() string { return c.base }
 // Retries reports how many retry waits this client has performed —
 // the number fleetd-smoke asserts is non-zero under a flaky transport.
 func (c *Client) Retries() uint64 { return c.retries.Load() }
-
-// BreakerTrips reports how often the client's breaker opened (0
-// without WithBreaker).
-func (c *Client) BreakerTrips() uint64 {
-	if c.breaker == nil {
-		return 0
-	}
-	return c.breaker.Trips()
-}
 
 // ErrBusy is returned by Submit when the daemon's admission queue is
 // full; RetryAfter carries the server's suggested backoff and Message
@@ -124,9 +92,6 @@ func (e ErrBusy) Error() string {
 	}
 	return fmt.Sprintf("fleetd queue full; retry after %v", e.RetryAfter)
 }
-
-// ResilienceClass classifies backpressure as busy, never as an outage.
-func (e ErrBusy) ResilienceClass() resilience.Class { return resilience.ClassBusy }
 
 // HTTPError is a non-2xx response, normalized: the status code plus
 // the server's error message (decoded from the standard error body
@@ -205,29 +170,13 @@ func classifyTransport(err error) error {
 	return resilience.MarkRetryable(err)
 }
 
-// run executes op through the retry layer when one is configured, or
-// directly (one attempt, unwrapped errors) on a bare client.
+// run executes op through the retry runner; a bare client's policy
+// allows one attempt. The classification wrapper is stripped, so
+// callers get the original error values.
 func (c *Client) run(ctx context.Context, op func(ctx context.Context) error) error {
-	if c.policy == nil {
-		if c.breaker != nil {
-			if err := c.breaker.Allow(); err != nil {
-				return err
-			}
-			err := op(ctx)
-			if err != nil && resilience.Classify(classifyTransport(err)) == resilience.ClassBusy {
-				c.breaker.Record(nil) // backpressure is not an outage
-			} else {
-				c.breaker.Record(err)
-			}
-			return err
-		}
-		return op(ctx)
-	}
 	r := resilience.Runner{
-		Policy:  *c.policy,
+		Policy:  c.policy,
 		Seed:    c.seed,
-		Clock:   c.clock,
-		Breaker: c.breaker,
 		OnRetry: func(int, time.Duration, error) { c.retries.Add(1) },
 	}
 	err := r.Do(ctx, func(ctx context.Context) error {

@@ -2,11 +2,15 @@ package api
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/resilience"
 )
 
 // TestStreamHostileInput serves malformed progress streams to
@@ -64,4 +68,131 @@ func TestStreamHostileInput(t *testing.T) {
 			}
 		})
 	}
+}
+
+// countingServer answers every request with respond and counts the
+// requests it saw.
+func countingServer(t *testing.T, respond func(w http.ResponseWriter)) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var n atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n.Add(1)
+		respond(w)
+	}))
+	t.Cleanup(hs.Close)
+	return hs, &n
+}
+
+// dropConn closes the connection without a response: a transport error.
+func dropConn(w http.ResponseWriter) {
+	if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+		conn.Close()
+	}
+}
+
+// statusWith answers with code and the standard error body; a 429
+// carries Retry-After: 2.
+func statusWith(code int, msg string) func(http.ResponseWriter) {
+	return func(w http.ResponseWriter) {
+		if code == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", "2")
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(code)
+		_, _ = w.Write([]byte(`{"error":"` + msg + `"}`))
+	}
+}
+
+// TestClientCallPath pins what callers see from one call: a bare
+// client sends exactly one request and returns the original error
+// values (ErrBusy by type assertion, *HTTPError, an unprefixed
+// transport error); a retrying client repeats retryable failures up to
+// its attempt budget and stops at once on a client error.
+func TestClientCallPath(t *testing.T) {
+	ctx := context.Background()
+	spec := []byte(`{}`)
+
+	t.Run("bare transport error", func(t *testing.T) {
+		hs, n := countingServer(t, dropConn)
+		c := NewClient(hs.URL)
+		_, err := c.Submit(ctx, spec)
+		if err == nil {
+			t.Fatal("Submit succeeded on a dropped connection")
+		}
+		if strings.HasPrefix(err.Error(), resilience.TransientPrefix) {
+			t.Errorf("transport error carries the transient prefix: %v", err)
+		}
+		if got := n.Load(); got != 1 {
+			t.Errorf("requests = %d, want 1", got)
+		}
+		if c.Retries() != 0 {
+			t.Errorf("Retries() = %d, want 0", c.Retries())
+		}
+	})
+
+	t.Run("bare 503", func(t *testing.T) {
+		hs, n := countingServer(t, statusWith(http.StatusServiceUnavailable, "draining"))
+		c := NewClient(hs.URL)
+		_, err := c.Submit(ctx, spec)
+		he, ok := err.(*HTTPError)
+		if !ok || he.StatusCode != http.StatusServiceUnavailable || he.Message != "draining" {
+			t.Fatalf("err = %#v, want *HTTPError{StatusCode: 503, Message: draining}", err)
+		}
+		if got := n.Load(); got != 1 {
+			t.Errorf("requests = %d, want 1", got)
+		}
+		if c.Retries() != 0 {
+			t.Errorf("Retries() = %d, want 0", c.Retries())
+		}
+	})
+
+	t.Run("bare 429", func(t *testing.T) {
+		hs, n := countingServer(t, statusWith(http.StatusTooManyRequests, "job queue full"))
+		c := NewClient(hs.URL)
+		_, err := c.Submit(ctx, spec)
+		busy, ok := err.(ErrBusy)
+		if !ok {
+			t.Fatalf("err = %#v, want ErrBusy", err)
+		}
+		if busy.RetryAfter != 2*time.Second || busy.Message != "job queue full" {
+			t.Errorf("busy = %+v, want RetryAfter 2s and the server message", busy)
+		}
+		if got := n.Load(); got != 1 {
+			t.Errorf("requests = %d, want 1", got)
+		}
+		if c.Retries() != 0 {
+			t.Errorf("Retries() = %d, want 0", c.Retries())
+		}
+	})
+
+	retry := WithRetry(resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}, 1)
+
+	t.Run("retrying 503", func(t *testing.T) {
+		hs, n := countingServer(t, statusWith(http.StatusServiceUnavailable, "draining"))
+		c := NewClient(hs.URL, retry)
+		_, err := c.Submit(ctx, spec)
+		var he *HTTPError
+		if !errors.As(err, &he) || he.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("err = %v, want the 503", err)
+		}
+		if got := n.Load(); got != 3 {
+			t.Errorf("requests = %d, want 3", got)
+		}
+		if c.Retries() != 2 {
+			t.Errorf("Retries() = %d, want 2", c.Retries())
+		}
+	})
+
+	t.Run("retrying 400", func(t *testing.T) {
+		hs, n := countingServer(t, statusWith(http.StatusBadRequest, "bad spec"))
+		c := NewClient(hs.URL, retry)
+		_, err := c.Submit(ctx, spec)
+		var he *HTTPError
+		if !errors.As(err, &he) || he.StatusCode != http.StatusBadRequest {
+			t.Fatalf("err = %v, want the 400", err)
+		}
+		if got := n.Load(); got != 1 {
+			t.Errorf("requests = %d, want 1", got)
+		}
+	})
 }

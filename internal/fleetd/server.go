@@ -501,8 +501,7 @@ func (s *Server) runJob(j *job) {
 	jctx := base
 	dcancel := context.CancelFunc(func() {})
 	if s.cfg.JobDeadline > 0 {
-		//lint:allow determinism-taint job deadlines are wall-clock budgets, not simulation state
-		jctx, dcancel = resilience.Tighten(base, time.Now(), s.cfg.JobDeadline)
+		jctx, dcancel = context.WithTimeout(base, s.cfg.JobDeadline)
 	}
 	j.state = api.StateRunning
 	j.cancel = cancel

@@ -137,9 +137,6 @@ func New(engine *sim.Engine, cfg Config, rng *sim.Rand) *MCU {
 	return m
 }
 
-// Engine exposes the simulation engine (for firmware scheduling).
-func (m *MCU) Engine() *sim.Engine { return m.engine }
-
 // Timer returns the MCU's timer peripheral.
 func (m *MCU) Timer() *Timer { return m.timer }
 

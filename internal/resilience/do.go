@@ -6,8 +6,8 @@ import (
 )
 
 // Runner composes the kit into a retry loop: policy + seed fix the
-// schedule, the clock makes waits injectable, the optional breaker
-// fails fast during outages, and OnRetry feeds metrics.
+// schedule, the clock makes waits injectable, and OnRetry feeds
+// metrics.
 type Runner struct {
 	// Policy is the backoff schedule (zero value = defaults).
 	Policy Policy
@@ -16,8 +16,6 @@ type Runner struct {
 	Seed uint64
 	// Clock provides Now/Sleep; nil means Real().
 	Clock Clock
-	// Breaker, when non-nil, gates every attempt.
-	Breaker *Breaker
 	// OnRetry is invoked before each backoff wait with the attempt
 	// number (1-based), the chosen delay, and the error that caused
 	// the retry; nil means no hook.
@@ -43,20 +41,19 @@ func (r Runner) Do(ctx context.Context, op func(ctx context.Context) error) erro
 			}
 			return err
 		}
-		err := r.attempt(ctx, op)
+		err := op(ctx)
 		if err == nil {
 			return nil
 		}
 		lastErr = err
-		class := Classify(err)
-		if class == ClassFatal || attempt >= p.MaxAttempts {
+		if Classify(err) == ClassFatal || attempt >= p.MaxAttempts {
 			return err
 		}
 		delay := p.Backoff(r.Seed, attempt)
 		if hint, ok := RetryAfterHint(err); ok && hint > delay {
 			delay = hint
 		}
-		if !Affordable(ctx, clock.Now(), delay) {
+		if dl, ok := ctx.Deadline(); ok && delay > max(dl.Sub(clock.Now()), 0) {
 			return err
 		}
 		if r.OnRetry != nil {
@@ -66,24 +63,4 @@ func (r Runner) Do(ctx context.Context, op func(ctx context.Context) error) erro
 			return err
 		}
 	}
-}
-
-// attempt runs op once through the breaker gate (when present).
-func (r Runner) attempt(ctx context.Context, op func(ctx context.Context) error) error {
-	if r.Breaker != nil {
-		if err := r.Breaker.Allow(); err != nil {
-			return err
-		}
-	}
-	err := op(ctx)
-	if r.Breaker != nil {
-		// Backpressure is the server working as designed, not an
-		// outage signal: busy outcomes do not feed the breaker.
-		if err != nil && Classify(err) == ClassBusy {
-			r.Breaker.Record(nil)
-		} else {
-			r.Breaker.Record(err)
-		}
-	}
-	return err
 }

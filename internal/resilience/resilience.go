@@ -1,8 +1,8 @@
 // Package resilience is a small, deterministic, stdlib-only
 // reliability kit for the service layer: an error classifier
 // (retryable / fatal / busy), a capped-exponential retry policy with
-// seeded jitter, deadline/budget propagation helpers over context, a
-// half-open circuit breaker, and a retry runner that composes them.
+// seeded jitter, and a retry runner that composes them and keeps every
+// wait inside the caller's context deadline.
 //
 // Everything time-dependent goes through the Clock seam, and every
 // randomized quantity (the jitter) is a pure function of (policy,
@@ -18,7 +18,6 @@
 package resilience
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"time"
@@ -34,8 +33,8 @@ const (
 	ClassFatal Class = iota
 	// ClassRetryable errors are transient: retry after backoff.
 	ClassRetryable
-	// ClassBusy errors are explicit backpressure (HTTP 429, an open
-	// circuit): retry, but honor the server-suggested wait.
+	// ClassBusy errors are explicit backpressure (HTTP 429): retry,
+	// but honor the server-suggested wait.
 	ClassBusy
 )
 
@@ -127,27 +126,14 @@ func Unmark(err error) error {
 }
 
 // Classify maps an error to its class. Explicit marks win (outermost
-// first), context cancellation and expiry are fatal (the caller's
-// budget is spent — retrying cannot help), and everything unknown is
-// fatal by default.
+// first); everything else — context cancellation and expiry included,
+// since the caller's budget is spent — is fatal.
 func Classify(err error) Class {
-	if err == nil {
-		return ClassFatal
-	}
 	var c Classifier
 	if errors.As(err, &c) {
 		return c.ResilienceClass()
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return ClassFatal
-	}
 	return ClassFatal
-}
-
-// Retryable reports whether err should be retried (retryable or busy).
-func Retryable(err error) bool {
-	cl := Classify(err)
-	return cl == ClassRetryable || cl == ClassBusy
 }
 
 // RetryAfterHint extracts the suggested wait of a busy error; ok is

@@ -61,6 +61,3 @@ func FromSeconds(s float64) Time {
 	}
 	return Time(s*float64(Second) + 0.5)
 }
-
-// FromDuration converts a time.Duration to a simulation timestamp.
-func FromDuration(d time.Duration) Time { return Time(d / time.Microsecond) }
