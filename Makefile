@@ -8,8 +8,8 @@ all: vet test
 
 # Full verification gate: go vet + gofmt, the domain analyzers
 # (arachnet-lint), the static zero-alloc gate, the race detector over
-# every package (the fleet pool and the dsp pipeline are the concurrent
-# code paths this guards), and the daemon kill/restart determinism
+# every package (the fleet pool and fleetd are the concurrent code
+# paths this guards), and the daemon kill/restart determinism
 # smoke. The zero-alloc gate rides inside `lint`.
 check: vet lint race smoke-fleetd
 

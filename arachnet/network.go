@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/biw"
-	"repro/internal/dsp"
 	"repro/internal/mac"
 	"repro/internal/mcu"
 	"repro/internal/phy"
@@ -28,12 +27,10 @@ type Network struct {
 	engine *sim.Engine
 	// wfNoise draws the waveform-mode channel noise.
 	wfNoise *sim.Rand
-	// Waveform-mode scratch, reused across slots so a thousand-slot run
-	// composes and clusters every capture without per-slot allocation.
-	// The decode loops are unchanged — only the backing storage is
-	// reused — so seeded runs stay bit-identical.
+	// Waveform-mode sample buffer, reused across slots so a
+	// thousand-slot run composes every capture without a per-slot
+	// allocation.
 	wfSamples []float64
-	wfIQ      []dsp.IQ
 	// beaconDecodes records (tid, time) of beacon decode completions
 	// for the Fig. 13(b) sync-offset analysis; bounded ring.
 	beaconDecodes []BeaconDecode

@@ -278,17 +278,31 @@ func TestNetworkDeterminism(t *testing.T) {
 // TestNetworkFingerprint pins the full stats text of a 200 s run. The
 // engine fires events in (time, scheduling order), and any drift in that
 // order — from the queue, from event recycling, or from a callback bound
-// differently — moves at least one beacon or energy count here.
+// differently — moves at least one beacon or energy count here. The
+// waveform case runs every slot through the DSP slot decoder, so a change
+// in any decode or collision verdict moves it too.
 func TestNetworkFingerprint(t *testing.T) {
-	const want = "34957322ac811c8d6dda9dbe702ef303668f5d1c6feb0efc052357bcfa0d8183"
-	net, err := NewNetwork(chargedConfig(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Run(200 * Second)
-	sum := sha256.Sum256([]byte(net.Stats().String()))
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Errorf("stats fingerprint %s, want %s:\n%v", got, want, net.Stats())
+	for _, tc := range []struct {
+		name     string
+		waveform bool
+		want     string
+	}{
+		{"probabilistic", false, "34957322ac811c8d6dda9dbe702ef303668f5d1c6feb0efc052357bcfa0d8183"},
+		{"waveform", true, "2fd97a5f368995bcbead141d2e0764554e6be023b7cf3c0105ab8577762005c3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := chargedConfig(9)
+			cfg.WaveformDecode = tc.waveform
+			net, err := NewNetwork(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.Run(200 * Second)
+			sum := sha256.Sum256([]byte(net.Stats().String()))
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Errorf("stats fingerprint %s, want %s:\n%v", got, tc.want, net.Stats())
+			}
+		})
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // the reader stops drawing per-packet outcomes from the probabilistic
 // link model and instead synthesizes each slot's superposed baseband —
 // every tag's FM0 chips at its own skewed chip rate, riding on the
-// carrier leakage with channel noise — and runs the real DSP chain on
-// it: symbol-timing search, FM0 decode with CRC, and amplitude-cluster
+// carrier leakage with channel noise — and runs dsp.DecodeSlot on it:
+// symbol-timing search, FM0 decode with CRC, and amplitude-cluster
 // collision inference. Slower, but every protocol outcome is then
 // earned by signal processing rather than sampled.
 
@@ -68,30 +68,6 @@ func (n *Network) decodeSlotWaveform(events []reader.ULEvent) reader.SlotDecodeR
 		samples[i] = amp + n.wfNoise.NormFloat64()*noise
 	}
 
-	var res reader.SlotDecodeResult
-	// Collision inference: amplitude clusters, exactly as the paper's
-	// IQ-domain rule (Sec. 5.3).
-	if cap(n.wfIQ) < len(samples) {
-		n.wfIQ = make([]dsp.IQ, len(samples))
-	}
-	iq := n.wfIQ[:len(samples)]
-	lo, hi := samples[0], samples[0]
-	for i, v := range samples {
-		iq[i] = dsp.IQ{I: v}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	radius := (hi - lo) / 8
-	if radius <= 0 {
-		radius = 1e-6
-	}
-	clusters := dsp.CountClusters(iq, radius, 0.04)
-	res.Obs.Collision = clusters > 2
-
 	// Chip-rate recovery: the reader estimates the burst's actual chip
 	// rate from its preamble (each tag's 12 kHz clock is slightly
 	// skewed); we model ideal rate recovery by sampling at the
@@ -102,16 +78,15 @@ func (n *Network) decodeSlotWaveform(events []reader.ULEvent) reader.SlotDecodeR
 			strongest = ev
 		}
 	}
-	spcEff := wfSamplesPerChip * nominalRate / strongest.ChipRate
-	pkt, err := dsp.DecodeULFromBaseband(samples, spcEff)
-	if err == nil {
-		res.Packet = pkt
-		res.HasPacket = true
-		res.Obs.Decoded = []int{int(pkt.TID)}
+	v := dsp.DecodeSlot(samples, wfSamplesPerChip*nominalRate/strongest.ChipRate)
+	res := reader.SlotDecodeResult{Packet: v.Packet, HasPacket: v.Decoded}
+	res.Obs.Collision = v.Collision
+	if v.Decoded {
+		res.Obs.Decoded = []int{int(v.Packet.TID)}
 	}
 	if n.Cfg.Trace.Enabled() {
 		ev := obs.Event{Kind: obs.KindDecode, T: n.engine.Now().Seconds(),
-			Collision: res.Obs.Collision, Value: float64(clusters), Detail: "crc_fail"}
+			Collision: v.Collision, Value: float64(v.Clusters), Detail: "crc_fail"}
 		if res.HasPacket {
 			ev.TID = int(res.Packet.TID)
 			ev.Detail = "ok"

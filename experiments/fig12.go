@@ -102,7 +102,7 @@ func synthSNRCapture(ch *biw.Channel, id int, rate float64, rng *sim.Rand) ([]fl
 	data := make(phy.Bits, 256)
 	chips := phy.FM0Encode(data, 0)
 	p := dsp.ULSynthParams{
-		CarrierHz: 90_000, Fs: fs, ChipRate: rate,
+		Fs: fs, ChipRate: rate,
 		Leakage: 0.2, Backscatter: amp,
 		NoiseRMS: ch.NoiseRMS(fs),
 	}
@@ -213,7 +213,7 @@ func countULLosses(ch *biw.Channel, id int, rate float64, packets int, rng *sim.
 			}
 		}
 		p := dsp.ULSynthParams{
-			CarrierHz: 90_000, Fs: fs, ChipRate: rate,
+			Fs: fs, ChipRate: rate,
 			Leakage: 0.2, Backscatter: amp,
 			NoiseRMS: ch.NoiseRMS(fs),
 		}

@@ -5,26 +5,26 @@ import (
 	"sort"
 )
 
-// IQ-domain collision detection (Sec. 5.3). With a single tag
-// backscattering, the baseband constellation collapses onto two
-// clusters (reflective / absorptive states, shifted by the carrier
-// leakage). With k concurrently transmitting tags the reflections
-// superpose and up to 2^k clusters appear. The reader counts clusters
-// and declares a collision when it sees more than two, even if the
-// capture effect would let it decode one packet.
+// Amplitude-domain collision detection (Sec. 5.3). With a single tag
+// backscattering, the baseband amplitude collapses onto two clusters
+// (reflective / absorptive states, shifted by the carrier leakage).
+// With k concurrently transmitting tags the reflections superpose and
+// up to 2^k clusters appear. The reader counts clusters and declares a
+// collision when it sees more than two, even if the capture effect
+// would let it decode one packet.
 
 // CountClusters estimates the number of distinct amplitude clusters in
-// the IQ block. Samples are clustered greedily on their magnitude with
-// the given merge radius (same units as the samples); clusters holding
-// fewer than minFraction of the samples are discarded as transient
-// edges between states.
-func CountClusters(block []IQ, radius float64, minFraction float64) int {
+// the block. Samples are clustered greedily on their magnitude |v|
+// with the given merge radius (same units as the samples); clusters
+// holding fewer than minFraction of the samples are discarded as
+// transient edges between states.
+func CountClusters(block []float64, radius float64, minFraction float64) int {
 	if len(block) == 0 || radius <= 0 {
 		return 0
 	}
 	mags := make([]float64, len(block))
-	for i, s := range block {
-		mags[i] = s.Magnitude()
+	for i, v := range block {
+		mags[i] = math.Abs(v)
 	}
 	sort.Float64s(mags)
 
@@ -59,10 +59,4 @@ func CountClusters(block []IQ, radius float64, minFraction float64) int {
 		}
 	}
 	return n
-}
-
-// CollisionDetected applies the paper's rule: more than two significant
-// clusters means at least two tags transmitted concurrently.
-func CollisionDetected(block []IQ, radius, minFraction float64) bool {
-	return CountClusters(block, radius, minFraction) > 2
 }

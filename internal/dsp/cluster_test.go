@@ -6,17 +6,17 @@ import (
 	"repro/internal/sim"
 )
 
-// makeIQBlock builds an IQ block whose magnitudes cycle through the
-// given levels with additive noise.
-func makeIQBlock(levels []float64, perLevel int, noise float64, rng *sim.Rand) []IQ {
-	var out []IQ
+// makeBlock builds an amplitude block that cycles through the given
+// levels with additive noise.
+func makeBlock(levels []float64, perLevel int, noise float64, rng *sim.Rand) []float64 {
+	var out []float64
 	for _, l := range levels {
 		for i := 0; i < perLevel; i++ {
 			m := l
 			if rng != nil {
 				m += rng.NormFloat64() * noise
 			}
-			out = append(out, IQ{I: m, Q: 0})
+			out = append(out, m)
 		}
 	}
 	return out
@@ -25,35 +25,29 @@ func makeIQBlock(levels []float64, perLevel int, noise float64, rng *sim.Rand) [
 func TestCountClustersSingleTag(t *testing.T) {
 	rng := sim.NewRand(5)
 	// One tag OOKing produces two levels: leakage and leakage+bs.
-	block := makeIQBlock([]float64{0.20, 0.25, 0.20, 0.25, 0.20, 0.25}, 200, 0.004, rng)
+	block := makeBlock([]float64{0.20, 0.25, 0.20, 0.25, 0.20, 0.25}, 200, 0.004, rng)
 	n := CountClusters(block, 0.015, 0.05)
 	if n != 2 {
 		t.Errorf("clusters = %d, want 2 for a single tag", n)
-	}
-	if CollisionDetected(block, 0.015, 0.05) {
-		t.Error("single tag flagged as collision")
 	}
 }
 
 func TestCountClustersTwoTags(t *testing.T) {
 	rng := sim.NewRand(6)
 	// Two tags superposed: four distinct levels.
-	block := makeIQBlock([]float64{0.20, 0.25, 0.28, 0.33, 0.20, 0.33, 0.25, 0.28}, 150, 0.004, rng)
+	block := makeBlock([]float64{0.20, 0.25, 0.28, 0.33, 0.20, 0.33, 0.25, 0.28}, 150, 0.004, rng)
 	n := CountClusters(block, 0.015, 0.05)
 	if n < 3 {
 		t.Errorf("clusters = %d, want > 2 for two tags", n)
-	}
-	if !CollisionDetected(block, 0.015, 0.05) {
-		t.Error("two-tag superposition not flagged as collision")
 	}
 }
 
 func TestCountClustersIgnoresTransients(t *testing.T) {
 	rng := sim.NewRand(7)
-	block := makeIQBlock([]float64{0.2, 0.3}, 500, 0.003, rng)
+	block := makeBlock([]float64{0.2, 0.3}, 500, 0.003, rng)
 	// A handful of mid-transition samples must not create a third
 	// cluster.
-	block = append(block, IQ{I: 0.25, Q: 0}, IQ{I: 0.251, Q: 0}, IQ{I: 0.249, Q: 0})
+	block = append(block, 0.25, 0.251, 0.249)
 	n := CountClusters(block, 0.02, 0.05)
 	if n != 2 {
 		t.Errorf("clusters = %d, transients not suppressed", n)
@@ -64,11 +58,14 @@ func TestCountClustersDegenerate(t *testing.T) {
 	if CountClusters(nil, 0.1, 0.1) != 0 {
 		t.Error("empty block should have 0 clusters")
 	}
-	if CountClusters([]IQ{{I: 1}}, 0, 0.1) != 0 {
+	if CountClusters([]float64{1}, 0, 0.1) != 0 {
 		t.Error("zero radius should return 0")
 	}
-	if CountClusters([]IQ{{I: 1}}, 0.1, 0.1) != 1 {
+	if CountClusters([]float64{1}, 0.1, 0.1) != 1 {
 		t.Error("single sample should form 1 cluster")
+	}
+	if CountClusters([]float64{-1, 1}, 0.1, 0.1) != 1 {
+		t.Error("samples of equal magnitude should share a cluster")
 	}
 }
 
@@ -84,8 +81,8 @@ func TestCaptureEffectScenario(t *testing.T) {
 		leak + weak,          // weak reflective
 		leak + strong + weak, // both reflective
 	}
-	block := makeIQBlock(levels, 300, 0.004, rng)
-	if !CollisionDetected(block, 0.012, 0.04) {
+	block := makeBlock(levels, 300, 0.004, rng)
+	if CountClusters(block, 0.012, 0.04) <= 2 {
 		t.Error("capture-effect collision went undetected")
 	}
 }

@@ -1,200 +1,6 @@
 package dsp
 
-import (
-	"fmt"
-	"math"
-)
-
-// FIR is a finite-impulse-response filter with streaming state, so it
-// can process a signal in chunks inside the pipeline.
-//
-// Two processing paths share the coefficient set but keep separate
-// streaming state: the scalar reference path (ProcessSample/Process)
-// uses a modulo ring, and the block fast path (ProcessBlock) keeps a
-// contiguous linear delay line so the dot product is a forward,
-// cache-friendly scan with no per-tap wraparound branch. A given
-// instance should stick to one path per stream; Reset clears both.
-type FIR struct {
-	taps  []float64
-	delay []float64
-	pos   int
-	// Block-path state: the last len(taps)-1 inputs in chronological
-	// order, plus a reusable work buffer holding history ++ block.
-	hist []float64
-	work []float64
-	// rtaps is taps reversed, so the block dot product scans both the
-	// coefficients and the delay line forward.
-	rtaps []float64
-}
-
-// NewLowPassFIR designs a Hamming-windowed sinc low-pass filter with
-// the given cutoff (Hz), sample rate (Hz) and tap count (odd
-// recommended).
-func NewLowPassFIR(cutoffHz, fs float64, taps int) (*FIR, error) {
-	if taps < 3 {
-		return nil, fmt.Errorf("dsp: need at least 3 taps, got %d", taps)
-	}
-	if cutoffHz <= 0 || cutoffHz >= fs/2 {
-		return nil, fmt.Errorf("dsp: cutoff %v Hz outside (0, fs/2)", cutoffHz)
-	}
-	h := make([]float64, taps)
-	fc := cutoffHz / fs
-	mid := float64(taps-1) / 2
-	var sum float64
-	for i := range h {
-		x := float64(i) - mid
-		var s float64
-		if x == 0 {
-			s = 2 * fc
-		} else {
-			s = math.Sin(2*math.Pi*fc*x) / (math.Pi * x)
-		}
-		w := 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(taps-1))
-		h[i] = s * w
-		sum += h[i]
-	}
-	for i := range h { // normalize to unity DC gain
-		h[i] /= sum
-	}
-	return newFIR(h), nil
-}
-
-// newFIR builds the filter state around a finished coefficient set.
-func newFIR(h []float64) *FIR {
-	r := make([]float64, len(h))
-	for i, t := range h {
-		r[len(h)-1-i] = t
-	}
-	return &FIR{
-		taps:  h,
-		delay: make([]float64, len(h)),
-		hist:  make([]float64, len(h)-1),
-		rtaps: r,
-	}
-}
-
-// Taps returns a copy of the filter coefficients.
-func (f *FIR) Taps() []float64 { return append([]float64(nil), f.taps...) }
-
-// Reset clears the delay line (both the scalar ring and the block
-// history).
-func (f *FIR) Reset() {
-	for i := range f.delay {
-		f.delay[i] = 0
-	}
-	f.pos = 0
-	for i := range f.hist {
-		f.hist[i] = 0
-	}
-}
-
-// ProcessSample pushes one sample through the filter.
-func (f *FIR) ProcessSample(x float64) float64 {
-	f.delay[f.pos] = x
-	var y float64
-	idx := f.pos
-	for _, t := range f.taps {
-		y += t * f.delay[idx]
-		idx--
-		if idx < 0 {
-			idx = len(f.delay) - 1
-		}
-	}
-	f.pos++
-	if f.pos == len(f.delay) {
-		f.pos = 0
-	}
-	return y
-}
-
-// Process filters a block in place-order and returns the output block.
-func (f *FIR) Process(block []float64) []float64 {
-	out := make([]float64, len(block))
-	for i, x := range block {
-		out[i] = f.ProcessSample(x)
-	}
-	return out
-}
-
-// ProcessBlock filters a whole block through the contiguous delay line
-// and appends the outputs to dst, returning the extended slice. With a
-// dst of sufficient capacity the call performs no allocations after the
-// first block of a given size (the internal work buffer is grown once
-// and reused). dst may alias src: output i only reads the work buffer,
-// never src. The result matches ProcessSample within floating-point
-// reassociation error (the property tests pin ≤1e-9).
-//
-//alloc:hot work buffer amortized across blocks; zero allocs once dst and work have capacity
-func (f *FIR) ProcessBlock(dst, src []float64) []float64 {
-	if len(src) == 0 {
-		return dst
-	}
-	m := len(f.hist)
-	need := m + len(src)
-	if cap(f.work) < need {
-		f.work = make([]float64, need)
-	}
-	work := f.work[:need]
-	copy(work, f.hist)
-	copy(work[m:], src)
-	for i := 0; i < len(src); i++ {
-		dst = append(dst, dot(f.rtaps, work[i:i+len(f.rtaps)]))
-	}
-	copy(f.hist, work[len(src):])
-	return dst
-}
-
-// dot is the FIR inner product with four independent accumulators, so
-// the loop is bounded by FP-add throughput instead of the latency of a
-// single serial accumulation chain. The summation order differs from the
-// scalar reference only by reassociation; the property tests bound the
-// divergence at 1e-9.
-//
-//alloc:hot pure inner product over caller slices
-func dot(a, b []float64) float64 {
-	var s0, s1, s2, s3 float64
-	n := len(a) &^ 3
-	for j := 0; j < n; j += 4 {
-		s0 += a[j] * b[j]
-		s1 += a[j+1] * b[j+1]
-		s2 += a[j+2] * b[j+2]
-		s3 += a[j+3] * b[j+3]
-	}
-	for j := n; j < len(a); j++ {
-		s0 += a[j] * b[j]
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// Decimator keeps every factor-th sample, with phase preserved across
-// chunk boundaries.
-type Decimator struct {
-	Factor int
-	phase  int
-}
-
-// NewDecimator returns a decimator; factor must be >= 1.
-func NewDecimator(factor int) (*Decimator, error) {
-	if factor < 1 {
-		return nil, fmt.Errorf("dsp: decimation factor %d < 1", factor)
-	}
-	return &Decimator{Factor: factor}, nil
-}
-
-// Process returns the decimated chunk.
-func (d *Decimator) Process(block []float64) []float64 {
-	out := make([]float64, 0, len(block)/d.Factor+1)
-	for _, x := range block {
-		if d.phase == 0 {
-			out = append(out, x)
-		}
-		d.phase++
-		if d.phase == d.Factor {
-			d.phase = 0
-		}
-	}
-	return out
-}
+import "fmt"
 
 // DCBlocker removes the DC component (the un-modulated carrier
 // leakage) with a single-pole high-pass: y[n] = x[n] - x[n-1] + a*y[n-1].
@@ -252,13 +58,4 @@ func (s *SchmittTrigger) ProcessSample(x float64) bool {
 		s.state = false
 	}
 	return s.state
-}
-
-// Process converts a block to levels.
-func (s *SchmittTrigger) Process(block []float64) []bool {
-	out := make([]bool, len(block))
-	for i, x := range block {
-		out[i] = s.ProcessSample(x)
-	}
-	return out
 }

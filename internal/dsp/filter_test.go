@@ -3,124 +3,7 @@ package dsp
 import (
 	"math"
 	"testing"
-
-	"repro/internal/sim"
 )
-
-func TestLowPassFIRDCGain(t *testing.T) {
-	f, err := NewLowPassFIR(1000, 10000, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for _, tap := range f.Taps() {
-		sum += tap
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("DC gain = %v, want 1", sum)
-	}
-}
-
-func TestLowPassFIRSelectivity(t *testing.T) {
-	const fs = 10000.0
-	f, err := NewLowPassFIR(500, fs, 101)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rms := func(freq float64) float64 {
-		f.Reset()
-		var sum float64
-		n := 2000
-		for i := 0; i < n; i++ {
-			y := f.ProcessSample(math.Sin(2 * math.Pi * freq * float64(i) / fs))
-			if i > 200 { // skip transient
-				sum += y * y
-			}
-		}
-		return math.Sqrt(sum / float64(n-200))
-	}
-	pass := rms(100)
-	stop := rms(2000)
-	if pass < 0.6 {
-		t.Errorf("passband rms = %v, want ~0.707", pass)
-	}
-	if stop > pass/30 {
-		t.Errorf("stopband leakage: pass=%v stop=%v", pass, stop)
-	}
-}
-
-func TestLowPassFIRErrors(t *testing.T) {
-	if _, err := NewLowPassFIR(1000, 10000, 2); err == nil {
-		t.Error("too few taps accepted")
-	}
-	if _, err := NewLowPassFIR(0, 10000, 31); err == nil {
-		t.Error("zero cutoff accepted")
-	}
-	if _, err := NewLowPassFIR(6000, 10000, 31); err == nil {
-		t.Error("cutoff above Nyquist accepted")
-	}
-}
-
-func TestFIRBlockEqualsSampleBySample(t *testing.T) {
-	f1, _ := NewLowPassFIR(800, 8000, 21)
-	f2, _ := NewLowPassFIR(800, 8000, 21)
-	in := make([]float64, 100)
-	for i := range in {
-		in[i] = math.Sin(float64(i) * 0.3)
-	}
-	blockOut := f1.Process(in)
-	for i, x := range in {
-		if y := f2.ProcessSample(x); math.Abs(y-blockOut[i]) > 1e-12 {
-			t.Fatalf("sample %d: block %v vs stream %v", i, blockOut[i], y)
-		}
-	}
-}
-
-func TestDecimator(t *testing.T) {
-	d, err := NewDecimator(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8}
-	out := d.Process(in)
-	want := []float64{0, 4, 8}
-	if len(out) != len(want) {
-		t.Fatalf("out = %v", out)
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("out = %v, want %v", out, want)
-		}
-	}
-}
-
-func TestDecimatorPhaseAcrossChunks(t *testing.T) {
-	d, _ := NewDecimator(3)
-	var out []float64
-	out = append(out, d.Process([]float64{0, 1})...)
-	out = append(out, d.Process([]float64{2, 3, 4, 5, 6})...)
-	want := []float64{0, 3, 6}
-	if len(out) != len(want) {
-		t.Fatalf("out = %v", out)
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("chunked decimation = %v, want %v", out, want)
-		}
-	}
-}
-
-func TestDecimatorErrors(t *testing.T) {
-	if _, err := NewDecimator(0); err == nil {
-		t.Error("factor 0 accepted")
-	}
-	d, _ := NewDecimator(1)
-	in := []float64{1, 2, 3}
-	out := d.Process(in)
-	if len(out) != 3 {
-		t.Error("factor 1 should pass everything")
-	}
-}
 
 func TestDCBlockerRemovesOffset(t *testing.T) {
 	b := NewDCBlocker(0.995)
@@ -192,83 +75,5 @@ func TestSchmittTriggerRejectsNoiseInBand(t *testing.T) {
 func TestSchmittTriggerErrors(t *testing.T) {
 	if _, err := NewSchmittTrigger(0.7, 0.3); err == nil {
 		t.Error("inverted thresholds accepted")
-	}
-}
-
-func TestSchmittBlockProcess(t *testing.T) {
-	s, _ := NewSchmittTrigger(0.3, 0.7)
-	out := s.Process([]float64{0, 1, 0.5, 0})
-	want := []bool{false, true, true, false}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("block = %v, want %v", out, want)
-		}
-	}
-}
-
-func TestFIRProcessBlockMatchesScalar(t *testing.T) {
-	rng := sim.NewRand(21)
-	for trial := 0; trial < 12; trial++ {
-		taps := 3 + int(rng.Uint64()%64)
-		h := make([]float64, taps)
-		for i := range h {
-			h[i] = rng.NormFloat64()
-		}
-		ref := newFIR(h)
-		fast := newFIR(h)
-		in := make([]float64, 700+int(rng.Uint64()%300))
-		for i := range in {
-			in[i] = rng.NormFloat64()
-		}
-		want := ref.Process(in)
-		var got []float64
-		// Random chunking, including 1-sample and larger-than-taps blocks.
-		for off := 0; off < len(in); {
-			n := 1 + int(rng.Uint64()%97)
-			if off+n > len(in) {
-				n = len(in) - off
-			}
-			got = fast.ProcessBlock(got, in[off:off+n])
-			off += n
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-9 {
-				t.Fatalf("trial %d (taps=%d) sample %d: block %v vs scalar %v",
-					trial, taps, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestFIRProcessBlockAliasing(t *testing.T) {
-	f1, _ := NewLowPassFIR(800, 8000, 21)
-	f2, _ := NewLowPassFIR(800, 8000, 21)
-	in := make([]float64, 128)
-	for i := range in {
-		in[i] = math.Sin(float64(i) * 0.17)
-	}
-	want := f1.ProcessBlock(nil, in)
-	buf := make([]float64, 128)
-	copy(buf, in)
-	got := f2.ProcessBlock(buf[:0], buf) // dst aliases src
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("aliased sample %d: %v vs %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestFIRProcessBlockZeroAlloc(t *testing.T) {
-	f, _ := NewLowPassFIR(4000, 500_000, 101)
-	in := make([]float64, 4096)
-	for i := range in {
-		in[i] = math.Sin(float64(i) * 0.01)
-	}
-	out := make([]float64, 0, len(in))
-	f.ProcessBlock(out, in) // warm the work buffer
-	if n := testing.AllocsPerRun(10, func() {
-		out = f.ProcessBlock(out[:0], in)
-	}); n != 0 {
-		t.Errorf("steady-state ProcessBlock allocates %v per block", n)
 	}
 }

@@ -1,11 +1,3 @@
-// Package dsp implements the reader's signal-processing chain
-// (Sec. 6.1): down-conversion of the 500 kHz ADC stream to baseband
-// I/Q, low-pass filtering and decimation, Schmitt triggering, FM0 chip
-// recovery, PSD-based SNR measurement, and the IQ-domain cluster
-// counting the reader uses to detect collisions despite the capture
-// effect (Sec. 5.3). Blocks can run standalone on slices or be
-// assembled into a streaming pipeline with back-pressure, mirroring the
-// paper's C++ reader software.
 package dsp
 
 import (
@@ -100,21 +92,6 @@ func PSD(signal []float64, fs float64) (density []float64, binHz float64, err er
 	return density, fs / float64(n), nil
 }
 
-// BandPower integrates a PSD over [loHz, hiHz].
-func BandPower(density []float64, binHz, loHz, hiHz float64) float64 {
-	if binHz <= 0 || hiHz <= loHz {
-		return 0
-	}
-	var p float64
-	for i, d := range density {
-		f := float64(i) * binHz
-		if f >= loHz && f <= hiHz {
-			p += d * binHz
-		}
-	}
-	return p
-}
-
 // MeasureSNRdB reproduces the paper's uplink SNR metric (Sec. 6.3):
 // "dividing the backscattering frequency power by the surrounding
 // frequency power via PSD". The measurement assumes the tag toggles a
@@ -169,22 +146,4 @@ func MeasureSNRdB(baseband []float64, fs, chipRate float64) (float64, error) {
 	// Square-wave fundamental power -> average OOK sideband power.
 	const conventionDB = 2.1
 	return 10*math.Log10(net/noisePower) - conventionDB, nil
-}
-
-// Goertzel computes the signal power at a single frequency f — the
-// cheap single-bin DFT the reader uses for carrier tracking.
-func Goertzel(signal []float64, fs, f float64) float64 {
-	if len(signal) == 0 || fs <= 0 {
-		return 0
-	}
-	w := 2 * math.Pi * f / fs
-	coeff := 2 * math.Cos(w)
-	var s0, s1, s2 float64
-	for _, v := range signal {
-		s0 = v + coeff*s1 - s2
-		s2 = s1
-		s1 = s0
-	}
-	power := s1*s1 + s2*s2 - coeff*s1*s2
-	return power / float64(len(signal)*len(signal)/4)
 }

@@ -112,7 +112,10 @@ func TestPSDParseval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := BandPower(density, binHz, 0, fs/2)
+	var total float64
+	for _, d := range density {
+		total += d * binHz
+	}
 	if math.Abs(total-0.5) > 0.05 {
 		t.Errorf("total power = %v, want ~0.5", total)
 	}
@@ -124,39 +127,6 @@ func TestPSDErrors(t *testing.T) {
 	}
 	if _, _, err := PSD([]float64{1}, 0); err == nil {
 		t.Error("zero sample rate accepted")
-	}
-}
-
-func TestBandPowerEdges(t *testing.T) {
-	density := []float64{1, 1, 1, 1}
-	if BandPower(density, 0, 0, 10) != 0 {
-		t.Error("zero bin width should return 0")
-	}
-	if BandPower(density, 1, 5, 2) != 0 {
-		t.Error("inverted band should return 0")
-	}
-	if got := BandPower(density, 1, 0, 3); got != 4 {
-		t.Errorf("full band = %v, want 4", got)
-	}
-}
-
-func TestGoertzelMatchesTone(t *testing.T) {
-	const fs = 10000.0
-	n := 1000
-	sig := make([]float64, n)
-	for i := range sig {
-		sig[i] = 2 * math.Sin(2*math.Pi*500*float64(i)/fs)
-	}
-	atTone := Goertzel(sig, fs, 500)
-	offTone := Goertzel(sig, fs, 1500)
-	if atTone <= 10*offTone {
-		t.Errorf("Goertzel selectivity poor: on=%v off=%v", atTone, offTone)
-	}
-	if Goertzel(nil, fs, 500) != 0 {
-		t.Error("empty signal should be 0")
-	}
-	if Goertzel(sig, 0, 500) != 0 {
-		t.Error("zero fs should be 0")
 	}
 }
 

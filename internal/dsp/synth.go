@@ -7,125 +7,27 @@ import (
 	"repro/internal/sim"
 )
 
-// Waveform synthesis for the waveform-level experiments: passband and
-// baseband-equivalent models of the backscatter uplink and the keyed
-// (PIE) downlink, including carrier leakage, the PZT ring effect and
-// additive noise.
+// Waveform synthesis for the waveform-level experiments: the
+// baseband-equivalent backscatter uplink and the keyed (PIE) downlink,
+// including carrier leakage, the PZT ring effect and additive noise.
 
 // ULSynthParams describes one tag's backscatter transmission as seen at
 // the reader ADC.
 type ULSynthParams struct {
-	CarrierHz      float64 // 90 kHz resonance
-	Fs             float64 // ADC sample rate (500 kHz in the paper)
-	ChipRate       float64 // raw chip rate
-	Leakage        float64 // un-modulated carrier amplitude at the RX PZT
-	Backscatter    float64 // backscatter amplitude swing (reflective-absorptive)
-	NoiseRMS       float64 // additive white noise
-	PhaseRad       float64 // backscatter phase relative to leakage
-	TimingJitterPC float64 // per-chip boundary jitter, fraction of a chip
-}
-
-// SynthesizeUL renders the passband waveform of one chip stream.
-//
-// This is the block fast path: the carrier comes from a recurrence
-// quadrature oscillator instead of a per-sample math.Sin, and the
-// jittered chip boundary for each sample is found by a monotone cursor
-// instead of the O(log m) binary search the scalar reference performs
-// per sample — sample indices only ever increase, so the cursor only
-// ever advances. RNG draw order (per-chip jitter first, then per-sample
-// noise) is identical to the reference, so seeded outputs line up
-// draw-for-draw; synthesizeULRef retains the scalar implementation and
-// the property tests pin the two paths together.
-func SynthesizeUL(chips phy.Bits, p ULSynthParams, rng *sim.Rand) []float64 {
-	spc := p.Fs / p.ChipRate
-	n := int(float64(len(chips))*spc) + 1
-	out := make([]float64, n)
-	bounds := ulChipBounds(chips, spc, p.TimingJitterPC, rng)
-	osc := NewQuadOsc(p.CarrierHz, p.Fs, 0)
-	high := p.Leakage + p.Backscatter*math.Cos(p.PhaseRad)
-	noisy := p.NoiseRMS > 0 && rng != nil
-	cur := 0
-	for i := 0; i < n; i++ {
-		s := float64(i)
-		for cur < len(chips)-1 && bounds[cur+1] <= s {
-			cur++
-		}
-		_, carrier := osc.Next()
-		amp := p.Leakage
-		if chips[cur]&1 == 1 {
-			amp = high
-		}
-		v := amp * carrier
-		if noisy {
-			v += rng.NormFloat64() * p.NoiseRMS
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// ulChipBounds precomputes the jittered chip boundaries in samples;
-// shared by the fast path and the scalar reference so both consume the
-// RNG identically.
-func ulChipBounds(chips phy.Bits, spc, jitterPC float64, rng *sim.Rand) []float64 {
-	bounds := make([]float64, len(chips)+1)
-	for i := 1; i <= len(chips); i++ {
-		j := 0.0
-		if jitterPC > 0 && rng != nil {
-			j = rng.NormFloat64() * jitterPC
-		}
-		bounds[i] = (float64(i) + j) * spc
-	}
-	bounds[len(chips)] = float64(len(chips)) * spc
-	return bounds
-}
-
-// synthesizeULRef is the retained scalar reference implementation of
-// SynthesizeUL: per-sample math.Sin carrier and a per-sample binary
-// search over the jittered chip boundaries. The property tests pin the
-// fast path to it — identical chip selection on jittered streams, and
-// waveforms within 1e-9.
-func synthesizeULRef(chips phy.Bits, p ULSynthParams, rng *sim.Rand) []float64 {
-	spc := p.Fs / p.ChipRate
-	n := int(float64(len(chips))*spc) + 1
-	out := make([]float64, n)
-	bounds := ulChipBounds(chips, spc, p.TimingJitterPC, rng)
-	chipAt := func(s float64) byte {
-		lo, hi := 0, len(chips)-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if bounds[mid+1] <= s {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return chips[lo] & 1
-	}
-	for i := 0; i < n; i++ {
-		t := float64(i) / p.Fs
-		carrier := math.Sin(2 * math.Pi * p.CarrierHz * t)
-		amp := p.Leakage
-		if chipAt(float64(i)) == 1 {
-			amp += p.Backscatter * math.Cos(p.PhaseRad)
-		}
-		v := amp * carrier
-		if p.NoiseRMS > 0 && rng != nil {
-			v += rng.NormFloat64() * p.NoiseRMS
-		}
-		out[i] = v
-	}
-	return out
+	Fs          float64 // ADC sample rate (500 kHz in the paper)
+	ChipRate    float64 // raw chip rate
+	Leakage     float64 // un-modulated carrier amplitude at the RX PZT
+	Backscatter float64 // backscatter amplitude swing (reflective-absorptive)
+	NoiseRMS    float64 // additive white noise at the ADC rate
 }
 
 // SynthesizeULBaseband renders the baseband-equivalent envelope of a
-// chip stream directly (no carrier), at samplesPerChip resolution. Bulk
-// experiments (1,000-packet loss counts) use this fast path; the full
-// passband chain is exercised by the integration tests.
+// chip stream directly (no carrier), at samplesPerChip resolution, for
+// the bulk experiments (1,000-packet loss counts).
 func SynthesizeULBaseband(chips phy.Bits, samplesPerChip int, p ULSynthParams, rng *sim.Rand) []float64 {
 	out := make([]float64, len(chips)*samplesPerChip)
 	// Baseband noise bandwidth is fs' = chipRate * samplesPerChip; keep
-	// the same noise density as the passband model.
+	// the noise density NoiseRMS has at the ADC rate Fs.
 	noise := p.NoiseRMS * math.Sqrt(float64(samplesPerChip)*p.ChipRate/p.Fs)
 	idx := 0
 	for _, c := range chips {

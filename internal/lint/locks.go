@@ -29,8 +29,8 @@ import (
 // terminating branches do not merge back, loop and select-clause bodies
 // are analyzed against a copy of the entry state, and function literals
 // are analyzed as independent functions. select with a default case is
-// non-blocking by construction (the obs.Broadcaster fan-out relies on
-// this).
+// non-blocking by construction, so a lock may be held across a
+// try-send.
 var AnalyzerLockDiscipline = &Analyzer{
 	Name:      "lock-discipline",
 	Doc:       "mutexes in fleetd/obs/resilience must unlock on all paths and never be held across blocking operations",
