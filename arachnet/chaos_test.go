@@ -2,6 +2,7 @@ package arachnet
 
 import (
 	"context"
+	"reflect"
 	"testing"
 )
 
@@ -100,5 +101,72 @@ func TestNetworkEngineFaultPlan(t *testing.T) {
 	}
 	if _, ok := j.Result.Metrics[FleetMetricSettledChurn]; !ok {
 		t.Errorf("network chaos job missing %s", FleetMetricSettledChurn)
+	}
+}
+
+// chaosRun drives one fault-injected run of pattern on engine, with
+// the injector and the simulator tracing into tr: 4,000 slots on the
+// slots engine, 60 s on the network engine.
+func chaosRun(t *testing.T, engine string, pattern Pattern, plan FaultPlan, seed uint64, tr *Tracer) {
+	t.Helper()
+	inj, err := NewFaultInjector(plan, seed, pattern.NumTags(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch engine {
+	case "slots":
+		s, err := NewSlotSim(SlotSimConfig{Pattern: pattern, Seed: seed, Trace: tr, Faults: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Run(4000)
+	case "network":
+		cfg := NetworkConfig{Seed: seed, Trace: tr}
+		for i, p := range pattern.Periods {
+			cfg.Tags = append(cfg.Tags, TagSpec{TID: uint8(i + 1), Period: p, StartCharged: true})
+		}
+		net, err := NewNetwork(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.AttachFaults(inj)
+		net.Run(60 * Second)
+	}
+}
+
+// TestRecoveryFolderMatchesAnalyze: the folder a chaos tracer feeds as
+// the run goes must report exactly what AnalyzeRecovery computes over
+// a MemorySink that recorded the same run through the same mute set.
+func TestRecoveryFolderMatchesAnalyze(t *testing.T) {
+	brownouts := 0
+	for _, engine := range []string{"slots", "network"} {
+		for _, name := range []string{"c3", "c7"} {
+			pattern, _ := Table3Pattern(name)
+			for seed := uint64(1); seed <= 20; seed++ {
+				plan := RandomFaultPlan(seed)
+				rec, tr := NewChaosTracer()
+				chaosRun(t, engine, pattern, plan, seed, tr)
+				got := rec.Report()
+
+				sink := NewMemorySink()
+				ref := NewTracer(sink)
+				ref.Mute(TraceSlotOpen, TraceSlotClose, TraceSimEvent, TraceDecode)
+				chaosRun(t, engine, pattern, plan, seed, ref)
+				want := AnalyzeRecovery(sink.Events())
+
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %s seed %d: folder differs from Analyze:\n  folder  %+v\n  analyze %+v",
+						engine, name, seed, got, want)
+				}
+				if again := rec.Report(); !reflect.DeepEqual(again, got) {
+					t.Fatalf("%s %s seed %d: second Report differs:\n  first  %+v\n  second %+v",
+						engine, name, seed, got, again)
+				}
+				brownouts += got.Brownouts
+			}
+		}
+	}
+	if brownouts == 0 {
+		t.Fatal("no run browned out a tag; the arcs went unchecked")
 	}
 }

@@ -1,8 +1,6 @@
 package arachnet
 
 import (
-	"sync"
-
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -26,6 +24,7 @@ type (
 	FaultJitterSpec     = faults.JitterSpec
 	FaultInjector       = faults.Injector
 	RecoveryReport      = faults.RecoveryReport
+	Recovery            = faults.Recovery
 	FaultInvariantError = faults.InvariantError
 	FaultInvariants     = faults.InvariantConfig
 )
@@ -102,34 +101,15 @@ func (n *Network) AttachFaults(inj *FaultInjector) {
 // deterministically, for reports.
 func FaultCensusString(inj *FaultInjector) string { return inj.CensusString() }
 
-// chaosTrace is a pooled (sink, tracer) pair for chaos jobs: the event
-// backing array survives between jobs (MemorySink.Reset keeps the
-// capacity), which was the largest single per-job allocation in chaos
-// fleet sweeps. The tracer's mute set is job-independent, so the pair
-// is reusable as-is.
-type chaosTrace struct {
-	sink   *obs.MemorySink
-	tracer *obs.Tracer
-}
-
-// chaosTracePool builds the muted in-memory tracer a chaos job records
-// into: slot open/close (and, for event-level runs, engine events and
-// decodes) dominate the stream and the recovery analysis ignores them,
-// so they are muted to keep fleet memory bounded.
-var chaosTracePool = sync.Pool{New: func() any {
-	sink := obs.NewMemorySink()
-	tr := obs.New(sink)
+// NewChaosTracer returns a recovery folder and a tracer that feeds it.
+// The tracer mutes slot open/close, engine events and decodes, the
+// high-volume kinds the recovery analysis never reads, so a simulator
+// attached to it never builds them (Tracer.Wants). Chaos fleet jobs
+// record into one each; arachnet-sim -faults adds the tracer as a sink
+// of its own tracer.
+func NewChaosTracer() (*Recovery, *Tracer) {
+	rec := faults.NewRecovery()
+	tr := obs.New(rec)
 	tr.Mute(obs.KindSlotOpen, obs.KindSlotClose, obs.KindSimEvent, obs.KindDecode)
-	return &chaosTrace{sink: sink, tracer: tr}
-}}
-
-// acquireChaosTracer returns a cleared pooled pair; pass it back to
-// releaseChaosTracer once the job's recovery analysis has read the
-// sink.
-func acquireChaosTracer() *chaosTrace {
-	ct := chaosTracePool.Get().(*chaosTrace)
-	ct.sink.Reset()
-	return ct
+	return rec, tr
 }
-
-func releaseChaosTracer(ct *chaosTrace) { chaosTracePool.Put(ct) }

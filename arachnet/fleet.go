@@ -250,20 +250,18 @@ const fleetChunkSlots = 512
 // runSlotsVehicle executes one slot-level job with cooperative
 // cancellation. The simulator comes from the vehicle's clone pool
 // (reset to the job seed); a non-empty fault plan turns it into a chaos
-// job that draws its sink/tracer pair from the shared tracer pool and
-// also reports recovery metrics from the recorded trace. Only the
-// per-job injector and result maps are freshly allocated.
+// job that folds its recovery metrics as the events arrive (a chaos
+// tracer per job, see NewChaosTracer). Only the per-job injector,
+// folder and result maps are freshly allocated.
 func runSlotsVehicle(ctx context.Context, snap *mac.SlotSimSnapshot, seed uint64, slots, convergeWithin int, plan *FaultPlan) (FleetResult, error) {
 	var (
-		sink *MemorySink
+		rec  *Recovery
 		tr   *Tracer
 		inj  *FaultInjector
 		fsrc mac.FaultSource
 	)
 	if plan != nil && !plan.Empty() {
-		ct := acquireChaosTracer()
-		defer releaseChaosTracer(ct)
-		sink, tr = ct.sink, ct.tracer
+		rec, tr = NewChaosTracer()
 		var err error
 		inj, err = NewFaultInjector(*plan, seed, snap.Config().Pattern.NumTags(), tr)
 		if err != nil {
@@ -273,12 +271,13 @@ func runSlotsVehicle(ctx context.Context, snap *mac.SlotSimSnapshot, seed uint64
 	}
 	s := snap.Acquire(seed, tr, fsrc)
 	defer snap.Release(s)
-	return measureSlotsRun(ctx, s, slots, convergeWithin, sink, inj)
+	return measureSlotsRun(ctx, s, slots, convergeWithin, rec, inj)
 }
 
 // measureSlotsRun drives a prepared simulator through the job horizon
-// and folds the outcome into a fleet result.
-func measureSlotsRun(ctx context.Context, s *mac.SlotSim, slots, convergeWithin int, sink *MemorySink, inj *FaultInjector) (FleetResult, error) {
+// and folds the outcome into a fleet result; rec and inj are nil for a
+// fault-free job.
+func measureSlotsRun(ctx context.Context, s *mac.SlotSim, slots, convergeWithin int, rec *Recovery, inj *FaultInjector) (FleetResult, error) {
 	horizon := slots
 	if convergeWithin > 0 {
 		horizon = convergeWithin
@@ -311,16 +310,16 @@ func measureSlotsRun(ctx context.Context, s *mac.SlotSim, slots, convergeWithin 
 		res.Metrics[FleetMetricConverged] = 1
 		res.Metrics[FleetMetricConvergenceSlots] = float64(s.Convergence.ConvergenceSlot())
 	}
-	if sink != nil {
-		addFaultResults(&res, sink, inj)
+	if rec != nil {
+		addFaultResults(&res, rec, inj)
 	}
 	return res, nil
 }
 
 // addFaultResults folds a chaos job's recovery analysis into its fleet
 // result.
-func addFaultResults(res *FleetResult, sink *MemorySink, inj *FaultInjector) {
-	rep := AnalyzeRecovery(sink.Events())
+func addFaultResults(res *FleetResult, rec *Recovery, inj *FaultInjector) {
+	rep := rec.Report()
 	res.Metrics[FleetMetricReconvergeSlots] = float64(rep.ReconvergeSlots)
 	res.Metrics[FleetMetricSettledChurn] = float64(rep.SettledChurn)
 	res.Counters[FleetCounterFaultsInjected] = uint64(inj.InjectedTotal())
@@ -334,19 +333,16 @@ func addFaultResults(res *FleetResult, sink *MemorySink, inj *FaultInjector) {
 // are built per job. A non-empty fault plan attaches a per-slot
 // injector to the running network (fades, carrier outages and forced
 // brownouts at the physical layer) and reports the recovery metrics
-// from its trace; chaos jobs draw their sink/tracer pair from the
-// shared pool.
+// folded from its trace as the events arrive.
 func runNetworkVehicle(ctx context.Context, snap *NetworkSnapshot, baseTrace *Tracer, seed uint64, seconds int, plan *FaultPlan) (FleetResult, error) {
 	trace := baseTrace
-	var sink *MemorySink
+	var rec *Recovery
 	var inj *FaultInjector
 	if plan != nil && !plan.Empty() {
 		if baseTrace != nil {
 			return FleetResult{}, fmt.Errorf("arachnet: fault plan with an external tracer is unsupported")
 		}
-		ct := acquireChaosTracer()
-		defer releaseChaosTracer(ct)
-		sink, trace = ct.sink, ct.tracer
+		rec, trace = NewChaosTracer()
 		var err error
 		inj, err = NewFaultInjector(*plan, seed, len(snap.Config().Tags), trace)
 		if err != nil {
@@ -357,12 +353,12 @@ func runNetworkVehicle(ctx context.Context, snap *NetworkSnapshot, baseTrace *Tr
 	if err != nil {
 		return FleetResult{}, err
 	}
-	return measureNetworkRun(ctx, net, seconds, sink, inj)
+	return measureNetworkRun(ctx, net, seconds, rec, inj)
 }
 
 // measureNetworkRun drives a built network through the job horizon and
 // folds its stats into a fleet result.
-func measureNetworkRun(ctx context.Context, net *Network, seconds int, sink *MemorySink, inj *FaultInjector) (FleetResult, error) {
+func measureNetworkRun(ctx context.Context, net *Network, seconds int, rec *Recovery, inj *FaultInjector) (FleetResult, error) {
 	if inj != nil {
 		net.AttachFaults(inj)
 	}
@@ -393,8 +389,8 @@ func measureNetworkRun(ctx context.Context, net *Network, seconds int, sink *Mem
 		res.Metrics[FleetMetricConverged] = 1
 		res.Metrics[FleetMetricConvergenceSlots] = float64(st.ConvergenceSlot)
 	}
-	if sink != nil {
-		addFaultResults(&res, sink, inj)
+	if rec != nil {
+		addFaultResults(&res, rec, inj)
 	}
 	return res, nil
 }

@@ -53,14 +53,6 @@ func TestFleetPooledFingerprintAcrossWorkers(t *testing.T) {
 	}
 }
 
-// mutedChaosTracer mirrors the mute set of a chaos job's tracer.
-func mutedChaosTracer() (*MemorySink, *Tracer) {
-	sink := NewMemorySink()
-	tr := NewTracer(sink)
-	tr.Mute(TraceSlotOpen, TraceSlotClose, TraceSimEvent, TraceDecode)
-	return sink, tr
-}
-
 // TestSlotsJobPooledMatchesFresh runs a vehicle's pooled job function
 // on a seed right after a dirtying job on another seed, and compares
 // the result with a simulator (and, for chaos jobs, an injector and
@@ -90,10 +82,10 @@ func TestSlotsJobPooledMatchesFresh(t *testing.T) {
 			}
 
 			cfg := SlotSimConfig{Pattern: pt, Seed: seed}
-			var sink *MemorySink
+			var rec *Recovery
 			var inj *FaultInjector
 			if v.Faults != nil {
-				sink, cfg.Trace = mutedChaosTracer()
+				rec, cfg.Trace = NewChaosTracer()
 				inj, err = NewFaultInjector(*v.Faults, seed, pt.NumTags(), cfg.Trace)
 				if err != nil {
 					t.Fatal(err)
@@ -104,7 +96,7 @@ func TestSlotsJobPooledMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := measureSlotsRun(ctx, s, v.Slots, v.ConvergeWithin, sink, inj)
+			want, err := measureSlotsRun(ctx, s, v.Slots, v.ConvergeWithin, rec, inj)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +125,7 @@ func TestNetworkSnapshotCloneMatchesFresh(t *testing.T) {
 
 	// Dirty the snapshot's shared parts through a faulted clone: fades
 	// write the clone's channel hook, outages toggle its carrier.
-	_, dtr := mutedChaosTracer()
+	_, dtr := NewChaosTracer()
 	inj, err := NewFaultInjector(RandomFaultPlan(7), seed+1, len(cfg.Tags), dtr)
 	if err != nil {
 		t.Fatal(err)

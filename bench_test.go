@@ -9,6 +9,8 @@ package repro
 import (
 	"context"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -222,6 +224,52 @@ func BenchmarkTracedFleet(b *testing.B) {
 					b.ReportMetric(float64(perFleet)/float64(base), "overhead-vs-untraced")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkVehicle measures one slots vehicle, the unit of the
+// fleet-sweep workload: c3 at 10,000 slots, "clean" without faults and
+// "chaos" with testdata/chaos-plan.json (a copy of the fleet-sweep
+// chaos plan). Each op is one job through the vehicle's pooled job
+// function, cycling over 16 job seeds; "allocs/job" is the MemStats
+// malloc delta per job, which bench-smoke gates for "chaos".
+func BenchmarkVehicle(b *testing.B) {
+	data, err := os.ReadFile(filepath.Join("testdata", "chaos-plan.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := arachnet.UnmarshalFaultPlan(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		faults *arachnet.FaultPlan
+	}{{"clean", nil}, {"chaos", &plan}} {
+		b.Run(c.name, func(b *testing.B) {
+			f := arachnet.Fleet{Seed: 1, Vehicles: []arachnet.VehicleSpec{
+				{Name: "c3-" + c.name, Pattern: "c3", Slots: 10_000, Replicate: 16, Faults: c.faults},
+			}}
+			specs, err := f.Jobs()
+			if err != nil {
+				b.Fatal(err)
+			}
+			runFleetSerial(b, specs) // warm the clone pool
+			ctx := context.Background()
+			var m0, m1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % len(specs)
+				if _, err := specs[j].Run(ctx, fleet.JobInfo{Index: j, Name: specs[j].Name, Seed: fleet.DeriveSeed(1, uint64(j))}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N), "allocs/job")
 		})
 	}
 }

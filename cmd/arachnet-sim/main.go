@@ -51,17 +51,18 @@ func main() {
 	flag.Parse()
 
 	var plan *arachnet.FaultPlan
-	var recSink *arachnet.MemorySink
+	var rec *arachnet.Recovery
+	var recTrace *arachnet.Tracer
 	if *faultsPath != "" {
 		p, err := arachnet.LoadFaultPlanFile(*faultsPath)
 		if err != nil {
 			fatal(err)
 		}
 		plan = &p
-		recSink = arachnet.NewMemorySink()
+		rec, recTrace = arachnet.NewChaosTracer()
 	}
 
-	tr, finishTrace, err := setupTrace(*tracePath, *traceFormat, *metrics, recSink)
+	tr, finishTrace, err := setupTrace(*tracePath, *traceFormat, *metrics, recTrace)
 	if err != nil {
 		fatal(err)
 	}
@@ -107,9 +108,9 @@ func main() {
 	}
 	run()
 
-	if recSink != nil {
+	if rec != nil {
 		fmt.Println()
-		fmt.Println(arachnet.AnalyzeRecovery(recSink.Events()).String())
+		fmt.Println(rec.Report().String())
 	}
 	finishTrace()
 	if ctx.Err() != nil {
@@ -118,27 +119,13 @@ func main() {
 	}
 }
 
-// recoverySink filters the trace stream down to the events the recovery
-// analysis consumes, so an interactive -faults run buffers kilobytes
-// instead of the whole slot-by-slot stream.
-type recoverySink struct{ mem *arachnet.MemorySink }
-
-func (s recoverySink) Emit(ev arachnet.TraceEvent) {
-	switch ev.Kind {
-	case arachnet.TraceSlotOpen, arachnet.TraceSlotClose,
-		arachnet.TraceSimEvent, arachnet.TraceDecode:
-		return
-	}
-	s.mem.Emit(ev)
-}
-
 // setupTrace builds the tracer for the -trace / -trace-format /
-// -metrics flags, plus the recovery sink when a fault plan is loaded.
-// The returned finish function flushes the (buffered) trace sink,
-// closes the trace file, and prints the metrics snapshot; it exits
-// non-zero on a truncated trace.
-func setupTrace(path, format string, metrics bool, recSink *arachnet.MemorySink) (*arachnet.Tracer, func(), error) {
-	if path == "" && !metrics && recSink == nil {
+// -metrics flags, forwarding to the chaos tracer (arachnet.NewChaosTracer)
+// when a fault plan is loaded. The returned finish function flushes the
+// (buffered) trace sink, closes the trace file, and prints the metrics
+// snapshot; it exits non-zero on a truncated trace.
+func setupTrace(path, format string, metrics bool, recTrace *arachnet.Tracer) (*arachnet.Tracer, func(), error) {
+	if path == "" && !metrics && recTrace == nil {
 		return nil, func() {}, nil
 	}
 	var sinks []arachnet.TraceSink
@@ -151,8 +138,8 @@ func setupTrace(path, format string, metrics bool, recSink *arachnet.MemorySink)
 		}
 		sinks = append(sinks, trace)
 	}
-	if recSink != nil {
-		sinks = append(sinks, recoverySink{recSink})
+	if recTrace != nil {
+		sinks = append(sinks, recTrace)
 	}
 	tr := arachnet.NewTracer(sinks...)
 	if metrics {

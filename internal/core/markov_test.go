@@ -116,6 +116,21 @@ func TestAbsorbingStatesAreConflictFree(t *testing.T) {
 	}
 }
 
+// TestStateOffsetsInRange checks the precondition of the mask forms of
+// mac.Assignment.TransmitsAt and Conflicts, which the chain's conflict
+// test relies on: every enumerated state keeps each offset in [0, P).
+func TestStateOffsetsInRange(t *testing.T) {
+	m := newModel(t, 2, 4, 8)
+	for id := 0; id < m.NumStates(); id++ {
+		s := m.StateByID(id)
+		for i, p := range m.Periods {
+			if off := int(s.Tags[i].Offset); off >= int(p) {
+				t.Fatalf("state %d: tag %d offset %d outside [0, %d)", id, i, off, p)
+			}
+		}
+	}
+}
+
 func TestExpectedAbsorptionGrowsWithUtilization(t *testing.T) {
 	low := newModel(t, 4, 4) // U = 0.5
 	high := newModel(t, 2, 4, 4)

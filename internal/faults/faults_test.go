@@ -288,3 +288,46 @@ func TestFadeDepthHook(t *testing.T) {
 		t.Errorf("out-of-range tid depth = %v", d)
 	}
 }
+
+// TestInjectorScratchClearedEachSlot: BeginSlot hands out the same
+// buffers every slot, so each flag it returns must come from one of
+// this slot's own fault events, never from an earlier slot.
+func TestInjectorScratchClearedEachSlot(t *testing.T) {
+	plan := Plan{
+		Feedback:    &FeedbackSpec{LossProb: 0.2, CorruptProb: 0.2},
+		Brownouts:   &BrownoutSpec{Prob: 0.1, OffSlots: 3},
+		ClockJitter: &JitterSpec{SlipProb: 0.1},
+	}
+	sink := obs.NewMemorySink()
+	inj, err := NewInjector(plan, 1, 6, obs.New(sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(flags []bool) int {
+		n := 0
+		for _, f := range flags {
+			if f {
+				n++
+			}
+		}
+		return n
+	}
+	for slot := 0; slot < 500; slot++ {
+		fs := inj.BeginSlot(slot)
+		events := map[string]int{}
+		for _, ev := range sink.Drain() {
+			events[ev.Detail]++
+		}
+		got := map[string]int{
+			"beacon_loss": count(fs.BeaconLoss),
+			"ack_corrupt": count(fs.CorruptACK),
+			"brownout":    count(fs.Brownout),
+			"jitter_slip": count(fs.SlipSlot),
+		}
+		for detail, n := range got {
+			if n != events[detail] {
+				t.Fatalf("slot %d: %d %s flags, %d %s events", slot, n, detail, events[detail], detail)
+			}
+		}
+	}
+}

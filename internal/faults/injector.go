@@ -37,7 +37,60 @@ type Injector struct {
 	pendingReset bool
 
 	nextSlot int
-	counts   map[string]int
+	counts   [numFaults]int
+
+	// fs is the SlotFaults BeginSlot returns. Its slices are nil or the
+	// matching buffer below; each BeginSlot clears the ones the previous
+	// slot set, so a fault-free slot touches no buffer.
+	fs                                     mac.SlotFaults
+	lossBuf, corruptBuf, slipBuf, brownBuf []bool
+	rejoinBuf                              []int
+	ulFailBuf                              []float64
+}
+
+// fault is one kind of event the injector emits.
+type fault uint8
+
+const (
+	faultOutageStart fault = iota
+	faultOutageEnd
+	faultReaderReset
+	faultFadeStart
+	faultFadeEnd
+	faultBeaconLoss
+	faultAckCorrupt
+	faultBrownout
+	faultJitterSlip
+	numFaults
+)
+
+// faultNames gives each fault its trace kind and detail, and its census
+// key "kind:detail" as a constant, so counting a fault never builds a
+// string.
+var faultNames = [numFaults]struct {
+	kind        obs.Kind
+	detail, key string
+}{
+	faultOutageStart: {obs.KindFaultInject, "outage_start", "fault_inject:outage_start"},
+	faultOutageEnd:   {obs.KindFaultClear, "outage_end", "fault_clear:outage_end"},
+	faultReaderReset: {obs.KindFaultInject, "reader_reset", "fault_inject:reader_reset"},
+	faultFadeStart:   {obs.KindFaultInject, "fade_start", "fault_inject:fade_start"},
+	faultFadeEnd:     {obs.KindFaultClear, "fade_end", "fault_clear:fade_end"},
+	faultBeaconLoss:  {obs.KindFaultInject, "beacon_loss", "fault_inject:beacon_loss"},
+	faultAckCorrupt:  {obs.KindFaultInject, "ack_corrupt", "fault_inject:ack_corrupt"},
+	faultBrownout:    {obs.KindFaultInject, "brownout", "fault_inject:brownout"},
+	faultJitterSlip:  {obs.KindFaultInject, "jitter_slip", "fault_inject:jitter_slip"},
+}
+
+// censusKey returns the census key "kind:detail" of a fault event:
+// the constant for the injector's own faults, a built string otherwise.
+func censusKey(kind obs.Kind, detail string) string {
+	for _, f := range faultNames {
+		if f.kind == kind && f.detail == detail {
+			return f.key
+		}
+	}
+	return string(kind) + ":" + detail
 }
 
 // NewInjector compiles the plan for a population of numTags tags. The
@@ -61,7 +114,13 @@ func NewInjector(plan Plan, seed uint64, numTags int, tr *obs.Tracer) (*Injector
 		outageRNG: root.Fork(4),
 		jitterRNG: root.Fork(5),
 		fadeSince: make([]int, numTags),
-		counts:    make(map[string]int),
+
+		lossBuf:    make([]bool, numTags),
+		corruptBuf: make([]bool, numTags),
+		slipBuf:    make([]bool, numTags),
+		brownBuf:   make([]bool, numTags),
+		rejoinBuf:  make([]int, numTags),
+		ulFailBuf:  make([]float64, numTags),
 	}
 	if plan.Fades != nil {
 		inj.fadeMask = tagSet(plan.Fades.Tags, numTags)
@@ -78,25 +137,36 @@ func NewInjector(plan Plan, seed uint64, numTags int, tr *obs.Tracer) (*Injector
 	return inj, nil
 }
 
-// emit records a fault event (nil-safe via the tracer).
-func (inj *Injector) emit(ev obs.Event) {
-	inj.counts[string(ev.Kind)+":"+ev.Detail]++
+// emit counts a fault and records its trace event (nil-safe via the
+// tracer); tid and value are 0 where the fault has none.
+func (inj *Injector) emit(f fault, slot, tid int, value float64) {
+	inj.counts[f]++
 	if inj.tr.Enabled() {
-		inj.tr.Emit(ev)
+		n := &faultNames[f]
+		inj.tr.Emit(obs.Event{Kind: n.kind, Slot: slot, TID: tid, Detail: n.detail, Value: value})
 	}
 }
 
 // BeginSlot advances every fault process by one slot and returns the
 // slot's fault environment. Slots must be presented in order (the
 // simulator guarantees this); a gap or repeat indicates a harness bug.
-func (inj *Injector) BeginSlot(slot int) mac.SlotFaults {
+// The result is the injector's scratch, valid until the next call.
+//
+//alloc:hot runs every slot of a chaos trial; the per-slot fault slices are reused buffers
+func (inj *Injector) BeginSlot(slot int) *mac.SlotFaults {
 	if slot != inj.nextSlot {
-		//lint:allow panic-hygiene slot-ordering invariant: callers drive BeginSlot monotonically by construction
-		panic(fmt.Sprintf("faults: BeginSlot(%d) out of order, want %d", slot, inj.nextSlot))
+		outOfOrder(slot, inj.nextSlot)
 	}
 	inj.nextSlot++
 
-	var fs mac.SlotFaults
+	fs := &inj.fs
+	clear(fs.BeaconLoss)
+	clear(fs.CorruptACK)
+	clear(fs.SlipSlot)
+	clear(fs.ULFailProb)
+	clear(fs.Brownout)
+	clear(fs.RejoinDelay)
+	*fs = mac.SlotFaults{}
 
 	// Reader outage first: a dark slot still advances the burst
 	// processes (the physical fades don't pause for the reader), but
@@ -105,8 +175,7 @@ func (inj *Injector) BeginSlot(slot int) mac.SlotFaults {
 		if inj.outageActive {
 			if inj.outageRNG.Bool(o.exitProb()) {
 				inj.outageActive = false
-				inj.emit(obs.Event{Kind: obs.KindFaultClear, Slot: slot, Detail: "outage_end",
-					Value: float64(slot - inj.outageSince)})
+				inj.emit(faultOutageEnd, slot, 0, float64(slot-inj.outageSince))
 				if o.ResetOnRestart {
 					inj.pendingReset = true
 				}
@@ -114,7 +183,7 @@ func (inj *Injector) BeginSlot(slot int) mac.SlotFaults {
 		} else if inj.outageRNG.Bool(o.EnterProb) {
 			inj.outageActive = true
 			inj.outageSince = slot
-			inj.emit(obs.Event{Kind: obs.KindFaultInject, Slot: slot, Detail: "outage_start"})
+			inj.emit(faultOutageStart, slot, 0, 0)
 		}
 	}
 	fs.ReaderDown = inj.outageActive
@@ -123,7 +192,7 @@ func (inj *Injector) BeginSlot(slot int) mac.SlotFaults {
 		inj.pendingReset = false
 		// The restarted reader lost its ledger: replayed analyses clear
 		// their settled model on this event.
-		inj.emit(obs.Event{Kind: obs.KindFaultInject, Slot: slot, Detail: "reader_reset"})
+		inj.emit(faultReaderReset, slot, 0, 0)
 	}
 
 	// Fades: per-tag Markov bursts, advanced in tag order.
@@ -135,29 +204,22 @@ func (inj *Injector) BeginSlot(slot int) mac.SlotFaults {
 			}
 			if inj.fadeSince[i] != 0 {
 				if inj.fadeRNG.Bool(f.exitProb()) {
-					inj.emit(obs.Event{Kind: obs.KindFaultClear, Slot: slot, TID: i + 1,
-						Detail: "fade_end", Value: float64(slot - (inj.fadeSince[i] - 1))})
+					inj.emit(faultFadeEnd, slot, i+1, float64(slot-(inj.fadeSince[i]-1)))
 					inj.fadeSince[i] = 0
 				}
 			} else if inj.fadeRNG.Bool(f.EnterProb) {
 				inj.fadeSince[i] = slot + 1 // +1 so slot 0 is representable
-				inj.emit(obs.Event{Kind: obs.KindFaultInject, Slot: slot, TID: i + 1,
-					Detail: "fade_start", Value: f.DepthDB})
+				inj.emit(faultFadeStart, slot, i+1, f.DepthDB)
 			}
 			if inj.fadeSince[i] != 0 {
 				if ulFail > 0 {
-					if fs.ULFailProb == nil {
-						fs.ULFailProb = make([]float64, inj.numTags)
-					}
+					fs.ULFailProb = inj.ulFailBuf
 					fs.ULFailProb[i] = ulFail
 				}
 				if f.BeaconLossProb > 0 && inj.fadeRNG.Bool(f.BeaconLossProb) {
-					if fs.BeaconLoss == nil {
-						fs.BeaconLoss = make([]bool, inj.numTags)
-					}
+					fs.BeaconLoss = inj.lossBuf
 					fs.BeaconLoss[i] = true
-					inj.emit(obs.Event{Kind: obs.KindFaultInject, Slot: slot, TID: i + 1,
-						Detail: "beacon_loss"})
+					inj.emit(faultBeaconLoss, slot, i+1, 0)
 				}
 			}
 		}
@@ -170,20 +232,14 @@ func (inj *Injector) BeginSlot(slot int) mac.SlotFaults {
 				continue
 			}
 			if f.LossProb > 0 && inj.fbRNG.Bool(f.LossProb) {
-				if fs.BeaconLoss == nil {
-					fs.BeaconLoss = make([]bool, inj.numTags)
-				}
+				fs.BeaconLoss = inj.lossBuf
 				fs.BeaconLoss[i] = true
-				inj.emit(obs.Event{Kind: obs.KindFaultInject, Slot: slot, TID: i + 1,
-					Detail: "beacon_loss"})
+				inj.emit(faultBeaconLoss, slot, i+1, 0)
 			}
 			if f.CorruptProb > 0 && inj.fbRNG.Bool(f.CorruptProb) {
-				if fs.CorruptACK == nil {
-					fs.CorruptACK = make([]bool, inj.numTags)
-				}
+				fs.CorruptACK = inj.corruptBuf
 				fs.CorruptACK[i] = true
-				inj.emit(obs.Event{Kind: obs.KindFaultInject, Slot: slot, TID: i + 1,
-					Detail: "ack_corrupt"})
+				inj.emit(faultAckCorrupt, slot, i+1, 0)
 			}
 		}
 	}
@@ -200,14 +256,10 @@ func (inj *Injector) BeginSlot(slot int) mac.SlotFaults {
 					// Geometric with mean OffSlots, support >= 1.
 					off = 1 + int(math.Floor(inj.brownRNG.ExpFloat64()*(b.OffSlots-1)))
 				}
-				if fs.Brownout == nil {
-					fs.Brownout = make([]bool, inj.numTags)
-					fs.RejoinDelay = make([]int, inj.numTags)
-				}
+				fs.Brownout, fs.RejoinDelay = inj.brownBuf, inj.rejoinBuf
 				fs.Brownout[i] = true
 				fs.RejoinDelay[i] = off
-				inj.emit(obs.Event{Kind: obs.KindFaultInject, Slot: slot, TID: i + 1,
-					Detail: "brownout", Value: float64(off)})
+				inj.emit(faultBrownout, slot, i+1, float64(off))
 			}
 		}
 	}
@@ -219,17 +271,24 @@ func (inj *Injector) BeginSlot(slot int) mac.SlotFaults {
 				continue
 			}
 			if inj.jitterRNG.Bool(j.SlipProb) {
-				if fs.SlipSlot == nil {
-					fs.SlipSlot = make([]bool, inj.numTags)
-				}
+				fs.SlipSlot = inj.slipBuf
 				fs.SlipSlot[i] = true
-				inj.emit(obs.Event{Kind: obs.KindFaultInject, Slot: slot, TID: i + 1,
-					Detail: "jitter_slip"})
+				inj.emit(faultJitterSlip, slot, i+1, 0)
 			}
 		}
 	}
 
 	return fs
+}
+
+// outOfOrder reports a BeginSlot gap or repeat. It stays out of line
+// so the message formatting is not inlined into the //alloc:hot
+// BeginSlot.
+//
+//go:noinline
+func outOfOrder(slot, want int) {
+	//lint:allow panic-hygiene slot-ordering invariant: callers drive BeginSlot monotonically by construction
+	panic(fmt.Sprintf("faults: BeginSlot(%d) out of order, want %d", slot, want))
 }
 
 // FadeDepthDB returns the current extra path loss for a 1-based tag id
@@ -247,11 +306,14 @@ func (inj *Injector) FadeDepthDB(tid int) float64 {
 }
 
 // Injected returns the cumulative fault census keyed "kind:detail",
-// e.g. "fault_inject:brownout". The map is a copy.
+// e.g. "fault_inject:brownout", with an entry for every fault that
+// fired at least once.
 func (inj *Injector) Injected() map[string]int {
-	out := make(map[string]int, len(inj.counts))
-	for k, v := range inj.counts {
-		out[k] = v
+	out := make(map[string]int)
+	for f, v := range inj.counts {
+		if v > 0 {
+			out[faultNames[f].key] = v
+		}
 	}
 	return out
 }
@@ -259,8 +321,8 @@ func (inj *Injector) Injected() map[string]int {
 // InjectedTotal sums every injected fault (clears excluded).
 func (inj *Injector) InjectedTotal() int {
 	n := 0
-	for k, v := range inj.counts {
-		if len(k) > len(obs.KindFaultInject) && k[:len(obs.KindFaultInject)] == string(obs.KindFaultInject) {
+	for f, v := range inj.counts {
+		if faultNames[f].kind == obs.KindFaultInject {
 			n += v
 		}
 	}
@@ -270,8 +332,9 @@ func (inj *Injector) InjectedTotal() int {
 // CensusString renders the fault census deterministically (sorted keys)
 // for reports.
 func (inj *Injector) CensusString() string {
-	keys := make([]string, 0, len(inj.counts))
-	for k := range inj.counts {
+	census := inj.Injected()
+	keys := make([]string, 0, len(census))
+	for k := range census {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
@@ -280,7 +343,7 @@ func (inj *Injector) CensusString() string {
 		if s != "" {
 			s += " "
 		}
-		s += fmt.Sprintf("%s=%d", k, inj.counts[k])
+		s += fmt.Sprintf("%s=%d", k, census[k])
 	}
 	return s
 }

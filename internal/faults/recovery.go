@@ -2,8 +2,11 @@ package faults
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/mac"
 	"repro/internal/obs"
@@ -23,7 +26,7 @@ type Resettle struct {
 }
 
 // RecoveryReport aggregates the robustness metrics the chaos sweeps
-// report, computed purely from an obs event stream (Analyze).
+// report, computed purely from an obs event stream (Recovery, Analyze).
 type RecoveryReport struct {
 	// Slots is the trace horizon (highest slot seen + 1).
 	Slots int
@@ -62,101 +65,134 @@ type RecoveryReport struct {
 	Unrecovered        int
 }
 
-// Analyze replays an obs event stream and computes the recovery
-// metrics. The stream is what a slot-level chaos run emits into a
-// MemorySink: fault_inject/fault_clear from the Injector, tag_settle /
+// Recovery folds an obs event stream into a RecoveryReport one event
+// at a time, so a chaos run needs no event buffer: it is an obs.Sink,
+// and a tracer that mutes the kinds it ignores feeds it only fault,
+// rejoin and ledger events. The stream is what a chaos run emits:
+// fault_inject/fault_clear from the Injector, tag_settle /
 // tag_unsettle / tag_evict from the reader protocol, tag_rejoin from
-// the simulator.
-func Analyze(events []obs.Event) RecoveryReport {
-	rep := RecoveryReport{Injected: make(map[string]int), LastFaultSlot: -1}
-	settled := make(map[int]mac.Assignment)
-	lastChange := -1
-	// In-flight brownout arcs per tid.
-	type arc struct {
-		brownoutSlot int
-		rejoinSlot   int // -1 until rejoined
-		period       int
-	}
-	open := make(map[int]*arc)
+// the simulator. Build one with NewRecovery.
+type Recovery struct {
+	mu sync.Mutex
+	// rep holds the running counters; rep.Resettles the closed arcs.
+	rep        RecoveryReport
+	settled    map[int]mac.Assignment
+	open       map[int]arc // in-flight brownout arcs per tid
+	lastChange int
+}
 
-	for _, ev := range events {
-		if ev.Slot >= rep.Slots {
-			rep.Slots = ev.Slot + 1
-		}
-		switch ev.Kind {
-		case obs.KindFaultInject:
-			rep.Injected[string(ev.Kind)+":"+ev.Detail]++
-			rep.LastFaultSlot = ev.Slot
-			if ev.Detail == "reader_reset" && len(settled) > 0 {
-				// The restarted reader lost its ledger; every belief
-				// vanishing at once is settled-set churn.
-				rep.SettledChurn += len(settled)
-				settled = make(map[int]mac.Assignment)
-				lastChange = ev.Slot
-			}
-			if ev.Detail == "brownout" {
-				rep.Brownouts++
-				// A re-brownout before resettling restarts the arc; the
-				// abandoned one stays unrecovered only if the trace ends
-				// here, which the final sweep below handles.
-				open[ev.TID] = &arc{brownoutSlot: ev.Slot, rejoinSlot: -1}
-			}
-		case obs.KindFaultClear:
-			rep.Injected[string(ev.Kind)+":"+ev.Detail]++
-		case obs.KindTagRejoin:
-			rep.Rejoins++
-			if a := open[ev.TID]; a != nil && a.rejoinSlot < 0 {
-				a.rejoinSlot = ev.Slot
-				a.period = ev.Period
-			}
-		case obs.KindTagSettle:
-			rep.Settles++
-			cand := mac.Assignment{Period: mac.Period(ev.Period), Offset: ev.Offset}
-			// The same tid re-settling replaces its old belief before the
-			// conflict check — only distinct tags sharing a slot violate.
-			prev, had := settled[ev.TID]
-			delete(settled, ev.TID)
-			for _, other := range settled {
-				if cand.Conflicts(other) {
-					rep.DuplicateSlotViolations++
-					break
-				}
-			}
-			settled[ev.TID] = cand
-			if !had || prev != cand {
-				rep.SettledChurn++
-				lastChange = ev.Slot
-			}
-			if a := open[ev.TID]; a != nil && a.rejoinSlot >= 0 {
-				r := Resettle{TID: ev.TID, BrownoutSlot: a.brownoutSlot,
-					RejoinSlot: a.rejoinSlot, ResettleSlot: ev.Slot}
-				if a.period > 0 {
-					r.Periods = float64(ev.Slot-a.rejoinSlot) / float64(a.period)
-				}
-				rep.Resettles = append(rep.Resettles, r)
-				if r.Periods > rep.MaxResettlePeriods {
-					rep.MaxResettlePeriods = r.Periods
-				}
-				delete(open, ev.TID)
-			}
-		case obs.KindTagUnsettle:
-			rep.Unsettles++
-			if _, had := settled[ev.TID]; had {
-				delete(settled, ev.TID)
-				rep.SettledChurn++
-				lastChange = ev.Slot
-			}
-		case obs.KindTagEvict:
-			rep.Evictions++
-		}
-	}
+// arc is one brownout whose tag has not re-settled yet.
+type arc struct {
+	brownoutSlot int
+	rejoinSlot   int // -1 until rejoined
+	period       int
+}
 
-	rep.FinalSettled = len(settled)
-	if rep.LastFaultSlot >= 0 && lastChange > rep.LastFaultSlot {
-		rep.ReconvergeSlots = lastChange - rep.LastFaultSlot
+// NewRecovery returns an empty folder.
+func NewRecovery() *Recovery {
+	return &Recovery{
+		rep:        RecoveryReport{Injected: make(map[string]int), LastFaultSlot: -1},
+		settled:    make(map[int]mac.Assignment),
+		open:       make(map[int]arc),
+		lastChange: -1,
+	}
+}
+
+// Emit implements obs.Sink.
+func (r *Recovery) Emit(ev obs.Event) { r.Observe(ev) }
+
+// Observe folds one event into the running analysis.
+func (r *Recovery) Observe(ev obs.Event) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rep := &r.rep
+	if ev.Slot >= rep.Slots {
+		rep.Slots = ev.Slot + 1
+	}
+	switch ev.Kind {
+	case obs.KindFaultInject:
+		rep.Injected[censusKey(ev.Kind, ev.Detail)]++
+		rep.LastFaultSlot = ev.Slot
+		if ev.Detail == "reader_reset" && len(r.settled) > 0 {
+			// The restarted reader lost its ledger; every belief
+			// vanishing at once is settled-set churn.
+			rep.SettledChurn += len(r.settled)
+			clear(r.settled)
+			r.lastChange = ev.Slot
+		}
+		if ev.Detail == "brownout" {
+			rep.Brownouts++
+			// A re-brownout before resettling restarts the arc; the
+			// abandoned one stays unrecovered only if the trace ends
+			// here, which Report handles.
+			r.open[ev.TID] = arc{brownoutSlot: ev.Slot, rejoinSlot: -1}
+		}
+	case obs.KindFaultClear:
+		rep.Injected[censusKey(ev.Kind, ev.Detail)]++
+	case obs.KindTagRejoin:
+		rep.Rejoins++
+		if a, ok := r.open[ev.TID]; ok && a.rejoinSlot < 0 {
+			a.rejoinSlot = ev.Slot
+			a.period = ev.Period
+			r.open[ev.TID] = a
+		}
+	case obs.KindTagSettle:
+		rep.Settles++
+		cand := mac.Assignment{Period: mac.Period(ev.Period), Offset: ev.Offset}
+		// The same tid re-settling replaces its old belief before the
+		// conflict check — only distinct tags sharing a slot violate.
+		prev, had := r.settled[ev.TID]
+		delete(r.settled, ev.TID)
+		for _, other := range r.settled {
+			if cand.Conflicts(other) {
+				rep.DuplicateSlotViolations++
+				break
+			}
+		}
+		r.settled[ev.TID] = cand
+		if !had || prev != cand {
+			rep.SettledChurn++
+			r.lastChange = ev.Slot
+		}
+		if a, ok := r.open[ev.TID]; ok && a.rejoinSlot >= 0 {
+			res := Resettle{TID: ev.TID, BrownoutSlot: a.brownoutSlot,
+				RejoinSlot: a.rejoinSlot, ResettleSlot: ev.Slot}
+			if a.period > 0 {
+				res.Periods = float64(ev.Slot-a.rejoinSlot) / float64(a.period)
+			}
+			rep.Resettles = append(rep.Resettles, res)
+			if res.Periods > rep.MaxResettlePeriods {
+				rep.MaxResettlePeriods = res.Periods
+			}
+			delete(r.open, ev.TID)
+		}
+	case obs.KindTagUnsettle:
+		rep.Unsettles++
+		if _, had := r.settled[ev.TID]; had {
+			delete(r.settled, ev.TID)
+			rep.SettledChurn++
+			r.lastChange = ev.Slot
+		}
+	case obs.KindTagEvict:
+		rep.Evictions++
+	}
+}
+
+// Report returns the metrics of the events folded so far, as if the
+// trace ended here. It does not change the folder: calling it twice
+// gives equal reports, and folding may continue afterwards.
+func (r *Recovery) Report() RecoveryReport {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rep := r.rep
+	rep.Injected = maps.Clone(r.rep.Injected)
+	rep.Resettles = slices.Clone(r.rep.Resettles)
+	rep.FinalSettled = len(r.settled)
+	if rep.LastFaultSlot >= 0 && r.lastChange > rep.LastFaultSlot {
+		rep.ReconvergeSlots = r.lastChange - rep.LastFaultSlot
 	}
 	// Arcs still open at end of trace never recovered.
-	for tid, a := range open {
+	for tid, a := range r.open {
 		rep.Unrecovered++
 		rep.Resettles = append(rep.Resettles, Resettle{TID: tid,
 			BrownoutSlot: a.brownoutSlot, RejoinSlot: a.rejoinSlot, ResettleSlot: -1})
@@ -168,6 +204,16 @@ func Analyze(events []obs.Event) RecoveryReport {
 		return rep.Resettles[i].TID < rep.Resettles[j].TID
 	})
 	return rep
+}
+
+// Analyze computes the recovery metrics of a recorded event stream: a
+// Recovery folded over events.
+func Analyze(events []obs.Event) RecoveryReport {
+	r := NewRecovery()
+	for _, ev := range events {
+		r.Observe(ev)
+	}
+	return r.Report()
 }
 
 // String renders the report deterministically for CLI output.

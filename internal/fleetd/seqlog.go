@@ -34,8 +34,10 @@ func newEventLog(max int) *eventLog {
 	return &eventLog{max: max, wake: make(chan struct{})}
 }
 
-// Emit implements obs.Sink.
+// Emit implements obs.Sink; the log keeps a clone of the borrowed
+// event.
 func (l *eventLog) Emit(ev obs.Event) {
+	ev = ev.Clone()
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()

@@ -52,9 +52,11 @@ type SlotFaults struct {
 // FaultSource supplies the fault environment slot by slot. BeginSlot is
 // called exactly once per simulated slot with monotonically increasing
 // slot indices, which lets implementations advance burst processes
-// deterministically.
+// deterministically. The returned SlotFaults (and its slices) may be
+// the source's own scratch: it is read-only to the caller and valid
+// until the next BeginSlot.
 type FaultSource interface {
-	BeginSlot(slot int) SlotFaults
+	BeginSlot(slot int) *SlotFaults
 }
 
 // MaxObservationTID bounds the tag ids EndSlot accepts in an

@@ -26,6 +26,10 @@ type SlotSim struct {
 	txScratch  []*simTag
 	tidScratch []int
 	decScratch []int
+	// slotEvents caches cfg.Trace.Wants for the slot open/close kinds,
+	// read when the tracer is attached, so a tracer that mutes them
+	// (chaos jobs) costs no event construction per slot.
+	slotEvents bool
 
 	Window      *WindowStats
 	Convergence *ConvergenceDetector
@@ -82,7 +86,10 @@ type SlotSimConfig struct {
 	DisableFutureVeto bool
 	// Trace, when set, receives slot open/close events from the
 	// simulator and settle/unsettle/evict events from the reader
-	// protocol. A nil tracer (the default) costs nothing.
+	// protocol. A nil tracer (the default) costs nothing. The slot
+	// events borrow the simulator's scratch slices (see obs.Sink), and
+	// are not built at all when the tracer mutes both kinds at the time
+	// it is attached.
 	Trace *obs.Tracer
 	// Faults, when set, injects a deterministic fault environment into
 	// every slot: beacon loss, feedback corruption, uplink fades,
@@ -92,21 +99,21 @@ type SlotSimConfig struct {
 	Faults FaultSource
 }
 
-func (c SlotSimConfig) beaconLoss(i int) float64 {
+func (c *SlotSimConfig) beaconLoss(i int) float64 {
 	if i < len(c.BeaconLossProb) {
 		return c.BeaconLossProb[i]
 	}
 	return 0
 }
 
-func (c SlotSimConfig) ulFail(i int) float64 {
+func (c *SlotSimConfig) ulFail(i int) float64 {
 	if i < len(c.ULDecodeFailProb) {
 		return c.ULDecodeFailProb[i]
 	}
 	return 0
 }
 
-func (c SlotSimConfig) joinSlot(i int) int {
+func (c *SlotSimConfig) joinSlot(i int) int {
 	if i < len(c.JoinSlot) {
 		return c.JoinSlot[i]
 	}
@@ -161,6 +168,7 @@ func NewSlotSim(cfg SlotSimConfig) (*SlotSim, error) {
 		decScratch:  make([]int, 0, 1),
 		Window:      NewWindowStats(),
 		Convergence: NewConvergenceDetector(),
+		slotEvents:  wantsSlotEvents(cfg.Trace),
 	}
 	return s, nil
 }
@@ -212,6 +220,11 @@ func (s *SlotSim) AttachObservers(trace *obs.Tracer, faults FaultSource) {
 	s.cfg.Trace = trace
 	s.cfg.Faults = faults
 	s.reader.Trace = trace
+	s.slotEvents = wantsSlotEvents(trace)
+}
+
+func wantsSlotEvents(t *obs.Tracer) bool {
+	return t.Wants(obs.KindSlotOpen) || t.Wants(obs.KindSlotClose)
 }
 
 // SlotResult reports one simulated slot.
@@ -228,9 +241,12 @@ type SlotResult struct {
 }
 
 // Step simulates one slot and returns what happened in it.
+//
+//alloc:hot the slot loop of every slots-engine trial; events borrow the scratch slices
 func (s *SlotSim) Step() SlotResult {
 	slot := s.SlotsRun
-	var fs SlotFaults
+	var clean SlotFaults
+	fs := &clean
 	if s.cfg.Faults != nil {
 		fs = s.cfg.Faults.BeginSlot(slot)
 	}
@@ -246,7 +262,7 @@ func (s *SlotSim) Step() SlotResult {
 		fb = s.reader.Reset()
 		s.reader.SyncSlot(slot)
 	}
-	if s.cfg.Trace.Enabled() {
+	if s.slotEvents {
 		s.cfg.Trace.Emit(obs.Event{Kind: obs.KindSlotOpen, Slot: slot, ACK: fb.ACK, Empty: fb.Empty})
 	}
 
@@ -368,18 +384,11 @@ func (s *SlotSim) Step() SlotResult {
 		tids = append(tids, t.tid)
 	}
 	s.tidScratch = tids
-	if s.cfg.Trace.Enabled() {
-		// Events outlive the slot (sinks retain them), so they get
-		// copies, not the reused scratch.
-		tidsCopy := make([]int, len(tids))
-		copy(tidsCopy, tids)
-		var decCopy []int
-		if seen.Decoded != nil {
-			decCopy = make([]int, len(seen.Decoded))
-			copy(decCopy, seen.Decoded)
-		}
-		s.cfg.Trace.Emit(obs.Event{Kind: obs.KindSlotClose, Slot: slot, TIDs: tidsCopy,
-			Decoded: decCopy, Collision: seen.Collision, ACK: next.ACK, Empty: next.Empty})
+	if s.slotEvents {
+		// The event borrows the scratch slices; sinks that keep events
+		// copy them (obs.Sink).
+		s.cfg.Trace.Emit(obs.Event{Kind: obs.KindSlotClose, Slot: slot, TIDs: tids,
+			Decoded: seen.Decoded, Collision: seen.Collision, ACK: next.ACK, Empty: next.Empty})
 	}
 	return SlotResult{Slot: slot, Transmitters: tids, Obs: seen, Feedback: next}
 }
@@ -390,7 +399,7 @@ func (s *SlotSim) Step() SlotResult {
 // nor advances its slot counter, and browned-out tags cannot recharge —
 // their rejoin deadline slides by one slot per outage slot.
 func (s *SlotSim) stepReaderDown(slot int) SlotResult {
-	if s.cfg.Trace.Enabled() {
+	if s.slotEvents {
 		s.cfg.Trace.Emit(obs.Event{Kind: obs.KindSlotOpen, Slot: slot, Detail: "reader_down"})
 	}
 	for _, t := range s.tags {
@@ -410,7 +419,7 @@ func (s *SlotSim) stepReaderDown(slot int) SlotResult {
 	// clock in the global frame, so beliefs from before the outage are
 	// judged against real elapsed slots once the carrier returns.
 	s.reader.SyncSlot(s.SlotsRun)
-	if s.cfg.Trace.Enabled() {
+	if s.slotEvents {
 		s.cfg.Trace.Emit(obs.Event{Kind: obs.KindSlotClose, Slot: slot, Detail: "reader_down"})
 	}
 	return SlotResult{Slot: slot, Feedback: s.fb}

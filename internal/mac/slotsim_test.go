@@ -1,8 +1,11 @@
 package mac
 
 import (
+	"slices"
 	"sort"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestSlotSimConvergesPerfectLinks(t *testing.T) {
@@ -344,6 +347,84 @@ func TestMillionSlotSoak(t *testing.T) {
 		}
 		if tx == 0 {
 			t.Fatalf("tag %d never transmitted in a million slots", tid)
+		}
+	}
+}
+
+// brownoutEvery browns out one tag (round robin) every n slots.
+type brownoutEvery struct {
+	n, tags int
+	fs      SlotFaults
+}
+
+func (b *brownoutEvery) BeginSlot(slot int) *SlotFaults {
+	b.fs = SlotFaults{}
+	if slot%b.n == b.n-1 {
+		b.fs.Brownout = make([]bool, b.tags)
+		b.fs.Brownout[(slot/b.n)%b.tags] = true
+	}
+	return &b.fs
+}
+
+// TestOffsetsStayInRange checks the precondition of the mask forms of
+// TransmitsAt and Conflicts: every offset a tag draws (at construction,
+// on RESET, migration, beacon loss and rejoin) and every schedule the
+// reader settles lies in [0, P).
+func TestOffsetsStayInRange(t *testing.T) {
+	for _, pt := range Table3Patterns() {
+		join := make([]int, pt.NumTags())
+		loss := make([]float64, pt.NumTags())
+		for i := range join {
+			join[i] = 50 * (i % 3) // late arrivals go through the EMPTY gate
+			loss[i] = 0.02
+		}
+		s, err := NewSlotSim(SlotSimConfig{Pattern: pt, Seed: 3, JoinSlot: join, BeaconLossProb: loss,
+			Faults: &brownoutEvery{n: 97, tags: pt.NumTags()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for slot := 0; slot < 4000; slot++ {
+			s.Step()
+			for _, tg := range s.tags {
+				if off := tg.proto.Offset(); off < 0 || off >= int(tg.proto.Period) {
+					t.Fatalf("%s slot %d: tag %d offset %d outside [0, %d)", pt.Name, slot, tg.tid, off, tg.proto.Period)
+				}
+			}
+			for tid, ok := range s.reader.settledOK {
+				if a := s.reader.settled[tid]; ok && (a.Offset < 0 || a.Offset >= int(a.Period)) {
+					t.Fatalf("%s slot %d: reader settled tid %d at %+v", pt.Name, slot, tid, a)
+				}
+			}
+		}
+	}
+}
+
+// TestMemorySinkKeepsSlotCloseTIDs: slot_close events borrow the
+// simulator's scratch slices, which the next Step overwrites. What a
+// MemorySink recorded must still read as the slot it came from, with
+// an empty transmitter list kept empty and non-nil.
+func TestMemorySinkKeepsSlotCloseTIDs(t *testing.T) {
+	sink := obs.NewMemorySink()
+	s, err := NewSlotSim(SlotSimConfig{Pattern: Table3Patterns()[2], Seed: 5, CaptureProb: 0.5, Trace: obs.New(sink)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tids, decoded [][]int
+	for i := 0; i < 2000; i++ {
+		res := s.Step()
+		tids = append(tids, slices.Clone(res.Transmitters))
+		decoded = append(decoded, slices.Clone(res.Obs.Decoded))
+	}
+	closes := obs.OfKind(sink.Events(), obs.KindSlotClose)
+	if len(closes) != len(tids) {
+		t.Fatalf("%d slot_close events for %d slots", len(closes), len(tids))
+	}
+	for i, ev := range closes {
+		if ev.TIDs == nil || !slices.Equal(ev.TIDs, tids[i]) {
+			t.Fatalf("slot %d: recorded TIDs %v, transmitters were %v", i, ev.TIDs, tids[i])
+		}
+		if (ev.Decoded == nil) != (decoded[i] == nil) || !slices.Equal(ev.Decoded, decoded[i]) {
+			t.Fatalf("slot %d: recorded Decoded %v, decoded were %v", i, ev.Decoded, decoded[i])
 		}
 	}
 }

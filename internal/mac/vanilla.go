@@ -21,18 +21,22 @@ type Assignment struct {
 
 // Conflicts reports whether two assignments ever transmit in the same
 // slot. For power-of-two periods this happens iff the offsets are
-// congruent modulo the smaller period.
+// congruent modulo the smaller period, that is iff they agree in the
+// smaller period's low bits. Precondition: both periods are valid and
+// both offsets are >= 0 (every constructor keeps offsets in [0, P)).
 func (a Assignment) Conflicts(b Assignment) bool {
 	m := a.Period
 	if b.Period < m {
 		m = b.Period
 	}
-	return a.Offset%int(m) == b.Offset%int(m)
+	return (a.Offset^b.Offset)&(int(m)-1) == 0
 }
 
-// TransmitsAt reports whether the assignment fires in absolute slot s.
+// TransmitsAt reports whether the assignment fires in absolute slot s:
+// s mod P == Offset mod P, evaluated as a mask because P is a power of
+// two. Precondition: a.Period is valid, a.Offset >= 0 and s >= 0.
 func (a Assignment) TransmitsAt(s int) bool {
-	return s%int(a.Period) == a.Offset%int(a.Period)
+	return (s^a.Offset)&(int(a.Period)-1) == 0
 }
 
 // ErrInfeasible is returned when no collision-free allocation exists.

@@ -178,3 +178,34 @@ func TestVanillaAllocateErrInfeasible(t *testing.T) {
 		t.Fatal("validation failure misreported as infeasible")
 	}
 }
+
+// TestAssignmentMaskMatchesModulo checks the mask forms of TransmitsAt
+// and Conflicts against the modulo definitions they replace, for every
+// period 2^0..2^10, every offset in [0, P) and every slot in [0, 64P).
+func TestAssignmentMaskMatchesModulo(t *testing.T) {
+	const maxLog = 10
+	for k := 0; k <= maxLog; k++ {
+		p := 1 << k
+		for off := 0; off < p; off++ {
+			a := Assignment{Period: Period(p), Offset: off}
+			for s := 0; s < 64*p; s++ {
+				if got, want := a.TransmitsAt(s), s%p == off%p; got != want {
+					t.Fatalf("%+v.TransmitsAt(%d) = %v, modulo form %v", a, s, got, want)
+				}
+			}
+		}
+		for j := 0; j <= maxLog; j++ {
+			q := 1 << j
+			m := min(p, q)
+			for ao := 0; ao < p; ao++ {
+				for bo := 0; bo < q; bo++ {
+					a := Assignment{Period: Period(p), Offset: ao}
+					b := Assignment{Period: Period(q), Offset: bo}
+					if got, want := a.Conflicts(b), ao%m == bo%m; got != want {
+						t.Fatalf("%+v.Conflicts(%+v) = %v, modulo form %v", a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}

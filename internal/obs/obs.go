@@ -9,10 +9,20 @@
 // construction behind Enabled(). When enabled, events fan out to
 // pluggable sinks (JSONL writer, in-memory aggregator) and optionally
 // feed a Metrics registry whose snapshots are deterministic (sorted by
-// name) for reproducible reports.
+// name) for reproducible reports. Producers read Tracer.Wants once, when
+// a tracer is attached, and never build the kinds it mutes.
+//
+// Sinks borrow events: an event's TIDs and Decoded slices are valid only
+// for the duration of Sink.Emit, because producers emit per-slot scratch
+// and overwrite it on the next slot. A sink that encodes inline (JSONL,
+// binary) needs nothing more; a sink that keeps events keeps
+// Event.Clone(), as MemorySink does.
 package obs
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Kind classifies a trace event. String-typed so JSONL traces are
 // self-describing and new kinds never renumber old ones.
@@ -106,8 +116,18 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
+// Clone returns ev with its own copies of TIDs and Decoded. A nil slice
+// stays nil and an empty one stays empty and non-nil.
+func (ev Event) Clone() Event {
+	ev.TIDs = slices.Clone(ev.TIDs)
+	ev.Decoded = slices.Clone(ev.Decoded)
+	return ev
+}
+
 // Sink receives emitted events. Implementations must be safe for
-// concurrent use: the fleet pool emits from worker goroutines.
+// concurrent use: the fleet pool emits from worker goroutines. The
+// event's TIDs and Decoded slices are borrowed for the duration of
+// Emit; a sink that keeps the event stores ev.Clone().
 type Sink interface {
 	Emit(Event)
 }
@@ -131,6 +151,18 @@ func New(sinks ...Sink) *Tracer { return &Tracer{sinks: sinks} }
 // guard event construction with it.
 func (t *Tracer) Enabled() bool {
 	return t != nil && (len(t.sinks) > 0 || t.m != nil)
+}
+
+// Wants reports whether Emit would deliver an event of kind k: the
+// tracer is enabled and k is not muted. Producers read it when the
+// tracer is attached and skip building the kinds it mutes.
+func (t *Tracer) Wants(k Kind) bool {
+	if !t.Enabled() {
+		return false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return !t.muted[k]
 }
 
 // AttachMetrics makes the tracer count every emitted event in m under

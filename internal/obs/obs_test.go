@@ -263,3 +263,32 @@ func TestOfKind(t *testing.T) {
 		t.Fatalf("filter wrong: %+v", opens)
 	}
 }
+
+func TestTracerWants(t *testing.T) {
+	var nilTr *Tracer
+	if nilTr.Wants(KindSlotClose) || New().Wants(KindSlotClose) {
+		t.Fatal("a disabled tracer wants events")
+	}
+	tr := New(NewMemorySink())
+	tr.Mute(KindSlotOpen)
+	if tr.Wants(KindSlotOpen) || !tr.Wants(KindSlotClose) {
+		t.Fatalf("Wants: slot_open %v (muted), slot_close %v", tr.Wants(KindSlotOpen), tr.Wants(KindSlotClose))
+	}
+}
+
+// MemorySink keeps clones: the producer's slices may be overwritten
+// after Emit, and nil and empty slices keep their nil-ness.
+func TestMemorySinkClonesBorrowedSlices(t *testing.T) {
+	sink := NewMemorySink()
+	tids := []int{1, 2}
+	sink.Emit(Event{Kind: KindSlotClose, TIDs: tids, Decoded: tids[:1]})
+	sink.Emit(Event{Kind: KindSlotClose, TIDs: tids[:0]})
+	tids[0], tids[1] = 7, 8
+	evs := sink.Events()
+	if got := evs[0]; got.TIDs[0] != 1 || got.TIDs[1] != 2 || got.Decoded[0] != 1 {
+		t.Fatalf("kept event changed with the producer's slice: %+v", got)
+	}
+	if got := evs[1]; got.TIDs == nil || len(got.TIDs) != 0 || got.Decoded != nil {
+		t.Fatalf("empty TIDs must stay empty and non-nil, nil Decoded nil: %#v", got)
+	}
+}

@@ -79,8 +79,10 @@ type MemorySink struct {
 // NewMemorySink returns an empty in-memory sink.
 func NewMemorySink() *MemorySink { return &MemorySink{} }
 
-// Emit implements Sink.
+// Emit implements Sink. The event's slices are borrowed, so the sink
+// keeps a clone.
 func (s *MemorySink) Emit(ev Event) {
+	ev = ev.Clone()
 	s.mu.Lock()
 	s.events = append(s.events, ev)
 	s.mu.Unlock()

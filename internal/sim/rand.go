@@ -56,21 +56,20 @@ func (r *Rand) ReseedFork(parent *Rand, id uint64) {
 	r.Seed(parent.Uint64() ^ (id * 0x9e3779b97f4a7c15) ^ 0xa0761d6478bd642f)
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 pseudo-random bits.
+// Uint64 returns the next 64 pseudo-random bits. The step works on
+// locals, which keeps it (and Bool) within the compiler's inlining
+// budget (check with -gcflags=-m=2).
 //
 //alloc:hot core PRNG step on every simulated slot
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	s2 ^= s0
+	s3 ^= s1
+	r.s[0] = s0 ^ s3
+	r.s[1] = s1 ^ s2
+	r.s[2] = s2 ^ s1<<17
+	r.s[3] = bits.RotateLeft64(s3, 45)
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"math/bits"
+	"testing"
+)
 
 // Seed must rewind an existing generator to exactly the stream a fresh
 // NewRand would produce — the clone pools rely on bit-identical replay.
@@ -49,5 +53,87 @@ func TestSeedAllocationFree(t *testing.T) {
 	})
 	if n != 0 {
 		t.Fatalf("Seed/ReseedFork allocate %v per run, want 0", n)
+	}
+}
+
+// refRand is the generator as first written (array-indexed state and a
+// shift-or rotate), kept as the oracle for the inlinable Uint64 step.
+type refRand struct{ s [4]uint64 }
+
+func refRotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
+
+func (r *refRand) Uint64() uint64 {
+	result := refRotl(r.s[1]*5, 7) * 9
+	t := r.s[1] << 17
+	r.s[2] ^= r.s[0]
+	r.s[3] ^= r.s[1]
+	r.s[1] ^= r.s[2]
+	r.s[0] ^= r.s[3]
+	r.s[2] ^= t
+	r.s[3] = refRotl(r.s[3], 45)
+	return result
+}
+
+func (r *refRand) Float64() float64 { return float64(r.Uint64()>>11) / (1 << 53) }
+
+func (r *refRand) Bool(p float64) bool {
+	if p <= 0 {
+		return false
+	}
+	if p >= 1 {
+		return true
+	}
+	return r.Float64() < p
+}
+
+func (r *refRand) Intn(n int) int {
+	bound := uint64(n)
+	threshold := (-bound) % bound
+	for {
+		hi, lo := bits.Mul64(r.Uint64(), bound)
+		if lo >= threshold {
+			return int(hi)
+		}
+	}
+}
+
+func (r *refRand) NormFloat64() float64 {
+	for {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		s := u*u + v*v
+		if s > 0 && s < 1 {
+			return u * math.Sqrt(-2*math.Log(s)/s)
+		}
+	}
+}
+
+// TestRandMatchesReference pins every derived draw to the oracle's
+// sequence, so a rewrite of the step cannot move any simulation's
+// random stream.
+func TestRandMatchesReference(t *testing.T) {
+	const draws = 100_000
+	for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
+		got := NewRand(seed)
+		want := &refRand{s: got.s}
+		for i := 0; i < draws; i++ {
+			if a, b := got.Uint64(), want.Uint64(); a != b {
+				t.Fatalf("seed %d Uint64 draw %d: %x != %x", seed, i, a, b)
+			}
+			if a, b := got.Float64(), want.Float64(); a != b {
+				t.Fatalf("seed %d Float64 draw %d: %v != %v", seed, i, a, b)
+			}
+			p := float64(i%11) / 10 // 0, 0.1, ..., 1
+			if a, b := got.Bool(p), want.Bool(p); a != b {
+				t.Fatalf("seed %d Bool(%v) draw %d: %v != %v", seed, p, i, a, b)
+			}
+			n := 1 + i%37
+			if a, b := got.Intn(n), want.Intn(n); a != b {
+				t.Fatalf("seed %d Intn(%d) draw %d: %d != %d", seed, n, i, a, b)
+			}
+			if a, b := got.NormFloat64(), want.NormFloat64(); a != b {
+				t.Fatalf("seed %d NormFloat64 draw %d: %v != %v", seed, i, a, b)
+			}
+		}
 	}
 }
