@@ -25,13 +25,17 @@ import (
 const fleetBenchJobs = 64
 
 // fleetBenchSpecs compiles the benchmark fleet: 64 c3 vehicles, 3000
-// slots each, on the fast slots engine.
+// slots each, on the fast slots engine, under testdata/chaos-plan.json.
+// The fault plan keeps every slot stepped: a fault-free vehicle skips
+// its steady state, which would leave the gated ratios timing little
+// but pool overhead.
 func fleetBenchSpecs(b *testing.B) []fleet.JobSpec {
 	b.Helper()
+	plan := chaosPlan(b)
 	f := arachnet.Fleet{
 		Seed: 1,
 		Vehicles: []arachnet.VehicleSpec{
-			{Name: "veh", Pattern: "c3", Slots: 3000, Replicate: fleetBenchJobs},
+			{Name: "veh", Pattern: "c3", Slots: 3000, Replicate: fleetBenchJobs, Faults: &plan},
 		},
 	}
 	specs, err := f.Jobs()
@@ -39,6 +43,21 @@ func fleetBenchSpecs(b *testing.B) []fleet.JobSpec {
 		b.Fatal(err)
 	}
 	return specs
+}
+
+// chaosPlan loads testdata/chaos-plan.json, a copy of the fleet-sweep
+// chaos plan.
+func chaosPlan(b *testing.B) arachnet.FaultPlan {
+	b.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "chaos-plan.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := arachnet.UnmarshalFaultPlan(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return plan
 }
 
 // runFleetSerial drives the specs through a plain loop — no pool, no
@@ -235,14 +254,7 @@ func BenchmarkTracedFleet(b *testing.B) {
 // function, cycling over 16 job seeds; "allocs/job" is the MemStats
 // malloc delta per job, which bench-smoke gates for "chaos".
 func BenchmarkVehicle(b *testing.B) {
-	data, err := os.ReadFile(filepath.Join("testdata", "chaos-plan.json"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := arachnet.UnmarshalFaultPlan(data)
-	if err != nil {
-		b.Fatal(err)
-	}
+	plan := chaosPlan(b)
 	for _, c := range []struct {
 		name   string
 		faults *arachnet.FaultPlan

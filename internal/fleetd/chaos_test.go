@@ -330,8 +330,11 @@ func TestChaosTornWriteQuarantinedAndConverges(t *testing.T) {
 
 // chaosKillSpec is slow enough (single worker) that the drain lands
 // mid-sweep and several periodic checkpoints get a chance to commit.
+// The small fault plan keeps every slot stepped (a fault-free slots
+// job skips its steady state); the deadline and dedupe specs below
+// carry it for the same reason.
 const chaosKillSpec = `{"seed": 123, "workers": 1, "vehicles": [
-	{"name": "kill", "engine": "slots", "pattern": "c2", "slots": 30000, "replicate": 8}
+	{"name": "kill", "engine": "slots", "pattern": "c2", "slots": 30000, "replicate": 8, "faults": {"feedback": {"loss_prob": 0.001}}}
 ]}`
 
 // TestChaosKillAtCheckpoint: the filesystem dies at op K — before the
@@ -767,7 +770,7 @@ func TestChaosFatalShardsNotRerun(t *testing.T) {
 // the overrun is counted.
 func TestChaosJobDeadline(t *testing.T) {
 	slow := `{"seed": 9, "workers": 1, "vehicles": [
-		{"name": "slow", "engine": "slots", "pattern": "c2", "slots": 100000, "replicate": 12}
+		{"name": "slow", "engine": "slots", "pattern": "c2", "slots": 100000, "replicate": 12, "faults": {"feedback": {"loss_prob": 0.001}}}
 	]}`
 	_, base := chaosServer(t, Config{JobDeadline: 60 * time.Millisecond})
 	c := api.NewClient(base)
@@ -804,7 +807,7 @@ func TestChaosSubmitDedupe(t *testing.T) {
 	c := api.NewClient(base)
 	ctx := context.Background()
 	slow := `{"seed": 31, "workers": 1, "vehicles": [
-		{"name": "dup", "engine": "slots", "pattern": "c2", "slots": 60000, "replicate": 6}
+		{"name": "dup", "engine": "slots", "pattern": "c2", "slots": 60000, "replicate": 6, "faults": {"feedback": {"loss_prob": 0.001}}}
 	]}`
 	first, err := c.Submit(ctx, []byte(slow))
 	if err != nil {

@@ -14,9 +14,11 @@ import (
 
 // resumeSpec is slow enough (single worker, ~12 shards of 100k slots)
 // that a drain reliably lands mid-sweep, and deterministic so the
-// resumed fingerprint has a pinned reference.
+// resumed fingerprint has a pinned reference. Its small fault plan
+// keeps every slot stepped: a fault-free slots job skips its steady
+// state and would finish before the drain.
 const resumeSpec = `{"seed": 77, "workers": 1, "vehicles": [
-	{"name": "long", "engine": "slots", "pattern": "c2", "slots": 100000, "replicate": 12}
+	{"name": "long", "engine": "slots", "pattern": "c2", "slots": 100000, "replicate": 12, "faults": {"feedback": {"loss_prob": 0.001}}}
 ]}`
 
 // TestResumeAfterDrain is the kill/restart determinism leg: drain a

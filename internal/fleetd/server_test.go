@@ -201,11 +201,12 @@ func TestStream(t *testing.T) {
 // TestBackpressure fills the queue and requires 429 + Retry-After.
 func TestBackpressure(t *testing.T) {
 	// One runner, queue depth 1, and a job slow enough to hold the
-	// runner while the queue fills.
+	// runner while the queue fills (its fault plan keeps every slot
+	// stepped; a fault-free slots job skips its steady state).
 	_, c := startServer(t, Config{QueueDepth: 1, Runners: 1})
 	ctx := context.Background()
 	slow := `{"seed": 5, "workers": 1, "vehicles": [
-		{"name": "slow", "engine": "slots", "pattern": "c1", "slots": 400000, "replicate": 4}
+		{"name": "slow", "engine": "slots", "pattern": "c1", "slots": 400000, "replicate": 4, "faults": {"feedback": {"loss_prob": 0.001}}}
 	]}`
 	quick := `{"seed": 6, "vehicles": [{"name": "q", "engine": "slots", "pattern": "c1", "slots": 1000}]}`
 
@@ -262,7 +263,7 @@ func TestCancelQueued(t *testing.T) {
 	_, c := startServer(t, Config{QueueDepth: 2, Runners: 1})
 	ctx := context.Background()
 	slow := `{"seed": 5, "workers": 1, "vehicles": [
-		{"name": "slow", "engine": "slots", "pattern": "c1", "slots": 400000, "replicate": 4}
+		{"name": "slow", "engine": "slots", "pattern": "c1", "slots": 400000, "replicate": 4, "faults": {"feedback": {"loss_prob": 0.001}}}
 	]}`
 	quick := `{"seed": 6, "vehicles": [{"name": "q", "engine": "slots", "pattern": "c1", "slots": 1000}]}`
 	if _, err := c.Submit(ctx, []byte(slow)); err != nil {
@@ -396,7 +397,7 @@ func TestBackpressureRollback(t *testing.T) {
 	s, c := startServer(t, Config{QueueDepth: 1, Runners: 1})
 	ctx := context.Background()
 	slow := `{"seed": 5, "workers": 1, "vehicles": [
-		{"name": "slow", "engine": "slots", "pattern": "c1", "slots": 400000, "replicate": 4}
+		{"name": "slow", "engine": "slots", "pattern": "c1", "slots": 400000, "replicate": 4, "faults": {"feedback": {"loss_prob": 0.001}}}
 	]}`
 	quick := `{"seed": 6, "vehicles": [{"name": "q", "engine": "slots", "pattern": "c1", "slots": 1000}]}`
 	overflow := `{"seed": 9, "vehicles": [{"name": "x", "engine": "slots", "pattern": "c1", "slots": 1000}]}`

@@ -22,7 +22,8 @@ import (
 // beyond the dense range spill into a lazily-built overflow set.
 type ReaderProtocol struct {
 	// Periods maps TID to its transmission period (known to the reader
-	// by provisioning, Sec. 5.5).
+	// by provisioning, Sec. 5.5). It is read at construction; changing
+	// it afterwards does not re-provision the reader.
 	Periods map[int]Period
 	// NackThreshold mirrors the tags' N: after this many consecutive
 	// missed expected slots the reader un-settles its belief about a
@@ -37,6 +38,10 @@ type ReaderProtocol struct {
 
 	slot int // index of the slot that is about to end
 	maxP int // largest provisioned period
+
+	// period is Periods as a dense tid-indexed table (0 = not
+	// provisioned), so judgeSolo needs no map lookup.
+	period []Period
 
 	// Dense tid-indexed protocol state, length maxTID+1 (index 0
 	// unused). settledOK[tid] gates settled[tid]/misses[tid];
@@ -112,6 +117,7 @@ func NewReaderProtocol(periods map[int]Period) (*ReaderProtocol, error) {
 		Periods:       periods,
 		NackThreshold: DefaultNackThreshold,
 		maxP:          maxP,
+		period:        make([]Period, maxTID+1),
 		settled:       make([]Assignment, maxTID+1),
 		settledOK:     make([]bool, maxTID+1),
 		misses:        make([]int, maxTID+1),
@@ -119,6 +125,11 @@ func NewReaderProtocol(periods map[int]Period) (*ReaderProtocol, error) {
 		exAs:          make([]Assignment, 0, maxTID+1),
 		exTIDs:        make([]int, 0, maxTID+1),
 		vScratch:      make([]Assignment, 0, maxTID+2),
+	}
+	for tid, p := range periods {
+		if tid > 0 { // observations never carry tid <= 0
+			r.period[tid] = p
+		}
 	}
 	r.reset()
 	return r, nil
@@ -239,15 +250,18 @@ func (r *ReaderProtocol) EndSlot(o Observation) (Feedback, error) {
 // judgeSolo decides ACK for a cleanly decoded single packet from tid in
 // slot s, applying future-collision avoidance.
 func (r *ReaderProtocol) judgeSolo(tid, s int) bool {
-	p, known := r.Periods[tid]
-	if !known {
+	r.markAppeared(tid)
+	var p Period
+	if tid < len(r.period) {
+		p = r.period[tid]
+	}
+	if p == 0 {
 		// A tag the reader was not provisioned for: tolerate it with a
 		// plain ACK (it cannot be checked for future collisions).
-		r.markAppeared(tid)
 		return true
 	}
-	r.markAppeared(tid)
-	cand := Assignment{Period: p, Offset: s % int(p)}
+	// s mod p as a mask: p is a power of two and s >= 0.
+	cand := Assignment{Period: p, Offset: s & (int(p) - 1)}
 
 	if r.settledOK[tid] && r.settled[tid] == cand {
 		// Settled tag on its usual schedule.

@@ -38,6 +38,13 @@ type SlotSim struct {
 	TruthNonEmpty   int
 	TruthCollisions int
 	SlotsRun        int
+
+	// Steady-state fast-forward (cycle.go): noLinkLoss caches the
+	// config half of Run's eligibility, cyc is the last H-boundary
+	// mark, and skipped counts the slots Run advanced without stepping.
+	noLinkLoss bool
+	cyc        cycleMark
+	skipped    int
 }
 
 type simTag struct {
@@ -169,6 +176,12 @@ func NewSlotSim(cfg SlotSimConfig) (*SlotSim, error) {
 		Window:      NewWindowStats(),
 		Convergence: NewConvergenceDetector(),
 		slotEvents:  wantsSlotEvents(cfg.Trace),
+		noLinkLoss:  true,
+	}
+	for i := range tags {
+		if cfg.beaconLoss(i) > 0 || cfg.ulFail(i) > 0 {
+			s.noLinkLoss = false
+		}
 	}
 	return s, nil
 }
@@ -210,6 +223,8 @@ func (s *SlotSim) Reset(seed uint64) {
 	s.TruthNonEmpty = 0
 	s.TruthCollisions = 0
 	s.SlotsRun = 0
+	s.cyc.drop()
+	s.skipped = 0
 }
 
 // AttachObservers points the simulator (and its reader protocol) at a
@@ -221,6 +236,7 @@ func (s *SlotSim) AttachObservers(trace *obs.Tracer, faults FaultSource) {
 	s.cfg.Faults = faults
 	s.reader.Trace = trace
 	s.slotEvents = wantsSlotEvents(trace)
+	s.cyc.drop()
 }
 
 func wantsSlotEvents(t *obs.Tracer) bool {
@@ -425,9 +441,26 @@ func (s *SlotSim) stepReaderDown(slot int) SlotResult {
 	return SlotResult{Slot: slot, Feedback: s.fb}
 }
 
-// Run advances n slots.
+// Run advances n slots. Without a fault source or a tracer, once the
+// state provably repeats over one hyperperiod H (cycle.go), Run skips
+// the whole cycles left arithmetically; every output is the same as
+// stepping each slot.
 func (s *SlotSim) Run(n int) {
-	for i := 0; i < n; i++ {
+	if !s.cycleEligible() {
+		for i := 0; i < n; i++ {
+			s.Step()
+		}
+		return
+	}
+	end := s.SlotsRun + n
+	h := s.reader.maxP
+	for s.SlotsRun < end {
+		if s.SlotsRun&(h-1) == 0 {
+			s.cycleBoundary(end, h)
+			if s.SlotsRun == end {
+				break
+			}
+		}
 		s.Step()
 	}
 }

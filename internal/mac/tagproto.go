@@ -153,7 +153,9 @@ func (t *TagProtocol) OnBeacon(fb Feedback) bool {
 	}
 	t.transmitted = false
 	t.counter++
-	if t.counter%int(t.Period) != t.offset {
+	// s mod p == a as a mask (p is a power of two). The counter is
+	// never negative here: ResetState's -1 was just incremented to 0.
+	if t.counter&(int(t.Period)-1) != t.offset {
 		return false
 	}
 	if t.newcomer && !fb.Empty && !t.DisableEmptyGate {

@@ -56,11 +56,13 @@ go build -o "$workdir/arachnet-trace" ./cmd/arachnet-trace
 ckdump() { "$workdir/arachnet-trace" -convert "$1" >"$workdir/ck.json" 2>/dev/null; }
 
 # Single worker and ~24 shards keep the sweep running for a few seconds
-# so the SIGTERM below reliably lands mid-run.
+# so the SIGTERM below reliably lands mid-run. The small fault plan
+# keeps every slot stepped: a fault-free slots job skips its steady
+# state and would finish before the signal.
 spec="$workdir/spec.json"
 cat > "$spec" <<'EOF'
 {"seed": 20260808, "workers": 1, "vehicles": [
-  {"name": "smoke", "engine": "slots", "pattern": "c2", "slots": 150000, "replicate": 24}
+  {"name": "smoke", "engine": "slots", "pattern": "c2", "slots": 150000, "replicate": 24, "faults": {"feedback": {"loss_prob": 0.001}}}
 ]}
 EOF
 
