@@ -3,7 +3,6 @@ package arachnet
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/fleet"
@@ -27,7 +26,6 @@ type (
 	FleetReport       = fleet.Report
 	FleetOutcome      = fleet.JobOutcome
 	FleetObserver     = fleet.Observer
-	FleetSnapshot     = fleet.Snapshot
 	FleetDistribution = fleet.Distribution
 	FleetStatus       = fleet.Status
 )
@@ -407,28 +405,4 @@ func (f Fleet) Run(ctx context.Context) (*FleetReport, error) {
 		JobTimeout: f.JobTimeout,
 		Observer:   f.Observer,
 	}, specs)
-}
-
-// RunFleet is the package-level convenience form of Fleet.Run.
-func RunFleet(ctx context.Context, f Fleet) (*FleetReport, error) { return f.Run(ctx) }
-
-// NewFleetPool builds a reusable pool for the fleet, so callers can
-// poll live progress snapshots while it runs.
-func NewFleetPool(f Fleet) (*fleet.Pool, error) {
-	specs, err := f.Jobs()
-	if err != nil {
-		return nil, err
-	}
-	return fleet.NewPool(FleetConfig{
-		Workers:    f.Workers,
-		Seed:       f.Seed,
-		JobTimeout: f.JobTimeout,
-		Observer:   f.Observer,
-	}, specs)
-}
-
-// NewFleetTraceObserver returns an observer that writes one line per
-// job lifecycle event.
-func NewFleetTraceObserver(w io.Writer) FleetObserver {
-	return fleet.NewTraceObserver(w)
 }

@@ -63,7 +63,7 @@ func TestFleetNetworkEngine(t *testing.T) {
 			{Name: "suv", Engine: "network", Pattern: "c3", Seconds: 60, Replicate: 2},
 		},
 	}
-	rep, err := RunFleet(context.Background(), f)
+	rep, err := f.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,28 +211,5 @@ func TestFleetJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalFleetJSON([]byte(`{not json`)); err == nil {
 		t.Error("bad JSON accepted")
-	}
-}
-
-// TestFleetSnapshotProgress exercises the pool + snapshot path through
-// the public wrapper.
-func TestFleetSnapshotProgress(t *testing.T) {
-	pool, err := NewFleetPool(Fleet{
-		Seed:     2,
-		Workers:  2,
-		Vehicles: []VehicleSpec{{Name: "s", Pattern: "c1", Slots: 2000, Replicate: 6}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	sn := pool.Snapshot()
-	if sn.Done != 6 || sn.Completed != 6 {
-		t.Errorf("snapshot: %+v", sn)
-	}
-	if sn.Counters[FleetCounterSlots] != 6*2000 {
-		t.Errorf("slot counter: %d", sn.Counters[FleetCounterSlots])
 	}
 }

@@ -162,9 +162,3 @@ func TraceEventsOfKind(events []TraceEvent, k TraceKind) []TraceEvent {
 // NewFleetTracerObserver returns a fleet observer that forwards job
 // lifecycle events to the tracer as TraceJobStart / TraceJobFinish.
 func NewFleetTracerObserver(t *Tracer) FleetObserver { return fleet.NewTracerObserver(t) }
-
-// FleetObservers fans lifecycle events out to several observers; nil
-// entries are skipped.
-func FleetObservers(observers ...FleetObserver) FleetObserver {
-	return fleet.MultiObserver(observers...)
-}

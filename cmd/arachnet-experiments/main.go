@@ -39,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	list := fs.Bool("list", false, "list experiment names and exit")
 	format := fs.String("format", "table", "output format: table or csv")
 	workers := fs.Int("workers", 0, "Monte Carlo trial fan-out (0 = GOMAXPROCS; results are identical for any width)")
-	tracePath := fs.String("trace", "", `write fleet-sweep lifecycle events to this file ("-" = stderr)`)
+	tracePath := fs.String("trace", "", `write every trial's job_start/job_finish events to this file ("-" = stderr)`)
 	traceFormat := fs.String("trace-format", "jsonl", "trace encoding: jsonl or binary")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")

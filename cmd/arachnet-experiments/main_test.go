@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/arachnet"
 )
 
 // TestOutputGolden pins the command's stdout byte for byte: the -list
@@ -60,5 +64,64 @@ func TestUsageErrors(t *testing.T) {
 		if !strings.Contains(stderr.String(), c.msg) {
 			t.Errorf("run %q stderr %q, want %q", c.args, stderr.String(), c.msg)
 		}
+	}
+}
+
+// TestTraceRecordsEveryTrial: -trace observes every trial fan-out —
+// fig12a's captures as well as fig15a's seeds — with one job_start and
+// one job_finish per trial, and leaves stdout untouched.
+func TestTraceRecordsEveryTrial(t *testing.T) {
+	args := []string{"-quick", "-workers", "1", "fig12a", "fig15a"}
+	var plain, stderr bytes.Buffer
+	if code := run(args, &plain, &stderr); code != 0 {
+		t.Fatalf("run %q = %d, stderr %q", args, code, stderr.String())
+	}
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	var traced bytes.Buffer
+	targs := append([]string{"-trace", path}, args...)
+	if code := run(targs, &traced, &stderr); code != 0 {
+		t.Fatalf("run %q = %d, stderr %q", targs, code, stderr.String())
+	}
+	if traced.String() != plain.String() {
+		t.Fatalf("-trace changed stdout:\n got %q\nwant %q", traced.String(), plain.String())
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts, finishes := map[string]int{}, map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var ev arachnet.TraceEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		switch ev.Kind {
+		case arachnet.TraceJobStart:
+			starts[ev.Name]++
+		case arachnet.TraceJobFinish:
+			finishes[ev.Name]++
+			if ev.Detail != "ok" {
+				t.Errorf("%s finished %q", ev.Name, ev.Detail)
+			}
+		}
+	}
+	// fig12a: 6 rates x 3 tags; fig15a: c1..c5 x 7 quick seeds.
+	var want []string
+	for i := 0; i < 18; i++ {
+		want = append(want, fmt.Sprintf("fig12a-%d", i))
+	}
+	for c := 1; c <= 5; c++ {
+		for seed := 0; seed < 7; seed++ {
+			want = append(want, fmt.Sprintf("fig15-c%d-%d", c, seed))
+		}
+	}
+	for _, name := range want {
+		if starts[name] != 1 || finishes[name] != 1 {
+			t.Errorf("trial %s: %d job_start, %d job_finish, want 1 each", name, starts[name], finishes[name])
+		}
+	}
+	if len(starts) != len(want) || len(finishes) != len(want) {
+		t.Errorf("trace covers %d started and %d finished trials, want %d", len(starts), len(finishes), len(want))
 	}
 }

@@ -23,7 +23,7 @@
 // with a local run and cross-checks that both fingerprints agree. -job
 // ID attaches to an already-submitted job (stream + report) without
 // submitting anything. The -trace/-metrics flags apply to local runs
-// only.
+// only; -trace - streams the job_start/job_finish events to stderr.
 //
 //	arachnet-fleet -server http://127.0.0.1:8040 fleet.json
 //	arachnet-fleet -server http://127.0.0.1:8040 -pattern c3 -vehicles 64 -verify
@@ -68,9 +68,8 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-job wall-clock timeout (overrides the spec)")
 	seed := flag.Uint64("seed", 0, "fleet master seed (overrides the spec)")
 	jsonOut := flag.Bool("json", false, "write the full report as JSON on stdout")
-	tracePath := flag.String("trace", "", `write job lifecycle events to this file ("-" = stderr)`)
+	tracePath := flag.String("trace", "", `write job lifecycle events (job_start, job_finish) to this file ("-" = stderr)`)
 	traceFormat := flag.String("trace-format", "jsonl", "trace encoding: jsonl or binary (convert either way with arachnet-trace -convert)")
-	traceText := flag.Bool("trace-text", false, "trace job lifecycle events as text to stderr")
 	metrics := flag.Bool("metrics", false, "print aggregated event metrics to stderr at exit")
 	writeSpec := flag.String("write-spec", "", "write the effective fleet spec as JSON to this file and exit")
 	faultsPath := flag.String("faults", "", "JSON fault plan injected into every vehicle (fleet-wide default; spec vehicles may override)")
@@ -170,9 +169,8 @@ func main() {
 		os.Exit(code)
 	}
 
-	// Lifecycle observability: a JSONL or binary stream and/or metrics
-	// ride the obs event types; -trace-text keeps the human-readable
-	// stderr stream.
+	// Lifecycle observability: a JSONL or binary stream (-trace - for
+	// stderr) and/or metrics ride the obs event types.
 	var trace arachnet.TraceFileSink
 	var tr *arachnet.Tracer
 	if *tracePath != "" || *metrics {
@@ -191,9 +189,6 @@ func main() {
 		}
 		f.Observer = arachnet.NewFleetTracerObserver(tr)
 	}
-	if *traceText {
-		f.Observer = arachnet.FleetObservers(arachnet.NewFleetTraceObserver(os.Stderr), f.Observer)
-	}
 
 	jobs, err := f.Jobs()
 	if err != nil {
@@ -208,7 +203,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	rep, err := arachnet.RunFleet(ctx, f)
+	rep, err := f.Run(ctx)
 	if rep == nil {
 		fatal(err)
 	}
@@ -399,7 +394,7 @@ func runClient(ctx context.Context, c *api.Client, jobID string, f arachnet.Flee
 	if verify {
 		// Determinism cross-check: the same (spec, seed) run locally
 		// must fingerprint identically to the daemon's report.
-		local, err := arachnet.RunFleet(ctx, f)
+		local, err := f.Run(ctx)
 		if local == nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1

@@ -10,7 +10,7 @@
 // distributed slot-allocation protocol and its formal convergence
 // model) under internal/. Fleet-scale runs — many independent vehicle
 // simulations sharded across a deterministic worker pool — go through
-// arachnet.RunFleet (internal/fleet, cmd/arachnet-fleet). See
+// arachnet.Fleet.Run (internal/fleet, cmd/arachnet-fleet). See
 // README.md for the architecture overview, DESIGN.md for the system
 // inventory and EXPERIMENTS.md for the paper-versus-measured record.
 package repro

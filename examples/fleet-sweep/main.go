@@ -37,7 +37,7 @@ func main() {
 	fmt.Printf("fleet sweep: %d vehicles (%d workloads x %d seeds)\n\n",
 		len(jobs), len(patterns), replicas)
 
-	rep, err := arachnet.RunFleet(context.Background(), f)
+	rep, err := f.Run(context.Background())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -77,7 +77,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	local, err := arachnet.RunFleet(ctx, f)
+	local, err := f.Run(ctx)
 	if err != nil {
 		fail(err)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/mac"
@@ -125,30 +124,31 @@ func RunAblationEmptyGate(seeds int) (Table, error) {
 		if disable {
 			name = "empty-gate-off"
 		}
-		res, err := fleetSweep(name, seeds, func(_ context.Context, seed uint64) (map[string]float64, error) {
+		collisions := make([]int, seeds)
+		settledRuns := make([]bool, seeds)
+		if err := runJobs(name, seeds, func(seed int) error {
 			s, err := mac.NewSlotSim(mac.SlotSimConfig{
-				Pattern: pt, Seed: seed, JoinSlot: join,
+				Pattern: pt, Seed: uint64(seed), JoinSlot: join,
 				DisableEmptyGate: disable,
 			})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			s.Run(3000)
 			pre := s.TruthCollisions
 			s.Run(4000)
-			m := map[string]float64{"collisions": float64(s.TruthCollisions - pre)}
-			if s.AllSettled() {
-				m["settled"] = 1
-			}
-			return m, nil
-		})
-		if err != nil {
+			collisions[seed] = s.TruthCollisions - pre
+			settledRuns[seed] = s.AllSettled()
+			return nil
+		}); err != nil {
 			return 0, 0, err
 		}
 		totalCollisions, settled := 0, 0
-		for _, m := range res {
-			totalCollisions += int(m["collisions"])
-			settled += int(m["settled"])
+		for seed, c := range collisions {
+			totalCollisions += c
+			if settledRuns[seed] {
+				settled++
+			}
 		}
 		return totalCollisions, settled, nil
 	}
@@ -184,27 +184,28 @@ func RunAblationFutureCollision(seeds int) (Table, error) {
 		if disable {
 			name = "future-veto-off"
 		}
-		res, err := fleetSweep(name, seeds, func(_ context.Context, seed uint64) (map[string]float64, error) {
+		collisions := make([]int, seeds)
+		resolvedRuns := make([]bool, seeds)
+		if err := runJobs(name, seeds, func(seed int) error {
 			s, err := mac.NewSlotSim(mac.SlotSimConfig{
-				Pattern: pt, Seed: seed, JoinSlot: join,
+				Pattern: pt, Seed: uint64(seed), JoinSlot: join,
 				DisableFutureVeto: disable,
 			})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			s.Run(6000)
-			m := map[string]float64{"collisions": float64(s.TruthCollisions)}
-			if s.AllSettled() && mac.VerifySchedule(s.Assignments()) == nil {
-				m["resolved"] = 1
-			}
-			return m, nil
-		})
-		if err != nil {
+			collisions[seed] = s.TruthCollisions
+			resolvedRuns[seed] = s.AllSettled() && mac.VerifySchedule(s.Assignments()) == nil
+			return nil
+		}); err != nil {
 			return 0, 0, err
 		}
-		for _, m := range res {
-			resolved += int(m["resolved"])
-			futureCollisions += int(m["collisions"])
+		for seed, c := range collisions {
+			futureCollisions += c
+			if resolvedRuns[seed] {
+				resolved++
+			}
 		}
 		return resolved, futureCollisions, nil
 	}

@@ -30,7 +30,7 @@ func RunModeCrossValidation(seed uint64, seconds int) (Table, error) {
 	// The two modes are independent networks with the same seed; run
 	// them concurrently (the waveform mode dominates the wall clock).
 	var stats [2]arachnet.NetworkStats
-	if err := runJobs(2, func(i int) error {
+	if err := runJobs("crossval", 2, func(i int) error {
 		st, err := run(i == 1)
 		stats[i] = st
 		return err

@@ -59,7 +59,7 @@ func RunFig12a(seed uint64) ([]Fig12aCell, Table, error) {
 			jobs = append(jobs, job{tag: id, rate: rate, snr: snr, baseband: baseband, fs: fs})
 		}
 	}
-	if err := runJobs(len(jobs), func(i int) error {
+	if err := runJobs("fig12a", len(jobs), func(i int) error {
 		meas, err := measureSNRFromBaseband(jobs[i].baseband, jobs[i].fs, jobs[i].rate)
 		jobs[i].meas = meas
 		return err
@@ -151,7 +151,7 @@ func RunFig12b(seed uint64, packets int) ([]Fig12bCell, Table, error) {
 				rng: rng.Fork(uint64(id)*1000 + uint64(rate))})
 		}
 	}
-	if err := runJobs(len(jobs), func(i int) error {
+	if err := runJobs("fig12b", len(jobs), func(i int) error {
 		lost, err := countULLosses(ch, jobs[i].tag, jobs[i].rate, packets, jobs[i].rng)
 		jobs[i].lost = lost
 		return err

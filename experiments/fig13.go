@@ -31,7 +31,7 @@ func RunFig13a(seed uint64, slots int) ([]Fig13aCell, Table, error) {
 	// in rate order.
 	rateCells := make([][]Fig13aCell, len(rates))
 	rateRows := make([][]string, len(rates))
-	if err := runJobs(len(rates), func(ri int) error {
+	if err := runJobs("fig13a", len(rates), func(ri int) error {
 		rate := rates[ri]
 		row := []string{fmt.Sprintf("%g", rate)}
 		cfg := arachnet.NetworkConfig{Seed: seed + uint64(rate)}

@@ -27,7 +27,7 @@ func RunFig14(seed uint64) (Fig14Result, Table, error) {
 	var net *arachnet.Network
 	var wfSpark string
 	var wfErr error
-	if err := runJobs(2, func(i int) error {
+	if err := runJobs("fig14", 2, func(i int) error {
 		if i == 1 {
 			wfSpark, wfErr = RenderFig14Waveform(seed)
 			return nil

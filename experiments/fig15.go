@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -24,8 +23,8 @@ type Fig15Row struct {
 
 // runConvergence measures first convergence (32 clean slots after
 // RESET) for one pattern across seeds. The per-seed trials run through
-// the fleet worker pool; seeds stay the trial indices, so the measured
-// distribution matches the historical serial sweep exactly.
+// runJobs; seeds stay the trial indices, so the measured distribution
+// matches the historical serial sweep exactly.
 func runConvergence(pt mac.Pattern, seeds int, maxSlots int) (Fig15Row, error) {
 	// One snapshot per pattern: every per-seed trial rewinds a pooled
 	// clone instead of rebuilding the simulator, so the sweep's control
@@ -36,21 +35,18 @@ func runConvergence(pt mac.Pattern, seeds int, maxSlots int) (Fig15Row, error) {
 	if err != nil {
 		return Fig15Row{}, err
 	}
-	res, err := fleetSweep("fig15-"+pt.Name, seeds, func(_ context.Context, seed uint64) (map[string]float64, error) {
-		s := snap.Acquire(seed, nil, nil)
+	times := make([]int, seeds)
+	if err := runJobs("fig15-"+pt.Name, seeds, func(seed int) error {
+		s := snap.Acquire(uint64(seed), nil, nil)
 		defer snap.Release(s)
 		t, ok := s.RunUntilConverged(maxSlots)
 		if !ok {
-			return nil, fmt.Errorf("%s seed %d: no convergence in %d slots", pt.Name, seed, maxSlots)
+			return fmt.Errorf("%s seed %d: no convergence in %d slots", pt.Name, seed, maxSlots)
 		}
-		return map[string]float64{"slots": float64(t)}, nil
-	})
-	if err != nil {
+		times[seed] = t
+		return nil
+	}); err != nil {
 		return Fig15Row{}, err
-	}
-	times := make([]int, len(res))
-	for i, m := range res {
-		times[i] = int(m["slots"])
 	}
 	sort.Ints(times)
 	q := func(p float64) int { return times[int(p*float64(len(times)-1))] }

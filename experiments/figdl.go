@@ -67,7 +67,7 @@ func RunDLSchemeStudy(seed uint64, beacons int) ([]DLSchemeCell, Table, error) {
 				rng: rng.Fork(uint64(rate) + uint64(len(sch.name)))})
 		}
 	}
-	if err := runJobs(len(jobs), func(i int) error {
+	if err := runJobs("dl-scheme", len(jobs), func(i int) error {
 		lost, err := countDLLosses(jobs[i].rate, jobs[i].lowLeak, jobs[i].ringTau, beacons, jobs[i].rng)
 		jobs[i].lost = lost
 		return err

@@ -3,12 +3,14 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestRunJobsIndexOrderAndErrors(t *testing.T) {
 	got := make([]int, 100)
-	if err := runJobs(len(got), func(i int) error {
+	if err := runJobs("square", len(got), func(i int) error {
 		got[i] = i * i
 		return nil
 	}); err != nil {
@@ -21,7 +23,7 @@ func TestRunJobsIndexOrderAndErrors(t *testing.T) {
 	}
 	// The reported error must be the lowest-index failure regardless of
 	// completion order.
-	err := runJobs(50, func(i int) error {
+	err := runJobs("fail", 50, func(i int) error {
 		if i == 7 || i == 33 {
 			return fmt.Errorf("job %d failed", i)
 		}
@@ -30,8 +32,35 @@ func TestRunJobsIndexOrderAndErrors(t *testing.T) {
 	if err == nil || err.Error() != "job 7 failed" {
 		t.Fatalf("err = %v, want job 7's", err)
 	}
-	if err := runJobs(0, func(int) error { return fmt.Errorf("never") }); err != nil {
+	if err := runJobs("none", 0, func(int) error { return fmt.Errorf("never") }); err != nil {
 		t.Fatalf("n=0 returned %v", err)
+	}
+}
+
+// TestRunJobsWorkerBound: the fan-out never has more fn calls in
+// flight than SetWorkers allows, so -workers 1 really runs serially.
+func TestRunJobsWorkerBound(t *testing.T) {
+	defer SetWorkers(SetWorkers(1))
+	for _, workers := range []int{1, 3} {
+		SetWorkers(workers)
+		var mu sync.Mutex
+		inFlight, peak := 0, 0
+		if err := runJobs("bound", 24, func(int) error {
+			mu.Lock()
+			inFlight++
+			peak = max(peak, inFlight)
+			mu.Unlock()
+			time.Sleep(2 * time.Millisecond) // widen the window for overlap
+			mu.Lock()
+			inFlight--
+			mu.Unlock()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if peak > workers {
+			t.Errorf("SetWorkers(%d): %d fn calls in flight at once", workers, peak)
+		}
 	}
 }
 
@@ -65,6 +94,16 @@ func TestExperimentsWorkerCountIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		out = append(out, result{"dlscheme", tbdl})
+		_, tb15a, err := RunFig15a(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, result{"fig15a", tb15a})
+		tbEmpty, err := RunAblationEmptyGate(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, result{"ablation-empty", tbEmpty})
 		return out
 	}
 	prev := SetWorkers(1)

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -184,15 +185,15 @@ func (r *Report) FirstError() string {
 }
 
 // Pool is a reusable fleet runner over one fixed job list: construct
-// with NewPool, start with Run, and poll Snapshot from other
-// goroutines for live progress. Preload (before Run) marks jobs from a
-// previous, interrupted run as already complete, so checkpointed
-// sweeps resume without recomputing finished shards.
+// with NewPool, start with Run, and poll Done from other goroutines
+// for live progress. Preload (before Run) marks jobs from a previous,
+// interrupted run as already complete, so checkpointed sweeps resume
+// without recomputing finished shards.
 type Pool struct {
 	cfg       Config
 	specs     []JobSpec
 	outcomes  []JobOutcome
-	agg       *aggregator
+	done      atomic.Int64
 	preloaded int
 	started   bool
 }
@@ -211,7 +212,6 @@ func NewPool(cfg Config, specs []JobSpec) (*Pool, error) {
 		cfg:      cfg,
 		specs:    specs,
 		outcomes: make([]JobOutcome, len(specs)),
-		agg:      newAggregator(len(specs)),
 	}, nil
 }
 
@@ -247,7 +247,7 @@ func (p *Pool) Preload(outcomes []JobOutcome) error {
 			return fmt.Errorf("fleet: preload job %d already loaded", o.Index)
 		}
 		p.outcomes[o.Index] = o
-		p.agg.add(o)
+		p.done.Add(1)
 		p.preloaded++
 	}
 	return nil
@@ -293,7 +293,7 @@ func (p *Pool) Run(ctx context.Context) (*Report, error) {
 			for idx := range queue {
 				out := p.runJob(ctx, idx)
 				p.outcomes[idx] = out
-				p.agg.add(out)
+				p.done.Add(1)
 				if p.cfg.Observer != nil {
 					p.cfg.Observer.JobFinished(out)
 				}
@@ -315,7 +315,7 @@ func (p *Pool) Run(ctx context.Context) (*Report, error) {
 					Err:     stop.Error(),
 				}
 				p.outcomes[i] = out
-				p.agg.add(out)
+				p.done.Add(1)
 			}
 		}
 	}
@@ -486,11 +486,10 @@ func (p *Pool) buildReport(workers int, wall time.Duration) *Report {
 	return rep
 }
 
-// Snapshot returns the live progress view; safe to call concurrently
-// with Run. Percentiles are exact over the jobs finished so far, but
-// the view reflects completion order — the final Report is the
-// canonical index-ordered aggregate.
-func (p *Pool) Snapshot() Snapshot { return p.agg.snapshot() }
+// Done counts the jobs with a terminal outcome so far, preloaded ones
+// included; safe to call concurrently with Run. It is the only live
+// view of a pool: the final Report is the one aggregate.
+func (p *Pool) Done() int { return int(p.done.Load()) }
 
 // Run is the one-shot convenience wrapper: build a pool and run it.
 func Run(ctx context.Context, cfg Config, specs []JobSpec) (*Report, error) {

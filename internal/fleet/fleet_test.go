@@ -207,28 +207,59 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-// TestSnapshot exercises the streaming metrics view during and after a
-// run.
-func TestSnapshot(t *testing.T) {
-	p, err := NewPool(Config{Workers: 2, Seed: 3}, makeSpecs(16))
+// TestPoolDone pins the live done count: preloaded outcomes count
+// before Run, a finished job is counted before its observer hears of
+// it, jobs a cancelled run never started count too, and after Run it
+// equals the job count. The report is the aggregate of what finished.
+func TestPoolDone(t *testing.T) {
+	ref, err := Run(context.Background(), Config{Workers: 2, Seed: 3}, makeSpecs(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Run(context.Background()); err != nil {
+	var p *Pool
+	var finished atomic.Int32
+	var lagged atomic.Bool
+	cfg := Config{Workers: 2, Seed: 3, Observer: ObserverFuncs{OnFinish: func(JobOutcome) {
+		if p.Done() < 5+int(finished.Add(1)) {
+			lagged.Store(true)
+		}
+	}}}
+	p, err = NewPool(cfg, makeSpecs(16))
+	if err != nil {
 		t.Fatal(err)
 	}
-	sn := p.Snapshot()
-	if sn.Done != 16 || sn.Completed != 16 || sn.Total != 16 {
-		t.Fatalf("snapshot: %+v", sn)
+	if err := p.Preload(ref.Jobs[:5]); err != nil {
+		t.Fatal(err)
 	}
-	if sn.Metrics["acc"].Count != 16 {
-		t.Errorf("metric samples: %+v", sn.Metrics["acc"])
+	if p.Done() != 5 {
+		t.Fatalf("Done after preloading 5 = %d", p.Done())
 	}
-	if sn.Counters["steps"] != 16*2000 {
-		t.Errorf("counter: %d", sn.Counters["steps"])
+	rep, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(sn.String(), "16/16 done") {
-		t.Errorf("snapshot string: %s", sn)
+	if p.Done() != 16 || finished.Load() != 11 {
+		t.Fatalf("Done = %d after %d finishes, want 16 after 11", p.Done(), finished.Load())
+	}
+	if lagged.Load() {
+		t.Error("an observer saw a finished job before Done counted it")
+	}
+	if rep.Completed != 16 || rep.Metrics["acc"].Count != 16 || rep.Counters["steps"] != 16*2000 {
+		t.Errorf("report: completed %d, acc %+v, steps %d", rep.Completed, rep.Metrics["acc"], rep.Counters["steps"])
+	}
+	if rep.Fingerprint() != ref.Fingerprint() {
+		t.Error("preloaded run fingerprints differently from the uninterrupted one")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cp, err := NewPool(Config{Workers: 2}, makeSpecs(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	crep, _ := cp.Run(ctx)
+	if cp.Done() != 8 || crep.Cancelled != 8 {
+		t.Errorf("cancelled run: Done = %d, cancelled = %d, want 8 each", cp.Done(), crep.Cancelled)
 	}
 }
 
@@ -258,7 +289,7 @@ func TestPoolValidation(t *testing.T) {
 	}
 }
 
-// TestObservers checks lifecycle delivery and the trace writer.
+// TestObservers checks lifecycle delivery.
 func TestObservers(t *testing.T) {
 	var starts, finishes atomic.Int32
 	obs := ObserverFuncs{
@@ -271,24 +302,28 @@ func TestObservers(t *testing.T) {
 	if starts.Load() != 10 || finishes.Load() != 10 {
 		t.Errorf("observer calls: %d starts, %d finishes", starts.Load(), finishes.Load())
 	}
+}
 
-	var b strings.Builder
-	mu := &syncWriter{b: &b}
-	tr := NewTraceObserver(mu)
-	if _, err := Run(context.Background(), Config{Workers: 2, Observer: tr}, makeSpecs(4)); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "start  job") || !strings.Contains(out, "finish job") {
-		t.Errorf("trace output:\n%s", out)
+// ObserverFuncs adapts plain functions to the Observer interface;
+// nil fields are skipped.
+type ObserverFuncs struct {
+	OnStart  func(job JobInfo)
+	OnFinish func(outcome JobOutcome)
+}
+
+// JobStarted implements Observer.
+func (o ObserverFuncs) JobStarted(job JobInfo) {
+	if o.OnStart != nil {
+		o.OnStart(job)
 	}
 }
 
-// syncWriter guards the strings.Builder (TraceObserver already locks,
-// but the builder itself is not otherwise protected from misuse).
-type syncWriter struct{ b *strings.Builder }
-
-func (w *syncWriter) Write(p []byte) (int, error) { return w.b.Write(p) }
+// JobFinished implements Observer.
+func (o ObserverFuncs) JobFinished(outcome JobOutcome) {
+	if o.OnFinish != nil {
+		o.OnFinish(outcome)
+	}
+}
 
 // TestInlineFaultIsolation covers the no-timeout fast path: with
 // JobTimeout unset the pool runs jobs inline on the worker goroutine

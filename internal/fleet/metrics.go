@@ -6,8 +6,6 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
-	"sync"
-	"time"
 )
 
 // Distribution summarizes one metric's per-job samples fleet-wide.
@@ -51,88 +49,6 @@ func NewDistribution(samples []float64) Distribution {
 func (d Distribution) String() string {
 	return fmt.Sprintf("n=%d mean=%.3g p50=%.3g p90=%.3g p99=%.3g min=%.3g max=%.3g",
 		d.Count, d.Mean, d.P50, d.P90, d.P99, d.Min, d.Max)
-}
-
-// Snapshot is the live progress view of a running pool.
-type Snapshot struct {
-	Total     int `json:"total"`
-	Done      int `json:"done"`
-	Completed int `json:"completed"`
-	Failed    int `json:"failed"`
-	Panicked  int `json:"panicked"`
-	TimedOut  int `json:"timed_out"`
-	Cancelled int `json:"cancelled"`
-
-	Metrics  map[string]Distribution `json:"metrics"`
-	Counters map[string]uint64       `json:"counters"`
-	Elapsed  time.Duration           `json:"elapsed_ns"`
-}
-
-// String renders a one-line progress summary.
-func (s Snapshot) String() string {
-	return fmt.Sprintf("%d/%d done (ok=%d failed=%d panicked=%d timed-out=%d cancelled=%d)",
-		s.Done, s.Total, s.Completed, s.Failed, s.Panicked, s.TimedOut, s.Cancelled)
-}
-
-// aggregator is the streaming side of the metrics layer: workers feed
-// outcomes as they finish, snapshots are served on demand.
-type aggregator struct {
-	mu       sync.Mutex
-	start    time.Time
-	total    int
-	counts   [StatusCancelled + 1]int
-	samples  map[string][]float64
-	counters map[string]uint64
-}
-
-func newAggregator(total int) *aggregator {
-	return &aggregator{
-		start:    time.Now(), //lint:allow determinism-taint live progress view elapsed time; not part of any fingerprint
-		total:    total,
-		samples:  make(map[string][]float64),
-		counters: make(map[string]uint64),
-	}
-}
-
-func (a *aggregator) add(o JobOutcome) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if o.Status >= 0 && int(o.Status) < len(a.counts) {
-		a.counts[o.Status]++
-	}
-	if o.Status != StatusOK {
-		return
-	}
-	for name, v := range o.Result.Metrics {
-		a.samples[name] = append(a.samples[name], v)
-	}
-	for name, v := range o.Result.Counters {
-		a.counters[name] += v
-	}
-}
-
-func (a *aggregator) snapshot() Snapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	sn := Snapshot{
-		Total:     a.total,
-		Completed: a.counts[StatusOK],
-		Failed:    a.counts[StatusFailed],
-		Panicked:  a.counts[StatusPanicked],
-		TimedOut:  a.counts[StatusTimedOut],
-		Cancelled: a.counts[StatusCancelled],
-		Metrics:   make(map[string]Distribution, len(a.samples)),
-		Counters:  make(map[string]uint64, len(a.counters)),
-		Elapsed:   time.Since(a.start), //lint:allow determinism-taint live progress view elapsed time; not part of any fingerprint
-	}
-	sn.Done = sn.Completed + sn.Failed + sn.Panicked + sn.TimedOut + sn.Cancelled
-	for name, s := range a.samples {
-		sn.Metrics[name] = NewDistribution(s)
-	}
-	for name, v := range a.counters {
-		sn.Counters[name] = v
-	}
-	return sn
 }
 
 // Fingerprint hashes everything deterministic about the report — job

@@ -1,13 +1,6 @@
 package fleet
 
-import (
-	"fmt"
-	"io"
-	"sync"
-	"time"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Observer receives job lifecycle events from the pool. Methods are
 // invoked from worker goroutines; implementations must be safe for
@@ -15,51 +8,6 @@ import (
 type Observer interface {
 	JobStarted(job JobInfo)
 	JobFinished(outcome JobOutcome)
-}
-
-// JobStartEvent converts a job start into the shared observability
-// event type; every fleet observer renders or forwards this record.
-func JobStartEvent(job JobInfo) obs.Event {
-	return obs.Event{Kind: obs.KindJobStart, Job: job.Index, Name: job.Name, Seed: job.Seed}
-}
-
-// JobFinishEvent converts a job outcome into the shared observability
-// event type. Value carries the wall-clock elapsed seconds; Detail is
-// the status, with the error text appended for failed jobs.
-func JobFinishEvent(o JobOutcome) obs.Event {
-	ev := obs.Event{
-		Kind:   obs.KindJobFinish,
-		Job:    o.Index,
-		Name:   o.Name,
-		Seed:   o.Seed,
-		Value:  o.Elapsed.Seconds(),
-		Detail: o.Status.String(),
-	}
-	if o.Err != "" {
-		ev.Detail += ": " + o.Err
-	}
-	return ev
-}
-
-// ObserverFuncs adapts plain functions to the Observer interface;
-// nil fields are skipped.
-type ObserverFuncs struct {
-	OnStart  func(job JobInfo)
-	OnFinish func(outcome JobOutcome)
-}
-
-// JobStarted implements Observer.
-func (o ObserverFuncs) JobStarted(job JobInfo) {
-	if o.OnStart != nil {
-		o.OnStart(job)
-	}
-}
-
-// JobFinished implements Observer.
-func (o ObserverFuncs) JobFinished(outcome JobOutcome) {
-	if o.OnFinish != nil {
-		o.OnFinish(outcome)
-	}
 }
 
 // MultiObserver fans lifecycle events out to several observers; nil
@@ -102,38 +50,24 @@ type TracerObserver struct {
 func NewTracerObserver(t *obs.Tracer) TracerObserver { return TracerObserver{T: t} }
 
 // JobStarted implements Observer.
-func (t TracerObserver) JobStarted(job JobInfo) { t.T.Emit(JobStartEvent(job)) }
-
-// JobFinished implements Observer.
-func (t TracerObserver) JobFinished(o JobOutcome) { t.T.Emit(JobFinishEvent(o)) }
-
-// TraceObserver writes one line per lifecycle event, serialized by an
-// internal mutex so interleaved workers never garble the stream. The
-// text is a rendering of the same obs events TracerObserver forwards.
-type TraceObserver struct {
-	mu sync.Mutex
-	w  io.Writer
+func (t TracerObserver) JobStarted(job JobInfo) {
+	t.T.Emit(obs.Event{Kind: obs.KindJobStart, Job: job.Index, Name: job.Name, Seed: job.Seed})
 }
 
-// NewTraceObserver traces lifecycle events to w.
-func NewTraceObserver(w io.Writer) *TraceObserver { return &TraceObserver{w: w} }
-
-// JobStarted implements Observer.
-func (t *TraceObserver) JobStarted(job JobInfo) {
-	ev := JobStartEvent(job)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	fmt.Fprintf(t.w, "start  job %4d %-24s seed=%d\n", ev.Job, ev.Name, ev.Seed)
+// JobFinished implements Observer. Value carries the wall-clock
+// elapsed seconds; Detail is the status, with the error text appended
+// for failed jobs.
+func (t TracerObserver) JobFinished(o JobOutcome) {
+	ev := obs.Event{
+		Kind:   obs.KindJobFinish,
+		Job:    o.Index,
+		Name:   o.Name,
+		Seed:   o.Seed,
+		Value:  o.Elapsed.Seconds(),
+		Detail: o.Status.String(),
+	}
+	if o.Err != "" {
+		ev.Detail += ": " + o.Err
+	}
+	t.T.Emit(ev)
 }
-
-// JobFinished implements Observer.
-func (t *TraceObserver) JobFinished(o JobOutcome) {
-	ev := JobFinishEvent(o)
-	elapsed := time.Duration(ev.Value * float64(time.Second)).Round(fmtRound)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	fmt.Fprintf(t.w, "finish job %4d %-24s %s (%v)\n", ev.Job, ev.Name, ev.Detail, elapsed)
-}
-
-// fmtRound keeps traced durations readable.
-const fmtRound = 100 * time.Microsecond

@@ -49,15 +49,17 @@ func TestTracerObserver(t *testing.T) {
 // TestJobFinishEventError checks that failures carry the error text in
 // the event detail.
 func TestJobFinishEventError(t *testing.T) {
-	ev := JobFinishEvent(JobOutcome{
+	mem := obs.NewMemorySink()
+	NewTracerObserver(obs.New(mem)).JobFinished(JobOutcome{
 		JobInfo: JobInfo{Index: 3, Name: "veh-3"},
 		Status:  StatusFailed,
 		Err:     "boom",
 	})
-	if ev.Kind != obs.KindJobFinish || ev.Job != 3 {
-		t.Fatalf("event wrong: %+v", ev)
+	evs := mem.Events()
+	if len(evs) != 1 || evs[0].Kind != obs.KindJobFinish || evs[0].Job != 3 {
+		t.Fatalf("events wrong: %+v", evs)
 	}
-	if want := StatusFailed.String() + ": boom"; ev.Detail != want {
-		t.Fatalf("detail = %q, want %q", ev.Detail, want)
+	if want := StatusFailed.String() + ": boom"; evs[0].Detail != want {
+		t.Fatalf("detail = %q, want %q", evs[0].Detail, want)
 	}
 }

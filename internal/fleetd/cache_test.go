@@ -91,7 +91,7 @@ func TestCacheHitBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := arachnet.RunFleet(context.Background(), f)
+	rep, err := f.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

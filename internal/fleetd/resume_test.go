@@ -97,12 +97,37 @@ func TestResumeAfterDrain(t *testing.T) {
 		}
 	})
 
+	// The live done count starts from the preloaded shards: every
+	// running status, the first included, already counts them.
+	sawRunning := false
+	for try := 0; try < 6000; try++ { // 6000 × 5ms = 30s cap
+		st, err := c2.Status(ctx, sub.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == api.StateRunning {
+			sawRunning = true
+			if st.Done < st.Resumed {
+				t.Fatalf("running status reports done %d < resumed %d", st.Done, st.Resumed)
+			}
+		}
+		if st.State != api.StateQueued && st.State != api.StateRunning {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !sawRunning {
+		t.Error("never saw the resumed job running")
+	}
 	st, err := c2.Wait(ctx, sub.ID, 20*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.State != api.StateDone {
 		t.Fatalf("resumed job ended %s: %s", st.State, st.Error)
+	}
+	if st.Done != st.Total {
+		t.Errorf("final status done %d/%d", st.Done, st.Total)
 	}
 	if st.Resumed != partial {
 		t.Errorf("resumed shard count = %d, want %d (checkpointed work was recomputed?)", st.Resumed, partial)

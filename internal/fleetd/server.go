@@ -1,5 +1,5 @@
 // Package fleetd promotes the batch fleet engine (internal/fleet,
-// surfaced as arachnet.RunFleet) to a long-running simulation service:
+// surfaced as arachnet.Fleet.Run) to a long-running simulation service:
 // an HTTP/JSONL daemon with a bounded job queue, streaming progress,
 // a (spec, seed) response cache, and checkpointed resume.
 //
@@ -163,7 +163,7 @@ func (j *job) status() api.StatusResponse {
 	case j.state == api.StateDone:
 		st.Done = j.total
 	case j.pool != nil:
-		st.Done = j.pool.Snapshot().Done
+		st.Done = j.pool.Done()
 	default:
 		st.Done = len(j.preloaded)
 	}

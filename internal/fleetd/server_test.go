@@ -47,7 +47,7 @@ func batchFingerprint(t *testing.T, spec string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := arachnet.RunFleet(context.Background(), f)
+	rep, err := f.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

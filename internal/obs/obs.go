@@ -7,7 +7,7 @@
 // The design contract is zero overhead when disabled: a nil *Tracer is
 // valid everywhere, Emit on it is a no-op, and hot paths guard event
 // construction behind Enabled(). When enabled, events fan out to
-// pluggable sinks (JSONL writer, in-memory aggregator) and optionally
+// pluggable sinks (JSONL writer, in-memory buffer) and optionally
 // feed a Metrics registry whose snapshots are deterministic (sorted by
 // name) for reproducible reports. Producers read Tracer.Wants once, when
 // a tracer is attached, and never build the kinds it mutes.
