@@ -26,7 +26,6 @@ type (
 	RecoveryReport      = faults.RecoveryReport
 	Recovery            = faults.Recovery
 	FaultInvariantError = faults.InvariantError
-	FaultInvariants     = faults.InvariantConfig
 )
 
 // NewFaultInjector compiles a plan for numTags tags (see
@@ -38,9 +37,6 @@ func NewFaultInjector(plan FaultPlan, seed uint64, numTags int, tr *Tracer) (*Fa
 // LoadFaultPlanFile reads and validates a JSON fault plan.
 func LoadFaultPlanFile(path string) (FaultPlan, error) { return faults.LoadPlanFile(path) }
 
-// SaveFaultPlanFile writes a fault plan as indented JSON.
-func SaveFaultPlanFile(path string, p FaultPlan) error { return faults.SavePlanFile(path, p) }
-
 // UnmarshalFaultPlan parses and validates a JSON fault plan.
 func UnmarshalFaultPlan(data []byte) (FaultPlan, error) { return faults.UnmarshalPlan(data) }
 
@@ -49,13 +45,6 @@ func RandomFaultPlan(seed uint64) FaultPlan { return faults.RandomPlan(seed) }
 
 // AnalyzeRecovery computes the robustness metrics from a trace stream.
 func AnalyzeRecovery(events []TraceEvent) RecoveryReport { return faults.Analyze(events) }
-
-// CheckFaultInvariants verifies the recovery invariants on a trace
-// stream (no duplicate settled slots, evictions terminate, browned-out
-// tags re-settle within bounds).
-func CheckFaultInvariants(events []TraceEvent, cfg FaultInvariants) error {
-	return faults.CheckInvariants(events, cfg)
-}
 
 // AttachFaults drives an injector from the event-level network's clock:
 // once per slot the injector advances its fault processes, fades are

@@ -154,11 +154,6 @@ func NewMemorySink() *MemorySink { return obs.NewMemorySink() }
 // tracer via AttachMetrics.
 func NewTraceMetrics() *TraceMetrics { return obs.NewMetrics() }
 
-// TraceEventsOfKind filters events by kind.
-func TraceEventsOfKind(events []TraceEvent, k TraceKind) []TraceEvent {
-	return obs.OfKind(events, k)
-}
-
 // NewFleetTracerObserver returns a fleet observer that forwards job
 // lifecycle events to the tracer as TraceJobStart / TraceJobFinish.
 func NewFleetTracerObserver(t *Tracer) FleetObserver { return fleet.NewTracerObserver(t) }

@@ -197,6 +197,12 @@ func countULLosses(ch *biw.Channel, id int, rate float64, packets int, rng *sim.
 	// Per-chip timing-slip probability, anchored like LinkModel.
 	ratio := rate / 3000
 	peTiming := 6e-5 * ratio * ratio
+	p := dsp.ULSynthParams{
+		Fs: fs, ChipRate: rate,
+		Leakage: 0.2, Backscatter: amp,
+		NoiseRMS: ch.NoiseRMS(fs),
+	}
+	var soft []float64
 	lost := 0
 	for i := 0; i < packets; i++ {
 		pkt := phy.ULPacket{TID: uint8(id % 16), Payload: uint16(rng.Intn(1 << 12))}
@@ -212,17 +218,8 @@ func countULLosses(ch *biw.Channel, id int, rate float64, packets int, rng *sim.
 				chips[c] ^= 1
 			}
 		}
-		p := dsp.ULSynthParams{
-			Fs: fs, ChipRate: rate,
-			Leakage: 0.2, Backscatter: amp,
-			NoiseRMS: ch.NoiseRMS(fs),
-		}
-		soft := dsp.SynthesizeULBaseband(chips, spc, p, rng)
-		sampler, err := dsp.NewChipSampler(spc)
-		if err != nil {
-			return 0, err
-		}
-		got, err := dsp.DecodeULFrame(sampler.Process(soft))
+		soft = dsp.ULChipMeans(soft[:0], chips, spc, p, rng)
+		got, err := dsp.DecodeULFrame(soft)
 		if err != nil || got != pkt {
 			lost++
 		}

@@ -100,11 +100,19 @@ func RunDLSchemeStudy(seed uint64, beacons int) ([]DLSchemeCell, Table, error) {
 // via Schmitt trigger + pulse-interval classification.
 func countDLLosses(rate, lowLeak, ringTau float64, beacons int, rng *sim.Rand) (int, error) {
 	const fs = 48_000.0
-	chipSec := 1 / rate
 	trig, err := dsp.NewSchmittTrigger(0.25, 0.45)
 	if err != nil {
 		return 0, err
 	}
+	p := dsp.DLSynthParams{
+		ChipSeconds:     1 / rate,
+		HighVolts:       1.0,
+		LowLeak:         lowLeak,
+		RingTau:         ringTau,
+		NoiseRMS:        0.02,
+		ReaderJitterSec: 0.0003,
+	}
+	var highs []float64
 	lost := 0
 	for i := 0; i < beacons; i++ {
 		cmd := phy.Command(rng.Intn(16))
@@ -115,28 +123,8 @@ func countDLLosses(rate, lowLeak, ringTau float64, beacons int, rng *sim.Rand) (
 		chips := phy.PIEEncode(frame)
 		// Trailing low chip lets the last pulse terminate cleanly.
 		chips = append(chips, 0, 0)
-		env := dsp.SynthesizeDLEnvelope(chips, fs, dsp.DLSynthParams{
-			ChipSeconds:     chipSec,
-			HighVolts:       1.0,
-			LowLeak:         lowLeak,
-			RingTau:         ringTau,
-			NoiseRMS:        0.02,
-			ReaderJitterSec: 0.0003,
-		}, rng)
 		// Comparator output -> pulse intervals in chips.
-		trigState := false
-		var riseAt int
-		var highs []float64
-		for n, v := range env {
-			now := trig.ProcessSample(v)
-			if now && !trigState {
-				riseAt = n
-			}
-			if !now && trigState {
-				highs = append(highs, float64(n-riseAt)/(chipSec*fs))
-			}
-			trigState = now
-		}
+		highs = dsp.DLPulses(highs[:0], chips, fs, p, trig, rng)
 		bits, err := phy.PIEDecodeIntervals(highs)
 		if err != nil {
 			lost++

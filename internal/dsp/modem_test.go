@@ -192,7 +192,7 @@ func TestSynthesizeDLEnvelopeRingEffect(t *testing.T) {
 		ChipSeconds: 0.004, HighVolts: 1.0, LowLeak: 0.05,
 		RingTau: 0.002, // exaggerated ring for the test
 	}
-	env := SynthesizeDLEnvelope(phy.Bits{1, 0, 0}, fs, p, nil)
+	env := synthesizeDLEnvelope(phy.Bits{1, 0, 0}, fs, p, nil)
 	spc := int(p.ChipSeconds * fs)
 	// Right after the high->low transition the envelope must still be
 	// elevated (the ring tail)...
@@ -213,7 +213,7 @@ func TestSynthesizeDLEnvelopeNoRingWithShortTau(t *testing.T) {
 		ChipSeconds: 0.004, HighVolts: 1.0, LowLeak: 0.05,
 		RingTau: 160e-6, // the real PZT tau: short vs a 4 ms chip
 	}
-	env := SynthesizeDLEnvelope(phy.Bits{1, 0}, fs, p, nil)
+	env := synthesizeDLEnvelope(phy.Bits{1, 0}, fs, p, nil)
 	spc := int(p.ChipSeconds * fs)
 	mid := env[spc+spc/2]
 	if mid > 0.1 {

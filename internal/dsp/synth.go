@@ -47,6 +47,34 @@ func SynthesizeULBaseband(chips phy.Bits, samplesPerChip int, p ULSynthParams, r
 	return out
 }
 
+// ULChipMeans appends to dst the chip means that a ChipSampler at
+// samplesPerChip returns for SynthesizeULBaseband(chips,
+// samplesPerChip, p, rng), without building the samples: each chip sums
+// its noisy samples in order and divides by samplesPerChip. Chip means
+// and the trailing rng state are bit-identical to that pair.
+//
+//alloc:hot per-packet uplink synthesis and integrate-and-dump of fig12b
+func ULChipMeans(dst []float64, chips phy.Bits, samplesPerChip int, p ULSynthParams, rng *sim.Rand) []float64 {
+	noise := p.NoiseRMS * math.Sqrt(float64(samplesPerChip)*p.ChipRate/p.Fs)
+	noisy := noise > 0 && rng != nil
+	for _, c := range chips {
+		level := p.Leakage
+		if c&1 == 1 {
+			level += p.Backscatter
+		}
+		acc := 0.0
+		for s := 0; s < samplesPerChip; s++ {
+			v := level
+			if noisy {
+				v += rng.NormFloat64() * noise
+			}
+			acc += v
+		}
+		dst = append(dst, acc/float64(samplesPerChip))
+	}
+	return dst
+}
+
 // DLSynthParams describes the reader's keyed carrier as seen by a tag's
 // envelope detector.
 type DLSynthParams struct {
@@ -61,27 +89,50 @@ type DLSynthParams struct {
 	ReaderJitterSec float64
 }
 
-// SynthesizeDLEnvelope renders the tag-side envelope of a PIE chip
-// stream at the given sample rate, including the exponential ring tail
-// after each high-to-low transition.
-func SynthesizeDLEnvelope(chips phy.Bits, fs float64, p DLSynthParams, rng *sim.Rand) []float64 {
+// DLPulses renders the tag-side envelope of a PIE chip stream at the
+// given sample rate (the exponential ring tail after each high-to-low
+// transition, the reader's boundary jitter and additive noise), runs it
+// through the comparator trig and appends to dst the width of every
+// high pulse, in chips. The trigger's state carries over between
+// calls; a pulse still high when the stream ends is not reported.
+//
+// The noise is exact but mostly not computed. The hysteresis means
+// only one threshold can flip trig in each state: High while low, Low
+// while high. A normal draw is at most sim.NormBound in magnitude, so
+// when the envelope sits more than NormBound·NoiseRMS from that
+// threshold the comparator's output is already decided, and the sample
+// only advances rng past its draw (SkipNormFloat64). Every other
+// sample draws the exact normal and goes through trig.ProcessSample.
+// Pulses and the trailing rng state equal those of synthesizing the
+// whole envelope and feeding every sample to the trigger.
+//
+//alloc:hot per-beacon downlink front end of the dl-scheme Monte Carlo
+func DLPulses(dst []float64, chips phy.Bits, fs float64, p DLSynthParams, trig *SchmittTrigger, rng *sim.Rand) []float64 {
 	spc := p.ChipSeconds * fs
 	n := int(float64(len(chips))*spc) + 1
-	out := make([]float64, n)
-	// Jittered boundaries in samples.
-	bounds := make([]float64, len(chips)+1)
-	for i := 1; i <= len(chips); i++ {
-		j := 0.0
-		if p.ReaderJitterSec > 0 && rng != nil {
-			j = (rng.Float64()*2 - 1) * p.ReaderJitterSec * fs
+	// The stream holds every chip's boundary jitter ahead of the first
+	// noise draw. Read the jitter through a copy as the boundaries come
+	// up, and move rng past it now.
+	var jit *sim.Rand
+	if p.ReaderJitterSec > 0 && rng != nil {
+		j := *rng
+		jit = &j
+		for range chips {
+			rng.Uint64()
 		}
-		bounds[i] = float64(i)*spc + j
 	}
+	next := chipBoundary(1, spc, fs, p, jit)
+	decay := math.Exp(-1 / (p.RingTau * fs))
+	noisy := p.NoiseRMS > 0 && rng != nil
+	margin := sim.NormBound * p.NoiseRMS
 	level := 0.0
 	chipIdx := 0
+	high := false // comparator output at the previous sample
+	riseAt := 0
 	for i := 0; i < n; i++ {
-		for chipIdx < len(chips)-1 && float64(i) >= bounds[chipIdx+1] {
+		for chipIdx < len(chips)-1 && float64(i) >= next {
 			chipIdx++
+			next = chipBoundary(chipIdx+1, spc, fs, p, jit)
 		}
 		target := p.LowLeak
 		if chips[chipIdx]&1 == 1 {
@@ -91,14 +142,36 @@ func SynthesizeDLEnvelope(chips phy.Bits, fs float64, p DLSynthParams, rng *sim.
 			level = target // drive rises immediately
 		} else {
 			// Ring-down: decay toward the low level.
-			decay := math.Exp(-1 / (p.RingTau * fs))
 			level = target + (level-target)*decay
 		}
-		v := level
-		if p.NoiseRMS > 0 && rng != nil {
-			v += rng.NormFloat64() * p.NoiseRMS
+		var now bool
+		if noisy && (trig.state && level-margin > trig.Low || !trig.state && level+margin < trig.High) {
+			rng.SkipNormFloat64()
+			now = trig.state
+		} else {
+			v := level
+			if noisy {
+				v += rng.NormFloat64() * p.NoiseRMS
+			}
+			now = trig.ProcessSample(v)
 		}
-		out[i] = v
+		if now && !high {
+			riseAt = i
+		}
+		if !now && high {
+			dst = append(dst, float64(i-riseAt)/spc)
+		}
+		high = now
 	}
-	return out
+	return dst
+}
+
+// chipBoundary is the sample index where chip k starts, shifted by the
+// reader's jitter drawn from jit (nil: no jitter).
+func chipBoundary(k int, spc, fs float64, p DLSynthParams, jit *sim.Rand) float64 {
+	j := 0.0
+	if jit != nil {
+		j = (jit.Float64()*2 - 1) * p.ReaderJitterSec * fs
+	}
+	return float64(k)*spc + j
 }

@@ -62,6 +62,25 @@ func TestMultiplierFormula(t *testing.T) {
 	}
 }
 
+// The cached diode drop must follow the Diode field: a swapped diode
+// and a Multiplier built without NewMultiplier both get the drop of the
+// diode they hold, bit for bit.
+func TestMultiplierDiodeDropFollowsDiode(t *testing.T) {
+	const vp = 1.2
+	m := NewMultiplier(8)
+	if got, want := m.OpenCircuitVoltage(vp), 16*(vp-Schottky().EffectiveDrop()); got != want {
+		t.Fatalf("Schottky Vdd = %v, want %v", got, want)
+	}
+	m.Diode = Silicon()
+	if got, want := m.OpenCircuitVoltage(vp), 16*(vp-Silicon().EffectiveDrop()); got != want {
+		t.Fatalf("after swapping to silicon Vdd = %v, want %v", got, want)
+	}
+	lit := &Multiplier{Stages: 8, Diode: Silicon()}
+	if got, want := lit.OpenCircuitVoltage(vp), m.OpenCircuitVoltage(vp); got != want {
+		t.Fatalf("literal Multiplier Vdd = %v, want %v", got, want)
+	}
+}
+
 func TestMultiplierBelowDiodeDrop(t *testing.T) {
 	m := NewMultiplier(8)
 	if v := m.OpenCircuitVoltage(0.1); v != 0 {

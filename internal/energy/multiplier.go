@@ -18,16 +18,29 @@ type Multiplier struct {
 	StageFarads float64
 	// PumpHz is the switching frequency — the 90 kHz carrier itself.
 	PumpHz float64
+
+	// von is Diode.EffectiveDrop (a logarithm of constants) for the
+	// diode NewMultiplier built the pump with. OpenCircuitVoltage runs
+	// on every tag's energy tick and recomputes the drop only once
+	// Diode no longer equals vonDiode; it never writes the cache, so a
+	// shared Multiplier stays safe to read.
+	von       float64
+	vonDiode  Diode
+	vonCached bool
 }
 
 // NewMultiplier returns the paper's default pump: 8 stages (16x) of
 // CDBU0130L Schottky doublers clocked by the 90 kHz carrier.
 func NewMultiplier(stages int) *Multiplier {
+	d := Schottky()
 	return &Multiplier{
 		Stages:      stages,
-		Diode:       Schottky(),
+		Diode:       d,
 		StageFarads: 2.7e-9,
 		PumpHz:      90_000,
+		von:         d.EffectiveDrop(),
+		vonDiode:    d,
+		vonCached:   true,
 	}
 }
 
@@ -35,7 +48,10 @@ func NewMultiplier(stages int) *Multiplier {
 // input vpVolts. Inputs at or below the diode drop produce nothing: the pump
 // cannot start.
 func (m *Multiplier) OpenCircuitVoltage(vpVolts float64) float64 {
-	von := m.Diode.EffectiveDrop()
+	von := m.von
+	if !m.vonCached || m.Diode != m.vonDiode {
+		von = m.Diode.EffectiveDrop()
+	}
 	if vpVolts <= von {
 		return 0
 	}

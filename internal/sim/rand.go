@@ -105,6 +105,12 @@ func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
+// NormBound bounds |NormFloat64()|. The polar draws u and v are
+// multiples of 2⁻⁵² (Float64 has 53 bits), so an accepted s = u²+v² is
+// at least 2⁻¹⁰⁴ and |z| ≤ √(−2 ln s) ≤ √(208 ln 2) ≈ 12.007. The
+// margin above that absorbs the rounding of the float evaluation.
+const NormBound = 12.1
+
 // NormFloat64 returns a standard normal variate (Marsaglia polar method).
 func (r *Rand) NormFloat64() float64 {
 	for {
@@ -113,6 +119,23 @@ func (r *Rand) NormFloat64() float64 {
 		s := u*u + v*v
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
+		}
+	}
+}
+
+// SkipNormFloat64 advances the stream past one NormFloat64 draw: it
+// runs the same accept/reject loop on s but skips the log, square root
+// and divide. A caller that can prove the variate cannot matter (see
+// NormBound) keeps its place in the stream for a fraction of the cost.
+//
+//alloc:hot per-sample noise skip in the downlink envelope kernel
+func (r *Rand) SkipNormFloat64() {
+	for {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		s := u*u + v*v
+		if s > 0 && s < 1 {
+			return
 		}
 	}
 }

@@ -137,3 +137,67 @@ func TestRandMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// emitting returns a generator whose next two Uint64 draws are o1 and
+// o2. The output is rotl(s1·5, 7)·9 of the current s1, and one step
+// sets s1 to s0^s1^s2, so both outputs can be placed by inverting the
+// scrambler.
+func emitting(o1, o2 uint64) *Rand {
+	inv := func(a uint64) uint64 { // inverse of odd a mod 2⁶⁴ (Newton)
+		x := a
+		for i := 0; i < 6; i++ {
+			x *= 2 - a*x
+		}
+		return x
+	}
+	unscramble := func(o uint64) uint64 { return bits.RotateLeft64(o*inv(9), -7) * inv(5) }
+	r := &Rand{}
+	r.s[0], r.s[3] = 0x1234, 0x5678
+	r.s[1] = unscramble(o1)
+	r.s[2] = r.s[0] ^ r.s[1] ^ unscramble(o2)
+	return r
+}
+
+// The smallest accepted polar radius, u = ±2⁻⁵² and v = 0, gives the
+// largest |NormFloat64| there is; it must stay within NormBound, or the
+// downlink kernel's noise skip would not be exact.
+func TestNormFloat64Bound(t *testing.T) {
+	const half = uint64(1) << 52 // Float64 = k/2⁵³, so u = 2F−1 = (k−2⁵²)/2⁵²
+	for _, k := range []uint64{half + 1, half - 1} {
+		r := emitting(k<<11, half<<11)
+		z := r.NormFloat64()
+		if math.Abs(z) > NormBound {
+			t.Fatalf("u=%+v: |z| = %v exceeds NormBound %v", float64(int64(k-half))/(1<<52), math.Abs(z), NormBound)
+		}
+		if math.Abs(z) < 12 {
+			t.Fatalf("extreme draw gave |z| = %v; the construction missed s = 2⁻¹⁰⁴", math.Abs(z))
+		}
+	}
+	r := NewRand(3)
+	for i := 0; i < 1_000_000; i++ {
+		if z := r.NormFloat64(); math.Abs(z) > NormBound {
+			t.Fatalf("draw %d: |z| = %v exceeds NormBound", i, math.Abs(z))
+		}
+	}
+}
+
+// SkipNormFloat64 must consume exactly the words NormFloat64 does, so
+// a stream that skips some draws stays in step with one that takes
+// them all.
+func TestSkipNormFloat64KeepsStream(t *testing.T) {
+	for _, seed := range []uint64{1, 42, 0xDEADBEEF, 7777} {
+		all, skip := NewRand(seed), NewRand(seed)
+		pick := NewRand(seed ^ 0x5eed) // decides which calls skip
+		for i := 0; i < 1_000_000; i++ {
+			want := all.NormFloat64()
+			if pick.Uint64()&1 == 0 {
+				skip.SkipNormFloat64()
+			} else if got := skip.NormFloat64(); got != want {
+				t.Fatalf("seed %d call %d: %v != %v", seed, i, got, want)
+			}
+			if all.s != skip.s {
+				t.Fatalf("seed %d call %d: states diverged", seed, i)
+			}
+		}
+	}
+}
