@@ -4,13 +4,15 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"repro/internal/faults"
 )
 
 // Chaos sweeps: fault-injected fleet runs must stay deterministic and
 // must surface the recovery metrics.
 
 func chaosFleet(workers int) Fleet {
-	plan := RandomFaultPlan(7)
+	plan := faults.RandomPlan(7)
 	return Fleet{
 		Seed:    99,
 		Workers: workers,
@@ -143,7 +145,7 @@ func TestRecoveryFolderMatchesAnalyze(t *testing.T) {
 		for _, name := range []string{"c3", "c7"} {
 			pattern, _ := Table3Pattern(name)
 			for seed := uint64(1); seed <= 20; seed++ {
-				plan := RandomFaultPlan(seed)
+				plan := faults.RandomPlan(seed)
 				rec, tr := NewChaosTracer()
 				chaosRun(t, engine, pattern, plan, seed, tr)
 				got := rec.Report()

@@ -15,17 +15,16 @@ import (
 
 // Re-exported fault-injection types.
 type (
-	FaultPlan           = faults.Plan
-	FaultBurst          = faults.Burst
-	FaultFadeSpec       = faults.FadeSpec
-	FaultFeedbackSpec   = faults.FeedbackSpec
-	FaultBrownoutSpec   = faults.BrownoutSpec
-	FaultOutageSpec     = faults.OutageSpec
-	FaultJitterSpec     = faults.JitterSpec
-	FaultInjector       = faults.Injector
-	RecoveryReport      = faults.RecoveryReport
-	Recovery            = faults.Recovery
-	FaultInvariantError = faults.InvariantError
+	FaultPlan         = faults.Plan
+	FaultBurst        = faults.Burst
+	FaultFadeSpec     = faults.FadeSpec
+	FaultFeedbackSpec = faults.FeedbackSpec
+	FaultBrownoutSpec = faults.BrownoutSpec
+	FaultOutageSpec   = faults.OutageSpec
+	FaultJitterSpec   = faults.JitterSpec
+	FaultInjector     = faults.Injector
+	RecoveryReport    = faults.RecoveryReport
+	Recovery          = faults.Recovery
 )
 
 // NewFaultInjector compiles a plan for numTags tags (see
@@ -39,9 +38,6 @@ func LoadFaultPlanFile(path string) (FaultPlan, error) { return faults.LoadPlanF
 
 // UnmarshalFaultPlan parses and validates a JSON fault plan.
 func UnmarshalFaultPlan(data []byte) (FaultPlan, error) { return faults.UnmarshalPlan(data) }
-
-// RandomFaultPlan derives a randomized recoverable chaos plan.
-func RandomFaultPlan(seed uint64) FaultPlan { return faults.RandomPlan(seed) }
 
 // AnalyzeRecovery computes the robustness metrics from a trace stream.
 func AnalyzeRecovery(events []TraceEvent) RecoveryReport { return faults.Analyze(events) }

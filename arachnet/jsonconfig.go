@@ -78,11 +78,6 @@ func (j jsonNetworkConfig) toConfig() (NetworkConfig, error) {
 	return cfg, nil
 }
 
-// MarshalConfigJSON serializes a NetworkConfig to the JSON schema.
-func MarshalConfigJSON(cfg NetworkConfig) ([]byte, error) {
-	return json.MarshalIndent(configToJSON(cfg), "", "  ")
-}
-
 // UnmarshalConfigJSON parses the JSON schema into a NetworkConfig and
 // validates it.
 func UnmarshalConfigJSON(data []byte) (NetworkConfig, error) {
@@ -100,13 +95,4 @@ func LoadConfigFile(path string) (NetworkConfig, error) {
 		return NetworkConfig{}, fmt.Errorf("arachnet: read config: %w", err)
 	}
 	return UnmarshalConfigJSON(data)
-}
-
-// SaveConfigFile writes the configuration as JSON.
-func SaveConfigFile(path string, cfg NetworkConfig) error {
-	data, err := MarshalConfigJSON(cfg)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

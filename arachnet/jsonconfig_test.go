@@ -1,11 +1,26 @@
 package arachnet
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// MarshalConfigJSON serializes a NetworkConfig to the JSON schema.
+func MarshalConfigJSON(cfg NetworkConfig) ([]byte, error) {
+	return json.MarshalIndent(configToJSON(cfg), "", "  ")
+}
+
+// SaveConfigFile writes the configuration as JSON.
+func SaveConfigFile(path string, cfg NetworkConfig) error {
+	data, err := MarshalConfigJSON(cfg)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
 
 func TestConfigJSONRoundTrip(t *testing.T) {
 	cfg := DefaultNetworkConfig()

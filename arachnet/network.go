@@ -174,12 +174,6 @@ func (n *Network) Payloads(tid uint8) []uint16 {
 	return append([]uint16(nil), n.Reader.Payloads[tid]...)
 }
 
-// BeaconDecodes returns the recorded beacon decode completions (most
-// recent few thousand), for synchronization-offset analysis.
-func (n *Network) BeaconDecodes() []BeaconDecode {
-	return append([]BeaconDecode(nil), n.beaconDecodes...)
-}
-
 // SyncOffsets computes the Fig. 13(b) metric: for each beacon decoded
 // by both the reference tag and tag t, the signed time offset of t's
 // decode completion relative to the reference. Offsets are grouped per

@@ -22,8 +22,6 @@ type (
 	TraceKind         = obs.Kind
 	TraceSink         = obs.Sink
 	JSONLSink         = obs.JSONLSink
-	BinarySink        = obs.BinarySink
-	TraceEventReader  = obs.EventReader
 	MemorySink        = obs.MemorySink
 	TraceMetrics      = obs.Metrics
 	MetricsSnapshot   = obs.Snapshot
@@ -124,15 +122,6 @@ func NewTracer(sinks ...TraceSink) *Tracer { return obs.New(sinks...) }
 // buffered: call Close (or Flush) when the run completes and check its
 // error before closing the underlying file.
 func NewJSONLSink(w io.Writer) *JSONLSink { return obs.NewJSONLSink(w) }
-
-// NewBinarySink writes the length-prefixed binary trace stream to w —
-// the same events as JSONL at a fraction of the encode cost. Call
-// Close (or Flush) when the run completes, as with NewJSONLSink.
-func NewBinarySink(w io.Writer) *BinarySink { return obs.NewBinarySink(w) }
-
-// NewTraceEventReader decodes a binary trace stream written by a
-// BinarySink.
-func NewTraceEventReader(r io.Reader) *TraceEventReader { return obs.NewEventReader(r) }
 
 // ConvertTraceBinaryToJSONL rewrites a binary trace stream as JSONL;
 // the output is byte-identical to what a JSONLSink attached to the

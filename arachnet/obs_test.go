@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestCreateTraceFileWritesAndCloses round-trips one event through a
@@ -25,7 +27,7 @@ func TestCreateTraceFileWritesAndCloses(t *testing.T) {
 	}
 	defer f.Close()
 	var ev TraceEvent
-	if err := NewTraceEventReader(f).Read(&ev); err != nil {
+	if err := obs.NewEventReader(f).Read(&ev); err != nil {
 		t.Fatal(err)
 	}
 	if ev.Kind != TraceTagSettle || ev.Slot != 7 || ev.TID != 3 {

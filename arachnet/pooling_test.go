@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/faults"
 )
 
 // Pooling equivalence: the fleet runs every job on a pooled clone (a
@@ -19,7 +21,7 @@ import (
 // with a per-vehicle fault plan (exercising the pooled tracer pair and
 // the per-job injector).
 func poolingFleet(workers int) Fleet {
-	plan := RandomFaultPlan(42)
+	plan := faults.RandomPlan(42)
 	return Fleet{
 		Seed:    17,
 		Workers: workers,
@@ -59,7 +61,7 @@ func TestFleetPooledFingerprintAcrossWorkers(t *testing.T) {
 // tracer) constructed from scratch for that seed.
 func TestSlotsJobPooledMatchesFresh(t *testing.T) {
 	ctx := context.Background()
-	plan := RandomFaultPlan(42)
+	plan := faults.RandomPlan(42)
 	for _, v := range []VehicleSpec{
 		{Name: "chaos", Pattern: "c7", Slots: 2000, Faults: &plan},
 		{Name: "sweep", Pattern: "c3", ConvergeWithin: 500_000},
@@ -126,7 +128,7 @@ func TestNetworkSnapshotCloneMatchesFresh(t *testing.T) {
 	// Dirty the snapshot's shared parts through a faulted clone: fades
 	// write the clone's channel hook, outages toggle its carrier.
 	_, dtr := NewChaosTracer()
-	inj, err := NewFaultInjector(RandomFaultPlan(7), seed+1, len(cfg.Tags), dtr)
+	inj, err := NewFaultInjector(faults.RandomPlan(7), seed+1, len(cfg.Tags), dtr)
 	if err != nil {
 		t.Fatal(err)
 	}

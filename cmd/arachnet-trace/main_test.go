@@ -50,7 +50,10 @@ func TestConvertDumpsCheckpoint(t *testing.T) {
 func TestConvertTraceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	var bin bytes.Buffer
-	sink := arachnet.NewBinarySink(&bin)
+	sink, err := arachnet.NewTraceFileSink(&bin, arachnet.TraceFormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pattern := arachnet.Table3Patterns()[2]
 	s, err := arachnet.NewSlotSim(arachnet.SlotSimConfig{
 		Pattern:     pattern,

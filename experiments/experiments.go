@@ -103,16 +103,6 @@ func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 
-// median returns the middle element of (a copy of) xs.
-func median(xs []int) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]int(nil), xs...)
-	sort.Ints(cp)
-	return cp[len(cp)/2]
-}
-
 // percentile returns the p-quantile (0..1) of xs.
 func percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {

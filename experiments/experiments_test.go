@@ -2,9 +2,20 @@ package experiments
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 )
+
+// median returns the middle element of (a copy of) xs.
+func median(xs []int) int {
+	if len(xs) == 0 {
+		return 0
+	}
+	cp := append([]int(nil), xs...)
+	sort.Ints(cp)
+	return cp[len(cp)/2]
+}
 
 func TestTableRendering(t *testing.T) {
 	tb := Table{Title: "T", Header: []string{"a", "bb"}, Notes: []string{"n"}}

@@ -50,7 +50,6 @@ func RunFig11a() ([]Fig11aRow, Table, error) {
 // Fig11bRow is one tag's charging behaviour.
 type Fig11bRow struct {
 	Tag               int
-	AmplifiedVolts    float64
 	ChargeSeconds     float64
 	RechargeSeconds   float64 // LTH -> HTH
 	NetPowerMicrowatt float64
@@ -84,7 +83,7 @@ func RunFig11b() ([]Fig11bRow, Table, error) {
 		}
 		p := h.NetChargingPower(0, h.Cutoff.HighThreshold(), tFull) * 1e6
 		rows = append(rows, Fig11bRow{
-			Tag: id, AmplifiedVolts: vdd, ChargeSeconds: tFull,
+			Tag: id, ChargeSeconds: tFull,
 			RechargeSeconds: tRe, NetPowerMicrowatt: p,
 		})
 		tb.AddRow(fmt.Sprintf("%d", id), f2(vdd), f1(tFull), f1(tRe), f1(p))

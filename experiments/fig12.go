@@ -13,9 +13,6 @@ import (
 // (tag 8), structural-face (tag 4), and deep cargo (tag 11).
 var fig12Tags = []int{8, 4, 11}
 
-// fig12Rates are the nominal uplink chip rates.
-var fig12Rates = []float64{93.75, 187.5, 375, 750, 1500, 3000}
-
 // Fig12aCell is one (tag, rate) SNR result.
 type Fig12aCell struct {
 	Tag   int
@@ -46,7 +43,8 @@ func RunFig12a(seed uint64) ([]Fig12aCell, Table, error) {
 		meas     float64
 	}
 	var jobs []job
-	for _, rate := range fig12Rates {
+	for _, r := range phy.ULRates {
+		rate := r.BitsPerSec
 		for _, id := range fig12Tags {
 			snr, err := ch.UplinkSNRdB(id, rate)
 			if err != nil {
@@ -71,7 +69,8 @@ func RunFig12a(seed uint64) ([]Fig12aCell, Table, error) {
 		Title:  "Fig. 12(a): Uplink SNR vs Bit Rate (link budget / PSD-measured, dB)",
 		Header: []string{"Rate (bps)", "tag 8", "tag 4", "tag 11"},
 	}
-	for i, rate := range fig12Rates {
+	for i, r := range phy.ULRates {
+		rate := r.BitsPerSec
 		row := []string{fmt.Sprintf("%g", rate)}
 		for j := range fig12Tags {
 			jb := jobs[i*len(fig12Tags)+j]
@@ -121,8 +120,6 @@ func measureSNRFromBaseband(baseband []float64, fs, rate float64) (float64, erro
 type Fig12bCell struct {
 	Tag     int
 	Rate    float64
-	Sent    int
-	Lost    int
 	LossPct float64
 }
 
@@ -145,7 +142,8 @@ func RunFig12b(seed uint64, packets int) ([]Fig12bCell, Table, error) {
 		lost int
 	}
 	var jobs []job
-	for _, rate := range fig12Rates {
+	for _, r := range phy.ULRates {
+		rate := r.BitsPerSec
 		for _, id := range fig12Tags {
 			jobs = append(jobs, job{tag: id, rate: rate,
 				rng: rng.Fork(uint64(id)*1000 + uint64(rate))})
@@ -163,12 +161,13 @@ func RunFig12b(seed uint64, packets int) ([]Fig12bCell, Table, error) {
 		Title:  fmt.Sprintf("Fig. 12(b): Uplink Packet Loss (%d sent per setting)", packets),
 		Header: []string{"Rate (bps)", "tag 8", "tag 4", "tag 11"},
 	}
-	for i, rate := range fig12Rates {
+	for i, r := range phy.ULRates {
+		rate := r.BitsPerSec
 		row := []string{fmt.Sprintf("%g", rate)}
 		for j := range fig12Tags {
 			jb := jobs[i*len(fig12Tags)+j]
 			cells = append(cells, Fig12bCell{
-				Tag: jb.tag, Rate: jb.rate, Sent: packets, Lost: jb.lost,
+				Tag: jb.tag, Rate: jb.rate,
 				LossPct: 100 * float64(jb.lost) / float64(packets),
 			})
 			row = append(row, fmt.Sprintf("%d", jb.lost))

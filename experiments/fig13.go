@@ -5,14 +5,13 @@ import (
 	"math"
 
 	"repro/arachnet"
+	"repro/internal/phy"
 )
 
 // Fig13aCell is one (tag, DL rate) beacon loss measurement.
 type Fig13aCell struct {
 	Tag     int
 	Rate    float64
-	Sent    int
-	Lost    int
 	LossPct float64
 }
 
@@ -24,7 +23,7 @@ func RunFig13a(seed uint64, slots int) ([]Fig13aCell, Table, error) {
 	if slots <= 0 {
 		slots = 1000
 	}
-	rates := []float64{125, 250, 500, 1000, 2000}
+	rates := phy.DLRates
 	tags := []uint8{8, 4, 11}
 	// Each rate is an independent network with its own derived seed, so
 	// the rate sweeps run concurrently; per-rate results are merged back
@@ -57,7 +56,7 @@ func RunFig13a(seed uint64, slots int) ([]Fig13aCell, Table, error) {
 				lost = 0
 			}
 			rateCells[ri] = append(rateCells[ri], Fig13aCell{
-				Tag: int(tp.TID), Rate: rate, Sent: sent, Lost: lost,
+				Tag: int(tp.TID), Rate: rate,
 				LossPct: 100 * float64(lost) / float64(sent),
 			})
 			row = append(row, fmt.Sprintf("%d", lost))

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/mcu"
 	"repro/internal/strain"
 )
 
@@ -12,12 +11,11 @@ type Fig17Point struct {
 	DisplacementCm float64
 	Tag            string
 	Volts          float64
-	ADCCode        uint16
 }
 
 // RunFig17 sweeps the monitored metal's end displacement from -10 cm to
 // +10 cm and reports the three strain tags' amplified bridge voltages
-// and ADC codes (Fig. 17: clear monotone correlation).
+// (Fig. 17: clear monotone correlation).
 func RunFig17() ([]Fig17Point, Table, error) {
 	// Three gauges bonded at slightly different positions: small
 	// sensitivity spread, as visible in the paper's three curves.
@@ -27,7 +25,6 @@ func RunFig17() ([]Fig17Point, Table, error) {
 		s.Amp.Gain *= gainScale
 		sensors[name] = s
 	}
-	adc := mcu.NewADC()
 	var points []Fig17Point
 	tb := Table{
 		Title:  "Fig. 17: Strain Voltage vs Displacement",
@@ -41,7 +38,7 @@ func RunFig17() ([]Fig17Point, Table, error) {
 				return nil, Table{}, fmt.Errorf("tag %s at %v cm: %w", name, d, err)
 			}
 			points = append(points, Fig17Point{
-				DisplacementCm: d, Tag: name, Volts: v, ADCCode: adc.Convert(v),
+				DisplacementCm: d, Tag: name, Volts: v,
 			})
 			row = append(row, f3(v))
 		}

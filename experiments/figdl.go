@@ -22,8 +22,6 @@ import (
 type DLSchemeCell struct {
 	Scheme  string
 	Rate    float64
-	Sent    int
-	Lost    int
 	LossPct float64
 }
 
@@ -84,7 +82,7 @@ func RunDLSchemeStudy(seed uint64, beacons int) ([]DLSchemeCell, Table, error) {
 		for j := range schemes {
 			jb := jobs[i*len(schemes)+j]
 			cells = append(cells, DLSchemeCell{
-				Scheme: jb.name, Rate: jb.rate, Sent: beacons, Lost: jb.lost,
+				Scheme: jb.name, Rate: jb.rate,
 				LossPct: 100 * float64(jb.lost) / float64(beacons),
 			})
 			row = append(row, fmt.Sprintf("%d", jb.lost))

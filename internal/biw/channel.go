@@ -32,9 +32,6 @@ type Channel struct {
 
 	// DrivePeakVolts is the reader TX PZT drive amplitude (V peak).
 	DrivePeakVolts float64
-	// ReflectionEfficiency is the fraction of incident wave amplitude a
-	// short-circuited tag PZT re-radiates (0..1).
-	ReflectionEfficiency float64
 	// RXReferenceVolts is the backscatter amplitude (V) observed at
 	// the reader ADC for the reference (lowest-loss) tag.
 	RXReferenceVolts float64
@@ -57,12 +54,11 @@ type Channel struct {
 // DefaultChannel wraps the deployment with the paper's reader settings.
 func DefaultChannel(d *Deployment) *Channel {
 	c := &Channel{
-		Deployment:           d,
-		DrivePeakVolts:       36.0,
-		ReflectionEfficiency: 0.55,
-		RXReferenceVolts:     0.050,
-		ClutterCompression:   0.35,
-		NoiseDensityV2PerHz:  3.52e-9,
+		Deployment:          d,
+		DrivePeakVolts:      36.0,
+		RXReferenceVolts:    0.050,
+		ClutterCompression:  0.35,
+		NoiseDensityV2PerHz: 3.52e-9,
 	}
 	best := math.Inf(1)
 	for id := 1; id <= d.NumTags(); id++ {

@@ -1,10 +1,6 @@
 package biw
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // Mount places a device (reader or tag) on a structural element.
 // OffsetM is the device's distance (meters) along the sheet metal from
@@ -56,21 +52,6 @@ func (d *Deployment) TagDelay(id int) (float64, error) {
 		return 0, err
 	}
 	return d.Structure.PropagationDelay(d.Reader.Element, m.Element)
-}
-
-// LossRank returns tag ids sorted from lowest to highest path loss,
-// i.e. best-connected first.
-func (d *Deployment) LossRank() []int {
-	ids := make([]int, len(d.Tags))
-	for i := range ids {
-		ids[i] = i + 1
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		la, _ := d.TagLossDB(ids[a])
-		lb, _ := d.TagLossDB(ids[b])
-		return la < lb
-	})
-	return ids
 }
 
 // NewONVOL60 builds the paper's deployment: the BiW of an ONVO L60 SUV
@@ -154,39 +135,3 @@ func NewONVOL60() *Deployment {
 		},
 	}
 }
-
-// ResonantFrequencyHz is the mechanical resonant frequency of the
-// reader-PZT / BiW system. All communication rides on this carrier; the
-// 'FSK in OOK out' downlink scheme exploits the sharp response falloff
-// away from resonance (Sec. 4.1).
-const ResonantFrequencyHz = 90_000.0
-
-// ResonanceResponse returns the relative amplitude response (0..1) of
-// the BiW at frequency f, modeled as a second-order resonance with
-// quality factor Q around ResonantFrequencyHz. At resonance the
-// response is 1; a few kHz away it collapses, which is what lets the
-// reader emit "low" symbols as off-resonant tones that the tag's
-// envelope detector cannot see.
-func ResonanceResponse(fHz float64) float64 {
-	const q = 45.0
-	f0 := ResonantFrequencyHz
-	if fHz <= 0 {
-		return 0
-	}
-	r := fHz / f0
-	denom := math.Sqrt(math.Pow(1-r*r, 2) + math.Pow(r/q, 2))
-	if denom == 0 {
-		return 1
-	}
-	resp := (r / q) / denom
-	if resp > 1 {
-		resp = 1
-	}
-	return resp
-}
-
-// AmbientVibrationHz is the upper bound of the vehicle's own structural
-// vibration spectrum (engine, road). It is more than two decades below
-// the 90 kHz carrier, which is why driving does not disturb the link
-// (Sec. 2.2 discussion).
-const AmbientVibrationHz = 100.0

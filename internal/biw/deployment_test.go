@@ -105,28 +105,33 @@ func TestFig11aCalibration(t *testing.T) {
 	}
 }
 
+// TestLossRank checks the deployment's connectivity order: tag 8,
+// next to the reader, has the lowest path loss and tag 11, deep in the
+// cargo area, the highest.
 func TestLossRank(t *testing.T) {
 	d := NewONVOL60()
-	rank := d.LossRank()
-	if len(rank) != 12 {
-		t.Fatalf("rank length %d", len(rank))
+	if d.NumTags() != 12 {
+		t.Fatalf("tags = %d, want 12", d.NumTags())
 	}
-	if rank[0] != 8 {
-		t.Errorf("best-connected tag = %d, want 8 (next to reader)", rank[0])
-	}
-	if rank[len(rank)-1] != 11 {
-		t.Errorf("worst-connected tag = %d, want 11 (deep cargo)", rank[len(rank)-1])
-	}
-	prev := -1.0
-	for _, id := range rank {
+	best, worst := 0, 0
+	var bestLoss, worstLoss float64
+	for id := 1; id <= d.NumTags(); id++ {
 		l, err := d.TagLossDB(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if l < prev {
-			t.Fatalf("rank not sorted by loss")
+		if best == 0 || l < bestLoss {
+			best, bestLoss = id, l
 		}
-		prev = l
+		if worst == 0 || l > worstLoss {
+			worst, worstLoss = id, l
+		}
+	}
+	if best != 8 {
+		t.Errorf("best-connected tag = %d, want 8 (next to reader)", best)
+	}
+	if worst != 11 {
+		t.Errorf("worst-connected tag = %d, want 11 (deep cargo)", worst)
 	}
 }
 

@@ -8,6 +8,109 @@ import (
 	"repro/internal/sim"
 )
 
+// Structural multipath. A vibration launched into the BiW does not take
+// one path: it reverberates through ribs, seams and panel boundaries,
+// arriving as a dense train of echoes. For communication this shows up
+// as a spectral shelf around the backscatter tone that scales *with*
+// the signal — the physical basis of the clutter-limited SNR model in
+// Channel (see the calibration note there).
+//
+// Multipath synthesizes an echo profile and applies it to baseband
+// waveforms, so the tests below can demonstrate the mechanism rather
+// than assume it. No experiment runs it, so it lives here.
+
+// Echo is one discrete arrival.
+type Echo struct {
+	DelaySeconds   float64
+	AmplitudeRatio float64 // relative to the direct path (1.0)
+}
+
+// Multipath is a BiW reverberation profile.
+type Multipath struct {
+	Echoes []Echo
+}
+
+// NewMultipath draws a dense exponential-decay echo profile: count
+// echoes over spreadSeconds, amplitudes decaying with the structure's
+// reverberation constant and randomized signs (phase inversions at
+// boundaries).
+func NewMultipath(count int, spreadSeconds, decaySeconds float64, rng *sim.Rand) *Multipath {
+	if count < 0 {
+		count = 0
+	}
+	m := &Multipath{}
+	for i := 0; i < count; i++ {
+		d := rng.Float64() * spreadSeconds
+		a := math.Exp(-d/decaySeconds) * (0.1 + 0.4*rng.Float64())
+		if rng.Bool(0.5) {
+			a = -a
+		}
+		m.Echoes = append(m.Echoes, Echo{DelaySeconds: d, AmplitudeRatio: a})
+	}
+	return m
+}
+
+// DefaultMultipath returns a profile representative of a welded steel
+// floor assembly: ~20 significant echoes spread over 2 ms with a
+// 0.8 ms reverberation constant.
+func DefaultMultipath(rng *sim.Rand) *Multipath {
+	return NewMultipath(20, 2e-3, 0.8e-3, rng)
+}
+
+// Apply convolves a baseband signal (sample rate fsHz) with the direct
+// path plus the echo train.
+func (m *Multipath) Apply(signal []float64, fsHz float64) []float64 {
+	out := make([]float64, len(signal))
+	copy(out, signal)
+	for _, e := range m.Echoes {
+		lag := int(e.DelaySeconds * fsHz)
+		if lag <= 0 || lag >= len(signal) {
+			continue
+		}
+		for i := lag; i < len(signal); i++ {
+			out[i] += e.AmplitudeRatio * signal[i-lag]
+		}
+	}
+	return out
+}
+
+// ApplyTimeVarying convolves the signal with the echo train while the
+// echo amplitudes flutter slowly (structural micro-motion at flutterHz
+// with relative depth), which is what actually creates the
+// signal-proportional spectral shelf around the backscatter tone: a
+// static channel preserves the tone's periodicity, a fluttering one
+// smears sidebands into the surrounding band.
+func (m *Multipath) ApplyTimeVarying(signal []float64, fsHz, flutterHz, depth float64, rng *sim.Rand) []float64 {
+	out := make([]float64, len(signal))
+	copy(out, signal)
+	for _, e := range m.Echoes {
+		lag := int(e.DelaySeconds * fsHz)
+		if lag <= 0 || lag >= len(signal) {
+			continue
+		}
+		// Each echo flutters with its own random phase and a rate
+		// scattered around flutterHz (different panels move at
+		// different modal frequencies).
+		phase := rng.Float64() * 2 * math.Pi
+		f := flutterHz * (0.5 + rng.Float64())
+		for i := lag; i < len(signal); i++ {
+			wobble := 1 + depth*math.Sin(2*math.Pi*f*float64(i)/fsHz+phase)
+			out[i] += e.AmplitudeRatio * wobble * signal[i-lag]
+		}
+	}
+	return out
+}
+
+// EnergyRatio returns the echo-train energy relative to the direct
+// path — a rough clutter-to-signal figure.
+func (m *Multipath) EnergyRatio() float64 {
+	var e float64
+	for _, echo := range m.Echoes {
+		e += echo.AmplitudeRatio * echo.AmplitudeRatio
+	}
+	return e
+}
+
 func TestMultipathApplyIdentityWithoutEchoes(t *testing.T) {
 	m := &Multipath{}
 	sig := []float64{1, 2, 3, 4}

@@ -275,16 +275,6 @@ func (s *Structure) compilePaths() *pathTable {
 	return t
 }
 
-// Gain returns the one-way linear amplitude gain (0..1) between two
-// elements: 10^(-loss/20).
-func (s *Structure) Gain(a, b string) (float64, error) {
-	loss, _, err := s.PathLossDB(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return math.Pow(10, -loss/20), nil
-}
-
 // SpeedOfSound is the group velocity of the 90 kHz plate wave in the
 // BiW sheet steel, used for propagation delays. m/s.
 const SpeedOfSound = 5100.0

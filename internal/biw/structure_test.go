@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/pzt"
 	"repro/internal/sim"
 )
 
@@ -148,15 +149,23 @@ func TestPathLossErrors(t *testing.T) {
 	}
 }
 
+// TestGain checks the amplitude gain the channel applies to the
+// reader's drive: 10^(-loss/20) of the tag's full path loss.
 func TestGain(t *testing.T) {
-	s := newTestStructure()
-	g, err := s.Gain("a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Pow(10, -13.0/20)
-	if math.Abs(g-want) > 1e-12 {
-		t.Errorf("gain = %v, want %v", g, want)
+	d := NewONVOL60()
+	c := DefaultChannel(d)
+	for id := 1; id <= d.NumTags(); id++ {
+		loss, err := d.TagLossDB(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vp, err := c.TagPeakVoltage(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := c.DrivePeakVolts * math.Pow(10, -loss/20); math.Abs(vp-want) > 1e-12 {
+			t.Errorf("tag %d: Vp = %v, want %v", id, vp, want)
+		}
 	}
 }
 
@@ -183,6 +192,27 @@ func TestElementsSorted(t *testing.T) {
 			t.Fatalf("elements not sorted: %v", names)
 		}
 	}
+}
+
+// ResonantFrequencyHz is the mechanical resonant frequency of the
+// reader-PZT / BiW system. All communication rides on this carrier; the
+// 'FSK in OOK out' downlink scheme exploits the sharp response falloff
+// away from resonance (Sec. 4.1).
+const ResonantFrequencyHz = 90_000.0
+
+// AmbientVibrationHz is the upper bound of the vehicle's own structural
+// vibration spectrum (engine, road). It is more than two decades below
+// the 90 kHz carrier, which is why driving does not disturb the link
+// (Sec. 2.2 discussion).
+const AmbientVibrationHz = 100.0
+
+// ResonanceResponse returns the relative amplitude response (0..1) of
+// the reader-PZT / BiW system at frequency f: the second-order
+// resonance of the paper's transducer, which the FSK downlink reads
+// through FSKLowLeakage.
+func ResonanceResponse(fHz float64) float64 {
+	tr := pzt.New()
+	return tr.FSKLowLeakage(fHz - tr.ResonantHz)
 }
 
 func TestResonanceResponse(t *testing.T) {

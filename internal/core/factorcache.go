@@ -94,11 +94,3 @@ func touchKey(key string) {
 		}
 	}
 }
-
-// FactorCacheStats reports how many factorizations were built versus
-// served from cache since process start (tests assert reuse with it).
-func FactorCacheStats() (builds, hits uint64) {
-	factorCache.Lock()
-	defer factorCache.Unlock()
-	return factorCache.builds, factorCache.hits
-}

@@ -7,6 +7,14 @@ import (
 	"repro/internal/mac"
 )
 
+// FactorCacheStats reports how many factorizations were built versus
+// served from cache since process start (tests assert reuse with it).
+func FactorCacheStats() (builds, hits uint64) {
+	factorCache.Lock()
+	defer factorCache.Unlock()
+	return factorCache.builds, factorCache.hits
+}
+
 // The lumped chain's factored value iteration must agree with an
 // independent dense solve of (I-Q)t = 1 on the full chain, for chains
 // small enough to eliminate directly.

@@ -26,7 +26,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/mac"
@@ -418,9 +417,6 @@ func (m *Model) AbsorbingStates() []int {
 	return out
 }
 
-// StateByID returns the canonical state for an id.
-func (m *Model) StateByID(id int) State { return m.list[id] }
-
 // VerifyLemma1 checks that every reachable all-settled state has a
 // pairwise conflict-free schedule.
 func (m *Model) VerifyLemma1() error {
@@ -592,14 +588,3 @@ func (f *Factorization) ExpectedAbsorptionSlots() (mean, worst float64, err erro
 
 // Model returns the enumerated chain this factorization was built from.
 func (f *Factorization) Model() *Model { return f.model }
-
-// Describe returns a short human-readable model summary.
-func (m *Model) Describe() string {
-	ps := make([]int, len(m.Periods))
-	for i, p := range m.Periods {
-		ps[i] = int(p)
-	}
-	sort.Ints(ps)
-	return fmt.Sprintf("core: periods=%v N=%d states=%d absorbing=%d",
-		ps, m.NackThreshold, m.NumStates(), m.NumAbsorbing())
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -109,7 +110,7 @@ func TestAbsorbingStatesAreConflictFree(t *testing.T) {
 		t.Fatal("no absorbing states at full utilization")
 	}
 	for _, id := range abs {
-		s := m.StateByID(id)
+		s := m.list[id]
 		if !m.IsAbsorbing(s) {
 			t.Fatal("AbsorbingStates returned non-absorbing state")
 		}
@@ -122,7 +123,7 @@ func TestAbsorbingStatesAreConflictFree(t *testing.T) {
 func TestStateOffsetsInRange(t *testing.T) {
 	m := newModel(t, 2, 4, 8)
 	for id := 0; id < m.NumStates(); id++ {
-		s := m.StateByID(id)
+		s := m.list[id]
 		for i, p := range m.Periods {
 			if off := int(s.Tags[i].Offset); off >= int(p) {
 				t.Fatalf("state %d: tag %d offset %d outside [0, %d)", id, i, off, p)
@@ -181,6 +182,17 @@ func TestModelMatchesSimulator(t *testing.T) {
 	if mc < exact/3 || mc > exact*3 {
 		t.Errorf("simulator mean %.1f vs exact %.1f slots", mc, exact)
 	}
+}
+
+// Describe returns a short human-readable model summary.
+func (m *Model) Describe() string {
+	ps := make([]int, len(m.Periods))
+	for i, p := range m.Periods {
+		ps[i] = int(p)
+	}
+	slices.Sort(ps)
+	return fmt.Sprintf("core: periods=%v N=%d states=%d absorbing=%d",
+		ps, m.NackThreshold, m.NumStates(), m.NumAbsorbing())
 }
 
 func TestDescribe(t *testing.T) {

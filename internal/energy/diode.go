@@ -30,12 +30,6 @@ func Schottky() Diode {
 	return Diode{Name: "CDBU0130L", SlopeVolts: 0.0375, SatAmps: 7.5e-6}
 }
 
-// Silicon returns a conventional silicon diode (~0.7 V drop), used by
-// the ablation benchmarks to show why a Schottky pump is mandatory.
-func Silicon() Diode {
-	return Diode{Name: "1N4148", SlopeVolts: 0.052, SatAmps: 1.0e-9}
-}
-
 // ForwardDrop returns the forward voltage (V) at forward current amps (A).
 // Non-positive currents return zero drop.
 func (d Diode) ForwardDrop(amps float64) float64 {

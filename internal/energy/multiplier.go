@@ -58,9 +58,6 @@ func (m *Multiplier) OpenCircuitVoltage(vpVolts float64) float64 {
 	return 2 * float64(m.Stages) * (vpVolts - von)
 }
 
-// AmplificationRatio is the ideal voltage gain 2N.
-func (m *Multiplier) AmplificationRatio() float64 { return 2 * float64(m.Stages) }
-
 // OutputImpedance returns the pump's effective source resistance in
 // ohms: Rout = N / (f * C). This is what limits charging current into
 // the supercapacitor.

@@ -57,14 +57,6 @@ func (s *Supercap) EnergyJoules() float64 {
 	return 0.5 * s.Farads * s.volts * s.volts
 }
 
-// Deposit adds charge from a current amps (A) flowing for dtSeconds (s).
-func (s *Supercap) Deposit(amps, dtSeconds float64) {
-	if amps <= 0 || dtSeconds <= 0 {
-		return
-	}
-	s.SetVolts(s.volts + amps*dtSeconds/s.Farads)
-}
-
 // Withdraw removes the energy consumed by a load drawing power p (W)
 // for dtSeconds (s). It reports whether the capacitor could supply it; on
 // failure (the demand exceeds the stored energy) the voltage is left at
@@ -100,12 +92,4 @@ func (s *Supercap) LeakCurrent() float64 {
 		return 0
 	}
 	return s.RatedLeakAmps * s.volts / s.RatedVolts
-}
-
-// Leak applies self-discharge over dtSeconds.
-func (s *Supercap) Leak(dtSeconds float64) {
-	if dtSeconds <= 0 {
-		return
-	}
-	s.SetVolts(s.volts - s.LeakCurrent()*dtSeconds/s.Farads)
 }

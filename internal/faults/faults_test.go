@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -58,7 +60,11 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	want := moderatePlan()
 	want.ReaderOutages.ResetOnRestart = true
 	want.Fades.Tags = []int{2, 5}
-	if err := SavePlanFile(path, want); err != nil {
+	data, err := json.MarshalIndent(want, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadPlanFile(path)

@@ -30,18 +30,6 @@ func LoadPlanFile(path string) (Plan, error) {
 	return UnmarshalPlan(data)
 }
 
-// SavePlanFile writes the plan as indented JSON.
-func SavePlanFile(path string, p Plan) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // RandomPlan derives a randomized but recoverable chaos plan from a
 // seed: every parameter is drawn from a moderate range (fault pressure
 // high enough to exercise the recovery paths, low enough that the

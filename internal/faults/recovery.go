@@ -13,14 +13,13 @@ import (
 )
 
 // Resettle tracks one browned-out tag's road back: the slot it went
-// dark, the slot it rejoined as a newcomer, and the slot the reader
-// re-accepted its schedule. Periods expresses the rejoin->resettle
-// latency in units of the tag's own period, the natural recovery bound
-// (a tag gets roughly one contention opportunity per period).
+// dark and the slot the reader re-accepted its schedule. Periods
+// expresses the rejoin->resettle latency in units of the tag's own
+// period, the natural recovery bound (a tag gets roughly one
+// contention opportunity per period).
 type Resettle struct {
 	TID          int
 	BrownoutSlot int
-	RejoinSlot   int
 	ResettleSlot int // -1 while unrecovered
 	Periods      float64
 }
@@ -155,8 +154,7 @@ func (r *Recovery) Observe(ev obs.Event) {
 			r.lastChange = ev.Slot
 		}
 		if a, ok := r.open[ev.TID]; ok && a.rejoinSlot >= 0 {
-			res := Resettle{TID: ev.TID, BrownoutSlot: a.brownoutSlot,
-				RejoinSlot: a.rejoinSlot, ResettleSlot: ev.Slot}
+			res := Resettle{TID: ev.TID, BrownoutSlot: a.brownoutSlot, ResettleSlot: ev.Slot}
 			if a.period > 0 {
 				res.Periods = float64(ev.Slot-a.rejoinSlot) / float64(a.period)
 			}
@@ -195,7 +193,7 @@ func (r *Recovery) Report() RecoveryReport {
 	for tid, a := range r.open {
 		rep.Unrecovered++
 		rep.Resettles = append(rep.Resettles, Resettle{TID: tid,
-			BrownoutSlot: a.brownoutSlot, RejoinSlot: a.rejoinSlot, ResettleSlot: -1})
+			BrownoutSlot: a.brownoutSlot, ResettleSlot: -1})
 	}
 	sort.Slice(rep.Resettles, func(i, j int) bool {
 		if rep.Resettles[i].BrownoutSlot != rep.Resettles[j].BrownoutSlot {

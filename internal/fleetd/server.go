@@ -312,13 +312,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Degraded reports whether the daemon is in degraded mode and why.
-func (s *Server) Degraded() (bool, string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degraded, s.degradedReason
-}
-
 // checkpointWrite routes every checkpoint write through the degraded
 // mode accounting: a failure enters degraded mode, a success leaves
 // it. Every attempt therefore doubles as the recovery probe — no

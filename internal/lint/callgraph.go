@@ -47,9 +47,8 @@ type FuncNode struct {
 type CallGraph struct {
 	mod *Module
 	// Nodes in deterministic order (package path, then position).
-	Nodes  []*FuncNode
-	byObj  map[types.Object]*FuncNode
-	byDecl map[*ast.FuncDecl]*FuncNode
+	Nodes []*FuncNode
+	byObj map[types.Object]*FuncNode
 }
 
 // CallGraph builds (once) and returns the module's call graph.
@@ -60,15 +59,10 @@ func (m *Module) CallGraph() *CallGraph {
 	return m.callgraph
 }
 
-// NodeOf returns the graph node for a declaration (nil if the decl is
-// not part of the module, e.g. a synthetic one).
-func (g *CallGraph) NodeOf(decl *ast.FuncDecl) *FuncNode { return g.byDecl[decl] }
-
 func buildCallGraph(m *Module) *CallGraph {
 	g := &CallGraph{
-		mod:    m,
-		byObj:  make(map[types.Object]*FuncNode),
-		byDecl: make(map[*ast.FuncDecl]*FuncNode),
+		mod:   m,
+		byObj: make(map[types.Object]*FuncNode),
 	}
 	// Pass 1: one node per function declaration (production files; test
 	// files are included but marked, so analyzers can skip them).
@@ -88,7 +82,6 @@ func buildCallGraph(m *Module) *CallGraph {
 						InTest: inTest,
 					}
 					g.Nodes = append(g.Nodes, node)
-					g.byDecl[fd] = node
 					if pkg.Info != nil {
 						if obj := pkg.Info.Defs[fd.Name]; obj != nil {
 							g.byObj[obj] = node

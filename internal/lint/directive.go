@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/ast"
 	"strconv"
 	"strings"
 )
@@ -118,15 +117,4 @@ func applyDirectives(diags []Diagnostic, dirs []*Directive) []Diagnostic {
 		}
 	}
 	return kept
-}
-
-// fileOf returns the *ast.File in pkg containing pos, for analyzers
-// that need the file's import table while walking declarations.
-func fileOf(m *Module, pkg *Package, node ast.Node) *ast.File {
-	for _, f := range pkg.AllFiles() {
-		if f.FileStart <= node.Pos() && node.Pos() <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }

@@ -98,16 +98,6 @@ func analyzerNames() map[string]bool {
 	return names
 }
 
-// corePackages are the simulation-core package names (final import-path
-// segment): code here must be a pure function of its inputs and the
-// experiment seed. Wall-clock time, the process environment and global
-// PRNG state are forbidden.
-var corePackages = map[string]bool{
-	"biw": true, "pzt": true, "energy": true, "mcu": true, "mac": true,
-	"phy": true, "dsp": true, "tag": true, "reader": true, "sim": true,
-	"faults": true, "strain": true, "core": true, "wire": true,
-}
-
 // physicsPackages carry dimensioned physical quantities (dB, volts,
 // hertz, ...) and are subject to the units analyzer.
 var physicsPackages = map[string]bool{
@@ -139,10 +129,6 @@ func isDriverPath(path string) bool {
 	}
 	return false
 }
-
-// isCorePackage reports whether the package is part of the simulation
-// core (classified by its final import-path segment).
-func isCorePackage(path string) bool { return corePackages[lastSegment(path)] }
 
 // isPhysicsPackage reports whether the package carries dimensioned
 // physical quantities.

@@ -15,8 +15,7 @@ import (
 // Package is one loaded module package: parsed syntax plus (for
 // non-test files) tolerant type information.
 type Package struct {
-	Path      string // import path, e.g. "repro/internal/mac"
-	Dir       string
+	Path      string      // import path, e.g. "repro/internal/mac"
 	Files     []*ast.File // non-test files
 	TestFiles []*ast.File // *_test.go files (in-package and external)
 	Types     *types.Package
@@ -175,7 +174,7 @@ func (m *Module) parseTree() error {
 		}
 		pkg := m.byPath[importPath]
 		if pkg == nil {
-			pkg = &Package{Path: importPath, Dir: dir}
+			pkg = &Package{Path: importPath}
 			m.byPath[importPath] = pkg
 			m.Pkgs = append(m.Pkgs, pkg)
 		}

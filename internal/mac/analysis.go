@@ -1,7 +1,6 @@
 package mac
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -63,28 +62,4 @@ func EstimateConvergenceSlots(pt Pattern) (float64, error) {
 	}
 	// The detector then needs 32 clean slots.
 	return worst + 32, nil
-}
-
-// CompareConvergenceEstimate runs the simulator for a pattern and
-// reports (analytical, simulated-median, ratio) — used by tests to keep
-// the approximation honest.
-func CompareConvergenceEstimate(pt Pattern, seeds int) (analytical, simMedian float64, err error) {
-	analytical, err = EstimateConvergenceSlots(pt)
-	if err != nil {
-		return 0, 0, err
-	}
-	var times []int
-	for seed := 0; seed < seeds; seed++ {
-		s, err := NewSlotSim(SlotSimConfig{Pattern: pt, Seed: uint64(seed)})
-		if err != nil {
-			return 0, 0, err
-		}
-		t, ok := s.RunUntilConverged(500_000)
-		if !ok {
-			return 0, 0, fmt.Errorf("mac: %s seed %d did not converge", pt.Name, seed)
-		}
-		times = append(times, t)
-	}
-	sort.Ints(times)
-	return analytical, float64(times[len(times)/2]), nil
 }

@@ -1,6 +1,10 @@
 package mac
 
-import "testing"
+import (
+	"fmt"
+	"sort"
+	"testing"
+)
 
 func TestEstimateConvergenceValidation(t *testing.T) {
 	if _, err := EstimateConvergenceSlots(Pattern{Periods: []Period{3}}); err == nil {
@@ -31,6 +35,30 @@ func TestEstimateGrowsWithUtilization(t *testing.T) {
 // the simulated median (measured spread is 0.8-1.4x at large seed
 // counts; medians of heavy-tailed convergence times are noisy at the
 // seed counts a unit test can afford).
+// CompareConvergenceEstimate runs the simulator for a pattern and
+// reports (analytical, simulated-median), which keeps the approximation
+// honest.
+func CompareConvergenceEstimate(pt Pattern, seeds int) (analytical, simMedian float64, err error) {
+	analytical, err = EstimateConvergenceSlots(pt)
+	if err != nil {
+		return 0, 0, err
+	}
+	var times []int
+	for seed := 0; seed < seeds; seed++ {
+		s, err := NewSlotSim(SlotSimConfig{Pattern: pt, Seed: uint64(seed)})
+		if err != nil {
+			return 0, 0, err
+		}
+		t, ok := s.RunUntilConverged(500_000)
+		if !ok {
+			return 0, 0, fmt.Errorf("mac: %s seed %d did not converge", pt.Name, seed)
+		}
+		times = append(times, t)
+	}
+	sort.Ints(times)
+	return analytical, float64(times[len(times)/2]), nil
+}
+
 func TestEstimateTracksSimulator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulator sweep")

@@ -30,8 +30,7 @@ type zoneState struct {
 	tags   []*TagProtocol
 	fb     Feedback
 	// Stats.
-	delivered  int
-	collisions int
+	delivered int
 }
 
 // MultiReaderSim steps all zones in lockstep slots.
@@ -119,9 +118,6 @@ func (m *MultiReaderSim) Step() {
 		if len(obs.Decoded) == 1 {
 			z.delivered++
 		}
-		if len(own) > 1 {
-			z.collisions++
-		}
 		fb, err := z.reader.EndSlot(obs)
 		if err != nil {
 			// Zone observations are built from this simulator's own
@@ -144,9 +140,6 @@ func (m *MultiReaderSim) Run(n int) {
 // Slots returns the number of simulated slots.
 func (m *MultiReaderSim) Slots() int { return m.slots }
 
-// ZoneDelivered returns the clean deliveries in zone zi.
-func (m *MultiReaderSim) ZoneDelivered(zi int) int { return m.zones[zi].delivered }
-
 // TotalDelivered sums deliveries across zones.
 func (m *MultiReaderSim) TotalDelivered() int {
 	n := 0
@@ -164,20 +157,4 @@ func (m *MultiReaderSim) Throughput() float64 {
 		return 0
 	}
 	return float64(m.TotalDelivered()) / float64(m.slots)
-}
-
-// SplitPattern partitions a workload across k zones round-robin,
-// preserving per-tag periods.
-func SplitPattern(pt Pattern, k int) []Pattern {
-	if k < 1 {
-		k = 1
-	}
-	out := make([]Pattern, k)
-	for i := range out {
-		out[i].Name = fmt.Sprintf("%s/z%d", pt.Name, i)
-	}
-	for i, p := range pt.Periods {
-		out[i%k].Periods = append(out[i%k].Periods, p)
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -113,6 +114,22 @@ func TestMultiReaderPerZoneCounters(t *testing.T) {
 	if empty.Throughput() != 0 {
 		t.Error("unstepped sim should report 0 throughput")
 	}
+}
+
+// SplitPattern partitions a workload across k zones round-robin,
+// preserving per-tag periods.
+func SplitPattern(pt Pattern, k int) []Pattern {
+	if k < 1 {
+		k = 1
+	}
+	out := make([]Pattern, k)
+	for i := range out {
+		out[i].Name = fmt.Sprintf("%s/z%d", pt.Name, i)
+	}
+	for i, p := range pt.Periods {
+		out[i%k].Periods = append(out[i%k].Periods, p)
+	}
+	return out
 }
 
 func TestSplitPattern(t *testing.T) {

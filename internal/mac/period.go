@@ -13,7 +13,6 @@ package mac
 
 import (
 	"fmt"
-	"math/bits"
 )
 
 // Period is a tag's transmission period in slots. Permissible periods
@@ -27,18 +26,6 @@ type Period int
 func ValidPeriod(p Period) bool {
 	return p > 0 && p&(p-1) == 0
 }
-
-// MustPeriod validates p and panics otherwise; for literals in tests
-// and pattern tables.
-func MustPeriod(p int) Period {
-	if !ValidPeriod(Period(p)) {
-		panic(fmt.Sprintf("mac: %d is not a power-of-two period", p))
-	}
-	return Period(p)
-}
-
-// Log2 returns k for p = 2^k.
-func (p Period) Log2() int { return bits.TrailingZeros64(uint64(p)) }
 
 // Pattern is a workload: the transmission period of every tag, indexed
 // by tag. It corresponds to one column of Table 3.
@@ -73,18 +60,6 @@ func (pt Pattern) Validate() error {
 
 // NumTags returns the number of tags in the pattern.
 func (pt Pattern) NumTags() int { return len(pt.Periods) }
-
-// Hyperperiod returns the least common multiple of all periods — the
-// schedule repeats with this length.
-func (pt Pattern) Hyperperiod() int {
-	h := 1
-	for _, p := range pt.Periods {
-		if int(p) > h {
-			h = int(p)
-		}
-	}
-	return h
-}
 
 // patternOf expands a Table 3 column: counts of tags at periods
 // 4, 8, 16 and 32 slots.

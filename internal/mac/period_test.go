@@ -1,7 +1,9 @@
 package mac
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -18,6 +20,18 @@ func TestValidPeriod(t *testing.T) {
 		}
 	}
 }
+
+// MustPeriod validates p and panics otherwise; for literals in tests
+// and pattern tables.
+func MustPeriod(p int) Period {
+	if !ValidPeriod(Period(p)) {
+		panic(fmt.Sprintf("mac: %d is not a power-of-two period", p))
+	}
+	return Period(p)
+}
+
+// Log2 returns k for p = 2^k.
+func (p Period) Log2() int { return bits.TrailingZeros64(uint64(p)) }
 
 func TestMustPeriod(t *testing.T) {
 	if MustPeriod(8) != 8 {
@@ -56,10 +70,16 @@ func TestPatternUtilization(t *testing.T) {
 	}
 }
 
+// TestPatternHyperperiod checks the hyperperiod the slot simulator's
+// cycle skip uses: the reader's largest provisioned period, which for
+// power-of-two periods is their LCM.
 func TestPatternHyperperiod(t *testing.T) {
-	pt := Pattern{Periods: []Period{2, 8, 4}}
-	if h := pt.Hyperperiod(); h != 8 {
-		t.Errorf("hyperperiod = %d, want 8", h)
+	r, err := NewReaderProtocol(map[int]Period{1: 2, 2: 8, 3: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.maxP != 8 {
+		t.Errorf("hyperperiod = %d, want 8", r.maxP)
 	}
 }
 

@@ -21,10 +21,6 @@ import (
 // MaxObservationTID (the reader tolerates unprovisioned tags); ids
 // beyond the dense range spill into a lazily-built overflow set.
 type ReaderProtocol struct {
-	// Periods maps TID to its transmission period (known to the reader
-	// by provisioning, Sec. 5.5). It is read at construction; changing
-	// it afterwards does not re-provision the reader.
-	Periods map[int]Period
 	// NackThreshold mirrors the tags' N: after this many consecutive
 	// missed expected slots the reader un-settles its belief about a
 	// tag.
@@ -39,7 +35,8 @@ type ReaderProtocol struct {
 	slot int // index of the slot that is about to end
 	maxP int // largest provisioned period
 
-	// period is Periods as a dense tid-indexed table (0 = not
+	// period maps TID to its transmission period (known to the reader
+	// by provisioning, Sec. 5.5) as a dense tid-indexed table (0 = not
 	// provisioned), so judgeSolo needs no map lookup.
 	period []Period
 
@@ -114,7 +111,6 @@ func NewReaderProtocol(periods map[int]Period) (*ReaderProtocol, error) {
 		}
 	}
 	r := &ReaderProtocol{
-		Periods:       periods,
 		NackThreshold: DefaultNackThreshold,
 		maxP:          maxP,
 		period:        make([]Period, maxTID+1),
@@ -175,10 +171,6 @@ func (r *ReaderProtocol) SyncSlot(slot int) {
 // SettledCount returns how many tags the reader believes are settled.
 func (r *ReaderProtocol) SettledCount() int { return r.settledCount }
 
-// EvictTarget returns the TID currently being force-migrated for a
-// blocked newcomer, or -1 when no eviction is in progress.
-func (r *ReaderProtocol) EvictTarget() int { return r.evictTID }
-
 // markAppeared records tid in the appearance set T_a.
 func (r *ReaderProtocol) markAppeared(tid int) {
 	if tid < len(r.appeared) {
@@ -189,18 +181,6 @@ func (r *ReaderProtocol) markAppeared(tid int) {
 		r.appearedHi = make(map[int]bool)
 	}
 	r.appearedHi[tid] = true
-}
-
-// SettledAssignments returns a copy of the reader's current belief in
-// ascending tid order, so the slice is identical across runs.
-func (r *ReaderProtocol) SettledAssignments() []Assignment {
-	out := make([]Assignment, 0, r.settledCount)
-	for tid, ok := range r.settledOK {
-		if ok {
-			out = append(out, r.settled[tid])
-		}
-	}
-	return out
 }
 
 // settledExcept gathers the settled assignments of all tags other than
@@ -314,10 +294,14 @@ func (r *ReaderProtocol) judgeSolo(tid, s int) bool {
 	return true
 }
 
-// chooseVictim is ChooseVictim on reader-owned scratch: identical
-// selection (same candidate order, same feasibility checks, same
-// longest-period preference) without the per-candidate slice builds, so
-// eviction decisions stay off the allocator during convergence.
+// chooseVictim selects which settled tag the reader should evict (by
+// successive NACKs) to make room for a blocked newcomer with period p
+// (Sec. 5.6: "the reader prioritizes selecting less crowded slots").
+// It returns the index into existing whose removal leaves a feasible
+// offset for the newcomer, preferring the victim with the longest
+// period (most flexible to relocate); -1 if no single eviction helps.
+// It works on reader-owned scratch, so eviction decisions stay off the
+// allocator during convergence.
 func (r *ReaderProtocol) chooseVictim(existing []Assignment, p Period) int {
 	if cap(r.vScratch) < len(existing)+1 {
 		r.vScratch = make([]Assignment, 0, len(existing)+1)

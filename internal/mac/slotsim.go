@@ -1,8 +1,6 @@
 package mac
 
 import (
-	"fmt"
-
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -478,16 +476,6 @@ func (s *SlotSim) RunUntilConverged(maxSlots int) (int, bool) {
 	return s.SlotsRun, false
 }
 
-// TagStates returns the protocol state of every tag (for assertions and
-// displays).
-func (s *SlotSim) TagStates() []TagState {
-	out := make([]TagState, len(s.tags))
-	for i, t := range s.tags {
-		out[i] = t.proto.State()
-	}
-	return out
-}
-
 // AllSettled reports whether every joined tag is in SETTLE. A
 // browned-out tag is dark, not settled, whatever its stale state says.
 func (s *SlotSim) AllSettled() bool {
@@ -519,15 +507,3 @@ func (s *SlotSim) Assignments() []Assignment {
 	}
 	return out
 }
-
-// TagCounters returns (transmissions, acks) for 1-based tid.
-func (s *SlotSim) TagCounters(tid int) (tx, acks int, err error) {
-	if tid < 1 || tid > len(s.tags) {
-		return 0, 0, fmt.Errorf("mac: tid %d out of range", tid)
-	}
-	t := s.tags[tid-1]
-	return t.txCount, t.ackCount, nil
-}
-
-// Reader exposes the reader protocol (read-only use intended).
-func (s *SlotSim) Reader() *ReaderProtocol { return s.reader }

@@ -43,7 +43,7 @@ func TestSlotSimAllSettledAfterConvergence(t *testing.T) {
 		t.Fatal("no convergence")
 	}
 	// Let the last ACKs land.
-	s.Run(2 * pt.Hyperperiod())
+	s.Run(2 * s.reader.maxP)
 	if !s.AllSettled() {
 		t.Errorf("states after convergence: %v", s.TagStates())
 	}

@@ -141,33 +141,6 @@ func FeasibleOffset(existing []Assignment, p Period) int {
 	return -1
 }
 
-// ChooseVictim selects which settled tag the reader should evict (by
-// successive NACKs) to make room for a blocked newcomer with period p
-// (Sec. 5.6: "the reader prioritizes selecting less crowded slots").
-// It returns the index into existing whose removal leaves a feasible
-// offset for the newcomer, preferring the victim with the longest
-// period (most flexible to relocate); -1 if no single eviction helps.
-func ChooseVictim(existing []Assignment, p Period) int {
-	best := -1
-	for i := range existing {
-		rest := make([]Assignment, 0, len(existing)-1)
-		rest = append(rest, existing[:i]...)
-		rest = append(rest, existing[i+1:]...)
-		if FeasibleOffset(rest, p) < 0 {
-			continue
-		}
-		// The evicted tag must itself be re-placeable afterwards.
-		withNew := append(append([]Assignment{}, rest...), Assignment{Period: p, Offset: FeasibleOffset(rest, p)})
-		if FeasibleOffset(withNew, existing[i].Period) < 0 {
-			continue
-		}
-		if best < 0 || existing[i].Period > existing[best].Period {
-			best = i
-		}
-	}
-	return best
-}
-
 // Table1Example returns the paper's illustrative allocation: four tags
 // with periods 2, 4, 8, 8 and offsets 0, 1, 7, 3 — full utilization
 // with zero overlap.

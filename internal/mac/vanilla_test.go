@@ -122,6 +122,8 @@ func TestFeasibleOffset(t *testing.T) {
 	}
 }
 
+// TestChooseVictimSec56Example drives the reader's victim chooser
+// (the one judgeSolo calls) on the Sec. 5.6 example.
 func TestChooseVictimSec56Example(t *testing.T) {
 	// The Sec. 5.6 example: tags A and B settled with period 4 at
 	// offsets 2 and 3; late tag C has period 2. C needs offsets {0,1}
@@ -134,7 +136,7 @@ func TestChooseVictimSec56Example(t *testing.T) {
 	if FeasibleOffset(existing, 2) != -1 {
 		t.Fatal("precondition: C must be blocked")
 	}
-	v := ChooseVictim(existing, 2)
+	v := new(ReaderProtocol).chooseVictim(existing, 2)
 	if v < 0 {
 		t.Fatal("no victim found though evicting either A or B works")
 	}
@@ -158,7 +160,7 @@ func TestChooseVictimNoneHelps(t *testing.T) {
 		{Period: 2, Offset: 0},
 		{Period: 2, Offset: 1},
 	}
-	if v := ChooseVictim(existing, 1); v != -1 {
+	if v := new(ReaderProtocol).chooseVictim(existing, 1); v != -1 {
 		t.Errorf("victim %d chosen though eviction cannot help", v)
 	}
 }

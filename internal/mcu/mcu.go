@@ -110,12 +110,10 @@ type MCU struct {
 	lastAt   sim.Time
 	clockPPM float64 // per-unit frequency error of this part
 
-	meter    Meter
-	timer    *Timer
-	pinIn    *InputPin
-	pinOut   *OutputPin
-	toggles  uint64 // MOSFET switch transitions, for TX power
-	lastPinO bool
+	meter  Meter
+	timer  *Timer
+	pinIn  *InputPin
+	pinOut *OutputPin
 }
 
 // New creates an MCU on the engine. rng individualizes the clock error
@@ -205,12 +203,8 @@ func (m *MCU) WakeFor(cycles int) {
 // noteToggle accounts one MOSFET gate transition: Q = C*V of gate
 // charge drawn from the rail.
 func (m *MCU) noteToggle() {
-	m.toggles++
 	m.meter.add(m.mode, m.Cfg.SwitchCapFarads*m.Cfg.SupplyVolts)
 }
-
-// Toggles returns the number of PZT switch transitions so far.
-func (m *MCU) Toggles() uint64 { return m.toggles }
 
 // Meter checkpoints and returns a copy of the power accounting.
 func (m *MCU) Meter() Meter {

@@ -60,13 +60,7 @@ func TestTimerPeriodicInterrupts(t *testing.T) {
 	if count < 360 || count > 390 {
 		t.Errorf("interrupts in 1 s = %d, want ~375", count)
 	}
-	if !m.Timer().Running() {
-		t.Error("timer should still be running")
-	}
 	m.Timer().StopPeriodic()
-	if m.Timer().Running() {
-		t.Error("timer should be stopped")
-	}
 	before := count
 	e.RunUntil(2 * sim.Second)
 	if count != before {
@@ -117,9 +111,6 @@ func TestInputPinEdges(t *testing.T) {
 	if !edges[0] || edges[1] || !edges[2] {
 		t.Errorf("edge polarity wrong: %v", edges)
 	}
-	if !m.In().Level() {
-		t.Error("pin level wrong")
-	}
 	m.In().ClearHandler()
 	m.In().Inject(false)
 	if len(edges) != 3 {
@@ -127,16 +118,17 @@ func TestInputPinEdges(t *testing.T) {
 	}
 }
 
+// TestOutputPinTogglesAccounted checks that each level change, and
+// only a change, draws one gate charge C*V from the rail.
 func TestOutputPinTogglesAccounted(t *testing.T) {
 	_, m := newTestMCU(7)
+	q0 := m.Meter().TotalCharge()
 	m.Out().Set(true)
 	m.Out().Set(true) // no transition
 	m.Out().Set(false)
-	if m.Toggles() != 2 {
-		t.Errorf("toggles = %d, want 2", m.Toggles())
-	}
-	if !m.Out().Level() == true && m.Out().Level() {
-		t.Error("level wrong")
+	gate := m.Cfg.SwitchCapFarads * m.Cfg.SupplyVolts
+	if got := m.Meter().TotalCharge() - q0; math.Abs(got-2*gate) > 1e-15 {
+		t.Errorf("gate charge = %v, want 2 toggles x %v", got, gate)
 	}
 }
 
@@ -155,13 +147,12 @@ func TestADCQuantization(t *testing.T) {
 	if mid < 510 || mid > 514 {
 		t.Errorf("midscale = %d, want ~512", mid)
 	}
-	if a.ConversionEnergy() <= 0 {
-		t.Error("conversion energy must be positive")
-	}
-	// ~1 mW for 2 ms = 2 uJ: expensive relative to the 51 uW TX budget,
-	// which is why the firmware samples once per slot (Sec. 6.5).
-	if a.ConversionEnergy() < 1e-6 {
-		t.Error("conversion energy implausibly low")
+	// A conversion burst draws ConversionWatts for ConversionSeconds
+	// from the supercap: ~1 mW for 2 ms = 2 uJ, expensive relative to
+	// the 51 uW TX budget, which is why the firmware samples once per
+	// slot (Sec. 6.5).
+	if e := a.ConversionWatts * a.ConversionSeconds; e < 1e-6 {
+		t.Errorf("conversion energy %v J implausibly low", e)
 	}
 }
 
@@ -289,14 +280,7 @@ func TestMeterAggregates(t *testing.T) {
 	if p.AverageAmps(ModeIdle) != 0 {
 		t.Error("unvisited mode should average 0")
 	}
-	if math.Abs(p.TotalCharge()-3e-6) > 1e-12 || p.TotalSeconds() != 3 {
-		t.Error("totals wrong")
-	}
-	if got := p.AverageWatts(2.0); math.Abs(got-2e-6) > 1e-12 {
-		t.Errorf("average watts = %v", got)
-	}
-	var empty Meter
-	if empty.AverageWatts(2.0) != 0 {
-		t.Error("empty meter should average 0")
+	if math.Abs(p.TotalCharge()-3e-6) > 1e-12 {
+		t.Error("total charge wrong")
 	}
 }

@@ -30,17 +30,3 @@ func (p Meter) AveragePowerWatts(m Mode, supplyVolts float64) float64 {
 func (p Meter) TotalCharge() float64 {
 	return p.ChargeAs[ModeIdle] + p.ChargeAs[ModeRX] + p.ChargeAs[ModeTX]
 }
-
-// TotalSeconds returns total accounted time.
-func (p Meter) TotalSeconds() float64 {
-	return p.Seconds[ModeIdle] + p.Seconds[ModeRX] + p.Seconds[ModeTX]
-}
-
-// AverageWatts returns the long-run average power at the given supply.
-func (p Meter) AverageWatts(supplyVolts float64) float64 {
-	t := p.TotalSeconds()
-	if t <= 0 {
-		return 0
-	}
-	return p.TotalCharge() / t * supplyVolts
-}

@@ -65,9 +65,6 @@ func (t *Timer) StopPeriodic() {
 	t.callback = nil
 }
 
-// Running reports whether a periodic interrupt is armed.
-func (t *Timer) Running() bool { return t.callback != nil }
-
 // ResetCounter zeroes the free-running counter (positive-edge ISR).
 func (t *Timer) ResetCounter() { t.resetAt = t.mcu.engine.Now() }
 
@@ -98,9 +95,6 @@ func (p *InputPin) OnEdge(cycles int, fn func(rising bool, now sim.Time)) {
 // ClearHandler disables the edge ISR.
 func (p *InputPin) ClearHandler() { p.handler = nil }
 
-// Level returns the current pin level.
-func (p *InputPin) Level() bool { return p.level }
-
 // Inject drives the pin to the given level at the current simulation
 // time; a level change fires the edge ISR (waking the CPU).
 func (p *InputPin) Inject(level bool) {
@@ -129,9 +123,6 @@ func (p *OutputPin) Set(level bool) {
 	p.level = level
 	p.mcu.noteToggle()
 }
-
-// Level returns the pin state.
-func (p *OutputPin) Level() bool { return p.level }
 
 // ADC is the 10-bit successive-approximation converter used by the
 // strain module. A conversion is expensive (the pre-amplifier and ADC
@@ -163,9 +154,4 @@ func (a *ADC) Convert(volts float64) uint16 {
 		return uint16(max)
 	}
 	return uint16(volts / a.VRefVolts * float64(max+1))
-}
-
-// ConversionEnergy returns the joules one conversion burst costs.
-func (a *ADC) ConversionEnergy() float64 {
-	return a.ConversionWatts * a.ConversionSeconds
 }

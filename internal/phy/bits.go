@@ -5,10 +5,7 @@
 // tables derived from the tag's 12 kHz MCU clock dividers.
 package phy
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Bits is a sequence of binary symbols, one byte per bit (0 or 1).
 // The unpacked representation keeps the modulation and interrupt-level
@@ -49,22 +46,6 @@ func (b Bits) String() string {
 		}
 	}
 	return sb.String()
-}
-
-// ParseBits converts a 0/1 string into Bits, rejecting other runes.
-func ParseBits(s string) (Bits, error) {
-	b := make(Bits, 0, len(s))
-	for i, r := range s {
-		switch r {
-		case '0':
-			b = append(b, 0)
-		case '1':
-			b = append(b, 1)
-		default:
-			return nil, fmt.Errorf("phy: invalid bit %q at position %d", r, i)
-		}
-	}
-	return b, nil
 }
 
 // Equal reports whether two bit strings are identical.

@@ -1,9 +1,26 @@
 package phy
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
+
+// ParseBits converts a 0/1 string into Bits, rejecting other runes.
+func ParseBits(s string) (Bits, error) {
+	b := make(Bits, 0, len(s))
+	for i, r := range s {
+		switch r {
+		case '0':
+			b = append(b, 0)
+		case '1':
+			b = append(b, 1)
+		default:
+			return nil, fmt.Errorf("phy: invalid bit %q at position %d", r, i)
+		}
+	}
+	return b, nil
+}
 
 func TestBitsUintRoundTrip(t *testing.T) {
 	f := func(v uint16) bool {

@@ -2,9 +2,40 @@ package phy
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
+
+// PIEDecode converts raw chips back to data bits. It tolerates a
+// truncated trailing low chip (transmitters may end the frame at the
+// falling edge) but rejects malformed pulses.
+func PIEDecode(chips Bits) (Bits, error) {
+	out := Bits{}
+	i := 0
+	for i < len(chips) {
+		if chips[i]&1 != 1 {
+			return nil, fmt.Errorf("phy: PIE symbol at chip %d does not start high", i)
+		}
+		high := 0
+		for i < len(chips) && chips[i]&1 == 1 {
+			high++
+			i++
+		}
+		switch high {
+		case 1:
+			out = append(out, 0)
+		case 2:
+			out = append(out, 1)
+		default:
+			return nil, fmt.Errorf("phy: PIE pulse of %d chips is invalid", high)
+		}
+		if i < len(chips) {
+			i++ // consume the single low separator chip
+		}
+	}
+	return out, nil
+}
 
 func randomBits(raw []byte) Bits {
 	b := make(Bits, len(raw))
@@ -111,6 +142,20 @@ func TestPIERoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// PIEChipLength returns the number of raw chips PIEEncode will emit for
+// the given data: 2 per zero bit, 3 per one bit.
+func PIEChipLength(data Bits) int {
+	n := 0
+	for _, bit := range data {
+		if bit&1 == 1 {
+			n += 3
+		} else {
+			n += 2
+		}
+	}
+	return n
 }
 
 func TestPIEChipLength(t *testing.T) {

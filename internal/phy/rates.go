@@ -1,10 +1,5 @@
 package phy
 
-import (
-	"fmt"
-	"time"
-)
-
 // Bit-rate plumbing. The tag times everything with its 12 kHz
 // low-frequency clock (Sec. 3.2); raw chip rates are derived by integer
 // clock division, which is why the evaluation's nominal rates are
@@ -35,44 +30,3 @@ var ULRates = []struct {
 
 // DLRates are the downlink rates evaluated in Fig. 13(a).
 var DLRates = []float64{125, 250, 500, 1000, 2000}
-
-// RateFromDivider converts a clock division factor to a chip rate.
-func RateFromDivider(div int) (float64, error) {
-	if div <= 0 {
-		return 0, fmt.Errorf("phy: invalid clock divider %d", div)
-	}
-	return MCUClockHz / float64(div), nil
-}
-
-// ChipDuration returns the duration of one raw chip at the given rate.
-func ChipDuration(bitsPerSec float64) time.Duration {
-	if bitsPerSec <= 0 {
-		return 0
-	}
-	return time.Duration(float64(time.Second) / bitsPerSec)
-}
-
-// ULFrameDuration returns the on-air time of a full 32-bit uplink frame
-// at the given raw chip rate: FM0 spends two chips per data bit. At the
-// default 375 bps this is ~171 ms — the "about 200 ms" long packet of
-// Sec. 5.1 that drives the collision problem.
-func ULFrameDuration(bitsPerSec float64) time.Duration {
-	return time.Duration(ULFrameBits*2) * ChipDuration(bitsPerSec)
-}
-
-// DLFrameDuration returns the on-air time of a beacon with command cmd
-// at the given raw chip rate; PIE spends 2 chips per zero and 3 per
-// one, so the duration depends on the bit content.
-func DLFrameDuration(cmd Command, bitsPerSec float64) time.Duration {
-	frame, err := (Beacon{Cmd: cmd}).Marshal()
-	if err != nil {
-		return 0
-	}
-	return time.Duration(PIEChipLength(frame)) * ChipDuration(bitsPerSec)
-}
-
-// MaxDLFrameDuration is the worst-case beacon duration (all command
-// bits set) at the given rate, used for slot-budget planning.
-func MaxDLFrameDuration(bitsPerSec float64) time.Duration {
-	return DLFrameDuration(Command(0xF), bitsPerSec)
-}

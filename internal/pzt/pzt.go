@@ -82,41 +82,6 @@ func (t *Transducer) State() State { return t.state }
 // its UL-modulation timer interrupt).
 func (t *Transducer) SetState(s State) { t.state = s }
 
-// Reflectance returns the amplitude reflection coefficient for the
-// current state.
-func (t *Transducer) Reflectance() float64 {
-	if t.state == Reflective {
-		return t.ShortReflectance
-	}
-	return t.OpenReflectance
-}
-
-// ModulationDepth is the amplitude difference between the two states —
-// the OOK "eye" the reader must detect.
-func (t *Transducer) ModulationDepth() float64 {
-	return t.ShortReflectance - t.OpenReflectance
-}
-
-// OpenCircuitVoltage returns the electrical peak voltage produced by an
-// incident vibration of the given peak amplitude (expressed in the
-// equivalent drive volts of the source wave) at frequency fHz. Off
-// resonance the response collapses with a second-order rolloff.
-func (t *Transducer) OpenCircuitVoltage(waveVolts, fHz float64) float64 {
-	return waveVolts * t.CouplingCoefficient * t.frequencyResponse(fHz)
-}
-
-// HarvestablePower returns the electrical power (W) available to a
-// matched load when the transducer absorbs a wave that would produce
-// the given open-circuit voltage, assuming source impedance sourceOhms.
-// P = Voc^2 / (8 Rs) for a matched resistive load on a sinusoidal
-// source (peak voltage convention).
-func (t *Transducer) HarvestablePower(openCircuitVolts, sourceOhms float64) float64 {
-	if sourceOhms <= 0 {
-		return 0
-	}
-	return openCircuitVolts * openCircuitVolts / (8 * sourceOhms)
-}
-
 // frequencyResponse is the normalized second-order resonance response.
 func (t *Transducer) frequencyResponse(fHz float64) float64 {
 	if fHz <= 0 {
@@ -141,15 +106,6 @@ func (t *Transducer) frequencyResponse(fHz float64) float64 {
 // silence ("FSK in, OOK out", Sec. 4.1).
 func (t *Transducer) RingTimeConstant() float64 {
 	return t.QualityFactor / (math.Pi * t.ResonantHz)
-}
-
-// RingResidual returns the relative vibration amplitude remaining dtSeconds
-// seconds after drive cutoff.
-func (t *Transducer) RingResidual(dtSeconds float64) float64 {
-	if dtSeconds <= 0 {
-		return 1
-	}
-	return math.Exp(-dtSeconds / t.RingTimeConstant())
 }
 
 // FSKLowLeakage returns the effective residual "low"-symbol amplitude

@@ -164,9 +164,6 @@ func (d *Device) Start() {
 	d.engine.After(0, "reader-slot", func(now sim.Time) { d.beginSlot(now) })
 }
 
-// Stop halts the slot loop after the current slot.
-func (d *Device) Stop() { d.running = false }
-
 // RequestReset makes the next beacon carry the RESET command: all
 // protocol state (reader ledger, convergence detector) reinitializes
 // and every tag re-randomizes — the measurement primitive behind the

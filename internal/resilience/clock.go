@@ -2,17 +2,15 @@ package resilience
 
 import (
 	"context"
-	"sync"
 	"time"
 )
 
 // Clock is the seam every delay in the service layer goes through.
-// Production code uses Real(); tests and the chaos harness substitute
-// a FakeClock so retry/backoff schedules run instantly and
-// deterministically. The arachnet-lint sleep-discipline check enforces
-// that internal/fleetd and its api package never call time.Sleep (or
-// time.After) directly — delays must be routed here, where they are
-// injectable.
+// Production code uses Real(); tests substitute a fake clock so
+// retry/backoff schedules run instantly and deterministically. The
+// arachnet-lint sleep-discipline check enforces that internal/fleetd
+// and its api package never call time.Sleep (or time.After) directly —
+// delays must be routed here, where they are injectable.
 type Clock interface {
 	// Now reports the current time.
 	Now() time.Time
@@ -45,55 +43,4 @@ func (realClock) Sleep(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// FakeClock is a deterministic Clock for tests: Sleep returns
-// immediately, advancing the fake time by the requested duration and
-// recording it, so a retry schedule can be asserted without waiting
-// for it. Safe for concurrent use.
-type FakeClock struct {
-	mu    sync.Mutex
-	now   time.Time
-	slept []time.Duration
-}
-
-// NewFakeClock starts a fake clock at the given instant.
-func NewFakeClock(start time.Time) *FakeClock { return &FakeClock{now: start} }
-
-// Now implements Clock.
-func (f *FakeClock) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.now
-}
-
-// Advance moves the fake time forward without recording a sleep.
-func (f *FakeClock) Advance(d time.Duration) {
-	f.mu.Lock()
-	f.now = f.now.Add(d)
-	f.mu.Unlock()
-}
-
-// Sleep implements Clock: the requested duration is recorded and the
-// fake time advances, but the call never blocks (beyond an immediate
-// ctx check).
-func (f *FakeClock) Sleep(ctx context.Context, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d <= 0 {
-		return nil
-	}
-	f.mu.Lock()
-	f.now = f.now.Add(d)
-	f.slept = append(f.slept, d)
-	f.mu.Unlock()
-	return nil
-}
-
-// Slept returns the recorded sleep durations in call order.
-func (f *FakeClock) Slept() []time.Duration {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]time.Duration(nil), f.slept...)
 }

@@ -2,9 +2,54 @@ package resilience
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 )
+
+// FakeClock is a deterministic Clock for tests: Sleep returns
+// immediately, advancing the fake time by the requested duration and
+// recording it, so a retry schedule can be asserted without waiting
+// for it. Safe for concurrent use.
+type FakeClock struct {
+	mu    sync.Mutex
+	now   time.Time
+	slept []time.Duration
+}
+
+// NewFakeClock starts a fake clock at the given instant.
+func NewFakeClock(start time.Time) *FakeClock { return &FakeClock{now: start} }
+
+// Now implements Clock.
+func (f *FakeClock) Now() time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.now
+}
+
+// Sleep implements Clock: the requested duration is recorded and the
+// fake time advances, but the call never blocks (beyond an immediate
+// ctx check).
+func (f *FakeClock) Sleep(ctx context.Context, d time.Duration) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d <= 0 {
+		return nil
+	}
+	f.mu.Lock()
+	f.now = f.now.Add(d)
+	f.slept = append(f.slept, d)
+	f.mu.Unlock()
+	return nil
+}
+
+// Slept returns the recorded sleep durations in call order.
+func (f *FakeClock) Slept() []time.Duration {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]time.Duration(nil), f.slept...)
+}
 
 // TestFakeClockSleep: the fake clock advances instantly, records the
 // request, and still honors context cancellation.

@@ -54,13 +54,11 @@ const heapArity = 4
 // cancelled events go to a free list that Schedule draws from first;
 // the list never holds more events than were once pending together.
 type Engine struct {
-	now     Time
-	queue   []*event
-	free    []*event
-	seq     uint64
-	fired   uint64
-	stopped bool
-	trace   *obs.Tracer
+	now   Time
+	queue []*event
+	free  []*event
+	seq   uint64
+	trace *obs.Tracer
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
@@ -75,12 +73,6 @@ func (e *Engine) SetTracer(t *obs.Tracer) { e.trace = t }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Fired returns the number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // ErrPast is returned when scheduling an event before the current time.
 var ErrPast = errors.New("sim: event scheduled in the past")
@@ -146,10 +138,6 @@ func (e *Engine) Cancel(h Handle) {
 	e.recycle(h.ev)
 }
 
-// Stop makes the current Run/RunUntil call return after the in-flight
-// event completes. Pending events stay queued.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Step fires the single earliest event and advances the clock to it.
 // It reports whether an event was available. The event is recycled
 // before its callback runs, so a callback that reschedules itself
@@ -165,7 +153,6 @@ func (e *Engine) Step() bool {
 	at, name, fire := ev.at, ev.name, ev.fire
 	e.recycle(ev)
 	e.now = at
-	e.fired++
 	if e.trace.Enabled() {
 		e.trace.Emit(obs.Event{Kind: obs.KindSimEvent, T: at.Seconds(), Name: name})
 	}
@@ -243,13 +230,12 @@ func (e *Engine) down(i int) {
 	ev.index = i
 }
 
-// RunUntil fires events in order until the queue drains, the deadline
-// passes, or Stop is called. The clock never advances past the deadline:
+// RunUntil fires events in order until the queue drains or the
+// deadline passes. The clock never advances past the deadline:
 // if the next event is later, the clock is set to exactly the deadline
 // and RunUntil returns. It returns the time at which it stopped.
 func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		if len(e.queue) == 0 {
 			if e.now < deadline && deadline != Never {
 				e.now = deadline
@@ -262,9 +248,8 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		}
 		e.Step()
 	}
-	return e.now
 }
 
-// Run fires events until the queue drains or Stop is called, returning
-// the final clock value.
+// Run fires events until the queue drains, returning the final clock
+// value.
 func (e *Engine) Run() Time { return e.RunUntil(Never) }

@@ -54,9 +54,6 @@ func TestEngineOrdering(t *testing.T) {
 	if e.Now() != 30 {
 		t.Errorf("clock = %v, want 30", e.Now())
 	}
-	if e.Fired() != 3 {
-		t.Errorf("fired = %d, want 3", e.Fired())
-	}
 }
 
 func TestEngineFIFOAtSameTime(t *testing.T) {
@@ -157,24 +154,27 @@ func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
+// TestEngineStop: a run stops at its deadline with the events beyond
+// it still queued, and a later RunUntil picks them up.
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	var tick func(Time)
 	tick = func(Time) {
 		count++
-		if count == 5 {
-			e.Stop()
-		}
 		e.After(1, "tick", tick)
 	}
 	e.After(1, "tick", tick)
-	e.Run()
+	e.RunUntil(5)
 	if count != 5 {
-		t.Errorf("Stop did not halt the loop: count=%d", count)
+		t.Errorf("RunUntil(5) fired %d ticks, want 5", count)
 	}
 	if e.Pending() == 0 {
-		t.Error("Stop should leave pending events queued")
+		t.Error("stopping at the deadline should leave pending events queued")
+	}
+	e.RunUntil(8)
+	if count != 8 {
+		t.Errorf("resumed run fired %d ticks in total, want 8", count)
 	}
 }
 
@@ -236,16 +236,13 @@ func TestEngineSelfCancel(t *testing.T) {
 	if len(order) != 2 || order[1] != "next" {
 		t.Fatalf("self-cancel disturbed the queue: %v", order)
 	}
-	if e.Fired() != 2 {
-		t.Errorf("fired = %d, want 2", e.Fired())
-	}
 }
 
 // TestEngineMatchesReference runs a seeded random mix of Schedule,
 // After(0), Cancel and scheduling from inside callbacks — with many
 // equal timestamps — against a reference that keeps the live (At, seq)
-// pairs in a plain slice and fires the least. Fire sequences, Now,
-// Fired and Pending must agree at every step.
+// pairs in a plain slice and fires the least. Fire sequences, Now and
+// Pending must agree at every step.
 func TestEngineMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		runEngineReference(t, seed)
@@ -263,12 +260,11 @@ func runEngineReference(t *testing.T, seed uint64) {
 	r := NewRand(seed)
 	e := NewEngine()
 	var (
-		ref      []refEvent
-		refSeq   uint64
-		refNow   Time
-		refFired uint64
-		handles  []Handle // handles[id] is event id's handle
-		got      []int
+		ref     []refEvent
+		refSeq  uint64
+		refNow  Time
+		handles []Handle // handles[id] is event id's handle
+		got     []int
 	)
 	var schedule func(delay Time)
 	fire := func(id int) func(Time) {
@@ -304,7 +300,6 @@ func runEngineReference(t *testing.T, seed uint64) {
 		ev := ref[m]
 		ref = append(ref[:m], ref[m+1:]...)
 		refNow = ev.at
-		refFired++
 		return ev.id
 	}
 
@@ -336,9 +331,9 @@ func runEngineReference(t *testing.T, seed uint64) {
 				t.Fatalf("seed %d op %d: engine fired %v, reference %d", seed, op, got, want)
 			}
 		}
-		if e.Now() != refNow || e.Fired() != refFired || e.Pending() != len(ref) {
-			t.Fatalf("seed %d op %d: engine now=%v fired=%d pending=%d, reference now=%v fired=%d pending=%d",
-				seed, op, e.Now(), e.Fired(), e.Pending(), refNow, refFired, len(ref))
+		if e.Now() != refNow || e.Pending() != len(ref) {
+			t.Fatalf("seed %d op %d: engine now=%v pending=%d, reference now=%v pending=%d",
+				seed, op, e.Now(), e.Pending(), refNow, len(ref))
 		}
 	}
 }

@@ -21,12 +21,6 @@ type Gauge struct {
 // DefaultGauge returns a 350-ohm foil gauge with GF 2.1.
 func DefaultGauge() Gauge { return Gauge{NominalOhms: 350, GaugeFactor: 2.1} }
 
-// Resistance returns the gauge resistance under strain epsilon
-// (dimensionless, e.g. 1e-3 = 1000 microstrain).
-func (g Gauge) Resistance(epsilon float64) float64 {
-	return g.NominalOhms * (1 + g.GaugeFactor*epsilon)
-}
-
 // Bridge is a full Wheatstone bridge: four gauges, two in tension and
 // two in compression, which quadruples sensitivity and cancels
 // temperature drift.

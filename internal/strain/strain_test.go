@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// Resistance returns the gauge resistance under strain epsilon
+// (dimensionless, e.g. 1e-3 = 1000 microstrain).
+func (g Gauge) Resistance(epsilon float64) float64 {
+	return g.NominalOhms * (1 + g.GaugeFactor*epsilon)
+}
+
 func TestGaugeResistance(t *testing.T) {
 	g := DefaultGauge()
 	if r := g.Resistance(0); r != g.NominalOhms {
@@ -19,6 +25,17 @@ func TestGaugeResistance(t *testing.T) {
 	// Compression decreases resistance.
 	if g.Resistance(-1e-3) >= g.NominalOhms {
 		t.Error("compression should lower resistance")
+	}
+	// A full bridge of two gauges in tension and two in compression
+	// outputs Vex*(R+ - R-)/(R+ + R-), which is the Vex*GF*epsilon that
+	// DifferentialVolts returns.
+	b := DefaultBridge()
+	for _, eps := range []float64{-2e-3, -1e-4, 0, 5e-4, 3e-3} {
+		rp, rm := b.Gauge.Resistance(eps), b.Gauge.Resistance(-eps)
+		want := b.ExcitationVolts * (rp - rm) / (rp + rm)
+		if got := b.DifferentialVolts(eps); math.Abs(got-want) > 1e-12 {
+			t.Errorf("bridge at %v: %v V, four-gauge bridge gives %v V", eps, got, want)
+		}
 	}
 }
 

@@ -116,12 +116,10 @@ type Device struct {
 	// UL transmission state.
 	txChips phy.Bits
 	txIdx   int
-	txPkt   phy.ULPacket
 	// Energy bookkeeping.
-	lastCharge   float64 // meter charge at last energy tick
-	energyTick   sim.Time
-	activations  uint64
-	sensorEnergy float64 // joules drawn by ADC bursts
+	lastCharge  float64 // meter charge at last energy tick
+	energyTick  sim.Time
+	activations uint64
 	// Engine callbacks, bound once in New: scheduling a method value
 	// or closure per event would allocate on every energy step, beacon
 	// timeout and DL edge.
@@ -195,9 +193,6 @@ func (d *Device) Activations() uint64 { return d.activations }
 
 // BeaconStats returns (decoded, lost-by-timeout) counts.
 func (d *Device) BeaconStats() (seen, lost uint64) { return d.beaconsSeen, d.beaconsLost }
-
-// SensorEnergy returns the joules spent on ADC conversions.
-func (d *Device) SensorEnergy() float64 { return d.sensorEnergy }
 
 // scheduleEnergyTick integrates harvesting and consumption on a fixed
 // cadence, driving power-up and brown-out transitions.
@@ -369,7 +364,6 @@ func (d *Device) startTransmission() {
 	if err != nil {
 		return // unrepresentable payload: firmware drops the sample
 	}
-	d.txPkt = pkt
 	d.txChips = phy.FM0Encode(frame, 0)
 	d.txIdx = 0
 	d.MCU.SetMode(mcu.ModeTX)
@@ -417,6 +411,5 @@ func (d *Device) samplePayload() uint16 {
 	}
 	adc := mcu.NewADC()
 	d.Harvester.Cap.Withdraw(adc.ConversionWatts, adc.ConversionSeconds)
-	d.sensorEnergy += adc.ConversionEnergy()
 	return adc.Convert(v) & 0x0FFF
 }
