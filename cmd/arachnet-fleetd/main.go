@@ -34,9 +34,9 @@
 // the fleet. When the checkpoint directory turns unwritable the daemon
 // enters degraded mode — cached reports and /v1/healthz keep serving,
 // non-cached submissions get 503 — and recovers on the next write that
-// succeeds. -job-deadline bounds each job's wall clock; -job-retries
-// re-executes shards that failed with transient ("transient: ...")
-// errors, never panics, without perturbing the report fingerprint.
+// succeeds. -job-deadline bounds each job's wall clock. Each shard runs
+// once: it is a pure function of its seed, so a failed shard stays
+// failed in the report rather than being re-executed.
 package main
 
 import (
@@ -63,7 +63,6 @@ func main() {
 	ckptDir := flag.String("checkpoint-dir", "", "persist job checkpoints here for resume after restart (empty = disabled)")
 	ckptEvery := flag.Duration("checkpoint-every", 2*time.Second, "snapshot interval for running jobs")
 	jobDeadline := flag.Duration("job-deadline", 0, "per-job wall-clock deadline; an overrunning job fails (0 = unlimited)")
-	jobRetries := flag.Int("job-retries", 0, "re-execution rounds for shards that failed with transient errors (panics never re-run)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for checkpoint-and-exit on SIGINT/SIGTERM")
 	quiet := flag.Bool("quiet", false, "suppress operational logging")
 	flag.Parse()
@@ -82,7 +81,6 @@ func main() {
 		CheckpointDir:   *ckptDir,
 		CheckpointEvery: *ckptEvery,
 		JobDeadline:     *jobDeadline,
-		JobRetries:      *jobRetries,
 		Logf:            logf,
 	})
 	if err != nil {

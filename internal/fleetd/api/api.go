@@ -58,9 +58,6 @@ type StatusResponse struct {
 	// Resumed counts shards restored from a checkpoint rather than
 	// recomputed (non-zero only after a daemon restart).
 	Resumed int `json:"resumed,omitempty"`
-	// Reruns counts bounded automatic re-executions the daemon ran for
-	// shards that failed with retryable (transient) errors.
-	Reruns int `json:"reruns,omitempty"`
 	// Cached marks a response-cache hit.
 	Cached bool `json:"cached,omitempty"`
 	// Fingerprint is set once the job is done.
@@ -135,7 +132,7 @@ type HealthResponse struct {
 	// DegradedReason is the write error that triggered degraded mode.
 	DegradedReason string `json:"degraded_reason,omitempty"`
 	// Counters is the daemon's metrics registry (checkpoint writes and
-	// errors, quarantines, shard reruns, degraded transitions, ...),
+	// errors, quarantines, degraded transitions, deadline overruns, ...),
 	// keys sorted by Go's map marshalling.
 	Counters map[string]uint64 `json:"counters,omitempty"`
 }

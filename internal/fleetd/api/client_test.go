@@ -119,8 +119,9 @@ func TestClientCallPath(t *testing.T) {
 		if err == nil {
 			t.Fatal("Submit succeeded on a dropped connection")
 		}
-		if strings.HasPrefix(err.Error(), resilience.TransientPrefix) {
-			t.Errorf("transport error carries the transient prefix: %v", err)
+		var cl resilience.Classifier
+		if errors.As(err, &cl) {
+			t.Errorf("transport error still carries its retry class %v: %v", cl.ResilienceClass(), err)
 		}
 		if got := n.Load(); got != 1 {
 			t.Errorf("requests = %d, want 1", got)

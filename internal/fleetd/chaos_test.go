@@ -2,11 +2,11 @@ package fleetd
 
 // Chaos harness. Every scenario here injects a deterministic fault —
 // torn checkpoint writes, a full disk, a process killed mid-
-// checkpoint, a flaky client transport, transiently failing shards —
-// and asserts the same convergence property: the system ends up with
+// checkpoint, a flaky client transport, a truncated stream — and
+// asserts the same convergence property: the system ends up with
 // the bit-identical fingerprint an unfaulted run produces. No scenario
 // touches a real disk fault or a real network failure; everything goes
-// through the FS, WrapJob, and http.RoundTripper seams, so the tests
+// through the FS and http.RoundTripper seams, so the tests
 // are exact replays, not probabilistic soak runs.
 
 import (
@@ -23,8 +23,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/fleetd/api"
+	"repro/internal/obs"
 	"repro/internal/resilience"
 )
 
@@ -640,94 +640,22 @@ func TestChaosStreamResumesExactlyOnce(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Scenario: transient shard failures -> bounded re-execution
+// Scenario: failing shards run once
 // ---------------------------------------------------------------------
 
-// chaosShardSpec compiles to 6 single-worker-friendly shards.
+// chaosShardSpec compiles to 6 shards: 4 healthy ones, then 2 that can
+// never converge within one slot and so fail on their own.
 const chaosShardSpec = `{"seed": 55, "workers": 2, "vehicles": [
-	{"name": "shard", "engine": "slots", "pattern": "c1", "slots": 2000, "replicate": 6}
+	{"name": "shard", "engine": "slots", "pattern": "c1", "slots": 2000, "replicate": 4},
+	{"name": "doomed", "engine": "slots", "pattern": "c5", "converge_within": 1, "replicate": 2}
 ]}`
 
-// TestChaosTransientShardsRerun: shards that fail with a
-// transient-classified error are re-executed (bounded by JobRetries)
-// while completed shards are preloaded, and the final report is
-// fingerprint-identical to a run where the fault never fired.
-func TestChaosTransientShardsRerun(t *testing.T) {
-	want := batchFingerprint(t, chaosShardSpec)
-	var mu sync.Mutex
-	attempts := map[int]int{}
-	wrap := func(run fleet.JobFunc) fleet.JobFunc {
-		return func(ctx context.Context, info fleet.JobInfo) (fleet.Result, error) {
-			mu.Lock()
-			attempts[info.Index]++
-			n := attempts[info.Index]
-			mu.Unlock()
-			if (info.Index == 1 || info.Index == 4) && n == 1 {
-				return fleet.Result{}, resilience.MarkRetryable(errors.New("injected shard fault"))
-			}
-			return run(ctx, info)
-		}
-	}
-	_, base := chaosServer(t, Config{JobRetries: 3, WrapJob: wrap})
-	c := api.NewClient(base)
-	ctx := context.Background()
-	sub, err := c.Submit(ctx, []byte(chaosShardSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Wait(ctx, sub.ID, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != api.StateDone || st.Error != "" {
-		t.Fatalf("rerun did not converge: %+v", st)
-	}
-	if st.Fingerprint != want {
-		t.Errorf("rerun fingerprint %s != unfaulted %s", st.Fingerprint, want)
-	}
-	if st.Reruns != 1 {
-		t.Errorf("reruns = %d, want 1 round", st.Reruns)
-	}
-	mu.Lock()
-	if attempts[1] != 2 || attempts[4] != 2 {
-		t.Errorf("faulted shards ran %d/%d times, want 2 each", attempts[1], attempts[4])
-	}
-	for _, idx := range []int{0, 2, 3, 5} {
-		if attempts[idx] != 1 {
-			t.Errorf("healthy shard %d recomputed %d times, want 1", idx, attempts[idx])
-		}
-	}
-	mu.Unlock()
-	h, err := c.Health(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Counters["job_rerun_rounds"] != 1 || h.Counters["shards_rerun"] != 2 {
-		t.Errorf("rerun counters wrong: %v", h.Counters)
-	}
-}
-
-// TestChaosFatalShardsNotRerun: panics and non-transient failures must
-// not trigger re-execution — re-running a deterministic failure cannot
-// change the outcome, so burning retries on it would be pure waste.
+// TestChaosFatalShardsNotRerun: a shard that fails is a pure function
+// of its seed, so the daemon runs every shard exactly once. The job
+// still finishes, its report counts the failures, and its stream shows
+// one start per shard.
 func TestChaosFatalShardsNotRerun(t *testing.T) {
-	var mu sync.Mutex
-	attempts := map[int]int{}
-	wrap := func(run fleet.JobFunc) fleet.JobFunc {
-		return func(ctx context.Context, info fleet.JobInfo) (fleet.Result, error) {
-			mu.Lock()
-			attempts[info.Index]++
-			mu.Unlock()
-			switch info.Index {
-			case 2:
-				panic("injected shard panic")
-			case 3:
-				return fleet.Result{}, errors.New("injected fatal shard fault")
-			}
-			return run(ctx, info)
-		}
-	}
-	_, base := chaosServer(t, Config{JobRetries: 3, WrapJob: wrap})
+	_, base := chaosServer(t, Config{})
 	c := api.NewClient(base)
 	ctx := context.Background()
 	sub, err := c.Submit(ctx, []byte(chaosShardSpec))
@@ -739,26 +667,37 @@ func TestChaosFatalShardsNotRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.State != api.StateDone || st.Error == "" {
-		t.Fatalf("job with fatal shards: %+v, want done with a first-error message", st)
-	}
-	if st.Reruns != 0 {
-		t.Errorf("fatal failures triggered %d rerun rounds, want 0", st.Reruns)
+		t.Fatalf("job with failing shards: %+v, want done with a first-error message", st)
 	}
 	env, err := c.Report(ctx, sub.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Report.Panicked != 1 || env.Report.Failed != 1 || env.Report.Completed != 4 {
-		t.Errorf("report counts panicked=%d failed=%d completed=%d, want 1/1/4",
-			env.Report.Panicked, env.Report.Failed, env.Report.Completed)
+	if env.Report.Failed != 2 || env.Report.Completed != 4 {
+		t.Errorf("report counts failed=%d completed=%d, want 2/4",
+			env.Report.Failed, env.Report.Completed)
 	}
-	mu.Lock()
-	for _, idx := range []int{2, 3} {
-		if attempts[idx] != 1 {
-			t.Errorf("fatal shard %d executed %d times, want exactly 1", idx, attempts[idx])
+	starts := map[int]int{}
+	last, err := c.Stream(ctx, sub.ID, func(line api.StreamLine) error {
+		if line.Type == api.StreamEvent && line.Event.Kind == obs.KindJobStart {
+			starts[line.Event.Job]++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last.Dropped != 0 {
+		t.Fatalf("stream dropped %d events; cannot count starts", last.Dropped)
+	}
+	for idx := 0; idx < 6; idx++ {
+		if starts[idx] != 1 {
+			t.Errorf("shard %d started %d times, want exactly 1", idx, starts[idx])
 		}
 	}
-	mu.Unlock()
+	if len(starts) != 6 {
+		t.Errorf("stream started shards %v, want indices 0..5", starts)
+	}
 }
 
 // ---------------------------------------------------------------------

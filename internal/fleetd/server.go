@@ -16,13 +16,13 @@
 // (SIGTERM) answers 503 and checkpoints in-flight work before exit.
 //
 // Failure model (see DESIGN.md §9): checkpoints are crash-safe
-// (fsync + rename + CRC, corrupt files quarantined); shards that fail
-// with transient errors are re-executed a bounded number of times
-// (panics and other fatal errors are not); each job can carry a
-// deadline; and an unwritable checkpoint directory puts the daemon in
-// degraded mode — cached reports and health keep serving, non-cached
-// submissions get 503, and the next successful checkpoint write (every
-// attempt doubles as the recovery probe) restores normal service.
+// (fsync + rename + CRC, corrupt files quarantined); each shard runs
+// once, since it is a pure function of its seed and a rerun could not
+// change its outcome; each job can carry a deadline; and an unwritable
+// checkpoint directory puts the daemon in degraded mode — cached
+// reports and health keep serving, non-cached submissions get 503, and
+// the next successful checkpoint write (every attempt doubles as the
+// recovery probe) restores normal service.
 package fleetd
 
 import (
@@ -41,7 +41,17 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/fleetd/api"
 	"repro/internal/obs"
-	"repro/internal/resilience"
+)
+
+const (
+	// retryAfter is the backoff suggested on 429.
+	retryAfter = time.Second
+	// streamBuffer is the per-job retained event window for /stream.
+	// Reconnecting clients whose offset fell behind the window see the
+	// gap as a drop count.
+	streamBuffer = 1024
+	// maxSpecBytes bounds a submitted spec; a larger body gets 413.
+	maxSpecBytes = 8 << 20
 )
 
 // Config parameterizes a daemon.
@@ -65,31 +75,13 @@ type Config struct {
 	// <= 0 means the default 2s. The drain path always writes a final
 	// snapshot regardless.
 	CheckpointEvery time.Duration
-	// RetryAfter is the backoff suggested on 429; <= 0 means 1s.
-	RetryAfter time.Duration
-	// StreamBuffer is the per-job retained event window for /stream;
-	// <= 0 means the default 1024. Reconnecting clients whose offset
-	// fell behind the window see the gap as a drop count.
-	StreamBuffer int
 	// JobDeadline bounds each job's wall-clock run; a job that exceeds
 	// it fails with a deadline error (its shards are classified
 	// timed-out). 0 means no deadline.
 	JobDeadline time.Duration
-	// JobRetries bounds automatic re-execution of shards that failed
-	// with retryable (transient-classified) errors. Panics and other
-	// fatal failures are never re-run. 0 disables re-execution.
-	JobRetries int
 	// FS is the filesystem the checkpoint store writes through; nil
 	// means the real disk. The chaos harness injects faults here.
 	FS FS
-	// WrapJob, when non-nil, wraps every compiled shard run function —
-	// the chaos harness's fault-injection seam. Production leaves it
-	// nil.
-	WrapJob func(fleet.JobFunc) fleet.JobFunc
-	// Metrics receives the daemon's counters (checkpoint writes,
-	// quarantines, reruns, degraded transitions); nil means a private
-	// registry, exposed either way on /v1/healthz.
-	Metrics *obs.Metrics
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -107,15 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 2 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.StreamBuffer <= 0 {
-		c.StreamBuffer = 1024
-	}
-	if c.Metrics == nil {
-		c.Metrics = obs.NewMetrics()
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -135,7 +118,6 @@ type job struct {
 	state       string
 	cached      bool
 	resumed     int
-	reruns      int
 	preloaded   []fleet.JobOutcome
 	pool        *fleet.Pool
 	cancel      context.CancelFunc
@@ -154,7 +136,6 @@ func (j *job) status() api.StatusResponse {
 		State:       j.state,
 		Total:       j.total,
 		Resumed:     j.resumed,
-		Reruns:      j.reruns,
 		Cached:      j.cached,
 		Fingerprint: j.fingerprint,
 		Error:       j.errMsg,
@@ -214,7 +195,7 @@ func New(cfg Config) (*Server, error) {
 		store:     store,
 		cache:     NewCache(cfg.CacheEntries),
 		queue:     make(chan *job, cfg.QueueDepth),
-		metrics:   cfg.Metrics,
+		metrics:   obs.NewMetrics(),
 		jobs:      make(map[string]*job),
 		inflight:  make(map[string]string),
 		runCtx:    ctx,
@@ -383,7 +364,7 @@ func (s *Server) loadCheckpoints() error {
 			spec:  rec.Spec,
 			key:   key,
 			total: len(specs),
-			log:   newEventLog(s.cfg.StreamBuffer),
+			log:   newEventLog(streamBuffer),
 			done:  make(chan struct{}),
 		}
 		switch rec.State {
@@ -447,43 +428,10 @@ func (s *Server) runLoop() {
 	}
 }
 
-// retryableFailed lists the indices of shards that failed with a
-// transient-classified error — the candidates for bounded
-// re-execution. Panicked, timed-out and fatally-failed shards are
-// excluded: re-running them cannot change a deterministic outcome.
-func retryableFailed(rep *fleet.Report) []int {
-	var idx []int
-	for _, o := range rep.Jobs {
-		if o.Status == fleet.StatusFailed && resilience.ClassifyMessage(o.Err) == resilience.ClassRetryable {
-			idx = append(idx, o.Index)
-		}
-	}
-	return idx
-}
-
-// keepDeterministic filters a report's outcomes down to the ones a
-// rerun pool may preload: successes and fatal (non-transient)
-// failures.
-func keepDeterministic(rep *fleet.Report) []fleet.JobOutcome {
-	var keep []fleet.JobOutcome
-	for _, o := range rep.Jobs {
-		switch o.Status {
-		case fleet.StatusOK:
-			keep = append(keep, o)
-		case fleet.StatusFailed:
-			if resilience.ClassifyMessage(o.Err) == resilience.ClassFatal {
-				keep = append(keep, o)
-			}
-		}
-	}
-	return keep
-}
-
 // runJob executes one fleet spec through the pool, checkpointing as it
-// goes. It never panics the runner: spec errors fail the job, shards
-// that failed transiently are re-executed up to Config.JobRetries
-// times, a deadline overrun fails the job, and a drain interruption
-// leaves a resumable checkpoint behind.
+// goes. It never panics the runner: spec errors fail the job, a
+// deadline overrun fails the job, and a drain interruption leaves a
+// resumable checkpoint behind.
 func (s *Server) runJob(j *job) {
 	j.mu.Lock()
 	if j.state != api.StateQueued {
@@ -525,14 +473,9 @@ func (s *Server) runJob(j *job) {
 		s.finalizeFailed(j, err)
 		return
 	}
-	if s.cfg.WrapJob != nil {
-		for i := range specs {
-			specs[i].Run = s.cfg.WrapJob(specs[i].Run)
-		}
-	}
 
-	// buildPool assembles a fresh pool + checkpointer over the shared
-	// shard list, preloading previously-settled outcomes.
+	// buildPool assembles the pool + checkpointer over the compiled
+	// shards, preloading the checkpointed outcomes.
 	buildPool := func(pre []fleet.JobOutcome) (*fleet.Pool, *checkpointer, error) {
 		ck := newCheckpointer(s.store, j.id, j.spec, pre)
 		ck.onWrite = s.noteCheckpoint
@@ -554,34 +497,6 @@ func (s *Server) runJob(j *job) {
 		return pool, ck, nil
 	}
 
-	// runPool runs one pool with the periodic checkpoint ticker.
-	runPool := func(pool *fleet.Pool, ck *checkpointer) (*fleet.Report, error) {
-		stopFlush := make(chan struct{})
-		var fwg sync.WaitGroup
-		if s.store != nil {
-			fwg.Add(1)
-			go func() {
-				defer fwg.Done()
-				t := time.NewTicker(s.cfg.CheckpointEvery)
-				defer t.Stop()
-				for {
-					select {
-					case <-stopFlush:
-						return
-					case <-t.C:
-						if err := ck.flush(false); err != nil {
-							s.cfg.Logf("fleetd: %s: checkpoint: %v", j.id, err)
-						}
-					}
-				}
-			}()
-		}
-		rep, runErr := pool.Run(jctx)
-		close(stopFlush)
-		fwg.Wait()
-		return rep, runErr
-	}
-
 	pool, ck, err := buildPool(pre)
 	if err != nil && len(pre) > 0 {
 		// A checkpoint that no longer matches the spec is discarded:
@@ -600,38 +515,30 @@ func (s *Server) runJob(j *job) {
 	j.pool = pool
 	j.mu.Unlock()
 
-	rep, runErr := runPool(pool, ck)
-
-	// Bounded re-execution: shards that failed with transient errors
-	// get fresh attempts (successes and fatal failures are preloaded,
-	// so nothing deterministic is recomputed). Because every shard is
-	// a pure function of its seed, the rerun report's fingerprint is
-	// the one an unfaulted run produces.
-	for runErr == nil && s.cfg.JobRetries > 0 {
-		transient := retryableFailed(rep)
-		j.mu.Lock()
-		rounds := j.reruns
-		j.mu.Unlock()
-		if len(transient) == 0 || rounds >= s.cfg.JobRetries {
-			break
-		}
-		j.mu.Lock()
-		j.reruns++
-		j.mu.Unlock()
-		s.metrics.Inc("job_rerun_rounds")
-		s.metrics.Add("shards_rerun", uint64(len(transient)))
-		s.cfg.Logf("fleetd: %s: re-running %d shard(s) after transient failures (round %d/%d)",
-			j.id, len(transient), rounds+1, s.cfg.JobRetries)
-		pool, ck, err = buildPool(keepDeterministic(rep))
-		if err != nil {
-			s.finalizeFailed(j, err)
-			return
-		}
-		j.mu.Lock()
-		j.pool = pool
-		j.mu.Unlock()
-		rep, runErr = runPool(pool, ck)
+	// Run the pool with the periodic checkpoint ticker alongside.
+	stopFlush := make(chan struct{})
+	var fwg sync.WaitGroup
+	if s.store != nil {
+		fwg.Add(1)
+		go func() {
+			defer fwg.Done()
+			t := time.NewTicker(s.cfg.CheckpointEvery)
+			defer t.Stop()
+			for {
+				select {
+				case <-stopFlush:
+					return
+				case <-t.C:
+					if err := ck.flush(false); err != nil {
+						s.cfg.Logf("fleetd: %s: checkpoint: %v", j.id, err)
+					}
+				}
+			}
+		}()
 	}
+	rep, runErr := pool.Run(jctx)
+	close(stopFlush)
+	fwg.Wait()
 
 	if runErr != nil {
 		// Interrupted. Under drain this is a checkpoint-and-exit; a
@@ -752,7 +659,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "daemon is draining; resubmit after restart")
 		return
 	}
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("spec larger than %d bytes", tooLarge.Limit))
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
 		return
@@ -856,7 +769,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// unbounded buffering. Roll the admission back so the rejected
 		// job leaves no ghost registry or dedupe entries behind.
 		s.unregisterJob(j)
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("job queue full (%d deep); retry later", s.cfg.QueueDepth))
 		return
@@ -877,7 +790,7 @@ func (s *Server) newJob(raw []byte, key string, total int) *job {
 	s.mu.Unlock()
 	return &job{
 		id: id, spec: raw, key: key, total: total,
-		log: newEventLog(s.cfg.StreamBuffer), done: make(chan struct{}),
+		log: newEventLog(streamBuffer), done: make(chan struct{}),
 	}
 }
 

@@ -2,7 +2,9 @@ package fleetd
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -445,5 +447,31 @@ func TestBackpressureRollback(t *testing.T) {
 	}
 	if st.State != api.StateDone {
 		t.Errorf("readmitted job ended %s: %s", st.State, st.Error)
+	}
+}
+
+// TestSubmitSizeLimit: a body past maxSpecBytes is refused with 413
+// rather than truncated to its first maxSpecBytes and admitted, and a
+// body of exactly maxSpecBytes is still accepted.
+func TestSubmitSizeLimit(t *testing.T) {
+	s, _ := startServer(t, Config{})
+	submit := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		return rec
+	}
+	over := testSpec + strings.Repeat(" ", 9<<20)
+	if rec := submit(over); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte submit answered %d %s, want 413", len(over), rec.Code, rec.Body)
+	}
+	s.mu.Lock()
+	jobs := len(s.jobs)
+	s.mu.Unlock()
+	if jobs != 0 {
+		t.Fatalf("refused submit registered %d job(s)", jobs)
+	}
+	atLimit := testSpec + strings.Repeat(" ", maxSpecBytes-len(testSpec))
+	if rec := submit(atLimit); rec.Code != http.StatusAccepted {
+		t.Fatalf("%d-byte submit answered %d %s, want 202", len(atLimit), rec.Code, rec.Body)
 	}
 }

@@ -115,7 +115,7 @@ type Device struct {
 
 	inbox        []ULEvent
 	fb           mac.Feedback
-	running      bool
+	running      bool // set by Start, so a second Start adds no loop
 	pendingReset bool
 
 	// Stats.
@@ -188,9 +188,6 @@ func feedbackToCommand(fb mac.Feedback) phy.Command {
 // beginSlot broadcasts the beacon that opens the slot and schedules the
 // slot end.
 func (d *Device) beginSlot(now sim.Time) {
-	if !d.running {
-		return
-	}
 	if d.pendingReset {
 		d.pendingReset = false
 		d.fb = d.Proto.Reset()
@@ -254,9 +251,6 @@ func (d *Device) OnTransmission(ev ULEvent) {
 
 // endSlot scores the slot, runs the protocol, and opens the next slot.
 func (d *Device) endSlot(bx BeaconTx, now sim.Time) {
-	if !d.running {
-		return
-	}
 	var seen mac.Observation
 	var decodedEv *ULEvent
 	if d.DecodeSlot != nil && len(d.inbox) > 0 {

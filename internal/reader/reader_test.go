@@ -177,23 +177,27 @@ func TestCollisionHandling(t *testing.T) {
 	}
 }
 
-func TestStopHaltsLoop(t *testing.T) {
-	e, d := newTestReader(t, 6)
-	d.Broadcast = func(BeaconTx) {}
-	d.Start()
-	e.RunUntil(3 * sim.Second)
-	slots := d.SlotsRun
-	d.Stop()
-	e.RunUntil(10 * sim.Second)
-	if d.SlotsRun > slots+1 {
-		t.Errorf("slot loop kept running after Stop: %d -> %d", slots, d.SlotsRun)
+// TestStartIdempotent: a second Start while running schedules no
+// second slot loop, so the device runs exactly the slots of a device
+// started once.
+func TestStartIdempotent(t *testing.T) {
+	run := func(starts int) int {
+		e, d := newTestReader(t, 6)
+		d.Broadcast = func(BeaconTx) {}
+		d.Start()
+		e.RunUntil(3 * sim.Second)
+		for i := 1; i < starts; i++ {
+			d.Start()
+		}
+		e.RunUntil(10 * sim.Second)
+		return d.SlotsRun
 	}
-	// Start is idempotent while running.
-	d2Slots := d.SlotsRun
-	d.Start()
-	e.RunUntil(12 * sim.Second)
-	if d.SlotsRun <= d2Slots {
-		t.Error("restart after Stop did not resume")
+	once, twice := run(1), run(2)
+	if once == 0 {
+		t.Fatal("slot loop never ran")
+	}
+	if twice != once {
+		t.Errorf("second Start changed SlotsRun: %d, want %d", twice, once)
 	}
 }
 

@@ -132,15 +132,13 @@ func TestPolicyDefaults(t *testing.T) {
 	}
 }
 
-// TestClassifyMessageRoundTrip: the retryable mark survives string
-// flattening (the contract fleet job outcomes rely on).
+// TestClassifyMessageRoundTrip: a mark classifies through the error
+// chain, an outer mark overrides an inner one, and marking leaves the
+// message unchanged.
 func TestClassifyMessageRoundTrip(t *testing.T) {
 	err := MarkRetryable(errTest("disk hiccup"))
-	if ClassifyMessage(err.Error()) != ClassRetryable {
-		t.Errorf("flattened retryable error lost its class: %q", err.Error())
-	}
-	if ClassifyMessage(errTest("no convergence").Error()) != ClassFatal {
-		t.Error("plain message classified retryable")
+	if err.Error() != "disk hiccup" {
+		t.Errorf("marked error renders %q, want the original message", err.Error())
 	}
 	if Classify(err) != ClassRetryable {
 		t.Error("chain classification broken")

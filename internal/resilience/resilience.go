@@ -10,16 +10,10 @@
 // channel fades is applied here to sockets and disks, so a chaos run
 // with injected transport failures replays bit-identically from its
 // seed.
-//
-// The classifier convention survives flattening: layers that persist
-// errors as plain strings (fleet job outcomes, checkpoint records)
-// keep the class, because MarkRetryable renders with the stable
-// TransientPrefix and ClassifyMessage recovers it.
 package resilience
 
 import (
 	"errors"
-	"strings"
 	"time"
 )
 
@@ -51,12 +45,6 @@ func (c Class) String() string {
 	return "unknown"
 }
 
-// TransientPrefix is the stable rendering prefix of retryable errors.
-// It is part of the wire/persistence contract: an error that crossed a
-// string boundary (a fleet job outcome, a checkpoint record) is still
-// classifiable by ClassifyMessage.
-const TransientPrefix = "transient: "
-
 // Classifier is implemented by errors that carry their own class.
 type Classifier interface {
 	ResilienceClass() Class
@@ -75,20 +63,13 @@ type classified struct {
 	after time.Duration
 }
 
-func (c *classified) Error() string {
-	if c.class == ClassRetryable {
-		return TransientPrefix + c.err.Error()
-	}
-	return c.err.Error()
-}
-
+func (c *classified) Error() string             { return c.err.Error() }
 func (c *classified) Unwrap() error             { return c.err }
 func (c *classified) ResilienceClass() Class    { return c.class }
 func (c *classified) RetryAfter() time.Duration { return c.after }
 
-// MarkRetryable wraps err as explicitly retryable. The wrapped error
-// renders with TransientPrefix so the class survives string
-// flattening. A nil err stays nil.
+// MarkRetryable wraps err as explicitly retryable. A nil err stays
+// nil.
 func MarkRetryable(err error) error {
 	if err == nil {
 		return nil
@@ -144,16 +125,6 @@ func RetryAfterHint(err error) (time.Duration, bool) {
 		return w.RetryAfter(), true
 	}
 	return 0, false
-}
-
-// ClassifyMessage recovers the class of an error that was flattened to
-// a string by a persistence or wire layer. Only the TransientPrefix
-// convention survives flattening; everything else is fatal.
-func ClassifyMessage(msg string) Class {
-	if strings.HasPrefix(msg, TransientPrefix) {
-		return ClassRetryable
-	}
-	return ClassFatal
 }
 
 // mix64 is a SplitMix64 finalizer over the seed/counter pair: the same

@@ -187,7 +187,7 @@ head -c 40 "$qck" >"$workdir/torn.bin"
 mv "$workdir/torn.bin" "$qck"
 
 "$workdir/arachnet-fleetd" -addr 127.0.0.1:0 -checkpoint-dir "$ckpt" \
-    -checkpoint-every 100ms -job-deadline 10m -job-retries 2 \
+    -checkpoint-every 100ms -job-deadline 10m \
     >"$workdir/d3.out" 2>"$workdir/d3.err" &
 pid3=$!
 url3=""
