@@ -82,7 +82,10 @@ bench:
 # recovery analysis folds events as they arrive instead of buffering
 # them. The waveform kernels of the dl-scheme and Fig. 12(b) Monte
 # Carlo loops must not allocate, and the downlink kernel must stay at
-# least 1.5x faster than its envelope-plus-trigger oracle.
+# least 1.5x faster than its envelope-plus-trigger oracle. The
+# certified Fig. 12(b) packet decoder must not allocate either, and
+# must stay at least 1.4x faster than the exact synthesize-and-decode
+# pair it falls back to.
 BENCH_SPEEDUP_FLOOR ?= 0.8
 bench-smoke:
 	$(GO) run ./cmd/arachnet-benchjson -bench FleetThroughput -benchtime 2x \
@@ -99,10 +102,12 @@ bench-smoke:
 		-assert 'BenchmarkPathLossDB:allocs_per_op<=0' ./internal/biw
 	$(GO) run ./cmd/arachnet-benchjson -bench EngineScheduleFire -benchtime 100000x \
 		-assert 'BenchmarkEngineScheduleFire:allocs_per_op<=0' ./internal/sim
-	$(GO) run ./cmd/arachnet-benchjson -bench 'DLPulses|ULChipMeans' -benchtime 200x \
+	$(GO) run ./cmd/arachnet-benchjson -bench 'DLPulses|ULChipMeans|ULDecoder' -benchtime 200x \
 		-assert 'BenchmarkDLPulses:allocs_per_op<=0' \
 		-assert 'BenchmarkDLPulses:speedup-vs-oracle>=1.5' \
-		-assert 'BenchmarkULChipMeans:allocs_per_op<=0' ./internal/dsp
+		-assert 'BenchmarkULChipMeans:allocs_per_op<=0' \
+		-assert 'BenchmarkULDecoder:allocs_per_op<=0' \
+		-assert 'BenchmarkULDecoder:speedup-vs-oracle>=1.4' ./internal/dsp
 
 # Coverage-guided fuzzing smoke: 10 s on each native fuzz target in the
 # phy codecs and the binary wire codecs (go fuzzing allows one -fuzz

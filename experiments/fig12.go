@@ -201,7 +201,7 @@ func countULLosses(ch *biw.Channel, id int, rate float64, packets int, rng *sim.
 		Leakage: 0.2, Backscatter: amp,
 		NoiseRMS: ch.NoiseRMS(fs),
 	}
-	var soft []float64
+	var dec dsp.ULDecoder
 	lost := 0
 	for i := 0; i < packets; i++ {
 		pkt := phy.ULPacket{TID: uint8(id % 16), Payload: uint16(rng.Intn(1 << 12))}
@@ -217,8 +217,7 @@ func countULLosses(ch *biw.Channel, id int, rate float64, packets int, rng *sim.
 				chips[c] ^= 1
 			}
 		}
-		soft = dsp.ULChipMeans(soft[:0], chips, spc, p, rng)
-		got, err := dsp.DecodeULFrame(soft)
+		got, err := dec.Decode(chips, spc, p, rng)
 		if err != nil || got != pkt {
 			lost++
 		}

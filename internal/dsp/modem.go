@@ -145,6 +145,14 @@ func DecodeULFromBaseband(mags []float64, samplesPerChip float64) (phy.ULPacket,
 // alignment, FM0 boundary checking and CRC verification.
 func DecodeULFrame(soft []float64) (phy.ULPacket, error) {
 	chips, _ := SliceChips(soft)
+	return decodeULChips(chips, nil)
+}
+
+// decodeULChips is the receive chain after the slicer: it finds the
+// frame in hard chips, FM0-decodes it into buf (an inverted frame is
+// decoded from the opposite initial level instead of being copied) and
+// checks and parses it.
+func decodeULChips(chips, buf phy.Bits) (phy.ULPacket, error) {
 	start, inverted, err := FindULFrame(chips, 1)
 	if err != nil {
 		return phy.ULPacket{}, err
@@ -153,11 +161,11 @@ func DecodeULFrame(soft []float64) (phy.ULPacket, error) {
 	if len(frameChips) < 2*phy.ULFrameBits {
 		return phy.ULPacket{}, fmt.Errorf("dsp: truncated frame: %d chips", len(frameChips))
 	}
-	frameChips = frameChips[:2*phy.ULFrameBits]
+	var initLevel byte
 	if inverted {
-		frameChips = frameChips.Invert()
+		initLevel = 1
 	}
-	bits, err := phy.FM0Decode(frameChips, 0)
+	bits, err := phy.AppendFM0Decode(buf, frameChips[:2*phy.ULFrameBits], initLevel)
 	if err != nil {
 		return phy.ULPacket{}, err
 	}

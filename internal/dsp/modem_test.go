@@ -142,6 +142,50 @@ func TestDecodeULFrameCleanBaseband(t *testing.T) {
 	}
 }
 
+// A reader that locks onto the complementary level sees every chip
+// inverted; the frame must still decode.
+func TestDecodeULFrameInverted(t *testing.T) {
+	pkt := phy.ULPacket{TID: 6, Payload: 0x3C5}
+	frame, _ := pkt.Marshal()
+	chips := append(phy.Bits{0, 0, 0}, phy.FM0Encode(frame, 0)...)
+	p := ULSynthParams{Fs: 6000, ChipRate: 750, Leakage: 0.25, Backscatter: -0.05}
+	got, err := DecodeULFrame(ULChipMeans(nil, chips, 8, p, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != pkt {
+		t.Errorf("decoded %+v, want %+v", got, pkt)
+	}
+}
+
+// sliceCertified must call a chip only when no placement of the means
+// inside their brackets, and no rounding within slack, flips it.
+func TestSliceCertified(t *testing.T) {
+	cases := []struct {
+		name     string
+		mid, rad []float64
+		slack    float64
+		want     phy.Bits // nil: not certain
+	}{
+		{"clear", []float64{0, 1, 0.2, 0.9}, []float64{0.01, 0.01, 0.01, 0.01}, 0, phy.Bits{0, 1, 0, 1}},
+		{"own bracket straddles", []float64{0, 1, 0.53}, []float64{0.01, 0.01, 0.05}, 0, nil},
+		// Chip 2 is exact, but the threshold can sit anywhere in 0.5 ± 0.1.
+		{"threshold uncertain", []float64{0, 1, 0.58}, []float64{0.1, 0, 0}, 0, nil},
+		{"threshold certain", []float64{0, 1, 0.62}, []float64{0.1, 0, 0}, 0, phy.Bits{0, 1, 1}},
+		{"within slack", []float64{0, 1, 0.5 + 1e-9}, []float64{0, 0, 0}, 1e-6, nil},
+		{"beyond slack", []float64{0, 1, 0.5 + 1e-5}, []float64{0, 0, 0}, 1e-6, phy.Bits{0, 1, 1}},
+	}
+	for _, c := range cases {
+		got, ok := sliceCertified(nil, c.mid, c.rad, c.slack)
+		if ok != (c.want != nil) || ok && !got.Equal(c.want) {
+			t.Errorf("%s: got %v, %v; want %v", c.name, got, ok, c.want)
+		}
+		if exact, _ := SliceChips(c.mid); ok && !exact.Equal(got) {
+			t.Errorf("%s: certified %v, SliceChips %v", c.name, got, exact)
+		}
+	}
+}
+
 func TestDecodeULFrameNoisyBaseband(t *testing.T) {
 	rng := sim.NewRand(77)
 	pkt := phy.ULPacket{TID: 5, Payload: 0x5A5}

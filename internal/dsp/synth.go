@@ -51,9 +51,10 @@ func SynthesizeULBaseband(chips phy.Bits, samplesPerChip int, p ULSynthParams, r
 // samplesPerChip returns for SynthesizeULBaseband(chips,
 // samplesPerChip, p, rng), without building the samples: each chip sums
 // its noisy samples in order and divides by samplesPerChip. Chip means
-// and the trailing rng state are bit-identical to that pair.
+// and the trailing rng state are bit-identical to that pair. It is
+// ULDecoder's exact path.
 //
-//alloc:hot per-packet uplink synthesis and integrate-and-dump of fig12b
+//alloc:hot exact per-packet uplink synthesis and integrate-and-dump of fig12b
 func ULChipMeans(dst []float64, chips phy.Bits, samplesPerChip int, p ULSynthParams, rng *sim.Rand) []float64 {
 	noise := p.NoiseRMS * math.Sqrt(float64(samplesPerChip)*p.ChipRate/p.Fs)
 	noisy := noise > 0 && rng != nil
@@ -73,6 +74,102 @@ func ULChipMeans(dst []float64, chips phy.Bits, samplesPerChip int, p ULSynthPar
 		dst = append(dst, acc/float64(samplesPerChip))
 	}
 	return dst
+}
+
+// ULDecoder decodes uplink packets straight from their chips, the way
+// the Fig. 12(b) loss count needs them. It keeps its buffers between
+// packets, so a decoder that is reused does not allocate.
+type ULDecoder struct {
+	mid, rad  []float64 // certified chip means: mid ± rad
+	hard      phy.Bits
+	frame     [phy.ULFrameBits]byte
+	soft      []float64 // exact chip means, for a packet too close to call
+	fallbacks int       // packets decoded by the exact kernel
+}
+
+// Decode returns what DecodeULFrame(ULChipMeans(nil, chips,
+// samplesPerChip, p, rng)) returns, and leaves rng in the state that
+// pair leaves it in.
+//
+// The slicer reads only the sign of each chip mean against the
+// midpoint of the packet's min and max chip means, so a bound on every
+// mean that fixes every sign decides the packet. Decode draws each
+// sample's noise as a bracket (sim.Rand.NormBracket, the same words as
+// NormFloat64) and builds each chip mean as mᵢ ± rᵢ (sliceCertified
+// gives the rule). When every chip's bit is certain the hard chips go
+// to the receive chain of DecodeULFrame; otherwise Decode rewinds rng
+// and runs ULChipMeans and DecodeULFrame.
+//
+//alloc:hot per-packet uplink synthesis and decode of fig12b
+func (d *ULDecoder) Decode(chips phy.Bits, samplesPerChip int, p ULSynthParams, rng *sim.Rand) (phy.ULPacket, error) {
+	noise := p.NoiseRMS * math.Sqrt(float64(samplesPerChip)*p.ChipRate/p.Fs)
+	if noise > 0 && rng != nil {
+		saved := *rng
+		if d.certify(chips, samplesPerChip, p, noise, rng) {
+			return decodeULChips(d.hard, d.frame[:0])
+		}
+		*rng = saved
+		d.fallbacks++
+	}
+	d.soft = ULChipMeans(d.soft[:0], chips, samplesPerChip, p, rng)
+	return DecodeULFrame(d.soft)
+}
+
+// certify synthesizes the bracketed chip means of a packet and slices
+// them into d.hard. It reports false if some chip is too close to the
+// threshold to call; rng has then still advanced past every draw.
+func (d *ULDecoder) certify(chips phy.Bits, samplesPerChip int, p ULSynthParams, noise float64, rng *sim.Rand) bool {
+	n := float64(samplesPerChip)
+	d.mid, d.rad = d.mid[:0], d.rad[:0]
+	for _, c := range chips {
+		level := p.Leakage
+		if c&1 == 1 {
+			level += p.Backscatter
+		}
+		zs, rs := 0.0, 0.0
+		for s := 0; s < samplesPerChip; s++ {
+			z, r := rng.NormBracket()
+			zs += z
+			rs += r
+		}
+		d.mid = append(d.mid, level+noise*zs/n)
+		d.rad = append(d.rad, noise*rs/n)
+	}
+	// Each exact and bracketed mean is a sum of samplesPerChip terms of
+	// magnitude at most |level| + NormBound·noise, rounded a few times
+	// per term; a handful of such errors reach each decision. The
+	// slack is 32 times that count in units of 2⁻⁵³.
+	slack := float64(samplesPerChip+4) * 0x1p-48 *
+		(math.Abs(p.Leakage) + math.Abs(p.Backscatter) + (sim.NormBound+1)*noise)
+	var ok bool
+	d.hard, ok = sliceCertified(d.hard[:0], d.mid, d.rad, slack)
+	return ok
+}
+
+// sliceCertified slices chip means known only as mid[i] ± rad[i] the
+// way SliceChips slices exact ones, appending the hard chips to dst.
+// The exact threshold lies within the largest radius of the midpoint
+// th of the bracket centres' min and max, so chip i's bit is certain
+// when |mid[i] − th| > rad[i] + r_max + slack; slack bounds the float
+// rounding of both computations. ok is false if some chip's bit is not
+// certain.
+func sliceCertified(dst phy.Bits, mid, rad []float64, slack float64) (_ phy.Bits, ok bool) {
+	lo, hi, rmax := math.Inf(1), math.Inf(-1), 0.0
+	for i, m := range mid {
+		lo, hi, rmax = min(lo, m), max(hi, m), max(rmax, rad[i])
+	}
+	th := (lo + hi) / 2
+	for i, m := range mid {
+		if math.Abs(m-th) <= rad[i]+rmax+slack {
+			return dst, false
+		}
+		var b byte
+		if m > th {
+			b = 1
+		}
+		dst = append(dst, b)
+	}
+	return dst, true
 }
 
 // DLSynthParams describes the reader's keyed carrier as seen by a tag's

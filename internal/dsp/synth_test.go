@@ -258,6 +258,49 @@ func TestULChipMeansMatchesOracle(t *testing.T) {
 	}
 }
 
+// ULDecoder.Decode must give what DecodeULFrame(ULChipMeans(...))
+// gives, error included, and leave the RNG where that pair leaves it,
+// on every Fig. 12(b) cell. At the paper's SNRs no chip comes close to
+// the threshold, so a stress cell whose backscatter swing is 1.5 times
+// the chip-rate noise also checks that packets too close to call go to
+// the exact kernel, and that the ones it certifies are still right.
+func TestULDecoderMatchesExact(t *testing.T) {
+	const packets = 40
+	cells := ulLossCells(t)
+	stress := cells[len(cells)-1]
+	stress.name = "stress/swing=1.5σ"
+	stress.p.Backscatter = 1.5 * stress.p.NoiseRMS * math.Sqrt(8*stress.p.ChipRate/stress.p.Fs)
+	cells = append(cells, stress)
+	for _, c := range cells {
+		for seed := uint64(1); seed <= 2; seed++ {
+			rngK, rngO := sim.NewRand(seed), sim.NewRand(seed)
+			var dec ULDecoder
+			lost := 0
+			for k := 0; k < packets; k++ {
+				chips := nextULChips(t, rngK)
+				nextULChips(t, rngO)
+				got, errK := dec.Decode(chips, 8, c.p, rngK)
+				want, errO := DecodeULFrame(ULChipMeans(nil, chips, 8, c.p, rngO))
+				if got != want || fmt.Sprint(errK) != fmt.Sprint(errO) {
+					t.Fatalf("%s seed %d packet %d: %+v, %v; exact %+v, %v", c.name, seed, k, got, errK, want, errO)
+				}
+				if *rngK != *rngO {
+					t.Fatalf("%s seed %d packet %d: trailing RNG state differs", c.name, seed, k)
+				}
+				if errO != nil {
+					lost++
+				}
+			}
+			if c.name == stress.name {
+				if n := dec.Fallbacks(); n == 0 || n == packets || lost == 0 || lost == packets {
+					t.Errorf("%s seed %d: %d of %d packets fell back and %d were lost; want some of each, and some not",
+						c.name, seed, n, packets, lost)
+				}
+			}
+		}
+	}
+}
+
 // speedupVsOracle times kernel and oracle in alternating blocks of
 // rounds calls and returns the ratio of their fastest blocks, which
 // holds steady on a loaded host where one pass of each would not.
@@ -315,6 +358,32 @@ func BenchmarkULChipMeans(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		means = ULChipMeans(means[:0], chips, 8, c.p, rng)
+	}
+	b.ReportMetric(speedup, "speedup-vs-oracle")
+}
+
+// BenchmarkULDecoder decodes one uplink packet of the weakest
+// Fig. 12(b) cell (tag 11 at 3000 bps) per op with the certified
+// decoder, reporting "speedup-vs-oracle" against ULChipMeans plus
+// DecodeULFrame on the same packet. make bench-smoke asserts zero
+// allocations and the speedup.
+func BenchmarkULDecoder(b *testing.B) {
+	cells := ulLossCells(b)
+	c := cells[len(cells)-1]
+	chips := nextULChips(b, sim.NewRand(1))
+	rng := sim.NewRand(2)
+	var dec ULDecoder
+	var means []float64
+	speedup := speedupVsOracle(50,
+		func() { dec.Decode(chips, 8, c.p, rng) },
+		func() {
+			means = ULChipMeans(means[:0], chips, 8, c.p, rng)
+			DecodeULFrame(means)
+		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dec.Decode(chips, 8, c.p, rng)
 	}
 	b.ReportMetric(speedup, "speedup-vs-oracle")
 }

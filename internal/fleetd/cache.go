@@ -51,8 +51,13 @@ func CacheKey(raw []byte) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return canonicalKey(canon), nil
+}
+
+// canonicalKey is the cache key of a spec already in canonical form.
+func canonicalKey(canon []byte) string {
 	sum := sha256.Sum256(canon)
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(sum[:])
 }
 
 // CacheEntry is one stored response.

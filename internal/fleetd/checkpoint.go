@@ -54,8 +54,9 @@ type Record struct {
 	// State is queued, running, or done (cancelled jobs delete their
 	// checkpoint instead — an operator abort should not resurrect).
 	State string `json:"state"`
-	// Spec is the submitted fleet spec, verbatim, so a restarted
-	// daemon can rebuild and re-run the job list.
+	// Spec is the submitted fleet spec in canonical form
+	// (CanonicalSpec), so a restarted daemon can rebuild and re-run the
+	// job list.
 	Spec json.RawMessage `json:"spec"`
 	// Outcomes are the deterministic shard results completed so far
 	// (state running), or empty (queued), or complete (done).

@@ -109,9 +109,9 @@ func (c Config) withDefaults() Config {
 // job is one submitted fleet spec moving through the daemon.
 type job struct {
 	id    string
-	spec  json.RawMessage
-	key   string // response-cache key
-	total int    // compiled per-vehicle job count
+	spec  json.RawMessage // canonical form (CanonicalSpec)
+	key   string          // response-cache key
+	total int             // compiled per-vehicle job count
 	log   *eventLog
 
 	mu          sync.Mutex
@@ -670,7 +670,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
 		return
 	}
-	f, err := arachnet.UnmarshalFleetJSON(raw)
+	// The job keeps, runs from and checkpoints the canonical form, so
+	// whitespace padding costs nothing past this point, and the cache
+	// key is the hash of the very bytes the job runs from.
+	spec, err := CanonicalSpec(raw)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	f, err := arachnet.UnmarshalFleetJSON(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -680,11 +688,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	key, err := CacheKey(raw)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+	key := canonicalKey(spec)
 
 	// Cache hit: the run is a pure function of (spec, seed), so the
 	// stored report answers immediately — registered as a done job so
@@ -693,7 +697,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// correct (the write below is attempted anyway — it doubles as the
 	// degraded-mode recovery probe).
 	if entry, ok := s.cache.Get(key); ok {
-		j := s.newJob(raw, key, len(specs))
+		j := s.newJob(spec, key, len(specs))
 		j.state = api.StateDone
 		j.cached = true
 		j.fingerprint = entry.Fingerprint
@@ -748,7 +752,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j := s.newJob(raw, key, len(specs))
+	j := s.newJob(spec, key, len(specs))
 	j.state = api.StateQueued
 	// Publish the job (registry + in-flight dedupe entry) BEFORE it can
 	// reach a runner. Enqueue-first had an admission race: a runner could
@@ -783,13 +787,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // newJob allocates a job with the next ID (not yet registered).
-func (s *Server) newJob(raw []byte, key string, total int) *job {
+func (s *Server) newJob(spec []byte, key string, total int) *job {
 	s.mu.Lock()
 	id := fmt.Sprintf("job-%06d", s.nextID)
 	s.nextID++
 	s.mu.Unlock()
 	return &job{
-		id: id, spec: raw, key: key, total: total,
+		id: id, spec: spec, key: key, total: total,
 		log: newEventLog(streamBuffer), done: make(chan struct{}),
 	}
 }

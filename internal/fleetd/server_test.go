@@ -4,6 +4,8 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -473,5 +475,52 @@ func TestSubmitSizeLimit(t *testing.T) {
 	atLimit := testSpec + strings.Repeat(" ", maxSpecBytes-len(testSpec))
 	if rec := submit(atLimit); rec.Code != http.StatusAccepted {
 		t.Fatalf("%d-byte submit answered %d %s, want 202", len(atLimit), rec.Code, rec.Body)
+	}
+}
+
+// TestPaddedSpecCheckpointsCanonical: the daemon stores and checkpoints
+// the canonical form of a spec, so whitespace padding neither grows
+// the job's checkpoint nor changes its result.
+func TestPaddedSpecCheckpointsCanonical(t *testing.T) {
+	pad := strings.Repeat(" ", 64<<10)
+	padded := pad + strings.ReplaceAll(testSpec, ",", ",\n"+pad) + pad
+	run := func(spec string) (fingerprint string, rec Record, ckptBytes int) {
+		dir := t.TempDir()
+		_, c := startServer(t, Config{CheckpointDir: dir})
+		ctx := context.Background()
+		sub, err := c.Submit(ctx, []byte(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(ctx, sub.ID, 10*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		env, err := c.Report(ctx, sub.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every record state carries the spec, so whichever the file
+		// holds now shows what the job stored.
+		data, err := os.ReadFile(filepath.Join(dir, sub.ID+ckptSuffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, reason := decodeCheckpoint(data)
+		if reason != "" {
+			t.Fatal(reason)
+		}
+		return env.Fingerprint, rec, len(data)
+	}
+	fpPlain, recPlain, _ := run(testSpec)
+	fpPadded, recPadded, size := run(padded)
+	if string(recPadded.Spec) != string(recPlain.Spec) || len(recPlain.Spec) > len(testSpec) {
+		t.Errorf("checkpointed specs: padded %d bytes, unpadded %d bytes; want the same canonical bytes, at most %d",
+			len(recPadded.Spec), len(recPlain.Spec), len(testSpec))
+	}
+	if size >= len(padded) {
+		t.Errorf("padded %d-byte spec checkpointed in %d bytes", len(padded), size)
+	}
+	if fpPadded != fpPlain {
+		t.Errorf("padded spec fingerprint %s, unpadded %s", fpPadded, fpPlain)
 	}
 }

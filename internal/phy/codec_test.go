@@ -3,6 +3,7 @@ package phy
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -85,6 +86,27 @@ func TestFM0RoundTrip(t *testing.T) {
 		chips := FM0Encode(data, init&1)
 		decoded, err := FM0Decode(chips, init&1)
 		return err == nil && decoded.Equal(data)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// AppendFM0Decode appends to dst, and decoding the complement of a
+// chip stream from one initial level is decoding the stream from the
+// other: same bits, or the same violation.
+func TestAppendFM0DecodeComplement(t *testing.T) {
+	f := func(raw []byte, init byte, flip uint16) bool {
+		chips := FM0Encode(randomBits(raw), init&1)
+		if len(chips) > 0 {
+			chips[int(flip)%len(chips)] ^= 1 // sometimes breaks a boundary
+		}
+		want, wantErr := FM0Decode(chips.Invert(), init&1)
+		got, err := AppendFM0Decode(Bits{1, 0, 1}, chips, init&1^1)
+		if wantErr != nil || err != nil {
+			return fmt.Sprint(err) == fmt.Sprint(wantErr)
+		}
+		return got[:3].Equal(Bits{1, 0, 1}) && got[3:].Equal(want)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -216,6 +238,33 @@ func TestPIEDecodeIntervals(t *testing.T) {
 	}
 	if _, err := PIEDecodeIntervals([]float64{3.0}); err == nil {
 		t.Error("expected error above window")
+	}
+}
+
+// PIEDecodeInterval is the window rule of PIEDecodeIntervals, edges
+// included: (0.5, 1.5] is a 0, (1.5, 2.5] a 1, anything else (NaN too)
+// is rejected.
+func TestPIEDecodeInterval(t *testing.T) {
+	const rejected = 0xFF
+	cases := []struct {
+		chips float64
+		want  byte
+	}{
+		{0.5, rejected}, {math.Nextafter(0.5, 1), 0}, {1.5, 0}, {math.Nextafter(1.5, 2), 1},
+		{2.5, 1}, {math.Nextafter(2.5, 3), rejected}, {0, rejected}, {-1, rejected}, {math.NaN(), rejected},
+	}
+	for _, c := range cases {
+		bit, ok := PIEDecodeInterval(c.chips)
+		if !ok {
+			bit = rejected
+		}
+		if bit != c.want {
+			t.Errorf("PIEDecodeInterval(%v) = %#x, want %#x", c.chips, bit, c.want)
+		}
+		bits, err := PIEDecodeIntervals([]float64{c.chips})
+		if (err == nil) != ok || ok && bits[0] != bit {
+			t.Errorf("PIEDecodeIntervals([%v]) = %v, %v; scalar %#x", c.chips, bits, err, bit)
+		}
 	}
 }
 

@@ -10,7 +10,12 @@ const crcPoly = 0x07
 // CRC8 computes the 8-bit CRC of the given bits (MSB first, zero
 // initial value).
 func CRC8(bits Bits) uint8 {
-	var crc uint8
+	return crc8Update(0, bits)
+}
+
+// crc8Update shifts bits through the CRC register crc and returns the
+// new register, so a CRC over concatenated strings needs no copy.
+func crc8Update(crc uint8, bits Bits) uint8 {
 	for _, b := range bits {
 		crc ^= (b & 1) << 7
 		if crc&0x80 != 0 {
@@ -28,5 +33,5 @@ func CheckCRC8(data, crc Bits) bool {
 	if len(crc) != 8 {
 		return false
 	}
-	return CRC8(append(append(Bits{}, data...), crc...)) == 0
+	return crc8Update(crc8Update(0, data), crc) == 0
 }

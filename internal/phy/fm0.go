@@ -44,10 +44,18 @@ func (v *FM0Violation) Error() string {
 // lacks the mandatory transition, identifying the offending chip.
 // The chip count must be even.
 func FM0Decode(chips Bits, initLevel byte) (Bits, error) {
+	return AppendFM0Decode(make(Bits, 0, len(chips)/2), chips, initLevel)
+}
+
+// AppendFM0Decode is FM0Decode appending the data bits to dst, so a
+// receiver that keeps its frame buffer decodes without allocating. On
+// error it returns nil and the error FM0Decode gives. Decoding the
+// complement of chips from initLevel is decoding chips from the
+// complement of initLevel.
+func AppendFM0Decode(dst, chips Bits, initLevel byte) (Bits, error) {
 	if len(chips)%2 != 0 {
 		return nil, fmt.Errorf("phy: FM0 chip count %d is odd", len(chips))
 	}
-	out := make(Bits, 0, len(chips)/2)
 	level := initLevel & 1
 	for i := 0; i < len(chips); i += 2 {
 		first, second := chips[i]&1, chips[i+1]&1
@@ -55,11 +63,11 @@ func FM0Decode(chips Bits, initLevel byte) (Bits, error) {
 			return nil, &FM0Violation{ChipIndex: i}
 		}
 		if first == second {
-			out = append(out, 1)
+			dst = append(dst, 1)
 		} else {
-			out = append(out, 0)
+			dst = append(dst, 0)
 		}
 		level = second
 	}
-	return out, nil
+	return dst, nil
 }

@@ -31,14 +31,24 @@ func PIEEncode(data Bits) Bits {
 func PIEDecodeIntervals(highChips []float64) (Bits, error) {
 	out := make(Bits, 0, len(highChips))
 	for i, d := range highChips {
-		switch {
-		case d > 0.5 && d <= 1.5:
-			out = append(out, 0)
-		case d > 1.5 && d <= 2.5:
-			out = append(out, 1)
-		default:
+		bit, ok := PIEDecodeInterval(d)
+		if !ok {
 			return nil, fmt.Errorf("phy: PIE interval %v chips at symbol %d outside decode window", d, i)
 		}
+		out = append(out, bit)
 	}
 	return out, nil
+}
+
+// PIEDecodeInterval classifies one high-pulse duration, in chips, the
+// way PIEDecodeIntervals does; ok is false outside (0.5, 2.5] chips.
+// The tag's falling-edge interrupt calls it once per pulse.
+func PIEDecodeInterval(highChips float64) (bit byte, ok bool) {
+	switch {
+	case highChips > 0.5 && highChips <= 1.5:
+		return 0, true
+	case highChips > 1.5 && highChips <= 2.5:
+		return 1, true
+	}
+	return 0, false
 }

@@ -111,16 +111,25 @@ func (r *Rand) Bool(p float64) bool {
 // margin above that absorbs the rounding of the float evaluation.
 const NormBound = 12.1
 
-// NormFloat64 returns a standard normal variate (Marsaglia polar method).
-func (r *Rand) NormFloat64() float64 {
+// polar runs the accept/reject loop of the Marsaglia polar method and
+// returns the accepted u and s = u²+v², 0 < s < 1. Every normal draw
+// goes through it, so the bracketed and skipped draws consume exactly
+// the words NormFloat64 does.
+func (r *Rand) polar() (u, s float64) {
 	for {
-		u := 2*r.Float64() - 1
+		u = 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s = u*u + v*v
 		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
+			return u, s
 		}
 	}
+}
+
+// NormFloat64 returns a standard normal variate (Marsaglia polar method).
+func (r *Rand) NormFloat64() float64 {
+	u, s := r.polar()
+	return u * math.Sqrt(-2*math.Log(s)/s)
 }
 
 // SkipNormFloat64 advances the stream past one NormFloat64 draw: it
@@ -130,15 +139,65 @@ func (r *Rand) NormFloat64() float64 {
 //
 //alloc:hot per-sample noise skip in the downlink envelope kernel
 func (r *Rand) SkipNormFloat64() {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return
-		}
-	}
+	r.polar()
 }
+
+// NormBracket advances the stream past one NormFloat64 draw, like
+// SkipNormFloat64, and returns an interval mid ± rad that contains the
+// value NormFloat64 would have returned. The value is u·g(s) with
+// g(s) = √(−2 ln s / s), which falls as s rises on (0, 1); normCells
+// holds g's range over each of 64 cells per octave of s ∈ [2⁻⁸, 1), so
+// a draw costs a table lookup instead of the log, square root and
+// divide. For s below the table (probability 2⁻⁸) g is evaluated the
+// way NormFloat64 does it and rad is 0.
+//
+//alloc:hot per-sample bracketed noise of the Fig. 12(b) uplink decoder
+func (r *Rand) NormBracket() (mid, rad float64) {
+	u, s := r.polar()
+	b := math.Float64bits(s)
+	e := int(b>>52) - normTableExp
+	if e < 0 {
+		return u * math.Sqrt(-2*math.Log(s)/s), 0
+	}
+	c := &normCells[e<<normCellBits|int(b>>(52-normCellBits))&(1<<normCellBits-1)]
+	return u * c.mid, math.Abs(u) * c.rad
+}
+
+// The NormBracket table covers s ∈ [2^−normOctaves, 1) in
+// 2^normCellBits cells per octave; normTableExp is the biased float64
+// exponent of its lowest octave.
+const (
+	normOctaves  = 8
+	normCellBits = 6
+	normTableExp = 1023 - normOctaves
+)
+
+// normPad is the relative margin on each cell's range of g. The cell
+// ends and NormFloat64's own evaluation are float computations, each
+// off by a few units of 2⁻⁵³ (Go's math.Log is within 1 ulp; divide,
+// square root and the products round by half an ulp each), as are
+// the products u·mid and |u|·rad; 2⁻⁴⁰ is over a thousand times that.
+const normPad = 0x1p-40
+
+// normCell is g's range over one cell of s as a padded midpoint and
+// radius.
+type normCell struct{ mid, rad float64 }
+
+// normCells is the NormBracket table, indexed by the octave of s and
+// the top normCellBits bits of its mantissa. The top cell ends at s = 1,
+// where g is 0.
+var normCells = func() (t [normOctaves << normCellBits]normCell) {
+	g := func(s float64) float64 { return math.Sqrt(-2 * math.Log(s) / s) }
+	for i := range t {
+		e, m := i>>normCellBits, i&(1<<normCellBits-1)
+		octave := math.Ldexp(1, e-normOctaves) // lowest s of the octave
+		sLo := octave * (1 + float64(m)/(1<<normCellBits))
+		sHi := octave * (1 + float64(m+1)/(1<<normCellBits))
+		lo, hi := g(sHi)*(1-normPad), g(sLo)*(1+normPad)
+		t[i] = normCell{mid: (lo + hi) / 2, rad: (hi - lo) / 2}
+	}
+	return t
+}()
 
 // ExpFloat64 returns an exponential variate with rate 1.
 func (r *Rand) ExpFloat64() float64 {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"testing"
@@ -199,5 +200,91 @@ func TestSkipNormFloat64KeepsStream(t *testing.T) {
 				t.Fatalf("seed %d call %d: states diverged", seed, i)
 			}
 		}
+	}
+}
+
+// polarDraw returns a generator whose next polar pair is u = a/2⁵²,
+// v = b/2⁵², for a, b in [−2⁵², 2⁵²): Float64 = k/2⁵³ maps to
+// 2F−1 = (k−2⁵²)/2⁵².
+func polarDraw(a, b int64) *Rand {
+	const half = int64(1) << 52
+	return emitting(uint64(a+half)<<11, uint64(b+half)<<11)
+}
+
+// bracketDraw draws once from r through NormFloat64 and through
+// NormBracket on a copy. It returns the bracket's radius and whether
+// the bracket holds the value (exactly, for a zero radius) and both
+// calls left the same state.
+func bracketDraw(r *Rand) (rad float64, ok bool) {
+	b := *r
+	z := r.NormFloat64()
+	mid, rad := b.NormBracket()
+	ok = math.Abs(z-mid) <= rad && (rad > 0 || mid == z) && b.s == r.s
+	return rad, ok
+}
+
+// NormBracket must bracket NormFloat64's value and consume its words,
+// on a long random stream and on constructed draws at every cell
+// boundary of its table, just below s = 1, around the bottom of the
+// table (s = 2⁻⁸) and at the extreme s = 2⁻¹⁰⁴ of TestNormFloat64Bound.
+func TestNormBracketContainsNormFloat64(t *testing.T) {
+	const draws = 1_000_000
+	r := NewRand(11)
+	sum := 0.0
+	for i := 0; i < draws; i++ {
+		rad, ok := bracketDraw(r)
+		if !ok {
+			t.Fatalf("draw %d: bracket misses NormFloat64 or the state", i)
+		}
+		sum += rad
+	}
+	// 64 cells an octave keep the bracket tight: the mean radius is
+	// about 0.6% of σ. A coarser table would send far more Fig. 12(b)
+	// packets to the exact fallback.
+	if mean := sum / draws; mean > 0.01 {
+		t.Errorf("mean bracket radius %v, want <= 0.01", mean)
+	}
+
+	check := func(a, b int64, what string, want func(s float64) bool) {
+		t.Helper()
+		u, v := float64(a)/(1<<52), float64(b)/(1<<52)
+		if s := u*u + v*v; !(s > 0 && s < 1) || !want(s) {
+			t.Fatalf("%s: construction gave s = %v", what, s)
+		}
+		if _, ok := bracketDraw(polarDraw(a, b)); !ok {
+			t.Fatalf("%s (u = %v, v = %v): bracket misses NormFloat64 or the state", what, u, v)
+		}
+	}
+	accepted := func(float64) bool { return true }
+	for i := 0; i < normOctaves<<normCellBits; i++ {
+		e, m := i>>normCellBits, i&(1<<normCellBits-1)
+		edge := math.Ldexp(1+float64(m)/(1<<normCellBits), e-normOctaves)
+		a0 := int64(math.Sqrt(edge) * (1 << 52)) // u² within an ulp of the edge
+		for a := a0 - 2; a <= a0+2; a++ {
+			for _, sign := range []int64{1, -1} {
+				what := fmt.Sprintf("cell %d edge, %d/2⁵²", i, sign*a)
+				check(sign*a, 0, what+" in u", accepted)
+				check(0, sign*a, what+" in v", accepted)
+			}
+		}
+	}
+	const one = int64(1) << 52 // u = 1
+	below := func(x float64) func(float64) bool { return func(s float64) bool { return s < x && s > x*(1-1e-12) } }
+	edges := []struct {
+		what string
+		a, b int64
+		want func(float64) bool
+	}{
+		{"s just below 1", one - 1, 0, below(1)},
+		{"s just below 1, u small", 1, one - 1, below(1)},
+		{"s just below 1, u = v", 3184525836262886, -3184525836262886, below(1)}, // ≈ 2⁵²/√2
+		{"s = 2⁻⁸, bottom of table", one >> 4, 0, func(s float64) bool { return s == 0x1p-8 }},
+		{"s just under 2⁻⁸", one>>4 - 1, 0, below(0x1p-8)},
+		{"s just under 2⁻⁸, u = v", 199032864766430, -199032864766430, below(0x1p-8)}, // ≈ 2⁴⁷·√2
+		{"s = 2⁻¹⁰⁴", 1, 0, func(s float64) bool { return s == 0x1p-104 }},
+		{"s = 2⁻¹⁰⁴, negative u", -1, 0, func(s float64) bool { return s == 0x1p-104 }},
+	}
+	for _, c := range edges {
+		check(c.a, c.b, c.what, c.want)
 	}
 }

@@ -298,15 +298,15 @@ func (d *Device) onEdge(rising bool, now sim.Time) {
 	}
 	ticks := d.MCU.Timer().ReadCounter()
 	chips := float64(ticks) / d.ticksPerChip
-	bits, err := phy.PIEDecodeIntervals([]float64{chips})
-	if err != nil {
+	bit, ok := phy.PIEDecodeInterval(chips)
+	if !ok {
 		// Unclassifiable pulse: abort any frame in progress.
 		d.inFrame = false
 		d.bitWindow = d.bitWindow[:0]
 		d.MCU.SetMode(mcu.ModeIdle)
 		return
 	}
-	d.onBit(bits[0], now)
+	d.onBit(bit, now)
 }
 
 // onBit runs the preamble matcher and collects the command nibble.
