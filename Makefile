@@ -85,7 +85,9 @@ bench:
 # least 1.5x faster than its envelope-plus-trigger oracle. The
 # certified Fig. 12(b) packet decoder must not allocate either, and
 # must stay at least 1.4x faster than the exact synthesize-and-decode
-# pair it falls back to.
+# pair it falls back to. The fault injector's scheduled streams must
+# not allocate and must stay at least 2x faster than the per-slot Bool
+# loops they replaced.
 BENCH_SPEEDUP_FLOOR ?= 0.8
 bench-smoke:
 	$(GO) run ./cmd/arachnet-benchjson -bench FleetThroughput -benchtime 2x \
@@ -108,6 +110,9 @@ bench-smoke:
 		-assert 'BenchmarkULChipMeans:allocs_per_op<=0' \
 		-assert 'BenchmarkULDecoder:allocs_per_op<=0' \
 		-assert 'BenchmarkULDecoder:speedup-vs-oracle>=1.4' ./internal/dsp
+	$(GO) run ./cmd/arachnet-benchjson -bench Injector -benchtime 100000x \
+		-assert 'BenchmarkInjector:allocs_per_op<=0' \
+		-assert 'BenchmarkInjector:speedup-vs-oracle>=2' ./internal/faults
 
 # Coverage-guided fuzzing smoke: 10 s on each native fuzz target in the
 # phy codecs and the binary wire codecs (go fuzzing allows one -fuzz

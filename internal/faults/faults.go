@@ -18,6 +18,7 @@ package faults
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Burst is a two-state Markov (Gilbert-Elliott) process at slot
@@ -217,16 +218,14 @@ func (p Plan) Validate() error {
 // over numTags entries; an empty filter selects every tag.
 func tagSet(tags []int, numTags int) []bool {
 	mask := make([]bool, numTags)
-	if len(tags) == 0 {
-		for i := range mask {
-			mask[i] = true
-		}
-		return mask
-	}
-	for _, tid := range tags {
-		if tid >= 1 && tid <= numTags {
-			mask[tid-1] = true
-		}
+	for i := range mask {
+		mask[i] = inTags(tags, i)
 	}
 	return mask
+}
+
+// inTags reports whether a 1-based tag filter selects the 0-based tag
+// i; an empty filter selects every tag.
+func inTags(tags []int, i int) bool {
+	return len(tags) == 0 || slices.Contains(tags, i+1)
 }

@@ -14,20 +14,23 @@ import (
 // Injector compiles a Plan into a running fault environment. It
 // implements mac.FaultSource for the slot-level simulator and exposes
 // FadeDepthDB for the event-level channel hook. All randomness comes
-// from per-process forks of one seed, and BeginSlot draws in a fixed
-// slot/tag order, so the full fault sequence is a pure function of
-// (Plan, seed, tag count) — the determinism the fleet's chaos sweeps
-// rely on.
+// from per-process forks of one seed, and each process draws in a
+// fixed slot/tag order, so the full fault sequence is a pure function
+// of (Plan, seed, tag count) — the determinism the fleet's chaos
+// sweeps rely on.
 type Injector struct {
 	plan    Plan
 	numTags int
 	tr      *obs.Tracer
 
 	// One independent stream per fault process, so adding a process to
-	// a plan never perturbs the draws of the others.
-	fadeRNG, fbRNG, brownRNG, outageRNG, jitterRNG *sim.Rand
+	// a plan never perturbs the draws of the others. The memoryless
+	// processes (feedback, brownouts, clock jitter, in that order) draw
+	// from their own streams[k].rng.
+	fadeRNG, outageRNG sim.Rand
+	streams            [3]stream
 
-	fadeMask, fbMask, brownMask, jitterMask []bool
+	fadeMask []bool
 
 	// Per-tag fade burst state: 0 = clear, else slot the fade started.
 	fadeSince []int
@@ -40,12 +43,85 @@ type Injector struct {
 	counts   [numFaults]int
 
 	// fs is the SlotFaults BeginSlot returns. Its slices are nil or the
-	// matching buffer below; each BeginSlot clears the ones the previous
-	// slot set, so a fault-free slot touches no buffer.
+	// matching buffer below. dirty says the previous slot set a flag or
+	// a slice; only then does BeginSlot clear them, so a fault-free slot
+	// touches no buffer.
 	fs                                     mac.SlotFaults
+	dirty                                  bool
 	lossBuf, corruptBuf, slipBuf, brownBuf []bool
 	rejoinBuf                              []int
 	ulFailBuf                              []float64
+}
+
+// scanAhead bounds how many slots past the current one a stream scans
+// for its next hit, so a tiny probability never scans without end.
+const scanAhead = 256
+
+// stream schedules one memoryless fault process. Every slot the
+// process tests the same pattern of positions in order, one (tag,
+// fault) test of probability p each, as Bool(p) on rng: a word per
+// test, none when p ≥ 1. A position with p ≤ 0 draws no word and is
+// left out. Instead of testing slot by slot, the stream scans its
+// words ahead with sim.Rand.FirstBelow, which consumes exactly the
+// words of the Bool loop, and holds the first hit until the hit's own
+// slot.
+type stream struct {
+	rng sim.Rand
+	pos []streamPos // the pattern
+	thr []uint64    // sim.BoolThreshold of pos[j % len(pos)].p
+
+	// at is the absolute position slot·len(pos)+j of the pending hit
+	// or, when hit is false, of the next position not yet tested.
+	at  int
+	hit bool
+}
+
+// streamPos is one position of a stream's per-slot pattern: a test of
+// probability p that injects fault f on a 0-based tag.
+type streamPos struct {
+	tag int
+	f   fault
+	p   float64
+}
+
+// add appends a test to the pattern.
+func (st *stream) add(tag int, f fault, p float64) {
+	if p > 0 {
+		st.pos = append(st.pos, streamPos{tag, f, p})
+	}
+}
+
+// seal compiles the complete pattern into thr, repeated to at least
+// thrSpan entries so that a long scan stays in FirstBelow's inner loop
+// instead of wrapping every slot.
+func (st *stream) seal() {
+	n := len(st.pos)
+	if n == 0 {
+		return
+	}
+	st.thr = make([]uint64, n*((thrSpan+n-1)/n))
+	for j := range st.thr {
+		st.thr[j] = sim.BoolThreshold(st.pos[j%n].p)
+	}
+}
+
+// thrSpan is the least length of a sealed stream.thr.
+const thrSpan = 256
+
+// due reports whether the stream's next hit falls in slot, scanning
+// ahead for it when no hit is pending.
+func (st *stream) due(slot int) bool {
+	n := len(st.pos)
+	end := (slot + 1) * n
+	if !st.hit && st.at < end {
+		tests, hit := st.rng.FirstBelow(st.thr, st.at%len(st.thr), (slot+scanAhead)*n-st.at)
+		st.at += tests
+		if hit {
+			st.at-- // the hit is the last position tested
+		}
+		st.hit = hit
+	}
+	return st.hit && st.at < end
 }
 
 // fault is one kind of event the injector emits.
@@ -103,16 +179,10 @@ func NewInjector(plan Plan, seed uint64, numTags int, tr *obs.Tracer) (*Injector
 	if numTags < 1 {
 		return nil, fmt.Errorf("faults: numTags %d < 1", numTags)
 	}
-	root := sim.NewRand(seed ^ 0xFA17)
 	inj := &Injector{
 		plan:      plan,
 		numTags:   numTags,
 		tr:        tr,
-		fadeRNG:   root.Fork(1),
-		fbRNG:     root.Fork(2),
-		brownRNG:  root.Fork(3),
-		outageRNG: root.Fork(4),
-		jitterRNG: root.Fork(5),
 		fadeSince: make([]int, numTags),
 
 		lossBuf:    make([]bool, numTags),
@@ -122,17 +192,33 @@ func NewInjector(plan Plan, seed uint64, numTags int, tr *obs.Tracer) (*Injector
 		rejoinBuf:  make([]int, numTags),
 		ulFailBuf:  make([]float64, numTags),
 	}
+	root := sim.NewRand(seed ^ 0xFA17)
+	fb, brown, jitter := &inj.streams[0], &inj.streams[1], &inj.streams[2]
+	inj.fadeRNG.ReseedFork(root, 1)
+	fb.rng.ReseedFork(root, 2)
+	brown.rng.ReseedFork(root, 3)
+	inj.outageRNG.ReseedFork(root, 4)
+	jitter.rng.ReseedFork(root, 5)
 	if plan.Fades != nil {
 		inj.fadeMask = tagSet(plan.Fades.Tags, numTags)
 	}
-	if plan.Feedback != nil {
-		inj.fbMask = tagSet(plan.Feedback.Tags, numTags)
+	for k, per := range [3]int{2, 1, 1} { // positions per tag
+		inj.streams[k].pos = make([]streamPos, 0, per*numTags)
 	}
-	if plan.Brownouts != nil {
-		inj.brownMask = tagSet(plan.Brownouts.Tags, numTags)
+	for i := 0; i < numTags; i++ {
+		if f := plan.Feedback; f != nil && inTags(f.Tags, i) {
+			fb.add(i, faultBeaconLoss, f.LossProb)
+			fb.add(i, faultAckCorrupt, f.CorruptProb)
+		}
+		if b := plan.Brownouts; b != nil && inTags(b.Tags, i) {
+			brown.add(i, faultBrownout, b.Prob)
+		}
+		if j := plan.ClockJitter; j != nil && inTags(j.Tags, i) {
+			jitter.add(i, faultJitterSlip, j.SlipProb)
+		}
 	}
-	if plan.ClockJitter != nil {
-		inj.jitterMask = tagSet(plan.ClockJitter.Tags, numTags)
+	for k := range inj.streams {
+		inj.streams[k].seal()
 	}
 	return inj, nil
 }
@@ -160,13 +246,16 @@ func (inj *Injector) BeginSlot(slot int) *mac.SlotFaults {
 	inj.nextSlot++
 
 	fs := &inj.fs
-	clear(fs.BeaconLoss)
-	clear(fs.CorruptACK)
-	clear(fs.SlipSlot)
-	clear(fs.ULFailProb)
-	clear(fs.Brownout)
-	clear(fs.RejoinDelay)
-	*fs = mac.SlotFaults{}
+	if inj.dirty {
+		clear(fs.BeaconLoss)
+		clear(fs.CorruptACK)
+		clear(fs.SlipSlot)
+		clear(fs.ULFailProb)
+		clear(fs.Brownout)
+		clear(fs.RejoinDelay)
+		*fs = mac.SlotFaults{}
+		inj.dirty = false
+	}
 
 	// Reader outage first: a dark slot still advances the burst
 	// processes (the physical fades don't pause for the reader), but
@@ -188,7 +277,7 @@ func (inj *Injector) BeginSlot(slot int) *mac.SlotFaults {
 	}
 	fs.ReaderDown = inj.outageActive
 	if !inj.outageActive && inj.pendingReset {
-		fs.ReaderReset = true
+		fs.ReaderReset, inj.dirty = true, true
 		inj.pendingReset = false
 		// The restarted reader lost its ledger: replayed analyses clear
 		// their settled model on this event.
@@ -213,11 +302,11 @@ func (inj *Injector) BeginSlot(slot int) *mac.SlotFaults {
 			}
 			if inj.fadeSince[i] != 0 {
 				if ulFail > 0 {
-					fs.ULFailProb = inj.ulFailBuf
+					fs.ULFailProb, inj.dirty = inj.ulFailBuf, true
 					fs.ULFailProb[i] = ulFail
 				}
 				if f.BeaconLossProb > 0 && inj.fadeRNG.Bool(f.BeaconLossProb) {
-					fs.BeaconLoss = inj.lossBuf
+					fs.BeaconLoss, inj.dirty = inj.lossBuf, true
 					fs.BeaconLoss[i] = true
 					inj.emit(faultBeaconLoss, slot, i+1, 0)
 				}
@@ -225,60 +314,50 @@ func (inj *Injector) BeginSlot(slot int) *mac.SlotFaults {
 		}
 	}
 
-	// Feedback: memoryless loss / ACK corruption per tag.
-	if f := inj.plan.Feedback; f != nil {
-		for i := 0; i < inj.numTags; i++ {
-			if !inj.fbMask[i] {
-				continue
-			}
-			if f.LossProb > 0 && inj.fbRNG.Bool(f.LossProb) {
-				fs.BeaconLoss = inj.lossBuf
-				fs.BeaconLoss[i] = true
-				inj.emit(faultBeaconLoss, slot, i+1, 0)
-			}
-			if f.CorruptProb > 0 && inj.fbRNG.Bool(f.CorruptProb) {
-				fs.CorruptACK = inj.corruptBuf
-				fs.CorruptACK[i] = true
-				inj.emit(faultAckCorrupt, slot, i+1, 0)
-			}
-		}
-	}
-
-	// Brownouts: forced drains with geometric off-times.
-	if b := inj.plan.Brownouts; b != nil && b.Prob > 0 {
-		for i := 0; i < inj.numTags; i++ {
-			if !inj.brownMask[i] {
-				continue
-			}
-			if inj.brownRNG.Bool(b.Prob) {
-				off := 1
-				if b.OffSlots > 1 {
-					// Geometric with mean OffSlots, support >= 1.
-					off = 1 + int(math.Floor(inj.brownRNG.ExpFloat64()*(b.OffSlots-1)))
-				}
-				fs.Brownout, fs.RejoinDelay = inj.brownBuf, inj.rejoinBuf
-				fs.Brownout[i] = true
-				fs.RejoinDelay[i] = off
-				inj.emit(faultBrownout, slot, i+1, float64(off))
-			}
-		}
-	}
-
-	// Clock jitter: memoryless slot-boundary slips.
-	if j := inj.plan.ClockJitter; j != nil && j.SlipProb > 0 {
-		for i := 0; i < inj.numTags; i++ {
-			if !inj.jitterMask[i] {
-				continue
-			}
-			if inj.jitterRNG.Bool(j.SlipProb) {
-				fs.SlipSlot = inj.slipBuf
-				fs.SlipSlot[i] = true
-				inj.emit(faultJitterSlip, slot, i+1, 0)
-			}
+	// The memoryless processes: feedback loss before ACK corruption per
+	// tag, then brownouts, then clock slips, each hit in pattern order.
+	for k := range inj.streams {
+		st := &inj.streams[k]
+		for len(st.pos) > 0 && st.due(slot) {
+			inj.inject(st, slot)
 		}
 	}
 
 	return fs
+}
+
+// inject applies a stream's pending hit, which falls in slot, and
+// moves the stream's cursor past it. A brownout draws its off-time
+// from the stream right after the hit word, as the Bool loop did.
+func (inj *Injector) inject(st *stream, slot int) {
+	p := st.pos[st.at%len(st.pos)]
+	st.at++
+	st.hit = false
+	fs, i := &inj.fs, p.tag
+	inj.dirty = true
+	value := 0.0
+	switch p.f {
+	case faultBeaconLoss:
+		fs.BeaconLoss = inj.lossBuf
+		fs.BeaconLoss[i] = true
+	case faultAckCorrupt:
+		fs.CorruptACK = inj.corruptBuf
+		fs.CorruptACK[i] = true
+	case faultBrownout:
+		off := 1
+		if b := inj.plan.Brownouts; b.OffSlots > 1 {
+			// Geometric with mean OffSlots, support >= 1.
+			off = 1 + int(math.Floor(st.rng.ExpFloat64()*(b.OffSlots-1)))
+		}
+		fs.Brownout, fs.RejoinDelay = inj.brownBuf, inj.rejoinBuf
+		fs.Brownout[i] = true
+		fs.RejoinDelay[i] = off
+		value = float64(off)
+	case faultJitterSlip:
+		fs.SlipSlot = inj.slipBuf
+		fs.SlipSlot[i] = true
+	}
+	inj.emit(p.f, slot, i+1, value)
 }
 
 // outOfOrder reports a BeginSlot gap or repeat. It stays out of line

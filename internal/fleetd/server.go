@@ -125,6 +125,22 @@ type job struct {
 	report      *fleet.Report
 	errMsg      string
 	done        chan struct{} // closed when the job reaches a terminal state (or is interrupted by drain)
+
+	// ckMu orders the admission checkpoint after the runner's last one
+	// (the done record, or the removal): lastCheckpoint sets ckFinal
+	// under it, and the admission write is skipped once it is set, so a
+	// queued record never lands over a finished job.
+	ckMu    sync.Mutex
+	ckFinal bool
+}
+
+// lastCheckpoint runs write, the job's terminal checkpoint operation,
+// and bars any admission write still to come.
+func (j *job) lastCheckpoint(write func() error) error {
+	j.ckMu.Lock()
+	defer j.ckMu.Unlock()
+	j.ckFinal = true
+	return write()
 }
 
 // status snapshots the job's API view.
@@ -555,13 +571,13 @@ func (s *Server) runJob(j *job) {
 			s.finalize(j, api.StateQueued, "", nil, "interrupted: daemon draining; resumes on restart")
 		case errors.Is(runErr, context.DeadlineExceeded):
 			s.metrics.Inc("jobs_deadline_exceeded")
-			if err := s.store.Remove(j.id); err != nil {
+			if err := s.removeCheckpoint(j); err != nil {
 				s.cfg.Logf("fleetd: %s: remove checkpoint: %v", j.id, err)
 			}
 			s.finalize(j, api.StateFailed, "", nil,
 				fmt.Sprintf("job deadline %v exceeded", s.cfg.JobDeadline))
 		default:
-			if err := s.store.Remove(j.id); err != nil {
+			if err := s.removeCheckpoint(j); err != nil {
 				s.cfg.Logf("fleetd: %s: remove checkpoint: %v", j.id, err)
 			}
 			s.finalize(j, api.StateCancelled, "", nil, "cancelled")
@@ -578,9 +594,11 @@ func (s *Server) runJob(j *job) {
 		repJSON, err := json.Marshal(rep)
 		if err != nil {
 			s.cfg.Logf("fleetd: %s: marshal report: %v", j.id, err)
-		} else if err := s.checkpointWrite(Record{
-			ID: j.id, State: StateDoneCkpt, Spec: j.spec,
-			Fingerprint: fp, Report: repJSON, Error: errMsg,
+		} else if err := j.lastCheckpoint(func() error {
+			return s.checkpointWrite(Record{
+				ID: j.id, State: StateDoneCkpt, Spec: j.spec,
+				Fingerprint: fp, Report: repJSON, Error: errMsg,
+			})
 		}); err != nil {
 			s.cfg.Logf("fleetd: %s: done checkpoint: %v", j.id, err)
 		}
@@ -619,10 +637,15 @@ func (s *Server) finalize(j *job, state, fingerprint string, rep *fleet.Report, 
 
 // finalizeFailed records a spec-level failure.
 func (s *Server) finalizeFailed(j *job, err error) {
-	if rmErr := s.store.Remove(j.id); rmErr != nil {
+	if rmErr := s.removeCheckpoint(j); rmErr != nil {
 		s.cfg.Logf("fleetd: %s: remove checkpoint: %v", j.id, rmErr)
 	}
 	s.finalize(j, api.StateFailed, "", nil, err.Error())
+}
+
+// removeCheckpoint deletes a job's checkpoint as its terminal one.
+func (s *Server) removeCheckpoint(j *job) error {
+	return j.lastCheckpoint(func() error { return s.store.Remove(j.id) })
 }
 
 // suffixIf renders an optional log detail.
@@ -779,10 +802,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Checkpoint at admission so a daemon killed with the job still
-	// queued re-runs it after restart.
-	if err := s.checkpointWrite(Record{ID: j.id, State: StateQueuedCkpt, Spec: j.spec}); err != nil {
-		s.cfg.Logf("fleetd: %s: admission checkpoint: %v", j.id, err)
+	// queued re-runs it after restart. A runner may have finished the
+	// job already; its terminal checkpoint then stands.
+	j.ckMu.Lock()
+	if !j.ckFinal {
+		//lint:allow lock-discipline per-job lock held across the write on purpose: it orders this job's admission and terminal checkpoints, and only the runner or a cancel of this one job can wait on it
+		if err := s.checkpointWrite(Record{ID: j.id, State: StateQueuedCkpt, Spec: j.spec}); err != nil {
+			s.cfg.Logf("fleetd: %s: admission checkpoint: %v", j.id, err)
+		}
 	}
+	j.ckMu.Unlock()
 	writeJSON(w, http.StatusAccepted, api.SubmitResponse{ID: j.id, State: api.StateQueued, Jobs: len(specs)})
 }
 
@@ -899,7 +928,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 			delete(s.inflight, j.key)
 		}
 		s.mu.Unlock()
-		if err := s.store.Remove(j.id); err != nil {
+		if err := s.removeCheckpoint(j); err != nil {
 			s.cfg.Logf("fleetd: %s: remove checkpoint: %v", j.id, err)
 		}
 		writeJSON(w, http.StatusOK, j.status())

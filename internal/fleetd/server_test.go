@@ -524,3 +524,38 @@ func TestPaddedSpecCheckpointsCanonical(t *testing.T) {
 		t.Errorf("padded spec fingerprint %s, unpadded %s", fpPadded, fpPlain)
 	}
 }
+
+// TestAdmissionCheckpointNeverAfterDone: a runner can finish a job
+// before the handler writes its admission checkpoint. The queued record
+// must not then replace the done one, or a restarted daemon would run
+// the finished job again. With the cache off, each submission runs.
+func TestAdmissionCheckpointNeverAfterDone(t *testing.T) {
+	const submissions = 40
+	dir := t.TempDir()
+	_, c := startServer(t, Config{CheckpointDir: dir, CacheEntries: -1})
+	ctx := context.Background()
+	var notDone []string
+	for i := 0; i < submissions; i++ {
+		sub, err := c.Submit(ctx, []byte(testSpec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := c.Wait(ctx, sub.ID, time.Millisecond); err != nil || st.State != api.StateDone {
+			t.Fatalf("%s: state %q, err %v", sub.ID, st.State, err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, sub.ID+ckptSuffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, reason := decodeCheckpoint(data)
+		if reason != "" {
+			t.Fatalf("%s: %s", sub.ID, reason)
+		}
+		if rec.State != StateDoneCkpt {
+			notDone = append(notDone, sub.ID+":"+rec.State)
+		}
+	}
+	if len(notDone) > 0 {
+		t.Errorf("%d of %d finished jobs checkpointed as not done: %v", len(notDone), submissions, notDone)
+	}
+}

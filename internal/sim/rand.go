@@ -105,6 +105,81 @@ func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
+// BoolThreshold returns the FirstBelow threshold that tests like
+// Bool(p), for p > 0. For p < 1 it is ⌈p·2⁵³⌉: Float64 is k/2⁵³ for
+// the top 53 bits k of the word, exactly, so Bool(p) holds exactly
+// when k < ⌈p·2⁵³⌉. For p ≥ 1 it is Certain. Bool(p) draws no word for
+// p ≤ 0, and no threshold does that: leave such a test out.
+func BoolThreshold(p float64) uint64 {
+	if p >= 1 {
+		return Certain
+	}
+	return uint64(math.Ceil(math.Ldexp(p, 53)))
+}
+
+// Certain is the FirstBelow threshold of a test that holds without
+// drawing a word, as Bool(p) does for p ≥ 1.
+const Certain = math.MaxUint64
+
+// FirstBelow runs up to n tests and stops after the first that holds.
+// The i-th test uses the threshold thr[(pos+i) % len(thr)], so a
+// cyclic thr scans a pattern that repeats slot after slot. A test
+// draws one word and holds when the word's top 53 bits are below its
+// threshold; a Certain test holds without drawing. With
+// thr[j] = BoolThreshold(p_j), FirstBelow consumes exactly the words
+// of a loop of Bool(p_j) calls that stops at the first true. It
+// returns the number of tests run, the one that held included, and
+// whether one held.
+//
+//alloc:hot scans a chaos vehicle's memoryless fault streams ahead of the slot
+func (r *Rand) FirstBelow(thr []uint64, pos, n int) (tests int, hit bool) {
+	if len(thr) == 0 {
+		return 0, false
+	}
+	s := r.s
+	seg := thr[pos:]
+	for tests < n && !hit {
+		if len(seg) > n-tests {
+			seg = seg[:n-tests]
+		}
+		var k int
+		k, hit, s = firstBelow(s, seg)
+		tests += k
+		seg = thr
+	}
+	r.s = s
+	return tests, hit
+}
+
+// firstBelow is FirstBelow's inner loop over one stretch of thr that
+// does not wrap. Kept out of line, it holds the xoshiro state and the
+// loop in registers.
+//
+//go:noinline
+func firstBelow(s [4]uint64, thr []uint64) (tests int, hit bool, out [4]uint64) {
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	for _, t := range thr {
+		tests++
+		if t == Certain {
+			hit = true
+			break
+		}
+		w := bits.RotateLeft64(s1*5, 7) * 9
+		u := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= u
+		s3 = bits.RotateLeft64(s3, 45)
+		if w>>11 < t {
+			hit = true
+			break
+		}
+	}
+	return tests, hit, [4]uint64{s0, s1, s2, s3}
+}
+
 // NormBound bounds |NormFloat64()|. The polar draws u and v are
 // multiples of 2⁻⁵² (Float64 has 53 bits), so an accepted s = u²+v² is
 // at least 2⁻¹⁰⁴ and |z| ≤ √(−2 ln s) ≤ √(208 ln 2) ≈ 12.007. The

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/bits"
 	"testing"
 )
@@ -286,5 +287,87 @@ func TestNormBracketContainsNormFloat64(t *testing.T) {
 	}
 	for _, c := range edges {
 		check(c.a, c.b, c.what, c.want)
+	}
+}
+
+// exactThreshold is ⌈p·2⁵³⌉ in exact arithmetic.
+func exactThreshold(p float64) uint64 {
+	f := new(big.Float).SetFloat64(p)
+	i, acc := f.SetMantExp(f, 53).Int(nil)
+	if acc == big.Below {
+		i.Add(i, big.NewInt(1))
+	}
+	return i.Uint64()
+}
+
+// FirstBelow must consume exactly the words a loop of Bool calls with
+// the same probabilities does: the same number of tests, the same hit
+// position and the same trailing state, over patterns that wrap, scans
+// that stop short and certain tests (p = 1) that draw no word.
+// BoolThreshold must split the words where Bool does, checked on
+// constructed words on either side of the threshold.
+func TestFirstBelowMatchesBool(t *testing.T) {
+	boundary := []float64{0x1p-60, 0.0005, 1.0 / 3, 1 - 0x1p-53}
+	patterns := [][]float64{
+		{0.5},
+		{0.002, 0.001},
+		{0.002, 0.001, 0.0005, 0.3, 0.05},
+		{0.01, 1, 0.2, 0.002, 1},
+		boundary,
+	}
+	for _, probs := range patterns {
+		thr := make([]uint64, len(probs))
+		for j, p := range probs {
+			thr[j] = BoolThreshold(p)
+		}
+		for seed := uint64(1); seed <= 20; seed++ {
+			r, ref := NewRand(seed), NewRand(seed)
+			pos, hits := int(seed)%len(probs), 0
+			for call := 0; call < 300; call++ {
+				n := call % 97 // 0 tests nothing
+				tests, hit := r.FirstBelow(thr, pos, n)
+				wantTests, wantHit := 0, false
+				for wantTests < n && !wantHit {
+					wantHit = ref.Bool(probs[(pos+wantTests)%len(probs)])
+					wantTests++
+				}
+				if tests != wantTests || hit != wantHit || r.s != ref.s {
+					t.Fatalf("%v seed %d call %d: FirstBelow(pos %d, n %d) = (%d, %v), Bool loop (%d, %v), same state %v",
+						probs, seed, call, pos, n, tests, hit, wantTests, wantHit, r.s == ref.s)
+				}
+				if hit {
+					hits++
+				}
+				pos = (pos + tests) % len(probs)
+			}
+			if len(probs) > 1 && hits == 0 {
+				t.Fatalf("%v seed %d: no hit in 300 scans", probs, seed)
+			}
+		}
+	}
+
+	for _, p := range []float64{1, 1.5} {
+		if k := BoolThreshold(p); k != Certain {
+			t.Fatalf("BoolThreshold(%v) = %d, want Certain", p, k)
+		}
+	}
+	for _, p := range boundary {
+		k := BoolThreshold(p)
+		if want := exactThreshold(p); k != want {
+			t.Fatalf("BoolThreshold(%v) = %d, want %d", p, k, want)
+		}
+		for _, w := range []struct {
+			k   uint64
+			hit bool
+		}{{k - 1, true}, {k, false}} {
+			for _, low := range []uint64{0, 1<<11 - 1} { // the low 11 bits never count
+				word := w.k<<11 | low
+				r, ref := emitting(word, 0), emitting(word, 0)
+				tests, hit := r.FirstBelow([]uint64{k}, 0, 1)
+				if got := ref.Bool(p); got != w.hit || hit != w.hit || tests != 1 || r.s != ref.s {
+					t.Fatalf("p = %v, k = %d: Bool %v, FirstBelow (%d, %v), want hit %v", p, w.k, got, tests, hit, w.hit)
+				}
+			}
+		}
 	}
 }
