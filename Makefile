@@ -6,12 +6,13 @@ GO ?= go
 
 all: vet test
 
-# Full verification gate: go vet + gofmt, the domain analyzers
+# Full verification gate: the build (which also vets the nested
+# _perfbench module), go vet + gofmt, the domain analyzers
 # (arachnet-lint), the static zero-alloc gate, the race detector over
 # every package (the fleet pool and fleetd are the concurrent code
 # paths this guards), and the daemon kill/restart determinism
 # smoke. The zero-alloc gate rides inside `lint`.
-check: vet lint race smoke-fleetd
+check: build vet lint race smoke-fleetd
 
 # Fleet-as-a-service smoke: SIGTERM arachnet-fleetd mid-sweep, restart
 # it over the same checkpoint directory, and require the resumed report

@@ -148,7 +148,10 @@ func (v VehicleSpec) periods() (mac.Pattern, error) {
 	return mac.Pattern{}, fmt.Errorf("arachnet: unknown pattern %q (want c1..c9)", name)
 }
 
-// Jobs compiles the fleet into pool job specs, expanding replicas.
+// Jobs compiles the fleet into pool job specs, expanding replicas. It
+// is the one compile step: it builds each vehicle's simulator or
+// network snapshot, and it is where an unknown pattern, engine or
+// period is reported, before any job runs.
 func (f Fleet) Jobs() ([]FleetJobSpec, error) {
 	var specs []FleetJobSpec
 	for vi, v := range f.Vehicles {

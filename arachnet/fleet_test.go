@@ -202,11 +202,16 @@ func TestFleetJSONRoundTrip(t *testing.T) {
 			t.Errorf("job %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	// Bad specs are rejected eagerly.
+	// Bad specs are rejected before any job runs: parse errors by
+	// UnmarshalFleetJSON, provisioning errors by the compile.
 	if _, err := UnmarshalFleetJSON([]byte(`{"vehicles":[]}`)); err == nil {
 		t.Error("empty fleet accepted")
 	}
-	if _, err := UnmarshalFleetJSON([]byte(`{"vehicles":[{"pattern":"nope"}]}`)); err == nil {
+	bad, err := UnmarshalFleetJSON([]byte(`{"vehicles":[{"pattern":"nope"}]}`))
+	if err != nil {
+		t.Fatalf("parse of a well-formed spec failed: %v", err)
+	}
+	if _, err := bad.Jobs(); err == nil {
 		t.Error("bad pattern accepted")
 	}
 	if _, err := UnmarshalFleetJSON([]byte(`{not json`)); err == nil {

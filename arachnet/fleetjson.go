@@ -90,9 +90,11 @@ func MarshalFleetJSON(f Fleet) ([]byte, error) {
 	return json.MarshalIndent(j, "", "  ")
 }
 
-// UnmarshalFleetJSON parses and validates a fleet specification. The
-// vehicle list is validated eagerly (patterns resolve, network configs
-// build) so provisioning errors surface before any job runs.
+// UnmarshalFleetJSON parses a fleet specification and checks what
+// parsing can: the JSON itself, fault plans, network configs and a
+// non-empty vehicle list. It compiles nothing, so an unknown pattern,
+// engine or period is reported by Fleet.Jobs (and so by Fleet.Run),
+// still before any job runs.
 func UnmarshalFleetJSON(data []byte) (Fleet, error) {
 	var j jsonFleetSpec
 	if err := json.Unmarshal(data, &j); err != nil {
@@ -145,13 +147,12 @@ func UnmarshalFleetJSON(data []byte) (Fleet, error) {
 	if len(f.Vehicles) == 0 {
 		return Fleet{}, fmt.Errorf("arachnet: fleet spec has no vehicles")
 	}
-	if _, err := f.Jobs(); err != nil {
-		return Fleet{}, err
-	}
 	return f, nil
 }
 
-// LoadFleetFile reads and validates a JSON fleet specification.
+// LoadFleetFile reads and parses a JSON fleet specification, with the
+// checks of UnmarshalFleetJSON; provisioning errors surface at
+// Fleet.Jobs or Fleet.Run.
 func LoadFleetFile(path string) (Fleet, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -2,6 +2,8 @@ package fleetd
 
 import (
 	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -65,6 +67,13 @@ func TestResumeAfterDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel()
+	// The drain ended the job back in queued. A cancel that arrives
+	// before the listener closes is a conflict, and the checkpoint stays
+	// for the resume.
+	var conflict *api.HTTPError
+	if err := c1.Cancel(ctx, sub.ID); !errors.As(err, &conflict) || conflict.StatusCode != http.StatusConflict {
+		t.Errorf("cancel of a drain-interrupted job: %v, want HTTP 409", err)
+	}
 	hs1.Close()
 
 	// The checkpoint must exist and carry completed shard outcomes.

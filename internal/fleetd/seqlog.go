@@ -13,14 +13,18 @@ import (
 // exactly the events it missed — the resumable-stream half of the
 // resilience contract. The log retains the most recent max events:
 // an offset that has fallen behind the retained window reports the gap
-// as a drop count instead of blocking or duplicating.
+// as a drop count instead of blocking or duplicating. Trimming is
+// amortized: dropped events stay in front of the window until there
+// are as many as the window holds, then the window is copied down once,
+// so each event is copied at most once.
 //
 // It implements obs.Sink, so the fleet pool's tracer observer feeds it
 // directly from worker goroutines.
 type eventLog struct {
 	mu     sync.Mutex
 	max    int
-	base   uint64 // sequence of events[0] minus 1 (seqs are 1-based)
+	base   uint64 // sequence of events[head] minus 1 (seqs are 1-based)
+	head   int    // events[head:] is the retained window
 	events []obs.Event
 	closed bool
 	wake   chan struct{} // closed and replaced on every append/Close
@@ -44,10 +48,15 @@ func (l *eventLog) Emit(ev obs.Event) {
 		return
 	}
 	l.events = append(l.events, ev)
-	if len(l.events) > l.max {
-		drop := len(l.events) - l.max
-		l.events = append(l.events[:0:0], l.events[drop:]...)
-		l.base += uint64(drop)
+	if len(l.events)-l.head > l.max {
+		l.head++
+		l.base++
+	}
+	if l.head == l.max {
+		n := copy(l.events, l.events[l.head:])
+		clear(l.events[n:])
+		l.events = l.events[:n]
+		l.head = 0
 	}
 	w := l.wake
 	l.wake = make(chan struct{})
@@ -82,7 +91,7 @@ func (l *eventLog) since(after uint64) (evs []obs.Event, first uint64, dropped u
 		dropped = l.base - lo
 		lo = l.base
 	}
-	if idx := int(lo - l.base); idx < len(l.events) {
+	if idx := l.head + int(lo-l.base); idx < len(l.events) {
 		evs = append([]obs.Event(nil), l.events[idx:]...)
 		first = lo + 1
 	}

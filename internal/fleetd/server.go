@@ -111,7 +111,7 @@ type job struct {
 	id    string
 	spec  json.RawMessage // canonical form (CanonicalSpec)
 	key   string          // response-cache key
-	total int             // compiled per-vehicle job count
+	total int             // per-vehicle job count: compiled, or the cached report's
 	log   *eventLog
 
 	mu          sync.Mutex
@@ -119,6 +119,8 @@ type job struct {
 	cached      bool
 	resumed     int
 	preloaded   []fleet.JobOutcome
+	specs       []fleet.JobSpec // compiled at admission or restart; dropped by end
+	poolCfg     fleet.Config    // the pool's Workers (WorkerCap applied), Seed and JobTimeout
 	pool        *fleet.Pool
 	cancel      context.CancelFunc
 	fingerprint string
@@ -141,6 +143,30 @@ func (j *job) lastCheckpoint(write func() error) error {
 	defer j.ckMu.Unlock()
 	j.ckFinal = true
 	return write()
+}
+
+// end is the job's one terminal transition; a drain interruption also
+// ends here, back in queued, to resume on restart. It applies only
+// while the job is in state from and has not ended, and reports
+// whether it did, so a cancel that loses the race to a runner's pickup
+// changes nothing. It drops the compiled specs, the pool and the
+// cancel func, and releases the job's streamers and waiters.
+func (j *job) end(from, state, fingerprint string, rep *fleet.Report, errMsg string) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	select {
+	case <-j.done:
+		return false
+	default:
+	}
+	if j.state != from {
+		return false
+	}
+	j.state, j.fingerprint, j.report, j.errMsg = state, fingerprint, rep, errMsg
+	j.specs, j.pool, j.cancel = nil, nil, nil
+	j.log.Close()
+	close(j.done)
+	return true
 }
 
 // status snapshots the job's API view.
@@ -360,45 +386,30 @@ func (s *Server) loadCheckpoints() error {
 		s.cfg.Logf("fleetd: checkpoint recovery: %s", report)
 	}
 	for _, rec := range recs {
-		f, err := arachnet.UnmarshalFleetJSON(rec.Spec)
-		if err != nil {
-			s.cfg.Logf("fleetd: checkpoint %s: invalid spec: %v", rec.ID, err)
-			continue
-		}
-		specs, err := f.Jobs()
-		if err != nil {
-			s.cfg.Logf("fleetd: checkpoint %s: %v", rec.ID, err)
-			continue
-		}
 		key, err := CacheKey(rec.Spec)
 		if err != nil {
 			s.cfg.Logf("fleetd: checkpoint %s: %v", rec.ID, err)
 			continue
 		}
-		j := &job{
-			id:    rec.ID,
-			spec:  rec.Spec,
-			key:   key,
-			total: len(specs),
-			log:   newEventLog(streamBuffer),
-			done:  make(chan struct{}),
-		}
+		j := newJob(rec.Spec, key)
+		j.id = rec.ID
 		switch rec.State {
 		case StateDoneCkpt:
+			// A done record needs no compile: its report holds one
+			// outcome per compiled job.
 			var rep fleet.Report
 			if err := json.Unmarshal(rec.Report, &rep); err != nil {
 				s.cfg.Logf("fleetd: checkpoint %s: report: %v", rec.ID, err)
 				continue
 			}
-			j.state = api.StateDone
-			j.report = &rep
-			j.fingerprint = rec.Fingerprint
-			j.errMsg = rec.Error
-			j.log.Close()
-			close(j.done)
+			j.total = len(rep.Jobs)
+			j.end(api.StateQueued, api.StateDone, rec.Fingerprint, &rep, rec.Error)
 			s.cache.Put(key, CacheEntry{Fingerprint: rec.Fingerprint, Report: &rep})
 		case StateQueuedCkpt, StateRunningCkpt:
-			j.state = api.StateQueued
+			if err := s.compile(j); err != nil {
+				s.cfg.Logf("fleetd: checkpoint %s: invalid spec: %v", rec.ID, err)
+				continue
+			}
 			j.preloaded = rec.Outcomes
 			j.resumed = len(rec.Outcomes)
 			s.resume = append(s.resume, j)
@@ -432,6 +443,27 @@ func idNumber(id string) int {
 	return n
 }
 
+// compile parses and compiles j's canonical spec into its pool input:
+// the compiled specs, their count and the pool settings. It is the
+// daemon's one Fleet.Jobs call, made for an admission miss or a
+// resumed checkpoint; a cache hit or a dedupe compiles nothing.
+func (s *Server) compile(j *job) error {
+	f, err := arachnet.UnmarshalFleetJSON(j.spec)
+	if err != nil {
+		return err
+	}
+	specs, err := f.Jobs()
+	if err != nil {
+		return err
+	}
+	if s.cfg.WorkerCap > 0 && (f.Workers <= 0 || f.Workers > s.cfg.WorkerCap) {
+		f.Workers = s.cfg.WorkerCap
+	}
+	j.specs, j.total = specs, len(specs)
+	j.poolCfg = fleet.Config{Workers: f.Workers, Seed: f.Seed, JobTimeout: f.JobTimeout}
+	return nil
+}
+
 // runLoop is one runner: pull jobs until drain.
 func (s *Server) runLoop() {
 	for {
@@ -462,7 +494,7 @@ func (s *Server) runJob(j *job) {
 	}
 	j.state = api.StateRunning
 	j.cancel = cancel
-	pre := j.preloaded
+	pre, specs, poolCfg := j.preloaded, j.specs, j.poolCfg
 	j.mu.Unlock()
 	defer dcancel()
 	defer cancel()
@@ -476,31 +508,13 @@ func (s *Server) runJob(j *job) {
 		s.mu.Unlock()
 	}()
 
-	f, err := arachnet.UnmarshalFleetJSON(j.spec)
-	if err != nil {
-		s.finalizeFailed(j, fmt.Errorf("spec no longer valid: %w", err))
-		return
-	}
-	if s.cfg.WorkerCap > 0 && (f.Workers <= 0 || f.Workers > s.cfg.WorkerCap) {
-		f.Workers = s.cfg.WorkerCap
-	}
-	specs, err := f.Jobs()
-	if err != nil {
-		s.finalizeFailed(j, err)
-		return
-	}
-
 	// buildPool assembles the pool + checkpointer over the compiled
 	// shards, preloading the checkpointed outcomes.
 	buildPool := func(pre []fleet.JobOutcome) (*fleet.Pool, *checkpointer, error) {
 		ck := newCheckpointer(s.store, j.id, j.spec, pre)
 		ck.onWrite = s.noteCheckpoint
-		cfg := fleet.Config{
-			Workers:    f.Workers,
-			Seed:       f.Seed,
-			JobTimeout: f.JobTimeout,
-			Observer:   fleet.MultiObserver(ck, fleet.NewTracerObserver(obs.New(j.log))),
-		}
+		cfg := poolCfg
+		cfg.Observer = fleet.MultiObserver(ck, fleet.NewTracerObserver(obs.New(j.log)))
 		pool, err := fleet.NewPool(cfg, specs)
 		if err != nil {
 			return nil, nil, err
@@ -524,7 +538,7 @@ func (s *Server) runJob(j *job) {
 		pool, ck, err = buildPool(nil)
 	}
 	if err != nil {
-		s.finalizeFailed(j, err)
+		s.discard(j, api.StateFailed, err.Error())
 		return
 	}
 	j.mu.Lock()
@@ -568,19 +582,12 @@ func (s *Server) runJob(j *job) {
 			if err := ck.flush(true); err != nil {
 				s.cfg.Logf("fleetd: %s: final checkpoint: %v", j.id, err)
 			}
-			s.finalize(j, api.StateQueued, "", nil, "interrupted: daemon draining; resumes on restart")
+			s.finalize(j, api.StateRunning, api.StateQueued, "", nil, "interrupted: daemon draining; resumes on restart")
 		case errors.Is(runErr, context.DeadlineExceeded):
 			s.metrics.Inc("jobs_deadline_exceeded")
-			if err := s.removeCheckpoint(j); err != nil {
-				s.cfg.Logf("fleetd: %s: remove checkpoint: %v", j.id, err)
-			}
-			s.finalize(j, api.StateFailed, "", nil,
-				fmt.Sprintf("job deadline %v exceeded", s.cfg.JobDeadline))
+			s.discard(j, api.StateFailed, fmt.Sprintf("job deadline %v exceeded", s.cfg.JobDeadline))
 		default:
-			if err := s.removeCheckpoint(j); err != nil {
-				s.cfg.Logf("fleetd: %s: remove checkpoint: %v", j.id, err)
-			}
-			s.finalize(j, api.StateCancelled, "", nil, "cancelled")
+			s.discard(j, api.StateCancelled, "cancelled")
 		}
 		return
 	}
@@ -604,25 +611,18 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 	s.cache.Put(j.key, CacheEntry{Fingerprint: fp, Report: rep})
-	s.finalize(j, api.StateDone, fp, rep, errMsg)
+	s.finalize(j, api.StateRunning, api.StateDone, fp, rep, errMsg)
 }
 
-// finalize moves a job to its end state, releases its streamers, and
-// retires its in-flight dedupe entry.
-func (s *Server) finalize(j *job, state, fingerprint string, rep *fleet.Report, errMsg string) {
-	j.mu.Lock()
-	j.state = state
-	j.fingerprint = fingerprint
-	j.report = rep
-	j.errMsg = errMsg
-	j.pool = nil
-	j.mu.Unlock()
-	j.log.Close()
-	close(j.done)
-	s.mu.Lock()
-	if s.inflight[j.key] == j.id {
-		delete(s.inflight, j.key)
+// finalize ends j through job.end and keeps the daemon's books: the
+// in-flight entry, the counters and the log line. It reports false,
+// changing nothing, if j was no longer in state from.
+func (s *Server) finalize(j *job, from, state, fingerprint string, rep *fleet.Report, errMsg string) bool {
+	if !j.end(from, state, fingerprint, rep, errMsg) {
+		return false
 	}
+	s.mu.Lock()
+	s.dropInflight(j)
 	s.mu.Unlock()
 	switch state {
 	case api.StateDone:
@@ -633,19 +633,22 @@ func (s *Server) finalize(j *job, state, fingerprint string, rep *fleet.Report, 
 		s.metrics.Inc("jobs_cancelled")
 	}
 	s.cfg.Logf("fleetd: %s: %s%s", j.id, state, suffixIf(errMsg))
+	return true
 }
 
-// finalizeFailed records a spec-level failure.
-func (s *Server) finalizeFailed(j *job, err error) {
-	if rmErr := s.removeCheckpoint(j); rmErr != nil {
-		s.cfg.Logf("fleetd: %s: remove checkpoint: %v", j.id, rmErr)
-	}
-	s.finalize(j, api.StateFailed, "", nil, err.Error())
+// discard ends a running job whose work is thrown away (a failure, a
+// deadline or a cancel). Its checkpoint goes first, so no restart
+// resumes it.
+func (s *Server) discard(j *job, state, errMsg string) {
+	s.removeCheckpoint(j)
+	s.finalize(j, api.StateRunning, state, "", nil, errMsg)
 }
 
 // removeCheckpoint deletes a job's checkpoint as its terminal one.
-func (s *Server) removeCheckpoint(j *job) error {
-	return j.lastCheckpoint(func() error { return s.store.Remove(j.id) })
+func (s *Server) removeCheckpoint(j *job) {
+	if err := j.lastCheckpoint(func() error { return s.store.Remove(j.id) }); err != nil {
+		s.cfg.Logf("fleetd: %s: remove checkpoint: %v", j.id, err)
+	}
 }
 
 // suffixIf renders an optional log detail.
@@ -670,10 +673,11 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, api.ErrorResponse{Error: msg})
 }
 
-// handleSubmit admits one fleet spec: validate, consult the response
-// cache, dedupe against in-flight submissions of the same spec (so a
-// client retrying a submit never double-enqueues), then enqueue with
-// backpressure. In degraded mode only cache hits are served.
+// handleSubmit admits one fleet spec: canonicalize, consult the
+// response cache, dedupe against in-flight submissions of the same spec
+// (so a client retrying a submit never double-enqueues), and only then
+// compile it and enqueue with backpressure. In degraded mode only cache
+// hits are served.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
@@ -701,16 +705,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	f, err := arachnet.UnmarshalFleetJSON(spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	specs, err := f.Jobs()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	key := canonicalKey(spec)
 
 	// Cache hit: the run is a pure function of (spec, seed), so the
@@ -718,15 +712,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// the usual status/report/stream endpoints all work. Served even
 	// in degraded mode: the answer needs no new checkpoint to be
 	// correct (the write below is attempted anyway — it doubles as the
-	// degraded-mode recovery probe).
+	// degraded-mode recovery probe). The pool sizes a report's outcomes
+	// by its job count, so a hit compiles nothing.
 	if entry, ok := s.cache.Get(key); ok {
-		j := s.newJob(spec, key, len(specs))
-		j.state = api.StateDone
+		j := newJob(spec, key)
+		j.total = len(entry.Report.Jobs)
 		j.cached = true
-		j.fingerprint = entry.Fingerprint
-		j.report = entry.Report
-		j.log.Close()
-		close(j.done)
+		j.end(api.StateQueued, api.StateDone, entry.Fingerprint, entry.Report, "")
 		s.registerJob(j)
 		if s.store != nil {
 			repJSON, err := json.Marshal(entry.Report)
@@ -743,7 +735,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.metrics.Inc("submit_cache_hits")
 		writeJSON(w, http.StatusOK, api.SubmitResponse{
 			ID: j.id, State: api.StateDone, Cached: true,
-			Fingerprint: entry.Fingerprint, Jobs: len(specs),
+			Fingerprint: entry.Fingerprint, Jobs: j.total,
 		})
 		return
 	}
@@ -752,21 +744,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// queued or running returns the existing job instead of enqueuing
 	// a duplicate — submission is idempotent under client retries.
 	s.mu.Lock()
-	if id, ok := s.inflight[key]; ok {
-		dup := s.jobs[id]
-		s.mu.Unlock()
-		if dup != nil {
-			s.metrics.Inc("submit_deduped")
-			st := dup.status()
-			writeJSON(w, http.StatusAccepted, api.SubmitResponse{
-				ID: dup.id, State: st.State, Jobs: dup.total,
-			})
-			return
-		}
-		s.mu.Lock()
-	}
+	dup := s.jobs[s.inflight[key]]
 	degraded, reason := s.degraded, s.degradedReason
 	s.mu.Unlock()
+	if dup != nil {
+		s.metrics.Inc("submit_deduped")
+		writeJSON(w, http.StatusAccepted, api.SubmitResponse{
+			ID: dup.id, State: dup.status().State, Jobs: dup.total,
+		})
+		return
+	}
+	j := newJob(spec, key)
+	if err := s.compile(j); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	if degraded {
 		// New work cannot be checkpointed, so it is refused rather
 		// than silently losing its durability guarantee.
@@ -775,8 +767,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j := s.newJob(spec, key, len(specs))
-	j.state = api.StateQueued
 	// Publish the job (registry + in-flight dedupe entry) BEFORE it can
 	// reach a runner. Enqueue-first had an admission race: a runner could
 	// dequeue and finalize the job before the inflight entry existed, so
@@ -812,24 +802,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	j.ckMu.Unlock()
-	writeJSON(w, http.StatusAccepted, api.SubmitResponse{ID: j.id, State: api.StateQueued, Jobs: len(specs)})
+	writeJSON(w, http.StatusAccepted, api.SubmitResponse{ID: j.id, State: api.StateQueued, Jobs: j.total})
 }
 
-// newJob allocates a job with the next ID (not yet registered).
-func (s *Server) newJob(spec []byte, key string, total int) *job {
-	s.mu.Lock()
-	id := fmt.Sprintf("job-%06d", s.nextID)
-	s.nextID++
-	s.mu.Unlock()
+// newJob builds a queued job with no ID; registerJob assigns one.
+func newJob(spec []byte, key string) *job {
 	return &job{
-		id: id, spec: spec, key: key, total: total,
+		spec: spec, key: key, state: api.StateQueued,
 		log: newEventLog(streamBuffer), done: make(chan struct{}),
 	}
 }
 
-// registerJob publishes a job in the registry.
+// registerJob gives a job the next ID and publishes it in the registry.
 func (s *Server) registerJob(j *job) {
 	s.mu.Lock()
+	j.id = fmt.Sprintf("job-%06d", s.nextID)
+	s.nextID++
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
@@ -847,10 +835,16 @@ func (s *Server) unregisterJob(j *job) {
 			break
 		}
 	}
+	s.dropInflight(j)
+	s.mu.Unlock()
+}
+
+// dropInflight retires j's in-flight dedupe entry if j still holds it.
+// The caller holds s.mu.
+func (s *Server) dropInflight(j *job) {
 	if s.inflight[j.key] == j.id {
 		delete(s.inflight, j.key)
 	}
-	s.mu.Unlock()
 }
 
 // lookup finds a job by the {id} path value; nil means the 404 was
@@ -913,27 +907,14 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	j.mu.Lock()
-	state := j.state
-	cancel := j.cancel
-	if state == api.StateQueued {
-		// The runner skips jobs no longer queued; release streamers now.
-		j.state = api.StateCancelled
-		j.errMsg = "cancelled"
-		j.mu.Unlock()
-		j.log.Close()
-		close(j.done)
-		s.mu.Lock()
-		if s.inflight[j.key] == j.id {
-			delete(s.inflight, j.key)
-		}
-		s.mu.Unlock()
-		if err := s.removeCheckpoint(j); err != nil {
-			s.cfg.Logf("fleetd: %s: remove checkpoint: %v", j.id, err)
-		}
+	// A queued job ends here; the runner skips jobs no longer queued.
+	if s.finalize(j, api.StateQueued, api.StateCancelled, "", nil, "cancelled") {
+		s.removeCheckpoint(j)
 		writeJSON(w, http.StatusOK, j.status())
 		return
 	}
+	j.mu.Lock()
+	state, cancel := j.state, j.cancel
 	j.mu.Unlock()
 	switch {
 	case api.TerminalState(state):

@@ -1,7 +1,10 @@
 package fleetd
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -287,9 +290,52 @@ func TestCancelQueued(t *testing.T) {
 	if st.State != api.StateCancelled {
 		t.Errorf("state = %s, want cancelled", st.State)
 	}
+	h, err := c.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Counters["jobs_cancelled"]; got != 1 {
+		t.Errorf("jobs_cancelled = %d, want 1 (counters %v)", got, h.Counters)
+	}
 	// Cancelling a terminal job is a conflict, not a crash.
 	if err := c.Cancel(ctx, sub.ID); err == nil {
 		t.Error("second cancel succeeded, want conflict")
+	}
+}
+
+// TestCacheHitCompilesNothing resubmits a finished 10-replica and a
+// finished 5,000-replica spec. A hit answers from the cached report, so
+// its cost must not grow with the replica count: a compile would
+// allocate at least one job name per replica.
+func TestCacheHitCompilesNothing(t *testing.T) {
+	s, c := startServer(t, Config{})
+	ctx := context.Background()
+	allocs := make(map[int]float64)
+	for _, n := range []int{10, 5000} {
+		spec := []byte(fmt.Sprintf(`{"seed": 9, "vehicles": [
+			{"name": "r", "engine": "slots", "pattern": "c1", "slots": 1, "replicate": %d}]}`, n))
+		sub, err := c.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(ctx, sub.ID, 5*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		var rec *httptest.ResponseRecorder
+		allocs[n] = testing.AllocsPerRun(20, func() {
+			rec = httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(spec)))
+		})
+		var hit api.SubmitResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &hit); err != nil {
+			t.Fatal(err)
+		}
+		if !hit.Cached || hit.Jobs != n {
+			t.Errorf("replicate %d resubmit: cached=%v jobs=%d, want a hit with %d jobs", n, hit.Cached, hit.Jobs, n)
+		}
+	}
+	if d := allocs[5000] - allocs[10]; d >= 100 || d <= -100 {
+		t.Errorf("hit allocs: %.0f at 5,000 replicas vs %.0f at 10; want within 100", allocs[5000], allocs[10])
 	}
 }
 

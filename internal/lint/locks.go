@@ -33,7 +33,7 @@ import (
 // try-send.
 var AnalyzerLockDiscipline = &Analyzer{
 	Name:      "lock-discipline",
-	Doc:       "mutexes in fleetd/obs/resilience must unlock on all paths and never be held across blocking operations",
+	Doc:       "mutexes in fleetd/obs/resilience must unlock on all paths and never be held across blocking operations; blind to a blocking callee reached through a method call on a standard-library-typed value (e.g. v.Load().m())",
 	RunModule: runLockDiscipline,
 }
 

@@ -62,7 +62,7 @@ var randPackages = map[string]bool{"math/rand": true, "math/rand/v2": true}
 // entirely (the fixture pins this).
 var AnalyzerDeterminismTaint = &Analyzer{
 	Name:      "determinism-taint",
-	Doc:       "forbid ambient time/env/global-rand in simulation code, and taint driver-layer sources reachable from fingerprint/report roots via the module call graph",
+	Doc:       "forbid ambient time/env/global-rand in simulation code, and taint driver-layer sources reachable from fingerprint/report roots via the module call graph; blind to a path through a method call on a standard-library-typed value (e.g. v.Load().m())",
 	RunModule: runDeterminismTaint,
 }
 
