@@ -8,8 +8,10 @@ import (
 
 // Supercap is the tag's energy store: a 1 mF tantalum capacitor (KEMET
 // T491X108K006AT) chosen for its very low leakage (< 0.01*C*V uA at
-// rated voltage). Voltage is the single state variable; energy moves in
-// and out through Deposit/Withdraw, and Leak models self-discharge.
+// rated voltage). Voltage is the single state variable. The harvester
+// integrates charge, leakage (LeakCurrent) and load into it with
+// SetVolts, and a discrete load such as an ADC conversion or an
+// injected drain takes its energy out with Withdraw.
 type Supercap struct {
 	// Farads is the capacitance.
 	Farads float64

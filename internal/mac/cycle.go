@@ -19,59 +19,116 @@ import (
 // H, each later step repeats the one H slots earlier and the run is
 // H-periodic. Run then adds whole cycles arithmetically.
 
-// cycleMark is the simulator state at one H-boundary (SlotsRun a
-// multiple of H), kept to prove that the next boundary repeats it.
-// It is valid while it holds tables.
-type cycleMark struct {
-	*cycleTables
-	// proven: the state at slot repeated the boundary H slots before.
-	proven bool
-	slot   int // SlotsRun when marked
+// slotState is the simulator's state at one slot: everything a Step
+// reads and the counters a skip advances, without the config, the
+// per-slot scratch and the observers. Run saves it at an H-boundary
+// and compares the next boundary against it. The reader's tid tables and the tag records sit
+// in a pooled stateTables, held only while a state is saved: dropping
+// it returns them, so parked clones keep none.
+type slotState struct {
+	*stateTables
+	slot int // SlotsRun
 
-	rng             sim.Rand
-	fb              Feedback
-	truthNonEmpty   int
-	truthCollisions int
-	conv            ConvergenceDetector
-
-	winLen, winPos, winSlots, winNonEmpty, winCollision int
-
-	readerSlot, readerNack, settledCount, evictTID, evictNacks int
-
-	futureVeto bool
+	rng           sim.Rand
+	fb            Feedback
+	truthNonEmpty int
+	conv          ConvergenceDetector
+	win           WindowStats
+	reader        readerScalars
 
 	// Per-cycle growth of the counters, measured by the last proof.
 	dTruthNonEmpty, dWinNonEmpty int
 }
 
-// cycleTables is the per-tag and per-tid half of a mark. A simulator
-// holds one only while it marks a settled run; dropping the mark
-// returns it to tablePool, so parked clones keep none.
-type cycleTables struct {
+type stateTables struct {
 	settled   []Assignment
 	settledOK []bool
 	misses    []int
 	appeared  []bool
-	tags      []tagMark
+	tags      []tagState
 }
 
-var tablePool = sync.Pool{New: func() any { return new(cycleTables) }}
+// tagState is one tag's part of a slotState.
+type tagState struct {
+	sim   simTag
+	proto TagProtocol // its rng pointer is the tag's own
+	rng   sim.Rand
 
-// drop invalidates the mark and releases its tables.
-func (m *cycleMark) drop() {
-	m.proven = false
-	if m.cycleTables != nil {
-		tablePool.Put(m.cycleTables)
-		m.cycleTables = nil
+	dTx, dAck int // per-cycle growth, measured by the last proof
+}
+
+var tablePool = sync.Pool{New: func() any { return new(stateTables) }}
+
+// drop forgets the saved state and releases its tables.
+func (m *slotState) drop() {
+	if m.stateTables != nil {
+		tablePool.Put(m.stateTables)
+		m.stateTables = nil
 	}
 }
 
-type tagMark struct {
-	proto TagProtocol // value copy; its rng pointer is the tag's own
-	rng   sim.Rand
+// save stores the state of s; the growth of the last proof is kept.
+func (m *slotState) save(s *SlotSim) {
+	r := s.reader
+	if m.stateTables == nil {
+		t := tablePool.Get().(*stateTables)
+		n := len(r.settled)
+		t.settled = slices.Grow(t.settled[:0], n)[:n]
+		t.settledOK = slices.Grow(t.settledOK[:0], n)[:n]
+		t.misses = slices.Grow(t.misses[:0], n)[:n]
+		t.appeared = slices.Grow(t.appeared[:0], n)[:n]
+		t.tags = slices.Grow(t.tags[:0], len(s.tags))[:len(s.tags)]
+		m.stateTables = t
+	}
+	m.slot, m.rng, m.fb, m.truthNonEmpty = s.SlotsRun, *s.rng, s.fb, s.TruthNonEmpty
+	m.conv, m.win, m.reader = *s.Convergence, *s.Window, r.readerScalars
+	copy(m.settled, r.settled)
+	copy(m.settledOK, r.settledOK)
+	copy(m.misses, r.misses)
+	copy(m.appeared, r.appeared)
+	for i, t := range s.tags {
+		ts := &m.tags[i]
+		ts.sim, ts.proto, ts.rng = *t, *t.proto, *t.proto.rng
+	}
+}
 
-	txCount, ackCount, lastTxSlot int
-	dTx, dAck                     int
+// equalShifted reports whether s holds the saved state with every
+// slot-valued field moved on by d: the reader's slot, each tag's
+// counter and the detector's slot and clean-run counts (so no
+// collision happened in between). The counters that only grow and that
+// no step reads (transmissions, ACKs, last transmit slots, the truth
+// counters and the window) are left out; their growth over the d
+// slots is recorded for skipCycles. The reader's knobs are config,
+// which only NewSlotSim and Reset set.
+func (m *slotState) equalShifted(s *SlotSim, d int) bool {
+	r := s.reader
+	conv, rd := m.conv, m.reader
+	conv.slots += d
+	conv.cleanRun += d
+	rd.slot += d
+	if *s.rng != m.rng || s.fb != m.fb || *s.Convergence != conv || r.readerScalars != rd ||
+		!slices.Equal(r.settled, m.settled) || !slices.Equal(r.settledOK, m.settledOK) ||
+		!slices.Equal(r.misses, m.misses) || !slices.Equal(r.appeared, m.appeared) {
+		return false
+	}
+	for i, t := range s.tags {
+		ts := &m.tags[i]
+		rec, proto := ts.sim, ts.proto
+		rec.txCount, rec.ackCount, rec.lastTxSlot = t.txCount, t.ackCount, t.lastTxSlot
+		// An unjoined or dark tag skips its beacons, so its counter
+		// stands still: a counter moved by d means the tag was up.
+		proto.counter += d
+		if *t != rec || *t.proto != proto || *t.proto.rng != ts.rng {
+			return false
+		}
+	}
+	for i, t := range s.tags {
+		ts := &m.tags[i]
+		ts.dTx, ts.dAck = t.txCount-ts.sim.txCount, t.ackCount-ts.sim.ackCount
+	}
+	m.dTruthNonEmpty = s.TruthNonEmpty - m.truthNonEmpty
+	m.dWinNonEmpty = s.Window.totalNonEmpty - m.win.totalNonEmpty
+	return true
 }
 
 // cycleEligible reports whether Run may skip proven cycles: no fault
@@ -83,116 +140,28 @@ func (s *SlotSim) cycleEligible() bool {
 }
 
 // cycleBoundary runs at an H-boundary of an eligible Run that ends at
-// end: it checks the state against the mark and, once the cycle is
-// proven, skips the whole cycles left before end. It then marks the
-// (possibly advanced) state.
+// end: it compares the state with the one saved H slots before and,
+// once the cycle is proven, skips the whole cycles left before end. It
+// then saves the (possibly advanced) state.
+//
+// Saving waits for the detector to fire: the state is still settling
+// before that. (A skip could not cross the firing slot anyway: the
+// clean run grows by h over a proven cycle, and for h < 32 a ring that
+// carries holds no collision.) A state saved at the current slot
+// (d == 0) is the one a skip to the end of the last Run call left, as
+// Run steps on from any boundary it does not skip from; nothing has
+// stepped since, so that call's proof still holds.
 func (s *SlotSim) cycleBoundary(end, h int) {
 	if !s.Convergence.converged {
-		return // neither a proof nor the first mark of one
+		return
 	}
 	m := &s.cyc
-	d := s.SlotsRun - m.slot
-	// d == h proves the cycle afresh; d == 0 resumes a proof kept from
-	// an earlier Run call that stopped on this boundary.
-	proven := m.cycleTables != nil && (d == h || d == 0 && m.proven) && s.repeatsMark(d)
-	if proven {
+	if d := s.SlotsRun - m.slot; m.stateTables != nil && (d == 0 || d == h && m.equalShifted(s, h)) {
 		if k := (end - s.SlotsRun) / h; k > 0 && s.Window.carries(h) {
 			s.skipCycles(k, h)
 		}
 	}
-	s.markCycle()
-	m.proven = proven
-}
-
-// repeatsMark reports whether the current state equals the mark with
-// every slot-valued field moved by d (the detector converged at both:
-// only converged states are marked). With d > 0 it records the
-// per-cycle counter growth.
-func (s *SlotSim) repeatsMark(d int) bool {
-	m := &s.cyc
-	if *s.rng != m.rng || s.fb != m.fb || s.TruthCollisions != m.truthCollisions {
-		return false
-	}
-	c := *s.Convergence
-	c.slots -= d
-	c.cleanRun -= d // unchanged collision count: no reset in between
-	if c != m.conv {
-		return false
-	}
-	w := s.Window
-	if len(w.nonEmpty) != w.Window || w.Window != m.winLen || w.totalSlots-d != m.winSlots ||
-		w.totalCollision != m.winCollision || w.pos != (m.winPos+d)%w.Window {
-		return false
-	}
-	r := s.reader
-	if r.slot-d != m.readerSlot || r.NackThreshold != m.readerNack || r.DisableFutureVeto != m.futureVeto ||
-		r.settledCount != m.settledCount || r.evictTID != m.evictTID || r.evictNacks != m.evictNacks ||
-		len(r.appearedHi) != 0 || !slices.Equal(r.settledOK, m.settledOK) ||
-		!slices.Equal(r.settled, m.settled) || !slices.Equal(r.misses, m.misses) ||
-		!slices.Equal(r.appeared, m.appeared) {
-		return false
-	}
-	for i, t := range s.tags {
-		tm := &m.tags[i]
-		p := *t.proto
-		p.counter -= d
-		if p != tm.proto || *t.proto.rng != tm.rng || t.down || t.joinSlot > m.slot ||
-			t.lastTxSlot != tm.lastTxSlot && t.lastTxSlot-d != tm.lastTxSlot {
-			return false
-		}
-		if d == 0 && (t.txCount != tm.txCount || t.ackCount != tm.ackCount) {
-			return false
-		}
-	}
-	if d == 0 {
-		return s.TruthNonEmpty == m.truthNonEmpty && w.totalNonEmpty == m.winNonEmpty
-	}
-	for i, t := range s.tags {
-		tm := &m.tags[i]
-		tm.dTx = t.txCount - tm.txCount
-		tm.dAck = t.ackCount - tm.ackCount
-	}
-	m.dTruthNonEmpty = s.TruthNonEmpty - m.truthNonEmpty
-	m.dWinNonEmpty = w.totalNonEmpty - m.winNonEmpty
-	return true
-}
-
-// markCycle records the current state as the mark; the per-cycle
-// deltas of the last proof are kept.
-func (s *SlotSim) markCycle() {
-	m := &s.cyc
-	r := s.reader
-	if m.cycleTables == nil {
-		t := tablePool.Get().(*cycleTables)
-		n := len(r.settled)
-		t.settled = slices.Grow(t.settled[:0], n)[:n]
-		t.settledOK = slices.Grow(t.settledOK[:0], n)[:n]
-		t.misses = slices.Grow(t.misses[:0], n)[:n]
-		t.appeared = slices.Grow(t.appeared[:0], n)[:n]
-		t.tags = slices.Grow(t.tags[:0], len(s.tags))[:len(s.tags)]
-		m.cycleTables = t
-	}
-	m.slot = s.SlotsRun
-	m.rng = *s.rng
-	m.fb = s.fb
-	m.truthNonEmpty = s.TruthNonEmpty
-	m.truthCollisions = s.TruthCollisions
-	m.conv = *s.Convergence
-	w := s.Window
-	m.winLen, m.winPos, m.winSlots = w.Window, w.pos, w.totalSlots
-	m.winNonEmpty, m.winCollision = w.totalNonEmpty, w.totalCollision
-	m.readerSlot, m.readerNack, m.futureVeto = r.slot, r.NackThreshold, r.DisableFutureVeto
-	m.settledCount, m.evictTID, m.evictNacks = r.settledCount, r.evictTID, r.evictNacks
-	copy(m.settled, r.settled)
-	copy(m.settledOK, r.settledOK)
-	copy(m.misses, r.misses)
-	copy(m.appeared, r.appeared)
-	for i, t := range s.tags {
-		tm := &m.tags[i]
-		tm.proto = *t.proto
-		tm.rng = *t.proto.rng
-		tm.txCount, tm.ackCount, tm.lastTxSlot = t.txCount, t.ackCount, t.lastTxSlot
-	}
+	m.save(s)
 }
 
 // skipCycles advances k whole proven cycles of h slots: every
@@ -205,39 +174,29 @@ func (s *SlotSim) skipCycles(k, h int) {
 	s.skipped += n
 	s.reader.slot += n
 	for i, t := range s.tags {
-		tm := &m.tags[i]
+		ts := &m.tags[i]
 		t.proto.counter += n
-		t.txCount += k * tm.dTx
-		t.ackCount += k * tm.dAck
-		if tm.dTx > 0 {
+		t.txCount += k * ts.dTx
+		t.ackCount += k * ts.dAck
+		if ts.dTx > 0 {
 			t.lastTxSlot += n // the tag transmits in every cycle
 		}
 	}
 	s.TruthNonEmpty += k * m.dTruthNonEmpty
 	s.Convergence.slots += n
 	s.Convergence.cleanRun += n
-	w := s.Window
-	w.totalSlots += n
-	w.totalNonEmpty += k * m.dWinNonEmpty
-	w.pos = (w.pos + n) % w.Window
+	s.Window.totalSlots += n
+	s.Window.totalNonEmpty += k * m.dWinNonEmpty
 }
 
-// carries reports whether the sliding window's ring reads the same
-// after h-periodic observations advance it by whole h-cycles: it must
-// be full, and either h is a multiple of its length (the ring lands
-// where it was) or its length is a multiple of h and its contents are
-// h-periodic (every rotation by h is the same ring).
+// carries reports whether the window ring reads the same after
+// h-periodic observations advance it by whole h-cycles, that is whether
+// every rotation of it by h is the same ring. A power-of-two h below
+// windowSlots divides it; for any larger h, the ring lands where it
+// was. The ring is full: the detector has converged, which takes
+// windowSlots observed slots.
 func (w *WindowStats) carries(h int) bool {
-	if len(w.nonEmpty) != w.Window || w.filled != w.Window {
-		return false
-	}
-	if h%w.Window == 0 {
-		return true
-	}
-	if w.Window%h != 0 {
-		return false
-	}
-	for i := h; i < w.Window; i++ {
+	for i := h; i < windowSlots; i++ {
 		if w.nonEmpty[i] != w.nonEmpty[i-h] || w.collide[i] != w.collide[i-h] {
 			return false
 		}

@@ -9,14 +9,15 @@ import (
 )
 
 // simState is a SlotSim with everything that is not simulation state
-// cleared: the per-slot scratch, the cycle mark and skip counter, and
-// the observers. reflect.DeepEqual on two of them compares every tag
-// (protocol fields, RNG state, counters), the reader tables, the sim
-// RNG, the pending feedback, Window and Convergence.
+// cleared: the per-slot scratch, the saved cycle state and the skip
+// counter, and the observers. reflect.DeepEqual on two of them
+// compares every tag (protocol fields, RNG state, counters), the
+// reader tables, the sim RNG, the pending feedback, Window and
+// Convergence.
 func simState(s *SlotSim) SlotSim {
 	c := *s
 	c.txScratch, c.tidScratch, c.decScratch = nil, nil, nil
-	c.cyc, c.skipped = cycleMark{}, 0
+	c.cyc, c.skipped = slotState{}, 0
 	c.cfg.Trace, c.cfg.Faults = nil, nil
 	r := *s.reader
 	r.exAs, r.exTIDs, r.vScratch = nil, nil, nil
@@ -169,51 +170,19 @@ func TestRunSkipWaitsForLateJoin(t *testing.T) {
 	}
 }
 
-// Window and detector lengths other than the paper's 32 slots. A ring
-// longer than the settle transient still holds slots from before the
-// cycle when the cycle is first proven, and carrying it over a skip
-// would report stale window ratios; a ring shorter than H lands where
-// it was after any whole number of cycles; a detector window longer
-// than the transient has not fired when the cycle repeats, and a skip
-// must not jump over the slot where it would.
+// The window's length against the hyperperiod's: with the paper's
+// 32-slot ring and H = 16 (c8), the ring can still hold slots from
+// before the cycle when the cycle is first proven, and carrying it over
+// a skip would report stale window ratios. On seeds 75 and 231 it does,
+// so carries must check that the ring is 16-periodic. (With H = 32 the
+// ring lands where it was; TestRunSkipMatchesSteps covers that.)
 func TestRunSkipWindowLengths(t *testing.T) {
-	for _, c := range []struct {
-		name       string
-		ring, conv int
-	}{
-		{"ring-2048", 2048, 32},
-		{"ring-8", 8, 32},
-		{"detector-600", 32, 600},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			skipped := 0
-			for _, pt := range Table3Patterns() {
-				for seed := uint64(1); seed <= 10; seed++ {
-					cfg := SlotSimConfig{Pattern: pt, Seed: seed}
-					run, err := NewSlotSim(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					step, err := NewSlotSim(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, s := range []*SlotSim{run, step} {
-						s.Window.Window = c.ring
-						s.Convergence.Window = c.conv
-					}
-					for _, h := range oracleHorizons {
-						runChunked(run, h)
-						stepTo(step, h)
-						sameSim(t, fmt.Sprintf("%s seed %d @%d", pt.Name, seed, h), run, step)
-					}
-					skipped += run.skipped
-				}
-			}
-			if skipped == 0 {
-				t.Fatal("no run skipped a cycle")
-			}
-		})
+	c8 := Table3Patterns()[7]
+	for _, seed := range []uint64{75, 231} {
+		cfg := SlotSimConfig{Pattern: c8, Seed: seed}
+		if s := checkAgainstSteps(t, fmt.Sprintf("c8 seed %d", seed), cfg, cfg, oracleHorizons); s.skipped == 0 {
+			t.Fatalf("c8 seed %d: no cycle skipped", seed)
+		}
 	}
 }
 

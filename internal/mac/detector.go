@@ -1,12 +1,15 @@
 package mac
 
+// windowSlots is the length of both of the paper's 32-slot windows: the
+// clean-slot run that declares convergence (Sec. 6.4) and the Fig. 16
+// sliding window.
+const windowSlots = 32
+
 // ConvergenceDetector implements the paper's first-convergence-time
 // metric (Sec. 6.4): the number of slots until the reader has seen 32
-// consecutive non-collision slots after a RESET.
+// consecutive non-collision slots after a RESET. The zero value is
+// ready to use.
 type ConvergenceDetector struct {
-	// Window is the required clean-slot run (32 in the paper).
-	Window int
-
 	slots     int
 	cleanRun  int
 	converged bool
@@ -15,7 +18,7 @@ type ConvergenceDetector struct {
 
 // NewConvergenceDetector returns a detector with the paper's window.
 func NewConvergenceDetector() *ConvergenceDetector {
-	return &ConvergenceDetector{Window: 32}
+	return new(ConvergenceDetector)
 }
 
 // Observe ingests one slot outcome and returns true the first time the
@@ -27,7 +30,7 @@ func (c *ConvergenceDetector) Observe(collision bool) bool {
 		return false
 	}
 	c.cleanRun++
-	if !c.converged && c.cleanRun >= c.Window {
+	if !c.converged && c.cleanRun >= windowSlots {
 		c.converged = true
 		c.at = c.slots
 		return true
@@ -35,14 +38,8 @@ func (c *ConvergenceDetector) Observe(collision bool) bool {
 	return false
 }
 
-// Reset rewinds the detector to its freshly constructed state (keeping
-// the configured window) without allocating.
-func (c *ConvergenceDetector) Reset() {
-	c.slots = 0
-	c.cleanRun = 0
-	c.converged = false
-	c.at = 0
-}
+// Reset rewinds the detector to its freshly constructed state.
+func (c *ConvergenceDetector) Reset() { *c = ConvergenceDetector{} }
 
 // Converged reports whether the criterion was met.
 func (c *ConvergenceDetector) Converged() bool { return c.converged }
@@ -51,18 +48,15 @@ func (c *ConvergenceDetector) Converged() bool { return c.converged }
 // declared (0 if not yet).
 func (c *ConvergenceDetector) ConvergenceSlot() int { return c.at }
 
-// WindowStats tracks the Fig. 16 long-running metrics over a sliding
-// window: the non-empty ratio (slots with at least one transmission,
-// collisions included) and the collision ratio (slots with more than
-// one transmitter).
+// WindowStats tracks the Fig. 16 long-running metrics over the paper's
+// 32-slot sliding window: the non-empty ratio (slots with at least one
+// transmission, collisions included) and the collision ratio (slots
+// with more than one transmitter). The zero value is ready to use.
 type WindowStats struct {
-	// Window is the sliding-window length (32 slots in the paper).
-	Window int
-
-	nonEmpty []bool
-	collide  []bool
-	pos      int
-	filled   int
+	// The ring: entry i holds the latest observed slot whose index
+	// (counted in observations) is i modulo windowSlots.
+	nonEmpty [windowSlots]bool
+	collide  [windowSlots]bool
 
 	totalSlots     int
 	totalNonEmpty  int
@@ -71,22 +65,14 @@ type WindowStats struct {
 
 // NewWindowStats returns stats with the paper's 32-slot window.
 func NewWindowStats() *WindowStats {
-	return &WindowStats{Window: 32, nonEmpty: make([]bool, 32), collide: make([]bool, 32)}
+	return new(WindowStats)
 }
 
 // Observe ingests one slot.
 func (w *WindowStats) Observe(nonEmpty, collision bool) {
-	if len(w.nonEmpty) != w.Window {
-		w.nonEmpty = make([]bool, w.Window)
-		w.collide = make([]bool, w.Window)
-		w.pos, w.filled = 0, 0
-	}
-	w.nonEmpty[w.pos] = nonEmpty
-	w.collide[w.pos] = collision
-	w.pos = (w.pos + 1) % w.Window
-	if w.filled < w.Window {
-		w.filled++
-	}
+	i := w.totalSlots % windowSlots
+	w.nonEmpty[i] = nonEmpty
+	w.collide[i] = collision
 	w.totalSlots++
 	if nonEmpty {
 		w.totalNonEmpty++
@@ -96,46 +82,29 @@ func (w *WindowStats) Observe(nonEmpty, collision bool) {
 	}
 }
 
-// Reset rewinds the stats to empty (keeping the configured window and
-// its ring buffers) without allocating.
-func (w *WindowStats) Reset() {
-	for i := range w.nonEmpty {
-		w.nonEmpty[i] = false
-		w.collide[i] = false
-	}
-	w.pos = 0
-	w.filled = 0
-	w.totalSlots = 0
-	w.totalNonEmpty = 0
-	w.totalCollision = 0
-}
+// Reset rewinds the stats to empty.
+func (w *WindowStats) Reset() { *w = WindowStats{} }
 
 // NonEmptyRatio returns the windowed non-empty ratio.
-func (w *WindowStats) NonEmptyRatio() float64 {
-	if w.filled == 0 {
-		return 0
-	}
-	n := 0
-	for i := 0; i < w.filled; i++ {
-		if w.nonEmpty[i] {
-			n++
-		}
-	}
-	return float64(n) / float64(w.filled)
-}
+func (w *WindowStats) NonEmptyRatio() float64 { return w.ratio(&w.nonEmpty) }
 
 // CollisionRatio returns the windowed collision ratio.
-func (w *WindowStats) CollisionRatio() float64 {
-	if w.filled == 0 {
+func (w *WindowStats) CollisionRatio() float64 { return w.ratio(&w.collide) }
+
+// ratio returns the share of set entries among the filled part of the
+// ring; entries not yet written are false.
+func (w *WindowStats) ratio(ring *[windowSlots]bool) float64 {
+	filled := min(w.totalSlots, windowSlots)
+	if filled == 0 {
 		return 0
 	}
 	n := 0
-	for i := 0; i < w.filled; i++ {
-		if w.collide[i] {
+	for _, set := range ring {
+		if set {
 			n++
 		}
 	}
-	return float64(n) / float64(w.filled)
+	return float64(n) / float64(filled)
 }
 
 // AverageNonEmptyRatio returns the whole-run average (the 81.2% of

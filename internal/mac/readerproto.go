@@ -32,7 +32,7 @@ type ReaderProtocol struct {
 	// reader's belief changes. A nil tracer costs nothing.
 	Trace *obs.Tracer
 
-	slot int // index of the slot that is about to end
+	readerScalars
 	maxP int // largest provisioned period
 
 	// period maps TID to its transmission period (known to the reader
@@ -41,14 +41,12 @@ type ReaderProtocol struct {
 	period []Period
 
 	// Dense tid-indexed protocol state, length maxTID+1 (index 0
-	// unused). settledOK[tid] gates settled[tid]/misses[tid];
-	// settledCount mirrors the number of true entries.
-	settled      []Assignment
-	settledOK    []bool
-	misses       []int
-	appeared     []bool // T_a of Eq. 4, dense portion
-	appearedHi   map[int]bool
-	settledCount int
+	// unused). settledOK[tid] gates settled[tid]/misses[tid].
+	settled    []Assignment
+	settledOK  []bool
+	misses     []int
+	appeared   []bool // T_a of Eq. 4, dense portion
+	appearedHi map[int]bool
 
 	// Scratch for settledExcept, reused across slots (callers must not
 	// retain the returned slices).
@@ -56,9 +54,16 @@ type ReaderProtocol struct {
 	exTIDs []int
 	// Scratch for victim selection (chooseVictim).
 	vScratch []Assignment
+}
 
-	evictTID   int // tag being force-migrated for a blocked newcomer; -1 if none
-	evictNacks int
+// readerScalars is the reader's protocol state besides its tables: a
+// comparable value, so the slot simulator's cycle skip saves and
+// compares it whole.
+type readerScalars struct {
+	slot         int // index of the slot that is about to end
+	settledCount int // number of true settledOK entries
+	evictTID     int // tag being force-migrated for a blocked newcomer; -1 if none
+	evictNacks   int
 }
 
 // Observation is what the reader's PHY chain reports for one slot.
@@ -134,7 +139,7 @@ func NewReaderProtocol(periods map[int]Period) (*ReaderProtocol, error) {
 // reset clears all protocol state in place; no allocation, so pooled
 // simulators rewind through it between trials.
 func (r *ReaderProtocol) reset() {
-	r.slot = 0
+	r.readerScalars = readerScalars{evictTID: -1}
 	for i := range r.settled {
 		r.settled[i] = Assignment{}
 		r.settledOK[i] = false
@@ -142,9 +147,6 @@ func (r *ReaderProtocol) reset() {
 		r.appeared[i] = false
 	}
 	clear(r.appearedHi)
-	r.settledCount = 0
-	r.evictTID = -1
-	r.evictNacks = 0
 }
 
 // Reset clears all protocol state and returns the RESET beacon

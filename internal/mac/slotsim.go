@@ -38,10 +38,11 @@ type SlotSim struct {
 	SlotsRun        int
 
 	// Steady-state fast-forward (cycle.go): noLinkLoss caches the
-	// config half of Run's eligibility, cyc is the last H-boundary
-	// mark, and skipped counts the slots Run advanced without stepping.
+	// config half of Run's eligibility, cyc is the state saved at the
+	// last H-boundary, and skipped counts the slots Run advanced without
+	// stepping.
 	noLinkLoss bool
-	cyc        cycleMark
+	cyc        slotState
 	skipped    int
 }
 
@@ -76,7 +77,8 @@ type SlotSimConfig struct {
 	// collision; 0 means use the default of 1.0.
 	CollisionDetectProb float64
 	// JoinSlot defers each tag's activation (variable charging delay,
-	// Sec. 5.5); nil means all join at slot 0.
+	// Sec. 5.5); nil means all join at slot 0. Convergence counts no
+	// slot before the last join as clean.
 	JoinSlot []int
 	// NackThreshold overrides N for all tags and the reader (0 keeps
 	// the default of 3). Ablation: BenchmarkExperiment/ablation-nack.
@@ -281,8 +283,10 @@ func (s *SlotSim) Step() SlotResult {
 	}
 
 	transmitters := s.txScratch[:0]
+	waiting := false // a tag has yet to join
 	for i, t := range s.tags {
 		if slot < t.joinSlot {
+			waiting = true
 			continue
 		}
 		if t.down {
@@ -387,7 +391,9 @@ func (s *SlotSim) Step() SlotResult {
 	if truthCollision {
 		s.TruthCollisions++
 	}
-	s.Convergence.Observe(truthCollision)
+	// The network has not converged while a tag has yet to join: such a
+	// slot does not count as clean.
+	s.Convergence.Observe(truthCollision || waiting)
 
 	s.fb = next
 	s.SlotsRun++

@@ -150,16 +150,29 @@ func TestLateArrivalIntegratesWithoutDisruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(3000)
-	if !s.Convergence.Converged() {
-		t.Fatal("first 11 tags did not converge before the join")
+	// The detector waits for the last tag to join, so the first 11
+	// tags' convergence is read from their own states.
+	if s.Convergence.Converged() {
+		t.Fatal("converged before the last tag joined")
+	}
+	for i, st := range s.TagStates()[:11] {
+		if st != Settle {
+			t.Fatalf("tag %d did not settle before the join", i+1)
+		}
 	}
 	// Record settled offsets of the early tags.
 	pre := s.Assignments()[:11]
+	if err := VerifySchedule(pre); err != nil {
+		t.Fatalf("first 11 tags did not converge before the join: %v", err)
+	}
 	// Run long enough for tag 12 to integrate.
 	collisionsBefore := s.TruthCollisions
 	s.Run(4000)
 	if !s.AllSettled() {
 		t.Fatalf("late tag never settled; states %v", s.TagStates())
+	}
+	if !s.Convergence.Converged() {
+		t.Error("never converged after the late join")
 	}
 	post := s.Assignments()
 	for i := 0; i < 11; i++ {
@@ -195,6 +208,33 @@ func TestFutureCollisionScenarioEndToEnd(t *testing.T) {
 	}
 	if !settledAll {
 		t.Error("the Sec. 5.6 deadlock was never resolved in 10 seeds")
+	}
+}
+
+// TestConvergenceWaitsForLastJoin staggers the joins every 5 slots (the
+// last tag joins at slot 55): the detector's 32 clean slots must all
+// come after the last join.
+func TestConvergenceWaitsForLastJoin(t *testing.T) {
+	for _, pt := range []Pattern{Table3Patterns()[0], Table3Patterns()[4]} { // c1, c5
+		join := make([]int, pt.NumTags())
+		for i := range join {
+			join[i] = 5 * i
+		}
+		last := join[len(join)-1]
+		for seed := uint64(1); seed <= 5; seed++ {
+			s, err := NewSlotSim(SlotSimConfig{Pattern: pt, Seed: seed, JoinSlot: join})
+			if err != nil {
+				t.Fatal(err)
+			}
+			at, ok := s.RunUntilConverged(100_000)
+			if !ok {
+				t.Fatalf("%s seed %d: never converged", pt.Name, seed)
+			}
+			if at < last+32 {
+				t.Errorf("%s seed %d: converged at slot %d, less than 32 slots after the last join at %d",
+					pt.Name, seed, at, last)
+			}
+		}
 	}
 }
 

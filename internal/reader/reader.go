@@ -191,7 +191,7 @@ func (d *Device) beginSlot(now sim.Time) {
 	if d.pendingReset {
 		d.pendingReset = false
 		d.fb = d.Proto.Reset()
-		d.Convergence = mac.NewConvergenceDetector()
+		d.Convergence.Reset()
 	}
 	cmd := feedbackToCommand(d.fb)
 	if d.Trace.Enabled() {
