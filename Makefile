@@ -34,8 +34,9 @@ lint:
 
 # Static zero-alloc gate alone: compile with -gcflags=-m and diff the
 # heap escapes inside //alloc:hot functions against
-# scripts/escape-baseline.txt. New escapes fail; review deliberate ones
-# with `go run ./cmd/arachnet-lint -alloc-update`.
+# scripts/escape-baseline.txt. New escapes and stale baseline entries
+# fail; review deliberate ones with `go run ./cmd/arachnet-lint
+# -alloc-update`.
 lint-alloc:
 	$(GO) run ./cmd/arachnet-lint -alloc-gate ./...
 

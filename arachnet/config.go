@@ -37,13 +37,6 @@ type NetworkConfig struct {
 	ULDivider int
 	// DLRate is the downlink chip rate (default 250 bps).
 	DLRate float64
-	// EnvelopeTau is the tag envelope detector RC constant (s).
-	EnvelopeTau float64
-	// ComparatorThreshold is the tag comparator level (V).
-	ComparatorThreshold float64
-	// Reader overrides the reader configuration; zero value uses
-	// defaults.
-	Reader reader.Config
 	// WaveformDecode runs every slot's uplink through real DSP
 	// (synthesis, FM0 decode, cluster-based collision detection)
 	// instead of the calibrated probabilistic link model. Slower but
@@ -80,19 +73,16 @@ func (c NetworkConfig) withDefaults() NetworkConfig {
 	if c.DLRate == 0 {
 		c.DLRate = phy.DefaultDLRate
 	}
-	if c.EnvelopeTau == 0 {
-		c.EnvelopeTau = 80e-6
-	}
-	if c.ComparatorThreshold == 0 {
-		c.ComparatorThreshold = 0.05
-	}
-	if c.Reader.SlotDuration == 0 {
-		r := reader.DefaultConfig()
-		r.SlotDuration = c.SlotDuration
-		r.DLRate = c.DLRate
-		c.Reader = r
-	}
 	return c
+}
+
+// readerConfig is the paper's reader at this deployment's slot length
+// and downlink rate.
+func (c NetworkConfig) readerConfig() reader.Config {
+	r := reader.DefaultConfig()
+	r.SlotDuration = c.SlotDuration
+	r.DLRate = c.DLRate
+	return r
 }
 
 // validate checks the population.

@@ -62,6 +62,13 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	return sn.Clone(cfg.Seed, cfg.Trace)
 }
 
+// Every tag's envelope detector is the same circuit: an RC envelope
+// with this time constant (s) into a comparator at this level (V).
+const (
+	envelopeTau         = 80e-6
+	comparatorThreshold = 0.05
+)
+
 // deliverBeacon fans the reader's envelope edges out to every tag with
 // per-tag propagation and comparator delays. Tags are visited in id
 // order (byTID, filled once by Clone): the engine breaks equal-timestamp
@@ -77,11 +84,11 @@ func (n *Network) deliverBeacon(bx reader.BeaconTx) {
 		if err != nil {
 			continue
 		}
-		rise, err := n.Link.EnvelopeRiseDelay(id, n.Cfg.EnvelopeTau, n.Cfg.ComparatorThreshold)
+		rise, err := n.Link.EnvelopeRiseDelay(id, envelopeTau, comparatorThreshold)
 		if err != nil {
 			continue
 		}
-		fall, err := n.Link.EnvelopeFallDelay(id, n.Cfg.EnvelopeTau, n.Cfg.ComparatorThreshold)
+		fall, err := n.Link.EnvelopeFallDelay(id, envelopeTau, comparatorThreshold)
 		if err != nil {
 			continue
 		}

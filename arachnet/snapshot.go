@@ -93,7 +93,7 @@ func (sn *NetworkSnapshot) Clone(seed uint64, trace *Tracer) (*Network, error) {
 	link := sn.lmProto
 	link.Channel = &ch
 
-	rd, err := reader.New(engine, cfg.Reader, sn.periods, rng.Fork(0xFE))
+	rd, err := reader.New(engine, cfg.readerConfig(), sn.periods, rng.Fork(0xFE))
 	if err != nil {
 		return nil, err
 	}

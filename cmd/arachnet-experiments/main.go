@@ -128,16 +128,18 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			failed = true
 			continue
 		}
+		var werr error
 		if *format == "csv" {
 			fmt.Fprintf(stdout, "# %s\n", tb.Title)
-			if err := tb.WriteCSV(stdout); err != nil {
-				fmt.Fprintf(stderr, "%s: %v\n", e.Name, err)
-				failed = true
-			}
+			werr = tb.WriteCSV(stdout)
 			fmt.Fprintln(stdout)
-			continue
+		} else {
+			_, werr = fmt.Fprintln(stdout, tb.String())
 		}
-		fmt.Fprintln(stdout, tb.String())
+		if werr != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", e.Name, werr)
+			failed = true
+		}
 	}
 	if failed {
 		return 1

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -66,6 +67,24 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteErrorFails: a stdout that refuses writes (a full disk)
+// fails the run in both output formats.
+func TestWriteErrorFails(t *testing.T) {
+	for _, args := range [][]string{{"table1"}, {"-format", "csv", "table1"}} {
+		var stderr bytes.Buffer
+		if code := run(args, failWriter{}, &stderr); code != 1 {
+			t.Errorf("run %q = %d, want 1", args, code)
+		}
+		if !strings.Contains(stderr.String(), "table1: no space left") {
+			t.Errorf("run %q stderr %q", args, stderr.String())
+		}
+	}
+}
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
 
 // TestTraceRecordsEveryTrial: -trace observes every trial fan-out —
 // fig12a's captures as well as fig15a's seeds — with one job_start and

@@ -152,11 +152,11 @@ func main() {
 		// Client mode: the daemon runs the fleet; this process submits,
 		// streams, and prints — and optionally re-runs locally to
 		// cross-check determinism across the two front ends. The retry
-		// schedule is seeded from the fleet seed, so a faulted session
-		// replays bit-identically.
+		// schedule is fixed, so a faulted session retries the same way
+		// every time.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		c := newServerClient(*serverURL, *retries, *flakyEvery, f.Seed)
+		c := newServerClient(*serverURL, *retries, *flakyEvery)
 		var code int
 		if *healthOnly {
 			code = printHealth(ctx, c)
@@ -282,15 +282,15 @@ func (t *flakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // newServerClient assembles the fleetd client from the resilience
-// flags: -retries enables seeded-backoff retries, -flaky injects a
-// deterministic transport fault schedule under them.
-func newServerClient(base string, retries, flakyEvery int, seed uint64) *api.Client {
+// flags: -retries enables exponential-backoff retries, -flaky injects
+// a deterministic transport fault schedule under them.
+func newServerClient(base string, retries, flakyEvery int) *api.Client {
 	var opts []api.Option
 	if flakyEvery > 0 {
 		opts = append(opts, api.WithTransport(&flakyTransport{next: http.DefaultTransport, every: uint64(flakyEvery)}))
 	}
 	if retries > 0 {
-		opts = append(opts, api.WithRetry(resilience.Policy{MaxAttempts: retries}, seed))
+		opts = append(opts, api.WithRetry(resilience.Policy{MaxAttempts: retries}))
 	}
 	return api.NewClient(base, opts...)
 }

@@ -30,8 +30,8 @@
 // The -alloc-* flags drive the static zero-alloc gate: -alloc-manifest
 // lists the //alloc:hot functions, -alloc-gate compiles their packages
 // with -gcflags=-m and diffs the escapes against
-// scripts/escape-baseline.txt (new escapes fail), -alloc-update rewrites
-// the baseline.
+// scripts/escape-baseline.txt (new escapes and stale baseline entries
+// both fail), -alloc-update rewrites the baseline.
 package main
 
 import (
@@ -185,17 +185,24 @@ func runAllocGate(dir string, manifestOnly, update bool) {
 	}
 	added, removed := lint.DiffEscapeBaseline(entries, lint.ParseBaseline(string(baseData)))
 	github := os.Getenv("GITHUB_ACTIONS") == "true"
+	// A stale line fails too: it would pre-approve the same escape if
+	// the code came back.
+	var msgs []string
 	for _, e := range removed {
-		fmt.Printf("stale baseline entry (escape no longer present): %s\n", e)
+		msgs = append(msgs, "stale baseline entry (escape no longer present): "+e)
 	}
 	for _, e := range added {
-		fmt.Printf("new heap escape in //alloc:hot function: %s\n", e)
+		msgs = append(msgs, "new heap escape in //alloc:hot function: "+e)
+	}
+	for _, m := range msgs {
+		fmt.Println(m)
 		if github {
-			fmt.Printf("::error title=arachnet-lint alloc-gate::%s\n", escapeWorkflowData("new heap escape in //alloc:hot function: "+e))
+			fmt.Printf("::error title=arachnet-lint alloc-gate::%s\n", escapeWorkflowData(m))
 		}
 	}
-	if len(added) > 0 {
-		fmt.Fprintf(os.Stderr, "arachnet-lint: alloc gate FAILED: %d new escape(s); fix them or review and run -alloc-update\n", len(added))
+	if len(msgs) > 0 {
+		fmt.Fprintf(os.Stderr, "arachnet-lint: alloc gate FAILED: %d new escape(s), %d stale baseline entr%s; fix new escapes, then review and run -alloc-update\n",
+			len(added), len(removed), plural(len(removed), "y", "ies"))
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "arachnet-lint: alloc gate ok (%d baseline escape(s), %d //alloc:hot function(s))\n", len(entries), len(manifest))

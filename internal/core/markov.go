@@ -26,7 +26,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/mac"
 )
@@ -491,63 +490,25 @@ func (m *Model) VerifyReachability() error {
 	return nil
 }
 
-// Factorization is the solver-ready form of a model: reachability
-// verified (Lemma 3) and absorbing states flagged, computed exactly
-// once per config. The value iteration walks the model's CSR rows; it
-// runs at most once (memoized) on reusable vectors, so sweeps that
-// query the same config across many trials pay for one factor + one
-// solve and then read a cached pair. Safe for concurrent use.
-type Factorization struct {
-	model *Model
-
-	absorbing []bool
-
-	mu      sync.Mutex
-	t, next []float64 // iteration vectors, reused
-	solved  bool
-	mean    float64
-	worst   float64
-}
-
-// Factor verifies reachability and prepares a Factorization.
-func (m *Model) Factor() (*Factorization, error) {
+// ExpectedAbsorptionSlots verifies reachability (Lemma 3), then
+// solves (I-Q)t = 1 by value iteration on the CSR rows. It returns the
+// expected slots-to-absorption from the uniform post-RESET initial
+// distribution (the orbit-weighted mean over the canonical initial
+// states), plus the worst single transient state.
+func (m *Model) ExpectedAbsorptionSlots() (mean, worst float64, err error) {
 	if err := m.VerifyReachability(); err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	f := &Factorization{
-		model:     m,
-		absorbing: make([]bool, len(m.list)),
-		t:         make([]float64, len(m.list)),
-		next:      make([]float64, len(m.list)),
-	}
+	absorbing := make([]bool, len(m.list))
 	for id, s := range m.list {
-		f.absorbing[id] = m.IsAbsorbing(s)
+		absorbing[id] = m.IsAbsorbing(s)
 	}
-	return f, nil
-}
-
-// ExpectedAbsorptionSlots solves (I-Q)t = 1 by value iteration on the
-// CSR rows and returns the expected slots-to-absorption from the
-// uniform post-RESET initial distribution (the orbit-weighted mean over
-// the canonical initial states), plus the worst single transient
-// state. The solve runs once; later calls return the memoized pair
-// without touching the allocator.
-func (f *Factorization) ExpectedAbsorptionSlots() (mean, worst float64, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.solved {
-		return f.mean, f.worst, nil
-	}
-	m := f.model
 	rowStart, to, p := m.rowStart, m.to, m.p
-	t, next := f.t, f.next
-	for i := range t {
-		t[i] = 0
-		next[i] = 0
-	}
+	t := make([]float64, len(m.list))
+	next := make([]float64, len(m.list))
 	for iter := 0; iter < 1_000_000; iter++ {
 		var delta float64
-		for id, abs := range f.absorbing {
+		for id, abs := range absorbing {
 			if abs {
 				next[id] = 0
 				continue
@@ -574,17 +535,8 @@ func (f *Factorization) ExpectedAbsorptionSlots() (mean, worst float64, err erro
 		sum += w * t[id]
 		total += w
 	}
-	worstV := 0.0
-	for id := range t {
-		if t[id] > worstV {
-			worstV = t[id]
-		}
+	for _, v := range t {
+		worst = max(worst, v)
 	}
-	f.mean = sum / total
-	f.worst = worstV
-	f.solved = true
-	return f.mean, f.worst, nil
+	return sum / total, worst, nil
 }
-
-// Model returns the enumerated chain this factorization was built from.
-func (f *Factorization) Model() *Model { return f.model }

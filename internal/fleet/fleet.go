@@ -52,9 +52,10 @@ type JobInfo struct {
 
 // JobFunc runs one simulation. Implementations should poll ctx at
 // convenient boundaries (every few hundred slots or simulated seconds)
-// so timeouts and cancellation take effect; a job that ignores ctx is
-// still reported as timed out, but its goroutine runs to completion in
-// the background.
+// so timeouts and cancellation take effect: the pool runs each job on
+// its worker goroutine and cannot stop one that ignores ctx. Such a
+// job holds its worker until it returns; if it overran its timeout, it
+// is then reported as timed out.
 type JobFunc func(ctx context.Context, job JobInfo) (Result, error)
 
 // JobSpec describes one queued job.
@@ -335,7 +336,9 @@ func (p *Pool) jobInfo(idx int) JobInfo {
 	return info
 }
 
-// runJob executes one job with panic recovery and timeout isolation.
+// runJob executes one job inline on the worker goroutine, with panic
+// recovery and, when Config.JobTimeout is set, a deadline on the job's
+// context.
 func (p *Pool) runJob(ctx context.Context, idx int) JobOutcome {
 	info := p.jobInfo(idx)
 	out := JobOutcome{JobInfo: info}
@@ -348,52 +351,22 @@ func (p *Pool) runJob(ctx context.Context, idx int) JobOutcome {
 		p.cfg.Observer.JobStarted(info)
 	}
 
+	jctx := ctx
+	if p.cfg.JobTimeout > 0 {
+		var cancel context.CancelFunc
+		jctx, cancel = context.WithTimeout(ctx, p.cfg.JobTimeout)
+		defer cancel()
+	}
 	start := time.Now() //lint:allow determinism-taint per-job wall latency for operator reporting only
-	if p.cfg.JobTimeout <= 0 {
-		// Fast path: with no deadline to enforce, the job runs inline on
-		// the worker goroutine — no per-job goroutine, channel or timer.
-		// Panic isolation is a deferred recover, so the steady-state
-		// control-plane cost of a job is zero allocations.
-		res, err, panicked := p.callJob(ctx, idx, info)
-		out.Elapsed = time.Since(start) //lint:allow determinism-taint per-job wall latency for operator reporting only
-		p.classify(&out, res, err, panicked)
+	res, err, panicked := p.callJob(jctx, idx, info)
+	out.Elapsed = time.Since(start) //lint:allow determinism-taint per-job wall latency for operator reporting only
+	if p.cfg.JobTimeout > 0 && jctx.Err() != nil && ctx.Err() == nil {
+		// The job ran past its own deadline, whatever it returned.
+		out.Status = StatusTimedOut
+		out.Err = fmt.Sprintf("job exceeded timeout %v", p.cfg.JobTimeout)
 		return out
 	}
-
-	jctx, cancel := context.WithTimeout(ctx, p.cfg.JobTimeout)
-	defer cancel()
-
-	type jobReturn struct {
-		res      Result
-		err      error
-		panicked bool
-	}
-	done := make(chan jobReturn, 1)
-	// Deliberately abandoned on timeout: the buffered channel lets the
-	// late result be dropped without blocking the stuck job forever.
-	//lint:allow goroutine-hygiene abandoned on timeout by design; buffered done never blocks it
-	go func() {
-		res, err, panicked := p.callJob(jctx, idx, info)
-		done <- jobReturn{res: res, err: err, panicked: panicked}
-	}()
-
-	select {
-	case ret := <-done:
-		out.Elapsed = time.Since(start) //lint:allow determinism-taint per-job wall latency for operator reporting only
-		p.classify(&out, ret.res, ret.err, ret.panicked)
-	case <-jctx.Done():
-		// The job ignored its context; abandon its goroutine (the
-		// buffered channel lets it finish and be collected) and
-		// classify by which context fired.
-		out.Elapsed = time.Since(start) //lint:allow determinism-taint per-job wall latency for operator reporting only
-		if err := ctx.Err(); err != nil {
-			out.Status = parentStopStatus(err)
-			out.Err = err.Error()
-		} else {
-			out.Status = StatusTimedOut
-			out.Err = fmt.Sprintf("job exceeded timeout %v", p.cfg.JobTimeout)
-		}
-	}
+	p.classify(&out, res, err, panicked)
 	return out
 }
 

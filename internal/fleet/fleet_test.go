@@ -143,25 +143,25 @@ func TestFaultIsolation(t *testing.T) {
 	}
 }
 
-// TestUncooperativeTimeout: a job that never checks its context is
-// still reported as timed out and the pool moves on.
+// TestUncooperativeTimeout: a job that ignores its context holds its
+// worker until it returns, 50 ms after its 10 ms deadline, and is then
+// reported as timed out even though it returned no error; its
+// siblings finish normally.
 func TestUncooperativeTimeout(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block)
 	specs := makeSpecs(3)
 	specs[1].Run = func(ctx context.Context, job JobInfo) (Result, error) {
-		<-block // ignores ctx entirely
-		return Result{}, nil
+		time.Sleep(60 * time.Millisecond) // ignores ctx entirely
+		return Result{Metrics: map[string]float64{"late": 1}}, nil
 	}
 	rep, err := Run(context.Background(),
-		Config{Workers: 2, JobTimeout: 20 * time.Millisecond}, specs)
+		Config{Workers: 2, JobTimeout: 10 * time.Millisecond}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Jobs[1].Status != StatusTimedOut {
-		t.Fatalf("job 1: %+v", rep.Jobs[1])
+	if j := rep.Jobs[1]; j.Status != StatusTimedOut || j.Err != "job exceeded timeout 10ms" || j.Result.Metrics != nil {
+		t.Fatalf("job 1: %+v", j)
 	}
-	if rep.Completed != 2 {
+	if rep.Jobs[0].Status != StatusOK || rep.Jobs[2].Status != StatusOK || rep.Completed != 2 {
 		t.Fatalf("siblings: %+v", rep)
 	}
 }
@@ -325,10 +325,9 @@ func (o ObserverFuncs) JobFinished(outcome JobOutcome) {
 	}
 }
 
-// TestInlineFaultIsolation covers the no-timeout fast path: with
-// JobTimeout unset the pool runs jobs inline on the worker goroutine
-// (no per-job goroutine, channel or timer), and panic/error isolation
-// must still hold there.
+// TestInlineFaultIsolation covers a pool with JobTimeout unset (no
+// per-job deadline or timer): panic/error isolation must still hold
+// there.
 func TestInlineFaultIsolation(t *testing.T) {
 	specs := makeSpecs(8)
 	specs[2].Run = func(ctx context.Context, job JobInfo) (Result, error) {

@@ -21,14 +21,13 @@ import (
 // not usable; construct with NewClient. The bare client (no options)
 // performs each call exactly once; WithRetry turns on the resilience
 // layer: transient transport failures and 5xx responses retry with
-// seeded backoff, 429 responses honor the server's Retry-After, and
+// exponential backoff, 429 responses honor the server's Retry-After, and
 // interrupted progress streams reconnect at their last event sequence
 // number.
 type Client struct {
 	base   string
 	http   *http.Client
 	policy resilience.Policy
-	seed   uint64
 
 	retries atomic.Uint64
 }
@@ -43,13 +42,10 @@ func WithTransport(rt http.RoundTripper) Option {
 }
 
 // WithRetry enables retries under the given policy. The schedule is a
-// pure function of (policy, seed, attempt), so a chaos run replays
-// bit-identically from its seed.
-func WithRetry(p resilience.Policy, seed uint64) Option {
-	return func(c *Client) {
-		c.policy = p
-		c.seed = seed
-	}
+// pure function of (policy, attempt), so a chaos run retries on the
+// same schedule every time.
+func WithRetry(p resilience.Policy) Option {
+	return func(c *Client) { c.policy = p }
 }
 
 // NewClient returns a client for the daemon at base (e.g.
@@ -176,7 +172,6 @@ func classifyTransport(err error) error {
 func (c *Client) run(ctx context.Context, op func(ctx context.Context) error) error {
 	r := resilience.Runner{
 		Policy:  c.policy,
-		Seed:    c.seed,
 		OnRetry: func(int, time.Duration, error) { c.retries.Add(1) },
 	}
 	err := r.Do(ctx, func(ctx context.Context) error {

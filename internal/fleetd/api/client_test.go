@@ -166,7 +166,7 @@ func TestClientCallPath(t *testing.T) {
 		}
 	})
 
-	retry := WithRetry(resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}, 1)
+	retry := WithRetry(resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond})
 
 	t.Run("retrying 503", func(t *testing.T) {
 		hs, n := countingServer(t, statusWith(http.StatusServiceUnavailable, "draining"))

@@ -222,7 +222,6 @@ func chaosPolicy() resilience.Policy {
 		MaxAttempts: 5,
 		BaseDelay:   time.Millisecond,
 		MaxDelay:    5 * time.Millisecond,
-		Multiplier:  2,
 	}
 }
 
@@ -530,7 +529,7 @@ func TestChaosFlakyTransport(t *testing.T) {
 	flaky := &flakyRT{next: http.DefaultTransport}
 	c := api.NewClient(base,
 		api.WithTransport(flaky),
-		api.WithRetry(chaosPolicy(), 42),
+		api.WithRetry(chaosPolicy()),
 	)
 	sub, err := c.Submit(ctx, []byte(testSpec))
 	if err != nil {
@@ -596,7 +595,7 @@ func TestChaosStreamResumesExactlyOnce(t *testing.T) {
 	cut.cuts.Store(2)
 	c := api.NewClient(base,
 		api.WithTransport(cut),
-		api.WithRetry(chaosPolicy(), 99),
+		api.WithRetry(chaosPolicy()),
 	)
 	var statusLines, events int
 	var lastSeq uint64

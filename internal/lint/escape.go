@@ -15,7 +15,8 @@ import (
 // on the inputs they run. The gate makes the compiler's verdict the
 // contract: escapes inside annotated functions are normalized into
 // stable entries, compared against a checked-in baseline
-// (scripts/escape-baseline.txt), and any NEW entry fails `make lint`.
+// (scripts/escape-baseline.txt), and any NEW entry, or any baseline
+// entry that no longer occurs, fails `make lint`.
 //
 // Entries are line-number-free ("file:Func: message") so that edits
 // elsewhere in a file do not churn the baseline; the message itself
@@ -112,9 +113,9 @@ func lookupHotFunc(manifest []AllocHotFunc, file string, line int) *AllocHotFunc
 }
 
 // DiffEscapeBaseline compares current gate entries against the
-// checked-in baseline: added entries are new heap escapes (a gate
-// failure), removed entries are stale baseline lines (an improvement —
-// refresh the baseline).
+// checked-in baseline: added entries are new heap escapes, removed
+// entries are stale baseline lines. Both fail the gate; a stale line
+// would pre-approve its escape if the code came back.
 func DiffEscapeBaseline(current, baseline []string) (added, removed []string) {
 	cur := make(map[string]bool, len(current))
 	for _, e := range current {

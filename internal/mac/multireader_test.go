@@ -1,9 +1,6 @@
 package mac
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func zonesOf(n int, pt Pattern) []Pattern {
 	out := make([]Pattern, n)
@@ -113,41 +110,5 @@ func TestMultiReaderPerZoneCounters(t *testing.T) {
 	var empty MultiReaderSim
 	if empty.Throughput() != 0 {
 		t.Error("unstepped sim should report 0 throughput")
-	}
-}
-
-// SplitPattern partitions a workload across k zones round-robin,
-// preserving per-tag periods.
-func SplitPattern(pt Pattern, k int) []Pattern {
-	if k < 1 {
-		k = 1
-	}
-	out := make([]Pattern, k)
-	for i := range out {
-		out[i].Name = fmt.Sprintf("%s/z%d", pt.Name, i)
-	}
-	for i, p := range pt.Periods {
-		out[i%k].Periods = append(out[i%k].Periods, p)
-	}
-	return out
-}
-
-func TestSplitPattern(t *testing.T) {
-	pt := Pattern{Name: "x", Periods: []Period{2, 4, 8, 16, 32}}
-	zones := SplitPattern(pt, 2)
-	if len(zones) != 2 {
-		t.Fatalf("%d zones", len(zones))
-	}
-	total := 0
-	for _, z := range zones {
-		total += z.NumTags()
-	}
-	if total != pt.NumTags() {
-		t.Errorf("tags lost in split: %d vs %d", total, pt.NumTags())
-	}
-	// Degenerate k.
-	z1 := SplitPattern(pt, 0)
-	if len(z1) != 1 || z1[0].NumTags() != pt.NumTags() {
-		t.Error("k<1 should collapse to one zone")
 	}
 }

@@ -60,7 +60,8 @@ type simTag struct {
 }
 
 // SlotSimConfig parameterizes a run. Zero values mean: perfect links,
-// perfect collision detection, all tags present from slot 0.
+// all tags present from slot 0. The reader detects every true
+// collision.
 type SlotSimConfig struct {
 	Pattern Pattern
 	Seed    uint64
@@ -73,9 +74,6 @@ type SlotSimConfig struct {
 	// CaptureProb is the chance the reader still decodes one packet
 	// during a collision (capture effect, Sec. 5.3).
 	CaptureProb float64
-	// CollisionDetectProb is the chance the IQ clustering flags a true
-	// collision; 0 means use the default of 1.0.
-	CollisionDetectProb float64
 	// JoinSlot defers each tag's activation (variable charging delay,
 	// Sec. 5.5); nil means all join at slot 0. Convergence counts no
 	// slot before the last join as clean.
@@ -159,11 +157,6 @@ func NewSlotSim(cfg SlotSimConfig) (*SlotSim, error) {
 	}
 	reader.DisableFutureVeto = cfg.DisableFutureVeto
 	reader.Trace = cfg.Trace
-	detect := cfg.CollisionDetectProb
-	if detect == 0 {
-		detect = 1.0
-	}
-	cfg.CollisionDetectProb = detect
 	s := &SlotSim{
 		cfg:         cfg,
 		rng:         rng.Fork(0xC0FFEE),
@@ -358,7 +351,7 @@ func (s *SlotSim) Step() SlotResult {
 			seen.Decoded = s.decScratch
 		}
 	default:
-		seen.Collision = s.rng.Bool(s.cfg.CollisionDetectProb)
+		seen.Collision = true // the IQ clustering flags every true collision
 		if s.rng.Bool(s.cfg.CaptureProb) {
 			// Capture: one packet survives; pick uniformly (the
 			// waveform layer would pick the strongest).

@@ -166,34 +166,6 @@ func TestPIERoundTrip(t *testing.T) {
 	}
 }
 
-// PIEChipLength returns the number of raw chips PIEEncode will emit for
-// the given data: 2 per zero bit, 3 per one bit.
-func PIEChipLength(data Bits) int {
-	n := 0
-	for _, bit := range data {
-		if bit&1 == 1 {
-			n += 3
-		} else {
-			n += 2
-		}
-	}
-	return n
-}
-
-func TestPIEChipLength(t *testing.T) {
-	f := func(raw []byte) bool {
-		data := randomBits(raw)
-		return PIEChipLength(data) == len(PIEEncode(data))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	// Symbol lengths are 2 or 3 chips (DESIGN.md invariant).
-	if PIEChipLength(Bits{0}) != 2 || PIEChipLength(Bits{1}) != 3 {
-		t.Error("PIE symbol lengths wrong")
-	}
-}
-
 func TestPIEDecodeErrors(t *testing.T) {
 	// Starting low is malformed.
 	if _, err := PIEDecode(Bits{0, 1}); err == nil {

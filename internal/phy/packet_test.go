@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestULPacketRoundTrip(t *testing.T) {
@@ -132,70 +131,5 @@ func TestRatesFromDividers(t *testing.T) {
 		if got := MCUClockHz / float64(r.Divider); got != r.BitsPerSec {
 			t.Errorf("divider %d: %v bps, want %v", r.Divider, got, r.BitsPerSec)
 		}
-	}
-}
-
-// ChipDuration returns the duration of one raw chip at the given rate.
-func ChipDuration(bitsPerSec float64) time.Duration {
-	if bitsPerSec <= 0 {
-		return 0
-	}
-	return time.Duration(float64(time.Second) / bitsPerSec)
-}
-
-// ULFrameDuration returns the on-air time of a full 32-bit uplink frame
-// at the given raw chip rate: FM0 spends two chips per data bit. At the
-// default 375 bps this is ~171 ms — the "about 200 ms" long packet of
-// Sec. 5.1 that drives the collision problem.
-func ULFrameDuration(bitsPerSec float64) time.Duration {
-	return time.Duration(ULFrameBits*2) * ChipDuration(bitsPerSec)
-}
-
-// DLFrameDuration returns the on-air time of a beacon with command cmd
-// at the given raw chip rate; PIE spends 2 chips per zero and 3 per
-// one, so the duration depends on the bit content.
-func DLFrameDuration(cmd Command, bitsPerSec float64) time.Duration {
-	frame, err := (Beacon{Cmd: cmd}).Marshal()
-	if err != nil {
-		return 0
-	}
-	return time.Duration(PIEChipLength(frame)) * ChipDuration(bitsPerSec)
-}
-
-func TestULFrameDurationIsLong(t *testing.T) {
-	// Sec. 5.1: ~200 ms per UL packet at the default rate. FM0 at
-	// 375 bps: 32 bits * 2 chips / 375 = 170.7 ms.
-	d := ULFrameDuration(DefaultULRate)
-	if d < 150*time.Millisecond || d > 220*time.Millisecond {
-		t.Errorf("UL frame = %v, want ~171 ms", d)
-	}
-	// Duration is inversely proportional to the rate.
-	if d2 := ULFrameDuration(2 * DefaultULRate); d2 >= d {
-		t.Error("duration should shrink with rate")
-	}
-	if ULFrameDuration(0) != 0 {
-		t.Error("zero rate should yield zero duration")
-	}
-}
-
-func TestDLFrameDurationDependsOnContent(t *testing.T) {
-	// More 1 bits -> more chips -> longer beacon.
-	short := DLFrameDuration(Command(0), DefaultDLRate)
-	long := DLFrameDuration(Command(0xF), DefaultDLRate)
-	if long <= short {
-		t.Errorf("all-ones beacon (%v) not longer than all-zeros (%v)", long, short)
-	}
-	// Sanity: beacon around 100 ms at 250 bps.
-	if short < 80*time.Millisecond || long > 130*time.Millisecond {
-		t.Errorf("beacon durations [%v, %v] outside the expected band", short, long)
-	}
-}
-
-func TestChipDuration(t *testing.T) {
-	if d := ChipDuration(250); d != 4*time.Millisecond {
-		t.Errorf("chip @250 bps = %v, want 4 ms", d)
-	}
-	if ChipDuration(-1) != 0 {
-		t.Error("negative rate should yield zero")
 	}
 }

@@ -31,20 +31,16 @@ type Config struct {
 	ProcessingDelay sim.Time
 	// CaptureProb is the chance one packet decodes during a collision.
 	CaptureProb float64
-	// CollisionDetectProb is the IQ-clustering detection rate for true
-	// collisions.
-	CollisionDetectProb float64
 }
 
 // DefaultConfig returns the paper's reader settings.
 func DefaultConfig() Config {
 	return Config{
-		SlotDuration:        sim.Second,
-		DLRate:              phy.DefaultDLRate,
-		SymbolJitter:        300 * sim.Microsecond,
-		ProcessingDelay:     59 * sim.Millisecond,
-		CaptureProb:         0.5,
-		CollisionDetectProb: 1.0,
+		SlotDuration:    sim.Second,
+		DLRate:          phy.DefaultDLRate,
+		SymbolJitter:    300 * sim.Microsecond,
+		ProcessingDelay: 59 * sim.Millisecond,
+		CaptureProb:     0.5,
 	}
 }
 
@@ -278,7 +274,7 @@ func (d *Device) endSlot(bx BeaconTx, now sim.Time) {
 				decodedEv = &d.inbox[0]
 			}
 		default:
-			seen.Collision = d.rng.Bool(d.Cfg.CollisionDetectProb)
+			seen.Collision = true // the IQ clustering flags every true collision
 			if d.rng.Bool(d.Cfg.CaptureProb) {
 				// Capture effect: the strongest burst survives.
 				best := 0

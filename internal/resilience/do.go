@@ -5,15 +5,12 @@ import (
 	"time"
 )
 
-// Runner composes the kit into a retry loop: policy + seed fix the
+// Runner composes the kit into a retry loop: the policy fixes the
 // schedule, the clock makes waits injectable, and OnRetry feeds
 // metrics.
 type Runner struct {
 	// Policy is the backoff schedule (zero value = defaults).
 	Policy Policy
-	// Seed drives the jitter stream; the schedule is a pure function
-	// of (Policy, Seed, attempt).
-	Seed uint64
 	// Clock provides Now/Sleep; nil means Real().
 	Clock Clock
 	// OnRetry is invoked before each backoff wait with the attempt
@@ -49,7 +46,7 @@ func (r Runner) Do(ctx context.Context, op func(ctx context.Context) error) erro
 		if Classify(err) == ClassFatal || attempt >= p.MaxAttempts {
 			return err
 		}
-		delay := p.Backoff(r.Seed, attempt)
+		delay := p.Backoff(attempt)
 		if hint, ok := RetryAfterHint(err); ok && hint > delay {
 			delay = hint
 		}

@@ -16,8 +16,7 @@ func TestRunnerRetriesThenSucceeds(t *testing.T) {
 	calls := 0
 	var retried []int
 	r := Runner{
-		Policy:  Policy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second, Multiplier: 2, Jitter: 0},
-		Seed:    7,
+		Policy:  Policy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second},
 		Clock:   clock,
 		OnRetry: func(attempt int, delay time.Duration, err error) { retried = append(retried, attempt) },
 	}
@@ -68,7 +67,7 @@ func TestRunnerHonorsRetryAfter(t *testing.T) {
 	clock := NewFakeClock(time.Unix(0, 0))
 	calls := 0
 	err := Runner{
-		Policy: Policy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, Jitter: 0},
+		Policy: Policy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond},
 		Clock:  clock,
 	}.Do(context.Background(), func(context.Context) error {
 		calls++
@@ -118,7 +117,7 @@ func TestRunnerRespectsBudget(t *testing.T) {
 			}
 			calls := 0
 			err := Runner{
-				Policy: Policy{MaxAttempts: 2, BaseDelay: wait, MaxDelay: time.Hour, Jitter: 0},
+				Policy: Policy{MaxAttempts: 2, BaseDelay: wait, MaxDelay: time.Hour},
 				Clock:  clock,
 			}.Do(ctx, func(context.Context) error {
 				calls++

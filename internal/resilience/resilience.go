@@ -1,15 +1,13 @@
 // Package resilience is a small, deterministic, stdlib-only
 // reliability kit for the service layer: an error classifier
-// (retryable / fatal / busy), a capped-exponential retry policy with
-// seeded jitter, and a retry runner that composes them and keeps every
-// wait inside the caller's context deadline.
+// (retryable / fatal / busy), a capped-exponential retry policy, and a
+// retry runner that composes them and keeps every wait inside the
+// caller's context deadline.
 //
-// Everything time-dependent goes through the Clock seam, and every
-// randomized quantity (the jitter) is a pure function of (policy,
-// seed, attempt) — the same discipline internal/faults applies to
-// channel fades is applied here to sockets and disks, so a chaos run
-// with injected transport failures replays bit-identically from its
-// seed.
+// Everything time-dependent goes through the Clock seam, and the
+// schedule is a pure function of (policy, attempt), so a chaos run
+// with injected transport failures retries on the same schedule every
+// time.
 package resilience
 
 import (
@@ -125,24 +123,4 @@ func RetryAfterHint(err error) (time.Duration, bool) {
 		return w.RetryAfter(), true
 	}
 	return 0, false
-}
-
-// mix64 is a SplitMix64 finalizer over the seed/counter pair: the same
-// construction internal/fleet derives job seeds with, so jitter
-// streams are well-mixed for adjacent attempts yet a pure function of
-// their inputs.
-func mix64(seed, n uint64) uint64 {
-	z := seed ^ (n+1)*0x9e3779b97f4a7c15
-	for i := 0; i < 2; i++ {
-		z += 0x9e3779b97f4a7c15
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-	}
-	return z
-}
-
-// unitFloat maps a mixed word onto [0, 1) with 53-bit resolution.
-func unitFloat(u uint64) float64 {
-	return float64(u>>11) / float64(1<<53)
 }

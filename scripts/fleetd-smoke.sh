@@ -146,7 +146,7 @@ grep -q "response cache hit (fingerprint $ref)" "$workdir/c3.out" ||
 echo "fleetd-smoke: cache hit returned the same fingerprint"
 
 # Flaky-transport leg: a quick spec submitted through a transport that
-# fails every 3rd request, with seeded retries. The client must retry
+# fails every 3rd request, with client retries. The client must retry
 # through the faults, -verify must still agree with a local run, and
 # the retry counter must be visibly non-zero.
 qspec="$workdir/quick.json"
