@@ -37,11 +37,9 @@ type Time = sim.Time
 
 // Time unit constants.
 const (
-	Microsecond = sim.Microsecond
 	Millisecond = sim.Millisecond
 	Second      = sim.Second
 	Minute      = sim.Minute
-	Hour        = sim.Hour
 )
 
 // Period is a tag's transmission period in slots (a power of two).
@@ -78,9 +76,8 @@ func SimulateAloha(cfg AlohaConfig) (AlohaResult, error) { return mac.SimulateAl
 
 // ALOHA baseline types, re-exported.
 type (
-	AlohaConfig   = mac.AlohaConfig
-	AlohaResult   = mac.AlohaResult
-	AlohaTagStats = mac.AlohaTagStats
+	AlohaConfig = mac.AlohaConfig
+	AlohaResult = mac.AlohaResult
 )
 
 // DefaultAlohaConfig returns the paper's Appendix B settings for the

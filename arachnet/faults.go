@@ -18,10 +18,7 @@ type (
 	FaultPlan         = faults.Plan
 	FaultBurst        = faults.Burst
 	FaultFadeSpec     = faults.FadeSpec
-	FaultFeedbackSpec = faults.FeedbackSpec
 	FaultBrownoutSpec = faults.BrownoutSpec
-	FaultOutageSpec   = faults.OutageSpec
-	FaultJitterSpec   = faults.JitterSpec
 	FaultInjector     = faults.Injector
 	RecoveryReport    = faults.RecoveryReport
 	Recovery          = faults.Recovery

@@ -24,19 +24,14 @@ type (
 	FleetJobInfo      = fleet.JobInfo
 	FleetResult       = fleet.Result
 	FleetReport       = fleet.Report
-	FleetOutcome      = fleet.JobOutcome
 	FleetObserver     = fleet.Observer
 	FleetDistribution = fleet.Distribution
-	FleetStatus       = fleet.Status
 )
 
 // Job status values, re-exported.
 const (
-	FleetJobOK        = fleet.StatusOK
-	FleetJobFailed    = fleet.StatusFailed
-	FleetJobPanicked  = fleet.StatusPanicked
-	FleetJobTimedOut  = fleet.StatusTimedOut
-	FleetJobCancelled = fleet.StatusCancelled
+	FleetJobOK     = fleet.StatusOK
+	FleetJobFailed = fleet.StatusFailed
 )
 
 // Metric and counter names emitted by the built-in vehicle engines.

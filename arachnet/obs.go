@@ -17,16 +17,12 @@ import (
 
 // Re-exported observability types.
 type (
-	Tracer            = obs.Tracer
-	TraceEvent        = obs.Event
-	TraceKind         = obs.Kind
-	TraceSink         = obs.Sink
-	JSONLSink         = obs.JSONLSink
-	MemorySink        = obs.MemorySink
-	TraceMetrics      = obs.Metrics
-	MetricsSnapshot   = obs.Snapshot
-	CounterSnapshot   = obs.CounterSnapshot
-	HistogramSnapshot = obs.HistogramSnapshot
+	Tracer       = obs.Tracer
+	TraceEvent   = obs.Event
+	TraceSink    = obs.Sink
+	JSONLSink    = obs.JSONLSink
+	MemorySink   = obs.MemorySink
+	TraceMetrics = obs.Metrics
 )
 
 // Trace stream encodings, as selected by the CLI -trace-format flags.
@@ -98,21 +94,13 @@ func (t traceFile) Close() error {
 
 // Trace event kinds, re-exported.
 const (
-	TraceSlotOpen    = obs.KindSlotOpen
-	TraceSlotClose   = obs.KindSlotClose
-	TraceTagSettle   = obs.KindTagSettle
-	TraceTagUnsettle = obs.KindTagUnsettle
-	TraceTagEvict    = obs.KindTagEvict
-	TraceCutoffOn    = obs.KindCutoffOn
-	TraceCutoffOff   = obs.KindCutoffOff
-	TraceBrownout    = obs.KindBrownout
-	TraceSimEvent    = obs.KindSimEvent
-	TraceDecode      = obs.KindDecode
-	TraceJobStart    = obs.KindJobStart
-	TraceJobFinish   = obs.KindJobFinish
-	TraceFaultInject = obs.KindFaultInject
-	TraceFaultClear  = obs.KindFaultClear
-	TraceTagRejoin   = obs.KindTagRejoin
+	TraceSlotOpen  = obs.KindSlotOpen
+	TraceSlotClose = obs.KindSlotClose
+	TraceTagSettle = obs.KindTagSettle
+	TraceSimEvent  = obs.KindSimEvent
+	TraceDecode    = obs.KindDecode
+	TraceJobStart  = obs.KindJobStart
+	TraceJobFinish = obs.KindJobFinish
 )
 
 // NewTracer builds a tracer over the given sinks.

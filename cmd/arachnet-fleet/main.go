@@ -44,6 +44,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -55,12 +56,15 @@ import (
 	"repro/arachnet"
 	"repro/internal/fleetd/api"
 	"repro/internal/prof"
-	"repro/internal/resilience"
 )
 
 // stopProf finishes profiling; every exit path runs it so the profiles
 // are valid even on fatal errors.
 var stopProf = func() error { return nil }
+
+// stdout carries every report line and keeps its first write error:
+// a report lost to a full disk fails the run (exit 1).
+var stdout = &errWriter{w: os.Stdout}
 
 func main() {
 	specPath := flag.String("spec", "", "JSON fleet specification (or pass as the first argument)")
@@ -163,10 +167,7 @@ func main() {
 		} else {
 			code = runClient(ctx, c, *jobID, f, *jsonOut, *verify, *quiet)
 		}
-		if err := stopProf(); err != nil {
-			fatal(err)
-		}
-		os.Exit(code)
+		exit(code)
 	}
 
 	// Lifecycle observability: a JSONL or binary stream (-trace - for
@@ -195,7 +196,7 @@ func main() {
 		fatal(err)
 	}
 	if !*jsonOut {
-		fmt.Printf("fleet: %d jobs, %d vehicles, seed %d\n", len(jobs), len(f.Vehicles), f.Seed)
+		fmt.Fprintf(stdout, "fleet: %d jobs, %d vehicles, seed %d\n", len(jobs), len(f.Vehicles), f.Seed)
 	}
 
 	// SIGINT/SIGTERM cancel the run but still print the partial report
@@ -212,11 +213,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
+		printJSON(rep)
 	} else {
 		printReport(rep)
 	}
@@ -228,17 +225,39 @@ func main() {
 	if *metrics {
 		fmt.Fprintln(os.Stderr, tr.Metrics().Snapshot())
 	}
+	code := 0
+	if !rep.Ok() || ctx.Err() != nil {
+		code = 1
+	}
+	exit(code)
+}
+
+// exit stops profiling and ends the process with code, or with 1 when
+// a stdout write failed.
+func exit(code int) {
 	if err := stopProf(); err != nil {
 		fatal(err)
 	}
-	if !rep.Ok() || ctx.Err() != nil {
-		os.Exit(1)
+	if stdout.err != nil {
+		fmt.Fprintln(os.Stderr, stdout.err)
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// printJSON writes v to stdout as indented JSON; an encoding error is
+// kept as stdout's error, so it fails the run at exit too.
+func printJSON(v any) {
+	enc := json.NewEncoder(stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil && stdout.err == nil {
+		stdout.err = err
 	}
 }
 
 func printReport(rep *arachnet.FleetReport) {
-	fmt.Printf("\nfleet report (workers=%d, wall=%v)\n", rep.Workers, rep.Wall.Round(time.Millisecond))
-	fmt.Printf("  jobs: %d ok, %d failed, %d panicked, %d timed out, %d cancelled\n",
+	fmt.Fprintf(stdout, "\nfleet report (workers=%d, wall=%v)\n", rep.Workers, rep.Wall.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "  jobs: %d ok, %d failed, %d panicked, %d timed out, %d cancelled\n",
 		rep.Completed, rep.Failed, rep.Panicked, rep.TimedOut, rep.Cancelled)
 	names := make([]string, 0, len(rep.Metrics))
 	for name := range rep.Metrics {
@@ -246,7 +265,7 @@ func printReport(rep *arachnet.FleetReport) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Printf("  %-18s %s\n", name, rep.Metrics[name])
+		fmt.Fprintf(stdout, "  %-18s %s\n", name, rep.Metrics[name])
 	}
 	names = names[:0]
 	for name := range rep.Counters {
@@ -254,15 +273,15 @@ func printReport(rep *arachnet.FleetReport) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Printf("  %-18s %d (fleet total)\n", name, rep.Counters[name])
+		fmt.Fprintf(stdout, "  %-18s %d (fleet total)\n", name, rep.Counters[name])
 	}
-	fmt.Printf("  job latency       %s\n", rep.Latency)
+	fmt.Fprintf(stdout, "  job latency       %s\n", rep.Latency)
 	for _, j := range rep.Jobs {
 		if j.Status != arachnet.FleetJobOK {
-			fmt.Printf("  FAILED job %d (%s): %s: %s\n", j.Index, j.Name, j.Status, j.Err)
+			fmt.Fprintf(stdout, "  FAILED job %d (%s): %s: %s\n", j.Index, j.Name, j.Status, j.Err)
 		}
 	}
-	fmt.Printf("  fingerprint       %s\n", rep.Fingerprint())
+	fmt.Fprintf(stdout, "  fingerprint       %s\n", rep.Fingerprint())
 }
 
 // flakyTransport fails every Nth request with a transport error — a
@@ -281,7 +300,7 @@ func (t *flakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return t.next.RoundTrip(req)
 }
 
-// newServerClient assembles the fleetd client from the resilience
+// newServerClient assembles the fleetd client from the retry
 // flags: -retries enables exponential-backoff retries, -flaky injects
 // a deterministic transport fault schedule under them.
 func newServerClient(base string, retries, flakyEvery int) *api.Client {
@@ -290,7 +309,7 @@ func newServerClient(base string, retries, flakyEvery int) *api.Client {
 		opts = append(opts, api.WithTransport(&flakyTransport{next: http.DefaultTransport, every: uint64(flakyEvery)}))
 	}
 	if retries > 0 {
-		opts = append(opts, api.WithRetry(resilience.Policy{MaxAttempts: retries}))
+		opts = append(opts, api.WithRetry(retries, 0))
 	}
 	return api.NewClient(base, opts...)
 }
@@ -302,12 +321,7 @@ func printHealth(ctx context.Context, c *api.Client) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(h); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
+	printJSON(h)
 	if !h.OK || h.Degraded {
 		return 1
 	}
@@ -334,9 +348,9 @@ func runClient(ctx context.Context, c *api.Client, jobID string, f arachnet.Flee
 		cached = sub.Cached
 		if !jsonOut {
 			if cached {
-				fmt.Printf("job %s: response cache hit (fingerprint %s)\n", sub.ID, sub.Fingerprint)
+				fmt.Fprintf(stdout, "job %s: response cache hit (fingerprint %s)\n", sub.ID, sub.Fingerprint)
 			} else {
-				fmt.Printf("job %s: queued (%d vehicle jobs) on %s\n", sub.ID, sub.Jobs, c.Base())
+				fmt.Fprintf(stdout, "job %s: queued (%d vehicle jobs) on %s\n", sub.ID, sub.Jobs, c.Base())
 			}
 		}
 	}
@@ -374,16 +388,11 @@ func runClient(ctx context.Context, c *api.Client, jobID string, f arachnet.Flee
 		return 1
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(env); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
+		printJSON(env)
 	} else {
 		printReport(env.Report)
 		if env.Cached || cached {
-			fmt.Printf("  (served from the (spec, seed) response cache)\n")
+			fmt.Fprintf(stdout, "  (served from the (spec, seed) response cache)\n")
 		}
 	}
 	if got := env.Report.Fingerprint(); got != env.Fingerprint {
@@ -404,7 +413,7 @@ func runClient(ctx context.Context, c *api.Client, jobID string, f arachnet.Flee
 			fmt.Fprintf(os.Stderr, "FAIL: local fingerprint %s != server fingerprint %s\n", lf, env.Fingerprint)
 			return 1
 		}
-		fmt.Printf("verified: local run fingerprint matches (%s)\n", lf)
+		fmt.Fprintf(stdout, "verified: local run fingerprint matches (%s)\n", lf)
 	}
 	// Printed last so the count covers every call, report fetch included.
 	if n := c.Retries(); n > 0 && !quiet {
@@ -414,6 +423,22 @@ func runClient(ctx context.Context, c *api.Client, jobID string, f arachnet.Flee
 		return 1
 	}
 	return 0
+}
+
+// errWriter keeps the first error of the writer under it and refuses
+// every write after that one.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (int, error) {
+	if e.err != nil {
+		return 0, e.err
+	}
+	n, err := e.w.Write(p)
+	e.err = err
+	return n, err
 }
 
 func fatal(err error) {

@@ -26,12 +26,17 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
 
 	"repro/arachnet"
 )
+
+// stdout carries every report line and keeps its first write error:
+// a report lost to a full disk fails the run (exit 1).
+var stdout = &errWriter{w: os.Stdout}
 
 func main() {
 	engine := flag.String("engine", "network", "simulation engine: network or slots")
@@ -109,10 +114,13 @@ func main() {
 	run()
 
 	if rec != nil {
-		fmt.Println()
-		fmt.Println(rec.Report().String())
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, rec.Report().String())
 	}
 	finishTrace()
+	if stdout.err != nil {
+		fatal(stdout.err)
+	}
 	if ctx.Err() != nil {
 		fmt.Fprintln(os.Stderr, "interrupted: partial results above")
 		os.Exit(1)
@@ -166,7 +174,7 @@ func runNetwork(ctx context.Context, pattern arachnet.Pattern, plan *arachnet.Fa
 			TID: uint8(i + 1), Period: p, StartCharged: !charge,
 		})
 	}
-	fmt.Printf("event-level network: pattern %s (U=%.3f, %d tags), %d s\n",
+	fmt.Fprintf(stdout, "event-level network: pattern %s (U=%.3f, %d tags), %d s\n",
 		pattern.Name, pattern.Utilization(), pattern.NumTags(), duration)
 	runNetworkConfig(ctx, cfg, plan, duration, report)
 }
@@ -182,7 +190,7 @@ func runNetworkConfig(ctx context.Context, cfg arachnet.NetworkConfig, plan *ara
 			fatal(err)
 		}
 		net.AttachFaults(inj)
-		defer func() { fmt.Printf("faults injected: %s\n", arachnet.FaultCensusString(inj)) }()
+		defer func() { fmt.Fprintf(stdout, "faults injected: %s\n", arachnet.FaultCensusString(inj)) }()
 	}
 	for t := report; t <= duration; t += report {
 		if ctx.Err() != nil {
@@ -190,11 +198,11 @@ func runNetworkConfig(ctx context.Context, cfg arachnet.NetworkConfig, plan *ara
 		}
 		net.Run(arachnet.Time(t) * arachnet.Second)
 		st := net.Stats()
-		fmt.Printf("t=%4ds slots=%5d decoded=%5d non-empty=%.3f collisions=%.3f converged=%v\n",
+		fmt.Fprintf(stdout, "t=%4ds slots=%5d decoded=%5d non-empty=%.3f collisions=%.3f converged=%v\n",
 			t, st.Slots, st.Decoded, st.NonEmptyRatio, st.CollisionRatio, st.Converged)
 	}
-	fmt.Println()
-	fmt.Println(net.Stats())
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, net.Stats())
 }
 
 func runSlots(ctx context.Context, pattern arachnet.Pattern, plan *arachnet.FaultPlan, seed uint64, slots, report int, tr *arachnet.Tracer) {
@@ -212,7 +220,7 @@ func runSlots(ctx context.Context, pattern arachnet.Pattern, plan *arachnet.Faul
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("slot-level simulator: pattern %s (U=%.3f, %d tags), %d slots\n",
+	fmt.Fprintf(stdout, "slot-level simulator: pattern %s (U=%.3f, %d tags), %d slots\n",
 		pattern.Name, pattern.Utilization(), pattern.NumTags(), slots)
 	for done := 0; done < slots; {
 		if ctx.Err() != nil {
@@ -224,7 +232,7 @@ func runSlots(ctx context.Context, pattern arachnet.Pattern, plan *arachnet.Faul
 		}
 		s.Run(n)
 		done += n
-		fmt.Printf("slot %6d: non-empty=%.3f collisions=%.3f converged=%v settled=%v\n",
+		fmt.Fprintf(stdout, "slot %6d: non-empty=%.3f collisions=%.3f converged=%v settled=%v\n",
 			done, s.Window.AverageNonEmptyRatio(), s.Window.AverageCollisionRatio(),
 			s.Convergence.Converged(), s.AllSettled())
 	}
@@ -232,11 +240,27 @@ func runSlots(ctx context.Context, pattern arachnet.Pattern, plan *arachnet.Faul
 	if s.Convergence.Converged() {
 		conv = fmt.Sprintf("slot %d", s.Convergence.ConvergenceSlot())
 	}
-	fmt.Printf("\nfirst convergence: %s; ground truth: %d non-empty, %d collision slots\n",
+	fmt.Fprintf(stdout, "\nfirst convergence: %s; ground truth: %d non-empty, %d collision slots\n",
 		conv, s.TruthNonEmpty, s.TruthCollisions)
 	if inj != nil {
-		fmt.Printf("faults injected: %s\n", arachnet.FaultCensusString(inj))
+		fmt.Fprintf(stdout, "faults injected: %s\n", arachnet.FaultCensusString(inj))
 	}
+}
+
+// errWriter keeps the first error of the writer under it and refuses
+// every write after that one.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (int, error) {
+	if e.err != nil {
+		return 0, e.err
+	}
+	n, err := e.w.Write(p)
+	e.err = err
+	return n, err
 }
 
 func fatal(err error) {

@@ -13,24 +13,29 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/resilience"
 )
 
 // Client talks to a running arachnet-fleetd daemon. The zero value is
 // not usable; construct with NewClient. The bare client (no options)
-// performs each call exactly once; WithRetry turns on the resilience
-// layer: transient transport failures and 5xx responses retry with
+// performs each call exactly once; WithRetry turns on retries:
+// transient transport failures and 5xx responses retry with
 // exponential backoff, 429 responses honor the server's Retry-After, and
 // interrupted progress streams reconnect at their last event sequence
 // number.
 type Client struct {
-	base   string
-	http   *http.Client
-	policy resilience.Policy
+	base       string
+	http       *http.Client
+	attempts   int
+	firstDelay time.Duration
+	// now is the one clock read: the deadline check before a retry
+	// wait. Tests pin it to put a wait exactly at the budget.
+	now func() time.Time
 
 	retries atomic.Uint64
 }
+
+// maxRetryDelay caps the doubling backoff between attempts.
+const maxRetryDelay = 5 * time.Second
 
 // Option configures a Client.
 type Option func(*Client)
@@ -41,11 +46,15 @@ func WithTransport(rt http.RoundTripper) Option {
 	return func(c *Client) { c.http.Transport = rt }
 }
 
-// WithRetry enables retries under the given policy. The schedule is a
-// pure function of (policy, attempt), so a chaos run retries on the
-// same schedule every time.
-func WithRetry(p resilience.Policy) Option {
-	return func(c *Client) { c.policy = p }
+// WithRetry allows up to attempts tries per call. The first retry
+// waits firstDelay (<= 0 means 50ms) and each later one twice the
+// last, capped at 5s, so a chaos run retries on the same schedule
+// every time.
+func WithRetry(attempts int, firstDelay time.Duration) Option {
+	if firstDelay <= 0 {
+		firstDelay = 50 * time.Millisecond
+	}
+	return func(c *Client) { c.attempts, c.firstDelay = attempts, firstDelay }
 }
 
 // NewClient returns a client for the daemon at base (e.g.
@@ -54,9 +63,11 @@ func WithRetry(p resilience.Policy) Option {
 // the client is bare: one attempt per call, errors surfaced as-is.
 func NewClient(base string, opts ...Option) *Client {
 	c := &Client{
-		base:   strings.TrimRight(base, "/"),
-		http:   &http.Client{},
-		policy: resilience.Policy{MaxAttempts: 1},
+		base:     strings.TrimRight(base, "/"),
+		http:     &http.Client{},
+		attempts: 1,
+		//lint:allow determinism-taint a retry wait is checked against the caller's deadline; no fingerprint reads it
+		now: time.Now,
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -102,15 +113,6 @@ func (e *HTTPError) Error() string {
 	return fmt.Sprintf("fleetd: %s (HTTP %d)", e.Message, e.StatusCode)
 }
 
-// ResilienceClass maps server errors (5xx) to retryable and client
-// errors (4xx) to fatal.
-func (e *HTTPError) ResilienceClass() resilience.Class {
-	if e.StatusCode >= 500 {
-		return resilience.ClassRetryable
-	}
-	return resilience.ClassFatal
-}
-
 // closeBody drains and closes a response body so the underlying
 // connection is always reusable, error paths included.
 func closeBody(resp *http.Response) {
@@ -143,41 +145,67 @@ func retryAfterOf(resp *http.Response) time.Duration {
 	return time.Second
 }
 
-// classifyTransport marks errors for the retry runner: transport
-// failures are retryable, busy errors carry their Retry-After hint,
-// HTTP errors classify themselves, context errors stay fatal.
-func classifyTransport(err error) error {
-	if err == nil {
-		return nil
-	}
+// callbackError carries an error from Stream's callback out of run,
+// which returns it at once, unwrapped and unretried.
+type callbackError struct{ error }
+
+// retryWait decides from a failed attempt's error whether another
+// attempt may help, and how long to wait first. ErrBusy waits at least
+// its RetryAfter; a 4xx or a context error stops; a 5xx or any other
+// failure (transport, torn body) waits the backoff.
+func retryWait(err error, backoff time.Duration) (time.Duration, bool) {
 	var busy ErrBusy
-	if errors.As(err, &busy) {
-		return resilience.MarkBusy(err, busy.RetryAfter)
-	}
 	var he *HTTPError
-	if errors.As(err, &he) {
-		return err // self-classifying
+	switch {
+	case errors.As(err, &busy):
+		return max(backoff, busy.RetryAfter), true
+	case errors.As(err, &he):
+		return backoff, he.StatusCode >= 500
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return 0, false
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	// Anything else from the HTTP client is a transport-level failure:
-	// connection refused, reset, torn body. Retryable.
-	return resilience.MarkRetryable(err)
+	return backoff, true
 }
 
-// run executes op through the retry runner; a bare client's policy
-// allows one attempt. The classification wrapper is stripped, so
-// callers get the original error values.
+// run calls op until it succeeds, fails for good, or the client's
+// attempts are spent, and returns op's last error as it was. The
+// backoff doubles from the first delay up to maxRetryDelay. A wait
+// that does not fit in ctx's deadline is not slept: the last error
+// comes back at once.
 func (c *Client) run(ctx context.Context, op func(ctx context.Context) error) error {
-	r := resilience.Runner{
-		Policy:  c.policy,
-		OnRetry: func(int, time.Duration, error) { c.retries.Add(1) },
+	backoff := c.firstDelay
+	var err error
+	for attempt := 1; ; attempt++ {
+		if ctx.Err() != nil {
+			if err == nil {
+				err = ctx.Err()
+			}
+			return err
+		}
+		err = op(ctx)
+		if cb, ok := err.(callbackError); ok {
+			return cb.error
+		}
+		if err == nil || attempt >= c.attempts {
+			return err
+		}
+		wait, retry := retryWait(err, backoff)
+		if !retry {
+			return err
+		}
+		if dl, ok := ctx.Deadline(); ok && wait > dl.Sub(c.now()) {
+			return err
+		}
+		c.retries.Add(1)
+		t := time.NewTimer(wait)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return err
+		}
+		backoff = min(2*backoff, maxRetryDelay)
 	}
-	err := r.Do(ctx, func(ctx context.Context) error {
-		return classifyTransport(op(ctx))
-	})
-	return resilience.Unmark(err)
 }
 
 // Submit posts a fleet spec (the arachnet-fleet JSON schema) and
@@ -316,30 +344,21 @@ type streamState struct {
 func (c *Client) Stream(ctx context.Context, id string, fn func(StreamLine) error) (StreamLine, error) {
 	var st streamState
 	var last StreamLine
-	var userErr error
 	err := c.run(ctx, func(ctx context.Context) error {
 		l, err := c.streamOnce(ctx, id, &st, func(line StreamLine) error {
 			if fn == nil {
 				return nil
 			}
 			if err := fn(line); err != nil {
-				userErr = err
-				return err
+				return callbackError{err}
 			}
 			return nil
 		})
 		if err == nil {
 			last = l
 		}
-		if userErr != nil {
-			// fn's own error must not be retried or reclassified.
-			return resilience.MarkFatal(userErr)
-		}
 		return err
 	})
-	if userErr != nil {
-		return last, userErr
-	}
 	return last, err
 }
 

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/fleetd/api"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 )
 
 // ---------------------------------------------------------------------
@@ -213,17 +212,6 @@ func (b *cutBody) Read(p []byte) (int, error) {
 }
 
 func (b *cutBody) Close() error { return b.inner.Close() }
-
-// chaosPolicy is the retry policy chaos clients run under: enough
-// attempts to outlast every injected fault schedule, millisecond
-// backoff so the suite stays fast.
-func chaosPolicy() resilience.Policy {
-	return resilience.Policy{
-		MaxAttempts: 5,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    5 * time.Millisecond,
-	}
-}
 
 // chaosServer starts a daemon and returns it plus its base URL, so
 // tests can attach clients with custom transports. Cleanup drains.
@@ -529,7 +517,7 @@ func TestChaosFlakyTransport(t *testing.T) {
 	flaky := &flakyRT{next: http.DefaultTransport}
 	c := api.NewClient(base,
 		api.WithTransport(flaky),
-		api.WithRetry(chaosPolicy()),
+		api.WithRetry(5, time.Millisecond),
 	)
 	sub, err := c.Submit(ctx, []byte(testSpec))
 	if err != nil {
@@ -595,7 +583,7 @@ func TestChaosStreamResumesExactlyOnce(t *testing.T) {
 	cut.cuts.Store(2)
 	c := api.NewClient(base,
 		api.WithTransport(cut),
-		api.WithRetry(chaosPolicy()),
+		api.WithRetry(5, time.Millisecond),
 	)
 	var statusLines, events int
 	var lastSeq uint64

@@ -9,7 +9,7 @@ import (
 )
 
 // AnalyzerLockDiscipline enforces two rules on the concurrent service
-// layers (internal/fleetd, internal/obs, internal/resilience):
+// layers (internal/fleetd, internal/obs):
 //
 //  1. A mutex acquired in a function is released on every return path —
 //     either by a defer or by a provable straight-line unlock. A return
@@ -19,7 +19,7 @@ import (
 //  2. A held lock must not be held across a blocking operation: channel
 //     send/receive, select without a default, range over a channel,
 //     time.Sleep / clock Sleep, net/http round trips, WaitGroup/Cond
-//     Wait, resilience Runner.Do, and file fsync (Sync/SyncDir).
+//     Wait, a runner or client Do, and file fsync (Sync/SyncDir).
 //     Blocking propagates through the module call graph: calling a
 //     module function that transitively blocks counts as blocking.
 //
@@ -33,13 +33,13 @@ import (
 // try-send.
 var AnalyzerLockDiscipline = &Analyzer{
 	Name:      "lock-discipline",
-	Doc:       "mutexes in fleetd/obs/resilience must unlock on all paths and never be held across blocking operations; blind to a blocking callee reached through a method call on a standard-library-typed value (e.g. v.Load().m())",
+	Doc:       "mutexes in fleetd/obs must unlock on all paths and never be held across blocking operations; blind to a blocking callee reached through a method call on a standard-library-typed value (e.g. v.Load().m())",
 	RunModule: runLockDiscipline,
 }
 
 // lockScopeSegments are the import-path segments that opt a package
 // into lock-discipline checking.
-var lockScopeSegments = map[string]bool{"fleetd": true, "obs": true, "resilience": true}
+var lockScopeSegments = map[string]bool{"fleetd": true, "obs": true}
 
 func isLockScoped(path string) bool {
 	for _, seg := range strings.Split(path, "/") {
@@ -172,8 +172,9 @@ func classifyBlockingCall(call *ast.CallExpr, imports map[string]string) (why, w
 		return why, exprString(call.Fun)
 	}
 	if name == "Do" {
-		// Runner.Do retry loops and http.Client.Do round trips block for
-		// seconds; sync.Once.Do and friends do not carry these names.
+		// A runner's Do (a retry loop) and http.Client.Do round trips
+		// block for seconds; sync.Once.Do and friends do not carry
+		// these names.
 		recv := strings.ToLower(exprString(sel.X))
 		if strings.Contains(recv, "runner") || strings.Contains(recv, "client") {
 			return "retry/HTTP round trip", exprString(call.Fun)

@@ -8,9 +8,8 @@ import (
 // bareWaitFuncs are the time-package waits that cannot be cancelled or
 // faked: Sleep blocks the goroutine unconditionally, and After/Tick
 // leak their timer when the select takes another branch. In service
-// code every wait must either go through the resilience clock seam
-// (so chaos tests and retry schedules run on a fake clock) or use
-// time.NewTicker/time.NewTimer, whose Stop makes shutdown deterministic.
+// code every wait must use time.NewTicker/time.NewTimer in a select
+// with ctx.Done(), whose Stop makes shutdown deterministic.
 var bareWaitFuncs = map[string]string{
 	"Sleep": "blocks the goroutine with no cancellation and no clock seam",
 	"After": "leaks its timer when the select takes another branch",
@@ -19,13 +18,13 @@ var bareWaitFuncs = map[string]string{
 
 // AnalyzerSleepDiscipline bans bare time.Sleep/time.After/time.Tick in
 // the fleetd service layer (daemon, API client, and their CLIs).
-// time.NewTicker and time.NewTimer stay allowed — they are stoppable —
-// and retry/backoff waits belong on resilience.Clock.Sleep, which
-// honors context cancellation and fakes cleanly in tests. Test files
-// are exempt: polling loops in tests are fine.
+// time.NewTicker and time.NewTimer stay allowed — they are stoppable,
+// and a select on ctx.Done() beside them honors cancellation, as the
+// api client's retry wait does. Test files are exempt: polling loops
+// in tests are fine.
 var AnalyzerSleepDiscipline = &Analyzer{
 	Name: "sleep-discipline",
-	Doc:  "forbid bare time.Sleep/time.After/time.Tick in fleetd service code; wait via resilience.Clock or a stoppable ticker",
+	Doc:  "forbid bare time.Sleep/time.After/time.Tick in fleetd service code; wait on a stoppable timer or ticker beside ctx.Done()",
 	Run:  runSleepDiscipline,
 }
 
@@ -56,7 +55,7 @@ func runSleepDiscipline(p *Pass) {
 				return true
 			}
 			if why, bad := bareWaitFuncs[name]; bad {
-				p.Reportf(sel.Pos(), "%s.%s %s; wait via resilience.Clock.Sleep (cancellable, fakeable) or a stopped time.NewTicker/NewTimer",
+				p.Reportf(sel.Pos(), "%s.%s %s; wait on a stopped time.NewTimer/NewTicker in a select with ctx.Done()",
 					id, name, why)
 			}
 			return true
