@@ -21,12 +21,12 @@ check: build vet lint race smoke-fleetd
 smoke-fleetd:
 	./scripts/fleetd-smoke.sh
 
-# Domain static analysis: the module-wide v2 suite — determinism-taint
-# (call-graph reachability into fingerprint roots), rng-discipline,
-# map-order, units, panic-hygiene, sleep-discipline, lock-discipline,
+# Domain static analysis: determinism-taint, rng-discipline,
+# map-order, units, panic-hygiene, sleep-discipline,
 # goroutine-hygiene, alloc-discipline and the //lint:allow directive
-# audit (see README.md, "Static analysis", and DESIGN.md §10). Any
-# finding fails the build. Under GITHUB_ACTIONS=true findings are also
+# audit, each run per package over the type-checked module (see
+# README.md, "Static analysis", and DESIGN.md §10). Any finding,
+# a stale directive included, fails the build. Under GITHUB_ACTIONS=true findings are also
 # emitted as ::error workflow annotations.
 lint:
 	$(GO) run ./cmd/arachnet-lint ./...

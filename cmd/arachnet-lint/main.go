@@ -1,7 +1,7 @@
 // Command arachnet-lint runs the repository's domain analyzers
 // (determinism-taint, rng-discipline, map-order, units, panic-hygiene,
-// sleep-discipline, lock-discipline, goroutine-hygiene,
-// alloc-discipline) over the module and prints one
+// sleep-discipline, goroutine-hygiene, alloc-discipline) over the
+// module and prints one
 // "file:line:col: [check] message" line per finding. It exits 0 on a
 // clean tree, 1 when there are findings, and 2 on a loading failure.
 //
@@ -9,14 +9,12 @@
 //
 //	go run ./cmd/arachnet-lint ./...
 //	go run ./cmd/arachnet-lint -json ./...
-//	go run ./cmd/arachnet-lint -fix-stale
 //	go run ./cmd/arachnet-lint -alloc-gate
 //
 // The package pattern is accepted for familiarity but the whole module
-// is always analyzed: the invariants are module-wide (a determinism
-// taint can enter a fingerprint from another package, and a stale
-// //lint:allow in one package is a finding even when "only" another
-// package changed). Findings are suppressed in line with
+// is always analyzed: packages are type-checked against each other, and
+// the //lint:allow audit (a stale directive is a finding) covers every
+// file. Findings are suppressed in line with
 //
 //	//lint:allow <check> <reason>
 //
@@ -27,11 +25,11 @@
 // emitted as ::error workflow commands so they surface as inline PR
 // annotations.
 //
-// The -alloc-* flags drive the static zero-alloc gate: -alloc-manifest
-// lists the //alloc:hot functions, -alloc-gate compiles their packages
-// with -gcflags=-m and diffs the escapes against
-// scripts/escape-baseline.txt (new escapes and stale baseline entries
-// both fail), -alloc-update rewrites the baseline.
+// The -alloc-* flags drive the static zero-alloc gate: -alloc-gate
+// compiles the packages of the //alloc:hot functions with -gcflags=-m
+// and diffs their escapes against scripts/escape-baseline.txt (new
+// escapes and stale baseline entries both fail), -alloc-update
+// rewrites the baseline.
 package main
 
 import (
@@ -53,8 +51,6 @@ func main() {
 	root := flag.String("root", "", "module root (default: walk up from cwd to go.mod)")
 	list := flag.Bool("list", false, "list the registered analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text")
-	fixStale := flag.Bool("fix-stale", false, "delete //lint:allow directives that no longer suppress anything, then exit")
-	allocManifest := flag.Bool("alloc-manifest", false, "list the //alloc:hot annotated functions and exit")
 	allocGate := flag.Bool("alloc-gate", false, "run the escape-analysis gate against "+baselinePath)
 	allocUpdate := flag.Bool("alloc-update", false, "rewrite "+baselinePath+" from the current escape analysis")
 	flag.Parse()
@@ -75,14 +71,11 @@ func main() {
 		}
 	}
 
-	switch {
-	case *fixStale:
-		runFixStale(dir)
-	case *allocManifest, *allocGate, *allocUpdate:
-		runAllocGate(dir, *allocManifest, *allocUpdate)
-	default:
-		runSuite(dir, *jsonOut)
+	if *allocGate || *allocUpdate {
+		runAllocGate(dir, *allocUpdate)
+		return
 	}
+	runSuite(dir, *jsonOut)
 }
 
 func fail(err error) {
@@ -134,31 +127,13 @@ func escapeWorkflowData(s string) string {
 	return s
 }
 
-func runFixStale(dir string) {
-	fixes, err := lint.FixStale(dir)
-	if err != nil {
-		fail(err)
-	}
-	for _, f := range fixes {
-		fmt.Printf("removed stale //lint:allow at %s:%d\n", f.File, f.Line)
-	}
-	fmt.Fprintf(os.Stderr, "arachnet-lint: removed %d stale directive(s)\n", len(fixes))
-}
-
 // runAllocGate drives the static zero-alloc gate.
-func runAllocGate(dir string, manifestOnly, update bool) {
+func runAllocGate(dir string, update bool) {
 	mod, err := lint.LoadModule(dir)
 	if err != nil {
 		fail(err)
 	}
 	manifest := lint.AllocManifest(mod)
-	if manifestOnly {
-		for _, fn := range manifest {
-			fmt.Printf("%s:%d-%d %s (%s)\n", fn.File, fn.StartLine, fn.EndLine, fn.Func, fn.Note)
-		}
-		fmt.Fprintf(os.Stderr, "arachnet-lint: %d //alloc:hot function(s)\n", len(manifest))
-		return
-	}
 	entries, err := lint.RunEscapeGate(dir, manifest)
 	if err != nil {
 		fail(err)

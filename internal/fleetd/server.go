@@ -796,7 +796,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// job already; its terminal checkpoint then stands.
 	j.ckMu.Lock()
 	if !j.ckFinal {
-		//lint:allow lock-discipline per-job lock held across the write on purpose: it orders this job's admission and terminal checkpoints, and only the runner or a cancel of this one job can wait on it
+		// The per-job lock is held across the write on purpose: it
+		// orders this job's admission and terminal checkpoints, and
+		// only the runner or a cancel of this one job can wait on it.
 		if err := s.checkpointWrite(Record{ID: j.id, State: StateQueuedCkpt, Spec: j.spec}); err != nil {
 			s.cfg.Logf("fleetd: %s: admission checkpoint: %v", j.id, err)
 		}

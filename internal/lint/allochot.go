@@ -162,3 +162,18 @@ func AllocManifest(m *Module) []AllocHotFunc {
 	})
 	return out
 }
+
+// recvTypeName extracts the receiver's base type name.
+func recvTypeName(expr ast.Expr) string {
+	switch t := expr.(type) {
+	case *ast.StarExpr:
+		return recvTypeName(t.X)
+	case *ast.Ident:
+		return t.Name
+	case *ast.IndexExpr: // generic receiver
+		return recvTypeName(t.X)
+	case *ast.IndexListExpr:
+		return recvTypeName(t.X)
+	}
+	return "?"
+}

@@ -1,15 +1,15 @@
 // Package lint is a stdlib-only static-analysis framework for the
 // arachnet reproduction. It enforces the domain invariants the Go
-// compiler cannot see: simulation code must be a pure function of
-// (spec, seed), map iteration order must not leak into outputs,
-// physical quantities must carry their units in their names, and
-// library code must not panic outside designated helpers.
+// compiler cannot see: simulation code and the experiment tables must
+// be pure functions of (spec, seed), map iteration order must not leak
+// into outputs, physical quantities must carry their units in their
+// names, and library code must not panic outside designated helpers.
 //
 // The framework is deliberately small: a Module loader built on
 // go/parser + go/types (tolerant of unresolved standard-library
-// imports, which are stubbed), an Analyzer interface, and a directive
-// layer that lets call sites suppress a finding with an explicit
-// reason:
+// imports, which are stubbed), Analyzers that each check one package
+// at a time, and a directive layer that lets call sites suppress a
+// finding with an explicit reason:
 //
 //	//lint:allow <check> <reason>
 //
@@ -41,19 +41,16 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Col, d.Check, d.Message)
 }
 
-// Analyzer is one named invariant check. Exactly one of Run and
-// RunModule is set: Run is invoked once per package (the v1 shape),
-// RunModule once per module with Pass.Pkg == nil (the v2 shape — these
-// analyzers see the whole call graph and cross-package types).
+// Analyzer is one named invariant check. Run is invoked once per
+// package; the package's types come from the whole loaded module, so
+// cross-package types (sim.Rand, map fields) resolve exactly.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(*Pass)
-	RunModule func(*Pass)
+	Name string
+	Doc  string
+	Run  func(*Pass)
 }
 
-// Pass carries one (analyzer, package) unit of work. For module-level
-// analyzers Pkg is nil and the pass spans every package in Mod.
+// Pass carries one (analyzer, package) unit of work.
 type Pass struct {
 	Mod   *Module
 	Pkg   *Package
@@ -82,7 +79,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerUnits,
 		AnalyzerPanicHygiene,
 		AnalyzerSleepDiscipline,
-		AnalyzerLockDiscipline,
 		AnalyzerGoroutineHygiene,
 		AnalyzerAllocDiscipline,
 	}
@@ -104,13 +100,6 @@ var physicsPackages = map[string]bool{
 	"biw": true, "pzt": true, "energy": true, "strain": true,
 }
 
-// driverSegments name presentation/driver layers that sit outside the
-// deterministic simulation core; the determinism, rng-discipline,
-// map-order and panic-hygiene analyzers skip them.
-var driverSegments = map[string]bool{
-	"cmd": true, "examples": true, "experiments": true,
-}
-
 // lastSegment returns the final segment of an import path.
 func lastSegment(path string) string {
 	if i := strings.LastIndexByte(path, '/'); i >= 0 {
@@ -119,11 +108,20 @@ func lastSegment(path string) string {
 	return path
 }
 
-// isDriverPath reports whether any segment of the import path names a
-// driver/presentation layer.
+// isDriverPath reports whether the import path lies in a
+// presentation/driver layer (cmd/ or examples/) outside the
+// deterministic simulation core; the determinism, rng-discipline,
+// map-order and panic-hygiene analyzers skip those. experiments/ is not
+// one: its tables are digested, so it is held to the core's rules.
 func isDriverPath(path string) bool {
-	for _, seg := range strings.Split(path, "/") {
-		if driverSegments[seg] {
+	return hasPathSegment(path, "cmd") || hasPathSegment(path, "examples")
+}
+
+// hasPathSegment reports whether any slash-separated segment of the
+// import path equals seg.
+func hasPathSegment(path, seg string) bool {
+	for _, s := range strings.Split(path, "/") {
+		if s == seg {
 			return true
 		}
 	}

@@ -3,6 +3,7 @@ package lint
 import (
 	"flag"
 	"fmt"
+	"go/ast"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,13 +12,25 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
 
-// fixtureChecks lists every check exercised by the fixture module; each
-// must produce at least one finding (a true positive) and match its
-// golden file.
-var fixtureChecks = []string{
-	"determinism-taint", "rng-discipline", "map-order", "units",
-	"panic-hygiene", "sleep-discipline", "lock-discipline",
-	"goroutine-hygiene", "alloc-discipline", DirectiveCheck,
+// fixtureChecks lists every check: each registered analyzer plus the
+// directive audit. The fixture module must give each at least one
+// finding (a true positive) that matches its golden file.
+func fixtureChecks() []string {
+	checks := []string{DirectiveCheck}
+	for _, a := range Analyzers() {
+		checks = append(checks, a.Name)
+	}
+	return checks
+}
+
+// fixtureModule loads the fixture module (cheap: a few files).
+func fixtureModule(t *testing.T) *Module {
+	t.Helper()
+	mod, err := LoadModule(filepath.Join("testdata", "src", "fixture"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mod
 }
 
 // loadFixture runs the full analyzer suite over the fixture module.
@@ -31,24 +44,29 @@ func loadFixture(t *testing.T) []Diagnostic {
 }
 
 // TestFixtureGolden pins the complete diagnostic output per check
-// against golden files. Regenerate with `go test -run Golden -update`.
+// against golden files, and fails on a golden file no check owns (a
+// deleted analyzer must take its golden with it). Regenerate with
+// `go test -run Golden -update`.
 func TestFixtureGolden(t *testing.T) {
+	checks := fixtureChecks()
+	owned := make(map[string]bool, len(checks))
+	for _, check := range checks {
+		owned[check+".golden"] = true
+	}
+	goldens, err := filepath.Glob(filepath.Join("testdata", "golden", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range goldens {
+		if !owned[filepath.Base(path)] {
+			t.Errorf("orphan golden %s: no registered check owns it; delete it", path)
+		}
+	}
 	byCheck := make(map[string][]string)
 	for _, d := range loadFixture(t) {
 		byCheck[d.Check] = append(byCheck[d.Check], d.String())
 	}
-	for check := range byCheck {
-		found := false
-		for _, want := range fixtureChecks {
-			if check == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("fixture produced findings for unlisted check %q", check)
-		}
-	}
-	for _, check := range fixtureChecks {
+	for _, check := range checks {
 		t.Run(check, func(t *testing.T) {
 			got := strings.Join(byCheck[check], "\n") + "\n"
 			path := filepath.Join("testdata", "golden", check+".golden")
@@ -77,22 +95,19 @@ func TestFixtureGolden(t *testing.T) {
 // means a false positive crept in.
 func TestFixtureNegatives(t *testing.T) {
 	clean := map[string]bool{
-		"faults/order.go:24":         true, // append followed by sort.Strings
-		"faults/order.go:50":         true, // per-key bucket append
-		"faults/order.go:59":         true, // order-independent sum
-		"mac/mac.go:41":              true, // sim.NewRand(seed)
-		"mac/mac.go:54":              true, // panic inside must* helper
-		"biw/units.go:38":            true, // dB + dB arithmetic
-		"httpd/httpd.go:20":          true, // http.HandlerFunc conversion, not a registration
-		"httpd/httpd.go:32":          true, // handler passed through wrap()
-		"examples/seeds/seeds.go:18": true, // time.Now unreachable from any fingerprint root
-		"experiments/tables.go:31":   true, // sorted-keys iteration in a root
-		"fleetd/locks.go:57":         true, // select with default under the lock is non-blocking
-		"fleetd/locks.go:66":         true, // straight-line lock/unlock
-		"obs/spawn.go:35":            true, // goroutine joined via defer wg.Done
-		"obs/spawn.go:43":            true, // goroutine tied to ctx.Done
-		"obs/spawn.go:56":            true, // goroutine drains a closable channel
-		"dsp/hot.go:8":               true, // well-formed //alloc:hot with a note
+		"faults/order.go:24":       true, // append followed by sort.Strings
+		"faults/order.go:50":       true, // per-key bucket append
+		"faults/order.go:59":       true, // order-independent sum
+		"mac/mac.go:41":            true, // sim.NewRand(seed)
+		"mac/mac.go:54":            true, // panic inside must* helper
+		"biw/units.go:38":          true, // dB + dB arithmetic
+		"httpd/httpd.go:20":        true, // http.HandlerFunc conversion, not a registration
+		"httpd/httpd.go:32":        true, // handler passed through wrap()
+		"experiments/tables.go:46": true, // sorted-keys iteration
+		"obs/spawn.go:35":          true, // goroutine joined via defer wg.Done
+		"obs/spawn.go:43":          true, // goroutine tied to ctx.Done
+		"obs/spawn.go:56":          true, // goroutine drains a closable channel
+		"dsp/hot.go:8":             true, // well-formed //alloc:hot with a note
 	}
 	for _, d := range loadFixture(t) {
 		if clean[fmt.Sprintf("%s:%d", d.File, d.Line)] {
@@ -216,8 +231,8 @@ func TestAnalyzerDocs(t *testing.T) {
 		if a.Name == "" || a.Doc == "" {
 			t.Errorf("analyzer %+v incomplete", a)
 		}
-		if (a.Run == nil) == (a.RunModule == nil) {
-			t.Errorf("analyzer %s must set exactly one of Run and RunModule", a.Name)
+		if a.Run == nil {
+			t.Errorf("analyzer %s has no Run", a.Name)
 		}
 		if seen[a.Name] {
 			t.Errorf("duplicate analyzer name %q", a.Name)
@@ -229,31 +244,49 @@ func TestAnalyzerDocs(t *testing.T) {
 	}
 }
 
-// TestCrossPackageTaintMiss pins the headline v2 capability: the
-// wall-clock read in examples/seeds is only a violation because the
-// experiments.RunTable1 fingerprint root reaches it through the module
-// call graph — across a package boundary, in a driver package. The old
-// per-package determinism check returned early on every driver path
-// (cmd/, examples/, experiments/), so it provably could not report
-// either side of this edge; determinism-taint must.
-func TestCrossPackageTaintMiss(t *testing.T) {
-	const taintedFile = "examples/seeds/seeds.go"
-	// The old check's scope gate: driver paths were skipped wholesale.
-	if !isDriverPath("fixture/examples/seeds") || !isDriverPath("fixture/experiments") {
-		t.Fatal("fixture packages are not driver paths; the old-check-misses premise is broken")
-	}
-	var hit *Diagnostic
-	for _, d := range loadFixture(t) {
-		if d.Check == "determinism-taint" && d.File == taintedFile {
-			dd := d
-			hit = &dd
-			break
+// TestTaintSeesUnrootedTableMethod pins the direct check on
+// experiments/: Table.String reads the wall clock, and no table entry
+// point (Run*/Fig*/Table*/Appendix*) calls it, so reachability from
+// those entry points misses it. determinism-taint must flag it.
+func TestTaintSeesUnrootedTableMethod(t *testing.T) {
+	mod := fixtureModule(t)
+	var from, to int
+	for _, pkg := range mod.Pkgs {
+		if pkg.Path != "fixture/experiments" {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "String" {
+					from, to = mod.Fset.Position(fd.Pos()).Line, mod.Fset.Position(fd.End()).Line
+				}
+			}
 		}
 	}
-	if hit == nil {
-		t.Fatalf("determinism-taint produced no finding in %s; the cross-package taint was missed", taintedFile)
+	if from == 0 {
+		t.Fatal("fixture/experiments has no Table.String")
 	}
-	if !strings.Contains(hit.Message, "experiments.RunTable1") || !strings.Contains(hit.Message, "seeds.DefaultSeed") {
-		t.Errorf("finding does not carry the root->source call path: %s", hit.Message)
+	for _, d := range loadFixture(t) {
+		if d.Check == "determinism-taint" && d.File == "experiments/tables.go" && d.Line >= from && d.Line <= to {
+			return
+		}
+	}
+	t.Errorf("determinism-taint has no finding in experiments/tables.go:%d-%d (Table.String reads time.Now)", from, to)
+}
+
+// TestDependencyOrder checks the loader's topological ordering:
+// fixture/sim must be type-checked before mac, which imports it.
+func TestDependencyOrder(t *testing.T) {
+	mod := fixtureModule(t)
+	order := mod.dependencyOrder()
+	pos := make(map[string]int)
+	for i, pkg := range order {
+		pos[pkg.Path] = i
+	}
+	if len(pos) != len(mod.Pkgs) {
+		t.Fatalf("dependency order covers %d packages, module has %d", len(pos), len(mod.Pkgs))
+	}
+	if pos["fixture/sim"] > pos["fixture/mac"] {
+		t.Errorf("importee fixture/sim ordered after its importer fixture/mac")
 	}
 }

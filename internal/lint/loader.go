@@ -32,12 +32,11 @@ func (p *Package) AllFiles() []*ast.File {
 
 // Module is a fully loaded Go module.
 type Module struct {
-	Root      string // absolute directory containing go.mod
-	Path      string // module path from go.mod
-	Fset      *token.FileSet
-	Pkgs      []*Package // sorted by import path
-	byPath    map[string]*Package
-	callgraph *CallGraph // lazily built by CallGraph()
+	Root   string // absolute directory containing go.mod
+	Path   string // module path from go.mod
+	Fset   *token.FileSet
+	Pkgs   []*Package // sorted by import path
+	byPath map[string]*Package
 }
 
 // relPath renders an absolute file name relative to the module root
@@ -82,9 +81,10 @@ func LoadModule(root string) (*Module, error) {
 	// Type-check in dependency order so every module-internal import is
 	// already a real (non-stub) *types.Package by the time its importers
 	// are checked: cross-package selections, method sets and interface
-	// satisfaction then resolve exactly, which the call-graph analyzers
-	// depend on. The importer still resolves on demand as a fallback, so
-	// an accidental cycle degrades to a stub instead of an error.
+	// satisfaction then resolve exactly, which rng-discipline (sim.Rand)
+	// and map-order (map-typed fields) depend on. The importer still
+	// resolves on demand as a fallback, so an accidental cycle degrades
+	// to a stub instead of an error.
 	for _, pkg := range m.dependencyOrder() {
 		im.check(pkg)
 	}

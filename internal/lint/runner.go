@@ -10,29 +10,14 @@ func Run(root string) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RunModule(mod), nil
-}
-
-// RunModule runs the analyzer suite over an already loaded module.
-// Per-package analyzers run for every package; module-level analyzers
-// (those with RunModule set) run once against the whole module so they
-// can consult the call graph.
-func RunModule(mod *Module) []Diagnostic {
 	var diags []Diagnostic
 	emit := func(d Diagnostic) { diags = append(diags, d) }
 	for _, pkg := range mod.Pkgs {
 		for _, a := range Analyzers() {
-			if a.Run != nil {
-				a.Run(&Pass{Mod: mod, Pkg: pkg, check: a.Name, emit: emit})
-			}
-		}
-	}
-	for _, a := range Analyzers() {
-		if a.RunModule != nil {
-			a.RunModule(&Pass{Mod: mod, check: a.Name, emit: emit})
+			a.Run(&Pass{Mod: mod, Pkg: pkg, check: a.Name, emit: emit})
 		}
 	}
 	diags = applyDirectives(diags, collectDirectives(mod, analyzerNames()))
 	sortDiagnostics(diags)
-	return diags
+	return diags, nil
 }

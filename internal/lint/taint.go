@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-	"strings"
-)
+import "go/ast"
 
 // wallClockFuncs are ambient-state entry points, keyed by package path
 // then function name, with the reason they break reproducibility.
@@ -37,203 +33,52 @@ var globalRandFuncs = map[string]bool{
 // randPackages are the ambient-PRNG standard-library packages.
 var randPackages = map[string]bool{"math/rand": true, "math/rand/v2": true}
 
-// AnalyzerDeterminismTaint is the module-wide successor of the old
-// per-package determinism check. Two layers:
-//
-//  1. Inside the simulation core and service layers (everything outside
-//     cmd/, examples/, experiments/) ambient sources — wall clock,
-//     process environment, global math/rand — are forbidden outright,
-//     exactly as before: these packages must be pure functions of
-//     (spec, seed) everywhere, not just on the paths we can trace.
-//
-//  2. The driver layers were previously unchecked. Now a source inside
-//     driver code is flagged when the function containing it is
-//     reachable, through the module call graph, from a
-//     fingerprint-producing root: fleet report construction
-//     (fleet.buildReport / Report.Fingerprint), obs trace emission
-//     (obs.Tracer.Emit), or an experiment table writer (exported
-//     experiments.Run*/Fig*/Table*/Appendix*). The diagnostic carries
-//     the call path so the leak is auditable. Map iteration in a
-//     reachable driver function is part of layer 2: randomized order
-//     leaking into an emitted table is the same class of taint.
-//
-// A per-package check provably misses layer 2: the source and the root
-// live in different packages and the old check skipped driver paths
-// entirely (the fixture pins this).
+// AnalyzerDeterminismTaint forbids ambient sources — wall clock,
+// process environment, global math/rand — everywhere outside cmd/ and
+// examples/, test files included: the simulation core, the service
+// layers and the experiments/ table writers must be pure functions of
+// (spec, seed) on every path, not just on the paths a call graph can
+// trace. Measurement code states its exemption with
+// //lint:allow determinism-taint <reason>.
 var AnalyzerDeterminismTaint = &Analyzer{
-	Name:      "determinism-taint",
-	Doc:       "forbid ambient time/env/global-rand in simulation code, and taint driver-layer sources reachable from fingerprint/report roots via the module call graph; blind to a path through a method call on a standard-library-typed value (e.g. v.Load().m())",
-	RunModule: runDeterminismTaint,
+	Name: "determinism-taint",
+	Doc:  "forbid ambient time/env/global-rand outside cmd/ and examples/",
+	Run:  runDeterminismTaint,
 }
 
+// runDeterminismTaint flags wall-clock/env reads, global math/rand use
+// and unseeded rand.New in every file of a non-driver package.
 func runDeterminismTaint(p *Pass) {
-	// Layer 1: direct sources in non-driver packages.
-	for _, pkg := range p.Mod.Pkgs {
-		if isDriverPath(pkg.Path) {
-			continue
-		}
-		for _, f := range pkg.AllFiles() {
-			reportDirectSources(p, f, "")
-		}
-	}
-	// Layer 2: call-graph taint into driver packages.
-	g := p.Mod.CallGraph()
-	pred := g.ReachableFrom(fingerprintRoots(g))
-	for _, node := range g.Nodes {
-		if node.InTest || !isDriverPath(node.Pkg.Path) {
-			continue
-		}
-		if _, reached := pred[node]; !reached {
-			continue
-		}
-		via := strings.Join(PathTo(pred, node), " -> ")
-		reportDirectSources(p, wrapDeclAsFile(node), via)
-		reportTaintedMapRanges(p, node, via)
-	}
-}
-
-// fingerprintRoots returns the curated set of functions whose output is
-// part of the reproducibility contract: fleet report/fingerprint
-// construction, obs trace emission, and experiment table writers.
-func fingerprintRoots(g *CallGraph) []*FuncNode {
-	var roots []*FuncNode
-	for _, node := range g.Nodes {
-		if node.InTest {
-			continue
-		}
-		seg := lastSegment(node.Pkg.Path)
-		name := node.Decl.Name.Name
-		recv := ""
-		if node.Decl.Recv != nil && len(node.Decl.Recv.List) == 1 {
-			recv = recvTypeName(node.Decl.Recv.List[0].Type)
-		}
-		switch {
-		case seg == "fleet" && (name == "buildReport" || name == "Fingerprint"):
-			roots = append(roots, node)
-		case seg == "obs" && recv == "Tracer" && name == "Emit":
-			roots = append(roots, node)
-		case hasPathSegment(node.Pkg.Path, "experiments") && ast.IsExported(name) &&
-			(strings.HasPrefix(name, "Run") || strings.HasPrefix(name, "Fig") ||
-				strings.HasPrefix(name, "Table") || strings.HasPrefix(name, "Appendix")):
-			roots = append(roots, node)
-		}
-	}
-	return roots
-}
-
-// hasPathSegment reports whether any slash-separated segment of the
-// import path equals seg.
-func hasPathSegment(path, seg string) bool {
-	for _, s := range strings.Split(path, "/") {
-		if s == seg {
-			return true
-		}
-	}
-	return false
-}
-
-// declFileView lets reportDirectSources walk either a whole file
-// (layer 1) or a single reachable declaration (layer 2) with the right
-// import table.
-type declFileView struct {
-	node    ast.Node
-	imports map[string]string
-}
-
-func wrapDeclAsFile(node *FuncNode) declFileView {
-	return declFileView{node: node.Decl, imports: importTable(node.File)}
-}
-
-// reportDirectSources flags wall-clock/env reads, global math/rand use
-// and unseeded rand.New under view. via, when non-empty, is the call
-// path from a fingerprint root and is appended to the message.
-func reportDirectSources(p *Pass, view any, via string) {
-	var root ast.Node
-	var imports map[string]string
-	switch v := view.(type) {
-	case *ast.File:
-		root, imports = v, importTable(v)
-	case declFileView:
-		root, imports = v.node, v.imports
-	}
-	suffix := ""
-	if via != "" {
-		suffix = " (reaches fingerprint root via " + via + ")"
-	}
-	ast.Inspect(root, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			id, name, ok := qualified(n.Fun, imports)
-			if ok && randPackages[imports[id]] && name == "New" && len(n.Args) == 0 {
-				p.Reportf(n.Pos(), "%s.New without an explicit seeded source; pass a source derived from the experiment seed%s", id, suffix)
-			}
-		case *ast.SelectorExpr:
-			id, name, ok := qualified(n, imports)
-			if !ok {
-				return true
-			}
-			path := imports[id]
-			if why, bad := wallClockFuncs[path][name]; bad {
-				p.Reportf(n.Pos(), "%s.%s reads the ambient %s; simulation output must be a pure function of (spec, seed) — thread time through the sim clock or annotate measurement code with //lint:allow%s",
-					id, name, why, suffix)
-			}
-			if randPackages[path] && globalRandFuncs[name] {
-				p.Reportf(n.Pos(), "%s.%s draws from the global PRNG; derive a seeded stream with sim.NewRand(seed) or rng.Fork(id) instead%s",
-					id, name, suffix)
-			}
-		}
-		return true
-	})
-}
-
-// reportTaintedMapRanges flags map iteration inside a driver function
-// on a fingerprint path when the body appends to a slice or emits
-// output and no sort follows: randomized order would leak into the
-// fingerprinted artifact. Non-driver packages are covered (more
-// thoroughly) by the map-order analyzer.
-func reportTaintedMapRanges(p *Pass, node *FuncNode, via string) {
-	info := node.Pkg.Info
-	if info == nil {
+	if isDriverPath(p.Pkg.Path) {
 		return
 	}
-	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-		rs, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		t := info.TypeOf(rs.X)
-		if t == nil {
-			return true
-		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		if hasSortAfter(node.Decl, rs) {
-			return true
-		}
-		leaky := false
-		ast.Inspect(rs.Body, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.AssignStmt:
-				for _, rhs := range m.Rhs {
-					if call, ok := rhs.(*ast.CallExpr); ok {
-						if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "append" {
-							leaky = true
-						}
-					}
-				}
+	for _, f := range p.Pkg.AllFiles() {
+		imports := importTable(f)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
 			case *ast.CallExpr:
-				if name, ok := calleeName(m); ok && emitMethodNames[name] {
-					leaky = true
+				id, name, ok := qualified(n.Fun, imports)
+				if ok && randPackages[imports[id]] && name == "New" && len(n.Args) == 0 {
+					p.Reportf(n.Pos(), "%s.New without an explicit seeded source; pass a source derived from the experiment seed", id)
+				}
+			case *ast.SelectorExpr:
+				id, name, ok := qualified(n, imports)
+				if !ok {
+					return true
+				}
+				path := imports[id]
+				if why, bad := wallClockFuncs[path][name]; bad {
+					p.Reportf(n.Pos(), "%s.%s reads the ambient %s; simulation output must be a pure function of (spec, seed) — thread time through the sim clock or annotate measurement code with //lint:allow",
+						id, name, why)
+				}
+				if randPackages[path] && globalRandFuncs[name] {
+					p.Reportf(n.Pos(), "%s.%s draws from the global PRNG; derive a seeded stream with sim.NewRand(seed) or rng.Fork(id) instead",
+						id, name)
 				}
 			}
-			return !leaky
+			return true
 		})
-		if leaky {
-			p.Reportf(rs.Pos(), "map iteration order leaks into a fingerprinted artifact (reaches fingerprint root via %s); iterate sorted keys", via)
-		}
-		return true
-	})
+	}
 }
 
 // qualified decomposes expr as a pkg.Name selector where pkg is an

@@ -1,21 +1,36 @@
-// Package experiments mirrors the repo's driver-layer table writers:
-// exported Run*/Fig*/Table*/Appendix* functions are fingerprint roots
-// for the determinism-taint analyzer.
+// Package experiments mirrors the repo's table writers. Their rendered
+// output is digested, so determinism-taint, rng-discipline, map-order
+// and panic-hygiene check every function here directly, whether or not
+// a Run*/Fig*/Table*/Appendix* entry point calls it.
 package experiments
 
 import (
 	"fmt"
-
-	"fixture/examples/seeds"
+	"strings"
+	"time"
 )
 
-// RunTable1 is a fingerprint root reaching seeds.DefaultSeed in another
-// driver package; the wall-clock read there taints this table. The old
-// per-package determinism check skipped driver paths wholesale, so it
-// could not see either side of this edge.
+// Table mirrors the repository's rendered result table.
+type Table struct {
+	Title string
+	Rows  []string
+}
+
+// String stamps the wall clock into the rendered text. No table entry
+// point calls it (callers reach it through fmt), so reachability from
+// those entry points cannot see this read; the direct check does.
+func (t Table) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s (%s)\n", t.Title, time.Now().Format(time.RFC3339))
+	for _, row := range t.Rows {
+		b.WriteString(row + "\n")
+	}
+	return b.String()
+}
+
+// RunTable1 seeds its table from the wall clock.
 func RunTable1() {
-	seed := seeds.DefaultSeed()
-	fmt.Println("table", seed)
+	fmt.Println("table", time.Now().UnixNano())
 }
 
 // RunTable2 leaks randomized map iteration order straight into the
