@@ -24,7 +24,6 @@ type (
 	FleetJobInfo      = fleet.JobInfo
 	FleetResult       = fleet.Result
 	FleetReport       = fleet.Report
-	FleetObserver     = fleet.Observer
 	FleetDistribution = fleet.Distribution
 )
 
@@ -115,8 +114,9 @@ type Fleet struct {
 	Workers int
 	// JobTimeout bounds each vehicle's wall-clock run; 0 = unlimited.
 	JobTimeout time.Duration
-	// Observer receives job lifecycle events (may be nil).
-	Observer FleetObserver
+	// Trace receives each job's TraceJobStart and TraceJobFinish
+	// events (may be nil).
+	Trace *Tracer
 	// Faults is the fleet-wide default fault plan, applied to every
 	// vehicle that doesn't pin its own.
 	Faults *FaultPlan
@@ -401,6 +401,6 @@ func (f Fleet) Run(ctx context.Context) (*FleetReport, error) {
 		Workers:    f.Workers,
 		Seed:       f.Seed,
 		JobTimeout: f.JobTimeout,
-		Observer:   f.Observer,
+		Trace:      f.Trace,
 	}, specs)
 }

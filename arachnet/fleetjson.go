@@ -53,7 +53,7 @@ type jsonFleetSpec struct {
 	Vehicles     []jsonVehicleSpec `json:"vehicles"`
 }
 
-// MarshalFleetJSON serializes a Fleet to the JSON schema. The Observer
+// MarshalFleetJSON serializes a Fleet to the JSON schema. The Trace
 // field is runtime-only and is not serialized.
 func MarshalFleetJSON(f Fleet) ([]byte, error) {
 	j := jsonFleetSpec{

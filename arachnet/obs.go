@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/fleet"
 	"repro/internal/obs"
 )
 
@@ -130,7 +129,3 @@ func NewMemorySink() *MemorySink { return obs.NewMemorySink() }
 // NewTraceMetrics builds an empty metrics registry to attach to a
 // tracer via AttachMetrics.
 func NewTraceMetrics() *TraceMetrics { return obs.NewMetrics() }
-
-// NewFleetTracerObserver returns a fleet observer that forwards job
-// lifecycle events to the tracer as TraceJobStart / TraceJobFinish.
-func NewFleetTracerObserver(t *Tracer) FleetObserver { return fleet.NewTracerObserver(t) }

@@ -213,7 +213,7 @@ func BenchmarkTracedFleet(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cfg.Observer = fleet.NewTracerObserver(arachnet.NewTracer(sink))
+				cfg.Trace = arachnet.NewTracer(sink)
 			}
 			base := untracedFleetBaseline(b)
 			if rep, err := fleet.Run(context.Background(), cfg, specs); err != nil || !rep.Ok() {

@@ -188,7 +188,7 @@ func main() {
 		if *metrics {
 			tr.AttachMetrics(arachnet.NewTraceMetrics())
 		}
-		f.Observer = arachnet.NewFleetTracerObserver(tr)
+		f.Trace = tr
 	}
 
 	jobs, err := f.Jobs()

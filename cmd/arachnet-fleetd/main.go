@@ -1,7 +1,15 @@
 // Command arachnet-fleetd is the fleet-as-a-service daemon: the same
 // deterministic fleet engine behind arachnet-fleet, promoted to a
 // long-running HTTP/JSONL service with a bounded job queue, streaming
-// progress, a (spec, seed) response cache, and checkpointed resume.
+// progress, a (spec, seed) spec index, and checkpointed resume.
+//
+// The spec index keys every job on its canonical spec (field order and
+// whitespace normalized away; the master seed is a spec field). A
+// submit of a spec whose indexed job is done is a cache hit, answered
+// with that job's report and a bit-identical fingerprint; one whose
+// indexed job is queued or running gets that job back. A hit lasts as
+// long as the daemon keeps the job: finished jobs are kept, and reloaded
+// from -checkpoint-dir on restart.
 //
 //	arachnet-fleetd -addr 127.0.0.1:8040 -checkpoint-dir /var/lib/fleetd
 //	arachnet-fleetd -addr 127.0.0.1:0 -queue 128 -runners 4
@@ -59,7 +67,6 @@ func main() {
 	queueDepth := flag.Int("queue", 64, "admission queue depth (full queue answers 429)")
 	runners := flag.Int("runners", 1, "concurrent fleet runs (each shards across its own pool workers)")
 	workerCap := flag.Int("worker-cap", 0, "cap pool workers per job (0 = spec / GOMAXPROCS)")
-	cacheEntries := flag.Int("cache", 128, "response cache entries keyed on (canonical spec, seed); negative disables")
 	ckptDir := flag.String("checkpoint-dir", "", "persist job checkpoints here for resume after restart (empty = disabled)")
 	ckptEvery := flag.Duration("checkpoint-every", 2*time.Second, "snapshot interval for running jobs")
 	jobDeadline := flag.Duration("job-deadline", 0, "per-job wall-clock deadline; an overrunning job fails (0 = unlimited)")
@@ -77,7 +84,6 @@ func main() {
 		QueueDepth:      *queueDepth,
 		Runners:         *runners,
 		WorkerCap:       *workerCap,
-		CacheEntries:    *cacheEntries,
 		CheckpointDir:   *ckptDir,
 		CheckpointEvery: *ckptEvery,
 		JobDeadline:     *jobDeadline,

@@ -28,7 +28,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -102,14 +101,3 @@ func (t Table) WriteCSV(w io.Writer) error {
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
-
-// percentile returns the p-quantile (0..1) of xs.
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	idx := int(p * float64(len(cp)-1))
-	return cp[idx]
-}

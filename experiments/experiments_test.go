@@ -35,15 +35,6 @@ func TestHelpers(t *testing.T) {
 	if median([]int{3, 1, 2}) != 2 {
 		t.Error("median")
 	}
-	if percentile(nil, 0.5) != 0 {
-		t.Error("percentile(nil)")
-	}
-	if percentile([]float64{1, 2, 3, 4, 5}, 0.5) != 3 {
-		t.Error("percentile median")
-	}
-	if percentile([]float64{1, 2, 3, 4, 5}, 1.0) != 5 {
-		t.Error("percentile max")
-	}
 }
 
 func TestTable1(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/arachnet"
+	"repro/internal/fleet"
 	"repro/internal/phy"
 	"repro/internal/sim"
 )
@@ -54,12 +55,13 @@ func RunFig14(seed uint64) (Fig14Result, Table, error) {
 		s2 = append(s2, s.Stage2.Milliseconds())
 		total = append(total, (s.Stage1 + s.Stage2).Milliseconds())
 	}
+	d2 := fleet.NewDistribution(s2)
 	res := Fig14Result{
 		Samples:        len(pp),
-		Stage1MedianMs: percentile(s1, 0.5),
-		Stage2MedianMs: percentile(s2, 0.5),
-		Stage2P99Ms:    percentile(s2, 0.99),
-		TotalP99Ms:     percentile(total, 0.99),
+		Stage1MedianMs: fleet.NewDistribution(s1).P50,
+		Stage2MedianMs: d2.P50,
+		Stage2P99Ms:    d2.P99,
+		TotalP99Ms:     fleet.NewDistribution(total).P99,
 		ReaderDelayMs:  net.Reader.Cfg.ProcessingDelay.Milliseconds(),
 	}
 	tb := Table{

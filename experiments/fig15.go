@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
+	"repro/internal/fleet"
 	"repro/internal/mac"
 )
 
@@ -35,7 +35,7 @@ func runConvergence(pt mac.Pattern, seeds int, maxSlots int) (Fig15Row, error) {
 	if err != nil {
 		return Fig15Row{}, err
 	}
-	times := make([]int, seeds)
+	times := make([]float64, seeds)
 	if err := runJobs("fig15-"+pt.Name, seeds, func(seed int) error {
 		s := snap.Acquire(uint64(seed), nil, nil)
 		defer snap.Release(s)
@@ -43,17 +43,16 @@ func runConvergence(pt mac.Pattern, seeds int, maxSlots int) (Fig15Row, error) {
 		if !ok {
 			return fmt.Errorf("%s seed %d: no convergence in %d slots", pt.Name, seed, maxSlots)
 		}
-		times[seed] = t
+		times[seed] = float64(t)
 		return nil
 	}); err != nil {
 		return Fig15Row{}, err
 	}
-	sort.Ints(times)
-	q := func(p float64) int { return times[int(p*float64(len(times)-1))] }
+	d := fleet.NewDistribution(times)
 	return Fig15Row{
 		Pattern: pt.Name, Utilization: pt.Utilization(), Tags: pt.NumTags(),
-		MedianSlots: q(0.5), P25Slots: q(0.25), P75Slots: q(0.75),
-		MinSlots: times[0], MaxSlots: times[len(times)-1], Seeds: seeds,
+		MedianSlots: int(d.P50), P25Slots: int(d.P25), P75Slots: int(d.P75),
+		MinSlots: int(d.Min), MaxSlots: int(d.Max), Seeds: seeds,
 	}, nil
 }
 

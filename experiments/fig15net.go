@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/arachnet"
+	"repro/internal/fleet"
 	"repro/internal/mac"
 )
 
@@ -65,10 +66,9 @@ func RunFig15Network(seed uint64, trials int) (Table, error) {
 		Title:  fmt.Sprintf("Fig. 15 Cross-Check on the Event-Level Network (c3, %d trials)", trials),
 		Header: []string{"Engine", "median (slots)", "min", "max"},
 	}
-	tb.AddRow("event-level network (RESET sweep)",
-		f1(percentile(ftimes, 0.5)), f1(percentile(ftimes, 0)), f1(percentile(ftimes, 1)))
-	tb.AddRow("slot-level simulator",
-		f1(percentile(simTimes, 0.5)), f1(percentile(simTimes, 0)), f1(percentile(simTimes, 1)))
+	fd, sd := fleet.NewDistribution(ftimes), fleet.NewDistribution(simTimes)
+	tb.AddRow("event-level network (RESET sweep)", f1(fd.P50), f1(fd.Min), f1(fd.Max))
+	tb.AddRow("slot-level simulator", f1(sd.P50), f1(sd.Min), f1(sd.Max))
 	tb.Notes = append(tb.Notes,
 		"the full network (real demodulation, energy, timing) and the fast protocol simulator sample the same convergence distribution")
 	return tb, nil

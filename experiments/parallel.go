@@ -69,11 +69,7 @@ func runJobs(name string, n int, fn func(i int) error) error {
 			},
 		}
 	}
-	cfg := fleet.Config{Workers: experimentWorkers}
-	if experimentTrace != nil {
-		cfg.Observer = fleet.NewTracerObserver(experimentTrace)
-	}
-	rep, err := fleet.Run(context.Background(), cfg, specs)
+	rep, err := fleet.Run(context.Background(), fleet.Config{Workers: experimentWorkers, Trace: experimentTrace}, specs)
 	if err != nil {
 		return err
 	}

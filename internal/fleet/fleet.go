@@ -27,6 +27,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Result is what one job hands back to the aggregation layer.
@@ -40,7 +42,8 @@ type Result struct {
 	Counters map[string]uint64 `json:"counters,omitempty"`
 }
 
-// JobInfo identifies one job to its run function and to observers.
+// JobInfo identifies one job to its run function and in its trace
+// events.
 type JobInfo struct {
 	// Index is the job's position in the submission order; it is the
 	// aggregation key that makes reports scheduling-independent.
@@ -76,9 +79,9 @@ type Config struct {
 	Seed uint64
 	// JobTimeout bounds each job's wall-clock run; 0 means no limit.
 	JobTimeout time.Duration
-	// Observer receives job lifecycle events; nil means none. Its
-	// methods are called concurrently from worker goroutines.
-	Observer Observer
+	// Trace receives each job's job_start and job_finish events; nil
+	// means none. The tracer serializes the workers' concurrent emits.
+	Trace *obs.Tracer
 }
 
 // Status classifies a job outcome.
@@ -186,13 +189,15 @@ func (r *Report) FirstError() string {
 }
 
 // Pool is a reusable fleet runner over one fixed job list: construct
-// with NewPool, start with Run, and poll Done from other goroutines
-// for live progress. Preload (before Run) marks jobs from a previous,
-// interrupted run as already complete, so checkpointed sweeps resume
-// without recomputing finished shards.
+// with NewPool, start with Run, and poll Done and Finished from other
+// goroutines for live progress. Preload (before Run) marks jobs from a
+// previous, interrupted run as already complete, so checkpointed sweeps
+// resume without recomputing finished shards.
 type Pool struct {
-	cfg       Config
-	specs     []JobSpec
+	cfg   Config
+	specs []JobSpec
+	// mu guards outcomes against Finished while workers write them.
+	mu        sync.Mutex
 	outcomes  []JobOutcome
 	done      atomic.Int64
 	preloaded int
@@ -247,8 +252,7 @@ func (p *Pool) Preload(outcomes []JobOutcome) error {
 		if p.outcomes[o.Index].Status != StatusPending {
 			return fmt.Errorf("fleet: preload job %d already loaded", o.Index)
 		}
-		p.outcomes[o.Index] = o
-		p.done.Add(1)
+		p.record(o)
 		p.preloaded++
 	}
 	return nil
@@ -293,10 +297,9 @@ func (p *Pool) Run(ctx context.Context) (*Report, error) {
 			defer wg.Done()
 			for idx := range queue {
 				out := p.runJob(ctx, idx)
-				p.outcomes[idx] = out
-				p.done.Add(1)
-				if p.cfg.Observer != nil {
-					p.cfg.Observer.JobFinished(out)
+				p.record(out)
+				if p.cfg.Trace != nil {
+					p.cfg.Trace.Emit(finishEvent(out))
 				}
 			}
 		}()
@@ -310,19 +313,43 @@ func (p *Pool) Run(ctx context.Context) (*Report, error) {
 	if stop := ctx.Err(); stop != nil {
 		for i := range p.outcomes {
 			if p.outcomes[i].Status == StatusPending {
-				out := JobOutcome{
+				p.record(JobOutcome{
 					JobInfo: p.jobInfo(i),
 					Status:  parentStopStatus(stop),
 					Err:     stop.Error(),
-				}
-				p.outcomes[i] = out
-				p.done.Add(1)
+				})
 			}
 		}
 	}
 
 	rep := p.buildReport(workers, time.Since(start)) //lint:allow determinism-taint wall-clock fleet timing; excluded from the deterministic fingerprint
 	return rep, ctx.Err()
+}
+
+// record stores a terminal outcome in the table and counts it done.
+func (p *Pool) record(o JobOutcome) {
+	p.mu.Lock()
+	p.outcomes[o.Index] = o
+	p.mu.Unlock()
+	p.done.Add(1)
+}
+
+// finishEvent renders a finished job as its job_finish event. Value
+// carries the wall-clock elapsed seconds; Detail is the status, with
+// the error text appended for failed jobs.
+func finishEvent(o JobOutcome) obs.Event {
+	ev := obs.Event{
+		Kind:   obs.KindJobFinish,
+		Job:    o.Index,
+		Name:   o.Name,
+		Seed:   o.Seed,
+		Value:  o.Elapsed.Seconds(),
+		Detail: o.Status.String(),
+	}
+	if o.Err != "" {
+		ev.Detail += ": " + o.Err
+	}
+	return ev
 }
 
 // jobInfo resolves a job's identity, deriving the seed when the spec
@@ -347,8 +374,8 @@ func (p *Pool) runJob(ctx context.Context, idx int) JobOutcome {
 		out.Err = err.Error()
 		return out
 	}
-	if p.cfg.Observer != nil {
-		p.cfg.Observer.JobStarted(info)
+	if p.cfg.Trace != nil {
+		p.cfg.Trace.Emit(obs.Event{Kind: obs.KindJobStart, Job: info.Index, Name: info.Name, Seed: info.Seed})
 	}
 
 	jctx := ctx
@@ -460,9 +487,25 @@ func (p *Pool) buildReport(workers int, wall time.Duration) *Report {
 }
 
 // Done counts the jobs with a terminal outcome so far, preloaded ones
-// included; safe to call concurrently with Run. It is the only live
-// view of a pool: the final Report is the one aggregate.
+// included; safe to call concurrently with Run. The final Report is
+// the one aggregate.
 func (p *Pool) Done() int { return int(p.done.Load()) }
+
+// Finished returns a copy of the deterministic outcomes so far, status
+// ok or failed (the ones Preload accepts), in index order, preloaded
+// ones included; safe to call concurrently with Run. Cancelled and
+// timed-out shards are wall-clock artifacts and are left out.
+func (p *Pool) Finished() []JobOutcome {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var out []JobOutcome
+	for _, o := range p.outcomes {
+		if o.Status == StatusOK || o.Status == StatusFailed {
+			out = append(out, o)
+		}
+	}
+	return out
+}
 
 // Run is the one-shot convenience wrapper: build a pool and run it.
 func Run(ctx context.Context, cfg Config, specs []JobSpec) (*Report, error) {

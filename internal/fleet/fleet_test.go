@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -208,9 +209,10 @@ func TestCancellation(t *testing.T) {
 }
 
 // TestPoolDone pins the live done count: preloaded outcomes count
-// before Run, a finished job is counted before its observer hears of
-// it, jobs a cancelled run never started count too, and after Run it
-// equals the job count. The report is the aggregate of what finished.
+// before Run, a finished job is counted before its job_finish event is
+// emitted, jobs a cancelled run never started count too, and after Run
+// it equals the job count. The report is the aggregate of what
+// finished.
 func TestPoolDone(t *testing.T) {
 	ref, err := Run(context.Background(), Config{Workers: 2, Seed: 3}, makeSpecs(16))
 	if err != nil {
@@ -219,11 +221,11 @@ func TestPoolDone(t *testing.T) {
 	var p *Pool
 	var finished atomic.Int32
 	var lagged atomic.Bool
-	cfg := Config{Workers: 2, Seed: 3, Observer: ObserverFuncs{OnFinish: func(JobOutcome) {
-		if p.Done() < 5+int(finished.Add(1)) {
+	cfg := Config{Workers: 2, Seed: 3, Trace: obs.New(sinkFunc(func(ev obs.Event) {
+		if ev.Kind == obs.KindJobFinish && p.Done() < 5+int(finished.Add(1)) {
 			lagged.Store(true)
 		}
-	}}}
+	}))}
 	p, err = NewPool(cfg, makeSpecs(16))
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +244,7 @@ func TestPoolDone(t *testing.T) {
 		t.Fatalf("Done = %d after %d finishes, want 16 after 11", p.Done(), finished.Load())
 	}
 	if lagged.Load() {
-		t.Error("an observer saw a finished job before Done counted it")
+		t.Error("a job_finish event was emitted before Done counted the job")
 	}
 	if rep.Completed != 16 || rep.Metrics["acc"].Count != 16 || rep.Counters["steps"] != 16*2000 {
 		t.Errorf("report: completed %d, acc %+v, steps %d", rep.Completed, rep.Metrics["acc"], rep.Counters["steps"])
@@ -260,6 +262,73 @@ func TestPoolDone(t *testing.T) {
 	crep, _ := cp.Run(ctx)
 	if cp.Done() != 8 || crep.Cancelled != 8 {
 		t.Errorf("cancelled run: Done = %d, cancelled = %d, want 8 each", cp.Done(), crep.Cancelled)
+	}
+}
+
+// TestPoolFinished pins the checkpoint view of a pool: the ok and
+// failed outcomes in index order, preloaded ones included, and no
+// cancelled shard. It is read while the workers write, as fleetd's
+// checkpoint ticker reads it.
+func TestPoolFinished(t *testing.T) {
+	specs := makeSpecs(8)
+	specs[6].Run = func(context.Context, JobInfo) (Result, error) { return Result{}, fmt.Errorf("bad shard") }
+	ref, err := Run(context.Background(), Config{Workers: 2, Seed: 3}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPool(Config{Workers: 2, Seed: 3}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Preload([]JobOutcome{ref.Jobs[4], ref.Jobs[1]}); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Finished(); len(got) != 2 || got[0].Index != 1 || got[1].Index != 4 {
+		t.Fatalf("Finished after preload: %+v", got)
+	}
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			got := p.Finished()
+			for i := 1; i < len(got); i++ {
+				if got[i-1].Index >= got[i].Index {
+					t.Errorf("Finished during Run is out of index order: %d before %d", got[i-1].Index, got[i].Index)
+					return
+				}
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	rep, err := p.Run(context.Background())
+	close(stop)
+	<-polled
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := p.Finished()
+	if len(got) != 8 || got[6].Status != StatusFailed {
+		t.Fatalf("Finished after Run: %d outcomes, job 6 %v", len(got), got[6].Status)
+	}
+	for i, o := range got {
+		if o.Index != i || o.Seed != rep.Jobs[i].Seed || o.Status != rep.Jobs[i].Status {
+			t.Fatalf("Finished[%d] = %+v, report has %+v", i, o, rep.Jobs[i])
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cp, err := NewPool(Config{Workers: 2}, makeSpecs(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cp.Run(ctx); err == nil || len(cp.Finished()) != 0 {
+		t.Errorf("cancelled run: err %v, Finished %+v; want an error and no outcomes", err, cp.Finished())
 	}
 }
 
@@ -289,41 +358,31 @@ func TestPoolValidation(t *testing.T) {
 	}
 }
 
-// TestObservers checks lifecycle delivery.
+// TestObservers checks lifecycle delivery: one job_start and one
+// job_finish event per job reach Config.Trace.
 func TestObservers(t *testing.T) {
 	var starts, finishes atomic.Int32
-	obs := ObserverFuncs{
-		OnStart:  func(JobInfo) { starts.Add(1) },
-		OnFinish: func(JobOutcome) { finishes.Add(1) },
-	}
-	if _, err := Run(context.Background(), Config{Workers: 3, Observer: obs}, makeSpecs(10)); err != nil {
+	tr := obs.New(sinkFunc(func(ev obs.Event) {
+		switch ev.Kind {
+		case obs.KindJobStart:
+			starts.Add(1)
+		case obs.KindJobFinish:
+			finishes.Add(1)
+		}
+	}))
+	if _, err := Run(context.Background(), Config{Workers: 3, Trace: tr}, makeSpecs(10)); err != nil {
 		t.Fatal(err)
 	}
 	if starts.Load() != 10 || finishes.Load() != 10 {
-		t.Errorf("observer calls: %d starts, %d finishes", starts.Load(), finishes.Load())
+		t.Errorf("trace events: %d starts, %d finishes", starts.Load(), finishes.Load())
 	}
 }
 
-// ObserverFuncs adapts plain functions to the Observer interface;
-// nil fields are skipped.
-type ObserverFuncs struct {
-	OnStart  func(job JobInfo)
-	OnFinish func(outcome JobOutcome)
-}
+// sinkFunc adapts a function to obs.Sink.
+type sinkFunc func(obs.Event)
 
-// JobStarted implements Observer.
-func (o ObserverFuncs) JobStarted(job JobInfo) {
-	if o.OnStart != nil {
-		o.OnStart(job)
-	}
-}
-
-// JobFinished implements Observer.
-func (o ObserverFuncs) JobFinished(outcome JobOutcome) {
-	if o.OnFinish != nil {
-		o.OnFinish(outcome)
-	}
-}
+// Emit implements obs.Sink.
+func (f sinkFunc) Emit(ev obs.Event) { f(ev) }
 
 // TestInlineFaultIsolation covers a pool with JobTimeout unset (no
 // per-job deadline or timer): panic/error isolation must still hold

@@ -121,7 +121,9 @@ type HealthResponse struct {
 	Running  int  `json:"running"`
 	// QueueDepth is the admission-control capacity.
 	QueueDepth int `json:"queue_depth"`
-	// CacheEntries / CacheHits describe the response cache.
+	// CacheEntries counts the specs whose indexed job is done, so a
+	// resubmit of each is a hit; CacheHits counts the submits answered
+	// as hits (the submit_cache_hits counter).
 	CacheEntries int    `json:"cache_entries"`
 	CacheHits    uint64 `json:"cache_hits"`
 	// Degraded is set while the checkpoint directory is unwritable:

@@ -2,11 +2,10 @@ package fleetd
 
 import (
 	"context"
-	"fmt"
 	"testing"
+	"time"
 
 	"repro/arachnet"
-	"repro/internal/fleet"
 )
 
 // TestCanonicalSpecIgnoresFormatting pins the canonicalization
@@ -82,9 +81,9 @@ func TestCanonicalSpecRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestCacheHitBitIdentical runs a real fleet, stores its report, and
-// checks the cache returns the same object with a bit-identical
-// fingerprint.
+// TestCacheHitBitIdentical runs a real fleet through a daemon,
+// resubmits its spec, and checks the hit answers with the same report
+// object and a fingerprint bit-identical to a batch run's.
 func TestCacheHitBitIdentical(t *testing.T) {
 	spec := []byte(`{"seed": 11, "workers": 2, "vehicles": [{"name": "v", "engine": "slots", "pattern": "c1", "slots": 2000, "replicate": 3}]}`)
 	f, err := arachnet.UnmarshalFleetJSON(spec)
@@ -95,59 +94,42 @@ func TestCacheHitBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := CacheKey(spec)
+	s, c := startServer(t, Config{})
+	ctx := context.Background()
+	first, err := c.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCache(4)
-	if _, ok := c.Get(key); ok {
-		t.Fatal("empty cache claimed a hit")
+	if first.Cached {
+		t.Fatal("first submission of a spec claimed a hit")
 	}
-	c.Put(key, CacheEntry{Fingerprint: rep.Fingerprint(), Report: rep})
-	entry, ok := c.Get(key)
-	if !ok {
-		t.Fatal("stored report missed")
+	if _, err := c.Wait(ctx, first.ID, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
 	}
-	if entry.Fingerprint != rep.Fingerprint() {
-		t.Errorf("cache fingerprint %s != run fingerprint %s", entry.Fingerprint, rep.Fingerprint())
+	hit, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if entry.Report.Fingerprint() != rep.Fingerprint() {
-		t.Error("cached report re-fingerprints differently")
+	if !hit.Cached {
+		t.Fatal("resubmitted finished spec missed")
 	}
-	if c.Hits() != 1 {
-		t.Errorf("hit counter = %d, want 1", c.Hits())
+	if hit.Fingerprint != rep.Fingerprint() {
+		t.Errorf("hit fingerprint %s != run fingerprint %s", hit.Fingerprint, rep.Fingerprint())
 	}
-}
-
-// TestCacheEviction pins the LRU policy under a size cap: the least
-// recently used entry goes first, and touching an entry protects it.
-func TestCacheEviction(t *testing.T) {
-	c := NewCache(2)
-	put := func(i int) string {
-		key := fmt.Sprintf("key-%d", i)
-		c.Put(key, CacheEntry{Fingerprint: key, Report: &fleet.Report{}})
-		return key
+	s.mu.Lock()
+	ran, served := s.jobs[first.ID], s.jobs[hit.ID]
+	s.mu.Unlock()
+	if served.report != ran.report {
+		t.Error("hit holds a copy of the report, not the indexed job's")
 	}
-	k0, k1 := put(0), put(1)
-	if _, ok := c.Get(k0); !ok { // touch k0: k1 becomes LRU
-		t.Fatal("k0 missing before eviction")
+	if served.report.Fingerprint() != rep.Fingerprint() {
+		t.Error("hit report re-fingerprints differently")
 	}
-	k2 := put(2) // cap 2: evicts k1
-	if _, ok := c.Get(k1); ok {
-		t.Error("LRU entry survived eviction")
+	h, err := c.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, k := range []string{k0, k2} {
-		if _, ok := c.Get(k); !ok {
-			t.Errorf("recently used entry %s was evicted", k)
-		}
-	}
-	if c.Len() != 2 {
-		t.Errorf("cache len = %d, want 2", c.Len())
-	}
-	// A disabled cache stores nothing.
-	d := NewCache(0)
-	d.Put("x", CacheEntry{})
-	if d.Len() != 0 {
-		t.Error("zero-cap cache stored an entry")
+	if h.CacheHits != 1 || h.CacheEntries != 1 {
+		t.Errorf("health: cache_hits %d, cache_entries %d; want 1 each", h.CacheHits, h.CacheEntries)
 	}
 }

@@ -7,19 +7,18 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/fleet"
 )
 
-// Checkpointed resume. While a job runs, the daemon accumulates its
-// deterministic shard outcomes (status ok or failed — the statuses a
-// resumed pool may preload) and periodically writes a crash-safe
-// snapshot to <dir>/<id>.ckpt.bin. A daemon killed mid-sweep
-// therefore restarts, reloads the directory, and finishes interrupted
-// jobs without recomputing done shards; finished jobs persist their
-// full report so restarts also repopulate the response cache.
+// Checkpointed resume. While a job runs, the daemon periodically
+// writes its pool's deterministic shard outcomes (fleet.Pool.Finished:
+// status ok or failed, the statuses a resumed pool may preload) as a
+// crash-safe snapshot to <dir>/<id>.ckpt.bin. A daemon killed
+// mid-sweep therefore restarts, reloads the directory, and finishes
+// interrupted jobs without recomputing done shards; finished jobs
+// persist their full report so restarts also refill the spec index.
 //
 // Durability contract: Write stages the bytes in a temp file, fsyncs
 // the file, renames it over the target, then fsyncs the directory —
@@ -265,87 +264,6 @@ func (s *CheckpointStore) quarantine(name, reason string) Quarantine {
 		q.MovedTo = dest
 	}
 	return q
-}
-
-// checkpointer accumulates one running job's deterministic shard
-// outcomes; it implements fleet.Observer so workers feed it directly.
-// flush() writes a snapshot when (and only when) new outcomes arrived
-// since the last write, keeping the periodic ticker cheap.
-type checkpointer struct {
-	store *CheckpointStore
-	id    string
-	spec  json.RawMessage
-	// onWrite, when set, observes every write attempt's outcome — the
-	// daemon hooks its degraded-mode accounting here so periodic
-	// flushes double as recovery probes.
-	onWrite func(error)
-
-	mu       sync.Mutex
-	outcomes []fleet.JobOutcome
-	dirty    bool
-}
-
-// newCheckpointer seeds the accumulator with outcomes preloaded from a
-// previous checkpoint, so a resumed job's next snapshot is complete.
-func newCheckpointer(store *CheckpointStore, id string, spec json.RawMessage, preloaded []fleet.JobOutcome) *checkpointer {
-	return &checkpointer{
-		store:    store,
-		id:       id,
-		spec:     spec,
-		outcomes: append([]fleet.JobOutcome(nil), preloaded...),
-	}
-}
-
-// JobStarted implements fleet.Observer.
-func (c *checkpointer) JobStarted(fleet.JobInfo) {}
-
-// JobFinished implements fleet.Observer: deterministic terminal
-// outcomes (ok, failed) are recorded for resume; cancelled and
-// timed-out shards are wall-clock artifacts and must recompute.
-func (c *checkpointer) JobFinished(o fleet.JobOutcome) {
-	if o.Status != fleet.StatusOK && o.Status != fleet.StatusFailed {
-		return
-	}
-	c.mu.Lock()
-	c.outcomes = append(c.outcomes, o)
-	c.dirty = true
-	c.mu.Unlock()
-}
-
-// snapshot returns the outcomes recorded so far, index-sorted so the
-// on-disk record is independent of completion order.
-func (c *checkpointer) snapshot() []fleet.JobOutcome {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := append([]fleet.JobOutcome(nil), c.outcomes...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
-}
-
-// flush writes a running-state snapshot if anything changed since the
-// last write (or always, when force is set — the drain path wants a
-// final snapshot regardless).
-func (c *checkpointer) flush(force bool) error {
-	if c.store == nil {
-		return nil
-	}
-	c.mu.Lock()
-	if !c.dirty && !force {
-		c.mu.Unlock()
-		return nil
-	}
-	c.dirty = false
-	c.mu.Unlock()
-	err := c.store.Write(Record{
-		ID:       c.id,
-		State:    StateRunningCkpt,
-		Spec:     c.spec,
-		Outcomes: c.snapshot(),
-	})
-	if c.onWrite != nil {
-		c.onWrite(err)
-	}
-	return err
 }
 
 // Checkpoint state names (distinct from the API job states only in

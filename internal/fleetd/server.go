@@ -1,7 +1,8 @@
 // Package fleetd promotes the batch fleet engine (internal/fleet,
 // surfaced as arachnet.Fleet.Run) to a long-running simulation service:
 // an HTTP/JSONL daemon with a bounded job queue, streaming progress,
-// a (spec, seed) response cache, and checkpointed resume.
+// a (spec, seed) spec index that answers resubmits, and checkpointed
+// resume.
 //
 // Design contract, inherited from the engine: a fleet run is a pure
 // function of its spec and master seed. The daemon exploits this
@@ -65,9 +66,6 @@ type Config struct {
 	// WorkerCap caps the per-job pool worker count regardless of what
 	// the spec asks for; 0 leaves the spec (or GOMAXPROCS) in charge.
 	WorkerCap int
-	// CacheEntries caps the (spec, seed) response cache; 0 means the
-	// default 128, negative disables caching entirely.
-	CacheEntries int
 	// CheckpointDir persists job checkpoints for resume-after-restart;
 	// empty disables checkpointing.
 	CheckpointDir string
@@ -94,9 +92,6 @@ func (c Config) withDefaults() Config {
 	if c.Runners <= 0 {
 		c.Runners = 1
 	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 128
-	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 2 * time.Second
 	}
@@ -110,7 +105,7 @@ func (c Config) withDefaults() Config {
 type job struct {
 	id    string
 	spec  json.RawMessage // canonical form (CanonicalSpec)
-	key   string          // response-cache key
+	key   string          // spec-index key
 	total int             // per-vehicle job count: compiled, or the cached report's
 	log   *eventLog
 
@@ -198,20 +193,23 @@ func (j *job) status() api.StatusResponse {
 type Server struct {
 	cfg     Config
 	store   *CheckpointStore
-	cache   *Cache
 	mux     *http.ServeMux
 	queue   chan *job
 	metrics *obs.Metrics
 
-	mu             sync.Mutex
-	jobs           map[string]*job
+	mu   sync.Mutex
+	jobs map[string]*job
+	// byKey is the spec index: the job that answers each spec key. Its
+	// state decides what a submit gets: done is a hit, queued or
+	// running is a dedupe, anything else is a miss that takes over the
+	// key. Lock order is s.mu before j.mu.
+	byKey          map[string]*job
 	order          []string
 	nextID         int
 	draining       bool
 	running        int
 	degraded       bool
 	degradedReason string
-	inflight       map[string]string // cache key -> active (queued/running) job ID
 
 	runCtx    context.Context
 	runCancel context.CancelFunc
@@ -221,7 +219,7 @@ type Server struct {
 
 // New builds a daemon, loading any checkpoints found in
 // cfg.CheckpointDir: done jobs re-register with their reports (and
-// rewarm the response cache); queued or running jobs are re-queued
+// answer their specs again); queued or running jobs are re-queued
 // with their completed shards preloaded, so Start finishes them
 // without recomputation. Corrupt checkpoint files are quarantined as
 // <id>.corrupt and reported, never fatal.
@@ -235,11 +233,10 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		store:     store,
-		cache:     NewCache(cfg.CacheEntries),
 		queue:     make(chan *job, cfg.QueueDepth),
 		metrics:   obs.NewMetrics(),
 		jobs:      make(map[string]*job),
-		inflight:  make(map[string]string),
+		byKey:     make(map[string]*job),
 		runCtx:    ctx,
 		runCancel: cancel,
 	}
@@ -404,7 +401,6 @@ func (s *Server) loadCheckpoints() error {
 			}
 			j.total = len(rep.Jobs)
 			j.end(api.StateQueued, api.StateDone, rec.Fingerprint, &rep, rec.Error)
-			s.cache.Put(key, CacheEntry{Fingerprint: rec.Fingerprint, Report: &rep})
 		case StateQueuedCkpt, StateRunningCkpt:
 			if err := s.compile(j); err != nil {
 				s.cfg.Logf("fleetd: checkpoint %s: invalid spec: %v", rec.ID, err)
@@ -413,13 +409,17 @@ func (s *Server) loadCheckpoints() error {
 			j.preloaded = rec.Outcomes
 			j.resumed = len(rec.Outcomes)
 			s.resume = append(s.resume, j)
-			s.inflight[key] = j.id
 		default:
 			s.cfg.Logf("fleetd: checkpoint %s: unknown state %q", rec.ID, rec.State)
 			continue
 		}
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
+		// A done record answers its spec even where a resumed record of
+		// the same spec is indexed; only New touches the jobs so far.
+		if cur := s.byKey[key]; cur == nil || cur.state != api.StateDone {
+			s.byKey[key] = j
+		}
 		if n := idNumber(rec.ID); n >= s.nextID {
 			s.nextID = n + 1
 		}
@@ -446,7 +446,7 @@ func idNumber(id string) int {
 // compile parses and compiles j's canonical spec into its pool input:
 // the compiled specs, their count and the pool settings. It is the
 // daemon's one Fleet.Jobs call, made for an admission miss or a
-// resumed checkpoint; a cache hit or a dedupe compiles nothing.
+// resumed checkpoint; a hit or a dedupe compiles nothing.
 func (s *Server) compile(j *job) error {
 	f, err := arachnet.UnmarshalFleetJSON(j.spec)
 	if err != nil {
@@ -508,26 +508,24 @@ func (s *Server) runJob(j *job) {
 		s.mu.Unlock()
 	}()
 
-	// buildPool assembles the pool + checkpointer over the compiled
-	// shards, preloading the checkpointed outcomes.
-	buildPool := func(pre []fleet.JobOutcome) (*fleet.Pool, *checkpointer, error) {
-		ck := newCheckpointer(s.store, j.id, j.spec, pre)
-		ck.onWrite = s.noteCheckpoint
+	// buildPool assembles the pool over the compiled shards, preloading
+	// the checkpointed outcomes.
+	buildPool := func(pre []fleet.JobOutcome) (*fleet.Pool, error) {
 		cfg := poolCfg
-		cfg.Observer = fleet.MultiObserver(ck, fleet.NewTracerObserver(obs.New(j.log)))
+		cfg.Trace = obs.New(j.log)
 		pool, err := fleet.NewPool(cfg, specs)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if len(pre) > 0 {
 			if err := pool.Preload(pre); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
-		return pool, ck, nil
+		return pool, nil
 	}
 
-	pool, ck, err := buildPool(pre)
+	pool, err := buildPool(pre)
 	if err != nil && len(pre) > 0 {
 		// A checkpoint that no longer matches the spec is discarded:
 		// recompute everything rather than corrupt the report.
@@ -535,7 +533,7 @@ func (s *Server) runJob(j *job) {
 		j.mu.Lock()
 		j.resumed = 0
 		j.mu.Unlock()
-		pool, ck, err = buildPool(nil)
+		pool, err = buildPool(nil)
 	}
 	if err != nil {
 		s.discard(j, api.StateFailed, err.Error())
@@ -545,7 +543,18 @@ func (s *Server) runJob(j *job) {
 	j.pool = pool
 	j.mu.Unlock()
 
-	// Run the pool with the periodic checkpoint ticker alongside.
+	// flush checkpoints the pool's finished shards as a running record,
+	// unless no shard has finished since the last write. The ticker
+	// calls it while the pool runs, and the drain path once after.
+	written := pool.Done()
+	flush := func() error {
+		n := pool.Done()
+		if s.store == nil || n == written {
+			return nil
+		}
+		written = n
+		return s.checkpointWrite(Record{ID: j.id, State: StateRunningCkpt, Spec: j.spec, Outcomes: pool.Finished()})
+	}
 	stopFlush := make(chan struct{})
 	var fwg sync.WaitGroup
 	if s.store != nil {
@@ -559,7 +568,7 @@ func (s *Server) runJob(j *job) {
 				case <-stopFlush:
 					return
 				case <-t.C:
-					if err := ck.flush(false); err != nil {
+					if err := flush(); err != nil {
 						s.cfg.Logf("fleetd: %s: checkpoint: %v", j.id, err)
 					}
 				}
@@ -579,7 +588,7 @@ func (s *Server) runJob(j *job) {
 		s.mu.Unlock()
 		switch {
 		case draining:
-			if err := ck.flush(true); err != nil {
+			if err := flush(); err != nil {
 				s.cfg.Logf("fleetd: %s: final checkpoint: %v", j.id, err)
 			}
 			s.finalize(j, api.StateRunning, api.StateQueued, "", nil, "interrupted: daemon draining; resumes on restart")
@@ -610,20 +619,17 @@ func (s *Server) runJob(j *job) {
 			s.cfg.Logf("fleetd: %s: done checkpoint: %v", j.id, err)
 		}
 	}
-	s.cache.Put(j.key, CacheEntry{Fingerprint: fp, Report: rep})
 	s.finalize(j, api.StateRunning, api.StateDone, fp, rep, errMsg)
 }
 
 // finalize ends j through job.end and keeps the daemon's books: the
-// in-flight entry, the counters and the log line. It reports false,
+// counters and the log line. The spec index needs no update, since a
+// job's state decides what its entry answers. It reports false,
 // changing nothing, if j was no longer in state from.
 func (s *Server) finalize(j *job, from, state, fingerprint string, rep *fleet.Report, errMsg string) bool {
 	if !j.end(from, state, fingerprint, rep, errMsg) {
 		return false
 	}
-	s.mu.Lock()
-	s.dropInflight(j)
-	s.mu.Unlock()
 	switch state {
 	case api.StateDone:
 		s.metrics.Inc("jobs_done")
@@ -673,11 +679,11 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, api.ErrorResponse{Error: msg})
 }
 
-// handleSubmit admits one fleet spec: canonicalize, consult the
-// response cache, dedupe against in-flight submissions of the same spec
-// (so a client retrying a submit never double-enqueues), and only then
-// compile it and enqueue with backpressure. In degraded mode only cache
-// hits are served.
+// handleSubmit admits one fleet spec: canonicalize, answer from the
+// spec index when it holds a done job (a hit) or a queued or running
+// one (a dedupe, so a client retrying a submit never double-enqueues),
+// and only then compile it and enqueue with backpressure. In degraded
+// mode only hits are served.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
@@ -698,7 +704,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The job keeps, runs from and checkpoints the canonical form, so
-	// whitespace padding costs nothing past this point, and the cache
+	// whitespace padding costs nothing past this point, and the index
 	// key is the hash of the very bytes the job runs from.
 	spec, err := CanonicalSpec(raw)
 	if err != nil {
@@ -707,56 +713,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	key := canonicalKey(spec)
 
-	// Cache hit: the run is a pure function of (spec, seed), so the
-	// stored report answers immediately — registered as a done job so
-	// the usual status/report/stream endpoints all work. Served even
-	// in degraded mode: the answer needs no new checkpoint to be
-	// correct (the write below is attempted anyway — it doubles as the
-	// degraded-mode recovery probe). The pool sizes a report's outcomes
-	// by its job count, so a hit compiles nothing.
-	if entry, ok := s.cache.Get(key); ok {
-		j := newJob(spec, key)
-		j.total = len(entry.Report.Jobs)
-		j.cached = true
-		j.end(api.StateQueued, api.StateDone, entry.Fingerprint, entry.Report, "")
-		s.registerJob(j)
-		if s.store != nil {
-			repJSON, err := json.Marshal(entry.Report)
-			if err == nil {
-				err = s.checkpointWrite(Record{
-					ID: j.id, State: StateDoneCkpt, Spec: j.spec,
-					Fingerprint: entry.Fingerprint, Report: repJSON,
-				})
-			}
-			if err != nil {
-				s.cfg.Logf("fleetd: %s: cache-hit checkpoint: %v", j.id, err)
-			}
-		}
-		s.metrics.Inc("submit_cache_hits")
-		writeJSON(w, http.StatusOK, api.SubmitResponse{
-			ID: j.id, State: api.StateDone, Cached: true,
-			Fingerprint: entry.Fingerprint, Jobs: j.total,
-		})
-		return
-	}
-
-	// In-flight dedupe: a retried submit of a spec that is already
-	// queued or running returns the existing job instead of enqueuing
-	// a duplicate — submission is idempotent under client retries.
 	s.mu.Lock()
-	dup := s.jobs[s.inflight[key]]
-	degraded, reason := s.degraded, s.degradedReason
+	prev := s.indexed(key)
 	s.mu.Unlock()
-	if dup != nil {
-		s.metrics.Inc("submit_deduped")
-		writeJSON(w, http.StatusAccepted, api.SubmitResponse{
-			ID: dup.id, State: dup.status().State, Jobs: dup.total,
-		})
+	if prev != nil {
+		s.answer(w, prev)
 		return
 	}
 	j := newJob(spec, key)
 	if err := s.compile(j); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+
+	// Re-check the index and publish in one critical section: of two
+	// concurrent submits of one new spec, exactly one is queued and the
+	// other answers from it. The job is published (registry and index)
+	// before it can reach a runner, so the runner always finishes a job
+	// the index already holds.
+	s.mu.Lock()
+	prev = s.indexed(key)
+	degraded, reason := s.degraded, s.degradedReason
+	if prev == nil && !degraded {
+		s.registerJob(j)
+		s.byKey[key] = j
+	}
+	s.mu.Unlock()
+	if prev != nil {
+		s.answer(w, prev)
 		return
 	}
 	if degraded {
@@ -766,25 +750,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("daemon degraded (checkpoint dir unwritable: %s); only cached specs are served", reason))
 		return
 	}
-
-	// Publish the job (registry + in-flight dedupe entry) BEFORE it can
-	// reach a runner. Enqueue-first had an admission race: a runner could
-	// dequeue and finalize the job before the inflight entry existed, so
-	// finalize's conditional delete was a no-op and the terminal job
-	// stayed registered as "in flight" — later submits of the same spec
-	// then deduped against a finished job forever (with caching disabled
-	// the spec could never run again). Registering first means finalize
-	// always observes the entry it must clear.
-	s.registerJob(j)
-	s.mu.Lock()
-	s.inflight[key] = j.id
-	s.mu.Unlock()
 	select {
 	case s.queue <- j:
 	default:
 		// Backpressure: the queue is full. 429 + Retry-After instead of
 		// unbounded buffering. Roll the admission back so the rejected
-		// job leaves no ghost registry or dedupe entries behind.
+		// job leaves no ghost registry or index entries behind.
 		s.unregisterJob(j)
 		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 		writeError(w, http.StatusTooManyRequests,
@@ -807,6 +778,68 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, api.SubmitResponse{ID: j.id, State: api.StateQueued, Jobs: j.total})
 }
 
+// indexed returns the job that answers a submit of key: a done one (a
+// hit) or a queued or running one (a dedupe). Nil is a miss. The
+// caller holds s.mu.
+func (s *Server) indexed(key string) *job {
+	j := s.byKey[key]
+	if j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	state := j.state
+	j.mu.Unlock()
+	switch state {
+	case api.StateDone, api.StateQueued, api.StateRunning:
+		return j
+	}
+	return nil
+}
+
+// answer serves a submit from prev, the job the spec index holds for
+// it. A queued or running prev is a dedupe: the retried submit gets
+// that job back, so submission is idempotent under client retries. A
+// done prev is a hit: the run is a pure function of (spec, seed), so
+// its report answers at once, registered as a new done job so the
+// usual status/report/stream endpoints all work. A hit is served even
+// in degraded mode, since the answer needs no new checkpoint to be
+// correct; the write below is attempted anyway, as the degraded-mode
+// recovery probe. A hit compiles nothing.
+func (s *Server) answer(w http.ResponseWriter, prev *job) {
+	prev.mu.Lock()
+	state, fp, rep := prev.state, prev.fingerprint, prev.report
+	prev.mu.Unlock()
+	if state != api.StateDone {
+		s.metrics.Inc("submit_deduped")
+		writeJSON(w, http.StatusAccepted, api.SubmitResponse{ID: prev.id, State: state, Jobs: prev.total})
+		return
+	}
+	j := newJob(prev.spec, prev.key)
+	j.total = len(rep.Jobs)
+	j.cached = true
+	j.end(api.StateQueued, api.StateDone, fp, rep, "")
+	s.mu.Lock()
+	s.registerJob(j)
+	s.mu.Unlock()
+	if s.store != nil {
+		repJSON, err := json.Marshal(rep)
+		if err == nil {
+			err = s.checkpointWrite(Record{
+				ID: j.id, State: StateDoneCkpt, Spec: j.spec,
+				Fingerprint: fp, Report: repJSON,
+			})
+		}
+		if err != nil {
+			s.cfg.Logf("fleetd: %s: cache-hit checkpoint: %v", j.id, err)
+		}
+	}
+	s.metrics.Inc("submit_cache_hits")
+	writeJSON(w, http.StatusOK, api.SubmitResponse{
+		ID: j.id, State: api.StateDone, Cached: true,
+		Fingerprint: fp, Jobs: j.total,
+	})
+}
+
 // newJob builds a queued job with no ID; registerJob assigns one.
 func newJob(spec []byte, key string) *job {
 	return &job{
@@ -816,18 +849,17 @@ func newJob(spec []byte, key string) *job {
 }
 
 // registerJob gives a job the next ID and publishes it in the registry.
+// The caller holds s.mu.
 func (s *Server) registerJob(j *job) {
-	s.mu.Lock()
 	j.id = fmt.Sprintf("job-%06d", s.nextID)
 	s.nextID++
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	s.mu.Unlock()
 }
 
 // unregisterJob rolls back an admission whose enqueue was refused: the
-// job vanishes from the registry, listing order and in-flight dedupe
-// map as if the submit never happened.
+// job vanishes from the registry, listing order and spec index as if
+// the submit never happened.
 func (s *Server) unregisterJob(j *job) {
 	s.mu.Lock()
 	delete(s.jobs, j.id)
@@ -837,16 +869,10 @@ func (s *Server) unregisterJob(j *job) {
 			break
 		}
 	}
-	s.dropInflight(j)
-	s.mu.Unlock()
-}
-
-// dropInflight retires j's in-flight dedupe entry if j still holds it.
-// The caller holds s.mu.
-func (s *Server) dropInflight(j *job) {
-	if s.inflight[j.key] == j.id {
-		delete(s.inflight, j.key)
+	if s.byKey[j.key] == j {
+		delete(s.byKey, j.key)
 	}
+	s.mu.Unlock()
 }
 
 // lookup finds a job by the {id} path value; nil means the 404 was
@@ -1022,9 +1048,15 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Degraded:       s.degraded,
 		DegradedReason: s.degradedReason,
 	}
+	for _, j := range s.byKey {
+		j.mu.Lock()
+		if j.state == api.StateDone {
+			h.CacheEntries++
+		}
+		j.mu.Unlock()
+	}
 	s.mu.Unlock()
-	h.CacheEntries = s.cache.Len()
-	h.CacheHits = s.cache.Hits()
 	h.Counters = s.metrics.Counters()
+	h.CacheHits = h.Counters["submit_cache_hits"]
 	writeJSON(w, http.StatusOK, h)
 }

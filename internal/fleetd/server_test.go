@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -101,7 +102,7 @@ func TestSubmitRunReport(t *testing.T) {
 // the same spec (even reformatted) returns immediately with the same
 // fingerprint and no new work.
 func TestCacheHitEndToEnd(t *testing.T) {
-	s, c := startServer(t, Config{})
+	_, c := startServer(t, Config{})
 	ctx := context.Background()
 
 	first, err := c.Submit(ctx, []byte(testSpec))
@@ -132,8 +133,8 @@ func TestCacheHitEndToEnd(t *testing.T) {
 	if !env.Cached || env.Fingerprint != st.Fingerprint || env.Report.Fingerprint() != st.Fingerprint {
 		t.Errorf("cached report not bit-identical: %+v vs %s", env.Fingerprint, st.Fingerprint)
 	}
-	if got := s.cache.Hits(); got != 1 {
-		t.Errorf("cache hits = %d, want 1", got)
+	if h, err := c.Health(ctx); err != nil || h.CacheHits != 1 {
+		t.Errorf("health cache hits = %d (err %v), want 1", h.CacheHits, err)
 	}
 
 	// Different seed: must miss and queue fresh work.
@@ -397,27 +398,26 @@ func TestDrainRejectsSubmits(t *testing.T) {
 }
 
 // TestAdmissionPublishBeforeEnqueue pins the submit admission ordering:
-// the job must be registered and entered into the in-flight dedupe map
-// before it can reach a runner. The enqueue-first ordering had a race —
-// a runner could finalize the job before the inflight entry existed,
-// leaving a stale entry that made every later submit of the same spec
-// dedupe against the finished job (with caching disabled the spec could
-// never run again). Sequential resubmits of one spec must therefore
-// each queue a fresh run, and the dedupe map must be empty whenever no
-// job is active.
+// the job must be registered and entered into the spec index before it
+// can reach a runner. The enqueue-first ordering had a race: a runner
+// could finalize the job before it was indexed, leaving a stale entry
+// that made every later submit of the same spec dedupe against the
+// finished job. Each submission here carries its own seed, so each must
+// queue a fresh run, and once it finishes the index must hold it as
+// done.
 func TestAdmissionPublishBeforeEnqueue(t *testing.T) {
-	s, c := startServer(t, Config{CacheEntries: -1, Runners: 1})
+	s, c := startServer(t, Config{Runners: 1})
 	ctx := context.Background()
-	spec := `{"seed": 7, "vehicles": [{"name": "q", "engine": "slots", "pattern": "c1", "slots": 1000}]}`
 
 	seen := make(map[string]bool)
 	for i := 0; i < 20; i++ {
+		spec := fmt.Sprintf(`{"seed": %d, "vehicles": [{"name": "q", "engine": "slots", "pattern": "c1", "slots": 1000}]}`, 7+i)
 		sub, err := c.Submit(ctx, []byte(spec))
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 		if sub.Cached || sub.State != api.StateQueued {
-			t.Fatalf("iteration %d: submit deduped against a terminal job: %+v", i, sub)
+			t.Fatalf("iteration %d: fresh spec not queued: %+v", i, sub)
 		}
 		if seen[sub.ID] {
 			t.Fatalf("iteration %d: job ID %s reused", i, sub.ID)
@@ -430,18 +430,72 @@ func TestAdmissionPublishBeforeEnqueue(t *testing.T) {
 		if st.State != api.StateDone {
 			t.Fatalf("iteration %d: state %s: %s", i, st.State, st.Error)
 		}
+		key, err := CacheKey([]byte(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
 		s.mu.Lock()
-		stale := len(s.inflight)
+		indexed := s.indexed(key)
 		s.mu.Unlock()
-		if stale != 0 {
-			t.Fatalf("iteration %d: %d stale inflight entr(ies) after job finished", i, stale)
+		if indexed == nil || indexed.id != sub.ID || indexed.status().State != api.StateDone {
+			t.Fatalf("iteration %d: spec index holds %+v after %s finished", i, indexed, sub.ID)
+		}
+	}
+}
+
+// TestConcurrentSubmitsQueueOnce submits one fresh spec from 8
+// goroutines at once. Exactly one submission may queue a job; every
+// other one is deduped onto it or, once it is done, served as a hit.
+func TestConcurrentSubmitsQueueOnce(t *testing.T) {
+	const submitters = 8
+	for round := 0; round < 5; round++ {
+		s, c := startServer(t, Config{Runners: 1})
+		spec := fmt.Sprintf(`{"seed": %d, "vehicles": [{"name": "q", "engine": "slots", "pattern": "c1", "slots": 1000}]}`, 100+round)
+		subs := make([]api.SubmitResponse, submitters)
+		errs := make([]error, submitters)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range subs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				subs[i], errs[i] = c.Submit(context.Background(), []byte(spec))
+			}()
+		}
+		close(start)
+		wg.Wait()
+		var queued []string
+		for i, sub := range subs {
+			if errs[i] != nil {
+				t.Fatalf("round %d submit %d: %v", round, i, errs[i])
+			}
+			if !sub.Cached {
+				queued = append(queued, sub.ID)
+			}
+		}
+		for _, id := range queued[1:] {
+			if id != queued[0] {
+				t.Fatalf("round %d: one spec queued as %v; want one job ID", round, queued)
+			}
+		}
+		s.mu.Lock()
+		ran := 0
+		for _, j := range s.jobs {
+			if !j.cached {
+				ran++
+			}
+		}
+		s.mu.Unlock()
+		if ran != 1 {
+			t.Fatalf("round %d: %d jobs ran the spec, want 1", round, ran)
 		}
 	}
 }
 
 // TestBackpressureRollback pins the 429 path: a submit refused by a
 // full queue must leave no ghost state behind — no registry entry, no
-// listing slot, no in-flight dedupe entry — and the same spec must be
+// listing slot, no spec-index entry — and the same spec must be
 // admissible again once the queue has room.
 func TestBackpressureRollback(t *testing.T) {
 	s, c := startServer(t, Config{QueueDepth: 1, Runners: 1})
@@ -469,10 +523,10 @@ func TestBackpressureRollback(t *testing.T) {
 		t.Fatal("overflow submit accepted, want 429")
 	}
 	s.mu.Lock()
-	jobs, order, inflight := len(s.jobs), len(s.order), len(s.inflight)
+	jobs, order, indexed := len(s.jobs), len(s.order), len(s.byKey)
 	s.mu.Unlock()
-	if jobs != 2 || order != 2 || inflight != 2 {
-		t.Fatalf("rejected submit left ghost state: jobs=%d order=%d inflight=%d, want 2/2/2", jobs, order, inflight)
+	if jobs != 2 || order != 2 || indexed != 2 {
+		t.Fatalf("rejected submit left ghost state: jobs=%d order=%d indexed=%d, want 2/2/2", jobs, order, indexed)
 	}
 
 	// Free the queue and prove the bounced spec is admissible again.
@@ -574,15 +628,17 @@ func TestPaddedSpecCheckpointsCanonical(t *testing.T) {
 // TestAdmissionCheckpointNeverAfterDone: a runner can finish a job
 // before the handler writes its admission checkpoint. The queued record
 // must not then replace the done one, or a restarted daemon would run
-// the finished job again. With the cache off, each submission runs.
+// the finished job again. Each submission carries its own seed, so
+// each one runs.
 func TestAdmissionCheckpointNeverAfterDone(t *testing.T) {
 	const submissions = 40
 	dir := t.TempDir()
-	_, c := startServer(t, Config{CheckpointDir: dir, CacheEntries: -1})
+	_, c := startServer(t, Config{CheckpointDir: dir})
 	ctx := context.Background()
 	var notDone []string
 	for i := 0; i < submissions; i++ {
-		sub, err := c.Submit(ctx, []byte(testSpec))
+		spec := strings.Replace(testSpec, `"seed": 42`, fmt.Sprintf(`"seed": %d`, 42+i), 1)
+		sub, err := c.Submit(ctx, []byte(spec))
 		if err != nil {
 			t.Fatal(err)
 		}

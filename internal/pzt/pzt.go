@@ -54,10 +54,6 @@ type Transducer struct {
 	// OpenReflectance is the residual reflection in the Absorptive
 	// state; the OOK depth is the gap between the two reflectances.
 	OpenReflectance float64
-	// CouplingCoefficient k (0..1) is the electro-mechanical conversion
-	// efficiency: the fraction of incident mechanical amplitude that
-	// appears as open-circuit voltage (per volt of wave amplitude).
-	CouplingCoefficient float64
 
 	state State
 }
@@ -66,12 +62,11 @@ type Transducer struct {
 // resonance and a deep reflective/absorptive contrast.
 func New() *Transducer {
 	return &Transducer{
-		ResonantHz:          90_000,
-		QualityFactor:       45,
-		ShortReflectance:    0.85,
-		OpenReflectance:     0.30,
-		CouplingCoefficient: 0.72,
-		state:               Absorptive,
+		ResonantHz:       90_000,
+		QualityFactor:    45,
+		ShortReflectance: 0.85,
+		OpenReflectance:  0.30,
+		state:            Absorptive,
 	}
 }
 

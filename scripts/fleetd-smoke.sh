@@ -10,7 +10,8 @@
 #   4. restart over the same checkpoint directory    -> job auto-resumes
 #   5. attach with `arachnet-fleet -server -verify`  -> fingerprint must
 #      equal both a fresh local run and the batch reference
-#   6. resubmit the spec                             -> response cache hit
+#   6. resubmit the spec                             -> response cache hit,
+#      counted in -health's cache_hits
 #   7. submit through -flaky N -retries M            -> client retries
 #      through injected transport faults; same fingerprint contract
 #   8. tear one checkpoint's bytes, restart          -> the file is
@@ -143,7 +144,13 @@ echo "fleetd-smoke: resumed fingerprint matches batch reference"
     >"$workdir/c3.out" 2>&1 || fail "cache-hit resubmission failed"
 grep -q "response cache hit (fingerprint $ref)" "$workdir/c3.out" ||
     fail "resubmission missed the response cache"
-echo "fleetd-smoke: cache hit returned the same fingerprint"
+# /v1/healthz must count the hit: cache_hits is the field load
+# benchmarks read the daemon's hit share from.
+"$workdir/arachnet-fleet" -server "$url2" -health >"$workdir/h0.out" 2>&1 ||
+    fail "-health failed after the cache hit"
+hits=$(sed -n 's/^ *"cache_hits": \([0-9]*\),\{0,1\}$/\1/p' "$workdir/h0.out")
+[ "${hits:-0}" -ge 1 ] || fail "cache hit not counted on /v1/healthz (cache_hits=${hits:-missing})"
+echo "fleetd-smoke: cache hit returned the same fingerprint ($hits counted on /v1/healthz)"
 
 # Flaky-transport leg: a quick spec submitted through a transport that
 # fails every 3rd request, with client retries. The client must retry
