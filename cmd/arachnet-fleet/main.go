@@ -356,7 +356,7 @@ func runClient(ctx context.Context, c *api.Client, jobID string, f arachnet.Flee
 	}
 
 	// Follow the JSONL stream until the daemon reports the job done; a
-	// cached job streams just the terminal line.
+	// hit replays the indexed job's retained events.
 	done, err := c.Stream(ctx, jobID, func(line api.StreamLine) error {
 		if quiet || jsonOut || line.Type != api.StreamEvent || line.Event == nil {
 			return nil
@@ -391,7 +391,7 @@ func runClient(ctx context.Context, c *api.Client, jobID string, f arachnet.Flee
 		printJSON(env)
 	} else {
 		printReport(env.Report)
-		if env.Cached || cached {
+		if cached {
 			fmt.Fprintf(stdout, "  (served from the (spec, seed) response cache)\n")
 		}
 	}

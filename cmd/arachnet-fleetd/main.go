@@ -6,10 +6,13 @@
 // The spec index keys every job on its canonical spec (field order and
 // whitespace normalized away; the master seed is a spec field). A
 // submit of a spec whose indexed job is done is a cache hit, answered
-// with that job's report and a bit-identical fingerprint; one whose
-// indexed job is queued or running gets that job back. A hit lasts as
-// long as the daemon keeps the job: finished jobs are kept, and reloaded
-// from -checkpoint-dir on restart.
+// with that job itself: its ID and a bit-identical fingerprint, and its
+// status, report and stream. A hit adds no job and writes no
+// checkpoint. A job whose report holds a timed-out shard answers no
+// resubmit; its spec runs again. A submit whose indexed job is queued
+// or running gets that job back. A hit lasts as long as the daemon
+// keeps the job: finished jobs are kept, and reloaded from
+// -checkpoint-dir on restart.
 //
 //	arachnet-fleetd -addr 127.0.0.1:8040 -checkpoint-dir /var/lib/fleetd
 //	arachnet-fleetd -addr 127.0.0.1:0 -queue 128 -runners 4
@@ -22,7 +25,8 @@
 // Endpoints (all JSON):
 //
 //	POST   /v1/jobs             submit a fleet spec (202 queued, 200 cache hit,
-//	                            429 + Retry-After when the queue is full)
+//	                            429 + Retry-After when the queue is full,
+//	                            503 when draining or degraded)
 //	GET    /v1/jobs             list jobs
 //	GET    /v1/jobs/{id}        job status
 //	GET    /v1/jobs/{id}/stream JSONL progress stream
@@ -39,10 +43,12 @@
 // directory fsync) as CRC-tagged binary CKP1 frames (<id>.ckpt.bin;
 // `arachnet-trace -convert` dumps one as JSON); a checkpoint that fails
 // to decode on restart is quarantined as <id>.corrupt instead of blocking
-// the fleet. When the checkpoint directory turns unwritable the daemon
-// enters degraded mode — cached reports and /v1/healthz keep serving,
-// non-cached submissions get 503 — and recovers on the next write that
-// succeeds. -job-deadline bounds each job's wall clock. Each shard runs
+// the fleet. A job is admitted only once its queued checkpoint is
+// durable. When the checkpoint directory turns unwritable the daemon
+// enters degraded mode — finished specs and /v1/healthz keep serving,
+// new specs get 503 because their admission write fails — and
+// recovers on the next write that succeeds, a new spec's admission
+// write included. -job-deadline bounds each job's wall clock. Each shard runs
 // once: it is a pure function of its seed, so a failed shard stays
 // failed in the report rather than being re-executed.
 package main

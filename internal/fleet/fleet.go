@@ -116,6 +116,14 @@ func (s Status) String() string {
 	return fmt.Sprintf("status(%d)", int(s))
 }
 
+// Deterministic reports whether the status is one a rerun of the job
+// reproduces: ok and failed, the outcomes of a job that ran to its end
+// and so a pure function of its seed. Timed-out and cancelled outcomes
+// depend on wall-clock scheduling, a panicked one is not kept as a
+// result, and pending is no outcome yet. It is the one rule for which
+// outcomes a checkpoint keeps and which reports answer a resubmit.
+func (s Status) Deterministic() bool { return s == StatusOK || s == StatusFailed }
+
 // MarshalJSON renders the status as its name.
 func (s Status) MarshalJSON() ([]byte, error) { return []byte(`"` + s.String() + `"`), nil }
 
@@ -227,9 +235,9 @@ func NewPool(cfg Config, specs []JobSpec) (*Pool, error) {
 // run (every job is a pure function of its seed, and wall-clock fields
 // are excluded from the fingerprint).
 //
-// Only deterministic terminal statuses are accepted — StatusOK and
-// StatusFailed; cancelled or timed-out shards must be recomputed
-// because their outcomes depend on wall-clock scheduling. Each outcome
+// Only deterministic statuses (Status.Deterministic) are accepted;
+// cancelled or timed-out shards must be recomputed because their
+// outcomes depend on wall-clock scheduling. Each outcome
 // is validated against the pool's job list (index range, name, and
 // resolved seed), so a checkpoint taken under a different spec is
 // rejected instead of silently corrupting the report.
@@ -241,7 +249,7 @@ func (p *Pool) Preload(outcomes []JobOutcome) error {
 		if o.Index < 0 || o.Index >= len(p.specs) {
 			return fmt.Errorf("fleet: preload outcome index %d out of range [0,%d)", o.Index, len(p.specs))
 		}
-		if o.Status != StatusOK && o.Status != StatusFailed {
+		if !o.Status.Deterministic() {
 			return fmt.Errorf("fleet: preload job %d has non-deterministic status %s", o.Index, o.Status)
 		}
 		want := p.jobInfo(o.Index)
@@ -491,8 +499,8 @@ func (p *Pool) buildReport(workers int, wall time.Duration) *Report {
 // the one aggregate.
 func (p *Pool) Done() int { return int(p.done.Load()) }
 
-// Finished returns a copy of the deterministic outcomes so far, status
-// ok or failed (the ones Preload accepts), in index order, preloaded
+// Finished returns a copy of the deterministic outcomes so far
+// (Status.Deterministic, the ones Preload accepts), in index order, preloaded
 // ones included; safe to call concurrently with Run. Cancelled and
 // timed-out shards are wall-clock artifacts and are left out.
 func (p *Pool) Finished() []JobOutcome {
@@ -500,7 +508,7 @@ func (p *Pool) Finished() []JobOutcome {
 	defer p.mu.Unlock()
 	var out []JobOutcome
 	for _, o := range p.outcomes {
-		if o.Status == StatusOK || o.Status == StatusFailed {
+		if o.Status.Deterministic() {
 			out = append(out, o)
 		}
 	}

@@ -32,15 +32,16 @@ func TerminalState(state string) bool {
 //
 //	POST /v1/jobs            body: fleet spec JSON
 //	  202 → accepted (queued)
-//	  200 → response-cache hit: Cached is set and the report is
-//	        already available under /v1/jobs/{id}/report
+//	  200 → hit: the spec's indexed job is done; ID is that job, Cached
+//	        is set, and its status, report and stream serve the answer
 //	  429 → queue full; Retry-After carries the suggested backoff
-//	  503 → daemon is draining
+//	  503 → daemon is draining, or degraded (its queued checkpoint
+//	        could not be written)
 type SubmitResponse struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
-	// Cached is set when the (canonicalized spec, seed) response cache
-	// already held the report; no new work was enqueued.
+	// Cached is set on a hit: the (canonicalized spec, seed) spec index
+	// holds a done job, returned as ID; no new work was enqueued.
 	Cached bool `json:"cached,omitempty"`
 	// Fingerprint is the report fingerprint, present on cache hits.
 	Fingerprint string `json:"fingerprint,omitempty"`
@@ -58,8 +59,6 @@ type StatusResponse struct {
 	// Resumed counts shards restored from a checkpoint rather than
 	// recomputed (non-zero only after a daemon restart).
 	Resumed int `json:"resumed,omitempty"`
-	// Cached marks a response-cache hit.
-	Cached bool `json:"cached,omitempty"`
 	// Fingerprint is set once the job is done.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Error describes a failed or cancelled job.
@@ -77,7 +76,6 @@ type ListResponse struct {
 type ReportEnvelope struct {
 	ID          string        `json:"id"`
 	Fingerprint string        `json:"fingerprint"`
-	Cached      bool          `json:"cached,omitempty"`
 	Report      *fleet.Report `json:"report"`
 }
 
@@ -127,9 +125,9 @@ type HealthResponse struct {
 	CacheEntries int    `json:"cache_entries"`
 	CacheHits    uint64 `json:"cache_hits"`
 	// Degraded is set while the checkpoint directory is unwritable:
-	// the daemon keeps serving cached reports and health, refuses
-	// non-cached submissions, and recovers automatically once a
-	// checkpoint write succeeds again.
+	// the daemon keeps serving finished specs and health, refuses new
+	// specs (their queued checkpoint cannot be written), and recovers
+	// automatically once a checkpoint write succeeds again.
 	Degraded bool `json:"degraded,omitempty"`
 	// DegradedReason is the write error that triggered degraded mode.
 	DegradedReason string `json:"degraded_reason,omitempty"`

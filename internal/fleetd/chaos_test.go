@@ -326,10 +326,13 @@ const chaosKillSpec = `{"seed": 123, "workers": 1, "vehicles": [
 
 // TestChaosKillAtCheckpoint: the filesystem dies at op K — before the
 // admission write, right after it, or somewhere in the periodic flush
-// stream. Whatever survived on disk, a restarted daemon (or, when
-// nothing survived, a resubmission) converges to the unfaulted
-// fingerprint: crash-safe rename means the last committed checkpoint
-// is always a consistent one.
+// stream. A job is admitted only once its admission checkpoint is
+// durable, so a kill before that write refuses the submit (503) and
+// leaves nothing on disk, and an admitted job always leaves a
+// checkpoint. Whatever survived, a restarted daemon (or, when nothing
+// survived, a resubmission) converges to the unfaulted fingerprint:
+// crash-safe rename means the last committed checkpoint is always a
+// consistent one.
 func TestChaosKillAtCheckpoint(t *testing.T) {
 	want := batchFingerprint(t, chaosKillSpec)
 	for _, after := range []int{2, 10, 26, 80} {
@@ -349,11 +352,18 @@ func TestChaosKillAtCheckpoint(t *testing.T) {
 			s1.Start()
 			hs1 := httptest.NewServer(s1.Handler())
 			c1 := api.NewClient(hs1.URL)
+			// Ops 1 and 2 are New's MkdirAll and ReadDir, so at K=2 the
+			// admission write is the first op to fail.
 			sub, err := c1.Submit(ctx, []byte(chaosKillSpec))
-			if err != nil {
+			admitted := after > 2
+			if admitted && err != nil {
 				t.Fatal(err)
 			}
-			for try := 0; try < 3000; try++ {
+			var he *api.HTTPError
+			if !admitted && (!errors.As(err, &he) || he.StatusCode != 503 || !strings.Contains(he.Message, "degraded")) {
+				t.Fatalf("submit with the admission write killed: want 503 degraded, got %v / %+v", err, sub)
+			}
+			for try := 0; admitted && try < 3000; try++ {
 				st, err := c1.Status(ctx, sub.ID)
 				if err != nil {
 					t.Fatal(err)
@@ -376,17 +386,19 @@ func TestChaosKillAtCheckpoint(t *testing.T) {
 			if !report.Clean() {
 				t.Fatalf("kill left an inconsistent checkpoint behind: %s", report)
 			}
+			if admitted != (len(recs) > 0) {
+				t.Fatalf("admitted=%v but %d checkpoint(s) on disk", admitted, len(recs))
+			}
 
 			s2, c2 := startServer(t, Config{CheckpointDir: dir})
 			_ = s2
 			id := sub.ID
-			if len(recs) == 0 {
-				// Nothing durable survived (the kill landed before the
+			if !admitted {
+				// The job was never admitted (the kill landed before the
 				// admission write committed): the contract is that the
 				// client resubmits.
-				var he *api.HTTPError
-				if _, err := c2.Status(ctx, sub.ID); !errors.As(err, &he) || he.StatusCode != 404 {
-					t.Fatalf("job survived without a checkpoint? err=%v", err)
+				if lr, err := c2.List(ctx); err != nil || len(lr.Jobs) != 0 {
+					t.Fatalf("refused job survived the restart? %v / %+v", err, lr)
 				}
 				resub, err := c2.Submit(ctx, []byte(chaosKillSpec))
 				if err != nil {
@@ -413,10 +425,12 @@ func TestChaosKillAtCheckpoint(t *testing.T) {
 // ---------------------------------------------------------------------
 
 // TestChaosENOSPCDegradedAndRecovers: when the checkpoint dir stops
-// accepting writes the daemon enters degraded mode — cached reports
-// and health keep serving, new specs get 503 — and because every write
-// attempt doubles as the recovery probe, the first successful write
-// after the disk heals restores normal service.
+// accepting writes the daemon enters degraded mode. A job is admitted
+// only once its admission checkpoint is durable, so new specs get 503,
+// while finished specs and health keep serving (a hit writes nothing).
+// Every write attempt doubles as the recovery probe: after the disk
+// heals, the next new spec's admission write succeeds and restores
+// normal service.
 func TestChaosENOSPCDegradedAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -435,30 +449,26 @@ func TestChaosENOSPCDegradedAndRecovers(t *testing.T) {
 	}
 
 	// Disk fills. The next spec's admission write fails, flipping the
-	// daemon degraded — but the job was already accepted and still
-	// completes and serves its report.
+	// daemon degraded, and the spec is refused with an explanatory 503
+	// rather than admitted without its durability guarantee.
 	fault.mu.Lock()
 	fault.mode = faultENOSPC
 	fault.mu.Unlock()
 	specB := `{"seed": 7, "vehicles": [{"name": "b", "engine": "slots", "pattern": "c1", "slots": 2000, "replicate": 3}]}`
-	subB, err := c.Submit(ctx, []byte(specB))
-	if err != nil {
-		t.Fatalf("in-flight submit should be accepted even as the disk fills: %v", err)
+	var he *api.HTTPError
+	if _, err := c.Submit(ctx, []byte(specB)); !errors.As(err, &he) || he.StatusCode != 503 || !strings.Contains(he.Message, "degraded") {
+		t.Fatalf("submit as the disk fills: want 503 degraded, got %v", err)
 	}
 	if deg, reason := s.Degraded(); !deg || reason == "" {
 		t.Fatalf("daemon not degraded after failed admission write (deg=%v reason=%q)", deg, reason)
 	}
-	if st, err := c.Wait(ctx, subB.ID, 10*time.Millisecond); err != nil || st.State != api.StateDone {
-		t.Fatalf("accepted job must finish despite degraded mode: %v / %+v", err, st)
-	}
-	if st, _ := c.Wait(ctx, subB.ID, 10*time.Millisecond); st.Fingerprint != batchFingerprint(t, specB) {
-		t.Errorf("degraded-phase run diverged: %s", st.Fingerprint)
+	if lr, err := c.List(ctx); err != nil || len(lr.Jobs) != 1 || lr.Jobs[0].ID != subA.ID {
+		t.Fatalf("refused submit left a job behind: %v / %+v", err, lr)
 	}
 
-	// New work is refused with an explanatory 503; cached specs and
-	// health still serve.
+	// Each new spec probes again and is refused while the disk is full;
+	// finished specs and health still serve.
 	specC := `{"seed": 11, "vehicles": [{"name": "c", "engine": "slots", "pattern": "c1", "slots": 2000, "replicate": 2}]}`
-	var he *api.HTTPError
 	if _, err := c.Submit(ctx, []byte(specC)); !errors.As(err, &he) || he.StatusCode != 503 || !strings.Contains(he.Message, "degraded") {
 		t.Fatalf("degraded submit: want 503 degraded, got %v", err)
 	}
@@ -469,34 +479,45 @@ func TestChaosENOSPCDegradedAndRecovers(t *testing.T) {
 	if !h.Degraded || h.DegradedReason == "" {
 		t.Errorf("health hides degraded state: %+v", h)
 	}
-	if h.Counters["ckpt_write_errors"] == 0 || h.Counters["degraded_entries"] != 1 {
+	if h.Counters["ckpt_write_errors"] < 2 || h.Counters["degraded_entries"] != 1 {
 		t.Errorf("degraded counters wrong: %v", h.Counters)
 	}
-	if hit, err := c.Submit(ctx, []byte(specA)); err != nil || !hit.Cached || hit.Fingerprint != wantA {
-		t.Fatalf("cached spec must serve in degraded mode: %v / %+v", err, hit)
+	if hit, err := c.Submit(ctx, []byte(specA)); err != nil || !hit.Cached || hit.ID != subA.ID || hit.Fingerprint != wantA {
+		t.Fatalf("finished spec must serve in degraded mode: %v / %+v", err, hit)
 	}
 
-	// Disk heals. The next cache-hit's checkpoint attempt is the probe
-	// that flips the daemon healthy again — no dedicated prober.
+	// Disk heals. A hit writes nothing, so it probes nothing: the
+	// daemon stays degraded until specC's admission write succeeds,
+	// which flips it healthy again — no dedicated prober.
 	fault.heal()
-	if hit, err := c.Submit(ctx, []byte(specA)); err != nil || !hit.Cached {
+	if hit, err := c.Submit(ctx, []byte(specA)); err != nil || !hit.Cached || hit.ID != subA.ID {
 		t.Fatalf("post-heal cache hit: %v / %+v", err, hit)
 	}
-	if deg, _ := s.Degraded(); deg {
-		t.Fatal("daemon still degraded after a successful write probe")
+	if deg, _ := s.Degraded(); !deg {
+		t.Fatal("a hit probed the disk; only checkpoint writes may")
 	}
 	subC, err := c.Submit(ctx, []byte(specC))
 	if err != nil {
 		t.Fatalf("healed daemon refuses new work: %v", err)
 	}
+	if deg, _ := s.Degraded(); deg {
+		t.Fatal("daemon still degraded after a successful admission write")
+	}
 	if st, err := c.Wait(ctx, subC.ID, 10*time.Millisecond); err != nil || st.Fingerprint != batchFingerprint(t, specC) {
 		t.Fatalf("post-heal run diverged: %v / %+v", err, st)
+	}
+	subB, err := c.Submit(ctx, []byte(specB))
+	if err != nil {
+		t.Fatalf("healed daemon refuses the spec it bounced: %v", err)
+	}
+	if st, err := c.Wait(ctx, subB.ID, 10*time.Millisecond); err != nil || st.Fingerprint != batchFingerprint(t, specB) {
+		t.Fatalf("resubmitted bounced spec diverged: %v / %+v", err, st)
 	}
 	h, err = c.Health(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Degraded || h.Counters["degraded_exits"] != 1 {
+	if h.Degraded || h.Counters["degraded_entries"] != 1 || h.Counters["degraded_exits"] != 1 {
 		t.Errorf("recovery not reflected in health: %+v", h)
 	}
 }

@@ -122,8 +122,8 @@ type CheckpointStore struct {
 	dir string
 	fs  FS
 	// tmpSeq makes each write's staging file unique, so concurrent
-	// writes for the same job (admission racing the first periodic
-	// flush) never rename each other's temp file out from under them.
+	// writes for the same job ID never rename each other's temp file
+	// out from under them.
 	tmpSeq atomic.Uint64
 }
 

@@ -6,10 +6,11 @@
 //
 // Design contract, inherited from the engine: a fleet run is a pure
 // function of its spec and master seed. The daemon exploits this
-// everywhere — cache hits return stored reports whose fingerprints are
-// bit-identical to a fresh run's, and a daemon killed mid-sweep
-// restarts, preloads the checkpointed shards, and finishes with the
-// same fingerprint an uninterrupted run would have produced.
+// everywhere — a resubmit of a finished spec is answered by the job
+// that ran it, whose fingerprint is bit-identical to a fresh run's, and
+// a daemon killed mid-sweep restarts, preloads the checkpointed shards,
+// and finishes with the same fingerprint an uninterrupted run would
+// have produced.
 //
 // Admission control: the queue is bounded. A full queue answers 429
 // with Retry-After instead of buffering unboundedly, so overload is
@@ -19,11 +20,13 @@
 // Failure model (see DESIGN.md §9): checkpoints are crash-safe
 // (fsync + rename + CRC, corrupt files quarantined); each shard runs
 // once, since it is a pure function of its seed and a rerun could not
-// change its outcome; each job can carry a deadline; and an unwritable
-// checkpoint directory puts the daemon in degraded mode — cached
-// reports and health keep serving, non-cached submissions get 503, and
-// the next successful checkpoint write (every attempt doubles as the
-// recovery probe) restores normal service.
+// change its outcome; each job can carry a deadline; a job is admitted
+// only once its queued checkpoint is durable; and an unwritable
+// checkpoint directory puts the daemon in degraded mode — finished
+// specs and health keep serving, new specs get 503, and the next
+// successful checkpoint write (every attempt, a new spec's admission
+// write included, doubles as the recovery probe) restores normal
+// service.
 package fleetd
 
 import (
@@ -106,12 +109,11 @@ type job struct {
 	id    string
 	spec  json.RawMessage // canonical form (CanonicalSpec)
 	key   string          // spec-index key
-	total int             // per-vehicle job count: compiled, or the cached report's
+	total int             // per-vehicle job count: compiled, or the restored report's
 	log   *eventLog
 
 	mu          sync.Mutex
 	state       string
-	cached      bool
 	resumed     int
 	preloaded   []fleet.JobOutcome
 	specs       []fleet.JobSpec // compiled at admission or restart; dropped by end
@@ -122,22 +124,6 @@ type job struct {
 	report      *fleet.Report
 	errMsg      string
 	done        chan struct{} // closed when the job reaches a terminal state (or is interrupted by drain)
-
-	// ckMu orders the admission checkpoint after the runner's last one
-	// (the done record, or the removal): lastCheckpoint sets ckFinal
-	// under it, and the admission write is skipped once it is set, so a
-	// queued record never lands over a finished job.
-	ckMu    sync.Mutex
-	ckFinal bool
-}
-
-// lastCheckpoint runs write, the job's terminal checkpoint operation,
-// and bars any admission write still to come.
-func (j *job) lastCheckpoint(write func() error) error {
-	j.ckMu.Lock()
-	defer j.ckMu.Unlock()
-	j.ckFinal = true
-	return write()
 }
 
 // end is the job's one terminal transition; a drain interruption also
@@ -173,7 +159,6 @@ func (j *job) status() api.StatusResponse {
 		State:       j.state,
 		Total:       j.total,
 		Resumed:     j.resumed,
-		Cached:      j.cached,
 		Fingerprint: j.fingerprint,
 		Error:       j.errMsg,
 	}
@@ -200,14 +185,17 @@ type Server struct {
 	mu   sync.Mutex
 	jobs map[string]*job
 	// byKey is the spec index: the job that answers each spec key. Its
-	// state decides what a submit gets: done is a hit, queued or
-	// running is a dedupe, anything else is a miss that takes over the
-	// key. Lock order is s.mu before j.mu.
-	byKey          map[string]*job
-	order          []string
-	nextID         int
-	draining       bool
-	running        int
+	// state decides what a submit gets: done is a hit (unless a shard
+	// did not end deterministically), queued or running is a dedupe,
+	// anything else is a miss that takes over the key. Lock order is
+	// s.mu before j.mu.
+	byKey    map[string]*job
+	order    []string
+	nextID   int
+	draining bool
+	running  int
+	// degraded is health state, kept by noteCheckpoint: set by a failed
+	// checkpoint write, cleared by the next one that succeeds.
 	degraded       bool
 	degradedReason string
 
@@ -610,11 +598,9 @@ func (s *Server) runJob(j *job) {
 		repJSON, err := json.Marshal(rep)
 		if err != nil {
 			s.cfg.Logf("fleetd: %s: marshal report: %v", j.id, err)
-		} else if err := j.lastCheckpoint(func() error {
-			return s.checkpointWrite(Record{
-				ID: j.id, State: StateDoneCkpt, Spec: j.spec,
-				Fingerprint: fp, Report: repJSON, Error: errMsg,
-			})
+		} else if err := s.checkpointWrite(Record{
+			ID: j.id, State: StateDoneCkpt, Spec: j.spec,
+			Fingerprint: fp, Report: repJSON, Error: errMsg,
 		}); err != nil {
 			s.cfg.Logf("fleetd: %s: done checkpoint: %v", j.id, err)
 		}
@@ -650,9 +636,9 @@ func (s *Server) discard(j *job, state, errMsg string) {
 	s.finalize(j, api.StateRunning, state, "", nil, errMsg)
 }
 
-// removeCheckpoint deletes a job's checkpoint as its terminal one.
+// removeCheckpoint deletes a job's checkpoint.
 func (s *Server) removeCheckpoint(j *job) {
-	if err := j.lastCheckpoint(func() error { return s.store.Remove(j.id) }); err != nil {
+	if err := s.store.Remove(j.id); err != nil {
 		s.cfg.Logf("fleetd: %s: remove checkpoint: %v", j.id, err)
 	}
 }
@@ -682,8 +668,8 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 // handleSubmit admits one fleet spec: canonicalize, answer from the
 // spec index when it holds a done job (a hit) or a queued or running
 // one (a dedupe, so a client retrying a submit never double-enqueues),
-// and only then compile it and enqueue with backpressure. In degraded
-// mode only hits are served.
+// and only then compile it, write its queued checkpoint and enqueue it
+// with backpressure.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
@@ -725,154 +711,118 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	s.mu.Lock()
+	j.id = fmt.Sprintf("job-%06d", s.nextID)
+	s.nextID++
+	s.mu.Unlock()
 
-	// Re-check the index and publish in one critical section: of two
-	// concurrent submits of one new spec, exactly one is queued and the
-	// other answers from it. The job is published (registry and index)
-	// before it can reach a runner, so the runner always finishes a job
-	// the index already holds.
+	// The queued record is durable before the job is visible, so a
+	// daemon killed with the job still queued re-runs it after restart,
+	// and no runner or cancel can reach the job before it exists. New
+	// work that cannot be checkpointed is refused rather than silently
+	// losing its durability guarantee; the write is also the degraded
+	// mode's recovery probe.
+	if err := s.checkpointWrite(Record{ID: j.id, State: StateQueuedCkpt, Spec: j.spec}); err != nil {
+		writeError(w, http.StatusServiceUnavailable,
+			fmt.Sprintf("daemon degraded (checkpoint dir unwritable: %v); only finished specs are served", err))
+		return
+	}
+
+	// Re-check the index, enqueue and publish in one critical section:
+	// of two concurrent submits of one new spec, exactly one is queued
+	// and the other answers from it. A full queue publishes nothing.
 	s.mu.Lock()
 	prev = s.indexed(key)
-	degraded, reason := s.degraded, s.degradedReason
-	if prev == nil && !degraded {
-		s.registerJob(j)
-		s.byKey[key] = j
+	queued := false
+	if prev == nil {
+		select {
+		case s.queue <- j:
+			queued = true
+			s.jobs[j.id] = j
+			s.order = append(s.order, j.id)
+			s.byKey[key] = j
+		default:
+		}
 	}
 	s.mu.Unlock()
+	if queued {
+		writeJSON(w, http.StatusAccepted, api.SubmitResponse{ID: j.id, State: api.StateQueued, Jobs: j.total})
+		return
+	}
+	s.removeCheckpoint(j)
 	if prev != nil {
 		s.answer(w, prev)
 		return
 	}
-	if degraded {
-		// New work cannot be checkpointed, so it is refused rather
-		// than silently losing its durability guarantee.
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("daemon degraded (checkpoint dir unwritable: %s); only cached specs are served", reason))
-		return
-	}
-	select {
-	case s.queue <- j:
-	default:
-		// Backpressure: the queue is full. 429 + Retry-After instead of
-		// unbounded buffering. Roll the admission back so the rejected
-		// job leaves no ghost registry or index entries behind.
-		s.unregisterJob(j)
-		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("job queue full (%d deep); retry later", s.cfg.QueueDepth))
-		return
-	}
-	// Checkpoint at admission so a daemon killed with the job still
-	// queued re-runs it after restart. A runner may have finished the
-	// job already; its terminal checkpoint then stands.
-	j.ckMu.Lock()
-	if !j.ckFinal {
-		// The per-job lock is held across the write on purpose: it
-		// orders this job's admission and terminal checkpoints, and
-		// only the runner or a cancel of this one job can wait on it.
-		if err := s.checkpointWrite(Record{ID: j.id, State: StateQueuedCkpt, Spec: j.spec}); err != nil {
-			s.cfg.Logf("fleetd: %s: admission checkpoint: %v", j.id, err)
-		}
-	}
-	j.ckMu.Unlock()
-	writeJSON(w, http.StatusAccepted, api.SubmitResponse{ID: j.id, State: api.StateQueued, Jobs: j.total})
+	// Backpressure: 429 + Retry-After instead of unbounded buffering.
+	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
+	writeError(w, http.StatusTooManyRequests,
+		fmt.Sprintf("job queue full (%d deep); retry later", s.cfg.QueueDepth))
 }
 
-// indexed returns the job that answers a submit of key: a done one (a
-// hit) or a queued or running one (a dedupe). Nil is a miss. The
-// caller holds s.mu.
+// indexed returns the job that answers a submit of key: a queued or
+// running one (a dedupe) or one that replays (a hit). Nil is a miss.
+// The caller holds s.mu.
 func (s *Server) indexed(key string) *job {
 	j := s.byKey[key]
 	if j == nil {
 		return nil
 	}
 	j.mu.Lock()
-	state := j.state
-	j.mu.Unlock()
-	switch state {
-	case api.StateDone, api.StateQueued, api.StateRunning:
+	defer j.mu.Unlock()
+	if j.state == api.StateQueued || j.state == api.StateRunning || j.replays() {
 		return j
 	}
 	return nil
+}
+
+// replays reports whether the job answers a resubmit of its spec with
+// its own report: it is done, and every shard ended in a deterministic
+// status. A shard cut by the spec's job timeout is a wall-clock
+// artifact, so its spec runs again and the rerun takes over the key.
+// The caller holds j.mu.
+func (j *job) replays() bool {
+	if j.state != api.StateDone {
+		return false
+	}
+	for _, o := range j.report.Jobs {
+		if !o.Status.Deterministic() {
+			return false
+		}
+	}
+	return true
 }
 
 // answer serves a submit from prev, the job the spec index holds for
 // it. A queued or running prev is a dedupe: the retried submit gets
 // that job back, so submission is idempotent under client retries. A
 // done prev is a hit: the run is a pure function of (spec, seed), so
-// its report answers at once, registered as a new done job so the
-// usual status/report/stream endpoints all work. A hit is served even
-// in degraded mode, since the answer needs no new checkpoint to be
-// correct; the write below is attempted anyway, as the degraded-mode
-// recovery probe. A hit compiles nothing.
+// prev itself is the answer, and its status, report and stream (error
+// included) serve the hit. A hit registers, compiles and writes
+// nothing, so it is served in degraded mode too.
 func (s *Server) answer(w http.ResponseWriter, prev *job) {
 	prev.mu.Lock()
-	state, fp, rep := prev.state, prev.fingerprint, prev.report
+	state, fp := prev.state, prev.fingerprint
 	prev.mu.Unlock()
 	if state != api.StateDone {
 		s.metrics.Inc("submit_deduped")
 		writeJSON(w, http.StatusAccepted, api.SubmitResponse{ID: prev.id, State: state, Jobs: prev.total})
 		return
 	}
-	j := newJob(prev.spec, prev.key)
-	j.total = len(rep.Jobs)
-	j.cached = true
-	j.end(api.StateQueued, api.StateDone, fp, rep, "")
-	s.mu.Lock()
-	s.registerJob(j)
-	s.mu.Unlock()
-	if s.store != nil {
-		repJSON, err := json.Marshal(rep)
-		if err == nil {
-			err = s.checkpointWrite(Record{
-				ID: j.id, State: StateDoneCkpt, Spec: j.spec,
-				Fingerprint: fp, Report: repJSON,
-			})
-		}
-		if err != nil {
-			s.cfg.Logf("fleetd: %s: cache-hit checkpoint: %v", j.id, err)
-		}
-	}
 	s.metrics.Inc("submit_cache_hits")
 	writeJSON(w, http.StatusOK, api.SubmitResponse{
-		ID: j.id, State: api.StateDone, Cached: true,
-		Fingerprint: fp, Jobs: j.total,
+		ID: prev.id, State: api.StateDone, Cached: true,
+		Fingerprint: fp, Jobs: prev.total,
 	})
 }
 
-// newJob builds a queued job with no ID; registerJob assigns one.
+// newJob builds a queued job with no ID; the admission or the restored
+// checkpoint assigns one.
 func newJob(spec []byte, key string) *job {
 	return &job{
 		spec: spec, key: key, state: api.StateQueued,
 		log: newEventLog(streamBuffer), done: make(chan struct{}),
 	}
-}
-
-// registerJob gives a job the next ID and publishes it in the registry.
-// The caller holds s.mu.
-func (s *Server) registerJob(j *job) {
-	j.id = fmt.Sprintf("job-%06d", s.nextID)
-	s.nextID++
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-}
-
-// unregisterJob rolls back an admission whose enqueue was refused: the
-// job vanishes from the registry, listing order and spec index as if
-// the submit never happened.
-func (s *Server) unregisterJob(j *job) {
-	s.mu.Lock()
-	delete(s.jobs, j.id)
-	for i, id := range s.order {
-		if id == j.id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	if s.byKey[j.key] == j {
-		delete(s.byKey, j.key)
-	}
-	s.mu.Unlock()
 }
 
 // lookup finds a job by the {id} path value; nil means the 404 was
@@ -920,13 +870,13 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	rep, fp, cached, state := j.report, j.fingerprint, j.cached, j.state
+	rep, fp, state := j.report, j.fingerprint, j.state
 	j.mu.Unlock()
 	if rep == nil {
 		writeError(w, http.StatusConflict, fmt.Sprintf("job %s is %s; no report yet", j.id, state))
 		return
 	}
-	writeJSON(w, http.StatusOK, api.ReportEnvelope{ID: j.id, Fingerprint: fp, Cached: cached, Report: rep})
+	writeJSON(w, http.StatusOK, api.ReportEnvelope{ID: j.id, Fingerprint: fp, Report: rep})
 }
 
 // handleCancel aborts a queued or running job.
@@ -1050,7 +1000,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, j := range s.byKey {
 		j.mu.Lock()
-		if j.state == api.StateDone {
+		if j.replays() {
 			h.CacheEntries++
 		}
 		j.mu.Unlock()

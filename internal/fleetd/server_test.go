@@ -99,8 +99,8 @@ func TestSubmitRunReport(t *testing.T) {
 }
 
 // TestCacheHitEndToEnd is the cache-hit determinism leg: resubmitting
-// the same spec (even reformatted) returns immediately with the same
-// fingerprint and no new work.
+// the same spec (even reformatted) returns the job that ran it at once,
+// with the same fingerprint and no new work.
 func TestCacheHitEndToEnd(t *testing.T) {
 	_, c := startServer(t, Config{})
 	ctx := context.Background()
@@ -130,7 +130,7 @@ func TestCacheHitEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !env.Cached || env.Fingerprint != st.Fingerprint || env.Report.Fingerprint() != st.Fingerprint {
+	if env.ID != first.ID || env.Fingerprint != st.Fingerprint || env.Report.Fingerprint() != st.Fingerprint {
 		t.Errorf("cached report not bit-identical: %+v vs %s", env.Fingerprint, st.Fingerprint)
 	}
 	if h, err := c.Health(ctx); err != nil || h.CacheHits != 1 {
@@ -445,7 +445,8 @@ func TestAdmissionPublishBeforeEnqueue(t *testing.T) {
 
 // TestConcurrentSubmitsQueueOnce submits one fresh spec from 8
 // goroutines at once. Exactly one submission may queue a job; every
-// other one is deduped onto it or, once it is done, served as a hit.
+// other one is deduped onto it or, once it is done, served as a hit,
+// and the daemon holds that one job.
 func TestConcurrentSubmitsQueueOnce(t *testing.T) {
 	const submitters = 8
 	for round := 0; round < 5; round++ {
@@ -480,15 +481,10 @@ func TestConcurrentSubmitsQueueOnce(t *testing.T) {
 			}
 		}
 		s.mu.Lock()
-		ran := 0
-		for _, j := range s.jobs {
-			if !j.cached {
-				ran++
-			}
-		}
+		jobs := len(s.jobs)
 		s.mu.Unlock()
-		if ran != 1 {
-			t.Fatalf("round %d: %d jobs ran the spec, want 1", round, ran)
+		if jobs != 1 {
+			t.Fatalf("round %d: the daemon holds %d jobs for one spec, want 1", round, jobs)
 		}
 	}
 }
@@ -659,5 +655,160 @@ func TestAdmissionCheckpointNeverAfterDone(t *testing.T) {
 	}
 	if len(notDone) > 0 {
 		t.Errorf("%d of %d finished jobs checkpointed as not done: %v", len(notDone), submissions, notDone)
+	}
+}
+
+// TestResubmitKeepsOneJob resubmits one finished spec 1,000 times. A
+// hit is the indexed job itself, so the daemon keeps one job and one
+// checkpoint for the result, and a hit writes nothing.
+func TestResubmitKeepsOneJob(t *testing.T) {
+	dir := t.TempDir()
+	_, c := startServer(t, Config{CheckpointDir: dir})
+	ctx := context.Background()
+	first, err := c.Submit(ctx, []byte(testSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Wait(ctx, first.ID, 5*time.Millisecond)
+	if err != nil || st.State != api.StateDone {
+		t.Fatalf("first run: %v / %+v", err, st)
+	}
+	h0, err := c.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		hit, err := c.Submit(ctx, []byte(testSpec))
+		if err != nil {
+			t.Fatalf("resubmit %d: %v", i, err)
+		}
+		if !hit.Cached || hit.ID != first.ID || hit.Fingerprint != st.Fingerprint {
+			t.Fatalf("resubmit %d: %+v, want a hit on %s with fingerprint %s", i, hit, first.ID, st.Fingerprint)
+		}
+	}
+	h1, err := c.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w0, w1 := h0.Counters["ckpt_writes"], h1.Counters["ckpt_writes"]; w1 != w0 {
+		t.Errorf("1,000 hits moved ckpt_writes from %d to %d", w0, w1)
+	}
+	if h1.CacheHits != 1000 || h1.CacheEntries != 1 {
+		t.Errorf("health: cache_hits %d, cache_entries %d; want 1000 and 1", h1.CacheHits, h1.CacheEntries)
+	}
+	lr, err := c.List(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lr.Jobs) != 1 {
+		t.Errorf("daemon lists %d jobs after 1,000 hits, want 1", len(lr.Jobs))
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*"+ckptSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 {
+		t.Errorf("checkpoint dir holds %d checkpoints after 1,000 hits, want 1: %v", len(files), files)
+	}
+}
+
+// TestHitServesIndexedJobError: a spec with a shard that fails on its
+// own ends done with the report's first error. A resubmit is that same
+// job, so its status and its stream's done line carry the error too.
+func TestHitServesIndexedJobError(t *testing.T) {
+	spec := `{"seed": 21, "vehicles": [
+		{"name": "ok", "engine": "slots", "pattern": "c1", "slots": 2000},
+		{"name": "doomed", "engine": "slots", "pattern": "c5", "converge_within": 10}
+	]}`
+	f, err := arachnet.UnmarshalFleetJSON([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := f.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rep.FirstError()
+	if want == "" {
+		t.Fatal("fixture has no failing shard")
+	}
+	_, c := startServer(t, Config{})
+	ctx := context.Background()
+	first, err := c.Submit(ctx, []byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c.Wait(ctx, first.ID, 5*time.Millisecond); err != nil || st.State != api.StateDone || st.Error != want {
+		t.Fatalf("first run: %v / %+v, want done with error %q", err, st, want)
+	}
+	hit, err := c.Submit(ctx, []byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached || hit.ID != first.ID {
+		t.Errorf("resubmit: %+v, want a hit on %s", hit, first.ID)
+	}
+	st, err := c.Status(ctx, hit.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Error != want {
+		t.Errorf("hit status error %q, want %q", st.Error, want)
+	}
+	done, err := c.Stream(ctx, hit.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != api.StateDone || done.Error != want {
+		t.Errorf("hit stream done line: state %s error %q, want done with %q", done.State, done.Error, want)
+	}
+}
+
+// TestTimedOutJobRerunsOnResubmit: a shard cut by the spec's job
+// timeout is a wall-clock artifact, so a done job with one answers no
+// resubmit. The spec runs again under a new job ID, and the rerun takes
+// over the spec index.
+func TestTimedOutJobRerunsOnResubmit(t *testing.T) {
+	spec := []byte(`{"seed": 13, "workers": 1, "job_timeout_ms": 1, "vehicles": [
+		{"name": "slow", "engine": "slots", "pattern": "c2", "slots": 60000, "replicate": 2, "faults": {"feedback": {"loss_prob": 0.001}}}
+	]}`)
+	s, c := startServer(t, Config{})
+	ctx := context.Background()
+	first, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c.Wait(ctx, first.ID, 5*time.Millisecond); err != nil || st.State != api.StateDone {
+		t.Fatalf("first run: %v / %+v", err, st)
+	}
+	env, err := c.Report(ctx, first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.Report.TimedOut == 0 {
+		t.Fatalf("fixture too fast: no shard timed out (%+v)", env.Report)
+	}
+	second, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Cached || second.ID == first.ID {
+		t.Fatalf("resubmit of a timed-out job: %+v, want a new job", second)
+	}
+	if _, err := c.Wait(ctx, second.ID, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	key, err := CacheKey(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	owner := s.byKey[key]
+	s.mu.Unlock()
+	if owner == nil || owner.id != second.ID {
+		t.Errorf("spec index holds %v, want the rerun %s", owner, second.ID)
+	}
+	if h, err := c.Health(ctx); err != nil || h.CacheHits != 0 || h.CacheEntries != 0 {
+		t.Errorf("health: %v / cache_hits %d, cache_entries %d; want 0 and 0", err, h.CacheHits, h.CacheEntries)
 	}
 }

@@ -11,7 +11,8 @@
 #   5. attach with `arachnet-fleet -server -verify`  -> fingerprint must
 #      equal both a fresh local run and the batch reference
 #   6. resubmit the spec                             -> response cache hit,
-#      counted in -health's cache_hits
+#      answered by job-000000 itself, counted in -health's cache_hits,
+#      and no second checkpoint written
 #   7. submit through -flaky N -retries M            -> client retries
 #      through injected transport faults; same fingerprint contract
 #   8. tear one checkpoint's bytes, restart          -> the file is
@@ -139,11 +140,16 @@ fp=$(awk '$1 == "fingerprint" {print $2}' "$workdir/c2.out")
 echo "fleetd-smoke: resumed fingerprint matches batch reference"
 
 # The finished job warmed the response cache: a resubmission answers
-# instantly with the same fingerprint.
+# instantly with that job itself and the same fingerprint, and writes
+# no checkpoint of its own.
 "$workdir/arachnet-fleet" -server "$url2" -quiet "$spec" \
     >"$workdir/c3.out" 2>&1 || fail "cache-hit resubmission failed"
 grep -q "response cache hit (fingerprint $ref)" "$workdir/c3.out" ||
     fail "resubmission missed the response cache"
+grep -q "^job job-000000: response cache hit" "$workdir/c3.out" ||
+    fail "cache hit did not answer with the job that ran the spec (job-000000)"
+nck=$(find "$ckpt" -name '*.ckpt.bin' | wc -l)
+[ "$nck" -eq 1 ] || fail "cache hit left $nck checkpoints in $ckpt, want 1"
 # /v1/healthz must count the hit: cache_hits is the field load
 # benchmarks read the daemon's hit share from.
 "$workdir/arachnet-fleet" -server "$url2" -health >"$workdir/h0.out" 2>&1 ||
@@ -186,9 +192,9 @@ pid2=""
 # the corrupt file moves aside as *.corrupt, the other job's checkpoint
 # still warms the cache, and resubmitting the torn spec re-runs it to
 # the same fingerprint.
-# The cache-hit resubmission above registered job-000001, so the quick
-# job landed as job-000002.
-qck="$ckpt/job-000002.ckpt.bin"
+# The cache-hit resubmission above answered with job-000000 itself, so
+# the quick job landed as job-000001.
+qck="$ckpt/job-000001.ckpt.bin"
 [ -f "$qck" ] || fail "expected quick-job checkpoint $qck on disk"
 head -c 40 "$qck" >"$workdir/torn.bin"
 mv "$workdir/torn.bin" "$qck"
@@ -207,8 +213,8 @@ done
 [ -n "$url3" ] || fail "daemon 3 never reported its address"
 grep -q 'quarantined' "$workdir/d3.err" ||
     fail "daemon 3 did not report the torn checkpoint quarantine"
-[ -f "$ckpt/job-000002.corrupt" ] ||
-    fail "torn checkpoint was not moved to job-000002.corrupt"
+[ -f "$ckpt/job-000001.corrupt" ] ||
+    fail "torn checkpoint was not moved to job-000001.corrupt"
 echo "fleetd-smoke: daemon 3 quarantined the torn checkpoint"
 
 "$workdir/arachnet-fleet" -server "$url3" -health >"$workdir/h2.out" 2>&1 ||
