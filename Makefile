@@ -79,8 +79,9 @@ bench:
 # must stay within 1.5x of the untraced wall clock. The BiW path-loss
 # lookup the event network makes per tag per beacon must not allocate,
 # and neither may the event engine's schedule+fire once its free list
-# is warm. A chaos vehicle (c3, 10,000 slots, the fleet-sweep chaos
-# plan) must stay within the fault-free fleet's allocs/job bound: its
+# is warm, nor a lane's or a cursor's push+fire once its buffer is. A
+# chaos vehicle (c3, 10,000 slots, the fleet-sweep chaos plan) must
+# stay within the fault-free fleet's allocs/job bound: its
 # recovery analysis folds events as they arrive instead of buffering
 # them. A clean vehicle must stay at 16 allocs/job or fewer, so the
 # steady-state skip cannot allocate at every hyperperiod boundary
@@ -107,8 +108,10 @@ bench-smoke:
 		-assert 'BenchmarkTracedFleet/binary:overhead-vs-untraced<=1.5' .
 	$(GO) run ./cmd/arachnet-benchjson -bench PathLossDB -benchtime 100000x \
 		-assert 'BenchmarkPathLossDB:allocs_per_op<=0' ./internal/biw
-	$(GO) run ./cmd/arachnet-benchjson -bench EngineScheduleFire -benchtime 100000x \
-		-assert 'BenchmarkEngineScheduleFire:allocs_per_op<=0' ./internal/sim
+	$(GO) run ./cmd/arachnet-benchjson -bench 'Engine(ScheduleFire|Lane|Cursor)' -benchtime 100000x \
+		-assert 'BenchmarkEngineScheduleFire:allocs_per_op<=0' \
+		-assert 'BenchmarkEngineLane:allocs_per_op<=0' \
+		-assert 'BenchmarkEngineCursor:allocs_per_op<=0' ./internal/sim
 	$(GO) run ./cmd/arachnet-benchjson -bench 'DLPulses|ULChipMeans|ULDecoder' -benchtime 200x \
 		-assert 'BenchmarkDLPulses:allocs_per_op<=0' \
 		-assert 'BenchmarkDLPulses:speedup-vs-oracle>=1.5' \
@@ -120,7 +123,8 @@ bench-smoke:
 		-assert 'BenchmarkInjector:speedup-vs-oracle>=2' ./internal/faults
 
 # Coverage-guided fuzzing smoke: 10 s on each native fuzz target in the
-# phy codecs and the binary wire codecs (go fuzzing allows one -fuzz
+# phy codecs, the binary wire codecs and the event engine's queues
+# against their plain-slice reference (go fuzzing allows one -fuzz
 # pattern per invocation, hence the pkg:target loop). CI runs this on
 # every push; longer local sessions just raise FUZZTIME.
 FUZZTIME ?= 10s
@@ -131,7 +135,8 @@ FUZZ_TARGETS = \
 	./internal/phy:FuzzFM0Decode \
 	./internal/obs:FuzzUnmarshalEvent \
 	./internal/fleet:FuzzUnmarshalJobOutcome \
-	./internal/fleetd:FuzzUnmarshalCheckpoint
+	./internal/fleetd:FuzzUnmarshalCheckpoint \
+	./internal/sim:FuzzEngineMatchesReference
 fuzz-smoke:
 	for pt in $(FUZZ_TARGETS); do \
 		pkg=$${pt%%:*}; target=$${pt##*:}; \

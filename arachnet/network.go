@@ -71,9 +71,10 @@ const (
 
 // deliverBeacon fans the reader's envelope edges out to every tag with
 // per-tag propagation and comparator delays. Tags are visited in id
-// order (byTID, filled once by Clone): the engine breaks equal-timestamp
-// ties in scheduling order, so iterating the tag map directly would let
-// map order pick which of two coincident edges fires first.
+// order (byTID, filled once by Clone), each tag's edges in beacon
+// order: the engine breaks equal-timestamp ties in queueing order, so
+// iterating the tag map directly would let map order pick which of two
+// coincident edges fires first.
 func (n *Network) deliverBeacon(bx reader.BeaconTx) {
 	for id := range n.byTID {
 		dev := n.byTID[id]
@@ -100,9 +101,7 @@ func (n *Network) deliverBeacon(bx reader.BeaconTx) {
 			if !e.Rising {
 				delay = prop + fall
 			}
-			// After clamps an edge already in the past to now.
-			at := e.At + sim.FromSeconds(delay)
-			n.engine.After(at-n.engine.Now(), "dl-edge", dev.EnvelopeEdge(e.Rising))
+			dev.QueueEdge(e.At+sim.FromSeconds(delay), e.Rising)
 		}
 	}
 }

@@ -95,6 +95,9 @@ func (p *InputPin) OnEdge(cycles int, fn func(rising bool, now sim.Time)) {
 // ClearHandler disables the edge ISR.
 func (p *InputPin) ClearHandler() { p.handler = nil }
 
+// Level reports the level the pin was last driven to.
+func (p *InputPin) Level() bool { return p.level }
+
 // Inject drives the pin to the given level at the current simulation
 // time; a level change fires the edge ISR (waking the CPU).
 func (p *InputPin) Inject(level bool) {

@@ -52,7 +52,9 @@ type Edge struct {
 	Rising bool
 }
 
-// BeaconTx describes one broadcast beacon.
+// BeaconTx describes one broadcast beacon. Edges is the reader's
+// buffer, borrowed for the Broadcast call: the next beacon overwrites
+// it, so a receiver that keeps the edges copies them.
 type BeaconTx struct {
 	Cmd   phy.Command
 	Start sim.Time
@@ -110,6 +112,8 @@ type Device struct {
 	DecodeSlot SlotDecoder
 
 	inbox        []ULEvent
+	bx           BeaconTx // the open slot's beacon; its Edges buffer is reused every slot
+	slotEndFn    func(now sim.Time)
 	fb           mac.Feedback
 	running      bool // set by Start, so a second Start adds no loop
 	pendingReset bool
@@ -132,7 +136,7 @@ func New(engine *sim.Engine, cfg Config, periods map[int]mac.Period, rng *sim.Ra
 	if cfg.SlotDuration <= 0 {
 		return nil, fmt.Errorf("reader: non-positive slot duration")
 	}
-	return &Device{
+	d := &Device{
 		Cfg:         cfg,
 		Proto:       proto,
 		engine:      engine,
@@ -140,7 +144,9 @@ func New(engine *sim.Engine, cfg Config, periods map[int]mac.Period, rng *sim.Ra
 		Window:      mac.NewWindowStats(),
 		Convergence: mac.NewConvergenceDetector(),
 		Payloads:    make(map[uint8][]uint16),
-	}, nil
+	}
+	d.slotEndFn = d.endSlot // bound once: a closure per slot would allocate
+	return d, nil
 }
 
 // SetTracer attaches an observability tracer to the device and its
@@ -194,17 +200,16 @@ func (d *Device) beginSlot(now sim.Time) {
 		d.Trace.Emit(obs.Event{Kind: obs.KindSlotOpen, Slot: d.Proto.Slot(),
 			T: now.Seconds(), ACK: d.fb.ACK, Empty: d.fb.Empty})
 	}
-	bx := d.modulateBeacon(cmd, now)
+	d.bx = d.modulateBeacon(cmd, now)
 	d.inbox = d.inbox[:0]
 	if d.Broadcast != nil {
-		d.Broadcast(bx)
+		d.Broadcast(d.bx)
 	}
-	d.engine.After(d.Cfg.SlotDuration, "reader-slot-end", func(end sim.Time) {
-		d.endSlot(bx, end)
-	})
+	d.engine.After(d.Cfg.SlotDuration, "reader-slot-end", d.slotEndFn)
 }
 
-// modulateBeacon expands the command into jittered PIE envelope edges.
+// modulateBeacon expands the command into jittered PIE envelope edges,
+// written over the previous beacon's edge buffer.
 func (d *Device) modulateBeacon(cmd phy.Command, start sim.Time) BeaconTx {
 	frame, err := (phy.Beacon{Cmd: cmd}).Marshal()
 	if err != nil {
@@ -221,7 +226,7 @@ func (d *Device) modulateBeacon(cmd phy.Command, start sim.Time) BeaconTx {
 		j := sim.Time(d.rng.Float64() * float64(d.Cfg.SymbolJitter) * 2)
 		return j - d.Cfg.SymbolJitter
 	}
-	var edges []Edge
+	edges := d.bx.Edges[:0]
 	t := start
 	for _, bit := range frame {
 		high := chipDur // PIE 0: one high chip
@@ -246,7 +251,7 @@ func (d *Device) OnTransmission(ev ULEvent) {
 }
 
 // endSlot scores the slot, runs the protocol, and opens the next slot.
-func (d *Device) endSlot(bx BeaconTx, now sim.Time) {
+func (d *Device) endSlot(now sim.Time) {
 	var seen mac.Observation
 	var decodedEv *ULEvent
 	if d.DecodeSlot != nil && len(d.inbox) > 0 {
@@ -299,8 +304,8 @@ func (d *Device) endSlot(bx BeaconTx, now sim.Time) {
 			d.Payloads[tid] = d.Payloads[tid][1:]
 		}
 		d.PingPongs = append(d.PingPongs, PingPongSample{
-			Stage1: bx.End - bx.Start,
-			Stage2: decodedEv.End + d.Cfg.ProcessingDelay - bx.End,
+			Stage1: d.bx.End - d.bx.Start,
+			Stage2: decodedEv.End + d.Cfg.ProcessingDelay - d.bx.End,
 		})
 		if len(d.PingPongs) > 100000 {
 			d.PingPongs = d.PingPongs[1:]

@@ -1,6 +1,7 @@
 package reader
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/mac"
@@ -97,7 +98,10 @@ func TestBeaconEdgesDecodeAsPIE(t *testing.T) {
 func TestJitterBoundsRespected(t *testing.T) {
 	e, d := newTestReader(t, 3)
 	var all []BeaconTx
-	d.Broadcast = func(b BeaconTx) { all = append(all, b) }
+	d.Broadcast = func(b BeaconTx) {
+		b.Edges = slices.Clone(b.Edges) // borrowed: the next beacon reuses the buffer
+		all = append(all, b)
+	}
 	d.Start()
 	e.RunUntil(10 * sim.Second)
 	if len(all) < 5 {

@@ -7,17 +7,19 @@ import (
 	"repro/internal/obs"
 )
 
-// event is one scheduled callback. Events fire in timestamp order;
-// events with equal timestamps fire in the order they were scheduled
-// (FIFO), which keeps multi-entity simulations deterministic. The engine
-// owns its events and recycles them, so callers refer to one through a
-// Handle rather than a pointer.
+// event is one heap entry: a scheduled callback, or the earliest
+// pending callback of a Cursor. Events fire in timestamp order; events
+// with equal timestamps fire in the order they were scheduled (FIFO),
+// which keeps multi-entity simulations deterministic. The engine owns
+// its scheduled events and recycles them, so callers refer to one
+// through a Handle rather than a pointer.
 type event struct {
-	at    Time
-	seq   uint64 // scheduling order; unique per engine, never reused
-	name  string // optional label for tracing
-	fire  func(now Time)
-	index int // heap index; -1 while fired, cancelled or free
+	at     Time
+	seq    uint64 // scheduling order; unique per engine, never reused
+	name   string // optional label for tracing
+	fire   func(now Time)
+	index  int     // heap index; -1 while fired, cancelled or free
+	cursor *Cursor // owner of a cursor's event; nil for a scheduled event
 }
 
 // before is the engine's total order: (at, seq) lexicographically.
@@ -49,14 +51,23 @@ const heapArity = 4
 // for concurrent use; all entities in a simulation share one engine and
 // run on its virtual clock.
 //
-// The queue is a 4-ary min-heap over (at, seq), a total order, so every
-// correct priority queue pops events in the same sequence. Fired and
-// cancelled events go to a free list that Schedule draws from first;
-// the list never holds more events than were once pending together.
+// Every pending callback has a key (at, seq), and seq comes from one
+// counter whichever queue holds the callback, so the keys are totally
+// ordered and the engine fires in that order across three queues:
+//   - a 4-ary min-heap of scheduled events and armed cursors;
+//   - constant-delay FIFO lanes (Lane), whose heads are compared with
+//     the heap head at every Step;
+//   - cursors (Cursor), each of which keeps only its earliest callback
+//     in the heap.
+//
+// Fired and cancelled heap events go to a free list that Schedule
+// draws from first; the list never holds more events than were once
+// pending together.
 type Engine struct {
 	now   Time
 	queue []*event
 	free  []*event
+	lanes []*Lane
 	seq   uint64
 	trace *obs.Tracer
 }
@@ -84,7 +95,7 @@ var ErrPast = errors.New("sim: event scheduled in the past")
 // should bind it once: a func value built per call is the one
 // allocation left on this path.
 //
-//alloc:hot every simulated edge, energy step and timer interrupt passes through here
+//alloc:hot every simulated timer interrupt and beacon timeout passes through here
 func (e *Engine) Schedule(at Time, name string, fn func(now Time)) (Handle, error) {
 	if at < e.now {
 		return Handle{}, pastError(at, e.now, name)
@@ -139,25 +150,69 @@ func (e *Engine) Cancel(h Handle) {
 }
 
 // Step fires the single earliest event and advances the clock to it.
-// It reports whether an event was available. The event is recycled
-// before its callback runs, so a callback that reschedules itself
-// reuses its own event.
+// It reports whether an event was available. A scheduled event is
+// recycled before its callback runs, so a callback that reschedules
+// itself reuses its own event.
+func (e *Engine) Step() bool { return e.fireNext(Never) }
+
+// fireNext fires the earliest pending callback if it is due by
+// deadline, and reports whether it fired one.
 //
 //alloc:hot pops and fires every event of an event-level simulation
-func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+func (e *Engine) fireNext(deadline Time) bool {
+	var (
+		at   Time
+		name string
+		fire func(now Time)
+	)
+	l := e.nextLane()
+	switch {
+	case l != nil:
+		if l.ring[l.head].at > deadline {
+			return false
+		}
+		at, name, fire = l.pop()
+	case len(e.queue) == 0 || e.queue[0].at > deadline:
 		return false
+	case e.queue[0].cursor != nil:
+		at, name, fire = e.queue[0].cursor.pop()
+	default:
+		ev := e.queue[0]
+		e.remove(0)
+		at, name, fire = ev.at, ev.name, ev.fire
+		e.recycle(ev)
 	}
-	ev := e.queue[0]
-	e.remove(0)
-	at, name, fire := ev.at, ev.name, ev.fire
-	e.recycle(ev)
 	e.now = at
 	if e.trace.Enabled() {
 		e.trace.Emit(obs.Event{Kind: obs.KindSimEvent, T: at.Seconds(), Name: name})
 	}
 	fire(at)
 	return true
+}
+
+// nextLane returns the lane whose head precedes every other pending
+// callback, or nil when the heap head comes first or nothing is
+// pending.
+func (e *Engine) nextLane() *Lane {
+	var (
+		best *Lane
+		at   Time
+		seq  uint64
+	)
+	have := len(e.queue) > 0
+	if have {
+		at, seq = e.queue[0].at, e.queue[0].seq
+	}
+	for _, l := range e.lanes {
+		if l.n == 0 {
+			continue
+		}
+		h := &l.ring[l.head]
+		if !have || h.at < at || (h.at == at && h.seq < seq) {
+			best, at, seq, have = l, h.at, h.seq, true
+		}
+	}
+	return best
 }
 
 // recycle parks an unqueued event on the free list. Dropping fn lets
@@ -233,23 +288,178 @@ func (e *Engine) down(i int) {
 // RunUntil fires events in order until the queue drains or the
 // deadline passes. The clock never advances past the deadline:
 // if the next event is later, the clock is set to exactly the deadline
-// and RunUntil returns. It returns the time at which it stopped.
+// and RunUntil returns. A deadline before the current time fires
+// nothing and leaves the clock where it is. It returns the time at
+// which it stopped.
 func (e *Engine) RunUntil(deadline Time) Time {
-	for {
-		if len(e.queue) == 0 {
-			if e.now < deadline && deadline != Never {
-				e.now = deadline
-			}
-			return e.now
-		}
-		if e.queue[0].at > deadline {
-			e.now = deadline
-			return e.now
-		}
-		e.Step()
+	for e.fireNext(deadline) {
 	}
+	if e.now < deadline && deadline != Never {
+		e.now = deadline
+	}
+	return e.now
 }
 
 // Run fires events until the queue drains, returning the final clock
 // value.
 func (e *Engine) Run() Time { return e.RunUntil(Never) }
+
+// Lane is a FIFO of callbacks that each fire a fixed delay after they
+// were pushed. The clock never runs backwards and sequence numbers only
+// grow, so a later push has a key (at, seq) no smaller than any earlier
+// one: the FIFO order is the engine's order, and the lane needs no
+// heap. Lane callbacks cannot be cancelled, so Push returns no Handle
+// and a lane never holds a dead entry.
+type Lane struct {
+	e     *Engine
+	delay Time
+	ring  []laneEvent // power-of-two length; n entries from head, wrapping
+	head  int
+	n     int
+}
+
+type laneEvent struct {
+	at   Time
+	seq  uint64
+	name string
+	fire func(now Time)
+}
+
+// Lane returns the engine's lane for delay, creating it on first use.
+// Every caller asking for one delay shares its lane. Negative delays
+// are clamped to zero.
+func (e *Engine) Lane(delay Time) *Lane {
+	delay = max(delay, 0)
+	for _, l := range e.lanes {
+		if l.delay == delay {
+			return l
+		}
+	}
+	l := &Lane{e: e, delay: delay}
+	e.lanes = append(e.lanes, l)
+	return l
+}
+
+// Push enqueues fn to run the lane's delay from now. It takes the next
+// sequence number, so it fires exactly where
+// After(delay, name, fn) would.
+//
+//alloc:hot every energy tick of every tag passes through here
+func (l *Lane) Push(name string, fn func(now Time)) {
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	e := l.e
+	e.seq++
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = laneEvent{at: e.now + l.delay, seq: e.seq, name: name, fire: fn}
+	l.n++
+}
+
+// grow doubles the ring, unwrapping it. It stays out of line so its
+// allocation is not inlined into the //alloc:hot Push.
+//
+//go:noinline
+func (l *Lane) grow() {
+	ring := make([]laneEvent, max(2*len(l.ring), 8))
+	for i := 0; i < l.n; i++ {
+		ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+	}
+	l.ring, l.head = ring, 0
+}
+
+// pop removes the lane's head.
+func (l *Lane) pop() (Time, string, func(now Time)) {
+	h := &l.ring[l.head]
+	at, name, fire := h.at, h.name, h.fire
+	h.fire = nil
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	return at, name, fire
+}
+
+// Cursor fires a stream of callbacks that arrive in bulk, such as the
+// edges of one beacon at one tag, with one heap entry instead of one
+// per callback. Each Push takes the sequence number Schedule would
+// have taken, and the cursor keeps its callbacks sorted by (at, seq)
+// and arms its one event at the earliest. So every callback fires
+// exactly where its own scheduled event would have, however pushes
+// interleave with other scheduling.
+type Cursor struct {
+	e     *Engine
+	ev    event        // the heap entry while anything is pending
+	items []cursorItem // pending from next on, sorted by (at, seq)
+	next  int
+}
+
+type cursorItem struct {
+	at   Time
+	seq  uint64
+	fire func(now Time)
+}
+
+// NewCursor returns an empty cursor whose callbacks trace as name.
+func (e *Engine) NewCursor(name string) *Cursor {
+	c := &Cursor{e: e}
+	c.ev = event{name: name, index: -1, cursor: c}
+	return c
+}
+
+// Push adds fn to run at the absolute time at; a time already past is
+// clamped to now, as After clamps a negative delay.
+//
+//alloc:hot every simulated DL edge at every tag passes through here
+func (c *Cursor) Push(at Time, fn func(now Time)) {
+	e := c.e
+	at = max(at, e.now)
+	e.seq++
+	if c.next > 0 && len(c.items) == cap(c.items) { // reuse the fired prefix before growing
+		c.items = c.items[:copy(c.items, c.items[c.next:])]
+		c.next = 0
+	}
+	it := cursorItem{at: at, seq: e.seq, fire: fn}
+	c.items = append(c.items, it)
+	// it has the largest seq, so it goes after every item not later.
+	i := len(c.items) - 1
+	for ; i > c.next && c.items[i-1].at > at; i-- {
+		c.items[i] = c.items[i-1]
+	}
+	c.items[i] = it
+	if i > c.next {
+		return
+	}
+	ev := &c.ev
+	ev.at, ev.seq = at, it.seq
+	if ev.index < 0 {
+		ev.index = len(e.queue)
+		e.queue = append(e.queue, ev)
+	}
+	e.up(ev.index) // a new earliest item only moves the key down
+}
+
+// pop takes the earliest item off the cursor, whose event is the heap
+// head, and re-arms the event at the next item.
+//
+//alloc:hot fires every simulated DL edge at every tag
+func (c *Cursor) pop() (Time, string, func(now Time)) {
+	it := c.items[c.next]
+	c.items[c.next].fire = nil
+	c.next++
+	if c.next == len(c.items) {
+		c.items, c.next = c.items[:0], 0
+		c.e.remove(0)
+	} else {
+		h := &c.items[c.next]
+		c.ev.at, c.ev.seq = h.at, h.seq
+		c.e.down(0)
+	}
+	return it.at, c.ev.name, it.fire
+}
+
+// Cancel drops every pending callback of the cursor.
+func (c *Cursor) Cancel() {
+	if c.ev.index >= 0 {
+		c.e.remove(c.ev.index)
+	}
+	clear(c.items)
+	c.items, c.next = c.items[:0], 0
+}

@@ -154,6 +154,18 @@ func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
+// TestEngineRunUntilPastDeadline: a deadline before the clock fires
+// nothing and leaves the clock where it is. A lane's FIFO order rests
+// on a clock that never runs backwards.
+func TestEngineRunUntilPastDeadline(t *testing.T) {
+	e := NewEngine()
+	e.After(20, "x", func(Time) {})
+	e.RunUntil(10)
+	if got := e.RunUntil(5); got != 10 || e.Now() != 10 || e.Pending() != 1 {
+		t.Fatalf("RunUntil(5) at 10: returned %v, clock %v, pending %d; want 10, 10, 1", got, e.Now(), e.Pending())
+	}
+}
+
 // TestEngineStop: a run stops at its deadline with the events beyond
 // it still queued, and a later RunUntil picks them up.
 func TestEngineStop(t *testing.T) {
@@ -239,58 +251,69 @@ func TestEngineSelfCancel(t *testing.T) {
 }
 
 // TestEngineMatchesReference runs a seeded random mix of Schedule,
-// After(0), Cancel and scheduling from inside callbacks — with many
-// equal timestamps — against a reference that keeps the live (At, seq)
-// pairs in a plain slice and fires the least. Fire sequences, Now and
-// Pending must agree at every step.
+// After(0), Cancel, lane pushes, cursor loads and cursor cancels, and
+// of RunUntil and Step, with scheduling from inside callbacks and many
+// equal timestamps across the heap, the lanes and the cursors. A
+// reference keeps every live callback's (at, seq) in a plain slice and
+// fires the least; every callback checks that it is the reference's
+// next at the reference's time, and Pending must agree after every
+// operation.
 func TestEngineMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
-		runEngineReference(t, seed)
+		r := NewRand(seed)
+		runEngineReference(t, 3000, r.Intn)
 	}
+}
+
+// FuzzEngineMatchesReference drives the reference comparison from the
+// fuzz bytes: each byte picks one choice of the operation mix, and a
+// pick past the end of the input is 0, which adds no work from a
+// callback. One operation runs per input byte, then the engine drains.
+func FuzzEngineMatchesReference(f *testing.F) {
+	f.Add([]byte{3, 10, 10, 4, 6, 12, 2, 0, 0, 0})
+	f.Add([]byte{9, 1, 3, 5, 9, 0, 2, 7, 14, 0, 11, 1, 6, 1, 0, 13, 2, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pick := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b) % n
+		}
+		runEngineReference(t, len(data), pick)
+	})
 }
 
 type refEvent struct {
-	at  Time
-	seq uint64
-	id  int
+	at     Time
+	seq    uint64
+	id     int
+	cursor int // index into the cursors, or -1
 }
 
-func runEngineReference(t *testing.T, seed uint64) {
+// runEngineReference performs ops operations chosen by pick(n), which
+// returns a choice in [0, n), then runs both queues dry.
+func runEngineReference(t *testing.T, ops int, pick func(n int) int) {
 	t.Helper()
-	r := NewRand(seed)
 	e := NewEngine()
+	lanes := []*Lane{e.Lane(0), e.Lane(3)}
+	cursors := []*Cursor{e.NewCursor("c0"), e.NewCursor("c1")}
 	var (
 		ref     []refEvent
 		refSeq  uint64
-		refNow  Time
-		handles []Handle // handles[id] is event id's handle
-		got     []int
+		handles []Handle // handles[id] is event id's handle; zero for lane and cursor items
+		fired   int
+		op      int
 	)
-	var schedule func(delay Time)
-	fire := func(id int) func(Time) {
-		return func(now Time) {
-			got = append(got, id)
-			// A third of callbacks schedule more work, often at now.
-			if r.Intn(3) == 0 {
-				schedule(Time(r.Intn(3)))
-			}
+	check := func() {
+		t.Helper()
+		if e.Pending() != len(ref) {
+			t.Fatalf("op %d: engine pending=%d, reference %d", op, e.Pending(), len(ref))
 		}
 	}
-	schedule = func(delay Time) {
-		id := len(handles)
-		handles = append(handles, e.After(delay, "ref", fire(id)))
-		refSeq++
-		ref = append(ref, refEvent{at: e.Now() + delay, seq: refSeq, id: id})
-	}
-	refCancel := func(id int) {
-		for i, ev := range ref {
-			if ev.id == id {
-				ref = append(ref[:i], ref[i+1:]...)
-				return
-			}
-		}
-	}
-	refStep := func() int {
+	// refNext removes and returns the least live reference entry.
+	refNext := func() refEvent {
 		m := 0
 		for i := range ref {
 			if ref[i].at < ref[m].at || (ref[i].at == ref[m].at && ref[i].seq < ref[m].seq) {
@@ -299,43 +322,135 @@ func runEngineReference(t *testing.T, seed uint64) {
 		}
 		ev := ref[m]
 		ref = append(ref[:m], ref[m+1:]...)
-		refNow = ev.at
-		return ev.id
+		return ev
+	}
+	var more func()
+	fire := func(id int) func(Time) {
+		return func(now Time) {
+			if len(ref) == 0 {
+				t.Fatalf("op %d: engine fired %d, reference is empty", op, id)
+			}
+			want := refNext()
+			if want.id != id || now != want.at || e.Now() != want.at {
+				t.Fatalf("op %d: engine fired %d at %v (now %v), reference %d at %v",
+					op, id, now, e.Now(), want.id, want.at)
+			}
+			fired++
+			// A third of callbacks add more work, often at now.
+			if pick(3) == 1 {
+				more()
+			}
+		}
+	}
+	add := func(at Time, cursor int, h Handle) {
+		refSeq++
+		ref = append(ref, refEvent{at: at, seq: refSeq, id: len(handles), cursor: cursor})
+		handles = append(handles, h)
+	}
+	schedule := func(delay Time) {
+		id := len(handles)
+		h := e.After(delay, "ref", fire(id))
+		add(e.Now()+delay, -1, h)
+	}
+	pushLane := func(i int) {
+		lanes[i].Push("lane", fire(len(handles)))
+		add(e.Now()+lanes[i].delay, -1, Handle{})
+	}
+	// loadCursor pushes a batch into cursor i: times within a few ticks
+	// of now, some already past, in no particular order.
+	loadCursor := func(i int) {
+		for k := pick(4); k >= 0; k-- {
+			at := e.Now() + Time(pick(10)) - 2
+			cursors[i].Push(at, fire(len(handles)))
+			add(max(at, e.Now()), i, Handle{})
+		}
+	}
+	cancelCursor := func(i int) {
+		cursors[i].Cancel()
+		live := ref[:0]
+		for _, ev := range ref {
+			if ev.cursor != i {
+				live = append(live, ev)
+			}
+		}
+		ref = live
+	}
+	// cancel cancels any handle ever issued: pending, fired, cancelled,
+	// recycled into a newer scheduling, or the zero handle of a lane or
+	// cursor item, which names nothing.
+	cancel := func() {
+		if len(handles) == 0 {
+			return
+		}
+		id := pick(len(handles))
+		e.Cancel(handles[id])
+		if handles[id] == (Handle{}) {
+			return
+		}
+		for i, ev := range ref {
+			if ev.id == id {
+				ref = append(ref[:i], ref[i+1:]...)
+				return
+			}
+		}
+	}
+	more = func() {
+		switch pick(6) {
+		case 0:
+			schedule(Time(pick(3)))
+		case 1:
+			pushLane(pick(len(lanes)))
+		case 2:
+			loadCursor(pick(len(cursors)))
+		case 3:
+			cancelCursor(pick(len(cursors)))
+		case 4:
+			cancel()
+		default:
+			schedule(0)
+		}
 	}
 
-	for op := 0; op < 3000; op++ {
-		switch k := r.Intn(10); {
+	for op = 0; op < ops; op++ {
+		switch k := pick(16); {
+		case k < 3:
+			before := fired
+			stepped := e.Step()
+			if stepped != (fired == before+1) || (!stepped && len(ref) > 0) {
+				t.Fatalf("op %d: Step=%v fired %d callbacks with %d in the reference",
+					op, stepped, fired-before, len(ref))
+			}
 		case k < 4:
-			schedule(Time(r.Intn(8))) // small range: many equal timestamps
-		case k < 5:
-			schedule(0)
-		case k < 7 && len(handles) > 0:
-			// Cancel any handle ever issued: pending, fired, cancelled
-			// or recycled into a newer scheduling.
-			id := r.Intn(len(handles))
-			e.Cancel(handles[id])
-			refCancel(id)
-		default:
-			if len(ref) == 0 {
-				if e.Step() {
-					t.Fatalf("seed %d op %d: engine stepped with an empty reference", seed, op)
+			deadline := e.Now() + Time(pick(4))
+			e.RunUntil(deadline)
+			for _, ev := range ref {
+				if ev.at <= deadline {
+					t.Fatalf("op %d: RunUntil(%v) left id %d at %v", op, deadline, ev.id, ev.at)
 				}
-				continue
 			}
-			want := refStep()
-			got = got[:0]
-			if !e.Step() {
-				t.Fatalf("seed %d op %d: engine empty, reference fires %d", seed, op, want)
+			if e.Now() != deadline {
+				t.Fatalf("op %d: RunUntil(%v) stopped at %v", op, deadline, e.Now())
 			}
-			if len(got) != 1 || got[0] != want {
-				t.Fatalf("seed %d op %d: engine fired %v, reference %d", seed, op, got, want)
-			}
+		case k < 8:
+			schedule(Time(pick(8))) // small range: many equal timestamps
+		case k < 9:
+			schedule(0)
+		case k < 11:
+			pushLane(pick(len(lanes)))
+		case k < 13:
+			loadCursor(pick(len(cursors)))
+		case k < 14:
+			cancelCursor(pick(len(cursors)))
+		default:
+			cancel()
 		}
-		if e.Now() != refNow || e.Pending() != len(ref) {
-			t.Fatalf("seed %d op %d: engine now=%v pending=%d, reference now=%v pending=%d",
-				seed, op, e.Now(), e.Pending(), refNow, len(ref))
-		}
+		check()
 	}
+	e.Run()
+	if len(ref) != 0 {
+		t.Fatalf("engine drained with %d reference entries left", len(ref))
+	}
+	check()
 }
 
 func TestRandDeterminism(t *testing.T) {
@@ -498,9 +613,55 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.After(Time(i%64), "bench", func(Time) {})
-		if e.Pending() > 1024 {
+		if len(e.queue) > 1024 {
 			e.Run()
 		}
+	}
+	e.Run()
+}
+
+// BenchmarkEngineLane is the energy-tick pattern: twelve callbacks on
+// one lane, each pushing itself again as it fires. One op is one pop
+// and one push.
+func BenchmarkEngineLane(b *testing.B) {
+	e := NewEngine()
+	l := e.Lane(50)
+	var tick func(Time)
+	tick = func(Time) { l.Push("bench", tick) }
+	for i := 0; i < 12; i++ {
+		l.Push("bench", tick)
+	}
+	e.Step() // grows nothing further: the ring already holds twelve
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// BenchmarkEngineCursor is the beacon pattern: twenty edges pushed to
+// each of twelve cursors, with a little disorder within each cursor,
+// then fired. One op is one push and one fire.
+func BenchmarkEngineCursor(b *testing.B) {
+	e := NewEngine()
+	cursors := make([]*Cursor, 12)
+	for i := range cursors {
+		cursors[i] = e.NewCursor("bench")
+	}
+	fn := func(Time) {}
+	load := func(k int) {
+		cursors[k/20].Push(e.Now()+Time(k%20*100+k*37%150), fn)
+		if k == 239 {
+			e.Run()
+		}
+	}
+	for k := 0; k < 240; k++ { // size every cursor's buffer
+		load(k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		load(i % 240)
 	}
 	e.Run()
 }

@@ -119,7 +119,10 @@ type Device struct {
 	// Energy bookkeeping.
 	lastCharge  float64 // meter charge at last energy tick
 	energyTick  sim.Time
+	energyLane  *sim.Lane // the engine's lane for energyTick, shared by every tag
 	activations uint64
+	// edges holds the DL edges the channel has queued for this tag.
+	edges *sim.Cursor
 	// Engine callbacks, bound once in New: scheduling a method value
 	// or closure per event would allocate on every energy step, beacon
 	// timeout and DL edge.
@@ -148,7 +151,9 @@ func New(engine *sim.Engine, cfg Config, rng *sim.Rand) (*Device, error) {
 		engine:     engine,
 		rng:        rng.Fork(3),
 		energyTick: 50 * sim.Millisecond,
+		edges:      engine.NewCursor("dl-edge"),
 	}
+	d.energyLane = engine.Lane(d.energyTick)
 	if cfg.WithSensor {
 		d.Sensor = strain.NewSensor()
 	}
@@ -197,7 +202,7 @@ func (d *Device) BeaconStats() (seen, lost uint64) { return d.beaconsSeen, d.bea
 // scheduleEnergyTick integrates harvesting and consumption on a fixed
 // cadence, driving power-up and brown-out transitions.
 func (d *Device) scheduleEnergyTick() {
-	d.engine.After(d.energyTick, "tag-energy", d.energyFn)
+	d.energyLane.Push("tag-energy", d.energyFn)
 }
 
 func (d *Device) onEnergyTick(sim.Time) {
@@ -272,14 +277,17 @@ func (d *Device) InjectEnvelope(level bool) {
 	d.MCU.In().Inject(level)
 }
 
-// EnvelopeEdge returns the engine callback that injects one DL edge at
-// the given level. The callback is bound once per device, so a channel
-// scheduling every edge of every beacon allocates nothing for them.
-func (d *Device) EnvelopeEdge(level bool) func(now sim.Time) {
+// QueueEdge queues one DL edge at the given level to reach the
+// comparator pin at absolute time at (a time already past fires now).
+// The tag's edges share one engine cursor, so a beacon's edges cost one
+// heap entry and no allocation, and each fires exactly where its own
+// scheduled event would have.
+func (d *Device) QueueEdge(at sim.Time, level bool) {
+	fn := d.fallFn
 	if level {
-		return d.riseFn
+		fn = d.riseFn
 	}
-	return d.fallFn
+	d.edges.Push(at, fn)
 }
 
 // onEdge is the DL demodulation ISR pair of Fig. 6(a): positive edge
