@@ -111,12 +111,12 @@ func TestNetworkEngineFaultPlan(t *testing.T) {
 // slots engine, 60 s on the network engine.
 func chaosRun(t *testing.T, engine string, pattern Pattern, plan FaultPlan, seed uint64, tr *Tracer) {
 	t.Helper()
-	inj, err := NewFaultInjector(plan, seed, pattern.NumTags(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	switch engine {
 	case "slots":
+		inj, err := NewFaultInjector(plan, seed, pattern.NumTags(), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
 		s, err := NewSlotSim(SlotSimConfig{Pattern: pattern, Seed: seed, Trace: tr, Faults: inj})
 		if err != nil {
 			t.Fatal(err)
@@ -131,7 +131,9 @@ func chaosRun(t *testing.T, engine string, pattern Pattern, plan FaultPlan, seed
 		if err != nil {
 			t.Fatal(err)
 		}
-		net.AttachFaults(inj)
+		if _, err := net.AttachFaults(plan, seed); err != nil {
+			t.Fatal(err)
+		}
 		net.Run(60 * Second)
 	}
 }

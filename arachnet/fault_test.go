@@ -3,6 +3,8 @@ package arachnet
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // Fault injection: power interruption and recovery.
@@ -110,5 +112,59 @@ func TestNetworkStatsString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("stats string missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// A fault plan on a network whose TIDs are not 1..n (the jsonconfig
+// example's {1, 11}) hits the configured tags: every fault event names
+// a deployed TID, tag 11 browns out and fades, and the fade hook
+// answers for TID 11 only while its fade is on.
+func TestNetworkFaultsFollowConfiguredTIDs(t *testing.T) {
+	sink := NewMemorySink()
+	cfg := NetworkConfig{Seed: 3, Trace: NewTracer(sink), Tags: []TagSpec{
+		{TID: 1, Period: 4, StartCharged: true},
+		{TID: 11, Period: 32, StartCharged: true},
+	}}
+	net, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := FaultPlan{
+		Fades:     &FaultFadeSpec{Burst: FaultBurst{EnterProb: 0.05, MeanSlots: 5}, DepthDB: 40},
+		Brownouts: &FaultBrownoutSpec{Prob: 0.05, OffSlots: 3},
+	}
+	inj, err := net.AttachFaults(plan, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fadedAt := map[int]bool{}
+	for s := 1; s <= 300; s++ {
+		net.Run(Time(s) * Second)
+		for _, tid := range []int{1, 2, 11} {
+			if inj.FadeDepthDB(tid) != 0 {
+				fadedAt[tid] = true
+			}
+		}
+	}
+	faults := map[int]int{}
+	cutoffOff := map[int]int{}
+	for _, ev := range sink.Events() {
+		switch ev.Kind {
+		case obs.KindFaultInject, obs.KindFaultClear:
+			faults[ev.TID]++
+		case obs.KindCutoffOff:
+			cutoffOff[ev.TID]++
+		}
+	}
+	for tid := range faults {
+		if tid != 0 && tid != 1 && tid != 11 {
+			t.Errorf("%d fault events on TID %d, which is not deployed", faults[tid], tid)
+		}
+	}
+	if faults[11] == 0 || cutoffOff[11] == 0 {
+		t.Errorf("TID 11: %d fault events, %d cutoff_off events; want both > 0", faults[11], cutoffOff[11])
+	}
+	if !fadedAt[1] || !fadedAt[11] || fadedAt[2] {
+		t.Errorf("fade hook answered for TIDs %v, want 1 and 11", fadedAt)
 	}
 }

@@ -10,8 +10,8 @@ import (
 // plan (transient fades, feedback corruption, brownouts, reader
 // outages, clock jitter) into a seeded injector; the slot engine hooks
 // it in through mac.SlotSimConfig.Faults, and the event-level network
-// through AttachFaults below. Re-exported here so callers and the CLIs
-// never import internal packages.
+// compiles one for its own tags in AttachFaults below. Re-exported
+// here so callers and the CLIs never import internal packages.
 
 // Re-exported fault-injection types.
 type (
@@ -24,8 +24,8 @@ type (
 	Recovery          = faults.Recovery
 )
 
-// NewFaultInjector compiles a plan for numTags tags (see
-// faults.NewInjector).
+// NewFaultInjector compiles a plan for numTags tags with ids
+// 1..numTags, the slots engine's tags (see faults.NewInjector).
 func NewFaultInjector(plan FaultPlan, seed uint64, numTags int, tr *Tracer) (*FaultInjector, error) {
 	return faults.NewInjector(plan, seed, numTags, tr)
 }
@@ -39,8 +39,11 @@ func UnmarshalFaultPlan(data []byte) (FaultPlan, error) { return faults.Unmarsha
 // AnalyzeRecovery computes the robustness metrics from a trace stream.
 func AnalyzeRecovery(events []TraceEvent) RecoveryReport { return faults.Analyze(events) }
 
-// AttachFaults drives an injector from the event-level network's clock:
-// once per slot the injector advances its fault processes, fades are
+// AttachFaults compiles plan for the network's tags, in id order, and
+// drives the injector from the network's clock; fault events go to the
+// network's tracer. The plan's tag filters, the fault events and the
+// per-tag faults all name the configured TIDs, whatever they are. Once
+// per slot the injector advances its fault processes, fades are
 // applied through the channel's GainOffsetDB hook, reader outages
 // toggle the power carrier, and brownouts force-drain the afflicted
 // tag's supercapacitor (the cutoff then powers the MCU down and the
@@ -52,7 +55,17 @@ func AnalyzeRecovery(events []TraceEvent) RecoveryReport { return faults.Analyze
 //
 // Call it once, after NewNetwork and before Run; it must not race the
 // running engine.
-func (n *Network) AttachFaults(inj *FaultInjector) {
+func (n *Network) AttachFaults(plan FaultPlan, seed uint64) (*FaultInjector, error) {
+	var tids []int
+	for id, dev := range n.byTID {
+		if dev != nil {
+			tids = append(tids, id)
+		}
+	}
+	inj, err := faults.NewInjectorForTIDs(plan, seed, tids, n.Cfg.Trace)
+	if err != nil {
+		return nil, err
+	}
 	n.Channel.GainOffsetDB = inj.FadeDepthDB
 	carrierDown := false
 	var step func(now sim.Time)
@@ -70,13 +83,12 @@ func (n *Network) AttachFaults(inj *FaultInjector) {
 			if !hit {
 				continue
 			}
-			if dev, ok := n.Tags[uint8(i+1)]; ok {
-				faults.ForceBrownout(dev.Harvester.Cap)
-			}
+			faults.ForceBrownout(n.byTID[tids[i]].Harvester.Cap)
 		}
 		n.engine.After(n.Cfg.SlotDuration, "fault-slot", step)
 	}
 	n.engine.After(0, "fault-slot", step)
+	return inj, nil
 }
 
 // FaultCensusString renders an injector's cumulative fault counts

@@ -77,11 +77,9 @@ func TestNetworkFireOrder(t *testing.T) {
 			}
 			sink.net = net
 			if tc.faults {
-				inj, err := NewFaultInjector(plan, cfg.Seed, len(cfg.Tags), cfg.Trace)
-				if err != nil {
+				if _, err := net.AttachFaults(plan, cfg.Seed); err != nil {
 					t.Fatal(err)
 				}
-				net.AttachFaults(inj)
 			}
 			net.Run(200 * Second)
 			if got := hex.EncodeToString(sink.h.Sum(nil)); sink.n != tc.events || got != tc.want {

@@ -333,31 +333,29 @@ func addFaultResults(res *FleetResult, rec *Recovery, inj *FaultInjector) {
 func runNetworkVehicle(ctx context.Context, snap *NetworkSnapshot, baseTrace *Tracer, seed uint64, seconds int, plan *FaultPlan) (FleetResult, error) {
 	trace := baseTrace
 	var rec *Recovery
-	var inj *FaultInjector
-	if plan != nil && !plan.Empty() {
+	faulted := plan != nil && !plan.Empty()
+	if faulted {
 		if baseTrace != nil {
 			return FleetResult{}, fmt.Errorf("arachnet: fault plan with an external tracer is unsupported")
 		}
 		rec, trace = NewChaosTracer()
-		var err error
-		inj, err = NewFaultInjector(*plan, seed, len(snap.Config().Tags), trace)
-		if err != nil {
-			return FleetResult{}, err
-		}
 	}
 	net, err := snap.Clone(seed, trace)
 	if err != nil {
 		return FleetResult{}, err
 	}
+	var inj *FaultInjector
+	if faulted {
+		if inj, err = net.AttachFaults(*plan, seed); err != nil {
+			return FleetResult{}, err
+		}
+	}
 	return measureNetworkRun(ctx, net, seconds, rec, inj)
 }
 
-// measureNetworkRun drives a built network through the job horizon and
-// folds its stats into a fleet result.
+// measureNetworkRun drives a built network, faults attached, through
+// the job horizon and folds its stats into a fleet result.
 func measureNetworkRun(ctx context.Context, net *Network, seconds int, rec *Recovery, inj *FaultInjector) (FleetResult, error) {
-	if inj != nil {
-		net.AttachFaults(inj)
-	}
 	end := Time(seconds) * Second
 	for net.Now() < end {
 		if err := ctx.Err(); err != nil {

@@ -2,7 +2,6 @@ package arachnet
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/biw"
@@ -34,8 +33,9 @@ type Network struct {
 	// beaconDecodes records (tid, time) of beacon decode completions
 	// for the Fig. 13(b) sync-offset analysis; bounded ring.
 	beaconDecodes []BeaconDecode
-	// byTID holds the Tags devices indexed by TID, the beacon fan-out
-	// order.
+	// byTID holds the Tags devices indexed by TID: the one tag order,
+	// used by the beacon fan-out, the fault injector, the stats and the
+	// reports.
 	byTID [phy.MaxTags]*tag.Device
 }
 
@@ -126,7 +126,7 @@ func (n *Network) deliverUplink(tx tag.Transmission) {
 		Payload:    tx.Packet.Payload,
 	}
 	if n.Cfg.WaveformDecode {
-		ev.Chips = tx.Chips
+		ev.Chips = tx.Chips // borrowed from the tag until its next burst
 		ev.ChipRate = tx.ChipRate
 	}
 	n.Reader.OnTransmission(ev)
@@ -152,7 +152,10 @@ func (n *Network) ResetProtocol() { n.Reader.RequestReset() }
 // being scheduled (the reader electronics are mains-powered), but tags
 // with an empty capacitor cannot hear them.
 func (n *Network) SetCarrier(on bool) {
-	for id, dev := range n.Tags {
+	for id, dev := range n.byTID {
+		if dev == nil {
+			continue
+		}
 		if !on {
 			dev.SetHarvestInput(0)
 			continue
@@ -253,13 +256,10 @@ func (n *Network) Stats() NetworkStats {
 		Converged:       n.Reader.Convergence.Converged(),
 		ConvergenceSlot: n.Reader.Convergence.ConvergenceSlot(),
 	}
-	ids := make([]int, 0, len(n.Tags))
-	for id := range n.Tags {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		dev := n.Tags[uint8(id)]
+	for id, dev := range n.byTID {
+		if dev == nil {
+			continue
+		}
 		m := dev.MCU.Meter()
 		v := dev.MCU.Cfg.SupplyVolts
 		seen, lost := dev.BeaconStats()

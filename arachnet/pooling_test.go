@@ -128,15 +128,13 @@ func TestNetworkSnapshotCloneMatchesFresh(t *testing.T) {
 	// Dirty the snapshot's shared parts through a faulted clone: fades
 	// write the clone's channel hook, outages toggle its carrier.
 	_, dtr := NewChaosTracer()
-	inj, err := NewFaultInjector(faults.RandomPlan(7), seed+1, len(cfg.Tags), dtr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dirty, err := snap.Clone(seed+1, dtr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirty.AttachFaults(inj)
+	if _, err := dirty.AttachFaults(faults.RandomPlan(7), seed+1); err != nil {
+		t.Fatal(err)
+	}
 	dirty.Run(end)
 
 	cloneSink := NewMemorySink()

@@ -2,7 +2,6 @@ package arachnet
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/energy"
@@ -24,13 +23,11 @@ type DeploymentRow struct {
 // sits on the BiW, how well the carrier reaches it, and what that means
 // for charging — the operational counterpart of Figs. 10 and 11.
 func (n *Network) DeploymentReport() ([]DeploymentRow, error) {
-	ids := make([]int, 0, len(n.Tags))
-	for id := range n.Tags {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
 	var rows []DeploymentRow
-	for _, id := range ids {
+	for id, dev := range n.byTID {
+		if dev == nil {
+			continue
+		}
 		mount, err := n.Deployment.TagMount(id)
 		if err != nil {
 			return nil, err
@@ -52,7 +49,7 @@ func (n *Network) DeploymentReport() ([]DeploymentRow, error) {
 		rows = append(rows, DeploymentRow{
 			TID: uint8(id), Element: mount.Element, Zone: mount.Zone,
 			PathLossDB: loss, HarvestVolts: vp, AmplifiedV: vdd,
-			ChargeSeconds: charge, Period: n.Tags[uint8(id)].Cfg.Period,
+			ChargeSeconds: charge, Period: dev.Cfg.Period,
 		})
 	}
 	return rows, nil

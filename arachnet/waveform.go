@@ -79,11 +79,7 @@ func (n *Network) decodeSlotWaveform(events []reader.ULEvent) reader.SlotDecodeR
 		}
 	}
 	v := dsp.DecodeSlot(samples, wfSamplesPerChip*nominalRate/strongest.ChipRate)
-	res := reader.SlotDecodeResult{Packet: v.Packet, HasPacket: v.Decoded}
-	res.Obs.Collision = v.Collision
-	if v.Decoded {
-		res.Obs.Decoded = []int{int(v.Packet.TID)}
-	}
+	res := reader.SlotDecodeResult{Packet: v.Packet, HasPacket: v.Decoded, Collision: v.Collision}
 	if n.Cfg.Trace.Enabled() {
 		ev := obs.Event{Kind: obs.KindDecode, T: n.engine.Now().Seconds(),
 			Collision: v.Collision, Value: float64(v.Clusters), Detail: "crc_fail"}

@@ -75,7 +75,7 @@ func TestWaveformDecodeMatchesPassband(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chips := phy.FM0Encode(frame, 0)
+		chips := phy.AppendFM0(nil, uint64(frame), phy.ULFrameBits, 0)
 		rate := nominal * (1 + 0.002*rng.NormFloat64()) // skewed tag clock
 		start := sim.FromSeconds(3 * rng.Float64() / nominal)
 		return reader.ULEvent{TID: pkt.TID, Start: start, Amplitude: amp, Payload: pkt.Payload,
@@ -93,9 +93,9 @@ func TestWaveformDecodeMatchesPassband(t *testing.T) {
 		} {
 			base := n.decodeSlotWaveform(tc.events)
 			pass := passbandDecode(n, tc.events, rng)
-			if base.HasPacket != pass.Decoded || base.Packet != pass.Packet || base.Obs.Collision != pass.Collision {
+			if base.HasPacket != pass.Decoded || base.Packet != pass.Packet || base.Collision != pass.Collision {
 				t.Errorf("seed %d %s: baseband {packet %v %+v collision %v}, passband {packet %v %+v collision %v, %d clusters}",
-					seed, tc.kind, base.HasPacket, base.Packet, base.Obs.Collision,
+					seed, tc.kind, base.HasPacket, base.Packet, base.Collision,
 					pass.Decoded, pass.Packet, pass.Collision, pass.Clusters)
 			}
 			if want := tc.kind == "capture"; pass.Collision != want {

@@ -286,6 +286,27 @@ func BenchmarkVehicle(b *testing.B) {
 	}
 }
 
+// BenchmarkNetworkSlots runs the default 12-tag event network one slot
+// per op after a 100 s warm-up; "allocs/slot" is the MemStats malloc
+// delta per slot, which bench-smoke gates.
+func BenchmarkNetworkSlots(b *testing.B) {
+	net, err := arachnet.NewNetwork(arachnet.DefaultNetworkConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	net.Run(100 * arachnet.Second)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.Run(net.Now() + net.Cfg.SlotDuration)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N), "allocs/slot")
+}
+
 // BenchmarkFleetDeterminism regenerates the fleet fingerprint at both
 // extremes of sharding; divergence fails the bench.
 func BenchmarkFleetDeterminism(b *testing.B) {

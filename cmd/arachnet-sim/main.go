@@ -185,11 +185,10 @@ func runNetworkConfig(ctx context.Context, cfg arachnet.NetworkConfig, plan *ara
 		fatal(err)
 	}
 	if plan != nil && !plan.Empty() {
-		inj, err := arachnet.NewFaultInjector(*plan, cfg.Seed, len(cfg.Tags), cfg.Trace)
+		inj, err := net.AttachFaults(*plan, cfg.Seed)
 		if err != nil {
 			fatal(err)
 		}
-		net.AttachFaults(inj)
 		defer func() { fmt.Fprintf(stdout, "faults injected: %s\n", arachnet.FaultCensusString(inj)) }()
 	}
 	for t := report; t <= duration; t += report {

@@ -17,7 +17,8 @@
 //	arachnet-trace -convert /var/lib/fleetd/job-000003.ckpt.bin
 //
 // -faults injects a deterministic fault plan (see internal/faults);
-// the recovery report is printed to stderr after the CSV completes.
+// the recovery analysis folds the fault-relevant events as they are
+// emitted, and its report is printed to stderr after the CSV completes.
 //
 // -convert bridges the two trace encodings without running anything:
 // the input's format is detected from its bytes (binary streams open
@@ -73,10 +74,23 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The memory sink feeds the CSV; the optional stream sink shares the
-	// same tracer so both views see the identical event sequence.
+	// The memory sink feeds the CSV; the optional stream sink and the
+	// recovery folder share the same tracer so every view sees the
+	// identical event sequence.
 	mem := arachnet.NewMemorySink()
 	sinks := []arachnet.TraceSink{mem}
+	var plan arachnet.FaultPlan
+	var rec *arachnet.Recovery
+	if *faultsPath != "" {
+		var err error
+		if plan, err = arachnet.LoadFaultPlanFile(*faultsPath); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		var recTrace *arachnet.Tracer
+		rec, recTrace = arachnet.NewChaosTracer()
+		sinks = append(sinks, recTrace)
+	}
 	var trace arachnet.TraceFileSink
 	if *tracePath != "" {
 		var err error
@@ -103,20 +117,13 @@ func main() {
 		CaptureProb:    *capture,
 		Trace:          tr,
 	}
-	faulted := false
-	if *faultsPath != "" {
-		plan, err := arachnet.LoadFaultPlanFile(*faultsPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	if rec != nil {
 		inj, err := arachnet.NewFaultInjector(plan, *seed, pattern.NumTags(), tr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		cfg.Faults = inj
-		faulted = true
 	}
 	s, err := arachnet.NewSlotSim(cfg)
 	if err != nil {
@@ -130,23 +137,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	// Fault-relevant events are accumulated across the per-step drains
-	// so the recovery report can replay them at the end; everything else
-	// is discarded after rendering to keep memory bounded.
-	var recEvents []arachnet.TraceEvent
 	for i := 0; i < *slots; i++ {
 		s.Step()
 		// Render the row from the slot-close event; draining per step
 		// keeps memory bounded on long runs.
 		var row []string
 		for _, ev := range mem.Drain() {
-			if faulted {
-				switch ev.Kind {
-				case arachnet.TraceSlotOpen, arachnet.TraceSlotClose:
-				default:
-					recEvents = append(recEvents, ev)
-				}
-			}
 			if ev.Kind != arachnet.TraceSlotClose {
 				continue
 			}
@@ -187,8 +183,8 @@ func main() {
 	if *metrics {
 		fmt.Fprintln(os.Stderr, tr.Metrics().Snapshot())
 	}
-	if faulted {
-		fmt.Fprintln(os.Stderr, arachnet.AnalyzeRecovery(recEvents).String())
+	if rec != nil {
+		fmt.Fprintln(os.Stderr, rec.Report().String())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -11,6 +12,50 @@ import (
 	"repro/arachnet"
 	"repro/internal/fleetd"
 )
+
+// TestMain runs the command itself when the test binary is re-executed
+// with ARACHNET_TRACE_MAIN set, so a test can drive it as a process.
+func TestMain(m *testing.M) {
+	if os.Getenv("ARACHNET_TRACE_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestFaultsRecoveryReport pins the -faults recovery report on stderr,
+// byte for byte, for a plan that exercises every fault process. The
+// expected text is what the command printed when it buffered the
+// events and analyzed them at exit; folding them as they arrive must
+// not change a byte.
+func TestFaultsRecoveryReport(t *testing.T) {
+	plan := filepath.Join(t.TempDir(), "plan.json")
+	if err := os.WriteFile(plan, []byte(`{
+  "name": "trace-recovery",
+  "fades": {"enter_prob": 0.002, "mean_slots": 20, "depth_db": 9},
+  "feedback": {"loss_prob": 0.002, "corrupt_prob": 0.001},
+  "brownouts": {"prob": 0.0005, "off_slots": 10},
+  "reader_outages": {"enter_prob": 0.0005, "mean_slots": 30, "reset_on_restart": true},
+  "clock_jitter": {"slip_prob": 0.001}
+}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-pattern", "c5", "-seed", "9", "-slots", "4000", "-faults", plan)
+	cmd.Env = append(os.Environ(), "ARACHNET_TRACE_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("%v; stderr:\n%s", err, stderr.String())
+	}
+	const want = `recovery: slots=3998 settled=9 churn=431 reconverge=17 slots after last fault
+  ledger: settles=242 unsettles=176 evictions=24 duplicate_slot_violations=0
+  power:  brownouts=26 rejoins=25 resettled=24 unrecovered=1 max_resettle=61.8 periods
+  faults: fault_clear:fade_end=82 fault_clear:outage_end=2 fault_inject:ack_corrupt=50 fault_inject:beacon_loss=81 fault_inject:brownout=26 fault_inject:fade_start=82 fault_inject:jitter_slip=46 fault_inject:outage_start=2 fault_inject:reader_reset=2
+`
+	if got := stderr.String(); got != want {
+		t.Errorf("recovery report:\n%s\nwant:\n%s", got, want)
+	}
+}
 
 // TestConvertDumpsCheckpoint: -convert on a fleetd checkpoint writes
 // one JSON line that decodes to exactly the record UnmarshalCheckpoint

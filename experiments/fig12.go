@@ -97,9 +97,13 @@ func synthSNRCapture(ch *biw.Channel, id int, rate float64, rng *sim.Rand) ([]fl
 	fs := rate * spc
 	// SNR test pattern: FM0 of all-zero data toggles the PZT every
 	// chip, concentrating the backscatter in a tone at chipRate/2 —
-	// the measurement pattern the PSD-based meter expects.
-	data := make(phy.Bits, 256)
-	chips := phy.FM0Encode(data, 0)
+	// the measurement pattern the PSD-based meter expects. All-zero data
+	// ends each word at its initial level, so four 64-bit words chain
+	// into one 256-bit pattern.
+	var chips phy.Bits
+	for range 4 {
+		chips = phy.AppendFM0(chips, 0, 64, 0)
+	}
 	p := dsp.ULSynthParams{
 		Fs: fs, ChipRate: rate,
 		Leakage: 0.2, Backscatter: amp,
@@ -202,6 +206,7 @@ func countULLosses(ch *biw.Channel, id int, rate float64, packets int, rng *sim.
 		NoiseRMS: ch.NoiseRMS(fs),
 	}
 	var dec dsp.ULDecoder
+	var chips phy.Bits
 	lost := 0
 	for i := 0; i < packets; i++ {
 		pkt := phy.ULPacket{TID: uint8(id % 16), Payload: uint16(rng.Intn(1 << 12))}
@@ -209,8 +214,8 @@ func countULLosses(ch *biw.Channel, id int, rate float64, packets int, rng *sim.
 		if err != nil {
 			return 0, err
 		}
-		chips := append(make(phy.Bits, 4), phy.FM0Encode(frame, 0)...)
-		chips = append(chips, make(phy.Bits, 2)...)
+		chips = append(chips[:0], 0, 0, 0, 0)
+		chips = append(phy.AppendFM0(chips, uint64(frame), phy.ULFrameBits, 0), 0, 0)
 		// Timing slips corrupt individual chip decisions.
 		for c := range chips {
 			if rng.Bool(peTiming) {

@@ -88,16 +88,13 @@ func RunFig14(seed uint64) (Fig14Result, Table, error) {
 func RenderFig14Waveform(seed uint64) (string, error) {
 	rng := sim.NewRand(seed)
 	const fs = 4000.0 // envelope-rate rendering is enough for a figure
-	beacon, err := (phy.Beacon{Cmd: phy.CmdACK}).Marshal()
-	if err != nil {
-		return "", err
-	}
-	dlChips := phy.PIEEncode(beacon)
+	beacon := (phy.Beacon{Cmd: phy.CmdACK}).Marshal()
+	dlChips := phy.AppendPIE(nil, uint64(beacon), phy.DLFrameBits)
 	pkt, err := (phy.ULPacket{TID: 6, Payload: 0x5A5}).Marshal()
 	if err != nil {
 		return "", err
 	}
-	ulChips := phy.FM0Encode(pkt, 0)
+	ulChips := phy.AppendFM0(nil, uint64(pkt), phy.ULFrameBits, 0)
 
 	var env []float64
 	push := func(level float64, seconds float64) {

@@ -111,24 +111,21 @@ func countDLLosses(rate, lowLeak, ringTau float64, beacons int, rng *sim.Rand) (
 		ReaderJitterSec: 0.0003,
 	}
 	var highs []float64
+	var chips phy.Bits
 	lost := 0
 	for i := 0; i < beacons; i++ {
 		cmd := phy.Command(rng.Intn(16))
-		frame, err := (phy.Beacon{Cmd: cmd}).Marshal()
-		if err != nil {
-			return 0, err
-		}
-		chips := phy.PIEEncode(frame)
+		frame := (phy.Beacon{Cmd: cmd}).Marshal()
 		// Trailing low chip lets the last pulse terminate cleanly.
-		chips = append(chips, 0, 0)
+		chips = append(phy.AppendPIE(chips[:0], uint64(frame), phy.DLFrameBits), 0, 0)
 		// Comparator output -> pulse intervals in chips.
 		highs = dsp.DLPulses(highs[:0], chips, fs, p, trig, rng)
-		bits, err := phy.PIEDecodeIntervals(highs)
-		if err != nil {
+		word, err := phy.PIEDecodeIntervals(highs)
+		if err != nil || len(highs) != phy.DLFrameBits {
 			lost++
 			continue
 		}
-		beacon, err := phy.UnmarshalDL(bits)
+		beacon, err := phy.UnmarshalDL(uint16(word))
 		if err != nil || beacon.Cmd != cmd {
 			lost++
 		}

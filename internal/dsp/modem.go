@@ -78,7 +78,7 @@ func SliceChips(soft []float64) (phy.Bits, float64) {
 
 // ulPreambleChips is the FM0 chip expansion of the UL preamble with the
 // transmitter's initial level 0.
-var ulPreambleChips = phy.FM0Encode(phy.ULPreamble, 0)
+var ulPreambleChips = phy.AppendFM0(nil, uint64(phy.ULPreamble), phy.ULPreambleBits, 0)
 
 // ErrNoPreamble is returned when no UL preamble is found in the stream.
 var ErrNoPreamble = errors.New("dsp: no UL preamble found")
@@ -145,14 +145,14 @@ func DecodeULFromBaseband(mags []float64, samplesPerChip float64) (phy.ULPacket,
 // alignment, FM0 boundary checking and CRC verification.
 func DecodeULFrame(soft []float64) (phy.ULPacket, error) {
 	chips, _ := SliceChips(soft)
-	return decodeULChips(chips, nil)
+	return decodeULChips(chips)
 }
 
 // decodeULChips is the receive chain after the slicer: it finds the
-// frame in hard chips, FM0-decodes it into buf (an inverted frame is
+// frame in hard chips, FM0-decodes it into a word (an inverted frame is
 // decoded from the opposite initial level instead of being copied) and
 // checks and parses it.
-func decodeULChips(chips, buf phy.Bits) (phy.ULPacket, error) {
+func decodeULChips(chips phy.Bits) (phy.ULPacket, error) {
 	start, inverted, err := FindULFrame(chips, 1)
 	if err != nil {
 		return phy.ULPacket{}, err
@@ -165,9 +165,9 @@ func decodeULChips(chips, buf phy.Bits) (phy.ULPacket, error) {
 	if inverted {
 		initLevel = 1
 	}
-	bits, err := phy.AppendFM0Decode(buf, frameChips[:2*phy.ULFrameBits], initLevel)
+	frame, err := phy.FM0Decode(frameChips[:2*phy.ULFrameBits], initLevel)
 	if err != nil {
 		return phy.ULPacket{}, err
 	}
-	return phy.UnmarshalUL(bits)
+	return phy.UnmarshalUL(uint32(frame))
 }

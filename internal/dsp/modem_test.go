@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -56,7 +57,7 @@ func TestChipSamplerErrors(t *testing.T) {
 
 func TestSliceChips(t *testing.T) {
 	bits, th := SliceChips([]float64{0.1, 0.9, 0.15, 0.85})
-	if !bits.Equal(phy.Bits{0, 1, 0, 1}) {
+	if !bytes.Equal(bits, phy.Bits{0, 1, 0, 1}) {
 		t.Errorf("bits = %v", bits)
 	}
 	if th < 0.4 || th > 0.6 {
@@ -67,12 +68,52 @@ func TestSliceChips(t *testing.T) {
 	}
 }
 
+// ulChips FM0-encodes a UL frame from initial level 0, as a tag sends
+// it.
+func ulChips(frame uint32) phy.Bits {
+	return phy.AppendFM0(nil, uint64(frame), phy.ULFrameBits, 0)
+}
+
+// invert complements every chip.
+func invert(chips phy.Bits) phy.Bits {
+	out := make(phy.Bits, len(chips))
+	for i, c := range chips {
+		out[i] = c ^ 1
+	}
+	return out
+}
+
+// Every (TID, payload) packet survives word → FM0 chips → the reader's
+// receive chain (slicer, frame search, FM0 decode, CRC) unchanged, in
+// both polarities; the space is 2^16 packets, so all are checked.
+func TestDecodeULFrameAllPackets(t *testing.T) {
+	soft := make([]float64, 4+2*phy.ULFrameBits+2)
+	var chips phy.Bits
+	for body := 0; body < 1<<(phy.TIDBits+phy.PayloadBits); body++ {
+		pkt := phy.ULPacket{TID: uint8(body >> phy.PayloadBits), Payload: uint16(body) & 0xFFF}
+		frame, err := pkt.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		chips = append(chips[:0], 0, 0, 0, 0)
+		chips = append(phy.AppendFM0(chips, uint64(frame), phy.ULFrameBits, 0), 0, 0)
+		for _, polarity := range []float64{1, -1} {
+			for i, c := range chips {
+				soft[i] = polarity * float64(c)
+			}
+			if got, err := DecodeULFrame(soft); err != nil || got != pkt {
+				t.Fatalf("%+v (polarity %v) decoded to %+v, %v", pkt, polarity, got, err)
+			}
+		}
+	}
+}
+
 func TestFindULFrame(t *testing.T) {
 	frame, err := phy.ULPacket{TID: 3, Payload: 0x123}.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	chips := phy.FM0Encode(frame, 0)
+	chips := ulChips(frame)
 	// Prepend idle chips.
 	stream := append(phy.Bits{0, 0, 1, 0, 0, 1}, chips...)
 	start, inv, err := FindULFrame(stream, 0)
@@ -89,7 +130,7 @@ func TestFindULFrame(t *testing.T) {
 
 func TestFindULFrameInverted(t *testing.T) {
 	frame, _ := phy.ULPacket{TID: 1, Payload: 7}.Marshal()
-	chips := phy.FM0Encode(frame, 0).Invert()
+	chips := invert(ulChips(frame))
 	start, inv, err := FindULFrame(chips, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +142,7 @@ func TestFindULFrameInverted(t *testing.T) {
 
 func TestFindULFrameTolerance(t *testing.T) {
 	frame, _ := phy.ULPacket{TID: 2, Payload: 9}.Marshal()
-	chips := phy.FM0Encode(frame, 0)
+	chips := ulChips(frame)
 	chips[3] ^= 1 // corrupt one preamble chip
 	if _, _, err := FindULFrame(chips, 0); err == nil {
 		t.Error("zero-tolerance search should miss the damaged preamble")
@@ -124,7 +165,7 @@ func TestFindULFrameMissing(t *testing.T) {
 func TestDecodeULFrameCleanBaseband(t *testing.T) {
 	pkt := phy.ULPacket{TID: 9, Payload: 0xABC}
 	frame, _ := pkt.Marshal()
-	chips := phy.FM0Encode(frame, 0)
+	chips := ulChips(frame)
 	p := ULSynthParams{
 		Fs: 500000, ChipRate: 750,
 		Leakage: 0.2, Backscatter: 0.05, NoiseRMS: 0,
@@ -147,7 +188,7 @@ func TestDecodeULFrameCleanBaseband(t *testing.T) {
 func TestDecodeULFrameInverted(t *testing.T) {
 	pkt := phy.ULPacket{TID: 6, Payload: 0x3C5}
 	frame, _ := pkt.Marshal()
-	chips := append(phy.Bits{0, 0, 0}, phy.FM0Encode(frame, 0)...)
+	chips := append(phy.Bits{0, 0, 0}, ulChips(frame)...)
 	p := ULSynthParams{Fs: 6000, ChipRate: 750, Leakage: 0.25, Backscatter: -0.05}
 	got, err := DecodeULFrame(ULChipMeans(nil, chips, 8, p, nil))
 	if err != nil {
@@ -177,10 +218,10 @@ func TestSliceCertified(t *testing.T) {
 	}
 	for _, c := range cases {
 		got, ok := sliceCertified(nil, c.mid, c.rad, c.slack)
-		if ok != (c.want != nil) || ok && !got.Equal(c.want) {
+		if ok != (c.want != nil) || ok && !bytes.Equal(got, c.want) {
 			t.Errorf("%s: got %v, %v; want %v", c.name, got, ok, c.want)
 		}
-		if exact, _ := SliceChips(c.mid); ok && !exact.Equal(got) {
+		if exact, _ := SliceChips(c.mid); ok && !bytes.Equal(exact, got) {
 			t.Errorf("%s: certified %v, SliceChips %v", c.name, got, exact)
 		}
 	}
@@ -190,7 +231,7 @@ func TestDecodeULFrameNoisyBaseband(t *testing.T) {
 	rng := sim.NewRand(77)
 	pkt := phy.ULPacket{TID: 5, Payload: 0x5A5}
 	frame, _ := pkt.Marshal()
-	chips := phy.FM0Encode(frame, 0)
+	chips := ulChips(frame)
 	p := ULSynthParams{
 		Fs: 500000, ChipRate: 375,
 		Leakage: 0.2, Backscatter: 0.05, NoiseRMS: 0.03,

@@ -40,7 +40,7 @@ func synthCapture(t *testing.T, chipRate float64, tags []pbTag, noise float64, s
 		if err != nil {
 			t.Fatal(err)
 		}
-		chips := append(make(phy.Bits, 8), phy.FM0Encode(frame, 0)...)
+		chips := append(make(phy.Bits, 8), ulChips(frame)...)
 		chips = append(chips, make(phy.Bits, 4)...)
 		chipStreams[i] = chips
 		if n := int(float64(len(chips)) * pbFs / chipRate); n > longest {

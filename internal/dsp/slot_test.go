@@ -10,7 +10,7 @@ func TestDecodeSlot(t *testing.T) {
 	pkt := phy.ULPacket{TID: 7, Payload: 0x2D1}
 	frame, _ := pkt.Marshal()
 	// Idle guard chips bracket the frame, as on the real link.
-	chips := append(make(phy.Bits, 4), phy.FM0Encode(frame, 0)...)
+	chips := append(make(phy.Bits, 4), ulChips(frame)...)
 	chips = append(chips, make(phy.Bits, 4)...)
 	p := ULSynthParams{Fs: 500000, ChipRate: 375, Leakage: 0.2, Backscatter: 0.05}
 	v := DecodeSlot(SynthesizeULBaseband(chips, 8, p, nil), 8)

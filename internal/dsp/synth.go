@@ -82,7 +82,6 @@ func ULChipMeans(dst []float64, chips phy.Bits, samplesPerChip int, p ULSynthPar
 type ULDecoder struct {
 	mid, rad  []float64 // certified chip means: mid ± rad
 	hard      phy.Bits
-	frame     [phy.ULFrameBits]byte
 	soft      []float64 // exact chip means, for a packet too close to call
 	fallbacks int       // packets decoded by the exact kernel
 }
@@ -106,7 +105,7 @@ func (d *ULDecoder) Decode(chips phy.Bits, samplesPerChip int, p ULSynthParams, 
 	if noise > 0 && rng != nil {
 		saved := *rng
 		if d.certify(chips, samplesPerChip, p, noise, rng) {
-			return decodeULChips(d.hard, d.frame[:0])
+			return decodeULChips(d.hard)
 		}
 		*rng = saved
 		d.fallbacks++

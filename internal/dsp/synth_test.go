@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -118,12 +119,9 @@ func dlSchemeCells() []dlSchemeCell {
 
 // nextBeacon draws a beacon the way the dl-scheme study does and
 // returns its PIE chips with the two trailing low chips.
-func nextBeacon(t testing.TB, rng *sim.Rand) phy.Bits {
-	frame, err := (phy.Beacon{Cmd: phy.Command(rng.Intn(16))}).Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(phy.PIEEncode(frame), 0, 0)
+func nextBeacon(rng *sim.Rand) phy.Bits {
+	frame := (phy.Beacon{Cmd: phy.Command(rng.Intn(16))}).Marshal()
+	return append(phy.AppendPIE(nil, uint64(frame), phy.DLFrameBits), 0, 0)
 }
 
 // DLPulses must give the oracle's pulses beacon by beacon, and leave
@@ -151,8 +149,8 @@ func TestDLPulsesMatchesOracle(t *testing.T) {
 			trigO, _ := NewSchmittTrigger(0.25, 0.45)
 			var got []float64
 			for b := 0; b < beacons; b++ {
-				chips := nextBeacon(t, rngK)
-				if o := nextBeacon(t, rngO); !o.Equal(chips) {
+				chips := nextBeacon(rngK)
+				if o := nextBeacon(rngO); !bytes.Equal(o, chips) {
 					t.Fatalf("%s seed %d beacon %d: streams diverged before synthesis", c.name, seed, b)
 				}
 				got = DLPulses(got[:0], chips, c.fs, c.p, trigK, rngK)
@@ -222,7 +220,7 @@ func nextULChips(t testing.TB, rng *sim.Rand) phy.Bits {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chips := append(make(phy.Bits, 4), phy.FM0Encode(frame, 0)...)
+	chips := append(make(phy.Bits, 4), ulChips(frame)...)
 	return append(chips, 0, 0)
 }
 
@@ -326,7 +324,7 @@ func speedupVsOracle(rounds int, kernel, oracle func()) float64 {
 // run at zero allocations (both asserted by make bench-smoke).
 func BenchmarkDLPulses(b *testing.B) {
 	c := dlSchemeCells()[0]
-	chips := nextBeacon(b, sim.NewRand(1))
+	chips := nextBeacon(sim.NewRand(1))
 	trig, _ := NewSchmittTrigger(0.25, 0.45)
 	rng := sim.NewRand(2)
 	pulses := DLPulses(nil, chips, c.fs, c.p, trig, rng)

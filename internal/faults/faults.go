@@ -72,7 +72,8 @@ type FadeSpec struct {
 	// BeaconLossProb is the extra per-slot downlink loss while faded
 	// (the downlink has far more margin, so the default is 0).
 	BeaconLossProb float64 `json:"beacon_loss_prob,omitempty"`
-	// Tags restricts the fault to these 1-based tag ids; empty = all.
+	// Tags restricts the fault to these tag ids (the slots engine numbers
+	// its tags 1..n, the network uses its TIDs); empty = all.
 	Tags []int `json:"tags,omitempty"`
 }
 
@@ -96,7 +97,8 @@ type FeedbackSpec struct {
 	// CorruptProb is the per-slot per-tag probability the received ACK
 	// flag is inverted.
 	CorruptProb float64 `json:"corrupt_prob,omitempty"`
-	// Tags restricts the fault to these 1-based tag ids; empty = all.
+	// Tags restricts the fault to these tag ids (the slots engine numbers
+	// its tags 1..n, the network uses its TIDs); empty = all.
 	Tags []int `json:"tags,omitempty"`
 }
 
@@ -110,7 +112,8 @@ type BrownoutSpec struct {
 	// OffSlots is the mean number of whole slots the tag stays dark
 	// (geometric, >= 1); it models the LTH->HTH recharge time.
 	OffSlots float64 `json:"off_slots"`
-	// Tags restricts the fault to these 1-based tag ids; empty = all.
+	// Tags restricts the fault to these tag ids (the slots engine numbers
+	// its tags 1..n, the network uses its TIDs); empty = all.
 	Tags []int `json:"tags,omitempty"`
 }
 
@@ -130,7 +133,8 @@ type OutageSpec struct {
 type JitterSpec struct {
 	// SlipProb is the per-slot per-tag probability of a boundary slip.
 	SlipProb float64 `json:"slip_prob"`
-	// Tags restricts the fault to these 1-based tag ids; empty = all.
+	// Tags restricts the fault to these tag ids (the slots engine numbers
+	// its tags 1..n, the network uses its TIDs); empty = all.
 	Tags []int `json:"tags,omitempty"`
 }
 
@@ -214,18 +218,18 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// tagSet expands a 1-based tag filter into a 0-based membership mask
-// over numTags entries; an empty filter selects every tag.
-func tagSet(tags []int, numTags int) []bool {
-	mask := make([]bool, numTags)
-	for i := range mask {
-		mask[i] = inTags(tags, i)
+// tagSet expands a tag-id filter into a membership mask
+// over the tags with ids tids; an empty filter selects every tag.
+func tagSet(tags, tids []int) []bool {
+	mask := make([]bool, len(tids))
+	for i, tid := range tids {
+		mask[i] = inTags(tags, tid)
 	}
 	return mask
 }
 
-// inTags reports whether a 1-based tag filter selects the 0-based tag
-// i; an empty filter selects every tag.
-func inTags(tags []int, i int) bool {
-	return len(tags) == 0 || slices.Contains(tags, i+1)
+// inTags reports whether a tag-id filter selects the tag with id tid;
+// an empty filter selects every tag.
+func inTags(tags []int, tid int) bool {
+	return len(tags) == 0 || slices.Contains(tags, tid)
 }

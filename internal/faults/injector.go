@@ -3,6 +3,7 @@ package faults
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/energy"
@@ -16,12 +17,12 @@ import (
 // FadeDepthDB for the event-level channel hook. All randomness comes
 // from per-process forks of one seed, and each process draws in a
 // fixed slot/tag order, so the full fault sequence is a pure function
-// of (Plan, seed, tag count) — the determinism the fleet's chaos
-// sweeps rely on.
+// of (Plan, seed, tag ids) — the determinism the fleet's chaos sweeps
+// rely on. Tag i of the per-tag slices in mac.SlotFaults is tids[i].
 type Injector struct {
-	plan    Plan
-	numTags int
-	tr      *obs.Tracer
+	plan Plan
+	tids []int
+	tr   *obs.Tracer
 
 	// One independent stream per fault process, so adding a process to
 	// a plan never perturbs the draws of the others. The memoryless
@@ -169,19 +170,34 @@ func censusKey(kind obs.Kind, detail string) string {
 	return string(kind) + ":" + detail
 }
 
-// NewInjector compiles the plan for a population of numTags tags. The
-// tracer may be nil; fault events are then not recorded (the injection
-// itself is unaffected).
+// NewInjector compiles the plan for a population of numTags tags with
+// ids 1..numTags. The tracer may be nil; fault events are then not
+// recorded (the injection itself is unaffected).
 func NewInjector(plan Plan, seed uint64, numTags int, tr *obs.Tracer) (*Injector, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
 	if numTags < 1 {
 		return nil, fmt.Errorf("faults: numTags %d < 1", numTags)
 	}
+	tids := make([]int, numTags)
+	for i := range tids {
+		tids[i] = i + 1
+	}
+	return NewInjectorForTIDs(plan, seed, tids, tr)
+}
+
+// NewInjectorForTIDs compiles the plan for the tags with the given
+// distinct ids, in that order: the plan's tag filters select by these
+// ids, trace events carry them, and FadeDepthDB is asked by them.
+func NewInjectorForTIDs(plan Plan, seed uint64, tids []int, tr *obs.Tracer) (*Injector, error) {
+	if err := plan.Validate(); err != nil {
+		return nil, err
+	}
+	numTags := len(tids)
+	if numTags < 1 {
+		return nil, fmt.Errorf("faults: no tags")
+	}
 	inj := &Injector{
 		plan:      plan,
-		numTags:   numTags,
+		tids:      tids,
 		tr:        tr,
 		fadeSince: make([]int, numTags),
 
@@ -200,20 +216,20 @@ func NewInjector(plan Plan, seed uint64, numTags int, tr *obs.Tracer) (*Injector
 	inj.outageRNG.ReseedFork(root, 4)
 	jitter.rng.ReseedFork(root, 5)
 	if plan.Fades != nil {
-		inj.fadeMask = tagSet(plan.Fades.Tags, numTags)
+		inj.fadeMask = tagSet(plan.Fades.Tags, tids)
 	}
 	for k, per := range [3]int{2, 1, 1} { // positions per tag
 		inj.streams[k].pos = make([]streamPos, 0, per*numTags)
 	}
-	for i := 0; i < numTags; i++ {
-		if f := plan.Feedback; f != nil && inTags(f.Tags, i) {
+	for i, tid := range tids {
+		if f := plan.Feedback; f != nil && inTags(f.Tags, tid) {
 			fb.add(i, faultBeaconLoss, f.LossProb)
 			fb.add(i, faultAckCorrupt, f.CorruptProb)
 		}
-		if b := plan.Brownouts; b != nil && inTags(b.Tags, i) {
+		if b := plan.Brownouts; b != nil && inTags(b.Tags, tid) {
 			brown.add(i, faultBrownout, b.Prob)
 		}
-		if j := plan.ClockJitter; j != nil && inTags(j.Tags, i) {
+		if j := plan.ClockJitter; j != nil && inTags(j.Tags, tid) {
 			jitter.add(i, faultJitterSlip, j.SlipProb)
 		}
 	}
@@ -287,18 +303,18 @@ func (inj *Injector) BeginSlot(slot int) *mac.SlotFaults {
 	// Fades: per-tag Markov bursts, advanced in tag order.
 	if f := inj.plan.Fades; f != nil && f.active() {
 		ulFail := f.ulFail()
-		for i := 0; i < inj.numTags; i++ {
+		for i, tid := range inj.tids {
 			if !inj.fadeMask[i] {
 				continue
 			}
 			if inj.fadeSince[i] != 0 {
 				if inj.fadeRNG.Bool(f.exitProb()) {
-					inj.emit(faultFadeEnd, slot, i+1, float64(slot-(inj.fadeSince[i]-1)))
+					inj.emit(faultFadeEnd, slot, tid, float64(slot-(inj.fadeSince[i]-1)))
 					inj.fadeSince[i] = 0
 				}
 			} else if inj.fadeRNG.Bool(f.EnterProb) {
 				inj.fadeSince[i] = slot + 1 // +1 so slot 0 is representable
-				inj.emit(faultFadeStart, slot, i+1, f.DepthDB)
+				inj.emit(faultFadeStart, slot, tid, f.DepthDB)
 			}
 			if inj.fadeSince[i] != 0 {
 				if ulFail > 0 {
@@ -308,7 +324,7 @@ func (inj *Injector) BeginSlot(slot int) *mac.SlotFaults {
 				if f.BeaconLossProb > 0 && inj.fadeRNG.Bool(f.BeaconLossProb) {
 					fs.BeaconLoss, inj.dirty = inj.lossBuf, true
 					fs.BeaconLoss[i] = true
-					inj.emit(faultBeaconLoss, slot, i+1, 0)
+					inj.emit(faultBeaconLoss, slot, tid, 0)
 				}
 			}
 		}
@@ -357,7 +373,7 @@ func (inj *Injector) inject(st *stream, slot int) {
 		fs.SlipSlot = inj.slipBuf
 		fs.SlipSlot[i] = true
 	}
-	inj.emit(p.f, slot, i+1, value)
+	inj.emit(p.f, slot, inj.tids[i], value)
 }
 
 // outOfOrder reports a BeginSlot gap or repeat. It stays out of line
@@ -370,12 +386,12 @@ func outOfOrder(slot, want int) {
 	panic(fmt.Sprintf("faults: BeginSlot(%d) out of order, want %d", slot, want))
 }
 
-// FadeDepthDB returns the current extra path loss for a 1-based tag id
-// — the event-level channel hook (biw.Channel.GainOffsetDB). Zero when
-// the tag is not fading.
+// FadeDepthDB returns the current extra path loss for a tag id — the
+// event-level channel hook (biw.Channel.GainOffsetDB). Zero when the
+// tag is not fading or not one of the injector's tags.
 func (inj *Injector) FadeDepthDB(tid int) float64 {
-	i := tid - 1
-	if i < 0 || i >= inj.numTags || inj.plan.Fades == nil {
+	i := slices.Index(inj.tids, tid)
+	if i < 0 || inj.plan.Fades == nil {
 		return 0
 	}
 	if inj.fadeSince[i] != 0 {

@@ -46,13 +46,13 @@ func newOracleInjector(plan Plan, seed uint64, numTags int, tr *obs.Tracer) (*or
 	root.Fork(4)
 	o := &oracleInjector{Injector: inj, plan: plan, fbRNG: fb, brownRNG: brown, jitterRNG: root.Fork(5)}
 	if plan.Feedback != nil {
-		o.fbMask = tagSet(plan.Feedback.Tags, numTags)
+		o.fbMask = tagSet(plan.Feedback.Tags, inj.tids)
 	}
 	if plan.Brownouts != nil {
-		o.brownMask = tagSet(plan.Brownouts.Tags, numTags)
+		o.brownMask = tagSet(plan.Brownouts.Tags, inj.tids)
 	}
 	if plan.ClockJitter != nil {
-		o.jitterMask = tagSet(plan.ClockJitter.Tags, numTags)
+		o.jitterMask = tagSet(plan.ClockJitter.Tags, inj.tids)
 	}
 	return o, nil
 }
@@ -64,7 +64,7 @@ func (o *oracleInjector) BeginSlot(slot int) *mac.SlotFaults {
 
 	// Feedback: memoryless loss / ACK corruption per tag.
 	if f := o.plan.Feedback; f != nil {
-		for i := 0; i < inj.numTags; i++ {
+		for i := 0; i < len(inj.tids); i++ {
 			if !o.fbMask[i] {
 				continue
 			}
@@ -83,7 +83,7 @@ func (o *oracleInjector) BeginSlot(slot int) *mac.SlotFaults {
 
 	// Brownouts: forced drains with geometric off-times.
 	if b := o.plan.Brownouts; b != nil && b.Prob > 0 {
-		for i := 0; i < inj.numTags; i++ {
+		for i := 0; i < len(inj.tids); i++ {
 			if !o.brownMask[i] {
 				continue
 			}
@@ -103,7 +103,7 @@ func (o *oracleInjector) BeginSlot(slot int) *mac.SlotFaults {
 
 	// Clock jitter: memoryless slot-boundary slips.
 	if j := o.plan.ClockJitter; j != nil && j.SlipProb > 0 {
-		for i := 0; i < inj.numTags; i++ {
+		for i := 0; i < len(inj.tids); i++ {
 			if !o.jitterMask[i] {
 				continue
 			}
@@ -145,17 +145,17 @@ func exactThreshold(p float64) uint64 {
 func streamProbs(plan Plan, numTags int) [3][]float64 {
 	var out [3][]float64
 	for i := 0; i < numTags; i++ {
-		if f := plan.Feedback; f != nil && inTags(f.Tags, i) {
+		if f := plan.Feedback; f != nil && inTags(f.Tags, i+1) {
 			for _, p := range []float64{f.LossProb, f.CorruptProb} {
 				if p > 0 {
 					out[0] = append(out[0], p)
 				}
 			}
 		}
-		if b := plan.Brownouts; b != nil && inTags(b.Tags, i) && b.Prob > 0 {
+		if b := plan.Brownouts; b != nil && inTags(b.Tags, i+1) && b.Prob > 0 {
 			out[1] = append(out[1], b.Prob)
 		}
-		if j := plan.ClockJitter; j != nil && inTags(j.Tags, i) && j.SlipProb > 0 {
+		if j := plan.ClockJitter; j != nil && inTags(j.Tags, i+1) && j.SlipProb > 0 {
 			out[2] = append(out[2], j.SlipProb)
 		}
 	}

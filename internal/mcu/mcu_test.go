@@ -166,11 +166,8 @@ func TestTable2RXCurrent(t *testing.T) {
 
 	// A beacon is ~10 bits = ~25 chips of 4 ms: with continuous beacon
 	// traffic there are 2 edges per PIE bit -> ~200 edges/s.
-	frame, err := (phy.Beacon{Cmd: phy.CmdACK}).Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	chips := phy.PIEEncode(frame)
+	frame := (phy.Beacon{Cmd: phy.CmdACK}).Marshal()
+	chips := phy.AppendPIE(nil, uint64(frame), phy.DLFrameBits)
 	chipDur := sim.Time(4 * sim.Millisecond)
 	var inject func(i int) func(sim.Time)
 	inject = func(i int) func(sim.Time) {
@@ -203,7 +200,7 @@ func TestTable2TXCurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chips := phy.FM0Encode(frame, 0)
+	chips := phy.AppendFM0(nil, uint64(frame), phy.ULFrameBits, 0)
 	i := 0
 	m.Timer().StartPeriodic(32, TXTimerISRCycles, func(sim.Time) {
 		m.Out().Set(chips[i%len(chips)]&1 == 1)

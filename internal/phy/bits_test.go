@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -22,38 +23,6 @@ func ParseBits(s string) (Bits, error) {
 	return b, nil
 }
 
-func TestBitsUintRoundTrip(t *testing.T) {
-	f := func(v uint16) bool {
-		b := NewBitsFromUint(uint64(v), 16)
-		return b.Uint() == uint64(v) && len(b) == 16
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBitsFromUintMSBFirst(t *testing.T) {
-	b := NewBitsFromUint(0b1010, 4)
-	want := Bits{1, 0, 1, 0}
-	if !b.Equal(want) {
-		t.Errorf("got %v, want %v", b, want)
-	}
-	// Narrow width truncates high bits.
-	b = NewBitsFromUint(0xFF, 4)
-	if b.Uint() != 0xF {
-		t.Errorf("truncation wrong: %v", b)
-	}
-}
-
-func TestBitsUintPanicsOver64(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	make(Bits, 65).Uint()
-}
-
 func TestBitsString(t *testing.T) {
 	b := Bits{1, 0, 1, 1, 0}
 	if b.String() != "10110" {
@@ -63,7 +32,7 @@ func TestBitsString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !parsed.Equal(b) {
+	if !bytes.Equal(parsed, b) {
 		t.Error("parse round-trip failed")
 	}
 	if _, err := ParseBits("10x"); err == nil {
@@ -73,50 +42,11 @@ func TestBitsString(t *testing.T) {
 
 func TestBitsStringParseRoundTrip(t *testing.T) {
 	f := func(raw []byte) bool {
-		b := make(Bits, len(raw))
-		for i, v := range raw {
-			b[i] = v & 1
-		}
+		b := randomBits(raw)
 		parsed, err := ParseBits(b.String())
-		return err == nil && parsed.Equal(b)
+		return err == nil && bytes.Equal(parsed, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBitsEqual(t *testing.T) {
-	a := Bits{1, 0, 1}
-	if !a.Equal(Bits{1, 0, 1}) {
-		t.Error("equal slices reported unequal")
-	}
-	if a.Equal(Bits{1, 0}) {
-		t.Error("length mismatch reported equal")
-	}
-	if a.Equal(Bits{1, 0, 0}) {
-		t.Error("content mismatch reported equal")
-	}
-	// Bits compare modulo the low bit: 3 and 1 are both "1".
-	if !a.Equal(Bits{3, 2, 1}) {
-		t.Error("low-bit comparison failed")
-	}
-}
-
-func TestBitsInvert(t *testing.T) {
-	b := Bits{1, 0, 1, 1}
-	inv := b.Invert()
-	if !inv.Equal(Bits{0, 1, 0, 0}) {
-		t.Errorf("invert = %v", inv)
-	}
-	if !inv.Invert().Equal(b) {
-		t.Error("double inversion not identity")
-	}
-}
-
-func TestBitsAppend(t *testing.T) {
-	a := Bits{1, 0}
-	c := a.Append(Bits{1}, Bits{0, 0})
-	if !c.Equal(Bits{1, 0, 1, 0, 0}) {
-		t.Errorf("append = %v", c)
 	}
 }

@@ -7,17 +7,17 @@ package phy
 // crcPoly is the CRC-8-CCITT generator polynomial.
 const crcPoly = 0x07
 
-// CRC8 computes the 8-bit CRC of the given bits (MSB first, zero
-// initial value).
-func CRC8(bits Bits) uint8 {
-	return crc8Update(0, bits)
+// CRC8 computes the 8-bit CRC of a UL frame body, the 16 bits of TID
+// and payload (MSB first, zero initial value).
+func CRC8(body uint16) uint8 {
+	return crc8Update(0, uint64(body), TIDBits+PayloadBits)
 }
 
-// crc8Update shifts bits through the CRC register crc and returns the
-// new register, so a CRC over concatenated strings needs no copy.
-func crc8Update(crc uint8, bits Bits) uint8 {
-	for _, b := range bits {
-		crc ^= (b & 1) << 7
+// crc8Update shifts the low n bits of v, most significant first,
+// through the CRC register crc and returns the new register.
+func crc8Update(crc uint8, v uint64, n int) uint8 {
+	for i := n - 1; i >= 0; i-- {
+		crc ^= uint8(v>>i&1) << 7
 		if crc&0x80 != 0 {
 			crc = crc<<1 ^ crcPoly
 		} else {
@@ -25,13 +25,4 @@ func crc8Update(crc uint8, bits Bits) uint8 {
 		}
 	}
 	return crc
-}
-
-// CheckCRC8 reports whether data followed by an 8-bit CRC field
-// verifies: CRC8 over the concatenation of data and crc bits is zero.
-func CheckCRC8(data, crc Bits) bool {
-	if len(crc) != 8 {
-		return false
-	}
-	return crc8Update(crc8Update(0, data), crc) == 0
 }

@@ -9,23 +9,25 @@ import "fmt"
 // bit 1 (halves equal). The mandatory boundary transition gives the
 // reader a self-clocking signal even through the BiW's flutter.
 
-// FM0Encode converts data bits into raw chips. The initial chip level
-// before the first boundary inversion is initLevel (0 or 1); the first
-// emitted chip is its inverse. The returned slice has 2*len(data)
-// chips.
-func FM0Encode(data Bits, initLevel byte) Bits {
-	out := make(Bits, 0, 2*len(data))
+// AppendFM0 appends to dst the 2n chips that FM0-encode the low n bits
+// of word (n <= 64), most significant first. The chip level before the
+// first boundary inversion is initLevel (0 or 1); the first appended
+// chip is its inverse. The level after a word is its last chip, which
+// is initLevel when the word has an even number of one bits.
+//
+//alloc:hot encodes every uplink frame; appends only grow dst
+func AppendFM0(dst Bits, word uint64, n int, initLevel byte) Bits {
 	level := initLevel & 1
-	for _, bit := range data {
+	for i := n - 1; i >= 0; i-- {
 		level ^= 1 // boundary inversion, always
-		if bit&1 == 1 {
-			out = append(out, level, level)
+		if word>>i&1 == 1 {
+			dst = append(dst, level, level)
 		} else {
-			out = append(out, level, level^1)
+			dst = append(dst, level, level^1)
 			level ^= 1 // mid-bit inversion leaves us at the new level
 		}
 	}
-	return out
+	return dst
 }
 
 // FM0Violation describes a chip stream that breaks the FM0 boundary
@@ -39,35 +41,28 @@ func (v *FM0Violation) Error() string {
 	return fmt.Sprintf("phy: FM0 boundary violation at chip %d", v.ChipIndex)
 }
 
-// FM0Decode converts raw chips back to data bits. initLevel must match
-// the encoder's. It returns an *FM0Violation error if a bit boundary
-// lacks the mandatory transition, identifying the offending chip.
-// The chip count must be even.
-func FM0Decode(chips Bits, initLevel byte) (Bits, error) {
-	return AppendFM0Decode(make(Bits, 0, len(chips)/2), chips, initLevel)
-}
-
-// AppendFM0Decode is FM0Decode appending the data bits to dst, so a
-// receiver that keeps its frame buffer decodes without allocating. On
-// error it returns nil and the error FM0Decode gives. Decoding the
-// complement of chips from initLevel is decoding chips from the
-// complement of initLevel.
-func AppendFM0Decode(dst, chips Bits, initLevel byte) (Bits, error) {
-	if len(chips)%2 != 0 {
-		return nil, fmt.Errorf("phy: FM0 chip count %d is odd", len(chips))
+// FM0Decode decodes an even number of chips, at most 128, into the word
+// AppendFM0 encoded: the first data bit is the most significant.
+// initLevel must match the encoder's. It returns an *FM0Violation error
+// if a bit boundary lacks the mandatory transition, identifying the
+// offending chip. Decoding the complement of chips from initLevel is
+// decoding chips from the complement of initLevel.
+func FM0Decode(chips Bits, initLevel byte) (uint64, error) {
+	if len(chips)%2 != 0 || len(chips) > 128 {
+		return 0, fmt.Errorf("phy: FM0 chip count %d is odd or above 128", len(chips))
 	}
+	var word uint64
 	level := initLevel & 1
 	for i := 0; i < len(chips); i += 2 {
 		first, second := chips[i]&1, chips[i+1]&1
 		if first == level {
-			return nil, &FM0Violation{ChipIndex: i}
+			return 0, &FM0Violation{ChipIndex: i}
 		}
+		word <<= 1
 		if first == second {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
+			word |= 1
 		}
 		level = second
 	}
-	return dst, nil
+	return word, nil
 }

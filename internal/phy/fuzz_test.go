@@ -1,69 +1,62 @@
 package phy
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
 
 // Robustness of the frame parsers against arbitrary input: they must
 // never panic, and anything they accept must re-marshal to the same
-// bits.
+// word.
 
 func TestUnmarshalULArbitraryBits(t *testing.T) {
-	f := func(raw []byte) bool {
-		bits := make(Bits, ULFrameBits)
-		for i := range bits {
-			if i < len(raw) {
-				bits[i] = raw[i] & 1
-			}
+	f := func(frame uint32, keepPreamble bool) bool {
+		if keepPreamble { // a random word almost never carries it
+			frame = ULPreamble<<24 | frame&0xFFFFFF
 		}
-		pkt, err := UnmarshalUL(bits)
+		pkt, err := UnmarshalUL(frame)
 		if err != nil {
 			return true // rejection is fine
 		}
 		// Accepted frames round-trip exactly.
 		again, err := pkt.Marshal()
-		return err == nil && again.Equal(bits)
+		return err == nil && again == frame
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }
 
+// Every 16-bit word either fails UnmarshalDL or is one of the 16
+// beacons, and re-marshals to itself.
 func TestUnmarshalDLArbitraryBits(t *testing.T) {
-	f := func(raw []byte) bool {
-		bits := make(Bits, DLFrameBits)
-		for i := range bits {
-			if i < len(raw) {
-				bits[i] = raw[i] & 1
-			}
-		}
-		beacon, err := UnmarshalDL(bits)
+	accepted := 0
+	for w := 0; w < 1<<16; w++ {
+		beacon, err := UnmarshalDL(uint16(w))
 		if err != nil {
-			return true
+			continue
 		}
-		again, err := beacon.Marshal()
-		return err == nil && again.Equal(bits)
+		accepted++
+		if again := beacon.Marshal(); again != uint16(w) {
+			t.Fatalf("%#04x parsed to %+v, which marshals to %#04x", w, beacon, again)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
+	if accepted != 1<<CMDBits {
+		t.Errorf("%d words accepted, want %d", accepted, 1<<CMDBits)
 	}
 }
 
 func TestFM0DecodeArbitraryChips(t *testing.T) {
-	// Any even-length chip stream either decodes or errors; a
-	// successful decode must re-encode to the same chips.
+	// Any chip stream either decodes or errors; a successful decode
+	// must re-encode to the same chips.
 	f := func(raw []byte, init byte) bool {
-		n := len(raw) / 2 * 2
-		chips := make(Bits, n)
-		for i := range chips {
-			chips[i] = raw[i] & 1
-		}
-		bits, err := FM0Decode(chips, init&1)
+		chips := randomBits(raw)
+		word, err := FM0Decode(chips, init&1)
 		if err != nil {
 			return true
 		}
-		return FM0Encode(bits, init&1).Equal(chips)
+		return bytes.Equal(AppendFM0(nil, word, len(chips)/2, init&1), chips)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -75,31 +68,23 @@ func TestPIEDecodeArbitraryChips(t *testing.T) {
 	// stream that decodes identically (the trailing separator may be
 	// truncated in the input, so compare decoded bits, not chips).
 	f := func(raw []byte) bool {
-		chips := make(Bits, len(raw))
-		for i := range chips {
-			chips[i] = raw[i] & 1
-		}
-		bits, err := PIEDecode(chips)
+		bits, err := PIEDecode(randomBits(raw))
 		if err != nil {
 			return true
 		}
-		again, err := PIEDecode(PIEEncode(bits))
-		return err == nil && again.Equal(bits)
+		again, err := PIEDecode(appendPIEBits(nil, bits))
+		return err == nil && bytes.Equal(again, bits)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestCRCNeverPanicsOnLongInput(t *testing.T) {
-	long := make(Bits, 10_000)
-	for i := range long {
-		long[i] = byte(i % 2)
+// appendPIEBits PIE-encodes a bit list of any length, one bit at a
+// time.
+func appendPIEBits(dst, bits Bits) Bits {
+	for _, b := range bits {
+		dst = AppendPIE(dst, uint64(b), 1)
 	}
-	_ = CRC8(long)
-	if CheckCRC8(long, long[:8]) {
-		// Not impossible in principle, but for this specific pattern
-		// the CRC is known non-zero.
-		t.Error("bogus CRC accepted")
-	}
+	return dst
 }

@@ -1,6 +1,9 @@
 package phy
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // Native go fuzz targets mirroring the testing/quick properties in
 // fuzz_test.go: coverage-guided exploration of the frame parsers and
@@ -10,30 +13,34 @@ import "testing"
 //
 // (make fuzz-smoke runs all of them; CI includes the smoke job.)
 
-// bitsFromBytes maps fuzz bytes onto a bit slice of length n (missing
-// bytes are zero bits).
-func bitsFromBytes(raw []byte, n int) Bits {
-	bits := make(Bits, n)
-	for i := range bits {
-		if i < len(raw) {
-			bits[i] = raw[i] & 1
-		}
-	}
-	return bits
-}
-
+// FuzzUnmarshalUL drives the UL word parser and the FM0 chip decoder:
+// a word is FM0-encoded, one chip is optionally flipped, and the
+// decoded word is parsed. An untouched stream must decode to the word;
+// a flipped chip must break the decode or change the word; any frame
+// the parser accepts must re-marshal to itself.
 func FuzzUnmarshalUL(f *testing.F) {
-	// Seed corpus: a valid frame, an empty input, a corrupted CRC.
-	if valid, err := (ULPacket{TID: 5, Payload: 0xABC}).Marshal(); err == nil {
-		f.Add([]byte(valid))
-		bad := append([]byte(nil), valid...)
-		bad[len(bad)-1] ^= 1
-		f.Add(bad)
+	valid, err := (ULPacket{TID: 5, Payload: 0xABC}).Marshal()
+	if err != nil {
+		f.Fatal(err)
 	}
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		bits := bitsFromBytes(raw, ULFrameBits)
-		pkt, err := UnmarshalUL(bits)
+	f.Add(valid, uint8(0))
+	f.Add(valid^1, uint8(0)) // a corrupted CRC
+	f.Add(uint32(0), uint8(9))
+	f.Fuzz(func(t *testing.T, frame uint32, flip uint8) {
+		chips := AppendFM0(nil, uint64(frame), ULFrameBits, 0)
+		if flip != 0 {
+			chips[int(flip-1)%len(chips)] ^= 1
+		}
+		word, err := FM0Decode(chips, 0)
+		switch {
+		case flip == 0 && (err != nil || word != uint64(frame)):
+			t.Fatalf("clean chips of %#08x decoded to %#x, %v", frame, word, err)
+		case flip != 0 && err == nil && word == uint64(frame):
+			t.Fatalf("flipped chip %d of %#08x went unnoticed", int(flip-1)%len(chips), frame)
+		case err != nil:
+			return
+		}
+		pkt, err := UnmarshalUL(uint32(word))
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
@@ -41,70 +48,75 @@ func FuzzUnmarshalUL(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted packet %+v fails to marshal: %v", pkt, err)
 		}
-		if !again.Equal(bits) {
-			t.Fatalf("round trip mismatch:\n in  %v\n out %v", bits, again)
+		if again != uint32(word) {
+			t.Fatalf("round trip mismatch: in %#08x, out %#08x", word, again)
 		}
 	})
 }
 
+// FuzzUnmarshalDL drives the DL word parser and the PIE interval
+// decoder: each fuzz byte is one measured pulse width (in 1/64 chip),
+// and whatever decodes is parsed; any beacon the parser accepts must
+// re-marshal to the decoded word.
 func FuzzUnmarshalDL(f *testing.F) {
-	if valid, err := (Beacon{Cmd: CmdACK | CmdEMPTY}).Marshal(); err == nil {
-		f.Add([]byte(valid))
+	valid := (Beacon{Cmd: CmdACK | CmdEMPTY}).Marshal()
+	widths := make([]byte, 0, DLFrameBits)
+	for i := DLFrameBits - 1; i >= 0; i-- {
+		widths = append(widths, byte(64+64*(valid>>i&1)))
 	}
+	f.Add(widths)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		bits := bitsFromBytes(raw, DLFrameBits)
-		beacon, err := UnmarshalDL(bits)
+		highs := make([]float64, len(raw))
+		for i, b := range raw {
+			highs[i] = float64(b) / 64
+		}
+		word, err := PIEDecodeIntervals(highs)
+		if err != nil || len(highs) != DLFrameBits {
+			return
+		}
+		beacon, err := UnmarshalDL(uint16(word))
 		if err != nil {
 			return
 		}
-		again, err := beacon.Marshal()
-		if err != nil || !again.Equal(bits) {
-			t.Fatalf("round trip mismatch for %+v: %v", beacon, err)
+		if again := beacon.Marshal(); uint64(again) != word {
+			t.Fatalf("round trip mismatch for %+v: %#x -> %#x", beacon, word, again)
 		}
 	})
 }
 
 func FuzzPIEDecode(f *testing.F) {
-	f.Add([]byte(PIEEncode(Bits{1, 0, 1, 1})))
+	f.Add([]byte(AppendPIE(nil, 0b1011, 4)))
 	f.Add([]byte{1, 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		chips := make(Bits, len(raw))
-		for i := range chips {
-			chips[i] = raw[i] & 1
-		}
-		bits, err := PIEDecode(chips)
+		bits, err := PIEDecode(randomBits(raw))
 		if err != nil {
 			return
 		}
 		// Accepted streams re-encode to a stream that decodes to the
 		// same bits (the input's trailing separator may be truncated, so
 		// chips are not compared directly).
-		again, err := PIEDecode(PIEEncode(bits))
+		again, err := PIEDecode(appendPIEBits(nil, bits))
 		if err != nil {
 			t.Fatalf("re-encoded stream rejected: %v", err)
 		}
-		if !again.Equal(bits) {
+		if !bytes.Equal(again, bits) {
 			t.Fatalf("decode/encode/decode mismatch:\n first  %v\n second %v", bits, again)
 		}
 	})
 }
 
 func FuzzFM0Decode(f *testing.F) {
-	f.Add([]byte(FM0Encode(Bits{1, 0, 0, 1}, 0)), byte(0))
+	f.Add([]byte(AppendFM0(nil, 0b1001, 4, 0)), byte(0))
 	f.Add([]byte{}, byte(1))
 	f.Fuzz(func(t *testing.T, raw []byte, init byte) {
-		n := len(raw) / 2 * 2
-		chips := make(Bits, n)
-		for i := range chips {
-			chips[i] = raw[i] & 1
-		}
-		bits, err := FM0Decode(chips, init&1)
+		chips := randomBits(raw)
+		word, err := FM0Decode(chips, init&1)
 		if err != nil {
 			return
 		}
-		if !FM0Encode(bits, init&1).Equal(chips) {
+		if !bytes.Equal(AppendFM0(nil, word, len(chips)/2, init&1), chips) {
 			t.Fatalf("FM0 round trip mismatch for init=%d chips=%v", init&1, chips)
 		}
 	})

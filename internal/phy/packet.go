@@ -13,10 +13,10 @@ import (
 
 // ULPreamble marks the start of an uplink frame (8 bits). The pattern
 // maximizes transitions for the reader's clock recovery.
-var ULPreamble = Bits{1, 0, 1, 1, 0, 1, 0, 0}
+const ULPreamble uint32 = 0b1011_0100
 
 // DLPreamble marks the arrival of a beacon (6 bits).
-var DLPreamble = Bits{1, 0, 1, 1, 0, 0}
+const DLPreamble uint16 = 0b10_1100
 
 // Field widths from Fig. 5.
 const (
@@ -83,44 +83,34 @@ type ULPacket struct {
 
 // Errors returned by the frame codecs.
 var (
-	ErrFrameLength  = errors.New("phy: wrong frame length")
 	ErrBadPreamble  = errors.New("phy: preamble mismatch")
 	ErrCRC          = errors.New("phy: CRC check failed")
 	ErrFieldTooWide = errors.New("phy: field value exceeds width")
 )
 
-// Marshal serializes the packet into the 32-bit UL frame
-// (preamble | TID | payload | CRC).
-func (p ULPacket) Marshal() (Bits, error) {
+// Marshal builds the 32-bit UL frame (preamble | TID | payload | CRC),
+// the preamble in the top byte.
+func (p ULPacket) Marshal() (uint32, error) {
 	if p.TID >= MaxTags {
-		return nil, fmt.Errorf("%w: TID %d", ErrFieldTooWide, p.TID)
+		return 0, fmt.Errorf("%w: TID %d", ErrFieldTooWide, p.TID)
 	}
 	if p.Payload >= 1<<PayloadBits {
-		return nil, fmt.Errorf("%w: payload %d", ErrFieldTooWide, p.Payload)
+		return 0, fmt.Errorf("%w: payload %d", ErrFieldTooWide, p.Payload)
 	}
-	body := NewBitsFromUint(uint64(p.TID), TIDBits).
-		Append(NewBitsFromUint(uint64(p.Payload), PayloadBits))
-	crc := NewBitsFromUint(uint64(CRC8(body)), CRCBits)
-	return append(Bits{}, ULPreamble...).Append(body, crc), nil
+	body := uint16(p.TID)<<PayloadBits | p.Payload
+	return ULPreamble<<(ULFrameBits-ULPreambleBits) | uint32(body)<<CRCBits | uint32(CRC8(body)), nil
 }
 
 // UnmarshalUL parses and verifies a 32-bit UL frame.
-func UnmarshalUL(frame Bits) (ULPacket, error) {
-	if len(frame) != ULFrameBits {
-		return ULPacket{}, fmt.Errorf("%w: got %d bits, want %d", ErrFrameLength, len(frame), ULFrameBits)
-	}
-	if !Bits(frame[:ULPreambleBits]).Equal(ULPreamble) {
+func UnmarshalUL(frame uint32) (ULPacket, error) {
+	if frame>>(ULFrameBits-ULPreambleBits) != ULPreamble {
 		return ULPacket{}, ErrBadPreamble
 	}
-	body := frame[ULPreambleBits : ULPreambleBits+TIDBits+PayloadBits]
-	crc := frame[ULPreambleBits+TIDBits+PayloadBits:]
-	if !CheckCRC8(body, crc) {
+	body := uint16(frame >> CRCBits)
+	if CRC8(body) != uint8(frame) {
 		return ULPacket{}, ErrCRC
 	}
-	return ULPacket{
-		TID:     uint8(Bits(body[:TIDBits]).Uint()),
-		Payload: uint16(Bits(body[TIDBits:]).Uint()),
-	}, nil
+	return ULPacket{TID: uint8(body >> PayloadBits), Payload: body & (1<<PayloadBits - 1)}, nil
 }
 
 // Beacon is the downlink frame: just a command nibble behind the
@@ -129,24 +119,20 @@ type Beacon struct {
 	Cmd Command
 }
 
-// Marshal serializes the beacon into the 10-bit DL frame.
-func (b Beacon) Marshal() (Bits, error) {
-	if b.Cmd > 0xF {
-		return nil, fmt.Errorf("%w: cmd %#x", ErrFieldTooWide, b.Cmd)
-	}
-	return append(Bits{}, DLPreamble...).
-		Append(NewBitsFromUint(uint64(b.Cmd), CMDBits)), nil
+// Marshal builds the 10-bit DL frame in the low bits of the word. Every
+// 4-bit command makes a valid frame; bits of Cmd above the nibble are
+// not sent.
+func (b Beacon) Marshal() uint16 {
+	return DLPreamble<<CMDBits | uint16(b.Cmd&(1<<CMDBits-1))
 }
 
-// UnmarshalDL parses a 10-bit DL frame. There is deliberately no CRC:
-// the beacon's job is slot timing, and the protocol tolerates the
+// UnmarshalDL parses a 10-bit DL frame; a word with bits set above the
+// frame fails the preamble check. There is deliberately no CRC: the
+// beacon's job is slot timing, and the protocol tolerates the
 // occasional corrupted command (Sec. 4.2).
-func UnmarshalDL(frame Bits) (Beacon, error) {
-	if len(frame) != DLFrameBits {
-		return Beacon{}, fmt.Errorf("%w: got %d bits, want %d", ErrFrameLength, len(frame), DLFrameBits)
-	}
-	if !Bits(frame[:DLPreambleBits]).Equal(DLPreamble) {
+func UnmarshalDL(frame uint16) (Beacon, error) {
+	if frame>>CMDBits != DLPreamble {
 		return Beacon{}, ErrBadPreamble
 	}
-	return Beacon{Cmd: Command(Bits(frame[DLPreambleBits:]).Uint())}, nil
+	return Beacon{Cmd: Command(frame & (1<<CMDBits - 1))}, nil
 }

@@ -9,40 +9,44 @@ import "fmt"
 // negative edge reads it; the counted high duration discriminates 0
 // from 1 against a 1.5-chip threshold.
 
-// PIEEncode converts data bits to raw chips (1 = carrier on / resonant
-// tone, 0 = carrier off / off-resonant tone).
-func PIEEncode(data Bits) Bits {
-	out := make(Bits, 0, 3*len(data))
-	for _, bit := range data {
-		if bit&1 == 1 {
-			out = append(out, 1, 1, 0)
+// AppendPIE appends to dst the raw chips (1 = carrier on / resonant
+// tone, 0 = carrier off / off-resonant tone) that PIE-encode the low n
+// bits of word (n <= 64), most significant first.
+func AppendPIE(dst Bits, word uint64, n int) Bits {
+	for i := n - 1; i >= 0; i-- {
+		if word>>i&1 == 1 {
+			dst = append(dst, 1, 1, 0)
 		} else {
-			out = append(out, 1, 0)
+			dst = append(dst, 1, 0)
 		}
 	}
-	return out
+	return dst
 }
 
-// PIEDecodeIntervals decodes from measured high-pulse durations
+// PIEDecodeIntervals decodes at most 64 measured high-pulse durations,
 // expressed in chip units — the quantity the tag's timer interrupt
-// actually measures. Durations are classified against the 1.5-chip
-// threshold; anything outside (0.5, 2.5] chips is an error, modeling
-// the demodulator's rejection window.
-func PIEDecodeIntervals(highChips []float64) (Bits, error) {
-	out := make(Bits, 0, len(highChips))
+// actually measures — into a word, the first pulse's bit most
+// significant. Durations are classified by PIEDecodeInterval; one
+// outside its window is an error, modeling the demodulator's rejection
+// window.
+func PIEDecodeIntervals(highChips []float64) (uint64, error) {
+	if len(highChips) > 64 {
+		return 0, fmt.Errorf("phy: %d PIE intervals do not fit a 64-bit word", len(highChips))
+	}
+	var word uint64
 	for i, d := range highChips {
 		bit, ok := PIEDecodeInterval(d)
 		if !ok {
-			return nil, fmt.Errorf("phy: PIE interval %v chips at symbol %d outside decode window", d, i)
+			return 0, fmt.Errorf("phy: PIE interval %v chips at symbol %d outside decode window", d, i)
 		}
-		out = append(out, bit)
+		word = word<<1 | uint64(bit)
 	}
-	return out, nil
+	return word, nil
 }
 
-// PIEDecodeInterval classifies one high-pulse duration, in chips, the
-// way PIEDecodeIntervals does; ok is false outside (0.5, 2.5] chips.
-// The tag's falling-edge interrupt calls it once per pulse.
+// PIEDecodeInterval classifies one high-pulse duration, in chips:
+// (0.5, 1.5] chips is a 0, (1.5, 2.5] a 1, and ok is false outside
+// (0.5, 2.5]. The tag's falling-edge interrupt calls it once per pulse.
 func PIEDecodeInterval(highChips float64) (bit byte, ok bool) {
 	switch {
 	case highChips > 0.5 && highChips <= 1.5:

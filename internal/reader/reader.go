@@ -71,16 +71,19 @@ type ULEvent struct {
 	DecodeProb float64 // solo decode success probability
 	Payload    uint16
 	// Chips and ChipRate carry the raw FM0 stream for waveform-mode
-	// decoding (nil when the probabilistic link model is in use).
+	// decoding (nil when the probabilistic link model is in use). Chips
+	// is borrowed from the transmitting tag, valid until its next
+	// transmission, which cannot start before this slot ends.
 	Chips    phy.Bits
 	ChipRate float64
 }
 
-// SlotDecodeResult is what a waveform-mode slot decoder reports.
+// SlotDecodeResult is what a waveform-mode slot decoder reports: the
+// decoded packet, if any, and the collision verdict.
 type SlotDecodeResult struct {
-	Obs       mac.Observation
 	Packet    phy.ULPacket
 	HasPacket bool
+	Collision bool
 }
 
 // SlotDecoder processes one slot's transmissions at waveform level
@@ -112,6 +115,7 @@ type Device struct {
 	DecodeSlot SlotDecoder
 
 	inbox        []ULEvent
+	decoded      [1]int   // the slot's decoded TID, lent to the protocol as Observation.Decoded
 	bx           BeaconTx // the open slot's beacon; its Edges buffer is reused every slot
 	slotEndFn    func(now sim.Time)
 	fb           mac.Feedback
@@ -200,7 +204,7 @@ func (d *Device) beginSlot(now sim.Time) {
 		d.Trace.Emit(obs.Event{Kind: obs.KindSlotOpen, Slot: d.Proto.Slot(),
 			T: now.Seconds(), ACK: d.fb.ACK, Empty: d.fb.Empty})
 	}
-	d.bx = d.modulateBeacon(cmd, now)
+	d.bx = d.ModulateBeacon(cmd, now)
 	d.inbox = d.inbox[:0]
 	if d.Broadcast != nil {
 		d.Broadcast(d.bx)
@@ -208,16 +212,14 @@ func (d *Device) beginSlot(now sim.Time) {
 	d.engine.After(d.Cfg.SlotDuration, "reader-slot-end", d.slotEndFn)
 }
 
-// modulateBeacon expands the command into jittered PIE envelope edges,
-// written over the previous beacon's edge buffer.
-func (d *Device) modulateBeacon(cmd phy.Command, start sim.Time) BeaconTx {
-	frame, err := (phy.Beacon{Cmd: cmd}).Marshal()
-	if err != nil {
-		// The command nibble is 4 bits by construction; this cannot
-		// happen unless Config is corrupted.
-		//lint:allow panic-hygiene command nibble is 4 bits by construction; marshal cannot fail on valid Config
-		panic(fmt.Sprintf("reader: beacon marshal: %v", err))
-	}
+// ModulateBeacon expands the command's beacon frame, most significant
+// bit first, into jittered PIE envelope edges starting at start. The
+// edges are written over the previous beacon's buffer, so they are
+// valid until the next beacon is modulated.
+//
+//alloc:hot runs once per slot of every event-network run
+func (d *Device) ModulateBeacon(cmd phy.Command, start sim.Time) BeaconTx {
+	frame := (phy.Beacon{Cmd: cmd}).Marshal()
 	chipDur := sim.FromSeconds(1 / d.Cfg.DLRate)
 	jitter := func() sim.Time {
 		if d.Cfg.SymbolJitter <= 0 || d.rng == nil {
@@ -228,9 +230,9 @@ func (d *Device) modulateBeacon(cmd phy.Command, start sim.Time) BeaconTx {
 	}
 	edges := d.bx.Edges[:0]
 	t := start
-	for _, bit := range frame {
+	for i := phy.DLFrameBits - 1; i >= 0; i-- {
 		high := chipDur // PIE 0: one high chip
-		if bit&1 == 1 {
+		if frame>>i&1 == 1 {
 			high = 2 * chipDur // PIE 1: two high chips
 		}
 		rise := t + jitter()
@@ -250,14 +252,22 @@ func (d *Device) OnTransmission(ev ULEvent) {
 	d.inbox = append(d.inbox, ev)
 }
 
+// decodedTID returns the one-TID decode list of a slot, in the reused
+// buffer: the protocol and the tracer read it only during endSlot.
+func (d *Device) decodedTID(tid uint8) []int {
+	d.decoded[0] = int(tid)
+	return d.decoded[:]
+}
+
 // endSlot scores the slot, runs the protocol, and opens the next slot.
 func (d *Device) endSlot(now sim.Time) {
 	var seen mac.Observation
 	var decodedEv *ULEvent
 	if d.DecodeSlot != nil && len(d.inbox) > 0 {
 		res := d.DecodeSlot(d.inbox)
-		seen = res.Obs
+		seen.Collision = res.Collision
 		if res.HasPacket {
+			seen.Decoded = d.decodedTID(res.Packet.TID)
 			// Bind the decode to the matching event (by TID) for the
 			// latency bookkeeping; fall back to the first event.
 			decodedEv = &d.inbox[0]
@@ -275,7 +285,7 @@ func (d *Device) endSlot(now sim.Time) {
 		case 1:
 			ev := d.inbox[0]
 			if d.rng.Bool(ev.DecodeProb) {
-				seen.Decoded = []int{int(ev.TID)}
+				seen.Decoded = d.decodedTID(ev.TID)
 				decodedEv = &d.inbox[0]
 			}
 		default:
@@ -289,7 +299,7 @@ func (d *Device) endSlot(now sim.Time) {
 					}
 				}
 				if d.rng.Bool(d.inbox[best].DecodeProb) {
-					seen.Decoded = []int{int(d.inbox[best].TID)}
+					seen.Decoded = d.decodedTID(d.inbox[best].TID)
 					decodedEv = &d.inbox[best]
 				}
 			}

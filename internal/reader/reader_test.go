@@ -78,11 +78,14 @@ func TestBeaconEdgesDecodeAsPIE(t *testing.T) {
 		}
 		highs = append(highs, (bx.Edges[i+1].At-bx.Edges[i].At).Seconds()/chip)
 	}
-	bits, err := phy.PIEDecodeIntervals(highs)
+	if len(highs) != phy.DLFrameBits {
+		t.Fatalf("%d pulses, want %d", len(highs), phy.DLFrameBits)
+	}
+	frame, err := phy.PIEDecodeIntervals(highs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	beacon, err := phy.UnmarshalDL(bits)
+	beacon, err := phy.UnmarshalDL(uint16(frame))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,9 @@ func DefaultConfig(tid uint8, period mac.Period) Config {
 }
 
 // Transmission is the tag's announcement of an uplink backscatter
-// burst; the channel layer carries it to the reader.
+// burst; the channel layer carries it to the reader. Chips is the tag's
+// buffer, borrowed: the tag's next transmission overwrites it, so a
+// receiver that keeps the chips past the slot copies them.
 type Transmission struct {
 	TID      uint8
 	Start    sim.Time
@@ -104,18 +106,21 @@ type Device struct {
 	displacementM float64
 
 	powered bool
-	// Demodulator state.
+	// Demodulator state: the received bits shift through dlShift, and
+	// dlBits counts them since the last reset (in a frame: since the
+	// preamble).
 	ticksPerChip float64
-	bitWindow    phy.Bits
-	cmdBits      phy.Bits
+	dlShift      uint16
+	dlBits       int
 	inFrame      bool
 	// Beacon bookkeeping.
 	beaconTimeout sim.Handle
 	beaconsSeen   uint64
 	beaconsLost   uint64
-	// UL transmission state.
+	// UL transmission state. txChips is reused for every frame.
 	txChips phy.Bits
 	txIdx   int
+	txBusy  bool
 	// Energy bookkeeping.
 	lastCharge  float64 // meter charge at last energy tick
 	energyTick  sim.Time
@@ -125,8 +130,8 @@ type Device struct {
 	edges *sim.Cursor
 	// Engine callbacks, bound once in New: scheduling a method value
 	// or closure per event would allocate on every energy step, beacon
-	// timeout and DL edge.
-	energyFn, timeoutFn, riseFn, fallFn func(now sim.Time)
+	// timeout, DL edge, uplink start and TX chip.
+	energyFn, timeoutFn, riseFn, fallFn, ulFn, chipFn func(now sim.Time)
 }
 
 // New builds a tag device on the engine. The rng individualizes clock
@@ -152,6 +157,7 @@ func New(engine *sim.Engine, cfg Config, rng *sim.Rand) (*Device, error) {
 		rng:        rng.Fork(3),
 		energyTick: 50 * sim.Millisecond,
 		edges:      engine.NewCursor("dl-edge"),
+		txChips:    make(phy.Bits, 0, 2*phy.ULFrameBits),
 	}
 	d.energyLane = engine.Lane(d.energyTick)
 	if cfg.WithSensor {
@@ -169,6 +175,8 @@ func New(engine *sim.Engine, cfg Config, rng *sim.Rand) (*Device, error) {
 	d.timeoutFn = d.onBeaconTimeout
 	d.riseFn = func(sim.Time) { d.InjectEnvelope(true) }
 	d.fallFn = func(sim.Time) { d.InjectEnvelope(false) }
+	d.ulFn = func(sim.Time) { d.startTransmission() }
+	d.chipFn = d.onTXChip
 	d.scheduleEnergyTick()
 	return d, nil
 }
@@ -234,8 +242,7 @@ func (d *Device) powerUp() {
 	d.activations++
 	d.Proto.Rejoin()
 	d.MCU.SetMode(mcu.ModeIdle)
-	d.inFrame = false
-	d.bitWindow = d.bitWindow[:0]
+	d.resetDemod()
 	d.MCU.In().OnEdge(mcu.EdgeISRCycles, d.onEdge)
 	d.armBeaconTimeout()
 }
@@ -247,7 +254,7 @@ func (d *Device) powerDown() {
 	d.MCU.Timer().StopPeriodic()
 	d.MCU.SetMode(mcu.ModeIdle)
 	d.engine.Cancel(d.beaconTimeout)
-	d.txChips = nil
+	d.txBusy = false
 }
 
 // armBeaconTimeout (re)starts the beacon-loss timer. The handle may
@@ -265,8 +272,7 @@ func (d *Device) onBeaconTimeout(sim.Time) {
 	}
 	d.beaconsLost++
 	d.Proto.OnBeaconLoss()
-	d.inFrame = false
-	d.bitWindow = d.bitWindow[:0]
+	d.resetDemod()
 	d.armBeaconTimeout()
 }
 
@@ -309,34 +315,39 @@ func (d *Device) onEdge(rising bool, now sim.Time) {
 	bit, ok := phy.PIEDecodeInterval(chips)
 	if !ok {
 		// Unclassifiable pulse: abort any frame in progress.
-		d.inFrame = false
-		d.bitWindow = d.bitWindow[:0]
+		d.resetDemod()
 		d.MCU.SetMode(mcu.ModeIdle)
 		return
 	}
 	d.onBit(bit, now)
 }
 
-// onBit runs the preamble matcher and collects the command nibble.
-func (d *Device) onBit(b byte, now sim.Time) {
-	if !d.inFrame {
-		d.bitWindow = append(d.bitWindow, b)
-		if len(d.bitWindow) > phy.DLPreambleBits {
-			d.bitWindow = d.bitWindow[1:]
-		}
-		if len(d.bitWindow) == phy.DLPreambleBits && d.bitWindow.Equal(phy.DLPreamble) {
-			d.inFrame = true
-			d.cmdBits = d.cmdBits[:0]
-		}
-		return
-	}
-	d.cmdBits = append(d.cmdBits, b)
-	if len(d.cmdBits) < phy.CMDBits {
-		return
-	}
-	cmd := phy.Command(d.cmdBits.Uint())
+// resetDemod drops any partial preamble or frame.
+func (d *Device) resetDemod() {
 	d.inFrame = false
-	d.bitWindow = d.bitWindow[:0]
+	d.dlShift, d.dlBits = 0, 0
+}
+
+// onBit shifts one bit into the demodulator: outside a frame it
+// matches the last six bits against the preamble, inside it collects
+// the command nibble.
+//
+//alloc:hot runs once per received beacon bit on every tag
+func (d *Device) onBit(b byte, now sim.Time) {
+	d.dlShift = d.dlShift<<1 | uint16(b)
+	d.dlBits++
+	if !d.inFrame {
+		if d.dlBits >= phy.DLPreambleBits && d.dlShift&(1<<phy.DLPreambleBits-1) == phy.DLPreamble {
+			d.inFrame = true
+			d.dlBits = 0
+		}
+		return
+	}
+	if d.dlBits < phy.CMDBits {
+		return
+	}
+	cmd := phy.Command(d.dlShift & (1<<phy.CMDBits - 1))
+	d.resetDemod()
 	d.MCU.WakeFor(mcu.NetISRCycles) // the network software interrupt
 	d.handleBeacon(cmd, now)
 }
@@ -355,16 +366,16 @@ func (d *Device) handleBeacon(cmd phy.Command, now sim.Time) {
 		Reset: cmd.Has(phy.CmdRESET),
 	}
 	if d.Proto.OnBeacon(fb) {
-		d.engine.After(d.Cfg.ReplyDelay, "tag-ul", func(sim.Time) {
-			d.startTransmission()
-		})
+		d.engine.After(d.Cfg.ReplyDelay, "tag-ul", d.ulFn)
 	}
 }
 
 // startTransmission samples the sensor, frames the packet and begins
 // FM0 modulation via timer interrupts (Fig. 6b).
+//
+//alloc:hot runs once per uplink burst; the chip buffer is reused
 func (d *Device) startTransmission() {
-	if !d.powered || d.txChips != nil {
+	if !d.powered || d.txBusy {
 		return
 	}
 	pkt := phy.ULPacket{TID: d.Cfg.TID, Payload: d.samplePayload()}
@@ -372,8 +383,9 @@ func (d *Device) startTransmission() {
 	if err != nil {
 		return // unrepresentable payload: firmware drops the sample
 	}
-	d.txChips = phy.FM0Encode(frame, 0)
+	d.txChips = phy.AppendFM0(d.txChips[:0], uint64(frame), phy.ULFrameBits, 0)
 	d.txIdx = 0
+	d.txBusy = true
 	d.MCU.SetMode(mcu.ModeTX)
 
 	rate := d.MCU.ClockHz() / float64(d.Cfg.ULDivider)
@@ -382,28 +394,32 @@ func (d *Device) startTransmission() {
 			TID:      d.Cfg.TID,
 			Start:    d.engine.Now(),
 			ChipRate: rate,
-			Chips:    append(phy.Bits{}, d.txChips...),
+			Chips:    d.txChips,
 			Packet:   pkt,
 		})
 	}
-	d.MCU.Timer().StartPeriodic(d.Cfg.ULDivider, mcu.TXTimerISRCycles, func(sim.Time) {
-		if d.txIdx >= len(d.txChips) {
-			d.MCU.Timer().StopPeriodic()
-			d.MCU.Out().Set(false)
-			d.PZT.SetState(pzt.Absorptive)
-			d.txChips = nil
-			d.MCU.SetMode(mcu.ModeIdle)
-			return
-		}
-		on := d.txChips[d.txIdx]&1 == 1
-		d.MCU.Out().Set(on)
-		if on {
-			d.PZT.SetState(pzt.Reflective)
-		} else {
-			d.PZT.SetState(pzt.Absorptive)
-		}
-		d.txIdx++
-	})
+	d.MCU.Timer().StartPeriodic(d.Cfg.ULDivider, mcu.TXTimerISRCycles, d.chipFn)
+}
+
+// onTXChip is the TX timer ISR: it drives the next chip onto the PZT,
+// and after the last one ends the burst.
+func (d *Device) onTXChip(sim.Time) {
+	if d.txIdx >= len(d.txChips) {
+		d.MCU.Timer().StopPeriodic()
+		d.MCU.Out().Set(false)
+		d.PZT.SetState(pzt.Absorptive)
+		d.txBusy = false
+		d.MCU.SetMode(mcu.ModeIdle)
+		return
+	}
+	on := d.txChips[d.txIdx]&1 == 1
+	d.MCU.Out().Set(on)
+	if on {
+		d.PZT.SetState(pzt.Reflective)
+	} else {
+		d.PZT.SetState(pzt.Absorptive)
+	}
+	d.txIdx++
 }
 
 // samplePayload performs one ADC conversion of the strain chain (if

@@ -1,6 +1,7 @@
 package tag
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/mac"
@@ -21,14 +22,11 @@ func newTestTag(t *testing.T, seed uint64) (*sim.Engine, *Device) {
 // injectBeacon schedules the PIE edges of a beacon with command cmd at
 // the tag, starting at time start, with the given chip duration.
 func injectBeacon(e *sim.Engine, d *Device, cmd phy.Command, start sim.Time, chipDur sim.Time) sim.Time {
-	frame, err := (phy.Beacon{Cmd: cmd}).Marshal()
-	if err != nil {
-		panic(err)
-	}
+	frame := (phy.Beacon{Cmd: cmd}).Marshal()
 	t := start
-	for _, bit := range frame {
+	for i := phy.DLFrameBits - 1; i >= 0; i-- {
 		high := chipDur
-		if bit&1 == 1 {
+		if frame>>i&1 == 1 {
 			high = 2 * chipDur
 		}
 		rise, fall := t, t+high
@@ -135,7 +133,10 @@ func TestTransmissionProducesDecodableFrame(t *testing.T) {
 	d.PreCharge()
 	// Clear the late-arrival gate so the tag contends immediately.
 	var txs []Transmission
-	d.OnTransmit = func(tx Transmission) { txs = append(txs, tx) }
+	d.OnTransmit = func(tx Transmission) {
+		tx.Chips = bytes.Clone(tx.Chips) // borrowed from the tag
+		txs = append(txs, tx)
+	}
 	chip := sim.FromSeconds(1 / d.Cfg.DLRate)
 	// Send RESET (clears gate), then repeated beacons; the tag (period
 	// 4) must transmit within its period.
@@ -153,16 +154,16 @@ func TestTransmissionProducesDecodableFrame(t *testing.T) {
 		t.Errorf("TID = %d", tx.TID)
 	}
 	// The chip stream must FM0-decode back to a valid UL frame.
-	bits, err := phy.FM0Decode(tx.Chips, 0)
+	frame, err := phy.FM0Decode(tx.Chips, 0)
 	if err != nil {
 		t.Fatalf("FM0 decode: %v", err)
 	}
-	pkt, err := phy.UnmarshalUL(bits)
+	pkt, err := phy.UnmarshalUL(uint32(frame))
 	if err != nil {
 		t.Fatalf("frame: %v", err)
 	}
-	if pkt.TID != 3 {
-		t.Errorf("frame TID = %d", pkt.TID)
+	if pkt != tx.Packet || pkt.TID != 3 {
+		t.Errorf("frame carries %+v, transmission announced %+v", pkt, tx.Packet)
 	}
 	// Chip rate reflects the skewed clock near 375 bps.
 	if tx.ChipRate < 360 || tx.ChipRate > 390 {
