@@ -93,7 +93,7 @@ bench:
 # pair it falls back to. The fault injector's scheduled streams must
 # not allocate and must stay at least 2x faster than the per-slot Bool
 # loops they replaced. A running default event network must average at
-# most 0.1 allocations per slot (0.06 measured): frames are words, the
+# most 0.1 allocations per slot (0.05 measured): frames are words, the
 # tag encodes into a reused chip buffer and every engine callback is
 # bound once.
 BENCH_SPEEDUP_FLOOR ?= 0.8
@@ -128,8 +128,8 @@ bench-smoke:
 		-assert 'BenchmarkInjector:speedup-vs-oracle>=2' ./internal/faults
 
 # Coverage-guided fuzzing smoke: 10 s on each native fuzz target in the
-# phy codecs, the binary wire codecs and the event engine's queues
-# against their plain-slice reference (go fuzzing allows one -fuzz
+# phy codecs, the binary wire codecs, the event engine's queues
+# against their plain-slice reference and the fleet spec decoder (go fuzzing allows one -fuzz
 # pattern per invocation, hence the pkg:target loop). CI runs this on
 # every push; longer local sessions just raise FUZZTIME.
 FUZZTIME ?= 10s
@@ -141,7 +141,8 @@ FUZZ_TARGETS = \
 	./internal/obs:FuzzUnmarshalEvent \
 	./internal/fleet:FuzzUnmarshalJobOutcome \
 	./internal/fleetd:FuzzUnmarshalCheckpoint \
-	./internal/sim:FuzzEngineMatchesReference
+	./internal/sim:FuzzEngineMatchesReference \
+	./arachnet:FuzzUnmarshalFleetJSON
 fuzz-smoke:
 	for pt in $(FUZZ_TARGETS); do \
 		pkg=$${pt%%:*}; target=$${pt##*:}; \

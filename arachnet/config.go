@@ -13,35 +13,36 @@ import (
 // TagSpec provisions one tag in the network.
 type TagSpec struct {
 	// TID is the 4-bit identifier (1..15; 0 is reserved).
-	TID uint8
+	TID uint8 `json:"tid"`
 	// Period is the transmission period in slots.
-	Period Period
+	Period Period `json:"period"`
 	// WithSensor attaches the strain module.
-	WithSensor bool
+	WithSensor bool `json:"with_sensor,omitempty"`
 	// StartCharged skips the initial charging phase for this tag.
-	StartCharged bool
+	StartCharged bool `json:"start_charged,omitempty"`
 }
 
-// NetworkConfig describes a full event-level deployment.
+// NetworkConfig describes a full event-level deployment. The json
+// tags are the deployment schema (jsonconfig.go).
 type NetworkConfig struct {
 	// Tags lists the tag population. TIDs map 1:1 onto the ONVO L60
 	// deployment positions (tag 1 dashboard ... tag 12 threshold), so
 	// at most 12 tags are supported by the built-in deployment.
-	Tags []TagSpec
+	Tags []TagSpec `json:"tags"`
 	// Seed drives all randomness.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// SlotDuration is the slot length (default 1 s).
-	SlotDuration Time
+	SlotDuration Time `json:"slot_duration_us,omitempty"`
 	// ULDivider is the MCU clock divider for the uplink (default 32,
 	// i.e. 375 bps).
-	ULDivider int
+	ULDivider int `json:"ul_divider,omitempty"`
 	// DLRate is the downlink chip rate (default 250 bps).
-	DLRate float64
+	DLRate float64 `json:"dl_rate_bps,omitempty"`
 	// WaveformDecode runs every slot's uplink through real DSP
 	// (synthesis, FM0 decode, cluster-based collision detection)
 	// instead of the calibrated probabilistic link model. Slower but
 	// fully mechanistic; see arachnet/waveform.go.
-	WaveformDecode bool
+	WaveformDecode bool `json:"-"`
 	// Trace, when set, receives structured observability events from
 	// every layer: engine event firing, slot open/close, tag
 	// settle/unsettle/evict, energy cutoff and brownout, and decode

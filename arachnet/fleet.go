@@ -60,33 +60,34 @@ func NewFleetDistribution(samples []float64) FleetDistribution {
 
 // VehicleSpec describes one fleet vehicle (optionally replicated into
 // a seed sweep). The zero value plus a Name runs the default c3
-// workload on the fast slots engine.
+// workload on the fast slots engine. The json tags are the vehicle
+// entries of the fleet spec schema (fleetjson.go).
 type VehicleSpec struct {
 	// Name labels the job(s); replicas get "-<k>" suffixes.
-	Name string
+	Name string `json:"name"`
 	// Engine selects the simulation granularity: "slots" (default,
 	// fast protocol simulator) or "network" (full event-level system).
-	Engine string
+	Engine string `json:"engine,omitempty"`
 	// Pattern names a Table 3 workload (c1..c9); default c3.
-	Pattern string
+	Pattern string `json:"pattern,omitempty"`
 	// Periods overrides Pattern with explicit per-tag periods.
-	Periods []Period
+	Periods []Period `json:"periods,omitempty"`
 	// Network overrides everything for the network engine: a full
 	// deployment description (its Seed is replaced per job).
-	Network *NetworkConfig
+	Network *NetworkConfig `json:"network,omitempty"`
 
 	// Slots is the slots-engine horizon (default 10_000).
-	Slots int
+	Slots int `json:"slots,omitempty"`
 	// ConvergeWithin switches the slots engine to convergence mode:
 	// run until the Fig. 15 detector fires, failing the job if it has
 	// not within this many slots.
-	ConvergeWithin int
+	ConvergeWithin int `json:"converge_within,omitempty"`
 	// Seconds is the network-engine horizon in simulated seconds
 	// (default 120).
-	Seconds int
+	Seconds int `json:"seconds,omitempty"`
 	// ChargeFromEmpty makes network-engine tags charge from an empty
 	// supercap instead of starting energized.
-	ChargeFromEmpty bool
+	ChargeFromEmpty bool `json:"charge_from_empty,omitempty"`
 
 	// Faults injects a deterministic fault plan into every replica
 	// (each seeded from its job seed, so chaos sweeps replicate
@@ -94,34 +95,35 @@ type VehicleSpec struct {
 	// count). Nil inherits the fleet-level plan; chaos jobs report the
 	// extra recovery metrics and fault counters. Use the slots horizon
 	// rather than ConvergeWithin — a faulted run may never converge.
-	Faults *FaultPlan
+	Faults *FaultPlan `json:"faults,omitempty"`
 
 	// Replicate expands the vehicle into this many jobs with distinct
 	// deterministic seeds (default 1).
-	Replicate int
-	// Seed pins the vehicle's seed when HasSeed is set; otherwise
-	// seeds derive from the fleet seed and job index. Replicas of a
-	// pinned vehicle use Seed, Seed+1, ...
-	Seed    uint64
-	HasSeed bool
+	Replicate int `json:"replicate,omitempty"`
+	// Seed, when set, pins the vehicle's seed; otherwise seeds derive
+	// from the fleet seed and job index. Replicas of a pinned vehicle
+	// use *Seed, *Seed+1, ...
+	Seed *uint64 `json:"seed,omitempty"`
 }
 
 // Fleet is a whole fleet run: vehicles, worker shards, master seed.
+// The json tags are the fleet spec schema (fleetjson.go), which carries
+// JobTimeout as job_timeout_ms.
 type Fleet struct {
 	// Seed is the master seed all unpinned job seeds derive from.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Workers is the worker-shard count; <= 0 means GOMAXPROCS.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// JobTimeout bounds each vehicle's wall-clock run; 0 = unlimited.
-	JobTimeout time.Duration
+	JobTimeout time.Duration `json:"-"`
 	// Trace receives each job's TraceJobStart and TraceJobFinish
 	// events (may be nil).
-	Trace *Tracer
+	Trace *Tracer `json:"-"`
 	// Faults is the fleet-wide default fault plan, applied to every
 	// vehicle that doesn't pin its own.
-	Faults *FaultPlan
+	Faults *FaultPlan `json:"faults,omitempty"`
 	// Vehicles is the fleet population.
-	Vehicles []VehicleSpec
+	Vehicles []VehicleSpec `json:"vehicles"`
 }
 
 // periods resolves the slot pattern a vehicle runs.
@@ -175,8 +177,8 @@ func (f Fleet) Jobs() ([]FleetJobSpec, error) {
 				jobName = fmt.Sprintf("%s-%d", name, k)
 			}
 			spec := FleetJobSpec{Name: jobName, Run: run}
-			if v.HasSeed {
-				spec.Seed = v.Seed + uint64(k)
+			if v.Seed != nil {
+				spec.Seed = *v.Seed + uint64(k)
 				spec.HasSeed = true
 			}
 			specs = append(specs, spec)

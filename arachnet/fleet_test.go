@@ -98,7 +98,8 @@ func TestFleetVehicleValidation(t *testing.T) {
 		t.Errorf("specs: %+v", specs)
 	}
 	// Pinned seeds step per replica.
-	specs, err = (Fleet{Vehicles: []VehicleSpec{{Name: "p", Seed: 100, HasSeed: true, Replicate: 3}}}).Jobs()
+	pinned := uint64(100)
+	specs, err = (Fleet{Vehicles: []VehicleSpec{{Name: "p", Seed: &pinned, Replicate: 3}}}).Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +153,14 @@ func TestFleetTimeoutIsolation(t *testing.T) {
 // TestFleetJSONRoundTrip pins the fleet spec wire format.
 func TestFleetJSONRoundTrip(t *testing.T) {
 	netCfg := DefaultNetworkConfig()
+	pinned := uint64(77)
 	f := Fleet{
 		Seed:       21,
 		Workers:    4,
 		JobTimeout: 90 * time.Second,
 		Vehicles: []VehicleSpec{
 			{Name: "sweep", Pattern: "c4", ConvergeWithin: 400_000, Replicate: 8},
-			{Name: "pinned", Periods: []Period{4, 8, 8}, Slots: 2500, Seed: 77, HasSeed: true},
+			{Name: "pinned", Periods: []Period{4, 8, 8}, Slots: 2500, Seed: &pinned},
 			{Name: "suv", Engine: "network", Seconds: 45, Network: &netCfg, ChargeFromEmpty: true},
 		},
 	}
@@ -179,7 +181,7 @@ func TestFleetJSONRoundTrip(t *testing.T) {
 	if got.Vehicles[0].Replicate != 8 || got.Vehicles[0].Pattern != "c4" {
 		t.Errorf("vehicle 0: %+v", got.Vehicles[0])
 	}
-	if !got.Vehicles[1].HasSeed || got.Vehicles[1].Seed != 77 || len(got.Vehicles[1].Periods) != 3 {
+	if got.Vehicles[1].Seed == nil || *got.Vehicles[1].Seed != 77 || len(got.Vehicles[1].Periods) != 3 {
 		t.Errorf("vehicle 1: %+v", got.Vehicles[1])
 	}
 	if got.Vehicles[2].Network == nil || len(got.Vehicles[2].Network.Tags) != len(netCfg.Tags) {

@@ -8,9 +8,9 @@ import (
 )
 
 // JSON fleet specifications, so the arachnet-fleet CLI and external
-// automation can describe whole fleets without writing Go. The
-// per-vehicle "network" block reuses the deployment schema from
-// jsonconfig.go verbatim.
+// automation can describe whole fleets without writing Go. The schema
+// is the json tags of Fleet and VehicleSpec; the per-vehicle "network"
+// block is the deployment schema of NetworkConfig (jsonconfig.go).
 //
 // Example:
 //
@@ -30,64 +30,17 @@ import (
 // appear at the fleet level — the default chaos plan for every vehicle
 // — or per vehicle, which overrides the fleet default.
 
-type jsonVehicleSpec struct {
-	Name            string             `json:"name"`
-	Engine          string             `json:"engine,omitempty"`
-	Pattern         string             `json:"pattern,omitempty"`
-	Periods         []int              `json:"periods,omitempty"`
-	Network         *jsonNetworkConfig `json:"network,omitempty"`
-	Slots           int                `json:"slots,omitempty"`
-	ConvergeWithin  int                `json:"converge_within,omitempty"`
-	Seconds         int                `json:"seconds,omitempty"`
-	ChargeFromEmpty bool               `json:"charge_from_empty,omitempty"`
-	Replicate       int                `json:"replicate,omitempty"`
-	Seed            *uint64            `json:"seed,omitempty"`
-	Faults          *FaultPlan         `json:"faults,omitempty"`
-}
-
-type jsonFleetSpec struct {
-	Seed         uint64            `json:"seed"`
-	Workers      int               `json:"workers,omitempty"`
-	JobTimeoutMS int64             `json:"job_timeout_ms,omitempty"`
-	Faults       *FaultPlan        `json:"faults,omitempty"`
-	Vehicles     []jsonVehicleSpec `json:"vehicles"`
+// fleetWire is a Fleet on the wire: every field under its json tag,
+// and the job timeout in milliseconds.
+type fleetWire struct {
+	*Fleet
+	JobTimeoutMS int64 `json:"job_timeout_ms,omitempty"`
 }
 
 // MarshalFleetJSON serializes a Fleet to the JSON schema. The Trace
 // field is runtime-only and is not serialized.
 func MarshalFleetJSON(f Fleet) ([]byte, error) {
-	j := jsonFleetSpec{
-		Seed:         f.Seed,
-		Workers:      f.Workers,
-		JobTimeoutMS: int64(f.JobTimeout / time.Millisecond),
-		Faults:       f.Faults,
-	}
-	for _, v := range f.Vehicles {
-		jv := jsonVehicleSpec{
-			Name:            v.Name,
-			Engine:          v.Engine,
-			Pattern:         v.Pattern,
-			Slots:           v.Slots,
-			ConvergeWithin:  v.ConvergeWithin,
-			Seconds:         v.Seconds,
-			ChargeFromEmpty: v.ChargeFromEmpty,
-			Replicate:       v.Replicate,
-		}
-		for _, p := range v.Periods {
-			jv.Periods = append(jv.Periods, int(p))
-		}
-		if v.Network != nil {
-			nc := configToJSON(*v.Network)
-			jv.Network = &nc
-		}
-		if v.HasSeed {
-			seed := v.Seed
-			jv.Seed = &seed
-		}
-		jv.Faults = v.Faults
-		j.Vehicles = append(j.Vehicles, jv)
-	}
-	return json.MarshalIndent(j, "", "  ")
+	return json.MarshalIndent(fleetWire{&f, int64(f.JobTimeout / time.Millisecond)}, "", "  ")
 }
 
 // UnmarshalFleetJSON parses a fleet specification and checks what
@@ -96,53 +49,31 @@ func MarshalFleetJSON(f Fleet) ([]byte, error) {
 // engine or period is reported by Fleet.Jobs (and so by Fleet.Run),
 // still before any job runs.
 func UnmarshalFleetJSON(data []byte) (Fleet, error) {
-	var j jsonFleetSpec
-	if err := json.Unmarshal(data, &j); err != nil {
+	var f Fleet
+	w := fleetWire{Fleet: &f}
+	if err := json.Unmarshal(data, &w); err != nil {
 		return Fleet{}, fmt.Errorf("arachnet: parse fleet spec: %w", err)
 	}
-	f := Fleet{
-		Seed:       j.Seed,
-		Workers:    j.Workers,
-		JobTimeout: time.Duration(j.JobTimeoutMS) * time.Millisecond,
-		Faults:     j.Faults,
-	}
-	if j.Faults != nil {
-		if err := j.Faults.Validate(); err != nil {
+	f.JobTimeout = time.Duration(w.JobTimeoutMS) * time.Millisecond
+	if f.Faults != nil {
+		if err := f.Faults.Validate(); err != nil {
 			return Fleet{}, fmt.Errorf("arachnet: fleet faults: %w", err)
 		}
 	}
-	for i, jv := range j.Vehicles {
-		v := VehicleSpec{
-			Name:            jv.Name,
-			Engine:          jv.Engine,
-			Pattern:         jv.Pattern,
-			Slots:           jv.Slots,
-			ConvergeWithin:  jv.ConvergeWithin,
-			Seconds:         jv.Seconds,
-			ChargeFromEmpty: jv.ChargeFromEmpty,
-			Replicate:       jv.Replicate,
-		}
-		for _, p := range jv.Periods {
-			v.Periods = append(v.Periods, Period(p))
-		}
-		if jv.Network != nil {
-			cfg, err := jv.Network.toConfig()
+	for i := range f.Vehicles {
+		v := &f.Vehicles[i]
+		if v.Network != nil {
+			cfg, err := v.Network.checked()
 			if err != nil {
-				return Fleet{}, fmt.Errorf("arachnet: fleet vehicle %d (%q): %w", i, jv.Name, err)
+				return Fleet{}, fmt.Errorf("arachnet: fleet vehicle %d (%q): %w", i, v.Name, err)
 			}
 			v.Network = &cfg
 		}
-		if jv.Seed != nil {
-			v.Seed = *jv.Seed
-			v.HasSeed = true
-		}
-		if jv.Faults != nil {
-			if err := jv.Faults.Validate(); err != nil {
-				return Fleet{}, fmt.Errorf("arachnet: fleet vehicle %d (%q) faults: %w", i, jv.Name, err)
+		if v.Faults != nil {
+			if err := v.Faults.Validate(); err != nil {
+				return Fleet{}, fmt.Errorf("arachnet: fleet vehicle %d (%q) faults: %w", i, v.Name, err)
 			}
-			v.Faults = jv.Faults
 		}
-		f.Vehicles = append(f.Vehicles, v)
 	}
 	if len(f.Vehicles) == 0 {
 		return Fleet{}, fmt.Errorf("arachnet: fleet spec has no vehicles")

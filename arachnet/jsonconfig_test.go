@@ -10,7 +10,7 @@ import (
 
 // MarshalConfigJSON serializes a NetworkConfig to the JSON schema.
 func MarshalConfigJSON(cfg NetworkConfig) ([]byte, error) {
-	return json.MarshalIndent(configToJSON(cfg), "", "  ")
+	return json.MarshalIndent(cfg, "", "  ")
 }
 
 // SaveConfigFile writes the configuration as JSON.

@@ -5,8 +5,10 @@ import (
 	"strings"
 
 	"repro/internal/biw"
+	"repro/internal/dsp"
 	"repro/internal/mac"
 	"repro/internal/mcu"
+	"repro/internal/obs"
 	"repro/internal/phy"
 	"repro/internal/reader"
 	"repro/internal/sim"
@@ -26,13 +28,14 @@ type Network struct {
 	engine *sim.Engine
 	// wfNoise draws the waveform-mode channel noise.
 	wfNoise *sim.Rand
-	// Waveform-mode sample buffer, reused across slots so a
-	// thousand-slot run composes every capture without a per-slot
-	// allocation.
+	// Waveform-mode sample buffer and decoder scratch, reused across
+	// slots so a thousand-slot run composes and decodes every capture
+	// without a per-slot allocation.
 	wfSamples []float64
+	wfScratch dsp.SlotScratch
 	// beaconDecodes records (tid, time) of beacon decode completions
-	// for the Fig. 13(b) sync-offset analysis; bounded ring.
-	beaconDecodes []BeaconDecode
+	// for the Fig. 13(b) sync-offset analysis: the last 4,096.
+	beaconDecodes obs.Recent[BeaconDecode]
 	// byTID holds the Tags devices indexed by TID: the one tag order,
 	// used by the beacon fan-out, the fault injector, the stats and the
 	// reports.
@@ -180,7 +183,7 @@ func (n *Network) SetDisplacement(tid uint8, meters float64) error {
 
 // Payloads returns the most recent decoded payloads for a tag.
 func (n *Network) Payloads(tid uint8) []uint16 {
-	return append([]uint16(nil), n.Reader.Payloads[tid]...)
+	return append([]uint16(nil), n.Reader.Payloads(tid)...)
 }
 
 // SyncOffsets computes the Fig. 13(b) metric: for each beacon decoded
@@ -209,7 +212,7 @@ func (n *Network) SyncOffsets(referenceTID uint8) map[uint8][]Time {
 		}
 		round = round[:0]
 	}
-	for _, e := range n.beaconDecodes {
+	for _, e := range n.beaconDecodes.All() {
 		if len(round) > 0 && e.At-round[0].At > half {
 			flush()
 		}

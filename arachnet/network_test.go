@@ -197,7 +197,7 @@ func TestPingPongLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Run(600 * Second)
-	pp := net.Reader.PingPongs
+	pp := net.Reader.PingPongs()
 	if len(pp) < 100 {
 		t.Fatalf("only %d ping-pong samples", len(pp))
 	}

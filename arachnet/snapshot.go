@@ -3,6 +3,7 @@ package arachnet
 import (
 	"repro/internal/biw"
 	"repro/internal/mac"
+	"repro/internal/obs"
 	"repro/internal/phy"
 	"repro/internal/reader"
 	"repro/internal/sim"
@@ -107,6 +108,8 @@ func (sn *NetworkSnapshot) Clone(seed uint64, trace *Tracer) (*Network, error) {
 		Reader:     rd,
 		Tags:       make(map[uint8]*tag.Device, len(cfg.Tags)),
 		engine:     engine,
+
+		beaconDecodes: obs.NewRecent[BeaconDecode](4096),
 	}
 
 	for i, spec := range cfg.Tags {
@@ -127,10 +130,7 @@ func (sn *NetworkSnapshot) Clone(seed uint64, trace *Tracer) (*Network, error) {
 		tid := spec.TID
 		dev.OnTransmit = func(tx tag.Transmission) { n.deliverUplink(tx) }
 		dev.OnBeaconDecoded = func(_ phy.Command, at Time) {
-			n.beaconDecodes = append(n.beaconDecodes, BeaconDecode{TID: tid, At: at})
-			if len(n.beaconDecodes) > 4096 {
-				n.beaconDecodes = n.beaconDecodes[1:]
-			}
+			n.beaconDecodes.Add(BeaconDecode{TID: tid, At: at})
 		}
 		n.Tags[spec.TID] = dev
 		n.byTID[spec.TID] = dev

@@ -78,7 +78,7 @@ func (n *Network) decodeSlotWaveform(events []reader.ULEvent) reader.SlotDecodeR
 			strongest = ev
 		}
 	}
-	v := dsp.DecodeSlot(samples, wfSamplesPerChip*nominalRate/strongest.ChipRate)
+	v := dsp.DecodeSlot(samples, wfSamplesPerChip*nominalRate/strongest.ChipRate, &n.wfScratch)
 	res := reader.SlotDecodeResult{Packet: v.Packet, HasPacket: v.Decoded, Collision: v.Collision}
 	if n.Cfg.Trace.Enabled() {
 		ev := obs.Event{Kind: obs.KindDecode, T: n.engine.Now().Seconds(),

@@ -54,7 +54,7 @@ func passbandDecode(n *Network, events []reader.ULEvent, rng *sim.Rand) dsp.Slot
 	for j := range mags {
 		mags[j] = 2 * math.Hypot(iSum[j], qSum[j]) / float64(dump)
 	}
-	return dsp.DecodeSlot(mags, fs/float64(dump)/rate)
+	return dsp.DecodeSlot(mags, fs/float64(dump)/rate, new(dsp.SlotScratch))
 }
 
 // TestWaveformDecodeMatchesPassband checks the baseband slot decoder
@@ -219,5 +219,25 @@ func TestResetProtocolReconverges(t *testing.T) {
 	}
 	if migrated < 3 {
 		t.Errorf("only %d tags report migrations after a full recontention", migrated)
+	}
+}
+
+// TestWaveformNetworkSteadyStateAllocs holds a running waveform-mode
+// network to at most 0.1 allocations per slot: every slot decodes in
+// the network's reused sample buffer and dsp.SlotScratch. What is left
+// is the reader's bounded logs still doubling towards their final size
+// and the odd FM0 error of a failed timing phase.
+func TestWaveformNetworkSteadyStateAllocs(t *testing.T) {
+	cfg := DefaultNetworkConfig()
+	cfg.WaveformDecode = true
+	net, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Run(100 * Second)
+	const slots = 100
+	allocs := testing.AllocsPerRun(5, func() { net.Run(net.Now() + slots*Second) })
+	if perSlot := allocs / slots; perSlot > 0.1 {
+		t.Errorf("waveform network: %.2f allocations per slot, want <= 0.1", perSlot)
 	}
 }

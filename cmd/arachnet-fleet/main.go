@@ -2,8 +2,10 @@
 // simulations through the sharded worker pool and prints the
 // aggregated report.
 //
-// The fleet is described by a JSON spec file (see arachnet/fleetjson.go
-// for the schema), or built ad hoc from flags when no spec is given:
+// The fleet is described by a JSON spec file, or built ad hoc from
+// flags when no spec is given. The spec schema is the json tags of
+// arachnet.Fleet, VehicleSpec and NetworkConfig, with the job timeout
+// as job_timeout_ms (arachnet/fleetjson.go has a worked example):
 //
 //	arachnet-fleet fleet.json
 //	arachnet-fleet -spec fleet.json -workers 8 -timeout 90s -json

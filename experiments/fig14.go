@@ -45,7 +45,7 @@ func RunFig14(seed uint64) (Fig14Result, Table, error) {
 	}); err != nil {
 		return Fig14Result{}, Table{}, err
 	}
-	pp := net.Reader.PingPongs
+	pp := net.Reader.PingPongs()
 	if len(pp) == 0 {
 		return Fig14Result{}, Table{}, fmt.Errorf("no ping-pong samples")
 	}

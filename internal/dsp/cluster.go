@@ -2,7 +2,7 @@ package dsp
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Amplitude-domain collision detection (Sec. 5.3). With a single tag
@@ -13,27 +13,31 @@ import (
 // collision when it sees more than two, even if the capture effect
 // would let it decode one packet.
 
-// CountClusters estimates the number of distinct amplitude clusters in
+// cluster is one amplitude cluster of countClusters.
+type cluster struct {
+	center float64
+	count  int
+}
+
+// countClusters estimates the number of distinct amplitude clusters in
 // the block. Samples are clustered greedily on their magnitude |v|
 // with the given merge radius (same units as the samples); clusters
 // holding fewer than minFraction of the samples are discarded as
-// transient edges between states.
-func CountClusters(block []float64, radius float64, minFraction float64) int {
+// transient edges between states. It works in sc's buffers.
+//
+//alloc:hot per-slot collision count of the waveform-mode network
+func (sc *SlotScratch) countClusters(block []float64, radius float64, minFraction float64) int {
 	if len(block) == 0 || radius <= 0 {
 		return 0
 	}
-	mags := make([]float64, len(block))
-	for i, v := range block {
-		mags[i] = math.Abs(v)
+	sc.mags = sc.mags[:0]
+	for _, v := range block {
+		sc.mags = append(sc.mags, math.Abs(v))
 	}
-	sort.Float64s(mags)
+	slices.Sort(sc.mags)
 
-	type cluster struct {
-		center float64
-		count  int
-	}
-	var clusters []cluster
-	for _, m := range mags {
+	clusters := sc.clusters[:0]
+	for _, m := range sc.mags {
 		placed := false
 		for i := range clusters {
 			if math.Abs(m-clusters[i].center) <= radius {
@@ -48,6 +52,7 @@ func CountClusters(block []float64, radius float64, minFraction float64) int {
 			clusters = append(clusters, cluster{center: m, count: 1})
 		}
 	}
+	sc.clusters = clusters
 	minCount := int(minFraction * float64(len(block)))
 	if minCount < 1 {
 		minCount = 1

@@ -26,7 +26,7 @@ func TestCountClustersSingleTag(t *testing.T) {
 	rng := sim.NewRand(5)
 	// One tag OOKing produces two levels: leakage and leakage+bs.
 	block := makeBlock([]float64{0.20, 0.25, 0.20, 0.25, 0.20, 0.25}, 200, 0.004, rng)
-	n := CountClusters(block, 0.015, 0.05)
+	n := new(SlotScratch).countClusters(block, 0.015, 0.05)
 	if n != 2 {
 		t.Errorf("clusters = %d, want 2 for a single tag", n)
 	}
@@ -36,7 +36,7 @@ func TestCountClustersTwoTags(t *testing.T) {
 	rng := sim.NewRand(6)
 	// Two tags superposed: four distinct levels.
 	block := makeBlock([]float64{0.20, 0.25, 0.28, 0.33, 0.20, 0.33, 0.25, 0.28}, 150, 0.004, rng)
-	n := CountClusters(block, 0.015, 0.05)
+	n := new(SlotScratch).countClusters(block, 0.015, 0.05)
 	if n < 3 {
 		t.Errorf("clusters = %d, want > 2 for two tags", n)
 	}
@@ -48,23 +48,23 @@ func TestCountClustersIgnoresTransients(t *testing.T) {
 	// A handful of mid-transition samples must not create a third
 	// cluster.
 	block = append(block, 0.25, 0.251, 0.249)
-	n := CountClusters(block, 0.02, 0.05)
+	n := new(SlotScratch).countClusters(block, 0.02, 0.05)
 	if n != 2 {
 		t.Errorf("clusters = %d, transients not suppressed", n)
 	}
 }
 
 func TestCountClustersDegenerate(t *testing.T) {
-	if CountClusters(nil, 0.1, 0.1) != 0 {
+	if new(SlotScratch).countClusters(nil, 0.1, 0.1) != 0 {
 		t.Error("empty block should have 0 clusters")
 	}
-	if CountClusters([]float64{1}, 0, 0.1) != 0 {
+	if new(SlotScratch).countClusters([]float64{1}, 0, 0.1) != 0 {
 		t.Error("zero radius should return 0")
 	}
-	if CountClusters([]float64{1}, 0.1, 0.1) != 1 {
+	if new(SlotScratch).countClusters([]float64{1}, 0.1, 0.1) != 1 {
 		t.Error("single sample should form 1 cluster")
 	}
-	if CountClusters([]float64{-1, 1}, 0.1, 0.1) != 1 {
+	if new(SlotScratch).countClusters([]float64{-1, 1}, 0.1, 0.1) != 1 {
 		t.Error("samples of equal magnitude should share a cluster")
 	}
 }
@@ -82,7 +82,7 @@ func TestCaptureEffectScenario(t *testing.T) {
 		leak + strong + weak, // both reflective
 	}
 	block := makeBlock(levels, 300, 0.004, rng)
-	if CountClusters(block, 0.012, 0.04) <= 2 {
+	if new(SlotScratch).countClusters(block, 0.012, 0.04) <= 2 {
 		t.Error("capture-effect collision went undetected")
 	}
 }

@@ -12,42 +12,28 @@ import (
 // integrate-and-dump, adaptive slicing, FM0 preamble correlation,
 // FM0 decode and CRC check.
 
-// ChipSampler integrates the baseband signal over each chip period and
-// dumps the mean — the optimal (matched) detector for rectangular
-// chips. Chip boundaries are tracked in absolute sample coordinates,
-// so fractional samples-per-chip rates stay aligned over arbitrarily
-// long frames (no cumulative drift).
-type ChipSampler struct {
-	SamplesPerChip float64
-	acc            float64
-	count          int
-	consumed       float64 // total samples seen
-	boundary       float64 // absolute sample index closing the current chip
-}
-
-// NewChipSampler returns a sampler; samplesPerChip must be >= 2.
-func NewChipSampler(samplesPerChip float64) (*ChipSampler, error) {
-	if samplesPerChip < 2 {
-		return nil, fmt.Errorf("dsp: %v samples per chip is too few", samplesPerChip)
-	}
-	return &ChipSampler{SamplesPerChip: samplesPerChip, boundary: samplesPerChip}, nil
-}
-
-// Process consumes baseband samples and returns the chip-rate means
-// completed within this block.
-func (c *ChipSampler) Process(block []float64) []float64 {
-	var out []float64
-	for _, x := range block {
-		c.acc += x
-		c.count++
-		c.consumed++
-		if c.consumed >= c.boundary-1e-9 {
-			out = append(out, c.acc/float64(c.count))
-			c.acc, c.count = 0, 0
-			c.boundary += c.SamplesPerChip
+// AppendChipMeans integrates samples over each chip period of
+// samplesPerChip (>= 2) samples and appends the mean to dst — the
+// optimal (matched) detector for rectangular chips. Chip boundaries
+// are tracked in absolute sample coordinates, so fractional
+// samples-per-chip rates stay aligned over arbitrarily long frames (no
+// cumulative drift); a trailing partial chip is dropped.
+//
+//alloc:hot per-phase integrate-and-dump of the waveform slot decoder
+func AppendChipMeans(dst, samples []float64, samplesPerChip float64) []float64 {
+	acc, count := 0.0, 0
+	consumed, boundary := 0.0, samplesPerChip
+	for _, x := range samples {
+		acc += x
+		count++
+		consumed++
+		if consumed >= boundary-1e-9 {
+			dst = append(dst, acc/float64(count))
+			acc, count = 0, 0
+			boundary += samplesPerChip
 		}
 	}
-	return out
+	return dst
 }
 
 // SliceChips converts soft chip values into hard bits around an
@@ -56,6 +42,14 @@ func (c *ChipSampler) Process(block []float64) []float64 {
 func SliceChips(soft []float64) (phy.Bits, float64) {
 	if len(soft) == 0 {
 		return nil, 0
+	}
+	return appendSliced(make(phy.Bits, 0, len(soft)), soft)
+}
+
+// appendSliced is SliceChips appending the bits to dst.
+func appendSliced(dst phy.Bits, soft []float64) (phy.Bits, float64) {
+	if len(soft) == 0 {
+		return dst, 0
 	}
 	lo, hi := soft[0], soft[0]
 	for _, v := range soft {
@@ -67,13 +61,14 @@ func SliceChips(soft []float64) (phy.Bits, float64) {
 		}
 	}
 	th := (lo + hi) / 2
-	bits := make(phy.Bits, len(soft))
-	for i, v := range soft {
+	for _, v := range soft {
+		var b byte
 		if v > th {
-			bits[i] = 1
+			b = 1
 		}
+		dst = append(dst, b)
 	}
-	return bits, th
+	return dst, th
 }
 
 // ulPreambleChips is the FM0 chip expansion of the UL preamble with the
@@ -108,12 +103,13 @@ func FindULFrame(chips phy.Bits, maxChipErrors int) (start int, inverted bool, e
 	return 0, false, ErrNoPreamble
 }
 
-// DecodeULFromBaseband recovers a UL frame from baseband magnitude
+// decodeULFromBaseband recovers a UL frame from baseband magnitude
 // samples with unknown symbol timing: it sweeps fractional chip-phase
-// offsets (an eighth of a chip at a time), runs the chip sampler at
+// offsets (an eighth of a chip at a time), integrates the chips at
 // each candidate phase, and returns the first clean decode. This is the
-// symbol-timing synchronization step of the reader's receive chain.
-func DecodeULFromBaseband(mags []float64, samplesPerChip float64) (phy.ULPacket, error) {
+// symbol-timing synchronization step of the reader's receive chain. It
+// works in sc's buffers.
+func (sc *SlotScratch) decodeULFromBaseband(mags []float64, samplesPerChip float64) (phy.ULPacket, error) {
 	if samplesPerChip < 2 {
 		return phy.ULPacket{}, fmt.Errorf("dsp: %v samples per chip is too few", samplesPerChip)
 	}
@@ -127,11 +123,9 @@ func DecodeULFromBaseband(mags []float64, samplesPerChip float64) (phy.ULPacket,
 		if off >= len(mags) {
 			break
 		}
-		sampler, err := NewChipSampler(samplesPerChip)
-		if err != nil {
-			return phy.ULPacket{}, err
-		}
-		pkt, err := DecodeULFrame(sampler.Process(mags[off:]))
+		sc.soft = AppendChipMeans(sc.soft[:0], mags[off:], samplesPerChip)
+		sc.hard, _ = appendSliced(sc.hard[:0], sc.soft)
+		pkt, err := decodeULChips(sc.hard)
 		if err == nil {
 			return pkt, nil
 		}

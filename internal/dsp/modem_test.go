@@ -10,14 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-func TestChipSamplerIntegrateAndDump(t *testing.T) {
-	c, err := NewChipSampler(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := c.Process([]float64{1, 1, 1, 1, 0, 0, 0, 0, 2, 2, 2, 2})
-	want := []float64{1, 0, 2}
-	if len(out) != 3 {
+func TestAppendChipMeans(t *testing.T) {
+	out := AppendChipMeans([]float64{9}, []float64{1, 1, 1, 1, 0, 0, 0, 0, 2, 2, 2, 2, 5}, 4)
+	want := []float64{9, 1, 0, 2} // dst kept, trailing partial chip dropped
+	if len(out) != len(want) {
 		t.Fatalf("out = %v", out)
 	}
 	for i := range want {
@@ -25,32 +21,22 @@ func TestChipSamplerIntegrateAndDump(t *testing.T) {
 			t.Fatalf("out = %v, want %v", out, want)
 		}
 	}
-}
-
-func TestChipSamplerChunked(t *testing.T) {
-	c1, _ := NewChipSampler(5)
-	c2, _ := NewChipSampler(5)
-	sig := make([]float64, 50)
-	for i := range sig {
-		sig[i] = float64(i % 7)
+	// A fractional rate keeps absolute boundaries (2.5, 5, 7.5, 10):
+	// chips of 3, 2, 3 and 2 samples.
+	out = AppendChipMeans(nil, []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 2.5)
+	want = []float64{1, 3.5, 6, 8.5}
+	if len(out) != len(want) {
+		t.Fatalf("fractional: out = %v", out)
 	}
-	whole := c1.Process(sig)
-	var chunked []float64
-	chunked = append(chunked, c2.Process(sig[:13])...)
-	chunked = append(chunked, c2.Process(sig[13:29])...)
-	chunked = append(chunked, c2.Process(sig[29:])...)
-	if len(whole) != len(chunked) {
-		t.Fatalf("lengths differ: %d vs %d", len(whole), len(chunked))
-	}
-	for i := range whole {
-		if math.Abs(whole[i]-chunked[i]) > 1e-12 {
-			t.Fatalf("chunked processing diverged at %d", i)
+	for i := range want {
+		if math.Abs(out[i]-want[i]) > 1e-12 {
+			t.Fatalf("fractional: out = %v, want %v", out, want)
 		}
 	}
 }
 
-func TestChipSamplerErrors(t *testing.T) {
-	if _, err := NewChipSampler(1); err == nil {
+func TestDecodeULFromBasebandErrors(t *testing.T) {
+	if _, err := new(SlotScratch).decodeULFromBaseband(make([]float64, 64), 1); err == nil {
 		t.Error("1 sample/chip accepted")
 	}
 }
@@ -172,8 +158,7 @@ func TestDecodeULFrameCleanBaseband(t *testing.T) {
 	}
 	soft := SynthesizeULBaseband(chips, 16, p, nil)
 	// Average per chip: 16 samples per chip.
-	sampler, _ := NewChipSampler(16)
-	chipMeans := sampler.Process(soft)
+	chipMeans := AppendChipMeans(nil, soft, 16)
 	got, err := DecodeULFrame(chipMeans)
 	if err != nil {
 		t.Fatal(err)
@@ -240,8 +225,7 @@ func TestDecodeULFrameNoisyBaseband(t *testing.T) {
 	const trials = 50
 	for i := 0; i < trials; i++ {
 		soft := SynthesizeULBaseband(chips, 32, p, rng)
-		sampler, _ := NewChipSampler(32)
-		got, err := DecodeULFrame(sampler.Process(soft))
+		got, err := DecodeULFrame(AppendChipMeans(nil, soft, 32))
 		if err == nil && got == pkt {
 			ok++
 		}

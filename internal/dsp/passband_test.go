@@ -81,7 +81,7 @@ func mixDown(capture []float64) []float64 {
 func TestReaderChainSoloDecode(t *testing.T) {
 	pkt := phy.ULPacket{TID: 6, Payload: 0x2A5}
 	capture := synthCapture(t, pbChipRate, []pbTag{{pkt, 0.05}}, 0.01, 1)
-	v := DecodeSlot(mixDown(capture), pbFs/pbDump/pbChipRate)
+	v := DecodeSlot(mixDown(capture), pbFs/pbDump/pbChipRate, new(SlotScratch))
 	if !v.Decoded {
 		t.Fatal("solo packet not decoded")
 	}
@@ -103,7 +103,7 @@ func TestReaderChainDetectsCollisionDespiteCapture(t *testing.T) {
 	strong := phy.ULPacket{TID: 3, Payload: 0x111}
 	weak := phy.ULPacket{TID: 9, Payload: 0x777}
 	capture := synthCapture(t, pbChipRate, []pbTag{{strong, 0.06}, {weak, 0.025}}, 0.004, 2)
-	if v := DecodeSlot(mixDown(capture), pbFs/pbDump/pbChipRate); !v.Collision {
+	if v := DecodeSlot(mixDown(capture), pbFs/pbDump/pbChipRate, new(SlotScratch)); !v.Collision {
 		t.Errorf("collision undetected: %d clusters", v.Clusters)
 	}
 }
@@ -113,7 +113,7 @@ func TestDecodeULFramePassbandChain(t *testing.T) {
 	// magnitude -> symbol-timing search -> decode with CRC.
 	pkt := phy.ULPacket{TID: 12, Payload: 0x3C3}
 	capture := synthCapture(t, pbChipRate, []pbTag{{pkt, 0.06}}, 0.01, 3)
-	got, err := DecodeULFromBaseband(mixDown(capture), pbFs/pbDump/pbChipRate)
+	got, err := new(SlotScratch).decodeULFromBaseband(mixDown(capture), pbFs/pbDump/pbChipRate)
 	if err != nil {
 		t.Fatalf("passband decode failed: %v", err)
 	}

@@ -19,12 +19,28 @@ type SlotVerdict struct {
 	Collision bool
 }
 
+// SlotScratch is DecodeSlot's working memory: the sorted sample
+// magnitudes and amplitude clusters of the collision count, and the
+// chip means and hard chips of one timing phase. A caller that decodes
+// slot after slot keeps one SlotScratch and passes it to every call,
+// so decoding allocates nothing once the buffers have grown to the
+// longest capture.
+type SlotScratch struct {
+	mags     []float64
+	clusters []cluster
+	soft     []float64
+	hard     phy.Bits
+}
+
 // DecodeSlot is the reader's slot decoder. samples is one slot's
 // baseband amplitude capture at samplesPerChip samples per chip of the
 // burst being decoded. The collision verdict counts amplitude clusters
 // with a merge radius of an eighth of the capture's min-max span; the
-// frame comes from DecodeULFromBaseband's symbol-timing search.
-func DecodeSlot(samples []float64, samplesPerChip float64) SlotVerdict {
+// frame comes from a symbol-timing search over fractional chip phases.
+// It works in sc's buffers.
+//
+//alloc:hot per-slot uplink decode of the waveform-mode network
+func DecodeSlot(samples []float64, samplesPerChip float64, sc *SlotScratch) SlotVerdict {
 	var v SlotVerdict
 	if len(samples) == 0 {
 		return v
@@ -42,9 +58,9 @@ func DecodeSlot(samples []float64, samplesPerChip float64) SlotVerdict {
 	if radius <= 0 {
 		radius = 1e-6
 	}
-	v.Clusters = CountClusters(samples, radius, 0.04)
+	v.Clusters = sc.countClusters(samples, radius, 0.04)
 	v.Collision = v.Clusters > 2
-	if pkt, err := DecodeULFromBaseband(samples, samplesPerChip); err == nil {
+	if pkt, err := sc.decodeULFromBaseband(samples, samplesPerChip); err == nil {
 		v.Packet, v.Decoded = pkt, true
 	}
 	return v

@@ -13,7 +13,8 @@ func TestDecodeSlot(t *testing.T) {
 	chips := append(make(phy.Bits, 4), ulChips(frame)...)
 	chips = append(chips, make(phy.Bits, 4)...)
 	p := ULSynthParams{Fs: 500000, ChipRate: 375, Leakage: 0.2, Backscatter: 0.05}
-	v := DecodeSlot(SynthesizeULBaseband(chips, 8, p, nil), 8)
+	var sc SlotScratch // shared by every call: stale scratch must not leak
+	v := DecodeSlot(SynthesizeULBaseband(chips, 8, p, nil), 8, &sc)
 	if !v.Decoded || v.Packet != pkt {
 		t.Errorf("solo slot: decoded=%v packet %+v, want %+v", v.Decoded, v.Packet, pkt)
 	}
@@ -27,10 +28,13 @@ func TestDecodeSlot(t *testing.T) {
 	for i := range flat {
 		flat[i] = 0.2
 	}
-	if v := DecodeSlot(flat, 8); v.Decoded || v.Collision || v.Clusters != 1 {
+	if v := DecodeSlot(flat, 8, &sc); v.Decoded || v.Collision || v.Clusters != 1 {
 		t.Errorf("flat slot: %+v", v)
 	}
-	if v := DecodeSlot(nil, 8); v != (SlotVerdict{}) {
+	if v := DecodeSlot(nil, 8, &sc); v != (SlotVerdict{}) {
 		t.Errorf("empty slot: %+v", v)
+	}
+	if v := DecodeSlot(SynthesizeULBaseband(chips, 8, p, nil), 8, &sc); !v.Decoded || v.Packet != pkt || v.Clusters != 2 {
+		t.Errorf("solo slot after reuse: %+v", v)
 	}
 }

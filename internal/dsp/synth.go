@@ -47,8 +47,8 @@ func SynthesizeULBaseband(chips phy.Bits, samplesPerChip int, p ULSynthParams, r
 	return out
 }
 
-// ULChipMeans appends to dst the chip means that a ChipSampler at
-// samplesPerChip returns for SynthesizeULBaseband(chips,
+// ULChipMeans appends to dst the chip means that AppendChipMeans at
+// samplesPerChip appends for SynthesizeULBaseband(chips,
 // samplesPerChip, p, rng), without building the samples: each chip sums
 // its noisy samples in order and divides by samplesPerChip. Chip means
 // and the trailing rng state are bit-identical to that pair. It is

@@ -77,11 +77,7 @@ func dlPulsesOracle(chips phy.Bits, fs float64, p DLSynthParams, trig *SchmittTr
 
 // ulChipMeansOracle synthesizes the samples and integrates them.
 func ulChipMeansOracle(chips phy.Bits, spc int, p ULSynthParams, rng *sim.Rand) []float64 {
-	sampler, err := NewChipSampler(float64(spc))
-	if err != nil {
-		panic(err)
-	}
-	return sampler.Process(SynthesizeULBaseband(chips, spc, p, rng))
+	return AppendChipMeans(nil, SynthesizeULBaseband(chips, spc, p, rng), float64(spc))
 }
 
 // dlSchemeCell is one (rate, scheme) setting of the dl-scheme study.
@@ -341,7 +337,7 @@ func BenchmarkDLPulses(b *testing.B) {
 
 // BenchmarkULChipMeans synthesizes and integrates one uplink packet of
 // the weakest Fig. 12(b) cell (tag 11 at 3000 bps) per op, reporting
-// "speedup-vs-oracle" against SynthesizeULBaseband plus a ChipSampler.
+// "speedup-vs-oracle" against SynthesizeULBaseband plus AppendChipMeans.
 // It must run at zero allocations (asserted by make bench-smoke).
 func BenchmarkULChipMeans(b *testing.B) {
 	cells := ulLossCells(b)

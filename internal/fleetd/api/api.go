@@ -2,7 +2,7 @@
 // arachnet-fleetd daemon, the arachnet-fleet -server submit mode, and
 // external automation. The request body for a job submission is
 // exactly the JSON fleet specification that the batch CLI accepts
-// (arachnet/fleetjson.go), so a spec file works unchanged against
+// (arachnet.UnmarshalFleetJSON), so a spec file works unchanged against
 // either front end — and, because a run is a pure function of (spec,
 // seed), both front ends produce the same report fingerprint.
 package api

@@ -11,31 +11,24 @@ import (
 // subscriber reads forward from any offset, so a client whose stream
 // connection died reconnects with ?after=<last seq> and receives
 // exactly the events it missed — the resumable-stream half of the
-// resilience contract. The log retains the most recent max events:
-// an offset that has fallen behind the retained window reports the gap
-// as a drop count instead of blocking or duplicating. Trimming is
-// amortized: dropped events stay in front of the window until there
-// are as many as the window holds, then the window is copied down once,
-// so each event is copied at most once.
+// resilience contract. The log retains the most recent max events (an
+// obs.Recent, which trims in amortized O(1)): an offset that has
+// fallen behind the retained window reports the gap as a drop count
+// instead of blocking or duplicating.
 //
 // It implements obs.Sink, so the fleet pool's tracer observer feeds it
 // directly from worker goroutines.
 type eventLog struct {
 	mu     sync.Mutex
-	max    int
-	base   uint64 // sequence of events[head] minus 1 (seqs are 1-based)
-	head   int    // events[head:] is the retained window
-	events []obs.Event
+	events obs.Recent[obs.Event]
+	total  uint64 // events ever appended: the last one's sequence
 	closed bool
 	wake   chan struct{} // closed and replaced on every append/Close
 }
 
 // newEventLog builds a log retaining at most max events (min 1).
 func newEventLog(max int) *eventLog {
-	if max < 1 {
-		max = 1
-	}
-	return &eventLog{max: max, wake: make(chan struct{})}
+	return &eventLog{events: obs.NewRecent[obs.Event](max), wake: make(chan struct{})}
 }
 
 // Emit implements obs.Sink; the log keeps a clone of the borrowed
@@ -47,17 +40,8 @@ func (l *eventLog) Emit(ev obs.Event) {
 		l.mu.Unlock()
 		return
 	}
-	l.events = append(l.events, ev)
-	if len(l.events)-l.head > l.max {
-		l.head++
-		l.base++
-	}
-	if l.head == l.max {
-		n := copy(l.events, l.events[l.head:])
-		clear(l.events[n:])
-		l.events = l.events[:n]
-		l.head = 0
-	}
+	l.events.Add(ev)
+	l.total++
 	w := l.wake
 	l.wake = make(chan struct{})
 	l.mu.Unlock()
@@ -86,13 +70,15 @@ func (l *eventLog) Close() {
 func (l *eventLog) since(after uint64) (evs []obs.Event, first uint64, dropped uint64, closed bool, wait <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	window := l.events.All()
+	base := l.total - uint64(len(window)) // sequence of window[0] minus 1 (seqs are 1-based)
 	lo := after
-	if lo < l.base {
-		dropped = l.base - lo
-		lo = l.base
+	if lo < base {
+		dropped = base - lo
+		lo = base
 	}
-	if idx := l.head + int(lo-l.base); idx < len(l.events) {
-		evs = append([]obs.Event(nil), l.events[idx:]...)
+	if idx := lo - base; idx < uint64(len(window)) {
+		evs = append([]obs.Event(nil), window[idx:]...)
 		first = lo + 1
 	}
 	return evs, first, dropped, l.closed, l.wake

@@ -1,6 +1,7 @@
 package fleetd
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -41,5 +42,19 @@ func TestEventLogTrimIsAmortized(t *testing.T) {
 	// A reader one event behind the window sees exactly one drop.
 	if _, first, dropped, _, _ = l.since(n - streamBuffer - 1); first != n-streamBuffer+1 || dropped != 1 {
 		t.Errorf("since one behind the window: first %d, %d dropped; want %d, 1", first, dropped, n-streamBuffer+1)
+	}
+}
+
+// TestEventLogSincePastEnd: an offset past the last sequence, up to
+// the largest ?after= a client can send, returns nothing and no drops.
+func TestEventLogSincePastEnd(t *testing.T) {
+	l := newEventLog(4)
+	for i := 1; i <= 6; i++ {
+		l.Emit(obs.Event{Kind: obs.KindJobFinish, Job: i})
+	}
+	for _, after := range []uint64{6, 7, math.MaxUint64} {
+		if evs, _, dropped, _, _ := l.since(after); len(evs) != 0 || dropped != 0 {
+			t.Errorf("since(%d) = %d events, %d dropped; want none", after, len(evs), dropped)
+		}
 	}
 }

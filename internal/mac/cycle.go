@@ -44,7 +44,6 @@ type stateTables struct {
 	settled   []Assignment
 	settledOK []bool
 	misses    []int
-	appeared  []bool
 	tags      []tagState
 }
 
@@ -76,7 +75,6 @@ func (m *slotState) save(s *SlotSim) {
 		t.settled = slices.Grow(t.settled[:0], n)[:n]
 		t.settledOK = slices.Grow(t.settledOK[:0], n)[:n]
 		t.misses = slices.Grow(t.misses[:0], n)[:n]
-		t.appeared = slices.Grow(t.appeared[:0], n)[:n]
 		t.tags = slices.Grow(t.tags[:0], len(s.tags))[:len(s.tags)]
 		m.stateTables = t
 	}
@@ -85,7 +83,6 @@ func (m *slotState) save(s *SlotSim) {
 	copy(m.settled, r.settled)
 	copy(m.settledOK, r.settledOK)
 	copy(m.misses, r.misses)
-	copy(m.appeared, r.appeared)
 	for i, t := range s.tags {
 		ts := &m.tags[i]
 		ts.sim, ts.proto, ts.rng = *t, *t.proto, *t.proto.rng
@@ -108,7 +105,7 @@ func (m *slotState) equalShifted(s *SlotSim, d int) bool {
 	rd.slot += d
 	if *s.rng != m.rng || s.fb != m.fb || *s.Convergence != conv || r.readerScalars != rd ||
 		!slices.Equal(r.settled, m.settled) || !slices.Equal(r.settledOK, m.settledOK) ||
-		!slices.Equal(r.misses, m.misses) || !slices.Equal(r.appeared, m.appeared) {
+		!slices.Equal(r.misses, m.misses) {
 		return false
 	}
 	for i, t := range s.tags {

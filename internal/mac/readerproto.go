@@ -13,13 +13,13 @@ import (
 // future-collision avoidance using its a-priori knowledge of every
 // tag's period.
 //
-// The per-slot state (settled beliefs, miss counters, appearance set)
-// lives in dense tid-indexed tables sized to the provisioned
-// population, so the EndSlot hot path runs without a single allocation
-// or map operation — the fleet pool executes millions of slots per
-// sweep through this code. Observations may still carry any tid up to
-// MaxObservationTID (the reader tolerates unprovisioned tags); ids
-// beyond the dense range spill into a lazily-built overflow set.
+// The per-slot state (settled beliefs, miss counters) lives in dense
+// tid-indexed tables sized to the provisioned population, so the
+// EndSlot hot path runs without a single allocation or map operation —
+// the fleet pool executes millions of slots per sweep through this
+// code. Observations may still carry any tid up to MaxObservationTID
+// (the reader tolerates unprovisioned tags); ids beyond the dense
+// range are unprovisioned, get a plain ACK and touch no table.
 type ReaderProtocol struct {
 	// NackThreshold mirrors the tags' N: after this many consecutive
 	// missed expected slots the reader un-settles its belief about a
@@ -42,11 +42,9 @@ type ReaderProtocol struct {
 
 	// Dense tid-indexed protocol state, length maxTID+1 (index 0
 	// unused). settledOK[tid] gates settled[tid]/misses[tid].
-	settled    []Assignment
-	settledOK  []bool
-	misses     []int
-	appeared   []bool // T_a of Eq. 4, dense portion
-	appearedHi map[int]bool
+	settled   []Assignment
+	settledOK []bool
+	misses    []int
 
 	// Scratch for settledExcept, reused across slots (callers must not
 	// retain the returned slices).
@@ -122,7 +120,6 @@ func NewReaderProtocol(periods map[int]Period) (*ReaderProtocol, error) {
 		settled:       make([]Assignment, maxTID+1),
 		settledOK:     make([]bool, maxTID+1),
 		misses:        make([]int, maxTID+1),
-		appeared:      make([]bool, maxTID+1),
 		exAs:          make([]Assignment, 0, maxTID+1),
 		exTIDs:        make([]int, 0, maxTID+1),
 		vScratch:      make([]Assignment, 0, maxTID+2),
@@ -144,9 +141,7 @@ func (r *ReaderProtocol) reset() {
 		r.settled[i] = Assignment{}
 		r.settledOK[i] = false
 		r.misses[i] = 0
-		r.appeared[i] = false
 	}
-	clear(r.appearedHi)
 }
 
 // Reset clears all protocol state and returns the RESET beacon
@@ -172,18 +167,6 @@ func (r *ReaderProtocol) SyncSlot(slot int) {
 
 // SettledCount returns how many tags the reader believes are settled.
 func (r *ReaderProtocol) SettledCount() int { return r.settledCount }
-
-// markAppeared records tid in the appearance set T_a.
-func (r *ReaderProtocol) markAppeared(tid int) {
-	if tid < len(r.appeared) {
-		r.appeared[tid] = true
-		return
-	}
-	if r.appearedHi == nil {
-		r.appearedHi = make(map[int]bool)
-	}
-	r.appearedHi[tid] = true
-}
 
 // settledExcept gathers the settled assignments of all tags other than
 // tid in ascending tid order, paired with their tids, into reusable
@@ -232,7 +215,6 @@ func (r *ReaderProtocol) EndSlot(o Observation) (Feedback, error) {
 // judgeSolo decides ACK for a cleanly decoded single packet from tid in
 // slot s, applying future-collision avoidance.
 func (r *ReaderProtocol) judgeSolo(tid, s int) bool {
-	r.markAppeared(tid)
 	var p Period
 	if tid < len(r.period) {
 		p = r.period[tid]

@@ -125,11 +125,18 @@ type Device struct {
 	// Stats.
 	Window      *mac.WindowStats
 	Convergence *mac.ConvergenceDetector
-	PingPongs   []PingPongSample
 	SlotsRun    int
 	Decoded     uint64
-	Payloads    map[uint8][]uint16 // last payloads per TID
+	pingPongs   obs.Recent[PingPongSample]
+	payloads    map[uint8]obs.Recent[uint16]
 }
+
+// The reader keeps the last pingPongHistory ping-pong samples and the
+// last payloadHistory payloads of each TID.
+const (
+	pingPongHistory = 100_000
+	payloadHistory  = 64
+)
 
 // New builds a reader provisioned with every tag's period.
 func New(engine *sim.Engine, cfg Config, periods map[int]mac.Period, rng *sim.Rand) (*Device, error) {
@@ -147,10 +154,22 @@ func New(engine *sim.Engine, cfg Config, periods map[int]mac.Period, rng *sim.Ra
 		rng:         rng,
 		Window:      mac.NewWindowStats(),
 		Convergence: mac.NewConvergenceDetector(),
-		Payloads:    make(map[uint8][]uint16),
+		pingPongs:   obs.NewRecent[PingPongSample](pingPongHistory),
+		payloads:    make(map[uint8]obs.Recent[uint16]),
 	}
 	d.slotEndFn = d.endSlot // bound once: a closure per slot would allocate
 	return d, nil
+}
+
+// PingPongs returns the last ping-pong samples (Fig. 14), oldest
+// first. The slice is borrowed: the next decoded slot may overwrite it.
+func (d *Device) PingPongs() []PingPongSample { return d.pingPongs.All() }
+
+// Payloads returns the last decoded payloads of tid, oldest first. The
+// slice is borrowed: the next decoded slot may overwrite it.
+func (d *Device) Payloads(tid uint8) []uint16 {
+	p := d.payloads[tid]
+	return p.All()
 }
 
 // SetTracer attaches an observability tracer to the device and its
@@ -308,18 +327,16 @@ func (d *Device) endSlot(now sim.Time) {
 
 	if decodedEv != nil {
 		d.Decoded++
-		tid := decodedEv.TID
-		d.Payloads[tid] = append(d.Payloads[tid], decodedEv.Payload)
-		if len(d.Payloads[tid]) > 64 {
-			d.Payloads[tid] = d.Payloads[tid][1:]
+		p, ok := d.payloads[decodedEv.TID]
+		if !ok {
+			p = obs.NewRecent[uint16](payloadHistory)
 		}
-		d.PingPongs = append(d.PingPongs, PingPongSample{
+		p.Add(decodedEv.Payload)
+		d.payloads[decodedEv.TID] = p
+		d.pingPongs.Add(PingPongSample{
 			Stage1: d.bx.End - d.bx.Start,
 			Stage2: decodedEv.End + d.Cfg.ProcessingDelay - d.bx.End,
 		})
-		if len(d.PingPongs) > 100000 {
-			d.PingPongs = d.PingPongs[1:]
-		}
 	}
 
 	d.Window.Observe(seen.NonEmpty(), seen.Collision)

@@ -147,13 +147,13 @@ func TestSlotLoopAndDecode(t *testing.T) {
 	if d.Decoded < 9 {
 		t.Errorf("decoded = %d", d.Decoded)
 	}
-	if got := d.Payloads[1]; len(got) == 0 || got[len(got)-1] != 0xABC {
+	if got := d.Payloads(1); len(got) == 0 || got[len(got)-1] != 0xABC {
 		t.Errorf("payloads = %v", got)
 	}
-	if len(d.PingPongs) == 0 {
+	if len(d.PingPongs()) == 0 {
 		t.Fatal("no ping-pong samples")
 	}
-	pp := d.PingPongs[0]
+	pp := d.PingPongs()[0]
 	if pp.Stage2 < 200*sim.Millisecond || pp.Stage2 > 300*sim.Millisecond {
 		t.Errorf("stage2 = %v", pp.Stage2)
 	}
@@ -176,10 +176,10 @@ func TestCollisionHandling(t *testing.T) {
 		t.Errorf("settled %d tags out of a permanent collision", d.Proto.SettledCount())
 	}
 	// Capture decodes the stronger tag's packets.
-	if len(d.Payloads[1]) == 0 {
+	if len(d.Payloads(1)) == 0 {
 		t.Error("capture effect never decoded the strong tag")
 	}
-	if len(d.Payloads[2]) != 0 {
+	if len(d.Payloads(2)) != 0 {
 		t.Error("weak tag decoded during capture")
 	}
 }
