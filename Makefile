@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-smoke vet lint lint-alloc race check cover experiments examples fuzz-smoke smoke-fleetd clean
+.PHONY: all build test test-short bench bench-smoke vet lint lint-alloc race check cover experiments examples fuzz-smoke smoke-fleetd loc clean
 
 all: vet test
 
@@ -162,6 +162,12 @@ examples:
 	$(GO) run ./examples/outage-recovery
 	$(GO) run ./examples/fleet-sweep
 	$(GO) run ./examples/fleetd-client
+
+# Net line count of the change since BASE (a git revision; default
+# HEAD): lines added, deleted and net, non-test Go and _test.go apart.
+BASE ?= HEAD
+loc:
+	./scripts/loc.sh $(BASE)
 
 clean:
 	$(GO) clean ./...

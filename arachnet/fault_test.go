@@ -21,9 +21,9 @@ func TestCarrierOutageBrownsOutAndRecovers(t *testing.T) {
 	if !net.Stats().Converged {
 		t.Fatal("setup: no convergence")
 	}
-	for id, dev := range net.Tags {
-		if !dev.Powered() {
-			t.Fatalf("setup: tag %d unpowered", id)
+	for _, spec := range net.Cfg.Tags {
+		if !net.Tag(spec.TID).Powered() {
+			t.Fatalf("setup: tag %d unpowered", spec.TID)
 		}
 	}
 
@@ -33,14 +33,14 @@ func TestCarrierOutageBrownsOutAndRecovers(t *testing.T) {
 	net.SetCarrier(false)
 	net.Run(net.Now() + 400*Second)
 	browned := 0
-	for _, dev := range net.Tags {
-		if !dev.Powered() {
+	for _, spec := range net.Cfg.Tags {
+		if !net.Tag(spec.TID).Powered() {
 			browned++
 		}
 	}
-	if browned != len(net.Tags) {
+	if browned != len(net.Cfg.Tags) {
 		t.Fatalf("only %d/%d tags browned out after 400 s without carrier",
-			browned, len(net.Tags))
+			browned, len(net.Cfg.Tags))
 	}
 
 	// Restore the carrier: tags recharge from LTH (fast) and reappear
@@ -48,7 +48,8 @@ func TestCarrierOutageBrownsOutAndRecovers(t *testing.T) {
 	net.SetCarrier(true)
 	net.Run(net.Now() + 1200*Second)
 	alive := 0
-	for _, dev := range net.Tags {
+	for _, spec := range net.Cfg.Tags {
+		dev := net.Tag(spec.TID)
 		if dev.Powered() {
 			alive++
 		}
@@ -56,8 +57,8 @@ func TestCarrierOutageBrownsOutAndRecovers(t *testing.T) {
 			t.Errorf("tag %d never re-activated (activations=%d)", dev.Cfg.TID, dev.Activations())
 		}
 	}
-	if alive != len(net.Tags) {
-		t.Fatalf("%d/%d tags recovered", alive, len(net.Tags))
+	if alive != len(net.Cfg.Tags) {
+		t.Fatalf("%d/%d tags recovered", alive, len(net.Cfg.Tags))
 	}
 }
 
@@ -81,10 +82,10 @@ func TestOutageSurvivalOrderMatchesCoupling(t *testing.T) {
 	deadline := net.Now() + 600*Second
 	for net.Now() < deadline {
 		net.Run(net.Now() + Second)
-		if tag8At == 0 && net.Tags[8].Powered() {
+		if tag8At == 0 && net.Tag(8).Powered() {
 			tag8At = net.Now()
 		}
-		if tag11At == 0 && net.Tags[11].Powered() {
+		if tag11At == 0 && net.Tag(11).Powered() {
 			tag11At = net.Now()
 		}
 		if tag8At != 0 && tag11At != 0 {

@@ -3,6 +3,7 @@ package arachnet
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"time"
 )
@@ -53,6 +54,12 @@ func UnmarshalFleetJSON(data []byte) (Fleet, error) {
 	w := fleetWire{Fleet: &f}
 	if err := json.Unmarshal(data, &w); err != nil {
 		return Fleet{}, fmt.Errorf("arachnet: parse fleet spec: %w", err)
+	}
+	// A negative timeout, or one whose nanoseconds overflow, would reach
+	// the pool as a timeout <= 0, which means no limit at all.
+	if w.JobTimeoutMS < 0 || w.JobTimeoutMS > math.MaxInt64/int64(time.Millisecond) {
+		return Fleet{}, fmt.Errorf("arachnet: fleet spec job_timeout_ms %d out of range [0, %d]",
+			w.JobTimeoutMS, math.MaxInt64/int64(time.Millisecond))
 	}
 	f.JobTimeout = time.Duration(w.JobTimeoutMS) * time.Millisecond
 	if f.Faults != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -114,6 +115,33 @@ func TestDocFleetSpecs(t *testing.T) {
 	}
 }
 
+// TestFleetJobTimeoutRange checks that job_timeout_ms is rejected when
+// it is negative or its nanoseconds overflow: the pool would read
+// either as a timeout <= 0, which means no limit.
+func TestFleetJobTimeoutRange(t *testing.T) {
+	for _, tc := range []struct {
+		ms   string
+		want time.Duration // -1: rejected
+	}{
+		{"-1", -1},
+		{"9300000000000", -1},
+		{"0", 0},
+		{"90000", 90 * time.Second},
+	} {
+		f, err := arachnet.UnmarshalFleetJSON([]byte(`{"job_timeout_ms":` + tc.ms + `,"vehicles":[{"pattern":"c1"}]}`))
+		switch {
+		case tc.want < 0 && err == nil:
+			t.Errorf("job_timeout_ms %s: accepted as %v, want an error", tc.ms, f.JobTimeout)
+		case tc.want < 0 && !strings.Contains(err.Error(), "job_timeout_ms"):
+			t.Errorf("job_timeout_ms %s: error %q does not name the field", tc.ms, err)
+		case tc.want >= 0 && err != nil:
+			t.Errorf("job_timeout_ms %s: %v", tc.ms, err)
+		case tc.want >= 0 && f.JobTimeout != tc.want:
+			t.Errorf("job_timeout_ms %s: timeout %v, want %v", tc.ms, f.JobTimeout, tc.want)
+		}
+	}
+}
+
 // FuzzUnmarshalFleetJSON drives hostile bytes through the spec
 // decoder. It must never panic, and an accepted spec must reach a
 // byte fixed point: encode, decode and encode again yields the same
@@ -129,6 +157,7 @@ func FuzzUnmarshalFleetJSON(f *testing.F) {
 	}
 	f.Add([]byte(`{"vehicles":[{"network":{"tags":[{"tid":1,"period":4}]}}]}`))
 	f.Add([]byte(`{"job_timeout_ms":-1,"vehicles":[{"seed":18446744073709551615}]}`))
+	f.Add([]byte(`{"job_timeout_ms":9300000000000,"vehicles":[{}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fl, err := arachnet.UnmarshalFleetJSON(data)
 		if err != nil {

@@ -23,7 +23,6 @@ type Network struct {
 	Channel    *biw.Channel
 	Link       *LinkModel
 	Reader     *reader.Device
-	Tags       map[uint8]*tag.Device
 
 	engine *sim.Engine
 	// wfNoise draws the waveform-mode channel noise.
@@ -36,9 +35,9 @@ type Network struct {
 	// beaconDecodes records (tid, time) of beacon decode completions
 	// for the Fig. 13(b) sync-offset analysis: the last 4,096.
 	beaconDecodes obs.Recent[BeaconDecode]
-	// byTID holds the Tags devices indexed by TID: the one tag order,
-	// used by the beacon fan-out, the fault injector, the stats and the
-	// reports.
+	// byTID holds the tag devices indexed by TID: the one tag index
+	// (Tag) and the one tag order, used by the beacon fan-out, the fault
+	// injector, the stats and the reports.
 	byTID [phy.MaxTags]*tag.Device
 }
 
@@ -171,10 +170,19 @@ func (n *Network) SetCarrier(on bool) {
 	}
 }
 
+// Tag returns the tag device with the given TID, or nil if the network
+// has no such tag.
+func (n *Network) Tag(tid uint8) *tag.Device {
+	if int(tid) >= len(n.byTID) {
+		return nil
+	}
+	return n.byTID[tid]
+}
+
 // SetDisplacement sets the monitored displacement for a sensor tag.
 func (n *Network) SetDisplacement(tid uint8, meters float64) error {
-	dev, ok := n.Tags[tid]
-	if !ok {
+	dev := n.Tag(tid)
+	if dev == nil {
 		return fmt.Errorf("arachnet: no tag %d", tid)
 	}
 	dev.SetDisplacement(meters)

@@ -108,17 +108,17 @@ func TestChargingFromEmpty(t *testing.T) {
 	// After 10 s the best-coupled tag (tag 8, ~4 s charge) is up, the
 	// cargo tags (tag 11: ~66 s) are not.
 	net.Run(10 * Second)
-	if !net.Tags[8].Powered() {
+	if !net.Tag(8).Powered() {
 		t.Error("tag 8 not powered after 10 s (charges in ~4 s)")
 	}
-	if net.Tags[11].Powered() {
+	if net.Tag(11).Powered() {
 		t.Error("tag 11 powered after 10 s (needs ~60 s)")
 	}
 	// By two minutes everyone is up.
 	net.Run(120 * Second)
-	for id, dev := range net.Tags {
-		if !dev.Powered() {
-			t.Errorf("tag %d still unpowered after 120 s", id)
+	for _, spec := range net.Cfg.Tags {
+		if !net.Tag(spec.TID).Powered() {
+			t.Errorf("tag %d still unpowered after 120 s", spec.TID)
 		}
 	}
 	// And the network eventually converges with the late arrivals.

@@ -106,7 +106,6 @@ func (sn *NetworkSnapshot) Clone(seed uint64, trace *Tracer) (*Network, error) {
 		Channel:    &ch,
 		Link:       &link,
 		Reader:     rd,
-		Tags:       make(map[uint8]*tag.Device, len(cfg.Tags)),
 		engine:     engine,
 
 		beaconDecodes: obs.NewRecent[BeaconDecode](4096),
@@ -132,7 +131,6 @@ func (sn *NetworkSnapshot) Clone(seed uint64, trace *Tracer) (*Network, error) {
 		dev.OnBeaconDecoded = func(_ phy.Command, at Time) {
 			n.beaconDecodes.Add(BeaconDecode{TID: tid, At: at})
 		}
-		n.Tags[spec.TID] = dev
 		n.byTID[spec.TID] = dev
 	}
 

@@ -26,8 +26,8 @@ func main() {
 
 	poweredCount := func() int {
 		n := 0
-		for _, dev := range net.Tags {
-			if dev.Powered() {
+		for _, spec := range net.Cfg.Tags {
+			if net.Tag(spec.TID).Powered() {
 				n++
 			}
 		}

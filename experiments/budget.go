@@ -3,31 +3,26 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/biw"
-	"repro/internal/energy"
+	"repro/arachnet"
 )
 
 // RunBudgetTable reports each deployment position's energy budget and
 // the fastest reporting period it can sustain — the Sec. 6.2
 // sustainability argument, tabulated per tag.
 func RunBudgetTable() (Table, error) {
-	dep := biw.NewONVOL60()
-	ch := biw.DefaultChannel(dep)
+	net, err := arachnet.NewNetwork(arachnet.DefaultNetworkConfig())
+	if err != nil {
+		return Table{}, err
+	}
 	tb := Table{
 		Title:  "Energy Budget per Position (Sec. 6.2 arithmetic)",
 		Header: []string{"Tag", "charging (uW)", "drain @p=1 (uW)", "headroom (uW)", "min period", "duty bound"},
 	}
-	for id := 1; id <= dep.NumTags(); id++ {
-		h := energy.NewHarvester(8)
-		vp, err := ch.TagPeakVoltage(id)
+	for id := 1; id <= net.Deployment.NumTags(); id++ {
+		b, err := net.PositionBudget(uint8(id))
 		if err != nil {
 			return Table{}, err
 		}
-		full, err := h.ChargingTime(vp, 0, h.Cutoff.HighThreshold())
-		if err != nil {
-			return Table{}, err
-		}
-		b := energy.DefaultBudget(h.NetChargingPower(0, h.Cutoff.HighThreshold(), full))
 		p, err := b.MinSustainablePeriod()
 		if err != nil {
 			return Table{}, fmt.Errorf("tag %d: %w", id, err)

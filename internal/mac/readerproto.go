@@ -92,8 +92,6 @@ func (o Observation) decodedHas(tid int) bool {
 // NewReaderProtocol builds the reader state machine for the
 // provisioned tag population.
 func NewReaderProtocol(periods map[int]Period) (*ReaderProtocol, error) {
-	maxP := 1
-	maxTID := 0
 	// Validate in sorted tid order so the reported offender does not
 	// depend on map iteration order.
 	tids := make([]int, 0, len(periods))
@@ -102,16 +100,20 @@ func NewReaderProtocol(periods map[int]Period) (*ReaderProtocol, error) {
 	}
 	sort.Ints(tids)
 	for _, tid := range tids {
-		p := periods[tid]
-		if !ValidPeriod(p) {
+		if p := periods[tid]; !ValidPeriod(p) {
 			return nil, fmt.Errorf("mac: tag %d has invalid period %d", tid, p)
 		}
-		if int(p) > maxP {
-			maxP = int(p)
-		}
-		if tid > maxTID {
-			maxTID = tid
-		}
+	}
+	return newReaderProtocol(periods), nil
+}
+
+// newReaderProtocol builds the reader for periods that are all valid.
+func newReaderProtocol(periods map[int]Period) *ReaderProtocol {
+	maxP := 1
+	maxTID := 0
+	for tid, p := range periods {
+		maxP = max(maxP, int(p))
+		maxTID = max(maxTID, tid)
 	}
 	r := &ReaderProtocol{
 		NackThreshold: DefaultNackThreshold,
@@ -130,7 +132,7 @@ func NewReaderProtocol(periods map[int]Period) (*ReaderProtocol, error) {
 		}
 	}
 	r.reset()
-	return r, nil
+	return r
 }
 
 // reset clears all protocol state in place; no allocation, so pooled

@@ -127,48 +127,43 @@ func (c *SlotSimConfig) joinSlot(i int) int {
 
 // NewSlotSim builds a simulator: the reader is provisioned with every
 // tag's period, tags start in MIGRATE, and the first beacon carries
-// RESET (the Fig. 15 measurement protocol).
+// RESET (the Fig. 15 measurement protocol). It is a build followed by
+// Reset, so a fresh simulator and a pooled one rewound to the same seed
+// start from the one initial state Reset writes.
 func NewSlotSim(cfg SlotSimConfig) (*SlotSim, error) {
 	if err := cfg.Pattern.Validate(); err != nil {
 		return nil, err
 	}
-	rng := sim.NewRand(cfg.Seed)
-	periods := make(map[int]Period, cfg.Pattern.NumTags())
-	tags := make([]*simTag, cfg.Pattern.NumTags())
+	s := newSlotSim(cfg)
+	s.AttachObservers(cfg.Trace, cfg.Faults)
+	s.Reset(cfg.Seed)
+	return s, nil
+}
+
+// newSlotSim allocates a simulator for a validated pattern and sets the
+// config that never changes between trials. The random streams are
+// placeholders until Reset reseeds them.
+func newSlotSim(cfg SlotSimConfig) *SlotSim {
+	n := cfg.Pattern.NumTags()
+	periods := make(map[int]Period, n)
+	tags := make([]*simTag, n)
 	for i, p := range cfg.Pattern.Periods {
 		tid := i + 1
 		periods[tid] = p
-		proto, err := NewTagProtocol(p, rng.Fork(uint64(tid)))
-		if err != nil {
-			return nil, err
-		}
-		if cfg.NackThreshold > 0 {
-			proto.NackThreshold = cfg.NackThreshold
-		}
-		proto.DisableEmptyGate = cfg.DisableEmptyGate
-		tags[i] = &simTag{tid: tid, proto: proto, joinSlot: cfg.joinSlot(i), lastTxSlot: -1}
+		tags[i] = &simTag{tid: tid, proto: &TagProtocol{Period: p, rng: sim.NewRand(0)}}
 	}
-	reader, err := NewReaderProtocol(periods)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.NackThreshold > 0 {
-		reader.NackThreshold = cfg.NackThreshold
-	}
+	reader := newReaderProtocol(periods)
 	reader.DisableFutureVeto = cfg.DisableFutureVeto
-	reader.Trace = cfg.Trace
 	s := &SlotSim{
 		cfg:         cfg,
-		rng:         rng.Fork(0xC0FFEE),
+		rng:         sim.NewRand(0),
 		reader:      reader,
 		tags:        tags,
-		fb:          reader.Reset(),
-		txScratch:   make([]*simTag, 0, len(tags)),
-		tidScratch:  make([]int, 0, len(tags)),
+		txScratch:   make([]*simTag, 0, n),
+		tidScratch:  make([]int, 0, n),
 		decScratch:  make([]int, 0, 1),
 		Window:      NewWindowStats(),
 		Convergence: NewConvergenceDetector(),
-		slotEvents:  wantsSlotEvents(cfg.Trace),
 		noLinkLoss:  true,
 	}
 	for i := range tags {
@@ -176,16 +171,14 @@ func NewSlotSim(cfg SlotSimConfig) (*SlotSim, error) {
 			s.noLinkLoss = false
 		}
 	}
-	return s, nil
+	return s
 }
 
-// Reset rewinds the simulator in place to the state NewSlotSim would
-// produce for the same pattern with the given seed, without allocating.
-// It replays the construction-time RNG fork sequence exactly — root
-// seeded from seed, one fork per tag in pattern order (each drawing the
-// initial offset), then the simulator's own fork — so a reset simulator
-// is bit-identical to a freshly built one. Pooled clones
-// (SlotSimSnapshot) call this between trials.
+// Reset writes the simulator's initial state for the given seed in
+// place, without allocating; NewSlotSim and pooled clones
+// (SlotSimSnapshot) both start trials through it. The RNG fork order is
+// root seeded from seed, one fork per tag in pattern order (each drawing
+// the initial offset), then the simulator's own fork.
 func (s *SlotSim) Reset(seed uint64) {
 	s.cfg.Seed = seed
 	var root sim.Rand //lint:allow rng-discipline seeded in place on the next line; avoids an allocation per reset

@@ -9,9 +9,9 @@ import (
 // SlotSimSnapshot is the frozen, shareable half of the slot-simulator
 // snapshot/clone seam. It captures one validated SlotSimConfig —
 // pattern, link probabilities, join schedule, protocol knobs — and
-// hands out pooled, resettable SlotSim clones. The per-config work
-// (validation, period table, tag/reader construction) happens once;
-// every Acquire after warm-up is a pure in-place rewind, so
+// hands out pooled, resettable SlotSim clones. The pattern is validated
+// once; each clone's period table and tag/reader state are built once,
+// and every Acquire after warm-up is a pure in-place rewind, so
 // steady-state Monte Carlo trials and fleet jobs allocate nothing in
 // the control plane.
 //
@@ -40,22 +40,11 @@ func NewSlotSimSnapshot(cfg SlotSimConfig) (*SlotSimSnapshot, error) {
 	cfg.Seed = 0
 	cfg.Trace = nil
 	cfg.Faults = nil
-	probe, err := NewSlotSim(cfg)
-	if err != nil {
+	if err := cfg.Pattern.Validate(); err != nil {
 		return nil, err
 	}
 	sn := &SlotSimSnapshot{cfg: cfg}
-	sn.pool.New = func() any {
-		s, err := NewSlotSim(sn.cfg)
-		if err != nil {
-			// The config was validated by the probe build above and is
-			// never mutated afterwards, so construction cannot fail.
-			//lint:allow panic-hygiene config validated at snapshot construction; failure here is a programming bug
-			panic(err)
-		}
-		return s
-	}
-	sn.pool.Put(probe)
+	sn.pool.New = func() any { return newSlotSim(sn.cfg) }
 	return sn, nil
 }
 

@@ -59,9 +59,36 @@ func sameTrace(a, b []SlotResult) bool {
 
 // A pooled clone reset to a seed must replay the exact slot-by-slot
 // trace of a freshly constructed simulator with that seed — the whole
-// snapshot/clone seam rests on this.
+// snapshot/clone seam rests on this. The ablation configs check that
+// Reset writes each protocol knob into a clone that a dirty trial ran
+// on, not only the defaults.
 func TestSnapshotCloneBitIdentical(t *testing.T) {
-	cfg := snapshotTestConfig()
+	withLinks := snapshotTestConfig()
+	plain := SlotSimConfig{Pattern: withLinks.Pattern}
+	nack := withLinks
+	nack.NackThreshold = 5
+	noGate := plain
+	noGate.DisableEmptyGate = true
+	noGate.JoinSlot = []int{0, 0, 40, 90, 0, 130}
+	noVeto := withLinks
+	noVeto.DisableFutureVeto = true
+	joins := plain
+	joins.JoinSlot = []int{3, 0, 60, 0, 200, 0, 17}
+	for _, tc := range []struct {
+		name string
+		cfg  SlotSimConfig
+	}{
+		{"links", withLinks},
+		{"nack-threshold", nack},
+		{"no-empty-gate", noGate},
+		{"no-future-veto", noVeto},
+		{"join-slots", joins},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkCloneBitIdentical(t, tc.cfg) })
+	}
+}
+
+func checkCloneBitIdentical(t *testing.T, cfg SlotSimConfig) {
 	sn, err := NewSlotSimSnapshot(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -73,6 +100,7 @@ func TestSnapshotCloneBitIdentical(t *testing.T) {
 		sn.Release(dirty)
 
 		clone := sn.Acquire(seed, nil, nil)
+		checkConfigApplied(t, clone, cfg)
 		fcfg := cfg
 		fcfg.Seed = seed
 		fresh, err := NewSlotSim(fcfg)
@@ -100,6 +128,28 @@ func TestSnapshotCloneBitIdentical(t *testing.T) {
 			}
 		}
 		sn.Release(clone)
+	}
+}
+
+// checkConfigApplied fails unless a freshly acquired clone carries
+// cfg's protocol knobs on every tag and on the reader.
+func checkConfigApplied(t *testing.T, s *SlotSim, cfg SlotSimConfig) {
+	t.Helper()
+	wantN := DefaultNackThreshold
+	if cfg.NackThreshold > 0 {
+		wantN = cfg.NackThreshold
+	}
+	if r := s.Reader(); r.NackThreshold != wantN || r.DisableFutureVeto != cfg.DisableFutureVeto {
+		t.Fatalf("reader N=%d veto-off=%v, want N=%d veto-off=%v",
+			r.NackThreshold, r.DisableFutureVeto, wantN, cfg.DisableFutureVeto)
+	}
+	for i, tg := range s.tags {
+		if tg.proto.NackThreshold != wantN || tg.proto.DisableEmptyGate != cfg.DisableEmptyGate ||
+			tg.joinSlot != cfg.joinSlot(i) || tg.lastTxSlot != -1 {
+			t.Fatalf("tag %d: N=%d gate-off=%v join=%d lastTx=%d, want N=%d gate-off=%v join=%d lastTx=-1",
+				tg.tid, tg.proto.NackThreshold, tg.proto.DisableEmptyGate, tg.joinSlot, tg.lastTxSlot,
+				wantN, cfg.DisableEmptyGate, cfg.joinSlot(i))
+		}
 	}
 }
 

@@ -64,11 +64,12 @@ type TagProtocol struct {
 	migrations int
 }
 
-// NewTagProtocol returns a tag protocol in the initial MIGRATE state
-// with a random offset. A freshly powered-on tag is a "newcomer": the
-// Sec. 5.5 EMPTY gate applies to its transmissions until it either
-// receives its first ACK (it has integrated) or observes a RESET (the
-// whole network is recontending, so the gate is moot).
+// NewTagProtocol returns a tag protocol that starts the way a
+// power-cycled tag rejoins (Rejoin): MIGRATE with a random offset, as a
+// "newcomer". The Sec. 5.5 EMPTY gate applies to its transmissions
+// until it either receives its first ACK (it has integrated) or
+// observes a RESET (the whole network is recontending, so the gate is
+// moot).
 func NewTagProtocol(p Period, rng *sim.Rand) (*TagProtocol, error) {
 	if !ValidPeriod(p) {
 		return nil, fmt.Errorf("mac: invalid period %d", p)
@@ -76,29 +77,19 @@ func NewTagProtocol(p Period, rng *sim.Rand) (*TagProtocol, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("mac: TagProtocol needs a random source")
 	}
-	t := &TagProtocol{
-		Period:        p,
-		NackThreshold: DefaultNackThreshold,
-		rng:           rng,
-		newcomer:      true,
-	}
-	t.offset = rng.Intn(int(p))
+	t := &TagProtocol{Period: p, rng: rng}
+	t.reinit()
 	return t, nil
 }
 
-// reinit rewinds the protocol to its NewTagProtocol post-construction
-// state: MIGRATE, EMPTY-gated newcomer, fresh offset drawn from the
-// (externally reseeded) rng. Pooled simulators use it between trials so
-// a reset tag is bit-identical to a freshly constructed one.
+// reinit rewinds the protocol to its NewTagProtocol state: default N, no
+// migrations, then a Rejoin from the (externally reseeded) rng. Pooled
+// simulators use it between trials so a reset tag is bit-identical to a
+// freshly constructed one.
 func (t *TagProtocol) reinit() {
 	t.NackThreshold = DefaultNackThreshold
-	t.state = Migrate
-	t.counter = 0
-	t.nacks = 0
-	t.transmitted = false
-	t.newcomer = true
 	t.migrations = 0
-	t.offset = t.rng.Intn(int(t.Period))
+	t.Rejoin()
 }
 
 // State returns the protocol state.
