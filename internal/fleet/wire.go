@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -28,83 +29,37 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-func appendResult(dst []byte, r *Result) []byte {
-	dst = wire.AppendUvarint(dst, uint64(len(r.Metrics)))
-	for _, k := range sortedKeys(r.Metrics) {
+// appendSorted appends a counted map in ascending key order, each
+// value written by appendValue.
+func appendSorted[V any](dst []byte, m map[string]V, appendValue func([]byte, V) []byte) []byte {
+	dst = wire.AppendUvarint(dst, uint64(len(m)))
+	for _, k := range sortedKeys(m) {
 		dst = wire.AppendString(dst, k)
-		dst = wire.AppendF64Bits(dst, r.Metrics[k])
-	}
-	dst = wire.AppendUvarint(dst, uint64(len(r.Counters)))
-	for _, k := range sortedKeys(r.Counters) {
-		dst = wire.AppendString(dst, k)
-		dst = wire.AppendU64(dst, r.Counters[k])
+		dst = appendValue(dst, m[k])
 	}
 	return dst
 }
 
-// consumeResult parses a Result, requiring strictly ascending keys (the
-// canonical order appendResult writes) so duplicates and shuffled
-// re-encodings are rejected rather than silently normalized.
-func consumeResult(payload []byte, r *Result) (int, error) {
-	*r = Result{}
-	nMetrics, off, err := wire.ConsumeUvarint(payload)
-	if err != nil {
-		return 0, err
-	}
-	if nMetrics > uint64(len(payload)-off) { // each entry is ≥ 9 bytes
-		return 0, fmt.Errorf("%w: %d metrics with %d bytes remaining", wire.ErrTruncated, nMetrics, len(payload)-off)
-	}
+// readSorted reads a map appendSorted wrote with 8-byte values, each
+// converted from its little-endian bits by fromBits (which, unlike a
+// reader taking d, keeps the decoder off the heap). Keys must be
+// strictly ascending, so duplicates and shuffled re-encodings are
+// rejected rather than silently normalized.
+func readSorted[V any](d *wire.Decoder, field string, fromBits func(uint64) V) map[string]V {
+	var m map[string]V
 	var prev string
-	for i := uint64(0); i < nMetrics; i++ {
-		k, m, err := wire.ConsumeString(payload[off:])
-		if err != nil {
-			return 0, err
-		}
-		off += m
-		v, m, err := wire.ConsumeF64Bits(payload[off:])
-		if err != nil {
-			return 0, err
-		}
-		off += m
+	// An entry is at least 9 bytes: a key length and an 8-byte value.
+	for i, n := 0, d.Count(9); i < n && d.Err() == nil; i++ {
+		k, v := d.Str(), fromBits(d.U64())
 		if i > 0 && k <= prev {
-			return 0, fmt.Errorf("%w: metric key %q out of order after %q", wire.ErrMalformed, k, prev)
+			d.Fail(fmt.Errorf("%w: %s key %q out of order after %q", wire.ErrMalformed, field, k, prev))
 		}
-		prev = k
-		if r.Metrics == nil {
-			r.Metrics = make(map[string]float64, nMetrics)
+		if m == nil {
+			m = make(map[string]V)
 		}
-		r.Metrics[k] = v
+		m[k], prev = v, k
 	}
-	nCounters, m, err := wire.ConsumeUvarint(payload[off:])
-	if err != nil {
-		return 0, err
-	}
-	off += m
-	if nCounters > uint64(len(payload)-off) {
-		return 0, fmt.Errorf("%w: %d counters with %d bytes remaining", wire.ErrTruncated, nCounters, len(payload)-off)
-	}
-	prev = ""
-	for i := uint64(0); i < nCounters; i++ {
-		k, m, err := wire.ConsumeString(payload[off:])
-		if err != nil {
-			return 0, err
-		}
-		off += m
-		v, m, err := wire.ConsumeU64(payload[off:])
-		if err != nil {
-			return 0, err
-		}
-		off += m
-		if i > 0 && k <= prev {
-			return 0, fmt.Errorf("%w: counter key %q out of order after %q", wire.ErrMalformed, k, prev)
-		}
-		prev = k
-		if r.Counters == nil {
-			r.Counters = make(map[string]uint64, nCounters)
-		}
-		r.Counters[k] = v
-	}
-	return off, nil
+	return m
 }
 
 // AppendJobOutcome appends o as one JOC1 frame.
@@ -115,7 +70,8 @@ func AppendJobOutcome(dst []byte, o *JobOutcome) []byte {
 	dst = wire.AppendString(dst, o.Name)
 	dst = wire.AppendU64(dst, o.Seed)
 	dst = wire.AppendUvarint(dst, uint64(o.Status))
-	dst = appendResult(dst, &o.Result)
+	dst = appendSorted(dst, o.Result.Metrics, wire.AppendF64Bits)
+	dst = appendSorted(dst, o.Result.Counters, wire.AppendU64)
 	dst = wire.AppendString(dst, o.Err)
 	dst = wire.AppendVarint(dst, int64(o.Elapsed))
 	return wire.EndFrame(dst, start)
@@ -132,50 +88,22 @@ func UnmarshalJobOutcome(buf []byte, o *JobOutcome) (int, error) {
 	if tag != wire.TagJobOutcome {
 		return 0, fmt.Errorf("%w: %s, want %s", wire.ErrUnknownTag, tag, wire.TagJobOutcome)
 	}
+	d := wire.NewDecoder(payload)
 	*o = JobOutcome{}
-	idx, off, err := wire.ConsumeVarint(payload)
-	if err != nil {
-		return 0, err
-	}
-	name, m, err := wire.ConsumeString(payload[off:])
-	if err != nil {
-		return 0, err
-	}
-	off += m
-	seed, m, err := wire.ConsumeU64(payload[off:])
-	if err != nil {
-		return 0, err
-	}
-	off += m
-	o.JobInfo = JobInfo{Index: int(idx), Name: name, Seed: seed}
-	status, m, err := wire.ConsumeUvarint(payload[off:])
-	if err != nil {
-		return 0, err
-	}
-	off += m
+	o.Index = int(d.Varint())
+	o.Name = d.Str()
+	o.Seed = d.U64()
+	status := d.Uvarint()
 	if status > uint64(StatusCancelled) {
-		return 0, fmt.Errorf("%w: job status %d out of range", wire.ErrMalformed, status)
+		d.Fail(fmt.Errorf("%w: job status %d out of range", wire.ErrMalformed, status))
 	}
 	o.Status = Status(status)
-	m, err = consumeResult(payload[off:], &o.Result)
-	if err != nil {
+	o.Result.Metrics = readSorted(&d, "metric", math.Float64frombits)
+	o.Result.Counters = readSorted(&d, "counter", func(u uint64) uint64 { return u })
+	o.Err = d.Str()
+	o.Elapsed = time.Duration(d.Varint())
+	if err := d.Finish("job outcome"); err != nil {
 		return 0, err
-	}
-	off += m
-	errText, m, err := wire.ConsumeString(payload[off:])
-	if err != nil {
-		return 0, err
-	}
-	off += m
-	o.Err = errText
-	elapsed, m, err := wire.ConsumeVarint(payload[off:])
-	if err != nil {
-		return 0, err
-	}
-	off += m
-	o.Elapsed = time.Duration(elapsed)
-	if off != len(payload) {
-		return 0, fmt.Errorf("%w: %d trailing bytes in job outcome", wire.ErrMalformed, len(payload)-off)
 	}
 	return n, nil
 }

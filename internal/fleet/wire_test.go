@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -125,6 +126,41 @@ func TestJobOutcomeHostileInput(t *testing.T) {
 	if _, err := UnmarshalJobOutcome(f, &got); !errors.Is(err, wire.ErrTruncated) {
 		t.Fatalf("hostile metric count: %v, want ErrTruncated", err)
 	}
+
+	// A metric count equal to the padding bytes behind it: each entry
+	// needs at least 9 bytes, so the count is refused before the
+	// decoder allocates anything near the frame's size.
+	padded := paddedOutcome(4 << 20)
+	var err error
+	alloc := allocated(func() { _, err = UnmarshalJobOutcome(padded, &got) })
+	if alloc >= uint64(len(padded)) {
+		t.Fatalf("padded metric count allocated %d bytes decoding a %d-byte frame", alloc, len(padded))
+	}
+	if !errors.Is(err, wire.ErrTruncated) {
+		t.Fatalf("padded metric count: %v, want ErrTruncated", err)
+	}
+}
+
+// paddedOutcome is a JOC1 frame whose metric count equals the pad zero
+// bytes that follow it.
+func paddedOutcome(pad int) []byte {
+	payload := wire.AppendVarint(nil, 0)
+	payload = wire.AppendString(payload, "n")
+	payload = wire.AppendU64(payload, 0)
+	payload = wire.AppendUvarint(payload, 0)           // status
+	payload = wire.AppendUvarint(payload, uint64(pad)) // metric count
+	payload = append(payload, make([]byte, pad)...)
+	return wire.AppendFrame(nil, wire.TagJobOutcome, payload)
+}
+
+// allocated returns the bytes the heap allocated while f ran.
+func allocated(f func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
 }
 
 // TestGoldenJobOutcomeV1 freezes the version-1 JOC1 encoding: the
@@ -175,6 +211,7 @@ func FuzzUnmarshalJobOutcome(f *testing.F) {
 		f.Add(AppendJobOutcome(nil, &o))
 	}
 	f.Add([]byte("JOC1\x00\x00\x00\x00"))
+	f.Add(paddedOutcome(4 << 10))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var o JobOutcome
 		n, err := UnmarshalJobOutcome(data, &o)

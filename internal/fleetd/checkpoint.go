@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fleet"
+	"repro/internal/wire"
 )
 
 // Checkpointed resume. While a job runs, the daemon periodically
@@ -46,10 +47,14 @@ const (
 // corruptSuffix is where Load quarantines files it cannot trust.
 const corruptSuffix = ".corrupt"
 
+// maxCheckpointFile bounds a checkpoint file: the stream header and
+// one CKP1 frame of at most wire.MaxFrame payload bytes. Load
+// quarantines a larger file without reading it.
+const maxCheckpointFile = wire.HeaderSize + wire.FrameHeaderSize + wire.MaxFrame
+
 // Record is the on-disk form of one job's checkpoint.
 type Record struct {
-	Version int    `json:"version"`
-	ID      string `json:"id"`
+	ID string `json:"id"`
 	// State is queued, running, or done (cancelled jobs delete their
 	// checkpoint instead — an operator abort should not resurrect).
 	State string `json:"state"`
@@ -203,8 +208,8 @@ func (s *CheckpointStore) Remove(id string) error {
 
 // Load reads every checkpoint in the directory, sorted by job ID so a
 // restarted daemon re-queues interrupted jobs in their original
-// submission order. Files that fail to decode or whose CRC disagrees
-// are quarantined — renamed to <id>.corrupt and accounted for in the
+// submission order. Files larger than maxCheckpointFile, or that fail
+// to decode or whose CRC disagrees, are quarantined — renamed to <id>.corrupt and accounted for in the
 // RecoveryReport — never fatal: one corrupt checkpoint must not block
 // the rest of the fleet from resuming.
 func (s *CheckpointStore) Load() ([]Record, RecoveryReport) {
@@ -221,6 +226,16 @@ func (s *CheckpointStore) Load() ([]Record, RecoveryReport) {
 	for _, ent := range entries {
 		name := ent.Name()
 		if ent.IsDir() || (!strings.HasSuffix(name, ckptSuffix) && !strings.HasSuffix(name, legacyJSONSuffix)) {
+			continue
+		}
+		info, err := ent.Info()
+		if err != nil {
+			report.Errors = append(report.Errors, fmt.Sprintf("stat %s: %v", name, err))
+			continue
+		}
+		if info.Size() > maxCheckpointFile {
+			reason := fmt.Sprintf("oversize: %d bytes, limit %d", info.Size(), maxCheckpointFile)
+			report.Quarantined = append(report.Quarantined, s.quarantine(name, reason))
 			continue
 		}
 		data, err := s.fs.ReadFile(filepath.Join(s.dir, name))

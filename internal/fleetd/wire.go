@@ -17,8 +17,7 @@ import (
 // survive a checkpoint round trip bit-identically.
 
 // AppendCheckpoint appends rec's complete binary file image (header +
-// CKP1 frame) to dst. The record's Version field is ignored:
-// checkpoints always write the current schema version.
+// CKP1 frame) to dst, stamped with the current schema version.
 func AppendCheckpoint(dst []byte, rec *Record) []byte {
 	dst = wire.AppendHeader(dst)
 	start := len(dst)
@@ -48,85 +47,42 @@ func AppendCheckpoint(dst []byte, rec *Record) []byte {
 // verifying the header, frame, and CRC. Hostile input returns
 // wire-sentinel errors; it never panics.
 func UnmarshalCheckpoint(data []byte) (Record, error) {
-	var rec Record
 	h, err := wire.ConsumeHeader(data)
 	if err != nil {
-		return rec, err
+		return Record{}, err
 	}
 	tag, payload, n, err := wire.ConsumeFrame(data[h:])
 	if err != nil {
-		return rec, err
+		return Record{}, err
 	}
 	if tag != wire.TagCheckpoint {
-		return rec, fmt.Errorf("%w: %s, want %s", wire.ErrUnknownTag, tag, wire.TagCheckpoint)
+		return Record{}, fmt.Errorf("%w: %s, want %s", wire.ErrUnknownTag, tag, wire.TagCheckpoint)
 	}
 	if h+n != len(data) {
-		return rec, fmt.Errorf("%w: %d trailing bytes after checkpoint frame", wire.ErrMalformed, len(data)-h-n)
+		return Record{}, fmt.Errorf("%w: %d trailing bytes after checkpoint frame", wire.ErrMalformed, len(data)-h-n)
 	}
-	crc, off, err := wire.ConsumeU32(payload)
-	if err != nil {
-		return rec, err
+	d := wire.NewDecoder(payload)
+	crc := d.U32()
+	if got := wire.Checksum(d.Rest()); got != crc {
+		d.Fail(fmt.Errorf("%w: checkpoint crc %08x, content is %08x", wire.ErrMalformed, crc, got))
 	}
-	if got := wire.Checksum(payload[off:]); got != crc {
-		return rec, fmt.Errorf("%w: checkpoint crc %08x, content is %08x", wire.ErrMalformed, crc, got)
+	if version := d.Uvarint(); version != checkpointVersion {
+		d.Fail(fmt.Errorf("%w: checkpoint schema version %d, this build reads %d", wire.ErrMalformed, version, checkpointVersion))
 	}
-	version, m, err := wire.ConsumeUvarint(payload[off:])
-	if err != nil {
-		return rec, err
-	}
-	off += m
-	if version != checkpointVersion {
-		return rec, fmt.Errorf("%w: checkpoint schema version %d, this build reads %d", wire.ErrMalformed, version, checkpointVersion)
-	}
-	rec.Version = int(version)
-	if rec.ID, m, err = wire.ConsumeString(payload[off:]); err != nil {
-		return Record{}, err
-	}
-	off += m
-	if rec.State, m, err = wire.ConsumeString(payload[off:]); err != nil {
-		return Record{}, err
-	}
-	off += m
-	spec, m, err := wire.ConsumeBytes(payload[off:])
-	if err != nil {
-		return Record{}, err
-	}
-	off += m
-	rec.Spec = spec
-	count, m, err := wire.ConsumeUvarint(payload[off:])
-	if err != nil {
-		return Record{}, err
-	}
-	off += m
-	if count > uint64(len(payload)-off)/uint64(wire.FrameHeaderSize) {
-		return Record{}, fmt.Errorf("%w: %d outcomes with %d bytes remaining", wire.ErrTruncated, count, len(payload)-off)
-	}
-	if count > 0 {
-		rec.Outcomes = make([]fleet.JobOutcome, count)
-		for i := uint64(0); i < count; i++ {
-			m, err := fleet.UnmarshalJobOutcome(payload[off:], &rec.Outcomes[i])
-			if err != nil {
-				return Record{}, err
-			}
-			off += m
+	rec := Record{ID: d.Str(), State: d.Str(), Spec: d.Bytes()}
+	// Each outcome is a nested JOC1 frame, at least a frame header long.
+	for i, count := 0, d.Count(wire.FrameHeaderSize); i < count && d.Err() == nil; i++ {
+		var o fleet.JobOutcome
+		if _, err := fleet.UnmarshalJobOutcome(d.Frame(), &o); err != nil {
+			d.Fail(err)
 		}
+		rec.Outcomes = append(rec.Outcomes, o)
 	}
-	if rec.Fingerprint, m, err = wire.ConsumeString(payload[off:]); err != nil {
+	rec.Fingerprint = d.Str()
+	rec.Report = d.Bytes()
+	rec.Error = d.Str()
+	if err := d.Finish("checkpoint payload"); err != nil {
 		return Record{}, err
-	}
-	off += m
-	report, m, err := wire.ConsumeBytes(payload[off:])
-	if err != nil {
-		return Record{}, err
-	}
-	off += m
-	rec.Report = report
-	if rec.Error, m, err = wire.ConsumeString(payload[off:]); err != nil {
-		return Record{}, err
-	}
-	off += m
-	if off != len(payload) {
-		return Record{}, fmt.Errorf("%w: %d trailing bytes in checkpoint payload", wire.ErrMalformed, len(payload)-off)
 	}
 	return rec, nil
 }

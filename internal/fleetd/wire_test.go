@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -63,10 +65,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := rec
-	want.Version = checkpointVersion // Write semantics: version is stamped, not copied
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+	if !reflect.DeepEqual(got, rec) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, rec)
 	}
 
 	// Re-encoding the decoded record must be byte-identical — the
@@ -144,6 +144,42 @@ func TestCheckpointHostileInput(t *testing.T) {
 	if _, err := UnmarshalCheckpoint([]byte("ARWB garbage that is not a checkpoint")); err == nil {
 		t.Fatal("magic-prefixed garbage decoded successfully")
 	}
+
+	// An outcome count backed only by padding (one outcome per 8
+	// bytes, a frame header each) fails at the first padded outcome
+	// without allocating anything near the file's size.
+	padded := paddedCheckpoint(4 << 20)
+	var err error
+	alloc := allocated(func() { _, err = UnmarshalCheckpoint(padded) })
+	if !errors.Is(err, wire.ErrUnknownTag) {
+		t.Fatalf("padded outcome count: %v, want ErrUnknownTag", err)
+	}
+	if alloc >= uint64(len(padded)) {
+		t.Fatalf("padded outcome count allocated %d bytes decoding a %d-byte file", alloc, len(padded))
+	}
+}
+
+// paddedCheckpoint is a checkpoint file with a valid CRC whose outcome
+// count is pad/8 and whose outcomes are pad zero bytes.
+func paddedCheckpoint(pad int) []byte {
+	body := wire.AppendUvarint(nil, checkpointVersion)
+	body = wire.AppendString(body, "job-1")
+	body = wire.AppendString(body, StateRunningCkpt)
+	body = wire.AppendBytes(body, []byte(`{}`))
+	body = wire.AppendUvarint(body, uint64(pad/8))
+	body = append(body, make([]byte, pad)...)
+	payload := append(wire.AppendU32(nil, wire.Checksum(body)), body...)
+	return wire.AppendFrame(wire.AppendHeader(nil), wire.TagCheckpoint, payload)
+}
+
+// allocated returns the bytes the heap allocated while f ran.
+func allocated(f func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
 }
 
 // TestGoldenCheckpointV1 pins the version-1 binary checkpoint layout:
@@ -173,10 +209,8 @@ func TestGoldenCheckpointV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRec := rec
-	wantRec.Version = checkpointVersion
-	if !reflect.DeepEqual(got, wantRec) {
-		t.Fatalf("golden fixture decoded to %+v, want %+v", got, wantRec)
+	if !reflect.DeepEqual(got, rec) {
+		t.Fatalf("golden fixture decoded to %+v, want %+v", got, rec)
 	}
 }
 
@@ -190,6 +224,7 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 	f.Add(AppendCheckpoint(nil, &empty))
 	f.Add([]byte("ARWB"))
 	f.Add([]byte{})
+	f.Add(paddedCheckpoint(4 << 10))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := UnmarshalCheckpoint(data)
 		if err != nil {
@@ -233,10 +268,8 @@ func TestCheckpointStoreBinaryFormat(t *testing.T) {
 	if !report.Clean() || len(recs) != 1 {
 		t.Fatalf("load: %d records, report %s", len(recs), report)
 	}
-	want := rec
-	want.Version = checkpointVersion
-	if !reflect.DeepEqual(recs[0], want) {
-		t.Fatalf("store round trip mismatch:\n got %+v\nwant %+v", recs[0], want)
+	if !reflect.DeepEqual(recs[0], rec) {
+		t.Fatalf("store round trip mismatch:\n got %+v\nwant %+v", recs[0], rec)
 	}
 
 	// A corrupt file is quarantined, not fatal.
@@ -261,5 +294,36 @@ func TestCheckpointStoreBinaryFormat(t *testing.T) {
 	}
 	if err := s.Remove(rec.ID); err != nil {
 		t.Fatalf("Remove of a missing checkpoint: %v", err)
+	}
+}
+
+// TestCheckpointStoreOversizeQuarantined: a file larger than any valid
+// checkpoint is quarantined from its directory entry, without being
+// read.
+func TestCheckpointStoreOversizeQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "job-huge"+ckptSuffix)
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, maxCheckpointFile+1); err != nil { // sparse
+		t.Fatal(err)
+	}
+	var recs []Record
+	var report RecoveryReport
+	alloc := allocated(func() { recs, report = s.Load() })
+	if len(recs) != 0 || len(report.Quarantined) != 1 {
+		t.Fatalf("oversize file: %d records, report %s", len(recs), report)
+	}
+	q := report.Quarantined[0]
+	if q.MovedTo != "job-huge"+corruptSuffix || !strings.Contains(q.Reason, fmt.Sprintf("limit %d", maxCheckpointFile)) {
+		t.Fatalf("unexpected quarantine: %+v", q)
+	}
+	if alloc >= 1<<20 {
+		t.Fatalf("Load allocated %d bytes for an oversize file, want < 1 MiB", alloc)
 	}
 }

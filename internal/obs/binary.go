@@ -134,31 +134,19 @@ func appendIntSlice(dst []byte, xs []int) []byte {
 	return dst
 }
 
-// consumeIntSlice parses a counted zigzag slice, reusing scratch's
-// capacity when it suffices.
-func consumeIntSlice(buf []byte, scratch []int) ([]int, int, error) {
-	count, off, err := wire.ConsumeUvarint(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	if count > uint64(len(buf)-off) { // each element is ≥ 1 byte
-		return nil, 0, fmt.Errorf("%w: %d slice elements with %d bytes remaining", wire.ErrTruncated, count, len(buf)-off)
-	}
-	if count == 0 {
+// readIntSlice reads a counted zigzag slice into scratch's capacity.
+func readIntSlice(d *wire.Decoder, scratch []int) []int {
+	n := d.Count(1) // each element is at least one byte
+	if n == 0 {
 		// A nil slice mirrors the encoder (a set bit always carries
 		// elements) and the JSON omitempty contract.
-		return nil, off, nil
+		return nil
 	}
 	out := scratch[:0]
-	for i := uint64(0); i < count; i++ {
-		v, n, err := wire.ConsumeVarint(buf[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		out = append(out, int(v))
-		off += n
+	for i := 0; i < n && d.Err() == nil; i++ {
+		out = append(out, int(d.Varint()))
 	}
-	return out, off, nil
+	return out
 }
 
 // AppendEvent appends ev as one wire frame. This is the BinarySink hot
@@ -226,120 +214,63 @@ func UnmarshalEvent(buf []byte, ev *Event) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	d := wire.NewDecoder(payload)
 	kind, known := tagKind[tag]
 	tids, decoded := ev.TIDs[:0], ev.Decoded[:0]
 	*ev = Event{}
-	off := 0
 	switch {
 	case known:
 		ev.Kind = kind
 	case tag == wire.TagEventOther:
-		s, m, err := wire.ConsumeString(payload)
-		if err != nil {
-			return 0, err
-		}
-		ev.Kind = Kind(s)
-		off = m
+		ev.Kind = Kind(d.Str())
 	default:
 		return 0, fmt.Errorf("%w: %s is not a trace event tag", wire.ErrUnknownTag, tag)
 	}
-	bits, m, err := wire.ConsumeUvarint(payload[off:])
-	if err != nil {
-		return 0, err
-	}
-	off += m
+	bits := d.Uvarint()
 	if bits&^uint64(evBitsAll) != 0 {
-		return 0, fmt.Errorf("%w: unknown event field bits %#x (a newer field means a new tag version)", wire.ErrMalformed, bits&^uint64(evBitsAll))
+		d.Fail(fmt.Errorf("%w: unknown event field bits %#x (a newer field means a new tag version)", wire.ErrMalformed, bits&^uint64(evBitsAll)))
 	}
 	if bits&evSlot != 0 {
-		v, m, err := wire.ConsumeVarint(payload[off:])
-		if err != nil {
-			return 0, err
-		}
-		ev.Slot, off = int(v), off+m
+		ev.Slot = int(d.Varint())
 	}
 	if bits&evT != 0 {
-		v, m, err := wire.ConsumeF64Bits(payload[off:])
-		if err != nil {
-			return 0, err
-		}
-		ev.T, off = v, off+m
+		ev.T = d.F64Bits()
 	}
 	if bits&evTID != 0 {
-		v, m, err := wire.ConsumeVarint(payload[off:])
-		if err != nil {
-			return 0, err
-		}
-		ev.TID, off = int(v), off+m
+		ev.TID = int(d.Varint())
 	}
 	if bits&evTIDs != 0 {
-		xs, m, err := consumeIntSlice(payload[off:], tids)
-		if err != nil {
-			return 0, err
-		}
-		ev.TIDs, off = xs, off+m
+		ev.TIDs = readIntSlice(&d, tids)
 	}
 	if bits&evDecoded != 0 {
-		xs, m, err := consumeIntSlice(payload[off:], decoded)
-		if err != nil {
-			return 0, err
-		}
-		ev.Decoded, off = xs, off+m
+		ev.Decoded = readIntSlice(&d, decoded)
 	}
 	ev.Collision = bits&evCollision != 0
 	ev.ACK = bits&evACK != 0
 	ev.Empty = bits&evEmpty != 0
 	if bits&evPeriod != 0 {
-		v, m, err := wire.ConsumeVarint(payload[off:])
-		if err != nil {
-			return 0, err
-		}
-		ev.Period, off = int(v), off+m
+		ev.Period = int(d.Varint())
 	}
 	if bits&evOffset != 0 {
-		v, m, err := wire.ConsumeVarint(payload[off:])
-		if err != nil {
-			return 0, err
-		}
-		ev.Offset, off = int(v), off+m
+		ev.Offset = int(d.Varint())
 	}
 	if bits&evJob != 0 {
-		v, m, err := wire.ConsumeVarint(payload[off:])
-		if err != nil {
-			return 0, err
-		}
-		ev.Job, off = int(v), off+m
+		ev.Job = int(d.Varint())
 	}
 	if bits&evSeed != 0 {
-		v, m, err := wire.ConsumeU64(payload[off:])
-		if err != nil {
-			return 0, err
-		}
-		ev.Seed, off = v, off+m
+		ev.Seed = d.U64()
 	}
 	if bits&evName != 0 {
-		s, m, err := wire.ConsumeString(payload[off:])
-		if err != nil {
-			return 0, err
-		}
-		ev.Name, off = s, off+m
+		ev.Name = d.Str()
 	}
 	if bits&evValue != 0 {
-		v, m, err := wire.ConsumeF64Bits(payload[off:])
-		if err != nil {
-			return 0, err
-		}
-		ev.Value, off = v, off+m
+		ev.Value = d.F64Bits()
 	}
 	if bits&evDetail != 0 {
-		s, m, err := wire.ConsumeString(payload[off:])
-		if err != nil {
-			return 0, err
-		}
-		ev.Detail, off = s, off+m
+		ev.Detail = d.Str()
 	}
-	if off != len(payload) {
-		return 0, fmt.Errorf("%w: %d trailing bytes in event frame", wire.ErrMalformed, len(payload)-off)
+	if err := d.Finish("event frame"); err != nil {
+		return 0, err
 	}
 	return n, nil
 }

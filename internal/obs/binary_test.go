@@ -346,6 +346,11 @@ func FuzzUnmarshalEvent(f *testing.F) {
 	}
 	f.Add([]byte("EOP1\x01\x00\x00\x00\x00"))
 	f.Add([]byte("EXX1\x00\x00\x00\x00"))
+	// A slice count equal to the padding bytes behind it (each element
+	// at least one byte): the padded-count shape, kept to a few KiB.
+	padded := wire.AppendUvarint(nil, uint64(evTIDs))
+	padded = wire.AppendUvarint(padded, 4<<10)
+	f.Add(wire.AppendFrame(nil, wire.TagEventSlotClose, append(padded, make([]byte, 4<<10)...)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ev Event
 		n, err := UnmarshalEvent(data, &ev)

@@ -141,15 +141,20 @@ func TestFM0DecodeViolation(t *testing.T) {
 	// Destroy the boundary transition of the third bit.
 	chips[4] = chips[3]
 	_, err := FM0Decode(chips, 0)
-	var v *FM0Violation
+	var v FM0Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("expected FM0Violation, got %v", err)
 	}
-	if v.ChipIndex != 4 {
-		t.Errorf("violation at chip %d, want 4", v.ChipIndex)
+	if v != 4 {
+		t.Errorf("violation at chip %d, want 4", v)
 	}
 	if v.Error() == "" {
 		t.Error("empty violation message")
+	}
+	// A failed decode allocates nothing: the violation is a one-byte
+	// value, not a pointer.
+	if a := testing.AllocsPerRun(100, func() { _, err = FM0Decode(chips, 0) }); a != 0 {
+		t.Errorf("failed FM0Decode allocates %v times, want 0", a)
 	}
 }
 

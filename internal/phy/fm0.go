@@ -30,20 +30,20 @@ func AppendFM0(dst Bits, word uint64, n int, initLevel byte) Bits {
 	return dst
 }
 
-// FM0Violation describes a chip stream that breaks the FM0 boundary
-// invariant, which real decoders use both for error detection and for
-// preamble delimiting.
-type FM0Violation struct {
-	ChipIndex int
-}
+// FM0Violation is the index of the chip at which a chip stream breaks
+// the FM0 boundary invariant, which real decoders use both for error
+// detection and for preamble delimiting. The index is below 128, and a
+// one-byte value converts to an error without allocating, so a failed
+// decode costs no garbage.
+type FM0Violation uint8
 
-func (v *FM0Violation) Error() string {
-	return fmt.Sprintf("phy: FM0 boundary violation at chip %d", v.ChipIndex)
+func (v FM0Violation) Error() string {
+	return fmt.Sprintf("phy: FM0 boundary violation at chip %d", v)
 }
 
 // FM0Decode decodes an even number of chips, at most 128, into the word
 // AppendFM0 encoded: the first data bit is the most significant.
-// initLevel must match the encoder's. It returns an *FM0Violation error
+// initLevel must match the encoder's. It returns an FM0Violation error
 // if a bit boundary lacks the mandatory transition, identifying the
 // offending chip. Decoding the complement of chips from initLevel is
 // decoding chips from the complement of initLevel.
@@ -56,7 +56,7 @@ func FM0Decode(chips Bits, initLevel byte) (uint64, error) {
 	for i := 0; i < len(chips); i += 2 {
 		first, second := chips[i]&1, chips[i+1]&1
 		if first == level {
-			return 0, &FM0Violation{ChipIndex: i}
+			return 0, FM0Violation(i)
 		}
 		word <<= 1
 		if first == second {

@@ -22,9 +22,11 @@
 // Each record has exactly one codec pair: Append* grows a caller slice
 // (reusing its capacity, so batched writers allocate nothing in steady
 // state) and Unmarshal* parses one frame and reports how many bytes it
-// consumed. Decoders return typed errors — ErrTruncated, ErrUnknownTag,
-// ErrMalformed — and never panic on hostile input; every Unmarshal in
-// this module is fuzzed.
+// consumed. Every Unmarshal walks its payload with one Decoder, which
+// decides how a short or overflowing field is reported and how far a
+// declared count is trusted. Decoders return typed errors —
+// ErrTruncated, ErrUnknownTag, ErrMalformed — and never panic on
+// hostile input; every Unmarshal in this module is fuzzed.
 package wire
 
 import (
@@ -64,8 +66,7 @@ var (
 const MaxFrame = 64 << 20
 
 // castagnoli is the CRC-32C polynomial table (hardware-accelerated on
-// most CPUs) — the same checksum the fleetd checkpoint envelope has
-// used since the JSON format.
+// most CPUs).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum returns the CRC-32C of b.
@@ -86,31 +87,6 @@ func AppendUvarint(dst []byte, v uint64) []byte {
 //alloc:hot appends into the caller's buffer; allocates only when the buffer grows
 func AppendVarint(dst []byte, v int64) []byte {
 	return binary.AppendVarint(dst, v)
-}
-
-// ConsumeUvarint parses an unsigned varint from the front of buf,
-// returning the value and the bytes consumed.
-func ConsumeUvarint(buf []byte) (uint64, int, error) {
-	v, n := binary.Uvarint(buf)
-	if n == 0 {
-		return 0, 0, fmt.Errorf("%w: uvarint", ErrTruncated)
-	}
-	if n < 0 {
-		return 0, 0, fmt.Errorf("%w: uvarint overflows 64 bits", ErrMalformed)
-	}
-	return v, n, nil
-}
-
-// ConsumeVarint parses a zigzag varint from the front of buf.
-func ConsumeVarint(buf []byte) (int64, int, error) {
-	v, n := binary.Varint(buf)
-	if n == 0 {
-		return 0, 0, fmt.Errorf("%w: varint", ErrTruncated)
-	}
-	if n < 0 {
-		return 0, 0, fmt.Errorf("%w: varint overflows 64 bits", ErrMalformed)
-	}
-	return v, n, nil
 }
 
 // --- fixed-width scalars ---
@@ -139,30 +115,6 @@ func AppendF64Bits(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-// ConsumeU32 parses a little-endian uint32.
-func ConsumeU32(buf []byte) (uint32, int, error) {
-	if len(buf) < 4 {
-		return 0, 0, fmt.Errorf("%w: u32", ErrTruncated)
-	}
-	return binary.LittleEndian.Uint32(buf), 4, nil
-}
-
-// ConsumeU64 parses a little-endian uint64.
-func ConsumeU64(buf []byte) (uint64, int, error) {
-	if len(buf) < 8 {
-		return 0, 0, fmt.Errorf("%w: u64", ErrTruncated)
-	}
-	return binary.LittleEndian.Uint64(buf), 8, nil
-}
-
-// ConsumeF64Bits parses a little-endian IEEE-754 float64.
-func ConsumeF64Bits(buf []byte) (float64, int, error) {
-	if len(buf) < 8 {
-		return 0, 0, fmt.Errorf("%w: f64", ErrTruncated)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf)), 8, nil
-}
-
 // --- length-prefixed strings and byte blobs ---
 
 // AppendString appends a uvarint length followed by the string bytes.
@@ -181,37 +133,156 @@ func AppendBytes(dst []byte, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// ConsumeStringBytes parses a length-prefixed blob and returns a view
-// into buf (no copy). The caller must copy before buf is reused.
-func ConsumeStringBytes(buf []byte) ([]byte, int, error) {
-	n, hdr, err := ConsumeUvarint(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	if n > uint64(len(buf)-hdr) {
-		return nil, 0, fmt.Errorf("%w: string of %d bytes with %d remaining", ErrTruncated, n, len(buf)-hdr)
-	}
-	return buf[hdr : hdr+int(n)], hdr + int(n), nil
+// --- decoding ---
+
+// Decoder walks one frame payload front to back, reading the
+// primitives the Append* functions write. It keeps the first error it
+// hits: a short or overflowing field, a count the payload cannot hold,
+// or a schema violation the record codec reports through Fail. Every
+// later read returns the zero value and consumes nothing, so a record
+// decoder reads its fields in order and checks once, at Finish.
+//
+// A Decoder is a small value: keep it in a local and pass its address
+// to helpers. Its views borrow the payload; Str and Bytes copy.
+type Decoder struct {
+	buf []byte
+	err error
 }
 
-// ConsumeString parses a length-prefixed string (copies).
-func ConsumeString(buf []byte) (string, int, error) {
-	b, n, err := ConsumeStringBytes(buf)
-	if err != nil {
-		return "", 0, err
+// NewDecoder starts a walk over payload.
+func NewDecoder(payload []byte) Decoder { return Decoder{buf: payload} }
+
+// Err returns the kept error, or nil.
+func (d *Decoder) Err() error { return d.err }
+
+// Fail keeps err unless an earlier error is already kept. Record
+// codecs report schema violations (an out-of-range enum, keys out of
+// order) through it, so the first fault in the payload is the one
+// reported.
+func (d *Decoder) Fail(err error) {
+	if d.err == nil {
+		d.err = err
 	}
-	return string(b), n, nil
 }
 
-// ConsumeBytes parses a length-prefixed blob (copies, so the result
-// outlives buf; decoders that retain fields use this).
-func ConsumeBytes(buf []byte) ([]byte, int, error) {
-	b, n, err := ConsumeStringBytes(buf)
-	if err != nil {
-		return nil, 0, err
+// Finish ends the walk over a record's payload: it returns the kept
+// error, or ErrMalformed if bytes remain after the last field.
+func (d *Decoder) Finish(record string) error {
+	if d.err == nil && len(d.buf) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes in %s", ErrMalformed, len(d.buf), record)
 	}
+	return d.err
+}
+
+// Rest returns a view of the unread bytes without consuming them.
+func (d *Decoder) Rest() []byte { return d.buf }
+
+// take consumes the next n bytes and returns a view of them, or keeps
+// ErrTruncated and returns nil when fewer remain.
+func (d *Decoder) take(n uint64, field string) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(len(d.buf)) {
+		d.err = fmt.Errorf("%w: %s of %d bytes with %d remaining", ErrTruncated, field, n, len(d.buf))
+		return nil
+	}
+	b := d.buf[:n:n]
+	d.buf = d.buf[n:]
+	return b
+}
+
+// Uvarint reads an unsigned LEB128 varint.
+func (d *Decoder) Uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.buf)
+	switch {
+	case n == 0:
+		d.err = fmt.Errorf("%w: uvarint", ErrTruncated)
+		return 0
+	case n < 0:
+		d.err = fmt.Errorf("%w: uvarint overflows 64 bits", ErrMalformed)
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+// Varint reads a zigzag varint: the uvarint u stands for u/2, or for
+// -(u+1)/2 when u is odd.
+func (d *Decoder) Varint() int64 {
+	u := d.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// U32 reads a little-endian uint32.
+func (d *Decoder) U32() uint32 {
+	if b := d.take(4, "u32"); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+// U64 reads a little-endian uint64.
+func (d *Decoder) U64() uint64 {
+	if b := d.take(8, "u64"); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// F64Bits reads a float64 from its little-endian IEEE-754 bits.
+func (d *Decoder) F64Bits() float64 {
+	if b := d.take(8, "f64"); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+	return 0
+}
+
+// Str reads a length-prefixed string (a copy).
+func (d *Decoder) Str() string {
+	return string(d.take(d.Uvarint(), "string"))
+}
+
+// Bytes reads a length-prefixed blob as a copy that outlives the
+// payload; an empty blob reads as nil.
+func (d *Decoder) Bytes() []byte {
+	b := d.take(d.Uvarint(), "bytes")
 	if len(b) == 0 {
-		return nil, n, nil
+		return nil
 	}
-	return append([]byte(nil), b...), n, nil
+	return append([]byte(nil), b...)
+}
+
+// Count reads a declared element count and keeps ErrTruncated instead
+// when the unread bytes cannot hold that many elements of minSize
+// bytes each (minSize >= 1: the element's smallest encoding). A
+// hostile count therefore fails here, before it can drive a loop or
+// size a container; decoders still grow their containers as elements
+// parse rather than from the count.
+func (d *Decoder) Count(minSize int) int {
+	n := d.Uvarint()
+	if d.err == nil && n > uint64(len(d.buf)/minSize) {
+		d.err = fmt.Errorf("%w: %d elements of at least %d bytes with %d remaining", ErrTruncated, n, minSize, len(d.buf))
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// Frame reads one nested frame and returns it whole, header included,
+// for the nested record's own Unmarshal.
+func (d *Decoder) Frame() []byte {
+	if d.err != nil {
+		return nil
+	}
+	_, _, n, err := ConsumeFrame(d.buf)
+	if err != nil {
+		d.err = err
+		return nil
+	}
+	return d.take(uint64(n), "frame")
 }

@@ -27,75 +27,139 @@ func TestScalarRoundTrip(t *testing.T) {
 	buf = AppendString(buf, "hello")
 	buf = AppendBytes(buf, nil)
 
-	off := 0
+	d := NewDecoder(buf)
 	for i, want := range []uint64{0, 300, math.MaxUint64} {
-		v, n, err := ConsumeUvarint(buf[off:])
-		if err != nil || v != want {
-			t.Fatalf("uvarint %d: got %d, %v; want %d", i, v, err, want)
+		if v := d.Uvarint(); v != want {
+			t.Fatalf("uvarint %d: got %d, %v; want %d", i, v, d.Err(), want)
 		}
-		off += n
 	}
 	for i, want := range []int64{-1, math.MinInt64} {
-		v, n, err := ConsumeVarint(buf[off:])
-		if err != nil || v != want {
-			t.Fatalf("varint %d: got %d, %v; want %d", i, v, err, want)
+		if v := d.Varint(); v != want {
+			t.Fatalf("varint %d: got %d, %v; want %d", i, v, d.Err(), want)
 		}
-		off += n
 	}
-	u32, n, err := ConsumeU32(buf[off:])
-	if err != nil || u32 != 0xdeadbeef {
-		t.Fatalf("u32: got %x, %v", u32, err)
+	if u32 := d.U32(); u32 != 0xdeadbeef {
+		t.Fatalf("u32: got %x, %v", u32, d.Err())
 	}
-	off += n
-	u64, n, err := ConsumeU64(buf[off:])
-	if err != nil || u64 != 1<<63 {
-		t.Fatalf("u64: got %x, %v", u64, err)
+	if u64 := d.U64(); u64 != 1<<63 {
+		t.Fatalf("u64: got %x, %v", u64, d.Err())
 	}
-	off += n
-	f, n, err := ConsumeF64Bits(buf[off:])
-	if err != nil || math.Float64bits(f) != math.Float64bits(-0.1) {
-		t.Fatalf("f64: got %v, %v", f, err)
+	if f := d.F64Bits(); math.Float64bits(f) != math.Float64bits(-0.1) {
+		t.Fatalf("f64: got %v, %v", f, d.Err())
 	}
-	off += n
-	s, n, err := ConsumeString(buf[off:])
-	if err != nil || s != "hello" {
-		t.Fatalf("string: got %q, %v", s, err)
+	if s := d.Str(); s != "hello" {
+		t.Fatalf("string: got %q, %v", s, d.Err())
 	}
-	off += n
-	b, n, err := ConsumeBytes(buf[off:])
-	if err != nil || b != nil {
-		t.Fatalf("bytes: got %v, %v; want nil", b, err)
+	if err := d.Finish("test record"); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("Finish before the last field: %v, want ErrMalformed (trailing bytes)", err)
 	}
-	off += n
-	if off != len(buf) {
-		t.Fatalf("consumed %d of %d bytes", off, len(buf))
+	if b := d.Bytes(); b != nil {
+		t.Fatalf("bytes: got %v, %v; want nil", b, d.Err())
+	}
+	if err := d.Finish("test record"); err != nil {
+		t.Fatalf("Finish after the last field: %v", err)
 	}
 }
 
-func TestConsumeTruncated(t *testing.T) {
+func TestDecoderTruncated(t *testing.T) {
 	full := AppendString(nil, "some trailing payload")
 	for cut := 0; cut < len(full); cut++ {
-		if _, _, err := ConsumeString(full[:cut]); !errors.Is(err, ErrTruncated) {
+		d := NewDecoder(full[:cut])
+		d.Str()
+		if err := d.Finish("test record"); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut at %d: err = %v, want ErrTruncated", cut, err)
 		}
 	}
-	if _, _, err := ConsumeU32([]byte{1, 2}); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("short u32: %v", err)
-	}
-	if _, _, err := ConsumeF64Bits([]byte{1}); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("short f64: %v", err)
+	for i, read := range []func(*Decoder){
+		func(d *Decoder) { d.U32() },
+		func(d *Decoder) { d.U64() },
+		func(d *Decoder) { d.F64Bits() },
+	} {
+		d := NewDecoder([]byte{1, 2})
+		read(&d)
+		if !errors.Is(d.Err(), ErrTruncated) {
+			t.Fatalf("short fixed-width read %d: %v", i, d.Err())
+		}
 	}
 }
 
-func TestConsumeUvarintOverflow(t *testing.T) {
+func TestDecoderUvarintOverflow(t *testing.T) {
 	over := bytes.Repeat([]byte{0xff}, 11)
-	if _, _, err := ConsumeUvarint(over); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("overflowing uvarint: %v, want ErrMalformed", err)
+	d := NewDecoder(over)
+	if d.Uvarint(); !errors.Is(d.Err(), ErrMalformed) {
+		t.Fatalf("overflowing uvarint: %v, want ErrMalformed", d.Err())
 	}
 	// 10 continuation bytes with no terminator read as truncated, not
 	// as a bogus value.
-	if _, _, err := ConsumeUvarint(over[:10]); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("unterminated uvarint: %v, want ErrTruncated", err)
+	d = NewDecoder(over[:10])
+	if d.Uvarint(); !errors.Is(d.Err(), ErrTruncated) {
+		t.Fatalf("unterminated uvarint: %v, want ErrTruncated", d.Err())
+	}
+}
+
+// The first error is kept: later reads return zero values, consume
+// nothing and do not replace it, and Fail does not either.
+func TestDecoderStickyError(t *testing.T) {
+	buf := AppendU32(nil, 7)
+	buf = AppendString(buf, "x")
+	d := NewDecoder(buf[:2])
+	if v := d.U32(); v != 0 || !errors.Is(d.Err(), ErrTruncated) {
+		t.Fatalf("short u32: %d, %v", v, d.Err())
+	}
+	first := d.Err()
+	if d.Str() != "" || d.Uvarint() != 0 || d.Frame() != nil || d.Count(1) != 0 {
+		t.Fatal("a read after the kept error returned a value")
+	}
+	d.Fail(ErrMalformed)
+	if d.Err() != first || d.Finish("test record") != first || len(d.Rest()) != 2 {
+		t.Fatalf("kept error %v, rest %d bytes; want the first error and nothing consumed", d.Err(), len(d.Rest()))
+	}
+
+	// Without an earlier error, Fail's error is the one kept.
+	d = NewDecoder(buf)
+	d.U32()
+	d.Fail(ErrMalformed)
+	if d.Str() != "" || !errors.Is(d.Finish("test record"), ErrMalformed) {
+		t.Fatalf("Fail: %v, want ErrMalformed", d.Err())
+	}
+}
+
+// Count trusts a declared count only as far as the unread bytes can
+// hold that many elements of the smallest encoded size.
+func TestDecoderCount(t *testing.T) {
+	for _, c := range []struct {
+		count, minSize, rest int
+		ok                   bool
+	}{
+		{0, 9, 0, true},
+		{3, 1, 3, true},
+		{3, 1, 2, false},
+		{4, 9, 36, true},
+		{4, 9, 35, false},
+		{1 << 20, 1, 1 << 10, false},
+	} {
+		buf := AppendUvarint(nil, uint64(c.count))
+		buf = append(buf, make([]byte, c.rest)...)
+		d := NewDecoder(buf)
+		n := d.Count(c.minSize)
+		if c.ok && (n != c.count || d.Err() != nil) {
+			t.Errorf("count %d of ≥ %d bytes in %d: got %d, %v", c.count, c.minSize, c.rest, n, d.Err())
+		}
+		if !c.ok && (n != 0 || !errors.Is(d.Err(), ErrTruncated)) {
+			t.Errorf("count %d of ≥ %d bytes in %d: got %d, %v; want ErrTruncated", c.count, c.minSize, c.rest, n, d.Err())
+		}
+	}
+}
+
+// Frame returns a nested frame whole and stops at a truncated one.
+func TestDecoderFrame(t *testing.T) {
+	inner := AppendFrame(nil, testTag, []byte("in"))
+	d := NewDecoder(append(append([]byte(nil), inner...), inner[:5]...))
+	if got := d.Frame(); !bytes.Equal(got, inner) {
+		t.Fatalf("nested frame: got %x, want %x", got, inner)
+	}
+	if got := d.Frame(); got != nil || !errors.Is(d.Err(), ErrTruncated) {
+		t.Fatalf("cut nested frame: got %x, %v; want ErrTruncated", got, d.Err())
 	}
 }
 
