@@ -73,7 +73,9 @@ type VehicleSpec struct {
 	// Periods overrides Pattern with explicit per-tag periods.
 	Periods []Period `json:"periods,omitempty"`
 	// Network overrides everything for the network engine: a full
-	// deployment description (its Seed is replaced per job).
+	// deployment description. Seed and Trace are per job: each job
+	// runs on its own seed, and only a chaos job traces (into its
+	// recovery folder); lifecycle tracing is Fleet.Trace.
 	Network *NetworkConfig `json:"network,omitempty"`
 
 	// Slots is the slots-engine horizon (default 10_000).
@@ -232,9 +234,8 @@ func (v VehicleSpec) jobFunc() (fleet.JobFunc, error) {
 		if err != nil {
 			return nil, err
 		}
-		baseTrace := base.Trace
 		return func(ctx context.Context, job FleetJobInfo) (FleetResult, error) {
-			return runNetworkVehicle(ctx, snap, baseTrace, job.Seed, seconds, plan)
+			return runNetworkVehicle(ctx, snap, job.Seed, seconds, plan)
 		}, nil
 	}
 	return nil, fmt.Errorf("unknown engine %q (want slots or network)", v.Engine)
@@ -332,14 +333,13 @@ func addFaultResults(res *FleetResult, rec *Recovery, inj *FaultInjector) {
 // injector to the running network (fades, carrier outages and forced
 // brownouts at the physical layer) and reports the recovery metrics
 // folded from its trace as the events arrive.
-func runNetworkVehicle(ctx context.Context, snap *NetworkSnapshot, baseTrace *Tracer, seed uint64, seconds int, plan *FaultPlan) (FleetResult, error) {
-	trace := baseTrace
-	var rec *Recovery
+func runNetworkVehicle(ctx context.Context, snap *NetworkSnapshot, seed uint64, seconds int, plan *FaultPlan) (FleetResult, error) {
+	var (
+		rec   *Recovery
+		trace *Tracer
+	)
 	faulted := plan != nil && !plan.Empty()
 	if faulted {
-		if baseTrace != nil {
-			return FleetResult{}, fmt.Errorf("arachnet: fault plan with an external tracer is unsupported")
-		}
 		rec, trace = NewChaosTracer()
 	}
 	net, err := snap.Clone(seed, trace)

@@ -19,7 +19,7 @@ type (
 	Tracer       = obs.Tracer
 	TraceEvent   = obs.Event
 	TraceSink    = obs.Sink
-	JSONLSink    = obs.JSONLSink
+	StreamSink   = obs.StreamSink
 	MemorySink   = obs.MemorySink
 	TraceMetrics = obs.Metrics
 )
@@ -33,27 +33,28 @@ const (
 	TraceFormatBinary = "binary"
 )
 
-// TraceFileSink is the shared surface of the buffered file sinks:
-// writes are batched, so callers must Close (or Flush) before closing
-// the underlying file; Close reports the first write error.
-type TraceFileSink interface {
-	TraceSink
-	Flush() error
-	Close() error
-	Err() error
-}
-
-// NewTraceFileSink builds the sink for a -trace-format value: "" or
+// traceFormat maps a -trace-format value to its encoding: "" or
 // TraceFormatJSONL selects JSONL, TraceFormatBinary the wire format.
-func NewTraceFileSink(w io.Writer, format string) (TraceFileSink, error) {
+func traceFormat(format string) (obs.Format, error) {
 	switch format {
 	case "", TraceFormatJSONL:
-		return obs.NewJSONLSink(w), nil
+		return obs.JSONL, nil
 	case TraceFormatBinary:
-		return obs.NewBinarySink(w), nil
+		return obs.Binary, nil
 	default:
-		return nil, fmt.Errorf("unknown trace format %q (want %s or %s)", format, TraceFormatJSONL, TraceFormatBinary)
+		return 0, fmt.Errorf("unknown trace format %q (want %s or %s)", format, TraceFormatJSONL, TraceFormatBinary)
 	}
+}
+
+// NewTraceFileSink builds the sink for a -trace-format value over w.
+// Writes are batched: call Close (or Flush) when the run completes and
+// check its error before closing w.
+func NewTraceFileSink(w io.Writer, format string) (*StreamSink, error) {
+	f, err := traceFormat(format)
+	if err != nil {
+		return nil, err
+	}
+	return obs.NewStreamSink(w, f), nil
 }
 
 // CreateTraceFile opens the sink for a -trace / -trace-format flag
@@ -61,34 +62,19 @@ func NewTraceFileSink(w io.Writer, format string) (TraceFileSink, error) {
 // truncated), and the format is chosen as by NewTraceFileSink. Close
 // flushes the sink, then closes the file (never stderr), and returns
 // the first error, so a truncated trace is always reported.
-func CreateTraceFile(path, format string) (TraceFileSink, error) {
+func CreateTraceFile(path, format string) (*StreamSink, error) {
 	if path == "-" {
 		return NewTraceFileSink(os.Stderr, format)
+	}
+	enc, err := traceFormat(format)
+	if err != nil {
+		return nil, err
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	sink, err := NewTraceFileSink(f, format)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return traceFile{sink, f}, nil
-}
-
-// traceFile is a file-backed trace sink that owns its file.
-type traceFile struct {
-	TraceFileSink
-	f *os.File
-}
-
-func (t traceFile) Close() error {
-	err := t.TraceFileSink.Close()
-	if cerr := t.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return obs.NewFileSink(f, enc), nil
 }
 
 // Trace event kinds, re-exported.
@@ -105,13 +91,8 @@ const (
 // NewTracer builds a tracer over the given sinks.
 func NewTracer(sinks ...TraceSink) *Tracer { return obs.New(sinks...) }
 
-// NewJSONLSink writes one JSON object per event to w. Writes are
-// buffered: call Close (or Flush) when the run completes and check its
-// error before closing the underlying file.
-func NewJSONLSink(w io.Writer) *JSONLSink { return obs.NewJSONLSink(w) }
-
 // ConvertTraceBinaryToJSONL rewrites a binary trace stream as JSONL;
-// the output is byte-identical to what a JSONLSink attached to the
+// the output is byte-identical to what a JSONL sink attached to the
 // same run would have produced.
 func ConvertTraceBinaryToJSONL(r io.Reader, w io.Writer) error {
 	return obs.ConvertBinaryToJSONL(r, w)
@@ -126,6 +107,6 @@ func ConvertTraceJSONLToBinary(r io.Reader, w io.Writer) error {
 // NewMemorySink buffers events in memory (Drain bounds the growth).
 func NewMemorySink() *MemorySink { return obs.NewMemorySink() }
 
-// NewTraceMetrics builds an empty metrics registry to attach to a
-// tracer via AttachMetrics.
+// NewTraceMetrics builds an empty metrics registry. As a tracer sink
+// it counts every event under "events_<kind>".
 func NewTraceMetrics() *TraceMetrics { return obs.NewMetrics() }

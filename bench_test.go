@@ -206,7 +206,7 @@ func BenchmarkTracedFleet(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			specs := fleetBenchSpecs(b)
 			cfg := fleet.Config{Workers: 4, Seed: 1}
-			var sink arachnet.TraceFileSink
+			var sink *arachnet.StreamSink
 			if mode != "untraced" {
 				var err error
 				sink, err = arachnet.NewTraceFileSink(io.Discard, mode)

@@ -174,8 +174,8 @@ func main() {
 
 	// Lifecycle observability: a JSONL or binary stream (-trace - for
 	// stderr) and/or metrics ride the obs event types.
-	var trace arachnet.TraceFileSink
-	var tr *arachnet.Tracer
+	var trace *arachnet.StreamSink
+	var census *arachnet.TraceMetrics
 	if *tracePath != "" || *metrics {
 		var sinks []arachnet.TraceSink
 		if *tracePath != "" {
@@ -186,11 +186,11 @@ func main() {
 			}
 			sinks = append(sinks, trace)
 		}
-		tr = arachnet.NewTracer(sinks...)
 		if *metrics {
-			tr.AttachMetrics(arachnet.NewTraceMetrics())
+			census = arachnet.NewTraceMetrics()
+			sinks = append(sinks, census)
 		}
-		f.Trace = tr
+		f.Trace = arachnet.NewTracer(sinks...)
 	}
 
 	jobs, err := f.Jobs()
@@ -224,8 +224,8 @@ func main() {
 			fatal(fmt.Errorf("trace: %w", err))
 		}
 	}
-	if *metrics {
-		fmt.Fprintln(os.Stderr, tr.Metrics().Snapshot())
+	if census != nil {
+		fmt.Fprintln(os.Stderr, census.Snapshot())
 	}
 	code := 0
 	if !rep.Ok() || ctx.Err() != nil {

@@ -54,6 +54,10 @@ func main() {
 	simEvents := flag.Bool("sim-events", false, "include engine-level sim_event records in the trace (very verbose)")
 	faultsPath := flag.String("faults", "", "JSON fault plan to inject (see internal/faults); prints the recovery report at exit")
 	flag.Parse()
+	if *report <= 0 {
+		fmt.Fprintln(os.Stderr, "-report must be positive")
+		os.Exit(2)
+	}
 
 	var plan *arachnet.FaultPlan
 	var rec *arachnet.Recovery
@@ -137,7 +141,7 @@ func setupTrace(path, format string, metrics bool, recTrace *arachnet.Tracer) (*
 		return nil, func() {}, nil
 	}
 	var sinks []arachnet.TraceSink
-	var trace arachnet.TraceFileSink
+	var trace *arachnet.StreamSink
 	if path != "" {
 		var err error
 		trace, err = arachnet.CreateTraceFile(path, format)
@@ -149,9 +153,10 @@ func setupTrace(path, format string, metrics bool, recTrace *arachnet.Tracer) (*
 	if recTrace != nil {
 		sinks = append(sinks, recTrace)
 	}
-	tr := arachnet.NewTracer(sinks...)
+	var census *arachnet.TraceMetrics
 	if metrics {
-		tr.AttachMetrics(arachnet.NewTraceMetrics())
+		census = arachnet.NewTraceMetrics()
+		sinks = append(sinks, census)
 	}
 	finish := func() {
 		if trace != nil {
@@ -160,11 +165,11 @@ func setupTrace(path, format string, metrics bool, recTrace *arachnet.Tracer) (*
 				os.Exit(1)
 			}
 		}
-		if metrics {
-			fmt.Fprintln(os.Stderr, tr.Metrics().Snapshot())
+		if census != nil {
+			fmt.Fprintln(os.Stderr, census.Snapshot())
 		}
 	}
-	return tr, finish, nil
+	return arachnet.NewTracer(sinks...), finish, nil
 }
 
 func runNetwork(ctx context.Context, pattern arachnet.Pattern, plan *arachnet.FaultPlan, seed uint64, duration int, charge, waveform bool, report int, tr *arachnet.Tracer) {
@@ -191,10 +196,11 @@ func runNetworkConfig(ctx context.Context, cfg arachnet.NetworkConfig, plan *ara
 		}
 		defer func() { fmt.Fprintf(stdout, "faults injected: %s\n", arachnet.FaultCensusString(inj)) }()
 	}
-	for t := report; t <= duration; t += report {
+	for t := 0; t < duration; {
 		if ctx.Err() != nil {
 			break
 		}
+		t = min(t+report, duration)
 		net.Run(arachnet.Time(t) * arachnet.Second)
 		st := net.Stats()
 		fmt.Fprintf(stdout, "t=%4ds slots=%5d decoded=%5d non-empty=%.3f collisions=%.3f converged=%v\n",

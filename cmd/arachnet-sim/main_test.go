@@ -46,3 +46,24 @@ func TestStdoutWriteErrorFails(t *testing.T) {
 		}
 	}
 }
+
+// TestNetworkRunsWholeDuration: the network engine's last step ends at
+// -duration even when -report does not divide it, as the slots engine
+// runs its remainder.
+func TestNetworkRunsWholeDuration(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-engine", "network", "-duration", "150", "-report", "100")
+	cmd.Env = append(os.Environ(), "ARACHNET_SIM_MAIN=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("%v; stdout:\n%s", err, out)
+	}
+	var final string
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "slots=") {
+			final = line
+		}
+	}
+	if !strings.HasPrefix(final, "slots=150 ") {
+		t.Fatalf("final stats %q, want slots=150; stdout:\n%s", final, out)
+	}
+}

@@ -91,7 +91,7 @@ func main() {
 		rec, recTrace = arachnet.NewChaosTracer()
 		sinks = append(sinks, recTrace)
 	}
-	var trace arachnet.TraceFileSink
+	var trace *arachnet.StreamSink
 	if *tracePath != "" {
 		var err error
 		trace, err = arachnet.CreateTraceFile(*tracePath, *traceFormat)
@@ -101,10 +101,12 @@ func main() {
 		}
 		sinks = append(sinks, trace)
 	}
-	tr := arachnet.NewTracer(sinks...)
+	var census *arachnet.TraceMetrics
 	if *metrics {
-		tr.AttachMetrics(arachnet.NewTraceMetrics())
+		census = arachnet.NewTraceMetrics()
+		sinks = append(sinks, census)
 	}
+	tr := arachnet.NewTracer(sinks...)
 
 	lossVec := make([]float64, pattern.NumTags())
 	for i := range lossVec {
@@ -180,8 +182,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *metrics {
-		fmt.Fprintln(os.Stderr, tr.Metrics().Snapshot())
+	if census != nil {
+		fmt.Fprintln(os.Stderr, census.Snapshot())
 	}
 	if rec != nil {
 		fmt.Fprintln(os.Stderr, rec.Report().String())

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -54,6 +55,24 @@ func TestFaultsRecoveryReport(t *testing.T) {
 `
 	if got := stderr.String(); got != want {
 		t.Errorf("recovery report:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestMetricsCensus pins the -metrics event census on stderr: one
+// "events_<kind>" counter per emitted kind, sorted, in the %-32s %d
+// layout, then a blank line.
+func TestMetricsCensus(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-pattern", "c3", "-slots", "300", "-metrics")
+	cmd.Env = append(os.Environ(), "ARACHNET_TRACE_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("%v; stderr:\n%s", err, stderr.String())
+	}
+	want := fmt.Sprintf("%-32s %d\n%-32s %d\n%-32s %d\n\n",
+		"events_slot_close", 300, "events_slot_open", 300, "events_tag_settle", 12)
+	if got := stderr.String(); got != want {
+		t.Errorf("metrics census:\n%q\nwant:\n%q", got, want)
 	}
 }
 

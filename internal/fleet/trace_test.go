@@ -13,8 +13,8 @@ import (
 // paired per job.
 func TestTracerObserver(t *testing.T) {
 	mem := obs.NewMemorySink()
-	tr := obs.New(mem)
-	tr.AttachMetrics(obs.NewMetrics())
+	census := obs.NewMetrics()
+	tr := obs.New(mem, census)
 	if _, err := Run(context.Background(), Config{Workers: 3, Trace: tr}, makeSpecs(8)); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestTracerObserver(t *testing.T) {
 	if len(seen) != 8 {
 		t.Fatalf("finish events cover %d distinct jobs, want 8", len(seen))
 	}
-	sn := tr.Metrics().Snapshot()
+	sn := census.Snapshot()
 	counts := map[string]uint64{}
 	for _, c := range sn.Counters {
 		counts[c.Name] = c.Value

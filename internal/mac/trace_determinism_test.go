@@ -24,7 +24,7 @@ func unsettleStorm(t *testing.T) ([]obs.Event, []byte) {
 		t.Fatal(err)
 	}
 	r.DisableFutureVeto = true
-	js := obs.NewJSONLSink(&jsonl)
+	js := obs.NewStreamSink(&jsonl, obs.JSONL)
 	r.Trace = obs.New(sink, js)
 
 	// Settle phase: one solo decode per tag on the shared residue

@@ -47,7 +47,7 @@ func BenchmarkEmitMemory(b *testing.B) {
 
 // BenchmarkEmitJSONL measures the enabled path through JSON encoding.
 func BenchmarkEmitJSONL(b *testing.B) {
-	tr := New(NewJSONLSink(io.Discard))
+	tr := New(NewStreamSink(io.Discard, JSONL))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Emit(Event{Kind: KindSlotClose, Slot: i, TIDs: []int{1, 2}, Collision: true})
@@ -80,7 +80,7 @@ func jsonlEncodeBaseline(b *testing.B) float64 {
 	b.Helper()
 	jsonlEncodeOnce.Do(func() {
 		evs := traceBenchMix()
-		sink := NewJSONLSink(io.Discard)
+		sink := NewStreamSink(io.Discard, JSONL)
 		for i := range evs { // warm the encoder outside the timed region
 			sink.Emit(evs[i])
 		}
@@ -105,7 +105,7 @@ func jsonlEncodeBaseline(b *testing.B) float64 {
 func BenchmarkTraceEncode(b *testing.B) {
 	evs := traceBenchMix()
 	b.Run("jsonl", func(b *testing.B) {
-		sink := NewJSONLSink(io.Discard)
+		sink := NewStreamSink(io.Discard, JSONL)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for j := range evs {
@@ -120,7 +120,7 @@ func BenchmarkTraceEncode(b *testing.B) {
 	})
 	b.Run("binary", func(b *testing.B) {
 		baseline := jsonlEncodeBaseline(b)
-		sink := NewBinarySink(io.Discard)
+		sink := NewStreamSink(io.Discard, Binary)
 		for j := range evs { // warm the batch buffer outside the timed region
 			sink.Emit(evs[j])
 		}
@@ -139,13 +139,4 @@ func BenchmarkTraceEncode(b *testing.B) {
 		b.ReportMetric(float64(b.N*len(evs))/b.Elapsed().Seconds(), "events/s")
 		b.ReportMetric(baseline/perEvent, "speedup-vs-jsonl")
 	})
-}
-
-// BenchmarkMetricsObserve measures one histogram sample.
-func BenchmarkMetricsObserve(b *testing.B) {
-	m := NewMetrics()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Observe("lat", float64(i%1000)/7)
-	}
 }

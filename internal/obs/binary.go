@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -134,24 +134,34 @@ func appendIntSlice(dst []byte, xs []int) []byte {
 	return dst
 }
 
-// readIntSlice reads a counted zigzag slice into scratch's capacity.
+// maxEventTIDs bounds the length of an event's TIDs and Decoded lists.
+// It mirrors mac.MaxObservationTID (obs cannot import mac): no
+// observation carries a tag id above it, so no slot lists more tags.
+const maxEventTIDs = 1 << 16
+
+// readIntSlice reads a counted zigzag slice into scratch's capacity,
+// growing it once to the count.
 func readIntSlice(d *wire.Decoder, scratch []int) []int {
 	n := d.Count(1) // each element is at least one byte
+	if n > maxEventTIDs {
+		d.Fail(fmt.Errorf("%w: %d tags in one event list (max %d)", wire.ErrMalformed, n, maxEventTIDs))
+		return nil
+	}
 	if n == 0 {
 		// A nil slice mirrors the encoder (a set bit always carries
 		// elements) and the JSON omitempty contract.
 		return nil
 	}
-	out := scratch[:0]
+	out := slices.Grow(scratch[:0], n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		out = append(out, int(d.Varint()))
 	}
 	return out
 }
 
-// AppendEvent appends ev as one wire frame. This is the BinarySink hot
-// path: a single pass, the length prefix backfilled, no intermediate
-// buffers.
+// AppendEvent appends ev as one wire frame. This is the binary
+// StreamSink's hot path: a single pass, the length prefix backfilled,
+// no intermediate buffers.
 //
 //alloc:hot steady-state trace encoding; appends into the sink's reused batch buffer, allocating only on one-time growth
 func AppendEvent(dst []byte, ev *Event) []byte {
@@ -275,83 +285,9 @@ func UnmarshalEvent(buf []byte, ev *Event) (int, error) {
 	return n, nil
 }
 
-// binaryFlushAt is the BinarySink batch threshold: Emit appends frames
-// to the in-memory batch and only crosses into the writer when this
-// many bytes are pending, so steady-state tracing costs an append, not
-// a syscall.
-const binaryFlushAt = 32 << 10
-
-// BinarySink writes the wire-format binary trace stream to w: the
-// stream header once, then one frame per event, batched. The encode
-// path reuses one scratch buffer, so a steady-state Emit performs zero
-// allocations (gated by AllocsPerRun and the static escape baseline).
-// Write errors are sticky, matching JSONLSink: the first failure stops
-// further output and is reported by Err/Close. Safe for concurrent
-// use.
-type BinarySink struct {
-	mu  sync.Mutex
-	w   io.Writer
-	buf []byte
-	err error
-}
-
-// NewBinarySink traces to w in the binary wire format. Call Close (or
-// Flush) when the run completes — events are batched, so dropping the
-// sink without flushing loses the tail.
-func NewBinarySink(w io.Writer) *BinarySink {
-	s := &BinarySink{w: w, buf: make([]byte, 0, binaryFlushAt+4<<10)}
-	s.buf = wire.AppendHeader(s.buf)
-	return s
-}
-
-// Emit implements Sink.
-//
-//alloc:hot steady-state trace emission: one frame append into the reused batch buffer, no encoder state, no syscall until the batch fills
-func (s *BinarySink) Emit(ev Event) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.buf = AppendEvent(s.buf, &ev)
-		if len(s.buf) >= binaryFlushAt {
-			s.flushLocked()
-		}
-	}
-	s.mu.Unlock()
-}
-
-// flushLocked writes the pending batch; the caller holds s.mu.
-func (s *BinarySink) flushLocked() {
-	if s.err != nil || len(s.buf) == 0 {
-		return
-	}
-	_, err := s.w.Write(s.buf)
-	s.buf = s.buf[:0]
-	if err != nil {
-		s.err = err
-	}
-}
-
-// Flush writes any batched frames through to w and reports the sticky
-// error state.
-func (s *BinarySink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flushLocked()
-	return s.err
-}
-
-// Close flushes and reports the first write error, if any. It does not
-// close the underlying writer.
-func (s *BinarySink) Close() error { return s.Flush() }
-
-// Err returns the first write error, or nil.
-func (s *BinarySink) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// EventReader decodes a binary trace stream produced by BinarySink
-// (or any wire-format writer): the header, then one event per frame.
+// EventReader decodes a binary trace stream produced by a Binary
+// StreamSink (or any wire-format writer): the header, then one event
+// per frame.
 type EventReader struct {
 	fr *wire.FrameReader
 }
@@ -379,20 +315,17 @@ func (er *EventReader) Read(ev *Event) error {
 // byte-identical to the JSONL the same run would have emitted natively.
 func ConvertBinaryToJSONL(r io.Reader, w io.Writer) error {
 	er := NewEventReader(r)
-	bw := bufio.NewWriterSize(w, 64<<10)
-	enc := json.NewEncoder(bw)
+	sink := NewStreamSink(w, JSONL)
 	var ev Event
 	for {
 		err := er.Read(&ev)
 		if err == io.EOF {
-			return bw.Flush()
+			return sink.Close()
 		}
 		if err != nil {
 			return err
 		}
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
+		sink.Emit(ev)
 	}
 }
 
@@ -402,7 +335,7 @@ func ConvertBinaryToJSONL(r io.Reader, w io.Writer) error {
 func ConvertJSONLToBinary(r io.Reader, w io.Writer) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<24)
-	sink := NewBinarySink(w)
+	sink := NewStreamSink(w, Binary)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -128,12 +129,43 @@ func TestUnmarshalEventHostileInput(t *testing.T) {
 	if _, err := UnmarshalEvent(frame, &ev); !errors.Is(err, wire.ErrTruncated) {
 		t.Fatalf("hostile slice count: %v, want ErrTruncated", err)
 	}
+
+	// A count that the padding behind it does back (one byte per TID)
+	// is still refused above the largest tag id, without allocating
+	// anything near the frame's size.
+	padded := paddedEvent(4 << 20)
+	var err error
+	alloc := allocated(func() { _, err = UnmarshalEvent(padded, &ev) })
+	if !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("padded TID count: %v, want ErrMalformed", err)
+	}
+	if alloc >= uint64(len(padded)) {
+		t.Fatalf("padded TID count allocated %d bytes decoding a %d-byte frame", alloc, len(padded))
+	}
+}
+
+// paddedEvent is a slot_close frame whose TIDs count is n, followed by
+// n zero bytes (n zero-valued TIDs).
+func paddedEvent(n int) []byte {
+	payload := wire.AppendUvarint(nil, uint64(evTIDs))
+	payload = wire.AppendUvarint(payload, uint64(n))
+	return wire.AppendFrame(nil, wire.TagEventSlotClose, append(payload, make([]byte, n)...))
+}
+
+// allocated returns the bytes the heap allocated while f ran.
+func allocated(f func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
 }
 
 func TestBinarySinkStreamRoundTrip(t *testing.T) {
 	events := traceFixture()
 	var buf bytes.Buffer
-	sink := NewBinarySink(&buf)
+	sink := NewStreamSink(&buf, Binary)
 	tr := New(sink)
 	for _, ev := range events {
 		tr.Emit(ev)
@@ -165,7 +197,7 @@ func TestBinarySinkStreamRoundTrip(t *testing.T) {
 
 func TestEventReaderTruncatedStream(t *testing.T) {
 	var buf bytes.Buffer
-	sink := NewBinarySink(&buf)
+	sink := NewStreamSink(&buf, Binary)
 	sink.Emit(Event{Kind: KindSlotOpen, Slot: 1})
 	sink.Emit(Event{Kind: KindSlotClose, Slot: 1, TIDs: []int{2}})
 	if err := sink.Close(); err != nil {
@@ -194,7 +226,7 @@ func TestEventReaderTruncatedStream(t *testing.T) {
 }
 
 func TestBinarySinkStickyError(t *testing.T) {
-	sink := NewBinarySink(&failWriter{n: 0})
+	sink := NewStreamSink(&failWriter{n: 0}, Binary)
 	sink.Emit(Event{Kind: KindSlotOpen})
 	if sink.Flush() == nil {
 		t.Fatal("write error not captured on flush")
@@ -213,7 +245,7 @@ func TestBinarySinkEmitSteadyStateAllocs(t *testing.T) {
 	// an append plus an occasional batched Write — zero allocations per
 	// event. The static escape baseline (arachnet-lint -alloc-gate)
 	// checks the same property at compile time.
-	sink := NewBinarySink(io.Discard)
+	sink := NewStreamSink(io.Discard, Binary)
 	tids := []int{1, 2, 3}
 	decoded := []int{2}
 	ev := Event{Kind: KindSlotClose, Slot: 1, TIDs: tids, Decoded: decoded, Collision: true, Name: "steady"}
@@ -223,7 +255,7 @@ func TestBinarySinkEmitSteadyStateAllocs(t *testing.T) {
 		sink.Emit(ev)
 	})
 	if allocs != 0 {
-		t.Fatalf("BinarySink.Emit allocates %v per event in steady state, want 0", allocs)
+		t.Fatalf("binary StreamSink.Emit allocates %v per event in steady state, want 0", allocs)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
@@ -235,7 +267,7 @@ func TestConvertBinaryToJSONLByteIdentity(t *testing.T) {
 
 	// The native JSONL trace of the run.
 	var native bytes.Buffer
-	js := NewJSONLSink(&native)
+	js := NewStreamSink(&native, JSONL)
 	for _, ev := range events {
 		js.Emit(ev)
 	}
@@ -245,7 +277,7 @@ func TestConvertBinaryToJSONLByteIdentity(t *testing.T) {
 
 	// The binary trace of the same run.
 	var bin bytes.Buffer
-	bs := NewBinarySink(&bin)
+	bs := NewStreamSink(&bin, Binary)
 	for _, ev := range events {
 		bs.Emit(ev)
 	}
@@ -287,8 +319,8 @@ func TestGoldenTraceV1(t *testing.T) {
 
 	if *updateGolden {
 		var bin, jsonl bytes.Buffer
-		bs := NewBinarySink(&bin)
-		js := NewJSONLSink(&jsonl)
+		bs := NewStreamSink(&bin, Binary)
+		js := NewStreamSink(&jsonl, JSONL)
 		for _, ev := range traceFixture() {
 			bs.Emit(ev)
 			js.Emit(ev)
@@ -347,10 +379,10 @@ func FuzzUnmarshalEvent(f *testing.F) {
 	f.Add([]byte("EOP1\x01\x00\x00\x00\x00"))
 	f.Add([]byte("EXX1\x00\x00\x00\x00"))
 	// A slice count equal to the padding bytes behind it (each element
-	// at least one byte): the padded-count shape, kept to a few KiB.
-	padded := wire.AppendUvarint(nil, uint64(evTIDs))
-	padded = wire.AppendUvarint(padded, 4<<10)
-	f.Add(wire.AppendFrame(nil, wire.TagEventSlotClose, append(padded, make([]byte, 4<<10)...)))
+	// at least one byte): the padded-count shape, kept to a few KiB,
+	// and the same shape one past the TID cap.
+	f.Add(paddedEvent(4 << 10))
+	f.Add(paddedEvent(maxEventTIDs + 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ev Event
 		n, err := UnmarshalEvent(data, &ev)

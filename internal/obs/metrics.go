@@ -2,38 +2,26 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
 )
 
-// Metrics is a registry of named counters and histograms. It is safe
-// for concurrent use, and Snapshot renders everything sorted by name so
-// two identical runs produce byte-identical summaries.
+// Metrics is a registry of named counters. It is safe for concurrent
+// use, and Snapshot renders it sorted by name so two identical runs
+// produce byte-identical summaries. As a Sink it is an event census.
 type Metrics struct {
 	mu       sync.Mutex
 	counters map[string]uint64
-	hists    map[string]*hist
-}
-
-// hist is a streaming histogram: moments plus sparse base-2 buckets
-// (bucket k counts values in (2^(k-1), 2^k]), which keeps memory
-// constant regardless of sample count while preserving determinism.
-type hist struct {
-	count    uint64
-	sum      float64
-	min, max float64
-	buckets  map[int]uint64
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		counters: make(map[string]uint64),
-		hists:    make(map[string]*hist),
-	}
+	return &Metrics{counters: make(map[string]uint64)}
 }
+
+// Emit implements Sink: it counts the event under "events_<kind>".
+func (m *Metrics) Emit(ev Event) { m.Inc("events_" + string(ev.Kind)) }
 
 // Inc adds one to the named counter. Nil-safe.
 func (m *Metrics) Inc(name string) { m.Add(name, 1) }
@@ -45,29 +33,6 @@ func (m *Metrics) Add(name string, delta uint64) {
 	}
 	m.mu.Lock()
 	m.counters[name] += delta
-	m.mu.Unlock()
-}
-
-// Observe records one sample in the named histogram. Nil-safe.
-func (m *Metrics) Observe(name string, v float64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	h := m.hists[name]
-	if h == nil {
-		h = &hist{min: v, max: v, buckets: make(map[int]uint64)}
-		m.hists[name] = h
-	}
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.buckets[bucketOf(v)]++
 	m.mu.Unlock()
 }
 
@@ -87,49 +52,19 @@ func (m *Metrics) Counters() map[string]uint64 {
 	return out
 }
 
-// bucketOf maps v to its base-2 bucket exponent; non-positive values
-// share a single underflow bucket below any representable exponent.
-func bucketOf(v float64) int {
-	const underflow = math.MinInt32
-	if v <= 0 {
-		return underflow
-	}
-	return int(math.Ceil(math.Log2(v)))
-}
-
-// Bucket is one histogram cell: Count values fell in
-// (UpperBound/2, UpperBound].
-type Bucket struct {
-	UpperBound float64 `json:"le"`
-	Count      uint64  `json:"count"`
-}
-
 // CounterSnapshot is one counter's value at snapshot time.
 type CounterSnapshot struct {
 	Name  string `json:"name"`
 	Value uint64 `json:"value"`
 }
 
-// HistogramSnapshot is one histogram's deterministic summary.
-type HistogramSnapshot struct {
-	Name    string   `json:"name"`
-	Count   uint64   `json:"count"`
-	Sum     float64  `json:"sum"`
-	Min     float64  `json:"min"`
-	Max     float64  `json:"max"`
-	Mean    float64  `json:"mean"`
-	Buckets []Bucket `json:"buckets"`
-}
-
 // Snapshot is the full registry state, sorted by name.
 type Snapshot struct {
-	Counters   []CounterSnapshot   `json:"counters"`
-	Histograms []HistogramSnapshot `json:"histograms"`
+	Counters []CounterSnapshot `json:"counters"`
 }
 
-// Snapshot renders the registry deterministically: counters and
-// histograms sorted by name, buckets by upper bound. Nil-safe (returns
-// the zero Snapshot).
+// Snapshot renders the registry deterministically, counters sorted by
+// name. Nil-safe (returns the zero Snapshot).
 func (m *Metrics) Snapshot() Snapshot {
 	if m == nil {
 		return Snapshot{}
@@ -145,33 +80,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	for _, name := range names {
 		sn.Counters = append(sn.Counters, CounterSnapshot{Name: name, Value: m.counters[name]})
 	}
-	names = names[:0]
-	for name := range m.hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := m.hists[name]
-		hs := HistogramSnapshot{
-			Name: name, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
-		}
-		if h.count > 0 {
-			hs.Mean = h.sum / float64(h.count)
-		}
-		exps := make([]int, 0, len(h.buckets))
-		for e := range h.buckets {
-			exps = append(exps, e)
-		}
-		sort.Ints(exps)
-		for _, e := range exps {
-			ub := math.Exp2(float64(e))
-			if e == math.MinInt32 {
-				ub = 0
-			}
-			hs.Buckets = append(hs.Buckets, Bucket{UpperBound: ub, Count: h.buckets[e]})
-		}
-		sn.Histograms = append(sn.Histograms, hs)
-	}
 	return sn
 }
 
@@ -180,10 +88,6 @@ func (s Snapshot) String() string {
 	var b strings.Builder
 	for _, c := range s.Counters {
 		fmt.Fprintf(&b, "%-32s %d\n", c.Name, c.Value)
-	}
-	for _, h := range s.Histograms {
-		fmt.Fprintf(&b, "%-32s n=%d mean=%.4g min=%.4g max=%.4g\n",
-			h.Name, h.Count, h.Mean, h.Min, h.Max)
 	}
 	return b.String()
 }

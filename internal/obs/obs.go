@@ -7,16 +7,17 @@
 // The design contract is zero overhead when disabled: a nil *Tracer is
 // valid everywhere, Emit on it is a no-op, and hot paths guard event
 // construction behind Enabled(). When enabled, events fan out to
-// pluggable sinks (JSONL writer, in-memory buffer) and optionally
-// feed a Metrics registry whose snapshots are deterministic (sorted by
-// name) for reproducible reports. Producers read Tracer.Wants once, when
-// a tracer is attached, and never build the kinds it mutes.
+// pluggable sinks: a StreamSink (JSONL or binary), an in-memory
+// buffer, or a Metrics registry that counts them and snapshots
+// deterministically (sorted by name) for reproducible reports.
+// Producers read Tracer.Wants once, when a tracer is attached, and
+// never build the kinds it mutes.
 //
 // Sinks borrow events: an event's TIDs and Decoded slices are valid only
 // for the duration of Sink.Emit, because producers emit per-slot scratch
-// and overwrite it on the next slot. A sink that encodes inline (JSONL,
-// binary) needs nothing more; a sink that keeps events keeps
-// Event.Clone(), as MemorySink does.
+// and overwrite it on the next slot. A sink that encodes inline
+// (StreamSink) or counts (Metrics) needs nothing more; a sink that
+// keeps events keeps Event.Clone(), as MemorySink does.
 package obs
 
 import (
@@ -132,25 +133,23 @@ type Sink interface {
 	Emit(Event)
 }
 
-// Tracer fans events out to its sinks and (optionally) counts them in
-// an attached Metrics registry. The zero-cost disabled state is a nil
-// *Tracer: every method is nil-safe, so call sites need no guards
-// beyond Enabled() around expensive event construction.
+// Tracer fans events out to its sinks. The zero-cost disabled state
+// is a nil *Tracer: every method is nil-safe, so call sites need no
+// guards beyond Enabled() around expensive event construction.
 type Tracer struct {
+	sinks []Sink // fixed by New, so Enabled reads it without mu
 	mu    sync.Mutex
-	sinks []Sink
 	muted map[Kind]bool
-	m     *Metrics
 }
 
-// New returns a tracer over the given sinks. New() with no sinks is a
-// valid metrics-only tracer once AttachMetrics is called.
+// New returns a tracer over the given sinks. New() with no sinks is
+// disabled.
 func New(sinks ...Sink) *Tracer { return &Tracer{sinks: sinks} }
 
 // Enabled reports whether Emit would do any work. Hot paths should
 // guard event construction with it.
 func (t *Tracer) Enabled() bool {
-	return t != nil && (len(t.sinks) > 0 || t.m != nil)
+	return t != nil && len(t.sinks) > 0
 }
 
 // Wants reports whether Emit would deliver an event of kind k: the
@@ -165,30 +164,9 @@ func (t *Tracer) Wants(k Kind) bool {
 	return !t.muted[k]
 }
 
-// AttachMetrics makes the tracer count every emitted event in m under
-// "events_<kind>", so a metrics snapshot doubles as an event census.
-func (t *Tracer) AttachMetrics(m *Metrics) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.m = m
-	t.mu.Unlock()
-}
-
-// Metrics returns the attached registry (nil when none).
-func (t *Tracer) Metrics() *Metrics {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.m
-}
-
 // Mute suppresses the given kinds (typically the very high-volume
 // KindSimEvent in event-level runs). Muted events are dropped before
-// sinks and metrics see them.
+// any sink sees them.
 func (t *Tracer) Mute(kinds ...Kind) {
 	if t == nil {
 		return
@@ -206,19 +184,13 @@ func (t *Tracer) Mute(kinds ...Kind) {
 // Emit delivers the event to every sink. Safe on a nil tracer and safe
 // for concurrent use.
 func (t *Tracer) Emit(ev Event) {
-	if t == nil {
+	if !t.Enabled() {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.sinks) == 0 && t.m == nil {
-		return
-	}
 	if t.muted[ev.Kind] {
 		return
-	}
-	if t.m != nil {
-		t.m.Inc("events_" + string(ev.Kind))
 	}
 	for _, s := range t.sinks {
 		s.Emit(ev)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,23 +18,22 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	tr.Emit(Event{Kind: KindSlotOpen}) // must not panic
 	tr.Mute(KindSimEvent)
-	tr.AttachMetrics(NewMetrics())
-	if tr.Metrics() != nil {
-		t.Fatal("nil tracer returned metrics")
+	if tr.Wants(KindSlotOpen) {
+		t.Fatal("nil tracer wants events")
 	}
 }
 
 func TestTracerNoSinksDisabled(t *testing.T) {
-	tr := New()
-	if tr.Enabled() {
-		t.Fatal("sink-less tracer without metrics reports enabled")
+	if New().Enabled() {
+		t.Fatal("sink-less tracer reports enabled")
 	}
-	tr.AttachMetrics(NewMetrics())
+	census := NewMetrics()
+	tr := New(census)
 	if !tr.Enabled() {
-		t.Fatal("metrics-only tracer reports disabled")
+		t.Fatal("census-only tracer reports disabled")
 	}
 	tr.Emit(Event{Kind: KindSlotOpen})
-	sn := tr.Metrics().Snapshot()
+	sn := census.Snapshot()
 	if len(sn.Counters) != 1 || sn.Counters[0].Name != "events_slot_open" || sn.Counters[0].Value != 1 {
 		t.Fatalf("unexpected counters: %+v", sn.Counters)
 	}
@@ -75,7 +76,7 @@ func TestMute(t *testing.T) {
 
 func TestJSONLSinkRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
+	sink := NewStreamSink(&buf, JSONL)
 	tr := New(sink)
 	tr.Emit(Event{Kind: KindTagSettle, Slot: 7, TID: 3, Period: 8, Offset: 5})
 	tr.Emit(Event{Kind: KindSlotClose, Slot: 7, TIDs: []int{3}, Decoded: []int{3}, ACK: true})
@@ -113,7 +114,7 @@ func TestJSONLSinkStickyError(t *testing.T) {
 	// Writes are buffered, so the failure surfaces on Flush (or on the
 	// Emit whose encode crosses the buffer boundary), stays sticky, and
 	// later Emits must not clear it.
-	sink := NewJSONLSink(&failWriter{n: 0})
+	sink := NewStreamSink(&failWriter{n: 0}, JSONL)
 	sink.Emit(Event{Kind: KindSlotOpen})
 	if sink.Flush() == nil {
 		t.Fatal("write error not captured on flush")
@@ -131,7 +132,7 @@ func TestJSONLSinkBuffersWrites(t *testing.T) {
 	// The satellite contract: events accumulate in the buffer (no
 	// syscall per event) and reach the writer on Flush.
 	cw := &countWriter{}
-	sink := NewJSONLSink(cw)
+	sink := NewStreamSink(cw, JSONL)
 	for i := 0; i < 100; i++ {
 		sink.Emit(Event{Kind: KindSlotClose, Slot: i})
 	}
@@ -167,10 +168,7 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 		m := NewMetrics()
 		m.Add("zeta", 3)
 		m.Inc("alpha")
-		m.Observe("lat", 0.5)
-		m.Observe("lat", 2.0)
-		m.Observe("lat", 1.5)
-		m.Observe("volts", 2.31)
+		m.Emit(Event{Kind: KindSlotOpen})
 		return m.Snapshot()
 	}
 	a, b := build(), build()
@@ -179,26 +177,12 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 	if string(ja) != string(jb) {
 		t.Fatalf("snapshots differ:\n%s\n%s", ja, jb)
 	}
-	if a.Counters[0].Name != "alpha" || a.Counters[1].Name != "zeta" {
-		t.Fatalf("counters not sorted: %+v", a.Counters)
+	want := []CounterSnapshot{{"alpha", 1}, {"events_slot_open", 1}, {"zeta", 3}}
+	if !reflect.DeepEqual(a.Counters, want) {
+		t.Fatalf("counters %+v, want sorted %+v", a.Counters, want)
 	}
-	var lat HistogramSnapshot
-	for _, h := range a.Histograms {
-		if h.Name == "lat" {
-			lat = h
-		}
-	}
-	if lat.Count != 3 || lat.Min != 0.5 || lat.Max != 2.0 {
-		t.Fatalf("lat histogram wrong: %+v", lat)
-	}
-	if want := (0.5 + 2.0 + 1.5) / 3; lat.Mean != want {
-		t.Fatalf("lat mean %v want %v", lat.Mean, want)
-	}
-	// Buckets sorted ascending by upper bound.
-	for i := 1; i < len(lat.Buckets); i++ {
-		if lat.Buckets[i-1].UpperBound >= lat.Buckets[i].UpperBound {
-			t.Fatalf("buckets out of order: %+v", lat.Buckets)
-		}
+	if got, want := a.String(), fmt.Sprintf("%-32s 1\n%-32s 1\n%-32s 3\n", "alpha", "events_slot_open", "zeta"); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }
 
@@ -206,31 +190,16 @@ func TestMetricsNilSafe(t *testing.T) {
 	var m *Metrics
 	m.Inc("x")
 	m.Add("x", 2)
-	m.Observe("y", 1)
-	if sn := m.Snapshot(); len(sn.Counters) != 0 || len(sn.Histograms) != 0 {
+	m.Emit(Event{Kind: KindSlotOpen})
+	if sn := m.Snapshot(); len(sn.Counters) != 0 || m.Counters() != nil {
 		t.Fatal("nil metrics produced data")
-	}
-}
-
-func TestMetricsNonPositiveObservations(t *testing.T) {
-	m := NewMetrics()
-	m.Observe("h", 0)
-	m.Observe("h", -3)
-	m.Observe("h", 4)
-	sn := m.Snapshot()
-	h := sn.Histograms[0]
-	if h.Count != 3 || h.Min != -3 || h.Max != 4 {
-		t.Fatalf("histogram wrong: %+v", h)
-	}
-	if h.Buckets[0].UpperBound != 0 || h.Buckets[0].Count != 2 {
-		t.Fatalf("underflow bucket wrong: %+v", h.Buckets)
 	}
 }
 
 func TestTracerConcurrentEmit(t *testing.T) {
 	mem := NewMemorySink()
-	tr := New(mem)
-	tr.AttachMetrics(NewMetrics())
+	census := NewMetrics()
+	tr := New(mem, census)
 	var wg sync.WaitGroup
 	const workers, per = 8, 100
 	for w := 0; w < workers; w++ {
@@ -246,7 +215,7 @@ func TestTracerConcurrentEmit(t *testing.T) {
 	if mem.Len() != workers*per {
 		t.Fatalf("lost events: %d", mem.Len())
 	}
-	sn := tr.Metrics().Snapshot()
+	sn := census.Snapshot()
 	if sn.Counters[0].Value != workers*per {
 		t.Fatalf("counter %d want %d", sn.Counters[0].Value, workers*per)
 	}

@@ -1,69 +1,142 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
 	"sync"
+
+	"repro/internal/wire"
 )
 
-// jsonlBufSize is the JSONLSink write buffer. Before PR 10 every event
-// was one unbuffered Write (a syscall per event on a file sink); now
-// lines accumulate in a bufio.Writer and reach w in buffer-sized
-// batches. Call Flush or Close when the run completes.
-const jsonlBufSize = 64 << 10
+// Format selects the encoding a StreamSink writes.
+type Format uint8
 
-// JSONLSink writes one JSON object per event to w, buffered. Write and
+const (
+	// JSONL writes one JSON object per line: the debug-friendly form.
+	JSONL Format = iota
+	// Binary writes the length-prefixed wire format (binary.go,
+	// DESIGN.md §11). ConvertBinaryToJSONL turns it into the JSONL the
+	// same run would have written, byte for byte.
+	Binary
+)
+
+// flushAt is the StreamSink batch threshold: Emit appends the encoded
+// event to the in-memory batch and only crosses into the writer when
+// this many bytes are pending, so steady-state tracing costs an
+// append, not a syscall.
+const flushAt = 32 << 10
+
+// batch is a StreamSink's pending output. The JSON encoder writes into
+// it as an io.Writer; binary frames are appended to it directly.
+type batch []byte
+
+func (b *batch) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
+}
+
+// StreamSink writes the event stream to w, batched, in one of the two
+// Formats (a binary stream opens with the wire header). Write and
 // encode errors are sticky: the first failure stops all further output
 // and is reported by Err/Flush/Close, so a full disk yields a
 // diagnosable error instead of a silently truncated trace. Because
-// writes are buffered, a mid-stream failure may surface on a later
-// Emit or on Flush rather than on the Emit that owned the bytes.
-type JSONLSink struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	enc *json.Encoder
-	err error
+// writes are batched, a failure may surface on a later Emit or on
+// Flush rather than on the Emit that owned the bytes. Safe for
+// concurrent use.
+type StreamSink struct {
+	mu    sync.Mutex
+	w     io.Writer
+	owned io.Closer // closed by Close; nil when the caller owns w
+	buf   batch
+	enc   *json.Encoder // nil for Binary
+	err   error
 }
 
-// NewJSONLSink traces to w as JSON lines. Call Close (or Flush) when
-// the run completes — dropping the sink without flushing loses the
-// buffered tail.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	bw := bufio.NewWriterSize(w, jsonlBufSize)
-	return &JSONLSink{bw: bw, enc: json.NewEncoder(bw)}
+// NewStreamSink traces to w in format f. Call Close (or Flush) when
+// the run completes: events are batched, so dropping the sink without
+// flushing loses the tail. Close leaves w open.
+func NewStreamSink(w io.Writer, f Format) *StreamSink {
+	s := &StreamSink{w: w, buf: make(batch, 0, flushAt+4<<10)}
+	if f == Binary {
+		s.buf = wire.AppendHeader(s.buf)
+	} else {
+		s.enc = json.NewEncoder(&s.buf)
+	}
+	return s
 }
 
-// Emit implements Sink.
-func (s *JSONLSink) Emit(ev Event) {
+// NewFileSink is NewStreamSink over a file the sink owns: Close
+// flushes, then closes f.
+func NewFileSink(f io.WriteCloser, format Format) *StreamSink {
+	s := NewStreamSink(f, format)
+	s.owned = f
+	return s
+}
+
+// Emit implements Sink. A binary frame is appended straight into the
+// reused batch, so a steady-state binary Emit performs zero
+// allocations (gated by AllocsPerRun and the static escape baseline).
+//
+//alloc:hot steady-state trace emission: one encode into the reused batch buffer, no syscall until the batch fills
+func (s *StreamSink) Emit(ev Event) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
+	if s.err == nil {
+		if s.enc != nil {
+			s.err = encodeJSON(s.enc, ev)
+		} else {
+			s.buf = AppendEvent(s.buf, &ev)
+		}
+		if len(s.buf) >= flushAt {
+			s.flushLocked()
+		}
+	}
+	s.mu.Unlock()
+}
+
+// encodeJSON is Emit's JSON path. Encode takes an interface, so ev
+// escapes here; kept out of line, that escape stays out of the
+// //alloc:hot Emit.
+//
+//go:noinline
+func encodeJSON(enc *json.Encoder, ev Event) error { return enc.Encode(ev) }
+
+// flushLocked writes the pending batch; the caller holds s.mu.
+func (s *StreamSink) flushLocked() {
+	if s.err != nil || len(s.buf) == 0 {
 		return
 	}
-	s.err = s.enc.Encode(ev)
+	_, s.err = s.w.Write(s.buf)
+	s.buf = s.buf[:0]
 }
 
-// Flush writes buffered lines through to w and reports the sticky
+// Flush writes the pending batch through to w and reports the sticky
 // error state.
-func (s *JSONLSink) Flush() error {
+func (s *StreamSink) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.err != nil {
-		return s.err
-	}
-	s.err = s.bw.Flush()
+	s.flushLocked()
 	return s.err
 }
 
-// Close flushes and reports the first write error, if any. It does not
-// close the underlying writer.
-func (s *JSONLSink) Close() error { return s.Flush() }
+// Close flushes, closes the file of a NewFileSink, and reports the
+// first error, if any.
+func (s *StreamSink) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.flushLocked()
+	if s.owned != nil {
+		if err := s.owned.Close(); s.err == nil {
+			s.err = err
+		}
+		s.owned = nil
+	}
+	return s.err
+}
 
 // Err returns the first write or encode error, or nil. It does not
-// flush; a clean Err after Emit only says the buffered encode
+// flush; a clean Err after Emit only says the batched encode
 // succeeded.
-func (s *JSONLSink) Err() error {
+func (s *StreamSink) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
