@@ -95,7 +95,9 @@ bench:
 # loops they replaced. A running default event network must average at
 # most 0.1 allocations per slot (0.05 measured): frames are words, the
 # tag encodes into a reused chip buffer and every engine callback is
-# bound once.
+# bound once. The sparse slot kernel must step a fault-free c5 run at
+# least 1.3x faster than visiting every tag in every slot, and neither
+# its clean nor its faulted run may allocate.
 BENCH_SPEEDUP_FLOOR ?= 0.8
 bench-smoke:
 	$(GO) run ./cmd/arachnet-benchjson -bench FleetThroughput -benchtime 2x \
@@ -126,6 +128,10 @@ bench-smoke:
 	$(GO) run ./cmd/arachnet-benchjson -bench Injector -benchtime 100000x \
 		-assert 'BenchmarkInjector:allocs_per_op<=0' \
 		-assert 'BenchmarkInjector:speedup-vs-oracle>=2' ./internal/faults
+	$(GO) run ./cmd/arachnet-benchjson -bench SlotSimStep -benchtime 50x \
+		-assert 'BenchmarkSlotSimStep/clean/sparse:speedup-vs-every-slot>=1.3' \
+		-assert 'BenchmarkSlotSimStep/clean/sparse:allocs_per_op<=0' \
+		-assert 'BenchmarkSlotSimStep/faulted/sparse:allocs_per_op<=0' ./internal/mac
 
 # Coverage-guided fuzzing smoke: 10 s on each native fuzz target in the
 # phy codecs, the binary wire codecs, the event engine's queues

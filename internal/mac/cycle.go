@@ -114,7 +114,10 @@ func (m *slotState) equalShifted(s *SlotSim, d int) bool {
 		rec.txCount, rec.ackCount, rec.lastTxSlot = t.txCount, t.ackCount, t.lastTxSlot
 		// An unjoined or dark tag skips its beacons, so its counter
 		// stands still: a counter moved by d means the tag was up.
+		// Both sides are synced (syncTags), so seen moved with it.
 		proto.counter += d
+		rec.seen += d
+		rec.wake += d
 		if *t != rec || *t.proto != proto || *t.proto.rng != ts.rng {
 			return false
 		}
@@ -152,6 +155,7 @@ func (s *SlotSim) cycleBoundary(end, h int) {
 	if !s.Convergence.converged {
 		return
 	}
+	s.syncTags()
 	m := &s.cyc
 	if d := s.SlotsRun - m.slot; m.stateTables != nil && (d == 0 || d == h && m.equalShifted(s, h)) {
 		if k := (end - s.SlotsRun) / h; k > 0 && s.Window.carries(h) {
@@ -159,6 +163,20 @@ func (s *SlotSim) cycleBoundary(end, h int) {
 		}
 	}
 	m.save(s)
+}
+
+// syncTags delivers every powered tag's pending quiet beacons, so its
+// counter reflects each slot stepped so far and its seen is the last
+// one. The saved state and the live one are then comparable field by
+// field whatever slots the sparse kernel visited the tags in.
+func (s *SlotSim) syncTags() {
+	last := s.SlotsRun - 1
+	for _, t := range s.tags {
+		if !t.down && t.seen < last {
+			t.proto.Skip(last - t.seen)
+			t.seen = last
+		}
+	}
 }
 
 // skipCycles advances k whole proven cycles of h slots: every
@@ -173,6 +191,8 @@ func (s *SlotSim) skipCycles(k, h int) {
 	for i, t := range s.tags {
 		ts := &m.tags[i]
 		t.proto.counter += n
+		t.seen += n
+		t.wake += n
 		t.txCount += k * ts.dTx
 		t.ackCount += k * ts.dAck
 		if ts.dTx > 0 {

@@ -9,18 +9,20 @@ import (
 )
 
 // simState is a SlotSim with everything that is not simulation state
-// cleared: the per-slot scratch, the saved cycle state and the skip
-// counter, and the observers. reflect.DeepEqual on two of them
-// compares every tag (protocol fields, RNG state, counters), the
+// cleared: the per-slot scratch, the saved cycle state, the skip
+// counter, the every-slot switch and the observers. It syncs the tags first, so their lazy
+// counters reflect every slot stepped. reflect.DeepEqual on two of
+// them compares every tag (protocol fields, RNG state, counters), the
 // reader tables, the sim RNG, the pending feedback, Window and
 // Convergence.
 func simState(s *SlotSim) SlotSim {
+	s.syncTags()
 	c := *s
 	c.txScratch, c.tidScratch, c.decScratch = nil, nil, nil
-	c.cyc, c.skipped = slotState{}, 0
+	c.cyc, c.skipped, c.everySlot = slotState{}, 0, false
 	c.cfg.Trace, c.cfg.Faults = nil, nil
 	r := *s.reader
-	r.exAs, r.exTIDs, r.vScratch = nil, nil, nil
+	r.exAs, r.exTIDs, r.vScratch, r.due = nil, nil, nil, nil
 	r.Trace = nil
 	c.reader = &r
 	return c

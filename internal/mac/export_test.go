@@ -42,3 +42,13 @@ func (r *ReaderProtocol) SettledAssignments() []Assignment {
 
 // ZoneDelivered returns the clean deliveries in zone zi.
 func (m *MultiReaderSim) ZoneDelivered(zi int) int { return m.zones[zi].delivered }
+
+// newEverySlotSim builds a simulator that visits every tag in every
+// slot: the dense oracle of the sparse kernel.
+func newEverySlotSim(cfg SlotSimConfig) (*SlotSim, error) {
+	s, err := NewSlotSim(cfg)
+	if err == nil {
+		s.everySlot = true
+	}
+	return s, err
+}

@@ -2,6 +2,7 @@ package mac
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/obs"
@@ -45,6 +46,16 @@ type ReaderProtocol struct {
 	settled   []Assignment
 	settledOK []bool
 	misses    []int
+
+	// owners indexes the settled schedules by slot residue: row
+	// s&(span-1), words uint64s long, has bit tid set when settled tag
+	// tid may transmit in slot s. span is min(maxP, 64), so the table is
+	// sized by the population, never by the period; a tag whose period
+	// exceeds the span sits in one row and is confirmed with
+	// TransmitsAt. settle, unsettle and reset keep it in step.
+	owners      []uint64
+	span, words int
+	due         []int // dueAt scratch
 
 	// Scratch for settledExcept, reused across slots (callers must not
 	// retain the returned slices).
@@ -115,9 +126,15 @@ func newReaderProtocol(periods map[int]Period) *ReaderProtocol {
 		maxP = max(maxP, int(p))
 		maxTID = max(maxTID, tid)
 	}
+	span := min(maxP, ownerSpan)
+	words := maxTID/64 + 1
 	r := &ReaderProtocol{
 		NackThreshold: DefaultNackThreshold,
 		maxP:          maxP,
+		owners:        make([]uint64, span*words),
+		span:          span,
+		words:         words,
+		due:           make([]int, 0, maxTID+1),
 		period:        make([]Period, maxTID+1),
 		settled:       make([]Assignment, maxTID+1),
 		settledOK:     make([]bool, maxTID+1),
@@ -135,6 +152,9 @@ func newReaderProtocol(periods map[int]Period) *ReaderProtocol {
 	return r
 }
 
+// ownerSpan caps the residues the owners table spans.
+const ownerSpan = 64
+
 // reset clears all protocol state in place; no allocation, so pooled
 // simulators rewind through it between trials.
 func (r *ReaderProtocol) reset() {
@@ -144,6 +164,7 @@ func (r *ReaderProtocol) reset() {
 		r.settledOK[i] = false
 		r.misses[i] = 0
 	}
+	clear(r.owners)
 }
 
 // Reset clears all protocol state and returns the RESET beacon
@@ -267,11 +288,14 @@ func (r *ReaderProtocol) judgeSolo(tid, s int) bool {
 		return false
 	}
 	// Viable: accept and record the belief.
-	if !r.settledOK[tid] {
+	if r.settledOK[tid] {
+		r.own(tid, r.settled[tid], false)
+	} else {
 		r.settledOK[tid] = true
 		r.settledCount++
 	}
 	r.settled[tid] = cand
+	r.own(tid, cand, true)
 	r.misses[tid] = 0
 	if r.Trace.Enabled() {
 		r.Trace.Emit(obs.Event{Kind: obs.KindTagSettle, Slot: s, TID: tid,
@@ -322,8 +346,24 @@ func conflictsAny(a Assignment, others []Assignment) bool {
 	return false
 }
 
+// own sets (or clears) tid's bit in every owners row of a's schedule:
+// the rows a.Offset, a.Offset+P, … below the span, or the one row
+// a.Offset&(span-1) when P is wider than the span.
+func (r *ReaderProtocol) own(tid int, a Assignment, set bool) {
+	w, bit := tid>>6, uint64(1)<<(tid&63)
+	step := min(int(a.Period), r.span)
+	for res := a.Offset & (step - 1); res < r.span; res += step {
+		if set {
+			r.owners[res*r.words+w] |= bit
+		} else {
+			r.owners[res*r.words+w] &^= bit
+		}
+	}
+}
+
 func (r *ReaderProtocol) unsettle(tid int) {
 	if r.settledOK[tid] {
+		r.own(tid, r.settled[tid], false)
 		r.settledOK[tid] = false
 		r.settled[tid] = Assignment{}
 		r.misses[tid] = 0
@@ -331,21 +371,29 @@ func (r *ReaderProtocol) unsettle(tid int) {
 	}
 }
 
+// dueAt returns the settled tags that transmit in slot s in ascending
+// tid order: the set bits of the owners row of s, each confirmed with
+// TransmitsAt. The slice is reader scratch, valid until the next call.
+func (r *ReaderProtocol) dueAt(s int) []int {
+	r.due = r.due[:0]
+	row := (s & (r.span - 1)) * r.words
+	for w, word := range r.owners[row : row+r.words] {
+		for ; word != 0; word &= word - 1 {
+			if tid := w<<6 | bits.TrailingZeros64(word); r.settled[tid].TransmitsAt(s) {
+				r.due = append(r.due, tid)
+			}
+		}
+	}
+	return r.due
+}
+
 // trackExpected updates the reader's per-tag belief: a settled tag that
 // fails to show in its expected slot for NackThreshold consecutive
 // rounds is dropped (it migrated, desynchronized or browned out). The
-// ascending dense walk visits tags in tid order — the same order the
-// old sorted-snapshot scan used — so the tag_unsettle trace events
+// tags due in s come in tid order, so the tag_unsettle trace events
 // appear identically on every run.
 func (r *ReaderProtocol) trackExpected(o Observation, s int) {
-	for tid, ok := range r.settledOK {
-		if !ok {
-			continue
-		}
-		a := r.settled[tid]
-		if !a.TransmitsAt(s) {
-			continue
-		}
+	for _, tid := range r.dueAt(s) {
 		if o.decodedHas(tid) {
 			continue // seen (judgeSolo already reset misses on ACK path)
 		}
@@ -372,11 +420,4 @@ func (r *ReaderProtocol) trackExpected(o Observation, s int) {
 // from migrating tags, and a single probe by a short-period tag would
 // then gate newcomers off slots that are actually free — poisoning the
 // very mechanism meant to integrate them (Sec. 5.5/5.6).
-func (r *ReaderProtocol) emptyFlag(s int) bool {
-	for tid, ok := range r.settledOK {
-		if ok && r.settled[tid].TransmitsAt(s) {
-			return false
-		}
-	}
-	return true
-}
+func (r *ReaderProtocol) emptyFlag(s int) bool { return len(r.dueAt(s)) == 0 }

@@ -37,6 +37,13 @@ type SlotSim struct {
 	TruthCollisions int
 	SlotsRun        int
 
+	// everySlot visits every tag in every slot: a beacon-loss
+	// probability draws for each tag in each slot. Tests set it to run
+	// the dense oracle of the sparse kernel.
+	everySlot bool
+	// lastJoin is the latest JoinSlot: before it, no slot is clean.
+	lastJoin int
+
 	// Steady-state fast-forward (cycle.go): noLinkLoss caches the
 	// config half of Run's eligibility, cyc is the state saved at the
 	// last H-boundary, and skipped counts the slots Run advanced without
@@ -50,6 +57,12 @@ type simTag struct {
 	tid      int
 	proto    *TagProtocol
 	joinSlot int
+	// The lazy counter (DESIGN.md "Sparse slot kernel"): seen is the
+	// last slot whose beacon the tag has processed (or lost), and wake
+	// the next slot whose beacon does more than advance its counter.
+	// The beacons in between are delivered by Skip when the tag is
+	// next visited.
+	seen, wake int
 	// Brownout state: while down, the tag is dark until downUntil.
 	down      bool
 	downUntil int
@@ -167,6 +180,9 @@ func newSlotSim(cfg SlotSimConfig) *SlotSim {
 		noLinkLoss:  true,
 	}
 	for i := range tags {
+		if cfg.beaconLoss(i) > 0 {
+			s.everySlot = true
+		}
 		if cfg.beaconLoss(i) > 0 || cfg.ulFail(i) > 0 {
 			s.noLinkLoss = false
 		}
@@ -183,6 +199,7 @@ func (s *SlotSim) Reset(seed uint64) {
 	s.cfg.Seed = seed
 	var root sim.Rand //lint:allow rng-discipline seeded in place on the next line; avoids an allocation per reset
 	root.Seed(seed)
+	s.lastJoin = 0
 	for i, t := range s.tags {
 		t.proto.rng.ReseedFork(&root, uint64(t.tid))
 		t.proto.reinit()
@@ -191,6 +208,8 @@ func (s *SlotSim) Reset(seed uint64) {
 		}
 		t.proto.DisableEmptyGate = s.cfg.DisableEmptyGate
 		t.joinSlot = s.cfg.joinSlot(i)
+		t.seen, t.wake = t.joinSlot-1, t.joinSlot
+		s.lastJoin = max(s.lastJoin, t.joinSlot)
 		t.down = false
 		t.downUntil = 0
 		t.txCount = 0
@@ -244,6 +263,18 @@ type SlotResult struct {
 
 // Step simulates one slot and returns what happened in it.
 //
+// The tag loop is sparse (DESIGN.md "Sparse slot kernel"): a tag is
+// visited only from its wake slot on, the first slot whose beacon can
+// do more than advance its counter, and is caught up with Skip on the
+// way in. A slot whose beacon or faults can reach any tag visits every
+// tag through the same loop.
+//
+// With the reader carrier dark (SlotFaults.ReaderDown) no beacon is
+// broadcast, so every powered tag experiences a beacon loss (and
+// migrates, per Sec. 5.4), the reader neither observes the channel nor
+// advances its slot counter, and browned-out tags cannot recharge —
+// their rejoin deadline slides by one slot per outage slot.
+//
 //alloc:hot the slot loop of every slots-engine trial; events borrow the scratch slices
 func (s *SlotSim) Step() SlotResult {
 	slot := s.SlotsRun
@@ -252,11 +283,9 @@ func (s *SlotSim) Step() SlotResult {
 	if s.cfg.Faults != nil {
 		fs = s.cfg.Faults.BeginSlot(slot)
 	}
-	if fs.ReaderDown {
-		return s.stepReaderDown(slot)
-	}
+	dark := fs.ReaderDown
 	fb := s.fb
-	if fs.ReaderReset {
+	if fs.ReaderReset && !dark {
 		// Carrier restart with reader state loss: the recovering
 		// reader opens this slot with a RESET beacon, forcing a full
 		// network recontention. The slot clock is resynced so the
@@ -265,17 +294,28 @@ func (s *SlotSim) Step() SlotResult {
 		s.reader.SyncSlot(slot)
 	}
 	if s.slotEvents {
-		s.cfg.Trace.Emit(obs.Event{Kind: obs.KindSlotOpen, Slot: slot, ACK: fb.ACK, Empty: fb.Empty})
+		if dark {
+			s.cfg.Trace.Emit(obs.Event{Kind: obs.KindSlotOpen, Slot: slot, Detail: "reader_down"})
+		} else {
+			s.cfg.Trace.Emit(obs.Event{Kind: obs.KindSlotOpen, Slot: slot, ACK: fb.ACK, Empty: fb.Empty})
+		}
 	}
 
+	// A flipped ACK needs no visit of its own: only a tag that sent in
+	// the last slot reads the flag, and such a tag wakes in this one.
+	every := s.everySlot || dark || fb.Reset || fs.BeaconLoss != nil || fs.SlipSlot != nil ||
+		fs.Brownout != nil
 	transmitters := s.txScratch[:0]
-	waiting := false // a tag has yet to join
 	for i, t := range s.tags {
-		if slot < t.joinSlot {
-			waiting = true
+		if !every && slot < t.wake || slot < t.joinSlot {
 			continue
 		}
 		if t.down {
+			if dark {
+				t.downUntil++ // no carrier, no harvesting
+				t.wake = t.downUntil
+				continue
+			}
 			if slot < t.downUntil {
 				continue
 			}
@@ -283,46 +323,65 @@ func (s *SlotSim) Step() SlotResult {
 			// rejoins as a newcomer with all volatile state lost.
 			t.down = false
 			t.proto.Rejoin()
+			t.seen = slot - 1
 			if s.cfg.Trace.Enabled() {
 				s.cfg.Trace.Emit(obs.Event{Kind: obs.KindTagRejoin, Slot: slot, TID: t.tid,
 					Period: int(t.proto.Period)})
 			}
 		}
-		lost := s.rng.Bool(s.cfg.beaconLoss(i)) ||
+		t.proto.Skip(slot - t.seen - 1)
+		t.seen = slot
+		lost := dark || s.rng.Bool(s.cfg.beaconLoss(i)) ||
 			(i < len(fs.BeaconLoss) && fs.BeaconLoss[i]) ||
 			(i < len(fs.SlipSlot) && fs.SlipSlot[i])
 		if lost {
-			if !s.cfg.DisableBeaconLossTimer {
-				t.proto.OnBeaconLoss()
-			}
 			// Without the timer refinement the tag just fails to
 			// advance its counter — the silent desynchronization of
 			// Sec. 5.4's analysis.
-			continue
+			if !s.cfg.DisableBeaconLossTimer {
+				t.proto.OnBeaconLoss()
+			}
+		} else {
+			fbi := fb
+			if i < len(fs.CorruptACK) && fs.CorruptACK[i] {
+				fbi.ACK = !fbi.ACK
+			}
+			if t.proto.OnBeacon(fbi) {
+				transmitters = append(transmitters, t)
+				t.txCount++
+				t.lastTxSlot = slot
+			}
 		}
-		fbi := fb
-		if i < len(fs.CorruptACK) && fs.CorruptACK[i] {
-			fbi.ACK = !fbi.ACK
+		t.wake = slot + 1 + t.proto.Quiet()
+	}
+	if dark {
+		s.SlotsRun++
+		// The outage slot still elapsed in absolute time: keep the
+		// reader's clock in the global frame, so beliefs from before
+		// the outage are judged against real elapsed slots once the
+		// carrier returns.
+		s.reader.SyncSlot(s.SlotsRun)
+		if s.slotEvents {
+			s.cfg.Trace.Emit(obs.Event{Kind: obs.KindSlotClose, Slot: slot, Detail: "reader_down"})
 		}
-		if t.proto.OnBeacon(fbi) {
-			transmitters = append(transmitters, t)
-			t.txCount++
-			t.lastTxSlot = slot
-		}
+		return SlotResult{Slot: slot, Feedback: s.fb}
 	}
 
 	// Mid-slot brownouts: the drain hits after the beacon, so the tag
 	// took part in the slot, but its response (if any) dies on air and
 	// its volatile state is gone by the time it recharges.
-	for i, t := range s.tags {
-		if i < len(fs.Brownout) && fs.Brownout[i] && !t.down && slot >= t.joinSlot {
-			t.down = true
-			delay := 1
-			if i < len(fs.RejoinDelay) && fs.RejoinDelay[i] > 1 {
-				delay = fs.RejoinDelay[i]
+	if fs.Brownout != nil {
+		for i, t := range s.tags {
+			if i < len(fs.Brownout) && fs.Brownout[i] && !t.down && slot >= t.joinSlot {
+				t.down = true
+				delay := 1
+				if i < len(fs.RejoinDelay) && fs.RejoinDelay[i] > 1 {
+					delay = fs.RejoinDelay[i]
+				}
+				// Dark for delay whole slots after this one.
+				t.downUntil = slot + 1 + delay
+				t.wake = t.downUntil
 			}
-			// Dark for delay whole slots after this one.
-			t.downUntil = slot + 1 + delay
 		}
 	}
 
@@ -379,7 +438,7 @@ func (s *SlotSim) Step() SlotResult {
 	}
 	// The network has not converged while a tag has yet to join: such a
 	// slot does not count as clean.
-	s.Convergence.Observe(truthCollision || waiting)
+	s.Convergence.Observe(truthCollision || slot < s.lastJoin)
 
 	s.fb = next
 	s.SlotsRun++
@@ -397,38 +456,6 @@ func (s *SlotSim) Step() SlotResult {
 			Decoded: seen.Decoded, Collision: seen.Collision, ACK: next.ACK, Empty: next.Empty})
 	}
 	return SlotResult{Slot: slot, Transmitters: tids, Obs: seen, Feedback: next}
-}
-
-// stepReaderDown simulates one slot with the reader carrier dark: no
-// beacon is broadcast, so every powered tag experiences a beacon loss
-// (and migrates, per Sec. 5.4), the reader neither observes the channel
-// nor advances its slot counter, and browned-out tags cannot recharge —
-// their rejoin deadline slides by one slot per outage slot.
-func (s *SlotSim) stepReaderDown(slot int) SlotResult {
-	if s.slotEvents {
-		s.cfg.Trace.Emit(obs.Event{Kind: obs.KindSlotOpen, Slot: slot, Detail: "reader_down"})
-	}
-	for _, t := range s.tags {
-		if slot < t.joinSlot {
-			continue
-		}
-		if t.down {
-			t.downUntil++ // no carrier, no harvesting
-			continue
-		}
-		if !s.cfg.DisableBeaconLossTimer {
-			t.proto.OnBeaconLoss()
-		}
-	}
-	s.SlotsRun++
-	// The outage slot still elapsed in absolute time: keep the reader's
-	// clock in the global frame, so beliefs from before the outage are
-	// judged against real elapsed slots once the carrier returns.
-	s.reader.SyncSlot(s.SlotsRun)
-	if s.slotEvents {
-		s.cfg.Trace.Emit(obs.Event{Kind: obs.KindSlotClose, Slot: slot, Detail: "reader_down"})
-	}
-	return SlotResult{Slot: slot, Feedback: s.fb}
 }
 
 // Run advances n slots. Without a fault source or a tracer, once the

@@ -161,6 +161,22 @@ func (t *TagProtocol) OnBeacon(fb Feedback) bool {
 	return true
 }
 
+// Quiet returns how many of the coming beacons would only advance the
+// counter: none right after a transmission (the next beacon carries its
+// ACK or NACK), else those before the counter next meets the offset. It
+// assumes plain beacons: a RESET, a lost beacon or a flipped flag is
+// delivered through OnBeacon or OnBeaconLoss, never skipped.
+func (t *TagProtocol) Quiet() int {
+	if t.transmitted {
+		return 0
+	}
+	return (t.offset - t.counter - 1) & (int(t.Period) - 1)
+}
+
+// Skip delivers n quiet beacons at once: the counter advances by n, as
+// n OnBeacon calls would move it. n must not exceed Quiet().
+func (t *TagProtocol) Skip(n int) { t.counter += n }
+
 // OnBeaconLoss is the Sec. 5.4 refinement: a tag whose beacon timer
 // expires re-enters MIGRATE immediately instead of waiting to collide.
 // The local counter does not advance — that is the desynchronization.

@@ -20,8 +20,25 @@ func NewMetrics() *Metrics {
 	return &Metrics{counters: make(map[string]uint64)}
 }
 
-// Emit implements Sink: it counts the event under "events_<kind>".
-func (m *Metrics) Emit(ev Event) { m.Inc("events_" + string(ev.Kind)) }
+// Emit implements Sink: it counts the event under "events_<kind>". The
+// names of the vocabulary's kinds are built once, so counting one of
+// them allocates nothing.
+func (m *Metrics) Emit(ev Event) {
+	name, ok := censusNames[ev.Kind]
+	if !ok {
+		name = "events_" + string(ev.Kind)
+	}
+	m.Inc(name)
+}
+
+// censusNames maps each kind of the vocabulary to its census counter.
+var censusNames = func() map[Kind]string {
+	m := make(map[Kind]string, len(kindTag))
+	for k := range kindTag {
+		m[k] = "events_" + string(k)
+	}
+	return m
+}()
 
 // Inc adds one to the named counter. Nil-safe.
 func (m *Metrics) Inc(name string) { m.Add(name, 1) }

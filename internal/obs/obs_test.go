@@ -186,6 +186,26 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 	}
 }
 
+// TestMetricsEmitAllocs: counting an event of the vocabulary allocates
+// nothing once its counter exists; a kind outside it is still counted
+// under its own name.
+func TestMetricsEmitAllocs(t *testing.T) {
+	m := NewMetrics()
+	for k := range kindTag {
+		ev := Event{Kind: k}
+		if n := testing.AllocsPerRun(100, func() { m.Emit(ev) }); n != 0 {
+			t.Errorf("Emit(%s): %v allocs, want 0", k, n)
+		}
+	}
+	m.Emit(Event{Kind: "custom"})
+	if got := m.Counters()["events_custom"]; got != 1 {
+		t.Errorf("events_custom = %d, want 1", got)
+	}
+	if got := m.Counters()["events_slot_close"]; got != 101 {
+		t.Errorf("events_slot_close = %d, want 101", got)
+	}
+}
+
 func TestMetricsNilSafe(t *testing.T) {
 	var m *Metrics
 	m.Inc("x")
